@@ -11,7 +11,7 @@ The package tracks three layers of structure side by side:
   stiff-damping sweep toward the drift-diffusion regime.
 """
 
-from .field import ElectricField, field_bound, solve_field
+from .field import field_bound, solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, HydroState, PressureConvention, ProfileCheck,
                     cumulative_integral, total_integral,
@@ -27,18 +27,18 @@ from .relaxation import (CouplingRule, DDTrajectory, DriftDiffusionState,
                          ScaledTrajectory, StudyResult, StudyRow,
                          drift_diffusion_run, relaxation_study, rescale)
 from .scenarios import SCENARIOS, RunSetup, make_arrays, make_setup
-from .solver import (FluxScheme, IntegrationError, Snapshot, SolverConfig,
-                     SourceVariant, StepReport, Trajectory, prepare_initial,
-                     run, stable_dt, step)
+from .solver import (IntegrationError, Snapshot, SolverConfig, SourceVariant,
+                     StepReport, Trajectory, prepare_initial, run, stable_dt,
+                     step)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALL_MONITORS", "Boundary", "ConfigurationError", "ContractionReport",
     "CouplingRule", "DDTrajectory", "DeviceProfile", "DriftDiffusionState",
-    "ElectricField", "EntropyPair", "FluxScheme", "GasModel", "Grid1D",
-    "HeatKernel", "HydroState", "IntegrationError", "MonitorReport",
-    "MonitorSuite", "PicardIterate", "PicardResult", "PressureConvention",
+    "EntropyPair", "GasModel", "Grid1D", "HeatKernel", "HydroState",
+    "IntegrationError", "MonitorReport", "MonitorSuite", "PicardIterate",
+    "PicardResult", "PressureConvention",
     "ProfileCheck", "RunSetup", "SCENARIOS", "ScaledTrajectory", "Snapshot",
     "SolverConfig", "SourceVariant", "StepReport", "StudyResult", "StudyRow",
     "TestFunction", "Trajectory", "convexity_check", "cumulative_integral",

@@ -35,7 +35,7 @@ from .relaxation import CouplingRule, relaxation_study
 from .reporting import (fmt, json_text, load_run_dir, monitors_csv_text,
                         write_run_dir)
 from .scenarios import make_arrays, make_setup
-from .solver import FluxScheme, SolverConfig, SourceVariant, run
+from .solver import SolverConfig, SourceVariant, run
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -72,7 +72,6 @@ def _config_echo(name: str, setup, cadence: int, enabled: tuple,
         "epsilon": cfg.epsilon, "tau": cfg.tau, "cfl": cfg.cfl,
         "t_end": cfg.t_end,
         "source_variant": cfg.source_variant.value,
-        "flux_scheme": cfg.flux_scheme.value,
         "smoothing_width": cfg.smoothing_width,
         "cadence": cadence,
         "monitors": ",".join(enabled) if enabled else "none",
@@ -114,7 +113,7 @@ def cmd_solve(args) -> int:
                setup.grid, record_every=cadence)
     wall = time.perf_counter() - t0
 
-    suite = MonitorSuite(enabled=enabled, cadence=cadence)
+    suite = MonitorSuite(enabled=enabled)
     report = evaluate_trajectory(traj, setup.profile, suite)
     extra = {}
     if "entropy" in enabled:
@@ -179,7 +178,7 @@ def cmd_verify(args) -> int:
     payload, traj, profile = load_run_dir(args.run_dir)
     echo = payload["config"]
     enabled = parse_monitor_list(echo.get("monitors", "all"))
-    suite = MonitorSuite(enabled=enabled, cadence=int(echo.get("cadence", 50)))
+    suite = MonitorSuite(enabled=enabled)
     report = evaluate_trajectory(traj, profile, suite)
     if "entropy" in enabled:
         _, ent_viols = entropy_spot_check(
@@ -205,7 +204,6 @@ def cmd_verify(args) -> int:
             epsilon=float(echo["epsilon"]), tau=float(echo["tau"]),
             cfl=float(echo["cfl"]), t_end=t1,
             source_variant=SourceVariant(echo["source_variant"]),
-            flux_scheme=FluxScheme(echo["flux_scheme"]),
             smoothing_width=0.0)
         snap0 = traj.snapshots[0]
         initial = HydroState(rho=snap0.rho.copy(), mom=snap0.mom.copy(),
@@ -258,7 +256,6 @@ def cmd_picard(args) -> int:
     fine_cfg = SolverConfig(
         epsilon=fine.cfg.epsilon, tau=fine.cfg.tau, cfl=fine.cfg.cfl,
         t_end=t1, source_variant=fine.cfg.source_variant,
-        flux_scheme=fine.cfg.flux_scheme,
         smoothing_width=fine.cfg.smoothing_width)
     traj = run(fine.initial, fine.profile, fine.model, fine_cfg, fine.grid,
                record_times=[t1])

@@ -28,7 +28,7 @@ SCENARIO_KEYS = {
     "x_min": float, "x_max": float, "n_cells": int, "boundary": str,
     "gamma": float, "delta": float, "pressure_convention": str,
     "epsilon": float, "tau": float, "cfl": float, "t_end": float,
-    "source_variant": str, "flux_scheme": str, "smoothing_width": float,
+    "source_variant": str, "smoothing_width": float,
     "bump_amplitude": float, "bump_center": float, "bump_width": float,
     "bump_speed": float, "doping_mass": float, "doping_center": float,
     "doping_width": float, "e_minus": float, "damping": float,

@@ -6,12 +6,10 @@ solve is involved.  The a-priori sup bound
 
     |E| <= |e_minus| + int (rho0 - 2*delta) dx + int |b| dx
 
-travels with the field for monitoring.
+is computed separately by `field_bound`, only where a monitor needs it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,20 +17,12 @@ from .model import (DeviceProfile, GasModel, Grid1D, HydroState,
                     cumulative_integral, total_integral)
 
 
-@dataclass(frozen=True)
-class ElectricField:
-    e_vals: np.ndarray
-    e_minus: float
-    sup_bound: float
-
-
-def solve_field(state: HydroState, profile: DeviceProfile, model: GasModel,
-                grid: Grid1D) -> ElectricField:
-    """Integrate the charge imbalance left to right from the field datum."""
-    source = state.excess(model) - profile.b_vals
-    e_vals = profile.e_minus + cumulative_integral(source, grid.dx)
-    return ElectricField(e_vals=e_vals, e_minus=profile.e_minus,
-                         sup_bound=field_bound(state, profile, model, grid))
+def solve_field(excess, profile: DeviceProfile, grid: Grid1D) -> np.ndarray:
+    """Integrate the charge imbalance excess - b left to right from the field
+    datum.  `excess` is the density above the vacuum: rho - 2*delta for the
+    hydro state, N itself for the drift-diffusion limit."""
+    return profile.e_minus + cumulative_integral(
+        np.asarray(excess, dtype=float) - profile.b_vals, grid.dx)
 
 
 def field_bound(state: HydroState, profile: DeviceProfile, model: GasModel,

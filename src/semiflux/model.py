@@ -136,10 +136,6 @@ class GasModel:
             return lam1, lam2
         return float(lam1), float(lam2)
 
-    def max_wave_speed(self, rho, mom):
-        lam1, lam2 = self.eigenvalues(rho, mom)
-        return np.maximum(np.abs(lam1), np.abs(lam2))
-
     def canonical_lower_ref(self) -> float:
         """Lower limit of the sound integral: 2*delta for gamma >= 3, zero for
         1 < gamma < 3, and 1 for the isothermal log form."""
@@ -207,6 +203,13 @@ class Grid1D:
     @property
     def faces(self) -> np.ndarray:
         return self.x_min + np.arange(self.n_cells + 1) * self.dx
+
+    def extend(self, arr: np.ndarray) -> np.ndarray:
+        """Pad cell data with one ghost cell per side: the wrapped neighbour
+        under periodic boundaries, a copy of the edge cell under outflow."""
+        if self.boundary is Boundary.PERIODIC:
+            return np.concatenate(([arr[-1]], arr, [arr[0]]))
+        return np.concatenate(([arr[0]], arr, [arr[-1]]))
 
 
 def cumulative_integral(vals: np.ndarray, dx: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from scipy.special import erf
 from .field import solve_field
 from .model import (DeviceProfile, GasModel, Grid1D, HydroState,
                     total_integral)
-from .solver import SourceVariant
+from .solver import SourceVariant, flux, source
 
 
 @dataclass(frozen=True)
@@ -112,16 +112,10 @@ def picard_step(prev: PicardIterate, initial: HydroState,
     s_lvl = np.empty_like(prev.rho)
     for j in range(n_lev):
         rho, mom = prev.rho[j], prev.mom[j]
-        u = mom / rho
-        h_lvl[j] = (rho - d2) * u
-        f_lvl[j] = mom * u - model.delta * u * u + model.perturbed_pressure(rho)
-        state = HydroState(rho=rho, mom=mom, time=float(times[j]))
-        e_vals = solve_field(state, profile, model, grid).e_vals
-        if source_variant is SourceVariant.FULL_DENSITY:
-            s_lvl[j] = rho * e_vals - profile.a_vals * mom / tau
-        else:
-            ex = rho - d2
-            s_lvl[j] = ex * e_vals - profile.a_vals * ex * u / tau
+        h_lvl[j], f_lvl[j] = flux(model, rho, mom)
+        e_vals = solve_field(rho - d2, profile, grid)
+        s_lvl[j] = source(source_variant, model, rho, mom, e_vals,
+                          profile.a_vals, tau)
 
     # kernel tables at the midpoint lags (m - 1/2) ds, m = 1..n_intervals
     smooth_w = [None]

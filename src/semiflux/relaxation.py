@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
-                    Grid1D, HydroState, PressureConvention,
-                    cumulative_integral)
+from .field import solve_field
+from .model import (ConfigurationError, DeviceProfile, GasModel, Grid1D,
+                    PressureConvention)
 from .monitors import dissipation_integral
 from .solver import SolverConfig, SourceVariant, Trajectory, prepare_initial, run
 
@@ -75,24 +75,13 @@ class DriftDiffusionState:
     time: float = 0.0
 
 
-def drift_diffusion_field(n_vals, profile: DeviceProfile,
-                          grid: Grid1D) -> np.ndarray:
-    """Upsilon = e_minus + running integral of (N - b); offset is zero here."""
-    return profile.e_minus + cumulative_integral(
-        np.asarray(n_vals, dtype=float) - profile.b_vals, grid.dx)
-
-
 def _dd_face_flux(n_vals, upsilon, profile: DeviceProfile, model: GasModel,
                   grid: Grid1D) -> np.ndarray:
     """a J = N Upsilon - P(N)_x on the n_cells+1 faces (centered averages,
     pressure gradient split onto faces)."""
-    if grid.boundary is Boundary.PERIODIC:
-        pad = lambda v: np.concatenate(([v[-1]], v, [v[0]]))
-    else:
-        pad = lambda v: np.concatenate(([v[0]], v, [v[-1]]))
-    n_e = pad(np.asarray(n_vals, dtype=float))
-    up_e = pad(np.asarray(upsilon, dtype=float))
-    a_e = pad(profile.a_vals)
+    n_e = grid.extend(np.asarray(n_vals, dtype=float))
+    up_e = grid.extend(np.asarray(upsilon, dtype=float))
+    a_e = grid.extend(profile.a_vals)
     drift_e = n_e * up_e
     p_e = model.pressure(n_e)
     drift_face = 0.5 * (drift_e[:-1] + drift_e[1:])
@@ -117,13 +106,13 @@ def drift_diffusion_step(state: DriftDiffusionState, profile: DeviceProfile,
     """Conservative explicit update; halves dt on a positivity violation and
     gives up after 40 halvings.  Returns (new_state, dt_used)."""
     n_vals = state.n_vals
-    upsilon = drift_diffusion_field(n_vals, profile, grid)
+    upsilon = solve_field(n_vals, profile, grid)
     j_face = _dd_face_flux(n_vals, upsilon, profile, model, grid)
     dt = dt_s
     for _ in range(41):
         n_new = n_vals - (dt / grid.dx) * (j_face[1:] - j_face[:-1])
         if np.all(n_new >= 0.0):
-            up_new = drift_diffusion_field(n_new, profile, grid)
+            up_new = solve_field(n_new, profile, grid)
             return (DriftDiffusionState(n_vals=n_new, upsilon=up_new,
                                         time=state.time + dt), dt)
         dt *= 0.5
@@ -147,7 +136,7 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
     if np.any(n0 < 0.0):
         raise ValueError("initial density must be non-negative")
     state = DriftDiffusionState(n_vals=n0.copy(),
-                                upsilon=drift_diffusion_field(n0, profile, grid),
+                                upsilon=solve_field(n0, profile, grid),
                                 time=0.0)
     rec = sorted(float(t) for t in (record_times if record_times is not None else [])
                  if 0.0 < t <= s_end)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, PressureConvention, cumulative_integral)
-from .solver import FluxScheme, SolverConfig, SourceVariant, prepare_initial
+from .solver import SolverConfig, SourceVariant, prepare_initial
 
 
 def gaussian(x, center: float, width: float):
@@ -55,7 +55,6 @@ _COMMON = {
     "x_min": -5.0, "x_max": 5.0, "n_cells": 500, "boundary": "outflow",
     "delta": 0.05, "epsilon": 1e-3, "tau": 1.0, "cfl": 0.45, "t_end": 5.0,
     "smoothing_width": 0.1, "source_variant": "full-density",
-    "flux_scheme": "llf", "cadence": 50,
     "bump_amplitude": 0.8, "bump_center": 0.0, "bump_width": 0.5,
     "bump_speed": 0.0,
     "doping_mass": 0.5, "doping_center": 0.0, "doping_width": 0.8,
@@ -170,7 +169,6 @@ def make_setup(name: str, overrides: dict | None = None,
     cfg = SolverConfig(epsilon=float(p["epsilon"]), tau=float(p["tau"]),
                        cfl=float(p["cfl"]), t_end=float(p["t_end"]),
                        source_variant=SourceVariant(p["source_variant"]),
-                       flux_scheme=FluxScheme(p["flux_scheme"]),
                        smoothing_width=float(p["smoothing_width"]))
     custom = bool(profile_tables)
     if custom:

@@ -22,20 +22,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import solve_field
-from .model import (RHO_FLOOR_SLACK, Boundary, ConfigurationError,
-                    DeviceProfile, GasModel, Grid1D, HydroState)
-
-
-class FluxScheme(enum.Enum):
-    # Both names denote the same interface dissipation: half the jump times
-    # the largest characteristic speed on either side of the face.
-    LOCAL_LAX_FRIEDRICHS = "llf"
-    RUSANOV = "rusanov"
+from .model import (RHO_FLOOR_SLACK, ConfigurationError, DeviceProfile,
+                    GasModel, Grid1D, HydroState)
 
 
 class SourceVariant(enum.Enum):
     FULL_DENSITY = "full-density"       # rho*E - a*m/tau
     EXCESS_DENSITY = "excess-density"   # (rho-2*delta)*E - a*(rho-2*delta)*u/tau
+
+
+def source(variant: SourceVariant, model: GasModel, rho, mom, e_vals, a_vals,
+           tau: float):
+    """Momentum source S(rho, m, E) of the chosen coupling variant."""
+    if variant is SourceVariant.FULL_DENSITY:
+        return rho * e_vals - a_vals * mom / tau
+    ex = rho - model.rho_floor
+    return ex * e_vals - a_vals * ex * (mom / rho) / tau
 
 
 class IntegrationError(RuntimeError):
@@ -54,9 +56,7 @@ class SolverConfig:
     cfl: float = 0.45
     t_end: float = 1.0
     source_variant: SourceVariant = SourceVariant.FULL_DENSITY
-    flux_scheme: FluxScheme = FluxScheme.LOCAL_LAX_FRIEDRICHS
     smoothing_width: float = 0.0
-    include_field: bool = True
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -76,7 +76,6 @@ class StepReport:
     dt_used: float
     max_wave_speed: float
     post_step_min_rho: float
-    source_solve_iterations: int = 1
 
 
 def gaussian_kernel(width: float, dx: float) -> np.ndarray:
@@ -122,31 +121,32 @@ def flux(model: GasModel, rho, mom):
     return f1, f2
 
 
-def _extend(arr: np.ndarray, boundary: Boundary) -> np.ndarray:
-    if boundary is Boundary.PERIODIC:
-        return np.concatenate(([arr[-1]], arr, [arr[0]]))
-    return np.concatenate(([arr[0]], arr, [arr[-1]]))
+def _speed_and_dt(rho, mom, model: GasModel, cfg: SolverConfig,
+                  grid: Grid1D):
+    """Cellwise largest characteristic speed |u| + ((rho-2d)/rho) sqrt(P'),
+    its maximum, and the stable step cfl / (max|lambda|/dx + 2 eps/dx^2): one
+    budget shared by advection and viscosity, so the explicit update stays a
+    convex combination."""
+    speed = np.abs(mom / rho) + (rho - model.rho_floor) / rho \
+        * model.sound_speed(rho)
+    max_speed = float(np.max(speed))
+    dt = cfg.cfl / (max_speed / grid.dx + 2.0 * cfg.epsilon / grid.dx ** 2)
+    return speed, max_speed, dt
 
 
 def stable_dt(state: HydroState, model: GasModel, cfg: SolverConfig,
               grid: Grid1D) -> float:
-    """cfl / (max|lambda|/dx + 2 eps/dx^2): one budget shared by advection and
-    viscosity, so the explicit update stays a convex combination."""
-    u = state.mom / state.rho
-    speed = np.abs(u) + (state.rho - model.rho_floor) / state.rho \
-        * model.sound_speed(state.rho)
-    return cfg.cfl / (float(np.max(speed)) / grid.dx
-                      + 2.0 * cfg.epsilon / grid.dx ** 2)
+    """The step `step` takes from `state` when no stop time cuts it short."""
+    return _speed_and_dt(state.rho, state.mom, model, cfg, grid)[2]
 
 
 def step(state: HydroState, profile: DeviceProfile, model: GasModel,
-         cfg: SolverConfig, grid: Grid1D, dt_limit: float | None = None,
-         new_time: float | None = None):
+         cfg: SolverConfig, grid: Grid1D, t_stop: float | None = None):
     """One explicit flux/viscosity update followed by the exact damping decay.
 
-    Returns (new_state, StepReport).  dt_limit caps the stable step (to land
-    on output instants); new_time, when given, is assigned verbatim so record
-    times are hit exactly.
+    Returns (new_state, StepReport).  The step is the stable one unless it
+    would pass t_stop; then it ends on t_stop exactly, so output instants are
+    hit without rounding drift.
     """
     rho, mom = state.rho, state.mom
     dx = grid.dx
@@ -155,20 +155,17 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     if float(np.min(rho)) < floor:
         raise IntegrationError("density fell below the vacuum offset",
                                state, state.time)
-    u = mom / rho
-    speed = np.abs(u) + (rho - model.rho_floor) / rho * model.sound_speed(rho)
-    max_speed = float(np.max(speed))
-    dt = cfg.cfl / (max_speed / dx + 2.0 * cfg.epsilon / dx ** 2)
-    if dt_limit is not None:
-        dt = min(dt, dt_limit)
+    speed, max_speed, dt = _speed_and_dt(rho, mom, model, cfg, grid)
+    t_new = state.time + dt
+    if t_stop is not None and dt >= t_stop - state.time:
+        dt = t_stop - state.time
+        t_new = t_stop
 
-    rho_e = _extend(rho, grid.boundary)
-    mom_e = _extend(mom, grid.boundary)
-    u_e = mom_e / rho_e
-    speed_e = _extend(speed, grid.boundary)
-
-    f1_e = (rho_e - model.rho_floor) * u_e
-    f2_e = mom_e * u_e - model.delta * u_e * u_e + model.perturbed_pressure(rho_e)
+    # ghost cells copy interior cells, so their fluxes are copies too
+    f1, f2 = flux(model, rho, mom)
+    rho_e, mom_e = grid.extend(rho), grid.extend(mom)
+    f1_e, f2_e = grid.extend(f1), grid.extend(f2)
+    speed_e = grid.extend(speed)
 
     alpha = np.maximum(speed_e[:-1], speed_e[1:])
     flux1 = 0.5 * (f1_e[:-1] + f1_e[1:]) - 0.5 * alpha * (rho_e[1:] - rho_e[:-1])
@@ -180,23 +177,20 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     rho_new = rho - (dt / dx) * (flux1[1:] - flux1[:-1]) + dt * visc_rho
     mom_star = mom - (dt / dx) * (flux2[1:] - flux2[:-1]) + dt * visc_mom
 
-    if cfg.include_field:
-        e_vals = solve_field(state, profile, model, grid).e_vals
-        if cfg.source_variant is SourceVariant.FULL_DENSITY:
-            mom_star = mom_star + dt * rho * e_vals
-        else:
-            mom_star = mom_star + dt * (rho - model.rho_floor) * e_vals
-
+    # explicit field force, then the damping through its exact decay factor
+    excess = state.excess(model)
+    e_vals = solve_field(excess, profile, grid)
     if cfg.source_variant is SourceVariant.FULL_DENSITY:
+        mom_star = mom_star + dt * rho * e_vals
         rate = profile.a_vals / cfg.tau
     else:
+        mom_star = mom_star + dt * excess * e_vals
         rate = profile.a_vals * (rho_new - model.rho_floor) / rho_new / cfg.tau
     mom_new = mom_star * np.exp(-rate * dt)
 
     if not (np.all(np.isfinite(rho_new)) and np.all(np.isfinite(mom_new))):
         raise IntegrationError("non-finite state", state, state.time)
 
-    t_new = new_time if new_time is not None else state.time + dt
     report = StepReport(dt_used=dt, max_wave_speed=max_speed,
                         post_step_min_rho=float(np.min(rho_new)))
     return HydroState(rho=rho_new, mom=mom_new, time=t_new), report
@@ -234,11 +228,8 @@ class Trajectory:
 
 
 def _record(traj: Trajectory, state: HydroState, profile: DeviceProfile,
-            model: GasModel, cfg: SolverConfig, grid: Grid1D, step_idx: int):
-    if cfg.include_field:
-        e_vals = solve_field(state, profile, model, grid).e_vals
-    else:
-        e_vals = np.zeros_like(state.rho)
+            model: GasModel, grid: Grid1D, step_idx: int):
+    e_vals = solve_field(state.excess(model), profile, grid)
     traj.snapshots.append(Snapshot(step=step_idx, time=state.time,
                                    rho=state.rho.copy(), mom=state.mom.copy(),
                                    e_vals=e_vals))
@@ -263,7 +254,7 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
     traj = Trajectory(grid=grid, model=model)
     state = initial
     traj.min_rho_ever = float(np.min(state.rho))
-    _record(traj, state, profile, model, cfg, grid, 0)
+    _record(traj, state, profile, model, grid, 0)
 
     tiny = 1e-12 * max(cfg.t_end, 1.0)
     next_rec = 0
@@ -273,13 +264,8 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
         if rec_times is not None and next_rec < len(rec_times):
             targets.append(rec_times[next_rec])
         target = min(t for t in targets if t > state.time + tiny)
-        dt_limit = target - state.time
         try:
-            trial_dt = stable_dt(state, model, cfg, grid)
-            hit = trial_dt >= dt_limit
-            state, rep = step(state, profile, model, cfg, grid,
-                              dt_limit=dt_limit,
-                              new_time=target if hit else None)
+            state, rep = step(state, profile, model, cfg, grid, t_stop=target)
         except IntegrationError as err:
             traj.completed = False
             traj.failure_time = err.time
@@ -301,5 +287,5 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
         if state.time >= cfg.t_end - tiny:
             due = True
         if due:
-            _record(traj, state, profile, model, cfg, grid, k)
+            _record(traj, state, profile, model, grid, k)
     return traj

@@ -175,6 +175,15 @@ class TestVerify:
         assert "fixed-point cross-check" in text
         assert "agrees" in text
 
+    def test_legacy_flux_scheme_echo_still_verifies(self, run_dir):
+        # run directories written while the config echo carried a flux
+        # scheme name must keep verifying
+        p = run_dir / "report.json"
+        payload = json.loads(p.read_text())
+        payload["config"]["flux_scheme"] = "llf"
+        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        assert main(["verify", str(run_dir), "--picard", "--t1", "0.01"]) == 0
+
     def test_missing_run_dir(self, tmp_path):
         assert main(["verify", str(tmp_path / "ghost")]) == 2
 

@@ -85,10 +85,6 @@ class TestSuiteValidation:
         with pytest.raises(ValueError, match="unknown"):
             MonitorSuite(enabled=("positivity", "bogus"))
 
-    def test_bad_cadence_rejected(self):
-        with pytest.raises(ValueError):
-            MonitorSuite(cadence=0)
-
 
 class TestEvaluateTrajectory:
     def setup_method(self):
@@ -354,6 +350,25 @@ class TestEntropyResidual:
         results, violations = entropy_spot_check(traj, profile, tau=1.0,
                                                  epsilon=1e-3, seed=0)
         assert results == [] and violations == []
+
+    def test_tolerance_scale_follows_source_variant(self):
+        # on the vacuum floor the excess-density source vanishes, while the
+        # full-density damping a*m/tau would dominate the tolerance scale
+        grid = Grid1D(-5.0, 5.0, 64)
+        model = GasModel(gamma=1.4, delta=0.05)
+        profile = DeviceProfile.uniform(grid)
+        n = grid.n_cells
+        rho, mom = np.full(n, model.rho_floor), np.full(n, 0.05)
+        traj = make_traj(grid, model, [(t, rho, mom, np.zeros(n))
+                                       for t in (0.0, 1.0, 2.0, 3.0)])
+        pair = mechanical_energy_pair(model)
+        scale = max(float(np.max(np.abs(pair.eta(rho, mom)))),
+                    float(np.max(np.abs(pair.q(rho, mom)))))
+        results, _ = entropy_spot_check(
+            traj, profile, tau=0.01, epsilon=1e-3, seed=0,
+            source_variant=SourceVariant.EXCESS_DENSITY)
+        expected = (grid.dx + 1e-3 + 1.0) * scale
+        assert results[0]["tolerance"] == pytest.approx(expected, rel=1e-12)
 
 
 class TestDissipationIntegral:

@@ -21,12 +21,12 @@ from semiflux import (
     drift_diffusion_run,
     relaxation_study,
     rescale,
+    solve_field,
     total_integral,
 )
 from semiflux.relaxation import (
     PositivityError,
     dd_stable_dt,
-    drift_diffusion_field,
     scaled_l1_gap,
     validate_tau_ladder,
 )
@@ -96,7 +96,7 @@ class TestDriftDiffusionField:
         grid = Grid1D(-2.0, 2.0, 50)
         profile = DeviceProfile.uniform(grid, e_minus=0.7)
         n_vals = np.ones(50)
-        got = drift_diffusion_field(n_vals, profile, grid)
+        got = solve_field(n_vals, profile, grid)
         expected = 0.7 + (grid.centers - grid.x_min)
         assert np.allclose(got, expected, atol=1e-12)
 
@@ -106,7 +106,7 @@ class TestDriftDiffusionField:
         grid = Grid1D(-1.0, 1.0, 40)
         b = np.full(40, 0.4)
         profile = DeviceProfile.build(grid, np.ones(40), b, e_minus=10.0)
-        ups = drift_diffusion_field(n_vals, profile, grid)
+        ups = solve_field(n_vals, profile, grid)
         slopes = np.abs(np.diff(ups)) / grid.dx
         assert np.all(slopes <= np.max(np.abs(n_vals - b)) + 1e-12)
 

@@ -149,14 +149,15 @@ class TestFrictionDecay:
                              [SourceVariant.FULL_DENSITY,
                               SourceVariant.EXCESS_DENSITY])
     def test_uniform_state_decays_exponentially(self, variant):
-        # With the field switched off and a spatially uniform state the flux
-        # divergence cancels, so the momentum obeys m' = -rate*m exactly and
-        # the integrator reproduces the closed form to rounding error.
+        # Doping equal to the uniform excess makes the charge, hence E,
+        # vanish identically; with the flux divergence cancelling too, the
+        # momentum obeys m' = -rate*m exactly and the integrator reproduces
+        # the closed form to rounding error.
         a, tau = 0.8, 0.3
-        grid, model, profile, cfg = uniform_setup(
-            a=a, tau=tau, t_end=0.5, epsilon=1e-3,
-            source_variant=variant, include_field=False)
         rho0, u0 = 1.3, 0.4
+        grid, model, profile, cfg = uniform_setup(
+            a=a, b=rho0 - 2 * 0.05, tau=tau, t_end=0.5, epsilon=1e-3,
+            source_variant=variant)
         state = HydroState(rho=np.full(grid.n_cells, rho0),
                            mom=np.full(grid.n_cells, rho0 * u0))
         traj = run(state, profile, model, cfg, grid, record_every=10 ** 6)
@@ -229,13 +230,18 @@ class TestStepMechanics:
             expected, rel=1e-13)
 
     def test_dt_limit_and_time_stamp(self):
+        # a stop time inside the stable step cuts it short and is hit
+        # exactly; one beyond it leaves the stable step alone
         grid, model, profile, cfg = uniform_setup(epsilon=1e-3)
         state = HydroState(rho=np.full(grid.n_cells, 1.0),
-                           mom=np.zeros(grid.n_cells))
-        new, rep = step(state, profile, model, cfg, grid,
-                        dt_limit=1e-6, new_time=0.123)
-        assert rep.dt_used == 1e-6
-        assert new.time == 0.123
+                           mom=np.zeros(grid.n_cells), time=0.123)
+        new, rep = step(state, profile, model, cfg, grid, t_stop=0.123 + 1e-6)
+        assert rep.dt_used == (0.123 + 1e-6) - 0.123
+        assert new.time == 0.123 + 1e-6
+        dt = stable_dt(state, model, cfg, grid)
+        new, rep = step(state, profile, model, cfg, grid, t_stop=1.0)
+        assert rep.dt_used == dt
+        assert new.time == 0.123 + dt
 
     def test_floor_violation_raises(self):
         grid, model, profile, cfg = uniform_setup()
