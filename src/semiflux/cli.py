@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,22 @@ def _picard_verdict(result, gap: float | None, tol_cross: float | None,
     return ok
 
 
+def _first_difference(stored: str, fresh: str, csv: bool) -> str:
+    """The first line where a stored text departs from its recomputation;
+    for CSV also the row, the column named by the header, and both cells."""
+    old, new = stored.splitlines(True), fresh.splitlines(True)
+    pairs = enumerate(zip_longest(old, new, fillvalue="<end of file>"))
+    i, (a, b) = next((i, p) for i, p in pairs if p[0] != p[1])
+    where = f"line {i + 1}"
+    cells = zip(new[0].strip().split(","), a.strip().split(","),
+                b.strip().split(","))
+    diff = [c for c in cells if c[1] != c[2]]
+    if csv and 0 < i < min(len(old), len(new)) and diff:
+        name, a, b = diff[0]
+        where += f" (row {i}), column {name}"
+    return f"{where}: stored {a!r}, recomputed {b!r}"
+
+
 def cmd_verify(args) -> int:
     payload, traj, profile = load_run_dir(args.run_dir)
     echo = payload["config"]
@@ -195,7 +212,8 @@ def cmd_verify(args) -> int:
         if fresh == stored:
             print(f"{fname}: byte-identical under recomputation")
         else:
-            print(f"{fname}: MISMATCH under recomputation")
+            where = _first_difference(stored, fresh, fname.endswith(".csv"))
+            print(f"{fname}: MISMATCH under recomputation, {where}")
             ok = False
 
     if args.picard:

@@ -13,17 +13,6 @@ import numpy as np
 
 from .model import ConfigurationError
 
-# keys accepted by `solve` beyond the scenario parameter set
-SOLVE_KEYS = {
-    "scenario": str,
-    "out_dir": str,
-    "seed": int,
-    "monitors": str,
-    "cadence": int,
-    "a_table": str,
-    "b_table": str,
-}
-
 SCENARIO_KEYS = {
     "x_min": float, "x_max": float, "n_cells": int, "boundary": str,
     "gamma": float, "delta": float, "pressure_convention": str,
@@ -35,14 +24,23 @@ SCENARIO_KEYS = {
     "damping_slope_coeff": float, "neutral_level": float,
 }
 
+# scenario parameters shared by the picard and relax commands
+_SHARED = ("x_min", "x_max", "n_cells", "boundary", "gamma",
+           "pressure_convention", "smoothing_width", "bump_amplitude",
+           "bump_center", "bump_width", "bump_speed", "e_minus", "damping")
+
+_COMMAND_KEYS = {"scenario": str, "out_dir": str}
+
+# keys accepted by `solve` beyond the scenario parameter set
+SOLVE_KEYS = {
+    **_COMMAND_KEYS,
+    "seed": int, "monitors": str, "cadence": int,
+    "a_table": str, "b_table": str,
+}
+
 RELAX_KEYS = {
-    "scenario": str, "out_dir": str, "seed": int,
-    "x_min": float, "x_max": float, "n_cells": int, "boundary": str,
-    "gamma": float, "pressure_convention": str, "cfl": float,
-    "smoothing_width": float,
-    "bump_amplitude": float, "bump_center": float, "bump_width": float,
-    "bump_speed": float, "neutral_level": float, "damping": float,
-    "e_minus": float,
+    **_COMMAND_KEYS,
+    **{k: SCENARIO_KEYS[k] for k in (*_SHARED, "cfl", "neutral_level")},
     "tau_list": str, "eps_coeff": float, "eps_power": float,
     "eps_fixed": float, "delta_coeff": float,
     "horizon": float, "window_lo": float, "window_hi": float,
@@ -50,12 +48,8 @@ RELAX_KEYS = {
 }
 
 PICARD_KEYS = {
-    "scenario": str, "out_dir": str, "seed": int,
-    "x_min": float, "x_max": float, "n_cells": int, "boundary": str,
-    "gamma": float, "delta": float, "pressure_convention": str,
-    "epsilon": float, "tau": float, "smoothing_width": float,
-    "bump_amplitude": float, "bump_center": float, "bump_width": float,
-    "bump_speed": float, "e_minus": float, "damping": float,
+    **_COMMAND_KEYS,
+    **{k: SCENARIO_KEYS[k] for k in (*_SHARED, "delta", "epsilon", "tau")},
     "t1": float, "n_intervals": int, "tol": float, "max_iters": int,
     "refine": int, "cross_tol_factor": float,
 }

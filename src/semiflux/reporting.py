@@ -1,19 +1,21 @@
 """Deterministic on-disk formats for runs.
 
-Snapshots are columnar text (x rho u m E z w) with '#' header lines, monitor
-series go to CSV, violations to JSON.  Every float is rendered with 17
-significant digits so repeated runs of the same build are byte-identical;
-wall-clock timing lives in its own file outside the determinism contract.
+Snapshots (x rho m E) and the profile (x a b) are '#'-headed text tables
+holding only what verify reads back, monitor series go to CSV, violations to
+JSON.  Every float is rendered with 17 significant digits so repeated runs of
+the same build are byte-identical; wall-clock timing lives in its own file.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
 
-from .model import Boundary, DeviceProfile, GasModel, Grid1D, PressureConvention
+from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
+                    Grid1D, PressureConvention)
 from .monitors import MonitorReport
 from .solver import Snapshot, Trajectory
 
@@ -22,42 +24,40 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def snapshot_text(snap: Snapshot, model: GasModel, grid: Grid1D) -> str:
-    z, w = model.riemann_invariants(snap.rho, snap.mom)
-    u = snap.mom / snap.rho
-    lines = [
-        f"# step = {snap.step}",
-        f"# time = {fmt(snap.time)}",
-        f"# gamma = {fmt(model.gamma)}",
-        f"# delta = {fmt(model.delta)}",
-        f"# pressure_convention = {model.convention.value}",
-        "# columns: x rho u m E z w",
-    ]
-    cols = [grid.centers, snap.rho, u, snap.mom, snap.e_vals, z, w]
-    for row in zip(*cols):
+def _table_text(meta: dict, columns: dict) -> str:
+    lines = [f"# {key} = {fmt(val)}" for key, val in meta.items()]
+    lines.append("# columns: " + " ".join(columns))
+    for row in zip(*(c.tolist() for c in columns.values())):
         lines.append(" ".join(fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def write_snapshot(path, snap: Snapshot, model: GasModel, grid: Grid1D):
-    Path(path).write_text(snapshot_text(snap, model, grid))
-
-
-def read_snapshot(path) -> Snapshot:
-    meta = {}
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                meta[key.strip()] = val.strip()
-            continue
-        if line.strip():
-            rows.append([float(v) for v in line.split()])
-    data = np.array(rows)
-    return Snapshot(step=int(meta["step"]), time=float(meta["time"]),
-                    rho=data[:, 1], mom=data[:, 3], e_vals=data[:, 4])
+def _read_table(path: Path, grid: Grid1D, keys: tuple, names: tuple):
+    """Read a stored table as ({key: float}, {column: values}).  Columns are
+    found by name, so older layouts with extra columns still load; a table
+    that does not describe the run's grid is rejected."""
+    with open(path) as fh:
+        head = [ln[1:].replace("columns:", "columns =").partition("=")
+                for ln in takewhile(lambda ln: ln.startswith("#"), fh)]
+    meta = {k.strip(): v.strip() for k, _, v in head}
+    header = meta.get("columns", "").split()
+    missing = [k for k in keys if k not in meta]
+    missing += [n for n in ("x", *names) if n not in header]
+    if missing:
+        raise ConfigurationError(f"{path}: missing {missing}")
+    try:
+        values = {k: float(meta[k]) for k in keys}
+        data = np.loadtxt(path, ndmin=2)
+    except ValueError as err:
+        raise ConfigurationError(f"{path}: unreadable table ({err})") from None
+    if data.shape != (grid.n_cells, len(header)):
+        raise ConfigurationError(
+            f"{path}: {data.shape[0]} rows of {data.shape[1]} values, "
+            f"expected {grid.n_cells} rows of {len(header)}")
+    cols = dict(zip(header, data.T))
+    if not np.array_equal(cols["x"], grid.centers):
+        raise ConfigurationError(f"{path}: x column is not the run's grid")
+    return values, cols
 
 
 def monitors_csv_text(report: MonitorReport) -> str:
@@ -72,35 +72,6 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def profile_text(profile: DeviceProfile, grid: Grid1D) -> str:
-    lines = [
-        f"# e_minus = {fmt(profile.e_minus)}",
-        f"# uniform_ok = {profile.uniform_ok}",
-        "# columns: x a b c",
-    ]
-    for row in zip(grid.centers, profile.a_vals, profile.b_vals,
-                   profile.c_vals):
-        lines.append(" ".join(fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def read_profile(path, grid: Grid1D) -> DeviceProfile:
-    meta = {}
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, val = body.partition("=")
-                meta[key.strip()] = val.strip()
-            continue
-        if line.strip():
-            rows.append([float(v) for v in line.split()])
-    data = np.array(rows)
-    return DeviceProfile.build(grid, data[:, 1], data[:, 2],
-                               float(meta["e_minus"]))
-
-
 def write_run_dir(out_dir, traj: Trajectory, profile: DeviceProfile,
                   report: MonitorReport, config_echo: dict,
                   extra_report: dict | None = None) -> Path:
@@ -108,15 +79,19 @@ def write_run_dir(out_dir, traj: Trajectory, profile: DeviceProfile,
     profile.dat, snapshots/."""
     out = Path(out_dir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
-    model, grid = traj.model, traj.grid
+    x = traj.grid.centers
     paths = []
     for snap in traj.snapshots:
         p = out / "snapshots" / f"snap_{snap.step:08d}.dat"
-        write_snapshot(p, snap, model, grid)
+        p.write_text(_table_text(
+            {"step": snap.step, "time": snap.time},
+            {"x": x, "rho": snap.rho, "m": snap.mom, "E": snap.e_vals}))
         paths.append(str(p.relative_to(out)))
     (out / "monitors.csv").write_text(monitors_csv_text(report))
     (out / "violations.json").write_text(json_text(report.violations))
-    (out / "profile.dat").write_text(profile_text(profile, grid))
+    (out / "profile.dat").write_text(_table_text(
+        {"e_minus": profile.e_minus},
+        {"x": x, "a": profile.a_vals, "b": profile.b_vals}))
     payload = {
         "config": config_echo,
         "summary": report.summary,
@@ -139,9 +114,19 @@ def load_run_dir(run_dir):
                   boundary=Boundary(cfg["boundary"]))
     model = GasModel(gamma=float(cfg["gamma"]), delta=float(cfg["delta"]),
                      convention=PressureConvention(cfg["pressure_convention"]))
-    profile = read_profile(out / "profile.dat", grid)
-    snaps = [read_snapshot(out / rel) for rel in payload["snapshots"]]
+    meta, cols = _read_table(out / "profile.dat", grid, ("e_minus",),
+                             ("a", "b"))
+    profile = DeviceProfile.build(grid, cols["a"], cols["b"], meta["e_minus"])
+    snaps = []
+    for rel in payload["snapshots"]:
+        meta, cols = _read_table(out / rel, grid, ("step", "time"),
+                                 ("rho", "m", "E"))
+        snaps.append(Snapshot(step=int(meta["step"]), time=meta["time"],
+                              rho=cols["rho"], mom=cols["m"],
+                              e_vals=cols["E"]))
+    if not snaps:
+        raise ConfigurationError(f"{out / 'report.json'}: lists no snapshots")
     traj = Trajectory(grid=grid, model=model, snapshots=snaps)
     traj.min_rho_ever = min(float(np.min(s.rho)) for s in snaps)
-    traj.n_steps = snaps[-1].step if snaps else 0
+    traj.n_steps = snaps[-1].step
     return payload, traj, profile

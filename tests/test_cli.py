@@ -72,6 +72,17 @@ class TestUsageErrors:
         cfg = write_cfg(tmp_path, "scenario = gaussian-bump\n")
         assert main(["relax", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("command,own_keys", [
+        ("picard", "t1 = 0.01\nn_intervals = 2"),
+        ("relax", "tau_list = 0.2 0.1 0.05\nhorizon = 0.05"),
+    ], ids=["picard", "relax"])
+    def test_seed_is_unknown_outside_solve(self, tmp_path, command, own_keys):
+        # picard and relax draw no random numbers, so a seed is a typo
+        cfg = write_cfg(tmp_path, ("scenario = gaussian-bump\nn_cells = 40\n"
+                                   f"{own_keys}\nseed = 3\n"))
+        assert main([command, "--config", cfg,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+
     def test_relax_rejects_crooked_ladder(self, tmp_path):
         cfg = write_cfg(tmp_path,
                         "scenario = gaussian-bump\ntau_list = 0.2 0.1 0.07\n")
@@ -167,6 +178,23 @@ class TestVerify:
         rc = main(["verify", str(run_dir)])
         assert rc == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_mismatch_names_file_row_column_and_values(self, run_dir,
+                                                       capsys):
+        p = run_dir / "monitors.csv"
+        lines = p.read_text().splitlines()
+        col = lines[0].split(",").index("mass")
+        cells = lines[3].split(",")
+        stored = cells[col]
+        cells[col] = "0.5"
+        lines[3] = ",".join(cells)
+        p.write_text("\n".join(lines) + "\n")
+        rc = main(["verify", str(run_dir)])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert ("monitors.csv: MISMATCH under recomputation, line 4 (row 3), "
+                f"column mass: stored '0.5', recomputed '{stored}'") in out
+        assert "violations.json: byte-identical" in out
 
     def test_short_time_cross_check(self, run_dir, capsys):
         rc = main(["verify", str(run_dir), "--picard", "--t1", "0.01"])

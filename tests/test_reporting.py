@@ -1,0 +1,151 @@
+"""The run store: stored tables read back bit-exactly, by column name, and
+anything that does not describe the run's grid is rejected as unreadable."""
+
+import json
+
+import numpy as np
+import pytest
+
+from semiflux.cli import main
+from semiflux.monitors import MonitorSuite, evaluate_trajectory
+from semiflux.reporting import fmt, load_run_dir, write_run_dir
+from semiflux.scenarios import make_setup
+from semiflux.solver import run
+
+SMALL_CFG = """
+scenario = gaussian-bump
+n_cells = 100
+t_end = 0.3
+cadence = 2
+monitors = positivity,mass,field,riemann
+"""
+
+
+def read_rows(path):
+    lines = path.read_text().splitlines()
+    head = [ln for ln in lines if ln.startswith("#")]
+    rows = [ln.split() for ln in lines if not ln.startswith("#")]
+    return head, rows
+
+
+def write_rows(path, head, rows):
+    path.write_text("\n".join(head + [" ".join(r) for r in rows]) + "\n")
+
+
+@pytest.fixture()
+def small_run(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL_CFG)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    return out
+
+
+def later_snapshot(run_dir):
+    return sorted((run_dir / "snapshots").iterdir())[1]
+
+
+def test_round_trip_is_bit_exact(tmp_path):
+    setup = make_setup("gaussian-bump", {
+        "n_cells": 120, "t_end": 0.3, "boundary": "periodic",
+        "source_variant": "excess-density"})
+    traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
+               setup.grid, record_every=2)
+    report = evaluate_trajectory(traj, setup.profile, MonitorSuite())
+    grid, model = setup.grid, setup.model
+    echo = {"x_min": grid.x_min, "x_max": grid.x_max,
+            "n_cells": grid.n_cells, "boundary": grid.boundary.value,
+            "gamma": model.gamma, "delta": model.delta,
+            "pressure_convention": model.convention.value}
+    write_run_dir(tmp_path, traj, setup.profile, report, echo)
+    _, back, profile = load_run_dir(tmp_path)
+    assert len(back.snapshots) == len(traj.snapshots) > 2
+    for old, new in zip(traj.snapshots, back.snapshots):
+        assert (new.step, new.time) == (old.step, old.time)
+        assert np.array_equal(new.rho, old.rho)
+        assert np.array_equal(new.mom, old.mom)
+        assert np.array_equal(new.e_vals, old.e_vals)
+    assert profile.e_minus == setup.profile.e_minus
+    for name in ("a_vals", "b_vals", "c_vals"):
+        assert np.array_equal(getattr(profile, name),
+                              getattr(setup.profile, name))
+    assert profile.uniform_ok == setup.profile.uniform_ok
+
+
+def test_scaled_stored_density_detected(small_run, capsys):
+    path = later_snapshot(small_run)
+    head, rows = read_rows(path)
+    rows[50][1] = fmt(float(rows[50][1]) * 1.01)
+    write_rows(path, head, rows)
+    assert main(["verify", str(small_run)]) == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_legacy_layout_still_verifies(small_run):
+    # run directories written with the derived columns u, z, w (snapshots)
+    # and c (profile) must keep verifying
+    _, traj, profile = load_run_dir(small_run)
+    model, x = traj.model, traj.grid.centers
+    for snap in traj.snapshots:
+        z, w = model.riemann_invariants(snap.rho, snap.mom)
+        cols = [x, snap.rho, snap.mom / snap.rho, snap.mom, snap.e_vals, z, w]
+        head = [f"# step = {snap.step}", f"# time = {fmt(snap.time)}",
+                f"# gamma = {fmt(model.gamma)}",
+                f"# delta = {fmt(model.delta)}",
+                f"# pressure_convention = {model.convention.value}",
+                "# columns: x rho u m E z w"]
+        write_rows(small_run / "snapshots" / f"snap_{snap.step:08d}.dat",
+                   head, [[fmt(v) for v in row] for row in zip(*cols)])
+    cols = [x, profile.a_vals, profile.b_vals, profile.c_vals]
+    write_rows(small_run / "profile.dat",
+               [f"# e_minus = {fmt(profile.e_minus)}",
+                f"# uniform_ok = {profile.uniform_ok}", "# columns: x a b c"],
+               [[fmt(v) for v in row] for row in zip(*cols)])
+    _, rows = read_rows(later_snapshot(small_run))
+    assert len(rows[0]) == 7
+    assert main(["verify", str(small_run), "--picard", "--t1", "0.01"]) == 0
+
+
+def rejected(run_dir, path, capsys):
+    assert main(["verify", str(run_dir)]) == 2
+    return path.name in capsys.readouterr().err
+
+
+def test_missing_column_rejected(small_run, capsys):
+    path = later_snapshot(small_run)
+    head, rows = read_rows(path)
+    head[-1] = "# columns: x rho m"
+    write_rows(path, head, [r[:3] for r in rows])
+    assert rejected(small_run, path, capsys)
+
+
+def test_truncated_snapshot_rejected(small_run, capsys):
+    path = later_snapshot(small_run)
+    head, rows = read_rows(path)
+    write_rows(path, head, rows[:44])
+    assert rejected(small_run, path, capsys)
+
+
+def test_shifted_grid_rejected(small_run, capsys):
+    path = small_run / "profile.dat"
+    head, rows = read_rows(path)
+    for r in rows:
+        r[0] = fmt(float(r[0]) + 1e-3)
+    write_rows(path, head, rows)
+    assert rejected(small_run, path, capsys)
+
+
+def test_garbled_number_rejected(small_run, capsys):
+    path = later_snapshot(small_run)
+    head, rows = read_rows(path)
+    rows[10][2] = "abc"
+    write_rows(path, head, rows)
+    assert rejected(small_run, path, capsys)
+
+
+def test_run_without_snapshots_rejected(small_run, capsys):
+    path = small_run / "report.json"
+    payload = json.loads(path.read_text())
+    payload["snapshots"] = []
+    path.write_text(json.dumps(payload))
+    assert rejected(small_run, path, capsys)
