@@ -289,12 +289,13 @@ def cmd_picard(args) -> int:
     dt_mean = float(np.mean(traj.dts)) if traj.dts else 0.0
     tol_cross = factor * (setup.grid.dx + dt_mean)
 
+    rep = result.report
+    ratios = [rep.ratios[i - 1] if 1 <= i <= len(rep.ratios) else float("nan")
+              for i in range(len(rep.distances))]
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["iteration,distance,ratio"]
-    for i, d in enumerate(result.report.distances):
-        r = result.report.ratios[i - 1] if 1 <= i <= len(result.report.ratios) \
-            else float("nan")
-        lines.append(f"{i},{fmt(d)},{fmt(r)}")
+    lines += [f"{i},{fmt(d)},{fmt(r)}"
+              for i, (d, r) in enumerate(zip(rep.distances, ratios))]
     (out_dir / "contraction.csv").write_text("\n".join(lines) + "\n")
     summary = _picard_summary(result, gap, tol_cross)
     summary["t1"] = t1
@@ -302,12 +303,15 @@ def cmd_picard(args) -> int:
     summary["scenario"] = name
     (out_dir / "picard_report.json").write_text(json_text(summary))
 
-    rep = result.report
     worst = max(rep.ratios) if rep.ratios else float("nan")
     print(f"picard {name}: {len(rep.distances)} iterations, "
           f"worst ratio {worst:.4f}, "
           f"{'converged' if rep.converged else 'not converged'}"
           f"{', diverged' if rep.diverged else ''}")
+    for i, (d, r, secs) in enumerate(zip(rep.distances, ratios,
+                                         rep.iteration_s)):
+        print(f"  iteration {i}: distance {d:.3e}, ratio {r:.4f}, "
+              f"{1e3 * secs:.1f} ms")
     if rep.halve_suggestion is not None:
         print(f"  suggestion: retry with t1 = {rep.halve_suggestion:g}")
     if rep.band_violations:

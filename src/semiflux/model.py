@@ -65,6 +65,11 @@ class GasModel:
         return 2.0 * self.delta
 
     @property
+    def admissible_floor(self) -> float:
+        """Lowest density the pressure accepts: 2*delta less a round-off slack."""
+        return self.rho_floor - RHO_FLOOR_SLACK * self.delta
+
+    @property
     def theta(self) -> float:
         return 0.5 * (self.gamma - 1.0)
 
@@ -97,8 +102,7 @@ class GasModel:
 
     def _check_admissible(self, rho):
         rho = np.asarray(rho, dtype=float)
-        floor = self.rho_floor - RHO_FLOOR_SLACK * self.delta
-        if np.any(rho < floor):
+        if np.any(rho < self.admissible_floor):
             raise ValueError(
                 f"density below vacuum offset: min rho = {np.min(rho)!r} "
                 f"< 2*delta = {self.rho_floor!r}"

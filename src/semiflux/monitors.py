@@ -18,9 +18,8 @@ import numpy as np
 from scipy.integrate import trapezoid
 
 from .field import field_bound
-from .model import (RHO_FLOOR_SLACK, DeviceProfile, GasModel, Grid1D,
-                    HydroState, PressureConvention, _powm1_over,
-                    total_integral)
+from .model import (DeviceProfile, GasModel, Grid1D, HydroState,
+                    PressureConvention, _powm1_over, total_integral)
 from .solver import SourceVariant, Trajectory, source
 
 ALL_MONITORS = ("positivity", "mass", "field", "riemann", "uniform", "entropy")
@@ -73,7 +72,7 @@ def evaluate_trajectory(traj: Trajectory, profile: DeviceProfile,
     m2 = float(max(np.max(z0), np.max(w0)))
 
     mass_scale = max(1.0, abs(mass0))
-    floor = model.rho_floor - RHO_FLOOR_SLACK * model.delta
+    floor = model.admissible_floor
     prev_mass = mass0
     m1_running = 0.0
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import solve_field
-from .model import (RHO_FLOOR_SLACK, ConfigurationError, DeviceProfile,
-                    GasModel, Grid1D, HydroState)
+from .model import (ConfigurationError, DeviceProfile, GasModel, Grid1D,
+                    HydroState)
 
 
 class SourceVariant(enum.Enum):
@@ -151,8 +151,7 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     rho, mom = state.rho, state.mom
     dx = grid.dx
 
-    floor = model.rho_floor - RHO_FLOOR_SLACK * model.delta
-    if float(np.min(rho)) < floor:
+    if float(np.min(rho)) < model.admissible_floor:
         raise IntegrationError("density fell below the vacuum offset",
                                state, state.time)
     speed, max_speed, dt = _speed_and_dt(rho, mom, model, cfg, grid)

@@ -2,12 +2,15 @@
 verify round trips, and bitwise reproducibility of stored runs."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semiflux
 from semiflux.cli import main, parse_monitor_list
 from semiflux.model import ConfigurationError
 from semiflux.monitors import ALL_MONITORS
@@ -234,6 +237,30 @@ class TestPicardCommand:
         assert all(r < 1.0 for r in payload["ratios"])
         assert payload["endpoint_gap"] <= payload["endpoint_tolerance"]
 
+    def test_iteration_times_stay_out_of_the_output_files(self, tmp_path,
+                                                          capsys):
+        cfg = write_cfg(tmp_path, (
+            "scenario = gaussian-bump\nn_cells = 80\nepsilon = 0.01\n"
+            "t1 = 0.01\nn_intervals = 4\n"))
+        out = tmp_path / "pic"
+        assert main(["picard", "--config", cfg, "--out-dir", str(out)]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("  iteration ")]
+        payload = json.loads((out / "picard_report.json").read_text())
+        n_iter = len(payload["distances"])
+        assert n_iter >= 3
+        assert [ln.split(":")[0] for ln in lines] == \
+            [f"  iteration {i}" for i in range(n_iter)]
+        assert all(ln.endswith(" ms") and ", ratio " in ln for ln in lines)
+        csv = (out / "contraction.csv").read_text().splitlines()
+        assert csv[0] == "iteration,distance,ratio"
+        assert [row.count(",") for row in csv[1:]] == [2] * n_iter
+        assert set(payload) == {
+            "distances", "ratios", "converged", "diverged",
+            "halve_suggestion", "fixed_point_residual", "band_violations",
+            "endpoint_gap", "endpoint_tolerance", "t1", "n_intervals",
+            "scenario"}
+
 
 class TestRelaxCommand:
     def test_coupled_sweep(self, tmp_path, capsys):
@@ -272,3 +299,14 @@ class TestModuleEntry:
         assert proc.returncode == 0
         for sub in ("solve", "verify", "picard", "relax"):
             assert sub in proc.stdout
+
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        # scipy.signal costs about a second of import on every command
+        src = str(Path(semiflux.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, semiflux.cli; print('scipy.signal' in sys.modules)"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 """Integral-equation (heat kernel) solver tests.
 
-The kernel tables are checked against closed forms, the iteration against
+The kernel tables are checked against closed forms, the FFT lag sum against
+the direct double loop kept in the test helpers, the iteration against
 exact fixed points and the analytic heat evolution of a Gaussian, and the
 contraction/divergence bookkeeping against runs engineered to do each.
 """
@@ -10,6 +11,8 @@ import math
 import numpy as np
 import pytest
 
+import semiflux.picard as picard_module
+from helpers import conv_full_sliced, conv_same, picard_step_reference
 from semiflux import (
     DeviceProfile,
     GasModel,
@@ -28,6 +31,18 @@ from semiflux.picard import (
     iterate_band_bound,
     sup_distance,
 )
+from semiflux.scenarios import make_setup
+
+
+def scenario_slab(scenario, overrides, t1, n_intervals):
+    s = make_setup(scenario, overrides)
+    kernel = HeatKernel(epsilon=s.cfg.epsilon)
+    guess = constant_first_guess(s.initial, t1, n_intervals)
+    return s, kernel, guess
+
+
+# a kernel wider than the grid: h = 54 cells each side on 64 cells
+WIDE = ("gaussian-bump", {"n_cells": 64, "epsilon": 1.0}, 1.0, 8)
 
 
 class TestHeatKernel:
@@ -246,3 +261,92 @@ class TestContraction:
                               tau=1.0, t1=0.01, n_intervals=4)
         assert result.endpoint.time == pytest.approx(0.01)
         assert np.array_equal(result.endpoint.rho, result.iterate.rho[-1])
+
+
+class TestFftLagSum:
+    """The space-time FFT sweep against the direct O(n_levels^2) loop."""
+
+    CASES = {
+        "outflow-bump": (("gaussian-bump", {"n_cells": 120, "epsilon": 0.05,
+                                            "bump_speed": 0.4}, 0.02, 6),
+                         conv_same),
+        "periodic-excess-density": (("gaussian-bump", {
+            "n_cells": 96, "epsilon": 0.02, "boundary": "periodic",
+            "source_variant": "excess-density", "bump_speed": 0.3},
+            0.02, 5), conv_same),
+        "one-interval": (("doping-ramp", {"n_cells": 80, "epsilon": 0.01},
+                          0.01, 1), conv_same),
+        # np.convolve's 'same' mode cannot serve a kernel wider than the grid
+        "wide-kernel": (WIDE, conv_full_sliced),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_direct_double_loop(self, case):
+        slab, conv = self.CASES[case]
+        s, kernel, prev = scenario_slab(*slab)
+        args = (s.initial, s.profile, s.model, kernel, s.grid, s.cfg.tau,
+                s.cfg.source_variant)
+        # the first guess and one sweep on, where transport is under way
+        for _ in range(2):
+            fast = picard_step(prev, *args)
+            ref = picard_step_reference(prev, *args, conv=conv)
+            for got, want in ((fast.rho, ref.rho), (fast.mom, ref.mom)):
+                assert got.shape == want.shape
+                tol = 1e-13 * max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got - want)) <= tol
+            prev = fast
+
+
+class TestWideKernel:
+    def test_sweep_keeps_the_grid_shape(self):
+        s, kernel, guess = scenario_slab(*WIDE)
+        assert 2 * kernel._half_width(s.grid.dx, WIDE[2]) + 1 > s.grid.n_cells
+        out = picard_step(guess, s.initial, s.profile, s.model, kernel,
+                          s.grid, s.cfg.tau)
+        assert out.rho.shape == (WIDE[3] + 1, s.grid.n_cells)
+        assert out.mom.shape == (WIDE[3] + 1, s.grid.n_cells)
+
+    def test_solve_is_not_reported_as_divergence(self):
+        s, kernel, _ = scenario_slab(*WIDE)
+        result = picard_solve(s.initial, s.profile, s.model, kernel, s.grid,
+                              s.cfg.tau, t1=WIDE[2], n_intervals=WIDE[3])
+        rep = result.report
+        assert not rep.diverged
+        assert rep.converged
+        assert rep.band_violations == []
+
+
+class TestDivergenceSignal:
+    def test_inadmissible_iterate_stops_before_the_sweep(self, monkeypatch):
+        grid = Grid1D(-5.0, 5.0, 40)
+        model = GasModel(gamma=1.4, delta=0.05)
+        rho = np.full(40, 1.0)
+        rho[7] = model.rho_floor - 1e-3
+        init = HydroState(rho=rho, mom=np.zeros(40))
+        calls = []
+        monkeypatch.setattr(picard_module, "picard_step",
+                            lambda *a, **k: calls.append(a))
+        result = picard_solve(init, DeviceProfile.uniform(grid), model,
+                              HeatKernel(epsilon=0.01), grid, tau=1.0,
+                              t1=0.02, n_intervals=4)
+        rep = result.report
+        assert calls == []
+        assert rep.diverged and not rep.converged
+        assert rep.distances == [] and rep.iteration_s == []
+        assert rep.halve_suggestion == pytest.approx(0.01)
+        assert rep.band_violations == [
+            {"field": "rho", "value": float(rho[7]),
+             "bound": model.admissible_floor, "kind": "inadmissible"}]
+
+    def test_other_errors_propagate(self, monkeypatch):
+        grid = Grid1D(-5.0, 5.0, 40)
+        model = GasModel(gamma=1.4, delta=0.05)
+        init = HydroState(rho=np.full(40, 1.0), mom=np.zeros(40))
+
+        def broken(*args, **kwargs):
+            raise ValueError("not a divergence")
+
+        monkeypatch.setattr(picard_module, "picard_step", broken)
+        with pytest.raises(ValueError, match="not a divergence"):
+            picard_solve(init, DeviceProfile.uniform(grid), model,
+                         HeatKernel(epsilon=0.01), grid, tau=1.0, t1=0.02)
