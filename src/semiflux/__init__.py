@@ -28,8 +28,7 @@ from .relaxation import (CouplingRule, DDTrajectory, DriftDiffusionState,
                          drift_diffusion_run, relaxation_study, rescale)
 from .scenarios import SCENARIOS, RunSetup, make_arrays, make_setup
 from .solver import (IntegrationError, Snapshot, SolverConfig, SourceVariant,
-                     StepReport, Trajectory, prepare_initial, run, stable_dt,
-                     step)
+                     StepReport, Trajectory, prepare_initial, run, step)
 
 __version__ = "0.1.0"
 
@@ -46,6 +45,6 @@ __all__ = [
     "entropy_spot_check", "evaluate_trajectory", "field_bound",
     "make_arrays", "make_setup", "mechanical_energy_pair", "picard_solve",
     "picard_step", "plateau_check", "prepare_initial", "relaxation_study",
-    "rescale", "run", "solve_field", "stable_dt", "step", "total_integral",
+    "rescale", "run", "solve_field", "step", "total_integral",
     "validate_uniform_hypotheses", "__version__",
 ]

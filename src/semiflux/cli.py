@@ -7,7 +7,8 @@ Four subcommands:
               demand byte-identical output; optional short-time fixed-point
               cross-check against the integral-equation iteration
 * ``picard``  run the integral-equation iteration on a scenario and compare
-              its endpoint with the finite-volume solver on a refined grid
+              its endpoint with the finite-volume solver on a grid refined
+              ``refine`` times (1: the same grid)
 * ``relax``   sweep a tau ladder and tabulate the scaled L1 gap against a
               drift-diffusion reference
 
@@ -21,6 +22,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from .config import (PICARD_KEYS, RELAX_KEYS, SCENARIO_KEYS, SOLVE_KEYS,
                      coerce, interp_profile, parse_key_value)
-from .model import ConfigurationError, HydroState
+from .model import ConfigurationError, Grid1D, HydroState
 from .monitors import (ALL_MONITORS, MonitorSuite, entropy_spot_check,
                        evaluate_trajectory)
 from .picard import HeatKernel, picard_solve
@@ -40,6 +42,10 @@ from .solver import SolverConfig, SourceVariant, run
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
+
+# short-time cross-check defaults shared by `verify --picard` and `picard`
+CROSS_CHECK_T1 = 0.01
+CROSS_TOL_FACTOR = 5.0
 
 
 def parse_monitor_list(spec: str) -> tuple:
@@ -58,6 +64,11 @@ def parse_monitor_list(spec: str) -> tuple:
 
 def _overrides(vals: dict) -> dict:
     return {k: v for k, v in vals.items() if k in SCENARIO_KEYS}
+
+
+def _given(vals: dict, keys: tuple) -> dict:
+    """The keys a config sets, so every unset one keeps its library default."""
+    return {k: vals[k] for k in keys if k in vals}
 
 
 def _config_echo(name: str, setup, cadence: int, enabled: tuple,
@@ -96,9 +107,9 @@ def cmd_solve(args) -> int:
         raise ConfigurationError("solve config must set 'scenario'")
     overrides = _overrides(vals)
     out_dir = args.out_dir or vals.get("out_dir") or f"runs/{name}"
-    seed = args.seed if args.seed is not None else int(vals.get("seed", 0))
+    seed = args.seed if args.seed is not None else vals.get("seed", 0)
     enabled = parse_monitor_list(args.monitors or vals.get("monitors", "all"))
-    cadence = int(vals.get("cadence", 50))
+    cadence = vals.get("cadence", 50)
 
     tables = {}
     if "a_table" in vals or "b_table" in vals:
@@ -142,37 +153,33 @@ def cmd_solve(args) -> int:
     return CHECK_FAILED if (report.violations or not traj.completed) else 0
 
 
-def _endpoint_gap(endpoint: HydroState, snap) -> float:
-    return float(np.max(np.abs(endpoint.rho - snap.rho))
-                 + np.max(np.abs(endpoint.mom - snap.mom)))
+def _cross_check(result, picard_grid: Grid1D, cfg: SolverConfig, t1: float,
+                 factor: float, initial: HydroState, profile, model,
+                 grid: Grid1D):
+    """March `initial` to t1 with `cfg`'s coefficients on `grid`, sample the
+    march onto the Picard grid, and judge the Picard result against it.
 
-
-def _picard_summary(result, gap: float | None, tol_cross: float | None) -> dict:
-    rep = result.report
-    out = {
-        "distances": list(rep.distances),
-        "ratios": list(rep.ratios),
-        "converged": rep.converged,
-        "diverged": rep.diverged,
-        "halve_suggestion": rep.halve_suggestion,
-        "fixed_point_residual": rep.fixed_point_residual,
-        "band_violations": rep.band_violations,
-    }
-    if gap is not None:
-        out["endpoint_gap"] = gap
-        out["endpoint_tolerance"] = tol_cross
-    return out
-
-
-def _picard_verdict(result, gap: float | None, tol_cross: float | None,
-                    tol: float = 1e-10) -> bool:
+    Returns (gap, tolerance, verdict): the gap is the sup distance in rho plus
+    the one in m, the tolerance factor * (dx + mean dt), and the verdict also
+    asks for a converged, admissible iteration whose fixed-point residual is
+    within ten times the tolerance the solve was given.  Returns None when
+    the march failed.
+    """
+    traj = run(initial, profile, model, replace(cfg, t_end=t1), grid,
+               record_times=[t1])
+    if not traj.completed:
+        return None
+    last, x = traj.snapshots[-1], picard_grid.centers
+    end = result.endpoint
+    gap = float(np.max(np.abs(end.rho - np.interp(x, grid.centers, last.rho)))
+                + np.max(np.abs(end.mom - np.interp(x, grid.centers, last.mom))))
+    dt_mean = float(np.mean(traj.dts)) if traj.dts else 0.0
+    tol_cross = factor * (picard_grid.dx + dt_mean)
     rep = result.report
     ok = rep.converged and not rep.diverged and not rep.band_violations
     if rep.fixed_point_residual is not None:
-        ok = ok and rep.fixed_point_residual <= 10.0 * tol
-    if gap is not None:
-        ok = ok and gap <= tol_cross
-    return ok
+        ok = ok and rep.fixed_point_residual <= 10.0 * rep.tol
+    return gap, tol_cross, ok and gap <= tol_cross
 
 
 def _first_difference(stored: str, fresh: str, csv: bool) -> str:
@@ -220,26 +227,21 @@ def cmd_verify(args) -> int:
         t1 = min(args.t1, float(echo["t_end"]))
         cfg = SolverConfig(
             epsilon=float(echo["epsilon"]), tau=float(echo["tau"]),
-            cfl=float(echo["cfl"]), t_end=t1,
-            source_variant=SourceVariant(echo["source_variant"]),
-            smoothing_width=0.0)
+            cfl=float(echo["cfl"]),
+            source_variant=SourceVariant(echo["source_variant"]))
         snap0 = traj.snapshots[0]
         initial = HydroState(rho=snap0.rho.copy(), mom=snap0.mom.copy(),
                              time=0.0)
-        kernel = HeatKernel(cfg.epsilon)
-        result = picard_solve(initial, profile, traj.model, kernel, traj.grid,
-                              cfg.tau, t1,
+        result = picard_solve(initial, profile, traj.model,
+                              HeatKernel(cfg.epsilon), traj.grid, cfg.tau, t1,
                               source_variant=cfg.source_variant)
-        short = run(initial, profile, traj.model, cfg, traj.grid,
-                    record_times=[t1])
-        if not short.completed:
+        check = _cross_check(result, traj.grid, cfg, t1, args.cross_tol_factor,
+                             initial, profile, traj.model, traj.grid)
+        if check is None:
             print("short-time cross-check: finite-volume rerun failed")
             ok = False
         else:
-            gap = _endpoint_gap(result.endpoint, short.snapshots[-1])
-            dt_mean = float(np.mean(short.dts)) if short.dts else 0.0
-            tol_cross = args.cross_tol_factor * (traj.grid.dx + dt_mean)
-            agree = _picard_verdict(result, gap, tol_cross)
+            gap, tol_cross, agree = check
             print(f"fixed-point cross-check at t={t1:g}: gap={gap:.3e} "
                   f"tolerance={tol_cross:.3e} "
                   f"{'agrees' if agree else 'DISAGREES'}")
@@ -253,41 +255,23 @@ def cmd_picard(args) -> int:
     name = vals.pop("scenario", "gaussian-bump")
     overrides = _overrides(vals)
     out_dir = Path(args.out_dir or vals.get("out_dir") or f"runs/picard-{name}")
-    t1 = float(vals.get("t1", 0.01))
-    n_intervals = int(vals.get("n_intervals", 8))
-    tol = float(vals.get("tol", 1e-10))
-    max_iters = int(vals.get("max_iters", 30))
-    refine = int(vals.get("refine", 2))
-    factor = float(vals.get("cross_tol_factor", 5.0))
+    t1 = vals.get("t1", CROSS_CHECK_T1)
 
     setup = make_setup(name, overrides)
-    kernel = HeatKernel(setup.cfg.epsilon)
-    result = picard_solve(setup.initial, setup.profile, setup.model, kernel,
-                          setup.grid, setup.cfg.tau, t1,
-                          n_intervals=n_intervals, tol=tol,
-                          max_iters=max_iters,
-                          source_variant=setup.cfg.source_variant)
-
-    fine_over = dict(overrides)
-    fine_over["n_cells"] = setup.grid.n_cells * refine
-    fine = make_setup(name, fine_over)
-    fine_cfg = SolverConfig(
-        epsilon=fine.cfg.epsilon, tau=fine.cfg.tau, cfl=fine.cfg.cfl,
-        t_end=t1, source_variant=fine.cfg.source_variant,
-        smoothing_width=fine.cfg.smoothing_width)
-    traj = run(fine.initial, fine.profile, fine.model, fine_cfg, fine.grid,
-               record_times=[t1])
-    if not traj.completed:
+    result = picard_solve(setup.initial, setup.profile, setup.model,
+                          HeatKernel(setup.cfg.epsilon), setup.grid,
+                          setup.cfg.tau, t1,
+                          source_variant=setup.cfg.source_variant,
+                          **_given(vals, ("n_intervals", "tol", "max_iters")))
+    n_fine = setup.grid.n_cells * vals.get("refine", 2)
+    fine = make_setup(name, {**overrides, "n_cells": n_fine})
+    check = _cross_check(result, setup.grid, fine.cfg, t1,
+                         vals.get("cross_tol_factor", CROSS_TOL_FACTOR),
+                         fine.initial, fine.profile, fine.model, fine.grid)
+    if check is None:
         print("refined finite-volume run failed; cannot cross-check")
         return CHECK_FAILED
-    last = traj.snapshots[-1]
-    on_coarse = HydroState(
-        rho=np.interp(setup.grid.centers, fine.grid.centers, last.rho),
-        mom=np.interp(setup.grid.centers, fine.grid.centers, last.mom),
-        time=t1)
-    gap = _endpoint_gap(result.endpoint, on_coarse)
-    dt_mean = float(np.mean(traj.dts)) if traj.dts else 0.0
-    tol_cross = factor * (setup.grid.dx + dt_mean)
+    gap, tol_cross, agree = check
 
     rep = result.report
     ratios = [rep.ratios[i - 1] if 1 <= i <= len(rep.ratios) else float("nan")
@@ -297,10 +281,16 @@ def cmd_picard(args) -> int:
     lines += [f"{i},{fmt(d)},{fmt(r)}"
               for i, (d, r) in enumerate(zip(rep.distances, ratios))]
     (out_dir / "contraction.csv").write_text("\n".join(lines) + "\n")
-    summary = _picard_summary(result, gap, tol_cross)
-    summary["t1"] = t1
-    summary["n_intervals"] = n_intervals
-    summary["scenario"] = name
+    summary = {
+        "distances": rep.distances, "ratios": rep.ratios,
+        "converged": rep.converged, "diverged": rep.diverged,
+        "halve_suggestion": rep.halve_suggestion,
+        "fixed_point_residual": rep.fixed_point_residual,
+        "band_violations": rep.band_violations,
+        "endpoint_gap": gap, "endpoint_tolerance": tol_cross,
+        "t1": t1, "n_intervals": len(result.iterate.times) - 1,
+        "scenario": name,
+    }
     (out_dir / "picard_report.json").write_text(json_text(summary))
 
     worst = max(rep.ratios) if rep.ratios else float("nan")
@@ -319,7 +309,7 @@ def cmd_picard(args) -> int:
     print(f"endpoint gap vs refined run: {gap:.3e} "
           f"(tolerance {tol_cross:.3e})")
     print(f"wrote {out_dir}")
-    return 0 if _picard_verdict(result, gap, tol_cross, tol) else CHECK_FAILED
+    return 0 if agree else CHECK_FAILED
 
 
 def cmd_relax(args) -> int:
@@ -330,28 +320,23 @@ def cmd_relax(args) -> int:
     if "tau_list" not in vals:
         raise ConfigurationError("relax config must set 'tau_list'")
     taus = [float(s) for s in vals["tau_list"].replace(",", " ").split()]
-    coupling = CouplingRule(
-        eps_coeff=float(vals.get("eps_coeff", 0.1)),
-        eps_power=float(vals.get("eps_power", 2.0)),
-        eps_fixed=float(vals["eps_fixed"]) if "eps_fixed" in vals else None,
-        delta_coeff=float(vals.get("delta_coeff", 1.0)))
+    coupling = CouplingRule(**_given(
+        vals, ("eps_coeff", "eps_power", "eps_fixed", "delta_coeff")))
     window = None
     if "window_lo" in vals or "window_hi" in vals:
         if "window_lo" not in vals or "window_hi" not in vals:
             raise ConfigurationError(
                 "window_lo and window_hi must be given together")
-        window = (float(vals["window_lo"]), float(vals["window_hi"]))
+        window = (vals["window_lo"], vals["window_hi"])
 
     scenario, grid, raw_rho, raw_u, a_vals, b_vals, e_minus = \
         make_arrays(name, overrides)
     p = scenario.params
     study = relaxation_study(
         raw_rho, raw_u, a_vals, b_vals, e_minus, grid,
-        scenario.gamma, scenario.convention, taus, coupling,
-        horizon=float(vals.get("horizon", 0.25)), window=window,
-        n_s_records=int(vals.get("n_s_records", 21)),
-        s0_frac=float(vals.get("s0_frac", 0.05)),
-        cfl=float(p["cfl"]), smoothing_width=float(p["smoothing_width"]))
+        scenario.gamma, scenario.convention, taus, coupling, window=window,
+        cfl=p["cfl"], smoothing_width=p["smoothing_width"],
+        **_given(vals, ("horizon", "n_s_records", "s0_frac")))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["tau,epsilon,delta,l1_error,dissipation"]
@@ -398,10 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("run_dir", help="directory written by solve")
     v.add_argument("--picard", action="store_true",
                    help="also cross-check a short-time fixed-point solve")
-    v.add_argument("--t1", type=float, default=0.01,
+    v.add_argument("--t1", type=float, default=CROSS_CHECK_T1,
                    help="horizon for the fixed-point cross-check")
-    v.add_argument("--cross-tol-factor", type=float, default=5.0,
-                   dest="cross_tol_factor",
+    v.add_argument("--cross-tol-factor", type=float,
+                   default=CROSS_TOL_FACTOR, dest="cross_tol_factor",
                    help="endpoint tolerance = factor * (dx + mean dt)")
     v.set_defaults(func=cmd_verify)
 

@@ -160,17 +160,9 @@ class GasModel:
             return coef * (rho ** th - self.rho_floor ** th) / th
         return coef * rho ** th / th
 
-    def riemann_invariants(self, rho, mom, lower_ref: float | None = None):
-        """z = sound_integral(rho) - u and w = sound_integral(rho) + u.
-
-        The lower limit is fixed by gamma; passing a mismatched one is a
-        configuration error rather than a silent reinterpretation.
-        """
-        if lower_ref is not None and lower_ref != self.canonical_lower_ref():
-            raise ConfigurationError(
-                f"lower_ref {lower_ref!r} incompatible with gamma={self.gamma}: "
-                f"expected {self.canonical_lower_ref()!r}"
-            )
+    def riemann_invariants(self, rho, mom):
+        """z = sound_integral(rho) - u and w = sound_integral(rho) + u, with
+        the sound integral's lower limit fixed by gamma."""
         rho = self._check_admissible(rho)
         mom = np.asarray(mom, dtype=float)
         u = mom / rho

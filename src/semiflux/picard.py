@@ -208,6 +208,7 @@ def picard_step(prev: PicardIterate, initial: HydroState,
 
 @dataclass
 class ContractionReport:
+    tol: float                  # the stopping tolerance the solve was given
     distances: list = field(default_factory=list)
     ratios: list = field(default_factory=list)
     converged: bool = False
@@ -274,7 +275,7 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
     if t1 <= 0.0 or n_intervals < 1:
         raise ValueError("need t1 > 0 and at least one slab interval")
     bound = iterate_band_bound(initial, model, grid)
-    report = ContractionReport()
+    report = ContractionReport(tol=tol)
     prev = constant_first_guess(initial, t1, n_intervals)
     tables = _SlabTables.build(prev.times, initial, model, kernel, grid)
     current = prev

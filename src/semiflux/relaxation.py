@@ -28,13 +28,12 @@ from .solver import SolverConfig, SourceVariant, Trajectory, prepare_initial, ru
 
 @dataclass
 class ScaledTrajectory:
-    """Hydro run re-read in slow time: N = rho, J = m/tau, Upsilon = E."""
+    """Hydro run re-read in slow time: N = rho, J = m/tau."""
 
     tau: float
     s_values: np.ndarray
     n_vals: np.ndarray        # (n_samples, n_cells)
     j_vals: np.ndarray
-    upsilon_vals: np.ndarray
     grid: Grid1D
     rho_floor: float
 
@@ -49,17 +48,15 @@ def rescale(traj: Trajectory, tau: float, s_values) -> ScaledTrajectory:
         raise ValueError(
             f"scaled instants must lie in [0, {horizon!r}]; got "
             f"[{s_values.min()!r}, {s_values.max()!r}]")
-    n_rows, j_rows, e_rows = [], [], []
+    n_rows, j_rows = [], []
     for s in s_values:
         idx = int(np.argmin(np.abs(times - s / tau)))
         snap = traj.snapshots[idx]
         n_rows.append(snap.rho)
         j_rows.append(snap.mom / tau)
-        e_rows.append(snap.e_vals)
     return ScaledTrajectory(tau=tau, s_values=s_values,
                             n_vals=np.array(n_rows), j_vals=np.array(j_rows),
-                            upsilon_vals=np.array(e_rows), grid=traj.grid,
-                            rho_floor=traj.model.rho_floor)
+                            grid=traj.grid, rho_floor=traj.model.rho_floor)
 
 
 # --- drift-diffusion limit solver ------------------------------------------

@@ -1,9 +1,10 @@
 """Deterministic on-disk formats for runs.
 
-Snapshots (x rho m E) and the profile (x a b) are '#'-headed text tables
-holding only what verify reads back, monitor series go to CSV, violations to
-JSON.  Every float is rendered with 17 significant digits so repeated runs of
-the same build are byte-identical; wall-clock timing lives in its own file.
+Snapshots (x rho m) and the profile (x a b) are '#'-headed text tables
+holding only what verify reads back; the field E is derived data, recomputed
+from rho on load.  Monitor series go to CSV, violations to JSON.  Every
+float is rendered with 17 significant digits so repeated runs of the same
+build are byte-identical; wall-clock timing lives in its own file.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .field import solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, PressureConvention)
 from .monitors import MonitorReport
@@ -85,7 +87,7 @@ def write_run_dir(out_dir, traj: Trajectory, profile: DeviceProfile,
         p = out / "snapshots" / f"snap_{snap.step:08d}.dat"
         p.write_text(_table_text(
             {"step": snap.step, "time": snap.time},
-            {"x": x, "rho": snap.rho, "m": snap.mom, "E": snap.e_vals}))
+            {"x": x, "rho": snap.rho, "m": snap.mom}))
         paths.append(str(p.relative_to(out)))
     (out / "monitors.csv").write_text(monitors_csv_text(report))
     (out / "violations.json").write_text(json_text(report.violations))
@@ -120,10 +122,10 @@ def load_run_dir(run_dir):
     snaps = []
     for rel in payload["snapshots"]:
         meta, cols = _read_table(out / rel, grid, ("step", "time"),
-                                 ("rho", "m", "E"))
+                                 ("rho", "m"))
+        e_vals = solve_field(cols["rho"] - model.rho_floor, profile, grid)
         snaps.append(Snapshot(step=int(meta["step"]), time=meta["time"],
-                              rho=cols["rho"], mom=cols["m"],
-                              e_vals=cols["E"]))
+                              rho=cols["rho"], mom=cols["m"], e_vals=e_vals))
     if not snaps:
         raise ConfigurationError(f"{out / 'report.json'}: lists no snapshots")
     traj = Trajectory(grid=grid, model=model, snapshots=snaps)

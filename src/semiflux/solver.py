@@ -121,25 +121,6 @@ def flux(model: GasModel, rho, mom):
     return f1, f2
 
 
-def _speed_and_dt(rho, mom, model: GasModel, cfg: SolverConfig,
-                  grid: Grid1D):
-    """Cellwise largest characteristic speed |u| + ((rho-2d)/rho) sqrt(P'),
-    its maximum, and the stable step cfl / (max|lambda|/dx + 2 eps/dx^2): one
-    budget shared by advection and viscosity, so the explicit update stays a
-    convex combination."""
-    speed = np.abs(mom / rho) + (rho - model.rho_floor) / rho \
-        * model.sound_speed(rho)
-    max_speed = float(np.max(speed))
-    dt = cfg.cfl / (max_speed / grid.dx + 2.0 * cfg.epsilon / grid.dx ** 2)
-    return speed, max_speed, dt
-
-
-def stable_dt(state: HydroState, model: GasModel, cfg: SolverConfig,
-              grid: Grid1D) -> float:
-    """The step `step` takes from `state` when no stop time cuts it short."""
-    return _speed_and_dt(state.rho, state.mom, model, cfg, grid)[2]
-
-
 def step(state: HydroState, profile: DeviceProfile, model: GasModel,
          cfg: SolverConfig, grid: Grid1D, t_stop: float | None = None):
     """One explicit flux/viscosity update followed by the exact damping decay.
@@ -154,7 +135,14 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     if float(np.min(rho)) < model.admissible_floor:
         raise IntegrationError("density fell below the vacuum offset",
                                state, state.time)
-    speed, max_speed, dt = _speed_and_dt(rho, mom, model, cfg, grid)
+    # cellwise largest characteristic speed |u| + ((rho-2d)/rho) sqrt(P') and
+    # the stable step cfl / (max|lambda|/dx + 2 eps/dx^2): one budget shared
+    # by advection and viscosity, so the explicit update stays a convex
+    # combination
+    speed = np.abs(mom / rho) + (rho - model.rho_floor) / rho \
+        * model.sound_speed(rho)
+    max_speed = float(np.max(speed))
+    dt = cfg.cfl / (max_speed / dx + 2.0 * cfg.epsilon / dx ** 2)
     t_new = state.time + dt
     if t_stop is not None and dt >= t_stop - state.time:
         dt = t_stop - state.time

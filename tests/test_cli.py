@@ -1,6 +1,8 @@
 """End-to-end command line tests: exit codes, run directory layout,
 verify round trips, and bitwise reproducibility of stored runs."""
 
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -14,12 +16,23 @@ import semiflux
 from semiflux.cli import main, parse_monitor_list
 from semiflux.model import ConfigurationError
 from semiflux.monitors import ALL_MONITORS
+from semiflux.picard import picard_solve
+from semiflux.relaxation import CouplingRule, relaxation_study
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def spelled_defaults(defaults: dict, keys: tuple) -> str:
+    """Config lines setting `keys` to the library's own default values."""
+    return "".join(f"{k} = {defaults[k]!r}\n" for k in keys)
+
+
+def signature_defaults(func) -> dict:
+    return {k: v.default for k, v in inspect.signature(func).parameters.items()}
 
 
 BUMP_CFG = """
@@ -261,8 +274,52 @@ class TestPicardCommand:
             "endpoint_gap", "endpoint_tolerance", "t1", "n_intervals",
             "scenario"}
 
+    def test_same_grid_check_on_a_fine_slab(self, tmp_path):
+        # refine = 1 marches on the Picard grid itself: n = 300, eps = 0.01
+        cfg = write_cfg(tmp_path, (
+            "scenario = gaussian-bump\nn_cells = 300\nepsilon = 0.01\n"
+            "t1 = 0.01\nn_intervals = 8\ntol = 1e-12\nrefine = 1\n"))
+        out = tmp_path / "pic"
+        assert main(["picard", "--config", cfg, "--out-dir", str(out)]) == 0
+        payload = json.loads((out / "picard_report.json").read_text())
+        assert payload["converged"] is True
+        assert payload["endpoint_gap"] <= payload["endpoint_tolerance"]
+
+    def test_unset_study_keys_take_the_library_defaults(self, tmp_path):
+        base = ("scenario = gaussian-bump\nn_cells = 40\nepsilon = 0.01\n"
+                "t1 = 0.01\n")
+        spelled = base + spelled_defaults(signature_defaults(picard_solve),
+                                          ("n_intervals", "tol", "max_iters"))
+        texts = []
+        for i, body in enumerate((base, spelled)):
+            cfg = write_cfg(tmp_path, body, name=f"picard{i}.cfg")
+            out = tmp_path / f"pic{i}"
+            assert main(["picard", "--config", cfg, "--out-dir", str(out)]) == 0
+            texts.append([(out / f).read_bytes() for f in
+                          ("picard_report.json", "contraction.csv")])
+        assert texts[0] == texts[1]
+
 
 class TestRelaxCommand:
+    def test_unset_study_keys_take_the_library_defaults(self, tmp_path):
+        base = ("scenario = gaussian-bump\nx_min = -4\nx_max = 4\n"
+                "n_cells = 40\ntau_list = 0.2 0.1 0.05\n")
+        coupling = {f.name: f.default for f in dataclasses.fields(CouplingRule)}
+        spelled = (base
+                   + spelled_defaults(coupling, ("eps_coeff", "eps_power",
+                                                 "delta_coeff"))
+                   + spelled_defaults(signature_defaults(relaxation_study),
+                                      ("horizon", "n_s_records", "s0_frac")))
+        results = []
+        for i, body in enumerate((base, spelled)):
+            cfg = write_cfg(tmp_path, body, name=f"relax{i}.cfg")
+            out = tmp_path / f"relax{i}"
+            rc = main(["relax", "--config", cfg, "--out-dir", str(out)])
+            assert rc in (0, 1)
+            results.append((rc, (out / "relax_table.csv").read_bytes(),
+                            (out / "manifest.json").read_bytes()))
+        assert results[0] == results[1]
+
     def test_coupled_sweep(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (
             "scenario = gaussian-bump\nx_min = -4\nx_max = 4\n"
@@ -299,6 +356,10 @@ class TestModuleEntry:
         assert proc.returncode == 0
         for sub in ("solve", "verify", "picard", "relax"):
             assert sub in proc.stdout
+
+    def test_public_names_resolve(self):
+        missing = [n for n in semiflux.__all__ if not hasattr(semiflux, n)]
+        assert missing == []
 
     def test_cli_import_leaves_scipy_signal_unloaded(self):
         # scipy.signal costs about a second of import on every command

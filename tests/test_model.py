@@ -158,18 +158,6 @@ class TestRiemannInvariants:
         assert z[0] == pytest.approx(2.0, rel=1e-14)
         assert w[0] == pytest.approx(2.0, rel=1e-14)
 
-    def test_lower_ref_mismatch_is_configuration_error(self):
-        m = make_model(2.0, delta=0.05)
-        with pytest.raises(ConfigurationError):
-            m.riemann_invariants(np.array([1.0]), np.array([0.0]),
-                                 lower_ref=m.rho_floor)
-
-    def test_matching_lower_ref_accepted(self):
-        m = make_model(3.5, delta=0.05)
-        z, w = m.riemann_invariants(np.array([1.0]), np.array([0.0]),
-                                    lower_ref=m.rho_floor)
-        assert z[0] == w[0]
-
     @given(gamma=gammas, delta=deltas, convention=conventions,
            excess=st.floats(min_value=0.0, max_value=5.0),
            u=st.floats(min_value=-4.0, max_value=4.0))

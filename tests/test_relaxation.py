@@ -275,6 +275,5 @@ class TestRelaxationStudy:
         from semiflux import ScaledTrajectory
         sc = ScaledTrajectory(tau=1.0, s_values=out.s_values,
                               n_vals=out.n_vals, j_vals=np.zeros_like(out.n_vals),
-                              upsilon_vals=out.upsilon_vals, grid=grid,
-                              rho_floor=0.1)
+                              grid=grid, rho_floor=0.1)
         assert scaled_l1_gap(sc, out, (-2.0, 2.0), 0.0) == 0.0

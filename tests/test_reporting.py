@@ -72,6 +72,14 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert profile.uniform_ok == setup.profile.uniform_ok
 
 
+def test_snapshot_stores_no_derived_columns(small_run):
+    # E is recomputed from rho on load, like u and the Riemann invariants
+    head, rows = read_rows(later_snapshot(small_run))
+    assert head[-1] == "# columns: x rho m"
+    assert [ln.split(" = ")[0] for ln in head[:-1]] == ["# step", "# time"]
+    assert {len(r) for r in rows} == {3}
+
+
 def test_scaled_stored_density_detected(small_run, capsys):
     path = later_snapshot(small_run)
     head, rows = read_rows(path)
@@ -114,8 +122,8 @@ def rejected(run_dir, path, capsys):
 def test_missing_column_rejected(small_run, capsys):
     path = later_snapshot(small_run)
     head, rows = read_rows(path)
-    head[-1] = "# columns: x rho m"
-    write_rows(path, head, [r[:3] for r in rows])
+    head[-1] = "# columns: x rho"
+    write_rows(path, head, [r[:2] for r in rows])
     assert rejected(small_run, path, capsys)
 
 

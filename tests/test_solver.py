@@ -25,7 +25,6 @@ from semiflux import (
     SourceVariant,
     prepare_initial,
     run,
-    stable_dt,
     step,
     total_integral,
 )
@@ -226,8 +225,8 @@ class TestStepMechanics:
         lam = abs(u) + (1.5 - model.rho_floor) / 1.5 * model.sound_speed(
             np.array([1.5]))[0]
         expected = cfg.cfl / (lam / grid.dx + 2 * cfg.epsilon / grid.dx ** 2)
-        assert stable_dt(state, model, cfg, grid) == pytest.approx(
-            expected, rel=1e-13)
+        assert step(state, profile, model, cfg, grid)[1].dt_used == \
+            pytest.approx(expected, rel=1e-13)
 
     def test_dt_limit_and_time_stamp(self):
         # a stop time inside the stable step cuts it short and is hit
@@ -238,7 +237,7 @@ class TestStepMechanics:
         new, rep = step(state, profile, model, cfg, grid, t_stop=0.123 + 1e-6)
         assert rep.dt_used == (0.123 + 1e-6) - 0.123
         assert new.time == 0.123 + 1e-6
-        dt = stable_dt(state, model, cfg, grid)
+        dt = step(state, profile, model, cfg, grid)[1].dt_used
         new, rep = step(state, profile, model, cfg, grid, t_stop=1.0)
         assert rep.dt_used == dt
         assert new.time == 0.123 + dt
