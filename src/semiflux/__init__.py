@@ -17,15 +17,14 @@ from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     cumulative_integral, total_integral,
                     validate_uniform_hypotheses)
 from .monitors import (ALL_MONITORS, EntropyPair, MonitorReport, MonitorSuite,
-                       TestFunction, convexity_check, dissipation_integral,
-                       entropy_residual, entropy_spot_check,
-                       evaluate_trajectory, mechanical_energy_pair,
-                       plateau_check)
+                       TestFunction, convexity_check, entropy_residual,
+                       entropy_spot_check, evaluate_trajectory,
+                       mechanical_energy_pair, plateau_check)
 from .picard import (ContractionReport, HeatKernel, PicardIterate,
                      PicardResult, picard_solve, picard_step)
-from .relaxation import (CouplingRule, DDTrajectory, DriftDiffusionState,
-                         ScaledTrajectory, StudyResult, StudyRow,
-                         drift_diffusion_run, relaxation_study, rescale)
+from .relaxation import (CouplingRule, DDTrajectory, StudyResult, StudyRow,
+                         dissipation_integral, drift_diffusion_run,
+                         relaxation_study)
 from .scenarios import SCENARIOS, RunSetup, make_arrays, make_setup
 from .solver import (IntegrationError, Snapshot, SolverConfig, SourceVariant,
                      StepReport, Trajectory, prepare_initial, run, step)
@@ -34,17 +33,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_MONITORS", "Boundary", "ConfigurationError", "ContractionReport",
-    "CouplingRule", "DDTrajectory", "DeviceProfile", "DriftDiffusionState",
+    "CouplingRule", "DDTrajectory", "DeviceProfile",
     "EntropyPair", "GasModel", "Grid1D", "HeatKernel", "HydroState",
     "IntegrationError", "MonitorReport", "MonitorSuite", "PicardIterate",
     "PicardResult", "PressureConvention",
-    "ProfileCheck", "RunSetup", "SCENARIOS", "ScaledTrajectory", "Snapshot",
+    "ProfileCheck", "RunSetup", "SCENARIOS", "Snapshot",
     "SolverConfig", "SourceVariant", "StepReport", "StudyResult", "StudyRow",
     "TestFunction", "Trajectory", "convexity_check", "cumulative_integral",
     "dissipation_integral", "drift_diffusion_run", "entropy_residual",
     "entropy_spot_check", "evaluate_trajectory", "field_bound",
     "make_arrays", "make_setup", "mechanical_energy_pair", "picard_solve",
     "picard_step", "plateau_check", "prepare_initial", "relaxation_study",
-    "rescale", "run", "solve_field", "step", "total_integral",
+    "run", "solve_field", "step", "total_integral",
     "validate_uniform_hypotheses", "__version__",
 ]

@@ -362,12 +362,3 @@ def entropy_spot_check(traj: Trajectory, profile: DeviceProfile, tau: float,
                                "value": res, "bound": -tol})
     return results, violations
 
-
-def dissipation_integral(s_values, n_vals, j_vals, rho_floor: float,
-                         dx: float) -> float:
-    """int_0^L int (N - 2*delta) (J/N)^2 dx ds over a scaled trajectory."""
-    n_vals = np.asarray(n_vals, dtype=float)
-    j_vals = np.asarray(j_vals, dtype=float)
-    u = j_vals / n_vals
-    per_s = dx * np.sum((n_vals - rho_floor) * u ** 2, axis=1)
-    return float(trapezoid(per_s, np.asarray(s_values, dtype=float)))

@@ -36,8 +36,8 @@ import numpy as np
 from scipy.special import erf
 
 from .field import solve_field
-from .model import (DeviceProfile, GasModel, Grid1D, HydroState,
-                    total_integral)
+from .model import (ConfigurationError, DeviceProfile, GasModel, Grid1D,
+                    HydroState, total_integral)
 from .solver import SourceVariant, flux, source
 
 
@@ -273,7 +273,7 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
     with a suggestion to halve the slab.
     """
     if t1 <= 0.0 or n_intervals < 1:
-        raise ValueError("need t1 > 0 and at least one slab interval")
+        raise ConfigurationError("need t1 > 0 and at least one slab interval")
     bound = iterate_band_bound(initial, model, grid)
     report = ContractionReport(tol=tol)
     prev = constant_first_guess(initial, t1, n_intervals)

@@ -6,9 +6,11 @@ limits onto
     N_s + J_x = 0,     a(x) J = N Upsilon - P(N)_x,     Upsilon_x = N - b,
 
 as tau -> 0 with delta = tau and eps shrinking like o(sqrt(P'(2*delta)) tau).
-This module rescales recorded hydro runs, integrates the limit system with an
-explicit conservative scheme (vacuum offset set to zero), and drives the
-tau-ladder study measuring the L1 gap between the two.
+This module integrates the limit system with an explicit conservative scheme
+(vacuum offset set to zero) and drives the tau-ladder study: each hydro run
+records exactly at t = s/tau, its rows are read as N = rho and J = m/tau,
+and the L1 gap to the reference is reported twice, on N (l1_error) and on
+N - 2 delta (l1_net, free of the vacuum offset the reference lacks).
 """
 
 from __future__ import annotations
@@ -22,54 +24,13 @@ from scipy.integrate import trapezoid
 from .field import solve_field
 from .model import (ConfigurationError, DeviceProfile, GasModel, Grid1D,
                     PressureConvention)
-from .monitors import dissipation_integral
-from .solver import SolverConfig, SourceVariant, Trajectory, prepare_initial, run
-
-
-@dataclass
-class ScaledTrajectory:
-    """Hydro run re-read in slow time: N = rho, J = m/tau."""
-
-    tau: float
-    s_values: np.ndarray
-    n_vals: np.ndarray        # (n_samples, n_cells)
-    j_vals: np.ndarray
-    grid: Grid1D
-    rho_floor: float
-
-
-def rescale(traj: Trajectory, tau: float, s_values) -> ScaledTrajectory:
-    """Sample the recorded trajectory at t = s/tau (nearest recorded time)."""
-    s_values = np.asarray(s_values, dtype=float)
-    times = traj.times
-    horizon = times[-1] * tau
-    tiny = 1e-9 * max(1.0, horizon)
-    if np.any(s_values < 0.0) or np.any(s_values > horizon + tiny):
-        raise ValueError(
-            f"scaled instants must lie in [0, {horizon!r}]; got "
-            f"[{s_values.min()!r}, {s_values.max()!r}]")
-    n_rows, j_rows = [], []
-    for s in s_values:
-        idx = int(np.argmin(np.abs(times - s / tau)))
-        snap = traj.snapshots[idx]
-        n_rows.append(snap.rho)
-        j_rows.append(snap.mom / tau)
-    return ScaledTrajectory(tau=tau, s_values=s_values,
-                            n_vals=np.array(n_rows), j_vals=np.array(j_rows),
-                            grid=traj.grid, rho_floor=traj.model.rho_floor)
+from .solver import SolverConfig, SourceVariant, prepare_initial, run
 
 
 # --- drift-diffusion limit solver ------------------------------------------
 
 class PositivityError(RuntimeError):
     pass
-
-
-@dataclass
-class DriftDiffusionState:
-    n_vals: np.ndarray
-    upsilon: np.ndarray
-    time: float = 0.0
 
 
 def _dd_face_flux(n_vals, upsilon, profile: DeviceProfile, model: GasModel,
@@ -98,24 +59,20 @@ def dd_stable_dt(n_vals, upsilon, profile: DeviceProfile, model: GasModel,
     return dt
 
 
-def drift_diffusion_step(state: DriftDiffusionState, profile: DeviceProfile,
+def drift_diffusion_step(n_vals, upsilon, profile: DeviceProfile,
                          model: GasModel, grid: Grid1D, dt_s: float):
-    """Conservative explicit update; halves dt on a positivity violation and
-    gives up after 40 halvings.  Returns (new_state, dt_used)."""
-    n_vals = state.n_vals
-    upsilon = solve_field(n_vals, profile, grid)
+    """Conservative explicit update from N with its field Upsilon; halves dt
+    on a positivity violation and gives up after 40 halvings.  Returns
+    (n_new, upsilon_new, dt_used), the new field solved once."""
     j_face = _dd_face_flux(n_vals, upsilon, profile, model, grid)
     dt = dt_s
     for _ in range(41):
         n_new = n_vals - (dt / grid.dx) * (j_face[1:] - j_face[:-1])
         if np.all(n_new >= 0.0):
-            up_new = solve_field(n_new, profile, grid)
-            return (DriftDiffusionState(n_vals=n_new, upsilon=up_new,
-                                        time=state.time + dt), dt)
+            return n_new, solve_field(n_new, profile, grid), dt
         dt *= 0.5
     raise PositivityError(
-        f"drift-diffusion density stayed negative after 40 dt halvings "
-        f"at s = {state.time!r}")
+        "drift-diffusion density stayed negative after 40 dt halvings")
 
 
 @dataclass
@@ -132,34 +89,34 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
     n0 = np.asarray(n0, dtype=float)
     if np.any(n0 < 0.0):
         raise ValueError("initial density must be non-negative")
-    state = DriftDiffusionState(n_vals=n0.copy(),
-                                upsilon=solve_field(n0, profile, grid),
-                                time=0.0)
+    n_vals, upsilon, s = n0.copy(), solve_field(n0, profile, grid), 0.0
     rec = sorted(float(t) for t in (record_times if record_times is not None else [])
                  if 0.0 < t <= s_end)
-    s_out, n_out, u_out = [0.0], [state.n_vals.copy()], [state.upsilon.copy()]
+    s_out, n_out, u_out = [0.0], [n_vals], [upsilon]
     tiny = 1e-12 * max(s_end, 1.0)
     next_rec = 0
     k = 0
-    while state.time < s_end - tiny and k < max_steps:
+    while s < s_end - tiny and k < max_steps:
         target = s_end
-        if next_rec < len(rec) and rec[next_rec] > state.time + tiny:
+        if next_rec < len(rec) and rec[next_rec] > s + tiny:
             target = min(target, rec[next_rec])
-        dt = dd_stable_dt(state.n_vals, state.upsilon, profile, model, grid, cfl)
-        dt = min(dt, target - state.time)
-        gap = target - state.time
-        state, dt_used = drift_diffusion_step(state, profile, model, grid, dt)
-        if dt_used >= gap - tiny:
-            state.time = target
+        dt = dd_stable_dt(n_vals, upsilon, profile, model, grid, cfl)
+        gap = target - s
+        try:
+            n_vals, upsilon, dt_used = drift_diffusion_step(
+                n_vals, upsilon, profile, model, grid, min(dt, gap))
+        except PositivityError as err:
+            raise PositivityError(f"{err} at s = {s!r}") from None
+        s = target if dt_used >= gap - tiny else s + dt_used
         k += 1
         due = False
-        while next_rec < len(rec) and state.time >= rec[next_rec] - tiny:
+        while next_rec < len(rec) and s >= rec[next_rec] - tiny:
             next_rec += 1
             due = True
-        if due or state.time >= s_end - tiny:
-            s_out.append(state.time)
-            n_out.append(state.n_vals.copy())
-            u_out.append(state.upsilon.copy())
+        if due or s >= s_end - tiny:
+            s_out.append(s)
+            n_out.append(n_vals)
+            u_out.append(upsilon)
     return DDTrajectory(s_values=np.array(s_out), n_vals=np.array(n_out),
                         upsilon_vals=np.array(u_out), grid=grid)
 
@@ -197,6 +154,7 @@ class StudyRow:
     delta: float
     l1_error: float
     dissipation: float
+    l1_net: float
 
 
 @dataclass
@@ -205,29 +163,39 @@ class StudyResult:
     monotone: bool
     s_values: np.ndarray
     reference: DDTrajectory
-    scaled: list
     manifest: dict = field(default_factory=dict)
 
 
 def validate_tau_ladder(tau_list) -> list:
-    taus = [float(t) for t in tau_list]
+    try:
+        taus = [float(t) for t in tau_list]
+    except ValueError as err:
+        raise ConfigurationError(f"tau ladder: {err}") from None
     if len(taus) < 3:
         raise ConfigurationError("tau ladder needs at least 3 entries")
+    if not all(0.0 < t < math.inf for t in taus):
+        raise ConfigurationError("each tau must be positive and finite")
     for a, b in zip(taus, taus[1:]):
         if not math.isclose(b, 0.5 * a, rel_tol=1e-9):
             raise ConfigurationError("each tau must halve the previous one")
     return taus
 
 
-def scaled_l1_gap(scaled: ScaledTrajectory, reference: DDTrajectory,
-                  window, s_min: float) -> float:
-    """L1 norm of N^tau - N_ref over the spatial window and s >= s_min."""
-    x = scaled.grid.centers
-    mask = (x >= window[0]) & (x <= window[1])
-    keep = scaled.s_values >= s_min - 1e-12
-    diff = np.abs(scaled.n_vals[:, mask] - reference.n_vals[:, mask])
-    per_s = scaled.grid.dx * np.sum(diff, axis=1)
-    return float(trapezoid(per_s[keep], scaled.s_values[keep]))
+def scaled_l1_gap(s_values, n_vals, n_ref, dx: float) -> float:
+    """L1 norm of N - N_ref: cell sums in space, trapezoid in s over the
+    rows given."""
+    per_s = dx * np.sum(np.abs(n_vals - n_ref), axis=1)
+    return float(trapezoid(per_s, s_values))
+
+
+def dissipation_integral(s_values, n_vals, j_vals, rho_floor: float,
+                         dx: float) -> float:
+    """int_0^L int (N - 2*delta) (J/N)^2 dx ds over a scaled trajectory."""
+    n_vals = np.asarray(n_vals, dtype=float)
+    j_vals = np.asarray(j_vals, dtype=float)
+    u = j_vals / n_vals
+    per_s = dx * np.sum((n_vals - rho_floor) * u ** 2, axis=1)
+    return float(trapezoid(per_s, np.asarray(s_values, dtype=float)))
 
 
 def relaxation_study(raw_rho, raw_u, a_vals, b_vals, e_minus: float,
@@ -237,13 +205,24 @@ def relaxation_study(raw_rho, raw_u, a_vals, b_vals, e_minus: float,
                      horizon: float = 0.25, window=None,
                      n_s_records: int = 21, s0_frac: float = 0.05,
                      cfl: float = 0.45, smoothing_width: float = 0.0) -> StudyResult:
-    """Run the hydro solver along the tau ladder, rescale, and compare with
-    one drift-diffusion reference computed on the same grid."""
+    """Run the hydro solver along the tau ladder, read each run's rows at
+    t = s/tau as N = rho and J = m/tau, and compare with one drift-diffusion
+    reference computed on the same grid."""
     taus = validate_tau_ladder(tau_list)
+    if not horizon > 0.0 or n_s_records < 2:
+        raise ConfigurationError("need horizon > 0 and n_s_records >= 2")
     if window is None:
         window = (grid.x_min, grid.x_max)
     s_records = np.linspace(0.0, horizon, n_s_records)
     s_min = s0_frac * horizon
+    late = s_records >= s_min - 1e-12
+    cols = (grid.centers >= window[0]) & (grid.centers <= window[1])
+    if np.count_nonzero(late) < 2:
+        raise ConfigurationError(
+            f"s0_frac = {s0_frac!r} leaves fewer than two s records")
+    if not cols.any():
+        raise ConfigurationError(
+            f"window [{window[0]!r}, {window[1]!r}] holds no cell centre")
 
     # mollify exactly as the hydro initial data, minus the vacuum offset
     probe_model = GasModel(gamma=gamma, delta=taus[0],
@@ -256,10 +235,11 @@ def relaxation_study(raw_rho, raw_u, a_vals, b_vals, e_minus: float,
     reference = drift_diffusion_run(n0, profile, probe_model, grid,
                                     s_end=horizon, record_times=s_records[1:],
                                     cfl=cfl)
-    if len(reference.s_values) != len(s_records):
+    if not np.array_equal(reference.s_values, s_records):
         raise RuntimeError("reference recording misaligned with the s ladder")
+    n_ref = reference.n_vals[late][:, cols]
 
-    rows, scaled_all = [], []
+    rows = []
     for tau in taus:
         delta = coupling.delta(tau)
         eps = coupling.epsilon(tau, gamma, convention)
@@ -273,13 +253,19 @@ def relaxation_study(raw_rho, raw_u, a_vals, b_vals, e_minus: float,
                    record_times=s_records[1:] / tau)
         if not traj.completed:
             raise RuntimeError(f"hydro run failed at tau={tau}")
-        scaled = rescale(traj, tau, s_records)
-        gap = scaled_l1_gap(scaled, reference, window, s_min)
-        diss = dissipation_integral(scaled.s_values, scaled.n_vals,
-                                    scaled.j_vals, model.rho_floor, grid.dx)
-        rows.append(StudyRow(tau=tau, epsilon=eps, delta=delta,
-                             l1_error=gap, dissipation=diss))
-        scaled_all.append(scaled)
+        if not np.array_equal(traj.times[1:], s_records[1:] / tau):
+            raise RuntimeError(
+                f"hydro recording at tau={tau} misaligned with the s ladder")
+        n_vals = np.array([snap.rho for snap in traj.snapshots])
+        j_vals = np.array([snap.mom for snap in traj.snapshots]) / tau
+        n_win = n_vals[late][:, cols]
+        rows.append(StudyRow(
+            tau=tau, epsilon=eps, delta=delta,
+            l1_error=scaled_l1_gap(s_records[late], n_win, n_ref, grid.dx),
+            dissipation=dissipation_integral(s_records, n_vals, j_vals,
+                                             model.rho_floor, grid.dx),
+            l1_net=scaled_l1_gap(s_records[late], n_win - model.rho_floor,
+                                 n_ref, grid.dx)))
 
     errors = [r.l1_error for r in rows]
     monotone = all(b < a for a, b in zip(errors, errors[1:]))
@@ -301,5 +287,4 @@ def relaxation_study(raw_rho, raw_u, a_vals, b_vals, e_minus: float,
         "e_minus": e_minus,
     }
     return StudyResult(rows=rows, monotone=monotone, s_values=s_records,
-                       reference=reference, scaled=scaled_all,
-                       manifest=manifest)
+                       reference=reference, manifest=manifest)

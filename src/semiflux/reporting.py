@@ -1,10 +1,12 @@
 """Deterministic on-disk formats for runs.
 
-Snapshots (x rho m) and the profile (x a b) are '#'-headed text tables
-holding only what verify reads back; the field E is derived data, recomputed
-from rho on load.  Monitor series go to CSV, violations to JSON.  Every
-float is rendered with 17 significant digits so repeated runs of the same
-build are byte-identical; wall-clock timing lives in its own file.
+Snapshots (rho m) and the profile (x a b) are '#'-headed text tables
+holding only what verify reads back: the cell centres x follow from the grid
+in report.json and are stored once, in the profile, where the reader checks
+them; the field E is derived data, recomputed from rho on load.  Monitor
+series go to CSV, violations to JSON.  Every float is rendered with 17
+significant digits so repeated runs of the same build are byte-identical;
+wall-clock timing lives in its own file.
 """
 
 from __future__ import annotations
@@ -37,14 +39,15 @@ def _table_text(meta: dict, columns: dict) -> str:
 def _read_table(path: Path, grid: Grid1D, keys: tuple, names: tuple):
     """Read a stored table as ({key: float}, {column: values}).  Columns are
     found by name, so older layouts with extra columns still load; a table
-    that does not describe the run's grid is rejected."""
+    that does not describe the run's grid, or whose x column (where it has
+    one) is not the grid's centres, is rejected."""
     with open(path) as fh:
         head = [ln[1:].replace("columns:", "columns =").partition("=")
                 for ln in takewhile(lambda ln: ln.startswith("#"), fh)]
     meta = {k.strip(): v.strip() for k, _, v in head}
     header = meta.get("columns", "").split()
     missing = [k for k in keys if k not in meta]
-    missing += [n for n in ("x", *names) if n not in header]
+    missing += [n for n in names if n not in header]
     if missing:
         raise ConfigurationError(f"{path}: missing {missing}")
     try:
@@ -57,7 +60,7 @@ def _read_table(path: Path, grid: Grid1D, keys: tuple, names: tuple):
             f"{path}: {data.shape[0]} rows of {data.shape[1]} values, "
             f"expected {grid.n_cells} rows of {len(header)}")
     cols = dict(zip(header, data.T))
-    if not np.array_equal(cols["x"], grid.centers):
+    if "x" in cols and not np.array_equal(cols["x"], grid.centers):
         raise ConfigurationError(f"{path}: x column is not the run's grid")
     return values, cols
 
@@ -81,19 +84,17 @@ def write_run_dir(out_dir, traj: Trajectory, profile: DeviceProfile,
     profile.dat, snapshots/."""
     out = Path(out_dir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
-    x = traj.grid.centers
     paths = []
     for snap in traj.snapshots:
         p = out / "snapshots" / f"snap_{snap.step:08d}.dat"
-        p.write_text(_table_text(
-            {"step": snap.step, "time": snap.time},
-            {"x": x, "rho": snap.rho, "m": snap.mom}))
+        p.write_text(_table_text({"step": snap.step, "time": snap.time},
+                                 {"rho": snap.rho, "m": snap.mom}))
         paths.append(str(p.relative_to(out)))
     (out / "monitors.csv").write_text(monitors_csv_text(report))
     (out / "violations.json").write_text(json_text(report.violations))
     (out / "profile.dat").write_text(_table_text(
         {"e_minus": profile.e_minus},
-        {"x": x, "a": profile.a_vals, "b": profile.b_vals}))
+        {"x": traj.grid.centers, "a": profile.a_vals, "b": profile.b_vals}))
     payload = {
         "config": config_echo,
         "summary": report.summary,
@@ -117,7 +118,7 @@ def load_run_dir(run_dir):
     model = GasModel(gamma=float(cfg["gamma"]), delta=float(cfg["delta"]),
                      convention=PressureConvention(cfg["pressure_convention"]))
     meta, cols = _read_table(out / "profile.dat", grid, ("e_minus",),
-                             ("a", "b"))
+                             ("x", "a", "b"))
     profile = DeviceProfile.build(grid, cols["a"], cols["b"], meta["e_minus"])
     snaps = []
     for rel in payload["snapshots"]:

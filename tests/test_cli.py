@@ -99,6 +99,24 @@ class TestUsageErrors:
         assert main([command, "--config", cfg,
                      "--out-dir", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("command,body", [
+        ("relax", "tau_list = 0.2, abc, 0.05"),
+        ("relax", "tau_list = 0.2 0.1 0.05\nn_s_records = 1"),
+        ("relax", "tau_list = 0.2 0.1 0.05\nhorizon = -1"),
+        ("relax", "tau_list = 0.2 0.1 0.05\nwindow_lo = 3\nwindow_hi = -3"),
+        ("picard", "t1 = 0"),
+        ("picard", "n_intervals = 0"),
+    ], ids=["relax-tau-not-a-number", "relax-one-s-record",
+            "relax-negative-horizon", "relax-empty-window", "picard-t1-zero",
+            "picard-no-intervals"])
+    def test_bad_study_settings_exit_2(self, tmp_path, capsys, command, body):
+        # exit 1 is a verdict of the study; a setting it cannot run is usage
+        cfg = write_cfg(tmp_path, ("scenario = gaussian-bump\nn_cells = 40\n"
+                                   f"{body}\n"))
+        assert main([command, "--config", cfg,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_relax_rejects_crooked_ladder(self, tmp_path):
         cfg = write_cfg(tmp_path,
                         "scenario = gaussian-bump\ntau_list = 0.2 0.1 0.07\n")
@@ -330,11 +348,13 @@ class TestRelaxCommand:
         assert rc == 0
         assert "strictly decreasing: yes" in capsys.readouterr().out
         rows = (out / "relax_table.csv").read_text().splitlines()
-        assert rows[0] == "tau,epsilon,delta,l1_error,dissipation"
+        assert rows[0] == "tau,epsilon,delta,l1_error,dissipation,l1_net"
         errs = [float(r.split(",")[3]) for r in rows[1:]]
         assert errs[0] > errs[1] > errs[2]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["monotone"] is True
+        # the table is the one place the rows are written
+        assert "rows" not in manifest
 
     def test_detuned_sweep_fails(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (

@@ -1,6 +1,7 @@
-"""Slow-time rescaling, the drift-diffusion reference solver, and the
-tau-ladder comparison study."""
+"""The drift-diffusion reference solver and the tau-ladder comparison study,
+which reads each hydro run's rows at t = s/tau as N = rho, J = m/tau."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,78 +18,18 @@ from semiflux import (
     GasModel,
     Grid1D,
     PressureConvention,
-    Trajectory,
     drift_diffusion_run,
     relaxation_study,
-    rescale,
     solve_field,
     total_integral,
 )
+from semiflux import relaxation
 from semiflux.relaxation import (
     PositivityError,
     dd_stable_dt,
     scaled_l1_gap,
     validate_tau_ladder,
 )
-from semiflux.solver import Snapshot
-
-
-def toy_trajectory(grid, model, times, rho_of_t, u_of_t):
-    traj = Trajectory(grid=grid, model=model)
-    for k, t in enumerate(times):
-        rho = rho_of_t(t)
-        traj.snapshots.append(Snapshot(step=k, time=t, rho=rho,
-                                       mom=rho * u_of_t(t),
-                                       e_vals=np.zeros(grid.n_cells)))
-    return traj
-
-
-class TestRescale:
-    def setup_method(self):
-        self.grid = Grid1D(-5.0, 5.0, 32)
-        self.model = GasModel(gamma=1.4, delta=0.05)
-
-    def test_unit_tau_is_identity_except_current(self):
-        n = self.grid.n_cells
-        times = [0.0, 0.5, 1.0]
-        traj = toy_trajectory(self.grid, self.model, times,
-                              lambda t: np.full(n, 1.0 + t),
-                              lambda t: np.full(n, 0.2))
-        sc = rescale(traj, tau=1.0, s_values=times)
-        for k, t in enumerate(times):
-            assert np.array_equal(sc.n_vals[k], traj.snapshots[k].rho)
-            assert np.array_equal(sc.j_vals[k], traj.snapshots[k].mom)
-        assert sc.rho_floor == self.model.rho_floor
-
-    def test_slow_time_samples_fast_instants(self):
-        n = self.grid.n_cells
-        times = [0.0, 5.0, 10.0]
-        traj = toy_trajectory(self.grid, self.model, times,
-                              lambda t: np.full(n, 1.0 + t),
-                              lambda t: np.full(n, 0.1))
-        sc = rescale(traj, tau=0.1, s_values=[1.0])
-        # s = 1 at tau = 0.1 reads the state at t = 10
-        assert np.all(sc.n_vals[0] == 11.0)
-        # J = m / tau
-        assert np.allclose(sc.j_vals[0], 11.0 * 0.1 / 0.1)
-
-    def test_out_of_horizon_rejected(self):
-        n = self.grid.n_cells
-        traj = toy_trajectory(self.grid, self.model, [0.0, 1.0],
-                              lambda t: np.ones(n), lambda t: np.zeros(n))
-        with pytest.raises(ValueError, match="scaled instants"):
-            rescale(traj, tau=0.5, s_values=[0.6])
-        with pytest.raises(ValueError):
-            rescale(traj, tau=0.5, s_values=[-0.1])
-
-    def test_nearest_snapshot_wins(self):
-        n = self.grid.n_cells
-        times = [0.0, 1.0, 2.0]
-        traj = toy_trajectory(self.grid, self.model, times,
-                              lambda t: np.full(n, 1.0 + t),
-                              lambda t: np.zeros(n))
-        sc = rescale(traj, tau=1.0, s_values=[0.9])
-        assert np.all(sc.n_vals[0] == 2.0)
 
 
 class TestDriftDiffusionField:
@@ -172,6 +113,30 @@ class TestDriftDiffusionRun:
         n0[20:] = 1.0
         with pytest.raises(PositivityError):
             drift_diffusion_run(n0, profile, model, grid, s_end=1e-4)
+
+    def test_one_field_solve_per_step(self, monkeypatch):
+        # each step hands its new field on to the next, so the march solves
+        # the field once per step plus once for the initial datum
+        calls = {"field": 0, "step": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(relaxation, "solve_field",
+                            counted("field", relaxation.solve_field))
+        monkeypatch.setattr(relaxation, "drift_diffusion_step",
+                            counted("step", relaxation.drift_diffusion_step))
+        grid = Grid1D(-5.0, 5.0, 80)
+        model = GasModel(gamma=1.4, delta=0.05)
+        profile = DeviceProfile.uniform(grid, b=0.2)
+        n0 = 0.5 * np.exp(-grid.centers ** 2)
+        drift_diffusion_run(n0, profile, model, grid, s_end=0.02,
+                            record_times=[0.01])
+        assert calls["step"] >= 2
+        assert calls["field"] == calls["step"] + 1
 
     def test_stable_dt_formula(self):
         grid = Grid1D(-1.0, 1.0, 40)
@@ -272,8 +237,60 @@ class TestRelaxationStudy:
         model = GasModel(gamma=1.4, delta=0.05)
         out = drift_diffusion_run(raw_rho, profile, model, grid, s_end=0.05,
                                   record_times=[0.025, 0.05])
-        from semiflux import ScaledTrajectory
-        sc = ScaledTrajectory(tau=1.0, s_values=out.s_values,
-                              n_vals=out.n_vals, j_vals=np.zeros_like(out.n_vals),
-                              grid=grid, rho_floor=0.1)
-        assert scaled_l1_gap(sc, out, (-2.0, 2.0), 0.0) == 0.0
+        assert scaled_l1_gap(out.s_values, out.n_vals, out.n_vals,
+                             grid.dx) == 0.0
+
+    def test_rows_are_the_recorded_density_and_scaled_momentum(
+            self, monkeypatch):
+        runs, seen, real_run = [], [], relaxation.run
+
+        def recording_run(*args, **kwargs):
+            runs.append(real_run(*args, **kwargs))
+            return runs[-1]
+
+        def recording_dissipation(s_values, n_vals, j_vals, rho_floor, dx):
+            seen.append((s_values, n_vals, j_vals))
+            return 0.0
+
+        monkeypatch.setattr(relaxation, "run", recording_run)
+        monkeypatch.setattr(relaxation, "dissipation_integral",
+                            recording_dissipation)
+        grid, raw_rho, raw_u, a_vals, b_vals = study_inputs(n_cells=60)
+        result = relaxation_study(
+            raw_rho, raw_u, a_vals, b_vals, e_minus=0.0, grid=grid,
+            gamma=2.0, convention=PressureConvention.ONE_OVER_GAMMA,
+            tau_list=[0.2, 0.1, 0.05], horizon=0.05, n_s_records=6,
+            s0_frac=0.0)
+        assert len(runs) == len(seen) == 3
+        for row, traj, (s_values, n_vals, j_vals) in zip(result.rows, runs,
+                                                         seen):
+            assert np.array_equal(s_values, result.s_values)
+            assert np.array_equal(traj.times[1:],
+                                  result.s_values[1:] / row.tau)
+            assert np.array_equal(
+                n_vals, np.array([snap.rho for snap in traj.snapshots]))
+            assert np.array_equal(
+                j_vals,
+                np.array([snap.mom / row.tau for snap in traj.snapshots]))
+            # l1_net is the same gap with the vacuum offset taken off
+            gap = scaled_l1_gap(s_values, n_vals - 2.0 * row.delta,
+                                result.reference.n_vals, grid.dx)
+            assert row.l1_net == pytest.approx(gap, rel=1e-12)
+
+    def test_record_that_misses_s_over_tau_raises(self, monkeypatch):
+        real_run = relaxation.run
+
+        def late_run(*args, **kwargs):
+            traj = real_run(*args, **kwargs)
+            snap = traj.snapshots[1]
+            traj.snapshots[1] = dataclasses.replace(
+                snap, time=np.nextafter(snap.time, math.inf))
+            return traj
+
+        monkeypatch.setattr(relaxation, "run", late_run)
+        grid, raw_rho, raw_u, a_vals, b_vals = study_inputs(n_cells=40)
+        with pytest.raises(RuntimeError, match="misaligned"):
+            relaxation_study(
+                raw_rho, raw_u, a_vals, b_vals, e_minus=0.0, grid=grid,
+                gamma=2.0, convention=PressureConvention.ONE_OVER_GAMMA,
+                tau_list=[0.2, 0.1, 0.05], horizon=0.05, n_s_records=6)

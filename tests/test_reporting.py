@@ -73,17 +73,20 @@ def test_round_trip_is_bit_exact(tmp_path):
 
 
 def test_snapshot_stores_no_derived_columns(small_run):
-    # E is recomputed from rho on load, like u and the Riemann invariants
+    # E is recomputed from rho on load, like u and the Riemann invariants;
+    # x is the grid of report.json, stored once in profile.dat
     head, rows = read_rows(later_snapshot(small_run))
-    assert head[-1] == "# columns: x rho m"
+    assert head[-1] == "# columns: rho m"
     assert [ln.split(" = ")[0] for ln in head[:-1]] == ["# step", "# time"]
-    assert {len(r) for r in rows} == {3}
+    assert {len(r) for r in rows} == {2}
+    head, _ = read_rows(small_run / "profile.dat")
+    assert head[-1] == "# columns: x a b"
 
 
 def test_scaled_stored_density_detected(small_run, capsys):
     path = later_snapshot(small_run)
     head, rows = read_rows(path)
-    rows[50][1] = fmt(float(rows[50][1]) * 1.01)
+    rows[50][0] = fmt(float(rows[50][0]) * 1.01)
     write_rows(path, head, rows)
     assert main(["verify", str(small_run)]) == 1
     assert "MISMATCH" in capsys.readouterr().out
@@ -122,8 +125,8 @@ def rejected(run_dir, path, capsys):
 def test_missing_column_rejected(small_run, capsys):
     path = later_snapshot(small_run)
     head, rows = read_rows(path)
-    head[-1] = "# columns: x rho"
-    write_rows(path, head, [r[:2] for r in rows])
+    head[-1] = "# columns: rho"
+    write_rows(path, head, [r[:1] for r in rows])
     assert rejected(small_run, path, capsys)
 
 
@@ -143,10 +146,21 @@ def test_shifted_grid_rejected(small_run, capsys):
     assert rejected(small_run, path, capsys)
 
 
+def test_shifted_x_in_an_older_snapshot_rejected(small_run, capsys):
+    # snapshots no longer store x, but one that does is still checked
+    path = later_snapshot(small_run)
+    head, rows = read_rows(path)
+    _, traj, _ = load_run_dir(small_run)
+    head[-1] = "# columns: x rho m"
+    x = traj.grid.centers + 1e-3
+    write_rows(path, head, [[fmt(xi)] + r for xi, r in zip(x, rows)])
+    assert rejected(small_run, path, capsys)
+
+
 def test_garbled_number_rejected(small_run, capsys):
     path = later_snapshot(small_run)
     head, rows = read_rows(path)
-    rows[10][2] = "abc"
+    rows[10][1] = "abc"
     write_rows(path, head, rows)
     assert rejected(small_run, path, capsys)
 
