@@ -14,6 +14,7 @@ system.  Everything here is plain numpy on a uniform cell-centered grid.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +41,6 @@ class Boundary(enum.Enum):
 
 def _powm1_over(x, e):
     """(x**e - 1) / e, stable as e -> 0 (limit log(x))."""
-    x = np.asarray(x, dtype=float)
     if e == 0.0:
         return np.log(x)
     return np.expm1(e * np.log(x)) / e
@@ -80,61 +80,70 @@ class GasModel:
             return 1.0 / self.gamma
         return 1.0
 
-    def pressure(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        if np.any(rho < 0.0):
-            raise ValueError(f"negative density: min rho = {np.min(rho)!r}")
+    def _p(self, rho):
         return self._pref * rho ** self.gamma
 
-    def dpressure(self, rho):
-        """P'(rho); equals rho**(gamma-1) under the 1/gamma normalization."""
-        rho = np.asarray(rho, dtype=float)
-        if np.any(rho < 0.0):
-            raise ValueError(f"negative density: min rho = {np.min(rho)!r}")
+    def _dp(self, rho):
         if self.gamma == 1.0:
             return np.ones_like(rho)
         if self.convention is PressureConvention.ONE_OVER_GAMMA:
             return rho ** (self.gamma - 1.0)
         return self.gamma * rho ** (self.gamma - 1.0)
 
-    def sound_speed(self, rho):
-        return np.sqrt(self.dpressure(rho))
+    @functools.cached_property
+    def _p1_floor_terms(self):
+        """rho-free terms of `_p1`: P(2d) and the 2d tail, or 2d - 2d log 2d."""
+        d2 = self.rho_floor
+        if self.gamma == 1.0:
+            return d2 - d2 * np.log(d2)
+        return self.pressure(d2), _powm1_over(d2, self.gamma - 1.0)
 
-    def _check_admissible(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        if np.any(rho < self.admissible_floor):
-            raise ValueError(
-                f"density below vacuum offset: min rho = {np.min(rho)!r} "
-                f"< 2*delta = {self.rho_floor!r}"
-            )
-        return rho
-
-    def perturbed_pressure(self, rho):
-        """P1(rho, delta), closed form for every gamma >= 1.
+    def _p1(self, rho):
+        """P1(rho, delta), closed form for every gamma >= 1; unchecked.
 
         For gamma > 1 the antiderivative is P(t) - 2*delta*int P'(t)/t dt with
         the power integral evaluated through expm1 so nothing blows up as
         gamma -> 1; at gamma = 1 it degenerates to rho - 2*delta*log(rho).
         """
-        rho = self._check_admissible(rho)
-        d2 = self.rho_floor
-        g = self.gamma
+        d2, g = self.rho_floor, self.gamma
         if g == 1.0:
-            val = (rho - d2 * np.log(rho)) - (d2 - d2 * np.log(d2))
-        else:
-            # int_{2d}^{rho} P'(t)/t dt, conditioned for gamma near 1
-            tail = _powm1_over(rho, g - 1.0) - _powm1_over(d2, g - 1.0)
-            if self.convention is PressureConvention.PLAIN:
-                tail = g * tail
-            val = (self.pressure(rho) - self.pressure(d2)) - d2 * tail
+            return (rho - d2 * np.log(rho)) - self._p1_floor_terms
+        p_floor, tail_floor = self._p1_floor_terms
+        # int_{2d}^{rho} P'(t)/t dt, conditioned for gamma near 1
+        tail = _powm1_over(rho, g - 1.0) - tail_floor
+        if self.convention is PressureConvention.PLAIN:
+            tail = g * tail
+        return (self._p(rho) - p_floor) - d2 * tail
+
+    def _checked(self, rho, floor: float = 0.0):
+        """rho as a float array; ValueError if it dips below `floor`."""
+        rho = np.asarray(rho, dtype=float)
+        if np.any(rho < floor):
+            raise ValueError(
+                f"density below {floor!r}: min rho = {np.min(rho)!r}")
+        return rho
+
+    def pressure(self, rho):
+        return self._p(self._checked(rho))
+
+    def dpressure(self, rho):
+        """P'(rho); equals rho**(gamma-1) under the 1/gamma normalization."""
+        return self._dp(self._checked(rho))
+
+    def sound_speed(self, rho):
+        return np.sqrt(self.dpressure(rho))
+
+    def perturbed_pressure(self, rho):
+        """P1(rho, delta) of admissible densities (see `_p1`)."""
+        val = self._p1(self._checked(rho, self.admissible_floor))
         return val if val.shape else float(val)
 
     def eigenvalues(self, rho, mom):
         """Characteristic speeds u -/+ ((rho - 2*delta)/rho) * sqrt(P'(rho))."""
-        rho = self._check_admissible(rho)
+        rho = self._checked(rho, self.admissible_floor)
         mom = np.asarray(mom, dtype=float)
         u = mom / rho
-        spread = (rho - self.rho_floor) / rho * self.sound_speed(rho)
+        spread = (rho - self.rho_floor) / rho * np.sqrt(self._dp(rho))
         lam1, lam2 = u - spread, u + spread
         if lam1.shape:
             return lam1, lam2
@@ -163,7 +172,7 @@ class GasModel:
     def riemann_invariants(self, rho, mom):
         """z = sound_integral(rho) - u and w = sound_integral(rho) + u, with
         the sound integral's lower limit fixed by gamma."""
-        rho = self._check_admissible(rho)
+        rho = self._checked(rho, self.admissible_floor)
         mom = np.asarray(mom, dtype=float)
         u = mom / rho
         s = self.sound_integral(rho)
@@ -201,21 +210,22 @@ class Grid1D:
         return self.x_min + np.arange(self.n_cells + 1) * self.dx
 
     def extend(self, arr: np.ndarray) -> np.ndarray:
-        """Pad cell data with one ghost cell per side: the wrapped neighbour
-        under periodic boundaries, a copy of the edge cell under outflow."""
+        """Pad the last axis with one ghost cell per side: the wrapped
+        neighbour under periodic boundaries, a copy of the edge cell under
+        outflow."""
         if self.boundary is Boundary.PERIODIC:
-            return np.concatenate(([arr[-1]], arr, [arr[0]]))
-        return np.concatenate(([arr[0]], arr, [arr[-1]]))
+            return np.concatenate((arr[..., -1:], arr, arr[..., :1]), axis=-1)
+        return np.concatenate((arr[..., :1], arr, arr[..., -1:]), axis=-1)
 
 
 def cumulative_integral(vals: np.ndarray, dx: float) -> np.ndarray:
-    """Running integral from the left domain edge to each cell center.
+    """Running integral from the left edge to each cell center (last axis).
 
     Cell-centered data: full weight on cells already passed, half weight on
     the current one (midpoint rule up to the center of cell i).
     """
     vals = np.asarray(vals, dtype=float)
-    return dx * (np.cumsum(vals) - 0.5 * vals)
+    return dx * (np.cumsum(vals, axis=-1) - 0.5 * vals)
 
 
 def total_integral(vals: np.ndarray, dx: float) -> float:

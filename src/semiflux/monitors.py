@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .field import field_bound
 from .model import (DeviceProfile, GasModel, Grid1D, HydroState,
@@ -306,7 +305,7 @@ def entropy_residual(traj: Trajectory, profile: DeviceProfile,
                      + pair.q(rho, mom) * phi.phi_x(x, snap.time)
                      + src * pair.eta_m(rho, mom) * phi.phi(x, snap.time))
         vals[k] = dx * float(np.sum(integrand))
-    return float(trapezoid(vals, times))
+    return float(np.trapezoid(vals, times))
 
 
 def trajectory_entropy_scale(traj: Trajectory, profile: DeviceProfile,

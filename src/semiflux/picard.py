@@ -56,11 +56,6 @@ class HeatKernel:
         x = np.asarray(x, dtype=float)
         return 0.5 * (1.0 + erf(x / (2.0 * math.sqrt(self.epsilon * t))))
 
-    def discrete_mass(self, dx: float, t: float, half_cells: int) -> float:
-        """Sampled-kernel mass sum(G(j dx, t)) dx over |j| <= half_cells."""
-        xs = np.arange(-half_cells, half_cells + 1) * dx
-        return float(np.sum(self.values(xs, t)) * dx)
-
     def _half_width(self, dx: float, t: float) -> int:
         return max(int(math.ceil(8.0 * math.sqrt(self.epsilon * t) / dx)) + 2, 3)
 
@@ -181,20 +176,16 @@ def picard_step(prev: PicardIterate, initial: HydroState,
 
     `tables` are the slab's kernel spectra and initial-data terms; they are
     built here when not given (`picard_solve` builds them once per slab).
+    The iterate must be admissible (`picard_solve` checks every one).
     """
     if tables is None:
         tables = _SlabTables.build(prev.times, initial, model, kernel, grid)
-    d2 = model.rho_floor
 
-    # level-wise flux and source terms of the previous iterate
-    h_lvl = np.empty_like(prev.rho)
-    f_lvl = np.empty_like(prev.rho)
-    s_lvl = np.empty_like(prev.rho)
-    for j, (rho, mom) in enumerate(zip(prev.rho, prev.mom)):
-        h_lvl[j], f_lvl[j] = flux(model, rho, mom)
-        e_vals = solve_field(rho - d2, profile, grid)
-        s_lvl[j] = source(source_variant, model, rho, mom, e_vals,
-                          profile.a_vals, tau)
+    # flux and source terms of the previous iterate, all levels at once
+    h_lvl, f_lvl = flux(model, prev.rho, prev.mom)
+    e_vals = solve_field(prev.rho - model.rho_floor, profile, grid)
+    s_lvl = source(source_variant, model, prev.rho, prev.mom, e_vals,
+                   profile.a_vals, tau)
 
     # one spectrum at a time keeps the sweep's memory near two slab spectra
     rho_lag = tables.lag_sum(tables.spectrum(h_lvl) * tables.grad_hat)

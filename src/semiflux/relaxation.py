@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .field import solve_field
 from .model import (ConfigurationError, DeviceProfile, GasModel, Grid1D,
@@ -37,9 +36,8 @@ def _dd_face_flux(n_vals, upsilon, profile: DeviceProfile, model: GasModel,
                   grid: Grid1D) -> np.ndarray:
     """a J = N Upsilon - P(N)_x on the n_cells+1 faces (centered averages,
     pressure gradient split onto faces)."""
-    n_e = grid.extend(np.asarray(n_vals, dtype=float))
-    up_e = grid.extend(np.asarray(upsilon, dtype=float))
-    a_e = grid.extend(profile.a_vals)
+    n_e, up_e, a_e = grid.extend(
+        np.stack((n_vals, upsilon, profile.a_vals), dtype=float))
     drift_e = n_e * up_e
     p_e = model.pressure(n_e)
     drift_face = 0.5 * (drift_e[:-1] + drift_e[1:])
@@ -185,7 +183,7 @@ def scaled_l1_gap(s_values, n_vals, n_ref, dx: float) -> float:
     """L1 norm of N - N_ref: cell sums in space, trapezoid in s over the
     rows given."""
     per_s = dx * np.sum(np.abs(n_vals - n_ref), axis=1)
-    return float(trapezoid(per_s, s_values))
+    return float(np.trapezoid(per_s, s_values))
 
 
 def dissipation_integral(s_values, n_vals, j_vals, rho_floor: float,
@@ -195,7 +193,7 @@ def dissipation_integral(s_values, n_vals, j_vals, rho_floor: float,
     j_vals = np.asarray(j_vals, dtype=float)
     u = j_vals / n_vals
     per_s = dx * np.sum((n_vals - rho_floor) * u ** 2, axis=1)
-    return float(trapezoid(per_s, np.asarray(s_values, dtype=float)))
+    return float(np.trapezoid(per_s, np.asarray(s_values, dtype=float)))
 
 
 def relaxation_study(raw_rho, raw_u, a_vals, b_vals, e_minus: float,

@@ -10,7 +10,9 @@ excess-density variant (rho - 2*delta) (E - a(x) u / tau).  Fluxes use a
 local Lax-Friedrichs interface dissipation with the exact characteristic
 speeds, the artificial viscosity is a centered second difference, and the
 stiff damping is applied pointwise through its exact exponential factor so
-the update stays stable for tau much smaller than dt.
+the update stays stable for tau much smaller than dt.  A step tests the
+density floor once, pads (rho, m, fluxes, wave speed) in one ghost-cell call
+and updates (rho, m) as one stacked array; only the source acts on m alone.
 """
 
 from __future__ import annotations
@@ -111,13 +113,13 @@ def prepare_initial(raw_rho, raw_u, model: GasModel, cfg: SolverConfig,
     return HydroState(rho=rho, mom=rho * sm_u, time=0.0)
 
 
-def flux(model: GasModel, rho, mom):
-    """Physical flux of the offset system: ((rho-2d) u, m u - delta u^2 + P1)."""
-    rho = np.asarray(rho, dtype=float)
-    mom = np.asarray(mom, dtype=float)
-    u = mom / rho
+def flux(model: GasModel, rho, mom, u=None):
+    """Physical flux ((rho-2d) u, m u - delta u^2 + P1) of admissible float
+    arrays (P1 is read unchecked); `u` is m/rho when the caller has it."""
+    if u is None:
+        u = mom / rho
     f1 = (rho - model.rho_floor) * u
-    f2 = mom * u - model.delta * u * u + model.perturbed_pressure(rho)
+    f2 = mom * u - model.delta * u * u + model._p1(rho)
     return f1, f2
 
 
@@ -139,8 +141,9 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     # the stable step cfl / (max|lambda|/dx + 2 eps/dx^2): one budget shared
     # by advection and viscosity, so the explicit update stays a convex
     # combination
-    speed = np.abs(mom / rho) + (rho - model.rho_floor) / rho \
-        * model.sound_speed(rho)
+    u = mom / rho
+    excess = rho - model.rho_floor
+    speed = np.abs(u) + excess / rho * np.sqrt(model._dp(rho))
     max_speed = float(np.max(speed))
     dt = cfg.cfl / (max_speed / dx + 2.0 * cfg.epsilon / dx ** 2)
     t_new = state.time + dt
@@ -149,38 +152,34 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
         t_new = t_stop
 
     # ghost cells copy interior cells, so their fluxes are copies too
-    f1, f2 = flux(model, rho, mom)
-    rho_e, mom_e = grid.extend(rho), grid.extend(mom)
-    f1_e, f2_e = grid.extend(f1), grid.extend(f2)
-    speed_e = grid.extend(speed)
+    f1, f2 = flux(model, rho, mom, u)
+    ext = grid.extend(np.stack((rho, mom, f1, f2, speed)))
+    q_e, f_e, speed_e = ext[:2], ext[2:4], ext[4]
+    q = ext[:2, 1:-1]
 
     alpha = np.maximum(speed_e[:-1], speed_e[1:])
-    flux1 = 0.5 * (f1_e[:-1] + f1_e[1:]) - 0.5 * alpha * (rho_e[1:] - rho_e[:-1])
-    flux2 = 0.5 * (f2_e[:-1] + f2_e[1:]) - 0.5 * alpha * (mom_e[1:] - mom_e[:-1])
-
-    visc_rho = cfg.epsilon * (rho_e[2:] - 2.0 * rho + rho_e[:-2]) / dx ** 2
-    visc_mom = cfg.epsilon * (mom_e[2:] - 2.0 * mom + mom_e[:-2]) / dx ** 2
-
-    rho_new = rho - (dt / dx) * (flux1[1:] - flux1[:-1]) + dt * visc_rho
-    mom_star = mom - (dt / dx) * (flux2[1:] - flux2[:-1]) + dt * visc_mom
+    face = 0.5 * (f_e[:, :-1] + f_e[:, 1:]) \
+        - 0.5 * alpha * (q_e[:, 1:] - q_e[:, :-1])
+    visc = cfg.epsilon * (q_e[:, 2:] - 2.0 * q + q_e[:, :-2]) / dx ** 2
+    q_new = q - (dt / dx) * (face[:, 1:] - face[:, :-1]) + dt * visc
+    rho_new, mom_star = q_new
 
     # explicit field force, then the damping through its exact decay factor
-    excess = state.excess(model)
     e_vals = solve_field(excess, profile, grid)
     if cfg.source_variant is SourceVariant.FULL_DENSITY:
-        mom_star = mom_star + dt * rho * e_vals
+        mom_star += dt * rho * e_vals
         rate = profile.a_vals / cfg.tau
     else:
-        mom_star = mom_star + dt * excess * e_vals
+        mom_star += dt * excess * e_vals
         rate = profile.a_vals * (rho_new - model.rho_floor) / rho_new / cfg.tau
-    mom_new = mom_star * np.exp(-rate * dt)
+    mom_star *= np.exp(-rate * dt)
 
-    if not (np.all(np.isfinite(rho_new)) and np.all(np.isfinite(mom_new))):
+    if not np.all(np.isfinite(q_new)):
         raise IntegrationError("non-finite state", state, state.time)
 
     report = StepReport(dt_used=dt, max_wave_speed=max_speed,
                         post_step_min_rho=float(np.min(rho_new)))
-    return HydroState(rho=rho_new, mom=mom_new, time=t_new), report
+    return HydroState(rho=rho_new, mom=mom_star, time=t_new), report
 
 
 @dataclass
@@ -228,7 +227,8 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
         raise_on_failure: bool = False) -> Trajectory:
     """March to cfg.t_end, recording every `record_every` steps or exactly at
     the sorted instants `record_times` (the step is clamped to land on them).
-    The initial and final states are always recorded.
+    The initial and final states are always recorded; a march stopped early,
+    by a failed step or by `max_steps`, is marked incomplete.
     """
     if record_every < 1:
         raise ConfigurationError("record_every must be >= 1")
@@ -275,4 +275,6 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
             due = True
         if due:
             _record(traj, state, profile, model, grid, k)
+    if traj.completed and state.time < cfg.t_end - tiny:  # max_steps hit
+        traj.completed, traj.failure_time = False, state.time
     return traj

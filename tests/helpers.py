@@ -9,9 +9,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from semiflux.field import solve_field
-from semiflux.model import GasModel, PressureConvention
+from semiflux.model import (GasModel, HydroState, PressureConvention,
+                            _powm1_over)
 from semiflux.picard import PicardIterate
-from semiflux.solver import SourceVariant, flux, source
+from semiflux.solver import (IntegrationError, SourceVariant, StepReport,
+                             flux, source)
 
 
 def p1_quadrature(gamma: float, delta: float, rho: float,
@@ -118,3 +120,71 @@ def picard_step_reference(prev, initial, profile, model, kernel, grid, tau,
         mom_new[k] = m_acc
 
     return PicardIterate(times=times.copy(), rho=rho_new, mom=mom_new)
+
+
+def perturbed_pressure_reference(model, rho):
+    """P1 with its rho-free terms recomputed on every call."""
+    rho = np.asarray(rho, dtype=float)
+    d2 = model.rho_floor
+    g = model.gamma
+    if g == 1.0:
+        return (rho - d2 * np.log(rho)) - (d2 - d2 * np.log(d2))
+    tail = _powm1_over(rho, g - 1.0) - _powm1_over(d2, g - 1.0)
+    if model.convention is PressureConvention.PLAIN:
+        tail = g * tail
+    return (model.pressure(rho) - model.pressure(d2)) - d2 * tail
+
+
+def step_reference(state, profile, model, cfg, grid, t_stop=None):
+    """The march step as five separate ghost-cell pads and row-wise updates,
+    with the checked pressure methods; `step` must reproduce it bit for
+    bit."""
+    rho, mom = state.rho, state.mom
+    dx = grid.dx
+
+    if float(np.min(rho)) < model.admissible_floor:
+        raise IntegrationError("density fell below the vacuum offset",
+                               state, state.time)
+    speed = np.abs(mom / rho) + (rho - model.rho_floor) / rho \
+        * model.sound_speed(rho)
+    max_speed = float(np.max(speed))
+    dt = cfg.cfl / (max_speed / dx + 2.0 * cfg.epsilon / dx ** 2)
+    t_new = state.time + dt
+    if t_stop is not None and dt >= t_stop - state.time:
+        dt = t_stop - state.time
+        t_new = t_stop
+
+    u = mom / rho
+    f1 = (rho - model.rho_floor) * u
+    f2 = mom * u - model.delta * u * u + perturbed_pressure_reference(model,
+                                                                      rho)
+    rho_e, mom_e = grid.extend(rho), grid.extend(mom)
+    f1_e, f2_e = grid.extend(f1), grid.extend(f2)
+    speed_e = grid.extend(speed)
+
+    alpha = np.maximum(speed_e[:-1], speed_e[1:])
+    flux1 = 0.5 * (f1_e[:-1] + f1_e[1:]) - 0.5 * alpha * (rho_e[1:] - rho_e[:-1])
+    flux2 = 0.5 * (f2_e[:-1] + f2_e[1:]) - 0.5 * alpha * (mom_e[1:] - mom_e[:-1])
+
+    visc_rho = cfg.epsilon * (rho_e[2:] - 2.0 * rho + rho_e[:-2]) / dx ** 2
+    visc_mom = cfg.epsilon * (mom_e[2:] - 2.0 * mom + mom_e[:-2]) / dx ** 2
+
+    rho_new = rho - (dt / dx) * (flux1[1:] - flux1[:-1]) + dt * visc_rho
+    mom_star = mom - (dt / dx) * (flux2[1:] - flux2[:-1]) + dt * visc_mom
+
+    excess = state.excess(model)
+    e_vals = solve_field(excess, profile, grid)
+    if cfg.source_variant is SourceVariant.FULL_DENSITY:
+        mom_star = mom_star + dt * rho * e_vals
+        rate = profile.a_vals / cfg.tau
+    else:
+        mom_star = mom_star + dt * excess * e_vals
+        rate = profile.a_vals * (rho_new - model.rho_floor) / rho_new / cfg.tau
+    mom_new = mom_star * np.exp(-rate * dt)
+
+    if not (np.all(np.isfinite(rho_new)) and np.all(np.isfinite(mom_new))):
+        raise IntegrationError("non-finite state", state, state.time)
+
+    report = StepReport(dt_used=dt, max_wave_speed=max_speed,
+                        post_step_min_rho=float(np.min(rho_new)))
+    return HydroState(rho=rho_new, mom=mom_new, time=t_new), report

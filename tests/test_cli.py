@@ -391,3 +391,17 @@ class TestModuleEntry:
             env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_scipy_integrate_unloaded(self):
+        # scipy.integrate drags in scipy.sparse, scipy.linalg and
+        # scipy.optimize: about half a second of import on every command
+        src = str(Path(semiflux.__file__).resolve().parents[1])
+        heavy = ("scipy.integrate", "scipy.sparse", "scipy.optimize")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, semiflux.cli; "
+             f"print([m for m in {heavy!r} if m in sys.modules])"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

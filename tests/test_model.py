@@ -242,6 +242,26 @@ class TestGrid:
         cum = cumulative_integral(vals, g.dx)
         assert np.allclose(cum, g.centers - g.x_min, atol=1e-13)
 
+    def test_cumulative_integral_along_rows(self):
+        rows = np.random.default_rng(7).normal(size=(4, 30))
+        cum = cumulative_integral(rows, 0.1)
+        for r, c in zip(rows, cum):
+            assert np.array_equal(c, cumulative_integral(r, 0.1))
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_extend_pads_each_row(self, boundary):
+        g = Grid1D(x_min=0.0, x_max=1.0, n_cells=10, boundary=boundary)
+        rows = np.random.default_rng(3).normal(size=(3, 10))
+        ext = g.extend(rows)
+        assert ext.shape == (3, 12)
+        for r, e in zip(rows, ext):
+            if boundary is Boundary.PERIODIC:
+                expected = np.concatenate(([r[-1]], r, [r[0]]))
+            else:
+                expected = np.concatenate(([r[0]], r, [r[-1]]))
+            assert np.array_equal(e, expected)
+            assert np.array_equal(g.extend(r), expected)
+
     def test_total_integral_matches_sum(self):
         g = Grid1D(x_min=0.0, x_max=1.0, n_cells=16, boundary=Boundary.OUTFLOW)
         vals = np.linspace(0.0, 1.0, 16)

@@ -371,6 +371,38 @@ class TestEntropyResidual:
         assert results[0]["tolerance"] == pytest.approx(expected, rel=1e-12)
 
 
+class TestTrapezoidRule:
+    """numpy's trapezoid rule gives the same bits as scipy.integrate's."""
+
+    def test_time_integrals_match_scipy(self, monkeypatch, bump_traj,
+                                        bump_setup):
+        from scipy.integrate import trapezoid
+        rng = np.random.default_rng(11)
+        s = np.sort(rng.uniform(0.0, 2.0, 17))
+        n_vals = rng.uniform(0.2, 2.0, (17, 40))
+        j_vals = rng.normal(size=(17, 40))
+        pair = mechanical_energy_pair(bump_setup.model)
+        phi = random_test_function(rng, -3.0, 3.0, 0.0, 1.0)
+
+        def integrals():
+            return (dissipation_integral(s, n_vals, j_vals, 0.1, 0.05),
+                    entropy_residual(bump_traj, bump_setup.profile, pair,
+                                     phi, tau=bump_setup.cfg.tau))
+
+        got = integrals()
+        assert got[0] == trapezoid(
+            0.05 * np.sum((n_vals - 0.1) * (j_vals / n_vals) ** 2, axis=1), s)
+        calls = []
+
+        def scipy_rule(y, x):
+            calls.append(len(y))
+            return trapezoid(y, x)
+
+        monkeypatch.setattr(np, "trapezoid", scipy_rule)
+        assert integrals() == got
+        assert calls == [len(s), len(bump_traj.snapshots)]
+
+
 class TestDissipationIntegral:
     def test_constant_drift_value(self):
         s = np.linspace(0.0, 2.0, 21)

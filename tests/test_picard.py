@@ -50,7 +50,8 @@ class TestHeatKernel:
         # support comfortably beyond 8 sqrt(eps t) keeps the sampled mass
         # within 1e-6 of unity
         k = HeatKernel(epsilon=0.01)
-        assert k.discrete_mass(dx=0.01, t=0.1, half_cells=100) == \
+        xs = np.arange(-100, 101) * 0.01
+        assert float(np.sum(k.values(xs, 0.1)) * 0.01) == \
             pytest.approx(1.0, abs=1e-6)
 
     def test_values_are_symmetric_and_peaked(self):

@@ -30,6 +30,8 @@ from semiflux import (
 )
 from semiflux.solver import flux, gaussian_kernel
 
+from helpers import step_reference
+
 
 def uniform_setup(n_cells=64, boundary=Boundary.PERIODIC, gamma=1.4,
                   delta=0.05, a=1.0, b=0.0, e_minus=0.0, **cfg_kw):
@@ -261,6 +263,46 @@ class TestStepMechanics:
             step(state, profile, model, cfg, grid)
 
 
+class TestStepMatchesReference:
+    """The stacked step against the row-wise reference, bit for bit."""
+
+    @staticmethod
+    def bumpy_state(grid, model):
+        x = grid.centers
+        rho = model.rho_floor + 0.8 * np.exp(-x ** 2) \
+            + 0.1 * np.exp(-(x - 3.0) ** 2 / 0.5)
+        return HydroState(rho=rho, mom=rho * 0.4 * np.sin(x), time=0.2)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("variant", list(SourceVariant))
+    @pytest.mark.parametrize("convention", list(PressureConvention))
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+    @pytest.mark.parametrize("clamped", [False, True])
+    def test_bit_identical(self, boundary, variant, convention, gamma,
+                           clamped):
+        grid = Grid1D(-5.0, 5.0, 90, boundary=boundary)
+        model = GasModel(gamma=gamma, delta=0.05, convention=convention)
+        x = grid.centers
+        profile = DeviceProfile.build(grid, 1.5 - 0.1 * np.tanh(x),
+                                      0.2 * np.exp(-x ** 2), 0.3)
+        cfg = SolverConfig(epsilon=2e-3, tau=0.05, source_variant=variant)
+        state = self.bumpy_state(grid, model)
+        for _ in range(3):
+            t_stop = state.time + 1e-4 if clamped else None
+            new, rep = step(state, profile, model, cfg, grid, t_stop=t_stop)
+            ref, ref_rep = step_reference(state, profile, model, cfg, grid,
+                                          t_stop=t_stop)
+            assert np.array_equal(new.rho, ref.rho)
+            assert np.array_equal(new.mom, ref.mom)
+            assert new.time == ref.time
+            assert rep.dt_used == ref_rep.dt_used
+            assert rep.max_wave_speed == ref_rep.max_wave_speed
+            assert rep.post_step_min_rho == ref_rep.post_step_min_rho
+            if clamped:
+                assert rep.dt_used == t_stop - state.time
+            state = new
+
+
 class TestRun:
     def test_zero_horizon_records_initial_only(self):
         grid, model, profile, cfg = uniform_setup(t_end=0.0)
@@ -302,6 +344,16 @@ class TestRun:
         assert traj.failure_time == 0.0
         with pytest.raises(IntegrationError):
             run(state, profile, model, cfg, grid, raise_on_failure=True)
+
+    def test_max_steps_cut_is_incomplete(self):
+        grid, model, profile, cfg = uniform_setup(t_end=1.0)
+        state = HydroState(rho=np.ones(grid.n_cells),
+                           mom=np.zeros(grid.n_cells))
+        traj = run(state, profile, model, cfg, grid, max_steps=3)
+        assert traj.n_steps == 3
+        assert not traj.completed
+        assert 0.0 < traj.failure_time < cfg.t_end
+        assert traj.failure_time == sum(traj.dts)
 
     def test_min_density_tracking(self, bump_setup):
         setup = bump_setup
