@@ -5,8 +5,10 @@ be re-audited offline and must reproduce the original report bit for bit.
 Monitored quantities: excess mass (non-increasing under outflow, constant
 under periodic), the field sup-bound ratio, growth of the Riemann invariants
 max z, max w <= M2 + M1*t, sup-norm plateaus under the uniform-bound
-hypotheses, the weak entropy inequality against compactly supported test
-functions, and the scaled dissipation integral.
+hypotheses, and the weak entropy inequality against compactly supported test
+functions.  The entropy audit is one sweep over the snapshots: each
+snapshot's densities are evaluated once and shared by every test function
+and by the tolerance scale.
 """
 
 from __future__ import annotations
@@ -259,17 +261,30 @@ class TestFunction:
                 * (-2.0 * xin / (1.0 - xin ** 2) ** 2)
         return out
 
+    def space_factors(self, x):
+        """(g(xi_x), g'(xi_x) / wx): the spatial half of phi and phi_x."""
+        xi = (x - self.x_center) / self.x_width
+        return self._bump(xi), self._dbump(xi) / self.x_width
+
+    def time_factors(self, t):
+        """(g(xi_t), g'(xi_t)); phi_t divides by wt after the product."""
+        xi = (t - self.t_center) / self.t_width
+        return self._bump(xi), self._dbump(xi)
+
+    def combine(self, space, time):
+        """(phi, phi_x, phi_t) from the two factor pairs, in the one
+        operation order every caller shares."""
+        (gx, dgx), (gt, dgt) = space, time
+        return gx * gt, dgx * gt, gx * dgt / self.t_width
+
     def phi(self, x, t):
-        return self._bump((x - self.x_center) / self.x_width) \
-            * self._bump((t - self.t_center) / self.t_width)
+        return self.combine(self.space_factors(x), self.time_factors(t))[0]
 
     def phi_x(self, x, t):
-        return self._dbump((x - self.x_center) / self.x_width) / self.x_width \
-            * self._bump((t - self.t_center) / self.t_width)
+        return self.combine(self.space_factors(x), self.time_factors(t))[1]
 
     def phi_t(self, x, t):
-        return self._bump((x - self.x_center) / self.x_width) \
-            * self._dbump((t - self.t_center) / self.t_width) / self.t_width
+        return self.combine(self.space_factors(x), self.time_factors(t))[2]
 
 
 def random_test_function(rng: np.random.Generator, x_lo: float, x_hi: float,
@@ -282,47 +297,53 @@ def random_test_function(rng: np.random.Generator, x_lo: float, x_hi: float,
     return TestFunction(x_center=xc, x_width=wx, t_center=tc, t_width=wt)
 
 
-def entropy_residual(traj: Trajectory, profile: DeviceProfile,
-                     pair: EntropyPair, phi: TestFunction, tau: float,
-                     source_variant: SourceVariant = SourceVariant.FULL_DENSITY) -> float:
-    """Discrete weak-form residual
+def _entropy_sweep(traj: Trajectory, profile: DeviceProfile,
+                   pair: EntropyPair, phis: list, tau: float,
+                   source_variant: SourceVariant):
+    """One pass over the snapshots: each snapshot's densities eta, q and
+    source * eta_m are evaluated once and folded into the discrete weak-form
+    residual of every test function in `phis`,
 
         int int  eta phi_t + q phi_x + source * eta_m * phi  dx dt
 
-    over the recorded trajectory (trapezoid in time, cell sums in space).
-    Nonnegative up to O(dx + eps) for admissible runs.
+    (cell sums in space, trapezoid in time), and into the tolerance scale,
+    the largest magnitude any of the three densities reaches.  Returns
+    (residuals, scale).  Extra memory is O(n_cells) per test function.
     """
     model, grid = traj.model, traj.grid
-    x = grid.centers
     dx = grid.dx
-    times = traj.times
-    vals = np.empty(len(traj.snapshots))
+    space = [phi.space_factors(grid.centers) for phi in phis]
+    vals = np.empty((len(phis), len(traj.snapshots)))
+    scale = 0.0
     for k, snap in enumerate(traj.snapshots):
         rho, mom = snap.rho, snap.mom
         src = source(source_variant, model, rho, mom, snap.e_vals,
                      profile.a_vals, tau)
-        integrand = (pair.eta(rho, mom) * phi.phi_t(x, snap.time)
-                     + pair.q(rho, mom) * phi.phi_x(x, snap.time)
-                     + src * pair.eta_m(rho, mom) * phi.phi(x, snap.time))
-        vals[k] = dx * float(np.sum(integrand))
-    return float(np.trapezoid(vals, times))
+        eta, q = pair.eta(rho, mom), pair.q(rho, mom)
+        src_eta = src * pair.eta_m(rho, mom)
+        scale = max(scale, float(np.max(np.abs(eta))),
+                    float(np.max(np.abs(q))), float(np.max(np.abs(src_eta))))
+        for i, phi in enumerate(phis):
+            p, p_x, p_t = phi.combine(space[i], phi.time_factors(snap.time))
+            vals[i, k] = dx * float(np.sum(eta * p_t + q * p_x + src_eta * p))
+    times = traj.times
+    return [float(np.trapezoid(v, times)) for v in vals], scale
+
+
+def entropy_residual(traj: Trajectory, profile: DeviceProfile,
+                     pair: EntropyPair, phi: TestFunction, tau: float,
+                     source_variant: SourceVariant = SourceVariant.FULL_DENSITY) -> float:
+    """Discrete weak-form residual of one test function over the recorded
+    trajectory (see `_entropy_sweep`).  Nonnegative up to O(dx + eps) for
+    admissible runs."""
+    return _entropy_sweep(traj, profile, pair, [phi], tau, source_variant)[0][0]
 
 
 def trajectory_entropy_scale(traj: Trajectory, profile: DeviceProfile,
                              pair: EntropyPair, tau: float,
                              source_variant: SourceVariant = SourceVariant.FULL_DENSITY) -> float:
     """Magnitude reference for entropy residual tolerances."""
-    scale = 0.0
-    model = traj.model
-    for snap in traj.snapshots:
-        rho, mom = snap.rho, snap.mom
-        src = source(source_variant, model, rho, mom, snap.e_vals,
-                     profile.a_vals, tau)
-        scale = max(scale,
-                    float(np.max(np.abs(pair.eta(rho, mom)))),
-                    float(np.max(np.abs(pair.q(rho, mom)))),
-                    float(np.max(np.abs(src * pair.eta_m(rho, mom)))))
-    return scale
+    return _entropy_sweep(traj, profile, pair, [], tau, source_variant)[1]
 
 
 def entropy_spot_check(traj: Trajectory, profile: DeviceProfile, tau: float,
@@ -332,27 +353,29 @@ def entropy_spot_check(traj: Trajectory, profile: DeviceProfile, tau: float,
     """Weak entropy inequality against a few random test functions.
 
     Deterministic in the seed, so an offline re-audit reproduces the same
-    residuals.  Returns (results, violations); a residual below
-    -coeff * (dx + eps) * scale is a violation.
+    residuals.  All test functions are drawn first and audited in one
+    `_entropy_sweep`.  Returns (results, violations); a residual below
+    -coeff * (dx + eps + mean recording gap) * scale is a violation.
     """
     model, grid = traj.model, traj.grid
     times = traj.times
     results, violations = [], []
     if len(times) < 4 or times[-1] <= times[0]:
         return results, violations
-    pair = mechanical_energy_pair(model)
-    scale = trajectory_entropy_scale(traj, profile, pair, tau, source_variant)
+    rng = np.random.default_rng(seed)
+    span = times[-1] - times[0]
+    phis = [random_test_function(rng, grid.x_min, grid.x_max,
+                                 times[0] + 0.05 * span,
+                                 times[-1] - 0.05 * span)
+            for _ in range(n_phi)]
+    residuals, scale = _entropy_sweep(traj, profile,
+                                      mechanical_energy_pair(model), phis,
+                                      tau, source_variant)
     # the recording gap enters the tolerance: the time quadrature of the
     # residual is only as fine as the stored snapshots
     mean_gap = (times[-1] - times[0]) / (len(times) - 1)
     tol = coeff * (grid.dx + epsilon + mean_gap) * max(scale, 1e-30)
-    rng = np.random.default_rng(seed)
-    span = times[-1] - times[0]
-    for _ in range(n_phi):
-        phi = random_test_function(rng, grid.x_min, grid.x_max,
-                                   times[0] + 0.05 * span,
-                                   times[-1] - 0.05 * span)
-        res = entropy_residual(traj, profile, pair, phi, tau, source_variant)
+    for phi, res in zip(phis, residuals):
         results.append({"x_center": phi.x_center, "x_width": phi.x_width,
                         "t_center": phi.t_center, "t_width": phi.t_width,
                         "residual": res, "tolerance": tol})
@@ -360,4 +383,3 @@ def entropy_spot_check(traj: Trajectory, profile: DeviceProfile, tau: float,
             violations.append({"monitor": "entropy", "time": phi.t_center,
                                "value": res, "bound": -tol})
     return results, violations
-

@@ -84,6 +84,8 @@ class DDTrajectory:
 def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
                         grid: Grid1D, s_end: float, record_times=None,
                         cfl: float = 0.45, max_steps: int = 10 ** 7) -> DDTrajectory:
+    """March N from s = 0 to s_end, recording s = 0, each of `record_times`
+    and s_end.  Raises RuntimeError if `max_steps` stops it short of s_end."""
     n0 = np.asarray(n0, dtype=float)
     if np.any(n0 < 0.0):
         raise ValueError("initial density must be non-negative")
@@ -115,6 +117,9 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
             s_out.append(s)
             n_out.append(n_vals)
             u_out.append(upsilon)
+    if s < s_end - tiny:
+        raise RuntimeError(f"drift-diffusion reference stopped by max_steps = "
+                           f"{max_steps} at s = {s!r}, before s_end = {s_end!r}")
     return DDTrajectory(s_values=np.array(s_out), n_vals=np.array(n_out),
                         upsilon_vals=np.array(u_out), grid=grid)
 

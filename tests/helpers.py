@@ -11,7 +11,10 @@ from scipy.integrate import quad
 from semiflux.field import solve_field
 from semiflux.model import (GasModel, HydroState, PressureConvention,
                             _powm1_over)
+from semiflux.monitors import (TestFunction, mechanical_energy_pair,
+                               random_test_function)
 from semiflux.picard import PicardIterate
+from semiflux.reporting import fmt
 from semiflux.solver import (IntegrationError, SourceVariant, StepReport,
                              flux, source)
 
@@ -188,3 +191,78 @@ def step_reference(state, profile, model, cfg, grid, t_stop=None):
     report = StepReport(dt_used=dt, max_wave_speed=max_speed,
                         post_step_min_rho=float(np.min(rho_new)))
     return HydroState(rho=rho_new, mom=mom_new, time=t_new), report
+
+
+def table_text_reference(meta, columns):
+    """A stored table with every value formatted by its own `fmt` call and
+    one join per row; `_table_text` must reproduce it byte for byte."""
+    lines = [f"# {key} = {fmt(val)}" for key, val in meta.items()]
+    lines.append("# columns: " + " ".join(columns))
+    for row in zip(*(c.tolist() for c in columns.values())):
+        lines.append(" ".join(fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def phi_reference(phi, x, t):
+    """(phi, phi_x, phi_t) of a bump, each from its own bump evaluations."""
+    bump, dbump = TestFunction._bump, TestFunction._dbump
+    xi_x = (x - phi.x_center) / phi.x_width
+    xi_t = (t - phi.t_center) / phi.t_width
+    return (bump(xi_x) * bump(xi_t),
+            dbump(xi_x) / phi.x_width * bump(xi_t),
+            bump(xi_x) * dbump(xi_t) / phi.t_width)
+
+
+def entropy_residual_reference(traj, profile, pair, phi, tau,
+                               source_variant=SourceVariant.FULL_DENSITY):
+    """The weak-form residual as one walk over the trajectory per test
+    function, every density re-evaluated on each walk."""
+    model, grid = traj.model, traj.grid
+    x = grid.centers
+    vals = np.empty(len(traj.snapshots))
+    for k, snap in enumerate(traj.snapshots):
+        rho, mom = snap.rho, snap.mom
+        src = source(source_variant, model, rho, mom, snap.e_vals,
+                     profile.a_vals, tau)
+        p, p_x, p_t = phi_reference(phi, x, snap.time)
+        integrand = (pair.eta(rho, mom) * p_t + pair.q(rho, mom) * p_x
+                     + src * pair.eta_m(rho, mom) * p)
+        vals[k] = grid.dx * float(np.sum(integrand))
+    return float(np.trapezoid(vals, traj.times))
+
+
+def entropy_scale_reference(traj, profile, pair, tau,
+                            source_variant=SourceVariant.FULL_DENSITY):
+    """The tolerance scale as its own walk over the trajectory."""
+    scale = 0.0
+    for snap in traj.snapshots:
+        rho, mom = snap.rho, snap.mom
+        src = source(source_variant, traj.model, rho, mom, snap.e_vals,
+                     profile.a_vals, tau)
+        scale = max(scale,
+                    float(np.max(np.abs(pair.eta(rho, mom)))),
+                    float(np.max(np.abs(pair.q(rho, mom)))),
+                    float(np.max(np.abs(src * pair.eta_m(rho, mom)))))
+    return scale
+
+
+def entropy_spot_check_pairs_reference(traj, profile, tau, epsilon, seed,
+                                       n_phi=3,
+                                       source_variant=SourceVariant.FULL_DENSITY):
+    """(residual, tolerance) per test function from the per-function
+    walks, drawing the test functions as `entropy_spot_check` does."""
+    times, grid = traj.times, traj.grid
+    pair = mechanical_energy_pair(traj.model)
+    scale = entropy_scale_reference(traj, profile, pair, tau, source_variant)
+    mean_gap = (times[-1] - times[0]) / (len(times) - 1)
+    tol = (grid.dx + epsilon + mean_gap) * max(scale, 1e-30)
+    rng = np.random.default_rng(seed)
+    span = times[-1] - times[0]
+    out = []
+    for _ in range(n_phi):
+        phi = random_test_function(rng, grid.x_min, grid.x_max,
+                                   times[0] + 0.05 * span,
+                                   times[-1] - 0.05 * span)
+        out.append((entropy_residual_reference(traj, profile, pair, phi, tau,
+                                               source_variant), tol))
+    return out

@@ -153,6 +153,15 @@ class TestSolve:
         assert len(checks) == 3
         assert all(c["residual"] >= -c["tolerance"] for c in checks)
 
+    def test_timing_splits_the_phases(self, tmp_path):
+        cfg = write_cfg(tmp_path, BUMP_CFG)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 0
+        timing = json.loads((out / "timing.json").read_text())
+        assert set(timing) == {"wall_seconds", "monitors_s", "entropy_s",
+                               "write_s"}
+        assert all(v >= 0.0 for v in timing.values())
+
     def test_monitor_flag_overrides_config(self, tmp_path):
         cfg = write_cfg(tmp_path, BUMP_CFG)
         out = tmp_path / "run"

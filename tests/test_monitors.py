@@ -26,9 +26,15 @@ from semiflux import (
     mechanical_energy_pair,
     plateau_check,
 )
-from semiflux.monitors import MONITOR_COLUMNS, excess_mass, random_test_function
+from semiflux import monitors
+from semiflux.monitors import (MONITOR_COLUMNS, EntropyPair, excess_mass,
+                               random_test_function, trajectory_entropy_scale)
 from semiflux.monitors import TestFunction as SpaceTimeBump
-from semiflux.solver import Snapshot
+from semiflux.scenarios import make_setup
+from semiflux.solver import Snapshot, run
+
+from helpers import (entropy_residual_reference, entropy_scale_reference,
+                     entropy_spot_check_pairs_reference, phi_reference)
 
 
 def make_traj(grid, model, frames):
@@ -369,6 +375,80 @@ class TestEntropyResidual:
             source_variant=SourceVariant.EXCESS_DENSITY)
         expected = (grid.dx + 1e-3 + 1.0) * scale
         assert results[0]["tolerance"] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def periodic_excess():
+    setup = make_setup("gaussian-bump", {
+        "n_cells": 120, "t_end": 0.6, "boundary": "periodic",
+        "source_variant": "excess-density"})
+    traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
+               setup.grid, record_every=5)
+    return setup, traj
+
+
+class TestEntropySweep:
+    """The one-pass entropy audit reproduces the per-test-function walks
+    kept in tests/helpers.py to the last bit."""
+
+    def test_bump_factors_match_reference(self):
+        phi = SpaceTimeBump(0.3, 0.8, 0.5, 0.3)
+        x = np.linspace(-1.0, 1.5, 41)
+        for t in (0.1, 0.21, 0.37, 0.5, 0.66, 0.79, 0.9):
+            want = phi_reference(phi, x, t)
+            got = (phi.phi(x, t), phi.phi_x(x, t), phi.phi_t(x, t))
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("case", ["outflow-full", "periodic-excess"])
+    def test_spot_check_equals_reference(self, case, bump_setup, bump_traj,
+                                         periodic_excess):
+        setup, traj = ((bump_setup, bump_traj) if case == "outflow-full"
+                       else periodic_excess)
+        variant = setup.cfg.source_variant
+        for seed in (0, 7):
+            results, _ = entropy_spot_check(
+                traj, setup.profile, tau=setup.cfg.tau,
+                epsilon=setup.cfg.epsilon, seed=seed, source_variant=variant)
+            want = entropy_spot_check_pairs_reference(
+                traj, setup.profile, setup.cfg.tau, setup.cfg.epsilon, seed,
+                source_variant=variant)
+            assert [(r["residual"], r["tolerance"]) for r in results] == want
+
+    @pytest.mark.parametrize("variant", list(SourceVariant))
+    def test_public_callers_equal_reference(self, variant, periodic_excess):
+        # a stiff tau lets the source term set the scale, so each variant
+        # gives its own
+        setup, traj = periodic_excess
+        tau = 1e-3
+        pair = mechanical_energy_pair(setup.model)
+        phi = SpaceTimeBump(-0.5, 2.0, 0.3, 0.2)
+        assert entropy_residual(traj, setup.profile, pair, phi, tau,
+                                variant) == entropy_residual_reference(
+            traj, setup.profile, pair, phi, tau, variant)
+        assert trajectory_entropy_scale(traj, setup.profile, pair, tau,
+                                        variant) == entropy_scale_reference(
+            traj, setup.profile, pair, tau, variant)
+
+    def test_densities_evaluated_once_per_snapshot(self, monkeypatch,
+                                                   bump_setup, bump_traj):
+        calls = []
+        real_pair = monitors.mechanical_energy_pair
+
+        def counting_pair(model):
+            pair = real_pair(model)
+
+            def q(rho, mom):
+                calls.append(1)
+                return pair.q(rho, mom)
+            return EntropyPair(eta=pair.eta, q=q, eta_m=pair.eta_m)
+
+        monkeypatch.setattr(monitors, "mechanical_energy_pair", counting_pair)
+        results, _ = entropy_spot_check(
+            bump_traj, bump_setup.profile, tau=bump_setup.cfg.tau,
+            epsilon=bump_setup.cfg.epsilon, seed=3)
+        assert len(results) == 3
+        assert len(calls) == len(bump_traj.snapshots)
 
 
 class TestTrapezoidRule:

@@ -114,6 +114,14 @@ class TestDriftDiffusionRun:
         with pytest.raises(PositivityError):
             drift_diffusion_run(n0, profile, model, grid, s_end=1e-4)
 
+    def test_max_steps_cut_raises(self):
+        grid, raw_rho, *_ = study_inputs(n_cells=200)
+        profile = DeviceProfile.uniform(grid, b=0.2)
+        model = GasModel(gamma=1.4, delta=0.05)
+        with pytest.raises(RuntimeError, match=r"s = .*s_end = 0\.25"):
+            drift_diffusion_run(raw_rho, profile, model, grid, s_end=0.25,
+                                max_steps=3)
+
     def test_one_field_solve_per_step(self, monkeypatch):
         # each step hands its new field on to the next, so the march solves
         # the field once per step plus once for the initial datum

@@ -8,9 +8,11 @@ import pytest
 
 from semiflux.cli import main
 from semiflux.monitors import MonitorSuite, evaluate_trajectory
-from semiflux.reporting import fmt, load_run_dir, write_run_dir
+from semiflux.reporting import _table_text, fmt, load_run_dir, write_run_dir
 from semiflux.scenarios import make_setup
 from semiflux.solver import run
+
+from helpers import table_text_reference
 
 SMALL_CFG = """
 scenario = gaussian-bump
@@ -171,3 +173,33 @@ def test_run_without_snapshots_rejected(small_run, capsys):
     payload["snapshots"] = []
     path.write_text(json.dumps(payload))
     assert rejected(small_run, path, capsys)
+
+
+class TestTableTextMatchesReference:
+    """The one-pass table body is byte-identical to one `fmt` call per
+    value (the writer kept in tests/helpers.py)."""
+
+    def test_snapshot_and_profile(self, bump_setup, bump_traj):
+        snap = bump_traj.snapshots[-1]
+        profile = bump_setup.profile
+        tables = [({"step": snap.step, "time": snap.time},
+                   {"rho": snap.rho, "m": snap.mom}),
+                  ({"e_minus": profile.e_minus},
+                   {"x": bump_setup.grid.centers, "a": profile.a_vals,
+                    "b": profile.b_vals})]
+        for meta, cols in tables:
+            assert _table_text(meta, cols) == table_text_reference(meta, cols)
+
+    def test_edge_values(self):
+        edge = np.array([-0.0, 0.0, 3.0, -12.0, 2.0 ** 60, 5e-324,
+                         -5e-324, 1e300, -1e300, 0.1, 1.0 / 3.0,
+                         2.0 / 3.0, np.nextafter(1.0, 2.0), np.pi * 1e-7,
+                         float.fromhex("0x1.fffffffffffffp+1023")])
+        cols = {"a": edge, "b": edge[::-1], "c": -edge}
+        meta = {"step": 7, "time": -0.0}
+        text = _table_text(meta, cols)
+        assert text == table_text_reference(meta, cols)
+        data = np.loadtxt(text.splitlines(), ndmin=2)
+        for got, want in zip(data.T, cols.values()):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
