@@ -25,7 +25,7 @@ from .picard import (ContractionReport, HeatKernel, PicardIterate,
 from .relaxation import (CouplingRule, DDTrajectory, StudyResult, StudyRow,
                          dissipation_integral, drift_diffusion_run,
                          relaxation_study)
-from .scenarios import SCENARIOS, RunSetup, make_arrays, make_setup
+from .scenarios import SCENARIOS, RunSetup, make_setup
 from .solver import (IntegrationError, Snapshot, SolverConfig, SourceVariant,
                      StepReport, Trajectory, prepare_initial, run, step)
 
@@ -42,7 +42,7 @@ __all__ = [
     "TestFunction", "Trajectory", "convexity_check", "cumulative_integral",
     "dissipation_integral", "drift_diffusion_run", "entropy_residual",
     "entropy_spot_check", "evaluate_trajectory", "field_bound",
-    "make_arrays", "make_setup", "mechanical_energy_pair", "picard_solve",
+    "make_setup", "mechanical_energy_pair", "picard_solve",
     "picard_step", "plateau_check", "prepare_initial", "relaxation_study",
     "run", "solve_field", "step", "total_integral",
     "validate_uniform_hypotheses", "__version__",

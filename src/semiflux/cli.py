@@ -12,8 +12,14 @@ Four subcommands:
 * ``relax``   sweep a tau ladder and tabulate the scaled L1 gap against a
               drift-diffusion reference, with and without the vacuum offset
 
+``solve``, ``picard`` and ``relax`` build their device through
+``scenarios.make_setup``; ``verify`` reads a stored run, with the solver
+settings of its config echo, through ``reporting.load_run_dir``.
+
 Exit codes: 0 all checks passed, 1 a check or monitor failed, 2 bad usage,
-unreadable input, or malformed configuration.
+unreadable input, or malformed configuration (an unknown key, a value its
+key's type cannot read, or a scenario whose profile fails its declared
+check).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (PICARD_KEYS, RELAX_KEYS, SCENARIO_KEYS, SOLVE_KEYS,
-                     coerce, interp_profile, parse_key_value)
+                     coerce, parse_key_value)
 from .model import ConfigurationError, Grid1D, HydroState
 from .monitors import (ALL_MONITORS, MonitorSuite, entropy_spot_check,
                        evaluate_trajectory)
@@ -37,8 +43,8 @@ from .picard import HeatKernel, picard_solve
 from .relaxation import CouplingRule, relaxation_study
 from .reporting import (fmt, json_text, load_run_dir, monitors_csv_text,
                         write_run_dir)
-from .scenarios import make_arrays, make_setup
-from .solver import SolverConfig, SourceVariant, run
+from .scenarios import make_setup
+from .solver import SolverConfig, run
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -111,14 +117,8 @@ def cmd_solve(args) -> int:
     enabled = parse_monitor_list(args.monitors or vals.get("monitors", "all"))
     cadence = vals.get("cadence", 50)
 
-    tables = {}
-    if "a_table" in vals or "b_table" in vals:
-        _, grid, *_ = make_arrays(name, overrides)
-        if "a_table" in vals:
-            tables["a"] = interp_profile(vals["a_table"], grid.centers)
-        if "b_table" in vals:
-            tables["b"] = interp_profile(vals["b_table"], grid.centers)
-    setup = make_setup(name, overrides, profile_tables=tables or None)
+    tables = {k: vals[f"{k}_table"] for k in "ab" if f"{k}_table" in vals}
+    setup = make_setup(name, overrides, profile_tables=tables)
 
     t0 = time.perf_counter()
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
@@ -204,16 +204,15 @@ def _first_difference(stored: str, fresh: str, csv: bool) -> str:
 
 
 def cmd_verify(args) -> int:
-    payload, traj, profile = load_run_dir(args.run_dir)
+    payload, traj, profile, cfg = load_run_dir(args.run_dir)
     echo = payload["config"]
     enabled = parse_monitor_list(echo.get("monitors", "all"))
     suite = MonitorSuite(enabled=enabled)
     report = evaluate_trajectory(traj, profile, suite)
     if "entropy" in enabled:
         _, ent_viols = entropy_spot_check(
-            traj, profile, tau=float(echo["tau"]),
-            epsilon=float(echo["epsilon"]), seed=int(echo["seed"]),
-            source_variant=SourceVariant(echo["source_variant"]))
+            traj, profile, tau=cfg.tau, epsilon=cfg.epsilon,
+            seed=int(echo["seed"]), source_variant=cfg.source_variant)
         report.violations.extend(ent_viols)
 
     run_dir = Path(args.run_dir)
@@ -229,11 +228,7 @@ def cmd_verify(args) -> int:
             ok = False
 
     if args.picard:
-        t1 = min(args.t1, float(echo["t_end"]))
-        cfg = SolverConfig(
-            epsilon=float(echo["epsilon"]), tau=float(echo["tau"]),
-            cfl=float(echo["cfl"]),
-            source_variant=SourceVariant(echo["source_variant"]))
+        t1 = min(args.t1, cfg.t_end)
         snap0 = traj.snapshots[0]
         initial = HydroState(rho=snap0.rho.copy(), mom=snap0.mom.copy(),
                              time=0.0)
@@ -334,13 +329,8 @@ def cmd_relax(args) -> int:
                 "window_lo and window_hi must be given together")
         window = (vals["window_lo"], vals["window_hi"])
 
-    scenario, grid, raw_rho, raw_u, a_vals, b_vals, e_minus = \
-        make_arrays(name, overrides)
-    p = scenario.params
     study = relaxation_study(
-        raw_rho, raw_u, a_vals, b_vals, e_minus, grid,
-        scenario.gamma, scenario.convention, tau_list, coupling,
-        window=window, cfl=p["cfl"], smoothing_width=p["smoothing_width"],
+        make_setup(name, overrides), tau_list, coupling, window=window,
         **_given(vals, ("horizon", "n_s_records", "s0_frac")))
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -2,27 +2,20 @@
 
 One assignment per line, '#' starts a comment, keys mirror the solver and
 scenario fields.  Unknown keys are rejected so typos fail loudly instead of
-silently running defaults.
+silently running defaults, and a value its key's type (float, int, or one of
+the boundary, pressure-convention and source-variant enums) cannot read is
+rejected the same way.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from .model import ConfigurationError
+from .scenarios import _COMMON
 
-SCENARIO_KEYS = {
-    "x_min": float, "x_max": float, "n_cells": int, "boundary": str,
-    "gamma": float, "delta": float, "pressure_convention": str,
-    "epsilon": float, "tau": float, "cfl": float, "t_end": float,
-    "source_variant": str, "smoothing_width": float,
-    "bump_amplitude": float, "bump_center": float, "bump_width": float,
-    "bump_speed": float, "doping_mass": float, "doping_center": float,
-    "doping_width": float, "e_minus": float, "damping": float,
-    "damping_slope_coeff": float, "neutral_level": float,
-}
+# one entry per scenario key, typed by the scenario table's defaults
+SCENARIO_KEYS = {key: type(val) for key, val in _COMMON.items()}
 
 # scenario parameters shared by the picard and relax commands
 _SHARED = ("x_min", "x_max", "n_cells", "boundary", "gamma",
@@ -88,23 +81,3 @@ def coerce(raw: dict, schema: dict) -> dict:
             raise ConfigurationError(
                 f"bad value for {key!r}: {val!r} ({err})") from None
     return out
-
-
-def load_table(path) -> tuple[np.ndarray, np.ndarray]:
-    """Two-column (x, value) text table."""
-    data = np.loadtxt(path, dtype=float)
-    data = np.atleast_2d(data)
-    if data.shape[1] != 2:
-        raise ConfigurationError(
-            f"profile table {path} must have exactly two columns")
-    x, v = data[:, 0], data[:, 1]
-    if np.any(np.diff(x) <= 0.0):
-        raise ConfigurationError(f"profile table {path} must have increasing x")
-    return x, v
-
-
-def interp_profile(path, centers: np.ndarray) -> np.ndarray:
-    """Linear interpolation of a table onto cell centers (edge values held
-    constant beyond the table range)."""
-    x, v = load_table(path)
-    return np.interp(centers, x, v)

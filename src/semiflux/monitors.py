@@ -19,20 +19,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import field_bound
-from .model import (DeviceProfile, GasModel, Grid1D, HydroState,
+from .model import (Boundary, DeviceProfile, GasModel, Grid1D, HydroState,
                     PressureConvention, _powm1_over, total_integral)
 from .solver import SourceVariant, Trajectory, source
 
 ALL_MONITORS = ("positivity", "mass", "field", "riemann", "uniform", "entropy")
 
+# relative slack on excess mass (per 1000 steps under periodic boundaries)
+MASS_TOL = 1e-12
+# relative and absolute slack on the field sup-bound
+FIELD_TOL = 1e-12
+# absolute slack on the Riemann-invariant growth bound
+RIEMANN_TOL = 1e-6
+# allowed late-over-early growth of a plateaued sup-norm
+PLATEAU_TOL = 0.01
+
 
 @dataclass(frozen=True)
 class MonitorSuite:
     enabled: tuple = ALL_MONITORS
-    mass_tol: float = 1e-12
-    field_tol: float = 1e-12
-    riemann_tol: float = 1e-6
-    plateau_tol: float = 0.01
 
     def __post_init__(self):
         unknown = set(self.enabled) - set(ALL_MONITORS)
@@ -107,21 +112,21 @@ def evaluate_trajectory(traj: Trajectory, profile: DeviceProfile,
             violations.append({"monitor": "positivity", "time": snap.time,
                                "value": min_rho, "bound": floor})
         if "mass" in suite.enabled:
-            if traj.grid.boundary.value == "periodic":
-                allowance = suite.mass_tol * mass_scale * max(1.0, snap.step / 1000.0)
+            if traj.grid.boundary is Boundary.PERIODIC:
+                allowance = MASS_TOL * mass_scale * max(1.0, snap.step / 1000.0)
                 if abs(mass - mass0) > allowance:
                     violations.append({"monitor": "mass", "time": snap.time,
                                        "value": mass, "bound": mass0})
             else:
-                allowance = suite.mass_tol * mass_scale
+                allowance = MASS_TOL * mass_scale
                 if mass > prev_mass + allowance or mass > mass0 + allowance:
                     violations.append({"monitor": "mass", "time": snap.time,
                                        "value": mass, "bound": prev_mass})
-        if "field" in suite.enabled and sup_field > dyn_bound * (1.0 + suite.field_tol) \
-                + suite.field_tol:
+        if "field" in suite.enabled and sup_field > dyn_bound * (1.0 + FIELD_TOL) \
+                + FIELD_TOL:
             violations.append({"monitor": "field", "time": snap.time,
                                "value": sup_field, "bound": dyn_bound})
-        if "riemann" in suite.enabled and r_slack < -suite.riemann_tol:
+        if "riemann" in suite.enabled and r_slack < -RIEMANN_TOL:
             violations.append({"monitor": "riemann", "time": snap.time,
                                "value": max(z_max, w_max), "bound": r_bound})
         prev_mass = mass
@@ -143,13 +148,13 @@ def evaluate_trajectory(traj: Trajectory, profile: DeviceProfile,
             tracked = {"sup_rho": 4, "sup_abs_u": 5}
         for name, col in tracked.items():
             series = np.array([r[col] for r in rows])
-            ok, early, late = plateau_check(times, series, suite.plateau_tol)
+            ok, early, late = plateau_check(times, series, PLATEAU_TOL)
             summary[f"plateau_{name}_early"] = early
             summary[f"plateau_{name}_late"] = late
             summary[f"plateau_{name}_ok"] = ok
             if profile.uniform_ok and not ok:
                 violations.append({"monitor": "uniform", "time": times[-1],
-                                   "value": late, "bound": early * (1.0 + suite.plateau_tol),
+                                   "value": late, "bound": early * (1.0 + PLATEAU_TOL),
                                    "series": name})
 
     return MonitorReport(columns=MONITOR_COLUMNS, rows=rows,
@@ -178,7 +183,6 @@ class EntropyPair:
     eta: object
     q: object
     eta_m: object
-    convex: bool = True
 
 
 def _internal_energy_integral(model: GasModel, rho):
@@ -210,7 +214,7 @@ def mechanical_energy_pair(model: GasModel) -> EntropyPair:
     def eta_m(rho, mom):
         return np.asarray(mom, dtype=float) / np.asarray(rho, dtype=float)
 
-    return EntropyPair(eta=eta, q=q, eta_m=eta_m, convex=True)
+    return EntropyPair(eta=eta, q=q, eta_m=eta_m)
 
 
 def convexity_check(pair: EntropyPair, rho_samples, mom_samples,

@@ -7,7 +7,9 @@ limits onto
 
 as tau -> 0 with delta = tau and eps shrinking like o(sqrt(P'(2*delta)) tau).
 This module integrates the limit system with an explicit conservative scheme
-(vacuum offset set to zero) and drives the tau-ladder study: each hydro run
+(vacuum offset set to zero) and drives the tau-ladder study on a scenario's
+RunSetup, the same one `solve` and `picard` build: each rung swaps delta and
+the solver coefficients into the setup's model and config, each hydro run
 records exactly at t = s/tau, its rows are read as N = rho and J = m/tau,
 and the L1 gap to the reference is reported twice, on N (l1_error) and on
 N - 2 delta (l1_net, free of the vacuum offset the reference lacks).
@@ -16,14 +18,15 @@ N - 2 delta (l1_net, free of the vacuum offset the reference lacks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .field import solve_field
 from .model import (ConfigurationError, DeviceProfile, GasModel, Grid1D,
                     PressureConvention)
-from .solver import SolverConfig, SourceVariant, prepare_initial, run
+from .scenarios import RunSetup
+from .solver import SourceVariant, prepare_initial, run
 
 
 # --- drift-diffusion limit solver ------------------------------------------
@@ -201,16 +204,17 @@ def dissipation_integral(s_values, n_vals, j_vals, rho_floor: float,
     return float(np.trapezoid(per_s, np.asarray(s_values, dtype=float)))
 
 
-def relaxation_study(raw_rho, raw_u, a_vals, b_vals, e_minus: float,
-                     grid: Grid1D, gamma: float,
-                     convention: PressureConvention, tau_list,
+def relaxation_study(setup: RunSetup, tau_list,
                      coupling: CouplingRule = CouplingRule(),
                      horizon: float = 0.25, window=None,
-                     n_s_records: int = 21, s0_frac: float = 0.05,
-                     cfl: float = 0.45, smoothing_width: float = 0.0) -> StudyResult:
-    """Run the hydro solver along the tau ladder, read each run's rows at
-    t = s/tau as N = rho and J = m/tau, and compare with one drift-diffusion
-    reference computed on the same grid."""
+                     n_s_records: int = 21,
+                     s0_frac: float = 0.05) -> StudyResult:
+    """Run the hydro solver along the tau ladder on `setup`'s device (grid,
+    profile, raw initial data, gas law, cfl and smoothing width), read each
+    run's rows at t = s/tau as N = rho and J = m/tau, and compare with one
+    drift-diffusion reference computed on the same grid."""
+    grid, profile = setup.grid, setup.profile
+    gamma, convention = setup.model.gamma, setup.model.convention
     taus = validate_tau_ladder(tau_list)
     if not horizon > 0.0 or n_s_records < 2:
         raise ConfigurationError("need horizon > 0 and n_s_records >= 2")
@@ -228,16 +232,12 @@ def relaxation_study(raw_rho, raw_u, a_vals, b_vals, e_minus: float,
             f"window [{window[0]!r}, {window[1]!r}] holds no cell centre")
 
     # mollify exactly as the hydro initial data, minus the vacuum offset
-    probe_model = GasModel(gamma=gamma, delta=taus[0],
-                           convention=convention)
-    probe_cfg = SolverConfig(epsilon=1.0, tau=1.0, t_end=0.0,
-                             smoothing_width=smoothing_width)
-    n0 = prepare_initial(raw_rho, raw_u, probe_model, probe_cfg, grid).rho \
-        - probe_model.rho_floor
-    profile = DeviceProfile.build(grid, a_vals, b_vals, e_minus)
-    reference = drift_diffusion_run(n0, profile, probe_model, grid,
+    ref_model = replace(setup.model, delta=taus[0])
+    n0 = prepare_initial(setup.raw_rho, setup.raw_u, ref_model, setup.cfg,
+                         grid).rho - ref_model.rho_floor
+    reference = drift_diffusion_run(n0, profile, ref_model, grid,
                                     s_end=horizon, record_times=s_records[1:],
-                                    cfl=cfl)
+                                    cfl=setup.cfg.cfl)
     if not np.array_equal(reference.s_values, s_records):
         raise RuntimeError("reference recording misaligned with the s ladder")
     n_ref = reference.n_vals[late][:, cols]
@@ -246,12 +246,11 @@ def relaxation_study(raw_rho, raw_u, a_vals, b_vals, e_minus: float,
     for tau in taus:
         delta = coupling.delta(tau)
         eps = coupling.epsilon(tau, gamma, convention)
-        model = GasModel(gamma=gamma, delta=delta, convention=convention)
-        cfg = SolverConfig(epsilon=eps, tau=tau, cfl=cfl,
-                           t_end=horizon / tau,
-                           source_variant=SourceVariant.EXCESS_DENSITY,
-                           smoothing_width=smoothing_width)
-        initial = prepare_initial(raw_rho, raw_u, model, cfg, grid)
+        model = replace(setup.model, delta=delta)
+        cfg = replace(setup.cfg, epsilon=eps, tau=tau, t_end=horizon / tau,
+                      source_variant=SourceVariant.EXCESS_DENSITY)
+        initial = prepare_initial(setup.raw_rho, setup.raw_u, model, cfg,
+                                  grid)
         traj = run(initial, profile, model, cfg, grid,
                    record_times=s_records[1:] / tau)
         if not traj.completed:
@@ -286,8 +285,8 @@ def relaxation_study(raw_rho, raw_u, a_vals, b_vals, e_minus: float,
         "window": [window[0], window[1]],
         "s0": s_min,
         "n_s_records": n_s_records,
-        "smoothing_width": smoothing_width,
-        "e_minus": e_minus,
+        "smoothing_width": setup.cfg.smoothing_width,
+        "e_minus": profile.e_minus,
     }
     return StudyResult(rows=rows, monotone=monotone, s_values=s_records,
                        reference=reference, manifest=manifest)

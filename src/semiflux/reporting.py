@@ -23,7 +23,7 @@ from .field import solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, PressureConvention)
 from .monitors import MonitorReport
-from .solver import Snapshot, Trajectory
+from .solver import Snapshot, SolverConfig, SourceVariant, Trajectory
 
 
 def fmt(x) -> str:
@@ -114,15 +114,20 @@ def write_run_dir(out_dir, traj: Trajectory, profile: DeviceProfile,
 
 
 def load_run_dir(run_dir):
-    """Read back config echo, snapshots, and the profile of a finished run."""
+    """Read back a finished run: (report.json payload, trajectory, profile,
+    the SolverConfig of its config echo).  The echo is parsed here only."""
     out = Path(run_dir)
     payload = json.loads((out / "report.json").read_text())
-    cfg = payload["config"]
-    grid = Grid1D(x_min=float(cfg["x_min"]), x_max=float(cfg["x_max"]),
-                  n_cells=int(cfg["n_cells"]),
-                  boundary=Boundary(cfg["boundary"]))
-    model = GasModel(gamma=float(cfg["gamma"]), delta=float(cfg["delta"]),
-                     convention=PressureConvention(cfg["pressure_convention"]))
+    echo = payload["config"]
+    grid = Grid1D(x_min=float(echo["x_min"]), x_max=float(echo["x_max"]),
+                  n_cells=int(echo["n_cells"]),
+                  boundary=Boundary(echo["boundary"]))
+    model = GasModel(gamma=float(echo["gamma"]), delta=float(echo["delta"]),
+                     convention=PressureConvention(echo["pressure_convention"]))
+    cfg = SolverConfig(epsilon=float(echo["epsilon"]), tau=float(echo["tau"]),
+                       cfl=float(echo["cfl"]), t_end=float(echo["t_end"]),
+                       source_variant=SourceVariant(echo["source_variant"]),
+                       smoothing_width=float(echo["smoothing_width"]))
     meta, cols = _read_table(out / "profile.dat", grid, ("e_minus",),
                              ("x", "a", "b"))
     profile = DeviceProfile.build(grid, cols["a"], cols["b"], meta["e_minus"])
@@ -138,4 +143,4 @@ def load_run_dir(run_dir):
     traj = Trajectory(grid=grid, model=model, snapshots=snaps)
     traj.min_rho_ever = min(float(np.min(s.rho)) for s in snaps)
     traj.n_steps = snaps[-1].step
-    return payload, traj, profile
+    return payload, traj, profile, cfg

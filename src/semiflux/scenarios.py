@@ -11,6 +11,11 @@ profile, and declares which hypothesis set it targets:
   charge-neutral-rest  constant doping exactly balanced by the density, the
                      stationary relaxation fixture (fails the uniform-bound
                      profile check by design: unbounded total doping)
+
+`_COMMON` is the one table of scenario keys: each default carries its key's
+type (the enums for boundary, pressure_convention and source_variant), and
+the config schema is derived from it.  `make_setup` builds the device for
+every command, the tau-ladder included.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ class Scenario:
     name: str
     hypothesis_tag: str
     expect_profile_ok: bool
-    gamma: float
-    convention: PressureConvention
     params: dict
 
 
@@ -52,9 +55,11 @@ class RunSetup:
 
 
 _COMMON = {
-    "x_min": -5.0, "x_max": 5.0, "n_cells": 500, "boundary": "outflow",
-    "delta": 0.05, "epsilon": 1e-3, "tau": 1.0, "cfl": 0.45, "t_end": 5.0,
-    "smoothing_width": 0.1, "source_variant": "full-density",
+    "x_min": -5.0, "x_max": 5.0, "n_cells": 500,
+    "boundary": Boundary.OUTFLOW, "gamma": 2.0, "delta": 0.05,
+    "pressure_convention": PressureConvention.ONE_OVER_GAMMA,
+    "epsilon": 1e-3, "tau": 1.0, "cfl": 0.45, "t_end": 5.0,
+    "smoothing_width": 0.1, "source_variant": SourceVariant.FULL_DENSITY,
     "bump_amplitude": 0.8, "bump_center": 0.0, "bump_width": 0.5,
     "bump_speed": 0.0,
     "doping_mass": 0.5, "doping_center": 0.0, "doping_width": 0.8,
@@ -63,31 +68,25 @@ _COMMON = {
 }
 
 
-def _scenario(name, tag, ok, gamma, convention, **extra) -> Scenario:
-    params = dict(_COMMON)
-    params.update(extra)
+def _scenario(name, tag, ok, **extra) -> Scenario:
     return Scenario(name=name, hypothesis_tag=tag, expect_profile_ok=ok,
-                    gamma=gamma, convention=convention, params=params)
+                    params={**_COMMON, **extra})
 
 
 SCENARIOS = {
     "vacuum-rest": _scenario(
-        "vacuum-rest", "global-existence", True, 2.0,
-        PressureConvention.ONE_OVER_GAMMA,
+        "vacuum-rest", "global-existence", True,
         bump_amplitude=0.0, smoothing_width=0.0),
     "gaussian-bump": _scenario(
-        "gaussian-bump", "global-existence", True, 2.0,
-        PressureConvention.ONE_OVER_GAMMA),
+        "gaussian-bump", "global-existence", True),
     "doping-ramp": _scenario(
-        "doping-ramp", "time-uniform", True, 2.0,
-        PressureConvention.PLAIN,
+        "doping-ramp", "time-uniform", True,
+        pressure_convention=PressureConvention.PLAIN,
         e_minus=1.0, bump_amplitude=0.5, bump_center=-1.0),
     "isothermal-bump": _scenario(
-        "isothermal-bump", "global-existence", True, 1.0,
-        PressureConvention.ONE_OVER_GAMMA),
+        "isothermal-bump", "global-existence", True, gamma=1.0),
     "charge-neutral-rest": _scenario(
-        "charge-neutral-rest", "relaxation", False, 2.0,
-        PressureConvention.ONE_OVER_GAMMA, smoothing_width=0.0),
+        "charge-neutral-rest", "relaxation", False, smoothing_width=0.0),
 }
 
 
@@ -125,55 +124,55 @@ def build_profile_arrays(scenario: Scenario, grid: Grid1D, p: dict):
 
 
 def resolve_params(name: str, overrides: dict | None = None):
-    """Merge overrides into the scenario defaults."""
+    """Merge overrides into the scenario defaults, each cast to its
+    default's type."""
     if name not in SCENARIOS:
         raise ConfigurationError(
             f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
     scenario = SCENARIOS[name]
     p = dict(scenario.params)
-    gamma = scenario.gamma
-    convention = scenario.convention
     for key, val in (overrides or {}).items():
-        if key == "gamma":
-            gamma = float(val)
-        elif key == "pressure_convention":
-            convention = PressureConvention(val)
-        elif key in p:
-            p[key] = val if isinstance(p[key], str) else type(p[key])(val)
-        else:
+        if key not in p:
             raise ConfigurationError(f"unknown scenario parameter {key!r}")
-    scenario = replace(scenario, gamma=gamma, convention=convention, params=p)
-    return scenario, p
+        p[key] = type(p[key])(val)
+    return replace(scenario, params=p)
 
 
-def make_arrays(name: str, overrides: dict | None = None):
-    """Scenario, grid, raw initial data, and profile arrays (no solver yet)."""
-    scenario, p = resolve_params(name, overrides)
-    grid = Grid1D(x_min=float(p["x_min"]), x_max=float(p["x_max"]),
-                  n_cells=int(p["n_cells"]),
-                  boundary=Boundary(p["boundary"]))
-    raw_rho, raw_u = build_raw(scenario, grid, p)
-    a_vals, b_vals, e_minus = build_profile_arrays(scenario, grid, p)
-    return scenario, grid, raw_rho, raw_u, a_vals, b_vals, float(e_minus)
+def interp_profile(path, centers: np.ndarray) -> np.ndarray:
+    """Linear interpolation of a two-column (x, value) text table onto cell
+    centers (edge values held constant beyond the table range)."""
+    data = np.atleast_2d(np.loadtxt(path, dtype=float))
+    if data.shape[1] != 2:
+        raise ConfigurationError(
+            f"profile table {path} must have exactly two columns")
+    x, v = data[:, 0], data[:, 1]
+    if np.any(np.diff(x) <= 0.0):
+        raise ConfigurationError(f"profile table {path} must have increasing x")
+    return np.interp(centers, x, v)
 
 
 def make_setup(name: str, overrides: dict | None = None,
                profile_tables: dict | None = None) -> RunSetup:
-    """Full solver setup.  profile_tables may carry precomputed a/b arrays
-    (interpolated from user tables); those skip the declared-outcome check."""
-    scenario, grid, raw_rho, raw_u, a_vals, b_vals, e_minus = \
-        make_arrays(name, overrides)
+    """Full solver setup.  profile_tables may map "a" and/or "b" to a
+    two-column (x, value) table file, interpolated onto the grid; a profile
+    built from tables skips the declared-outcome check."""
+    scenario = resolve_params(name, overrides)
     p = scenario.params
-    model = GasModel(gamma=scenario.gamma, delta=float(p["delta"]),
-                     convention=scenario.convention)
-    cfg = SolverConfig(epsilon=float(p["epsilon"]), tau=float(p["tau"]),
-                       cfl=float(p["cfl"]), t_end=float(p["t_end"]),
-                       source_variant=SourceVariant(p["source_variant"]),
-                       smoothing_width=float(p["smoothing_width"]))
+    grid = Grid1D(x_min=p["x_min"], x_max=p["x_max"], n_cells=p["n_cells"],
+                  boundary=p["boundary"])
+    raw_rho, raw_u = build_raw(scenario, grid, p)
+    a_vals, b_vals, e_minus = build_profile_arrays(scenario, grid, p)
     custom = bool(profile_tables)
     if custom:
-        a_vals = profile_tables.get("a", a_vals)
-        b_vals = profile_tables.get("b", b_vals)
+        if "a" in profile_tables:
+            a_vals = interp_profile(profile_tables["a"], grid.centers)
+        if "b" in profile_tables:
+            b_vals = interp_profile(profile_tables["b"], grid.centers)
+    model = GasModel(gamma=p["gamma"], delta=p["delta"],
+                     convention=p["pressure_convention"])
+    cfg = SolverConfig(epsilon=p["epsilon"], tau=p["tau"], cfl=p["cfl"],
+                       t_end=p["t_end"], source_variant=p["source_variant"],
+                       smoothing_width=p["smoothing_width"])
     profile = DeviceProfile.build(grid, a_vals, b_vals, e_minus)
     if not custom and profile.uniform_ok != scenario.expect_profile_ok:
         raise ConfigurationError(

@@ -38,7 +38,7 @@ from semiflux.monitors import (
     random_test_function,
     trajectory_entropy_scale,
 )
-from semiflux.scenarios import make_arrays, make_setup
+from semiflux.scenarios import make_setup
 
 SEED = 20260814
 FLOOR_SLACK = 1e-12            # relative density-floor slack, in units of delta
@@ -268,13 +268,10 @@ def test_criterion_08_picard_cross_validation():
 
 def test_criterion_09_relaxation_limit():
     t0 = time.perf_counter()
-    scenario, grid, raw_rho, raw_u, a_vals, b_vals, e_minus = make_arrays(
-        "gaussian-bump", {"x_min": -4.0, "x_max": 4.0, "n_cells": 800})
-    study = relaxation_study(
-        raw_rho, raw_u, a_vals, b_vals, e_minus, grid, scenario.gamma,
-        scenario.convention, [0.2, 0.1, 0.05], CouplingRule(),
-        horizon=0.25,
-        smoothing_width=float(scenario.params["smoothing_width"]))
+    setup = make_setup("gaussian-bump",
+                       {"x_min": -4.0, "x_max": 4.0, "n_cells": 800})
+    study = relaxation_study(setup, [0.2, 0.1, 0.05], CouplingRule(),
+                             horizon=0.25)
     wall = time.perf_counter() - t0
     errs = [r.l1_error for r in study.rows]
     assert study.monotone

@@ -123,6 +123,37 @@ class TestUsageErrors:
         assert main(["relax", "--config", cfg,
                      "--out-dir", str(tmp_path / "r")]) == 2
 
+    @pytest.mark.parametrize("command,key", [
+        ("solve", "boundary"), ("solve", "pressure_convention"),
+        ("solve", "source_variant"), ("picard", "boundary"),
+        ("picard", "pressure_convention"), ("relax", "boundary"),
+        ("relax", "pressure_convention"),
+    ])
+    def test_bad_enum_value_exits_2(self, tmp_path, capsys, command, key):
+        # a value outside its key's enum is malformed configuration
+        own_keys = {"solve": "", "picard": "t1 = 0.01\n",
+                    "relax": "tau_list = 0.2 0.1 0.05\n"}[command]
+        cfg = write_cfg(tmp_path, ("scenario = gaussian-bump\nn_cells = 40\n"
+                                   f"{own_keys}{key} = sideways\n"))
+        assert main([command, "--config", cfg,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+
+    def test_relax_failed_profile_check_exits_2(self, tmp_path, capsys):
+        # zero damping fails gaussian-bump's declared profile check; relax
+        # stops on it before any march, with solve's message
+        base = "scenario = gaussian-bump\nn_cells = 100\ndamping = 0\n"
+        errs = []
+        for command, own_keys in (("solve", ""),
+                                  ("relax", "tau_list = 0.2 0.1 0.05\n")):
+            cfg = write_cfg(tmp_path, base + own_keys, name=f"{command}.cfg")
+            assert main([command, "--config", cfg,
+                         "--out-dir", str(tmp_path / command)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert "expected uniform_ok=True" in errs[0]
+        assert errs[1] == errs[0]
+
 
 class TestSolve:
     def test_quiescent_scenario_exits_clean(self, tmp_path, capsys):

@@ -24,6 +24,7 @@ from semiflux import (
     total_integral,
 )
 from semiflux import relaxation
+from semiflux.scenarios import make_setup
 from semiflux.relaxation import (
     PositivityError,
     dd_stable_dt,
@@ -115,12 +116,12 @@ class TestDriftDiffusionRun:
             drift_diffusion_run(n0, profile, model, grid, s_end=1e-4)
 
     def test_max_steps_cut_raises(self):
-        grid, raw_rho, *_ = study_inputs(n_cells=200)
-        profile = DeviceProfile.uniform(grid, b=0.2)
+        setup = study_inputs(n_cells=200)
+        profile = DeviceProfile.uniform(setup.grid, b=0.2)
         model = GasModel(gamma=1.4, delta=0.05)
         with pytest.raises(RuntimeError, match=r"s = .*s_end = 0\.25"):
-            drift_diffusion_run(raw_rho, profile, model, grid, s_end=0.25,
-                                max_steps=3)
+            drift_diffusion_run(setup.raw_rho, profile, model, setup.grid,
+                                s_end=0.25, max_steps=3)
 
     def test_one_field_solve_per_step(self, monkeypatch):
         # each step hands its new field on to the next, so the march solves
@@ -201,22 +202,34 @@ class TestTauLadder:
 
 
 def study_inputs(n_cells=200):
-    grid = Grid1D(-4.0, 4.0, n_cells, boundary=Boundary.OUTFLOW)
-    x = grid.centers
-    raw_rho = 0.8 * np.exp(-x ** 2)
-    raw_u = np.zeros_like(x)
-    a_vals = np.ones(n_cells)
-    b_vals = np.zeros(n_cells)
-    return grid, raw_rho, raw_u, a_vals, b_vals
+    """A unit bump 0.8 exp(-x^2) at rest on [-4, 4], unit damping, no
+    doping, no mollifier, gamma = 2."""
+    return make_setup("gaussian-bump", {
+        "x_min": -4.0, "x_max": 4.0, "n_cells": n_cells, "bump_width": 1.0,
+        "smoothing_width": 0.0})
 
 
 class TestRelaxationStudy:
+    @pytest.mark.parametrize("n_cells", [40, 60, 100, 200])
+    def test_study_inputs_are_the_hand_built_device(self, n_cells):
+        # the setup keeps every bit of the arrays these tests once built
+        setup = study_inputs(n_cells)
+        grid = Grid1D(-4.0, 4.0, n_cells, boundary=Boundary.OUTFLOW)
+        x = grid.centers
+        assert setup.grid == grid
+        assert np.array_equal(setup.raw_rho, 0.8 * np.exp(-x ** 2))
+        assert np.array_equal(setup.raw_u, np.zeros_like(x))
+        assert np.array_equal(setup.profile.a_vals, np.ones(n_cells))
+        assert np.array_equal(setup.profile.b_vals, np.zeros(n_cells))
+        assert setup.profile.e_minus == 0.0
+        assert setup.model == GasModel(
+            gamma=2.0, delta=0.05,
+            convention=PressureConvention.ONE_OVER_GAMMA)
+        assert (setup.cfg.cfl, setup.cfg.smoothing_width) == (0.45, 0.0)
+
     def test_coupled_ladder_errors_shrink(self):
-        grid, raw_rho, raw_u, a_vals, b_vals = study_inputs()
         result = relaxation_study(
-            raw_rho, raw_u, a_vals, b_vals, e_minus=0.0, grid=grid,
-            gamma=2.0, convention=PressureConvention.ONE_OVER_GAMMA,
-            tau_list=[0.2, 0.1, 0.05],
+            study_inputs(), tau_list=[0.2, 0.1, 0.05],
             coupling=CouplingRule(delta_coeff=0.2),
             horizon=0.25, window=(-2.0, 2.0))
         errs = [r.l1_error for r in result.rows]
@@ -230,23 +243,20 @@ class TestRelaxationStudy:
     def test_detuned_viscosity_breaks_monotonicity(self):
         # freezing eps while tau shrinks violates the smallness coupling and
         # the ladder stops improving: the guard must catch this, not bless it
-        grid, raw_rho, raw_u, a_vals, b_vals = study_inputs()
         result = relaxation_study(
-            raw_rho, raw_u, a_vals, b_vals, e_minus=0.0, grid=grid,
-            gamma=2.0, convention=PressureConvention.ONE_OVER_GAMMA,
-            tau_list=[0.2, 0.1, 0.05],
+            study_inputs(), tau_list=[0.2, 0.1, 0.05],
             coupling=CouplingRule(eps_fixed=0.5, delta_coeff=0.2),
             horizon=0.25, window=(-2.0, 2.0))
         assert not result.monotone
 
     def test_scaled_gap_of_reference_with_itself_is_zero(self):
-        grid, raw_rho, raw_u, a_vals, b_vals = study_inputs(n_cells=100)
-        profile = DeviceProfile.build(grid, a_vals, b_vals, 0.0)
+        setup = study_inputs(n_cells=100)
         model = GasModel(gamma=1.4, delta=0.05)
-        out = drift_diffusion_run(raw_rho, profile, model, grid, s_end=0.05,
+        out = drift_diffusion_run(setup.raw_rho, setup.profile, model,
+                                  setup.grid, s_end=0.05,
                                   record_times=[0.025, 0.05])
         assert scaled_l1_gap(out.s_values, out.n_vals, out.n_vals,
-                             grid.dx) == 0.0
+                             setup.grid.dx) == 0.0
 
     def test_rows_are_the_recorded_density_and_scaled_momentum(
             self, monkeypatch):
@@ -263,11 +273,9 @@ class TestRelaxationStudy:
         monkeypatch.setattr(relaxation, "run", recording_run)
         monkeypatch.setattr(relaxation, "dissipation_integral",
                             recording_dissipation)
-        grid, raw_rho, raw_u, a_vals, b_vals = study_inputs(n_cells=60)
+        setup = study_inputs(n_cells=60)
         result = relaxation_study(
-            raw_rho, raw_u, a_vals, b_vals, e_minus=0.0, grid=grid,
-            gamma=2.0, convention=PressureConvention.ONE_OVER_GAMMA,
-            tau_list=[0.2, 0.1, 0.05], horizon=0.05, n_s_records=6,
+            setup, tau_list=[0.2, 0.1, 0.05], horizon=0.05, n_s_records=6,
             s0_frac=0.0)
         assert len(runs) == len(seen) == 3
         for row, traj, (s_values, n_vals, j_vals) in zip(result.rows, runs,
@@ -282,7 +290,7 @@ class TestRelaxationStudy:
                 np.array([snap.mom / row.tau for snap in traj.snapshots]))
             # l1_net is the same gap with the vacuum offset taken off
             gap = scaled_l1_gap(s_values, n_vals - 2.0 * row.delta,
-                                result.reference.n_vals, grid.dx)
+                                result.reference.n_vals, setup.grid.dx)
             assert row.l1_net == pytest.approx(gap, rel=1e-12)
 
     def test_record_that_misses_s_over_tau_raises(self, monkeypatch):
@@ -296,9 +304,7 @@ class TestRelaxationStudy:
             return traj
 
         monkeypatch.setattr(relaxation, "run", late_run)
-        grid, raw_rho, raw_u, a_vals, b_vals = study_inputs(n_cells=40)
         with pytest.raises(RuntimeError, match="misaligned"):
             relaxation_study(
-                raw_rho, raw_u, a_vals, b_vals, e_minus=0.0, grid=grid,
-                gamma=2.0, convention=PressureConvention.ONE_OVER_GAMMA,
-                tau_list=[0.2, 0.1, 0.05], horizon=0.05, n_s_records=6)
+                study_inputs(n_cells=40), tau_list=[0.2, 0.1, 0.05],
+                horizon=0.05, n_s_records=6)

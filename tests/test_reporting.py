@@ -58,9 +58,14 @@ def test_round_trip_is_bit_exact(tmp_path):
     echo = {"x_min": grid.x_min, "x_max": grid.x_max,
             "n_cells": grid.n_cells, "boundary": grid.boundary.value,
             "gamma": model.gamma, "delta": model.delta,
-            "pressure_convention": model.convention.value}
+            "pressure_convention": model.convention.value,
+            "epsilon": setup.cfg.epsilon, "tau": setup.cfg.tau,
+            "cfl": setup.cfg.cfl, "t_end": setup.cfg.t_end,
+            "source_variant": setup.cfg.source_variant.value,
+            "smoothing_width": setup.cfg.smoothing_width}
     write_run_dir(tmp_path, traj, setup.profile, report, echo)
-    _, back, profile = load_run_dir(tmp_path)
+    _, back, profile, cfg = load_run_dir(tmp_path)
+    assert cfg == setup.cfg
     assert len(back.snapshots) == len(traj.snapshots) > 2
     for old, new in zip(traj.snapshots, back.snapshots):
         assert (new.step, new.time) == (old.step, old.time)
@@ -97,7 +102,7 @@ def test_scaled_stored_density_detected(small_run, capsys):
 def test_legacy_layout_still_verifies(small_run):
     # run directories written with the derived columns u, z, w (snapshots)
     # and c (profile) must keep verifying
-    _, traj, profile = load_run_dir(small_run)
+    _, traj, profile, _ = load_run_dir(small_run)
     model, x = traj.model, traj.grid.centers
     for snap in traj.snapshots:
         z, w = model.riemann_invariants(snap.rho, snap.mom)
@@ -152,7 +157,7 @@ def test_shifted_x_in_an_older_snapshot_rejected(small_run, capsys):
     # snapshots no longer store x, but one that does is still checked
     path = later_snapshot(small_run)
     head, rows = read_rows(path)
-    _, traj, _ = load_run_dir(small_run)
+    _, traj, _, _ = load_run_dir(small_run)
     head[-1] = "# columns: x rho m"
     x = traj.grid.centers + 1e-3
     write_rows(path, head, [[fmt(xi)] + r for xi, r in zip(x, rows)])
