@@ -15,8 +15,7 @@ def hydro_endpoint(name, n_cells, t_end, epsilon):
                               "epsilon": epsilon})
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
                setup.grid, record_times=[t_end])
-    snap = traj.snapshots[-1]
-    return setup.grid.centers, snap.rho, snap.mom
+    return setup.grid.centers, traj.rho[-1], traj.mom[-1]
 
 
 def hydro_study(name, levels, base_n, t_end, epsilon):

@@ -26,7 +26,7 @@ from .relaxation import (CouplingRule, DDTrajectory, StudyResult, StudyRow,
                          dissipation_integral, drift_diffusion_run,
                          relaxation_study)
 from .scenarios import SCENARIOS, RunSetup, make_setup
-from .solver import (IntegrationError, Snapshot, SolverConfig, SourceVariant,
+from .solver import (IntegrationError, SolverConfig, SourceVariant,
                      StepReport, Trajectory, prepare_initial, run, step)
 
 __version__ = "0.1.0"
@@ -37,7 +37,7 @@ __all__ = [
     "EntropyPair", "GasModel", "Grid1D", "HeatKernel", "HydroState",
     "IntegrationError", "MonitorReport", "MonitorSuite", "PicardIterate",
     "PicardResult", "PressureConvention",
-    "ProfileCheck", "RunSetup", "SCENARIOS", "Snapshot",
+    "ProfileCheck", "RunSetup", "SCENARIOS",
     "SolverConfig", "SourceVariant", "StepReport", "StudyResult", "StudyRow",
     "TestFunction", "Trajectory", "convexity_check", "cumulative_integral",
     "dissipation_integral", "drift_diffusion_run", "entropy_residual",

@@ -147,9 +147,8 @@ def cmd_solve(args) -> int:
         "wall_seconds": t1 - t0, "monitors_s": t2 - t1, "entropy_s": t3 - t2,
         "write_s": time.perf_counter() - t3}))
 
-    t_last = traj.times[-1] if traj.snapshots else 0.0
-    print(f"run {name}: {traj.n_steps} steps to t={t_last:.6g}, "
-          f"{len(traj.snapshots)} snapshots, "
+    print(f"run {name}: {traj.n_steps} steps to t={traj.times[-1]:.6g}, "
+          f"{len(traj.times)} snapshots, "
           f"{len(report.violations)} violation(s)")
     _print_violations(report.violations)
     if not traj.completed:
@@ -174,10 +173,9 @@ def _cross_check(result, picard_grid: Grid1D, cfg: SolverConfig, t1: float,
                record_times=[t1])
     if not traj.completed:
         return None
-    last, x = traj.snapshots[-1], picard_grid.centers
-    end = result.endpoint
-    gap = float(np.max(np.abs(end.rho - np.interp(x, grid.centers, last.rho)))
-                + np.max(np.abs(end.mom - np.interp(x, grid.centers, last.mom))))
+    x, end = picard_grid.centers, result.endpoint
+    gap = float(sum(np.max(np.abs(got - np.interp(x, grid.centers, rec[-1])))
+                    for got, rec in ((end.rho, traj.rho), (end.mom, traj.mom))))
     dt_mean = float(np.mean(traj.dts)) if traj.dts else 0.0
     tol_cross = factor * (picard_grid.dx + dt_mean)
     rep = result.report
@@ -229,9 +227,7 @@ def cmd_verify(args) -> int:
 
     if args.picard:
         t1 = min(args.t1, cfg.t_end)
-        snap0 = traj.snapshots[0]
-        initial = HydroState(rho=snap0.rho.copy(), mom=snap0.mom.copy(),
-                             time=0.0)
+        initial = HydroState(rho=traj.rho[0], mom=traj.mom[0], time=0.0)
         result = picard_solve(initial, profile, traj.model,
                               HeatKernel(cfg.epsilon), traj.grid, cfg.tau, t1,
                               source_variant=cfg.source_variant)

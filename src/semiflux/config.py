@@ -77,7 +77,7 @@ def coerce(raw: dict, schema: dict) -> dict:
         kind = schema[key]
         try:
             out[key] = kind(val)
-        except ValueError as err:
+        except (TypeError, ValueError) as err:
             raise ConfigurationError(
                 f"bad value for {key!r}: {val!r} ({err})") from None
     return out

@@ -297,22 +297,28 @@ def validate_uniform_hypotheses(a_vals, b_vals, e_minus, grid: Grid1D) -> Profil
     record("damping positive", a_min > 0.0)
     record("damping non-increasing", bool(np.all(np.gradient(a, dx) <= tol_a)))
 
-    c = derived_c_profile(a, b, e_minus, dx)
-    tol_c = 1e-10 * max(1.0, float(np.max(np.abs(c))))
-    record("C non-decreasing", bool(np.all(np.gradient(c, dx) >= -tol_c)))
+    if a_min > 0.0:
+        c = derived_c_profile(a, b, e_minus, dx)
+        tol_c = 1e-10 * max(1.0, float(np.max(np.abs(c))))
+        record("C non-decreasing", bool(np.all(np.gradient(c, dx) >= -tol_c)))
+    else:  # C is undefined where a vanishes
+        record("C non-decreasing", False)
 
     return ProfileCheck(ok=(first is None), first_failure=first, conditions=conditions)
 
 
 def derived_c_profile(a_vals, b_vals, e_minus, dx: float) -> np.ndarray:
-    """C(x) = (e_minus - int_{left}^x b) / a(x)."""
-    return (e_minus - cumulative_integral(b_vals, dx)) / np.asarray(a_vals, dtype=float)
+    """C(x) = (e_minus - int_{left}^x b) / a(x), NaN where a(x) = 0: C is
+    undefined there, and such a profile fails its hypothesis check."""
+    a = np.asarray(a_vals, dtype=float)
+    num = e_minus - cumulative_integral(b_vals, dx)
+    return np.divide(num, a, out=np.full_like(num, np.nan), where=a != 0.0)
 
 
 @dataclass(frozen=True)
 class DeviceProfile:
     """Damping coefficient a(x), doping b(x), far-field datum, and the derived
-    C profile with its hypothesis check."""
+    C profile with its hypothesis check; c_vals is NaN where a(x) = 0."""
 
     a_vals: np.ndarray
     b_vals: np.ndarray
@@ -328,7 +334,7 @@ class DeviceProfile:
         if a.shape != (grid.n_cells,) or b.shape != (grid.n_cells,):
             raise ConfigurationError("profile arrays must match the grid")
         if np.any(a < 0.0):
-            raise ValueError("damping coefficient must be non-negative")
+            raise ConfigurationError("damping coefficient must be non-negative")
         check = validate_uniform_hypotheses(a, b, e_minus, grid)
         c = derived_c_profile(a, b, e_minus, grid.dx)
         return cls(a_vals=a, b_vals=b, e_minus=float(e_minus), c_vals=c,

@@ -2,6 +2,8 @@
 
 Each monitor is a pure function of recorded snapshots, so a finished run can
 be re-audited offline and must reproduce the original report bit for bit.
+A run records only (rho, m); the field E is derived here, record by record
+in `_records`, so the audit holds one row of it at a time.
 Monitored quantities: excess mass (non-increasing under outflow, constant
 under periodic), the field sup-bound ratio, growth of the Riemann invariants
 max z, max w <= M2 + M1*t, sup-norm plateaus under the uniform-bound
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field import field_bound
+from .field import field_bound, solve_field
 from .model import (Boundary, DeviceProfile, GasModel, Grid1D, HydroState,
                     PressureConvention, _powm1_over, total_integral)
 from .solver import SourceVariant, Trajectory, source
@@ -64,13 +66,21 @@ def excess_mass(state: HydroState, model: GasModel, grid: Grid1D) -> float:
     return total_integral(state.excess(model), grid.dx)
 
 
+def _records(traj: Trajectory, profile: DeviceProfile):
+    """(step, time, rho, m, E) of each record, E solved from its rho."""
+    floor, grid = traj.model.rho_floor, traj.grid
+    for step, t, rho, mom in zip(traj.steps.tolist(), traj.times.tolist(),
+                                 traj.rho, traj.mom):
+        yield step, t, rho, mom, solve_field(rho - floor, profile, grid)
+
+
 def evaluate_trajectory(traj: Trajectory, profile: DeviceProfile,
                         suite: MonitorSuite = MonitorSuite()) -> MonitorReport:
     """Recompute every enabled monitor over the recorded snapshots."""
     model, grid = traj.model, traj.grid
     rows, violations = [], []
 
-    first = traj.state_at(0)
+    first = HydroState(rho=traj.rho[0], mom=traj.mom[0])
     mass0 = excess_mass(first, model, grid)
     bound0 = field_bound(first, profile, model, grid)
     z0, w0 = model.riemann_invariants(np.maximum(first.rho, model.rho_floor),
@@ -82,52 +92,52 @@ def evaluate_trajectory(traj: Trajectory, profile: DeviceProfile,
     prev_mass = mass0
     m1_running = 0.0
 
-    for snap in traj.snapshots:
+    for step, t, rho, mom, e_vals in _records(traj, profile):
         # derived columns use a floored density so that one positivity
         # failure does not abort the rest of the audit; the positivity
         # monitor itself always sees the raw minimum
-        rho_safe = np.maximum(snap.rho, model.rho_floor)
-        state = HydroState(rho=snap.rho, mom=snap.mom, time=snap.time)
-        u = snap.mom / rho_safe
+        rho_safe = np.maximum(rho, model.rho_floor)
+        state = HydroState(rho=rho, mom=mom, time=t)
+        u = mom / rho_safe
         mass = excess_mass(state, model, grid)
-        min_rho = float(np.min(snap.rho))
-        sup_rho = float(np.max(snap.rho))
+        min_rho = float(np.min(rho))
+        sup_rho = float(np.max(rho))
         sup_u = float(np.max(np.abs(u)))
-        sup_field = float(np.max(np.abs(snap.e_vals)))
+        sup_field = float(np.max(np.abs(e_vals)))
         dyn_bound = field_bound(state, profile, model, grid)
         m1_running = max(m1_running, dyn_bound)
-        z, w = model.riemann_invariants(rho_safe, snap.mom)
+        z, w = model.riemann_invariants(rho_safe, mom)
         z_max, w_max = float(np.max(z)), float(np.max(w))
-        r_bound = m2 + m1_running * snap.time
+        r_bound = m2 + m1_running * t
         r_slack = r_bound - max(z_max, w_max)
         logr = np.log(rho_safe)
         sup_log_plus = float(np.max(logr + u))
         sup_log_minus = float(np.max(logr - u))
 
-        rows.append([snap.step, snap.time, mass, min_rho, sup_rho, sup_u,
+        rows.append([step, t, mass, min_rho, sup_rho, sup_u,
                      sup_field, dyn_bound, z_max, w_max, r_bound, r_slack,
                      sup_log_plus, sup_log_minus])
 
         if "positivity" in suite.enabled and min_rho < floor:
-            violations.append({"monitor": "positivity", "time": snap.time,
+            violations.append({"monitor": "positivity", "time": t,
                                "value": min_rho, "bound": floor})
         if "mass" in suite.enabled:
             if traj.grid.boundary is Boundary.PERIODIC:
-                allowance = MASS_TOL * mass_scale * max(1.0, snap.step / 1000.0)
+                allowance = MASS_TOL * mass_scale * max(1.0, step / 1000.0)
                 if abs(mass - mass0) > allowance:
-                    violations.append({"monitor": "mass", "time": snap.time,
+                    violations.append({"monitor": "mass", "time": t,
                                        "value": mass, "bound": mass0})
             else:
                 allowance = MASS_TOL * mass_scale
                 if mass > prev_mass + allowance or mass > mass0 + allowance:
-                    violations.append({"monitor": "mass", "time": snap.time,
+                    violations.append({"monitor": "mass", "time": t,
                                        "value": mass, "bound": prev_mass})
         if "field" in suite.enabled and sup_field > dyn_bound * (1.0 + FIELD_TOL) \
                 + FIELD_TOL:
-            violations.append({"monitor": "field", "time": snap.time,
+            violations.append({"monitor": "field", "time": t,
                                "value": sup_field, "bound": dyn_bound})
         if "riemann" in suite.enabled and r_slack < -RIEMANN_TOL:
-            violations.append({"monitor": "riemann", "time": snap.time,
+            violations.append({"monitor": "riemann", "time": t,
                                "value": max(z_max, w_max), "bound": r_bound})
         prev_mass = mass
 
@@ -141,7 +151,7 @@ def evaluate_trajectory(traj: Trajectory, profile: DeviceProfile,
     }
 
     if "uniform" in suite.enabled and len(rows) >= 4:
-        times = np.array([r[1] for r in rows])
+        times = traj.times
         if model.gamma == 1.0:
             tracked = {"sup_log_plus": 12, "sup_log_minus": 13}
         else:
@@ -317,21 +327,19 @@ def _entropy_sweep(traj: Trajectory, profile: DeviceProfile,
     model, grid = traj.model, traj.grid
     dx = grid.dx
     space = [phi.space_factors(grid.centers) for phi in phis]
-    vals = np.empty((len(phis), len(traj.snapshots)))
+    vals = np.empty((len(phis), len(traj.times)))
     scale = 0.0
-    for k, snap in enumerate(traj.snapshots):
-        rho, mom = snap.rho, snap.mom
-        src = source(source_variant, model, rho, mom, snap.e_vals,
+    for k, (_, t, rho, mom, e_vals) in enumerate(_records(traj, profile)):
+        src = source(source_variant, model, rho, mom, e_vals,
                      profile.a_vals, tau)
         eta, q = pair.eta(rho, mom), pair.q(rho, mom)
         src_eta = src * pair.eta_m(rho, mom)
         scale = max(scale, float(np.max(np.abs(eta))),
                     float(np.max(np.abs(q))), float(np.max(np.abs(src_eta))))
         for i, phi in enumerate(phis):
-            p, p_x, p_t = phi.combine(space[i], phi.time_factors(snap.time))
+            p, p_x, p_t = phi.combine(space[i], phi.time_factors(t))
             vals[i, k] = dx * float(np.sum(eta * p_t + q * p_x + src_eta * p))
-    times = traj.times
-    return [float(np.trapezoid(v, times)) for v in vals], scale
+    return [float(np.trapezoid(v, traj.times)) for v in vals], scale
 
 
 def entropy_residual(traj: Trajectory, profile: DeviceProfile,

@@ -10,9 +10,11 @@ This module integrates the limit system with an explicit conservative scheme
 (vacuum offset set to zero) and drives the tau-ladder study on a scenario's
 RunSetup, the same one `solve` and `picard` build: each rung swaps delta and
 the solver coefficients into the setup's model and config, each hydro run
-records exactly at t = s/tau, its rows are read as N = rho and J = m/tau,
-and the L1 gap to the reference is reported twice, on N (l1_error) and on
-N - 2 delta (l1_net, free of the vacuum offset the reference lacks).
+records exactly at t = s/tau, its stacked records are read as N = rho and
+J = m/tau, and the L1 gap to the reference is reported twice, on N
+(l1_error) and on N - 2 delta (l1_net, free of the vacuum offset the
+reference lacks).  Like a hydro Trajectory, the reference keeps only its
+density, stacked over records; its field Upsilon is derived data.
 """
 
 from __future__ import annotations
@@ -78,10 +80,9 @@ def drift_diffusion_step(n_vals, upsilon, profile: DeviceProfile,
 
 @dataclass
 class DDTrajectory:
+    """Recorded slow times (k,) and densities N (k, n_cells); no field."""
     s_values: np.ndarray
     n_vals: np.ndarray
-    upsilon_vals: np.ndarray
-    grid: Grid1D
 
 
 def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
@@ -95,7 +96,7 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
     n_vals, upsilon, s = n0.copy(), solve_field(n0, profile, grid), 0.0
     rec = sorted(float(t) for t in (record_times if record_times is not None else [])
                  if 0.0 < t <= s_end)
-    s_out, n_out, u_out = [0.0], [n_vals], [upsilon]
+    s_out, n_out = [0.0], [n_vals]
     tiny = 1e-12 * max(s_end, 1.0)
     next_rec = 0
     k = 0
@@ -119,12 +120,10 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
         if due or s >= s_end - tiny:
             s_out.append(s)
             n_out.append(n_vals)
-            u_out.append(upsilon)
     if s < s_end - tiny:
         raise RuntimeError(f"drift-diffusion reference stopped by max_steps = "
                            f"{max_steps} at s = {s!r}, before s_end = {s_end!r}")
-    return DDTrajectory(s_values=np.array(s_out), n_vals=np.array(n_out),
-                        upsilon_vals=np.array(u_out), grid=grid)
+    return DDTrajectory(s_values=np.array(s_out), n_vals=np.array(n_out))
 
 
 # --- the tau-ladder study ----------------------------------------------------
@@ -167,7 +166,6 @@ class StudyRow:
 class StudyResult:
     rows: list
     monotone: bool
-    s_values: np.ndarray
     reference: DDTrajectory
     manifest: dict = field(default_factory=dict)
 
@@ -196,12 +194,10 @@ def scaled_l1_gap(s_values, n_vals, n_ref, dx: float) -> float:
 
 def dissipation_integral(s_values, n_vals, j_vals, rho_floor: float,
                          dx: float) -> float:
-    """int_0^L int (N - 2*delta) (J/N)^2 dx ds over a scaled trajectory."""
-    n_vals = np.asarray(n_vals, dtype=float)
-    j_vals = np.asarray(j_vals, dtype=float)
-    u = j_vals / n_vals
-    per_s = dx * np.sum((n_vals - rho_floor) * u ** 2, axis=1)
-    return float(np.trapezoid(per_s, np.asarray(s_values, dtype=float)))
+    """int_0^L int (N - 2*delta) (J/N)^2 dx ds over (k, n_cells) arrays of
+    N and J recorded at the k slow times `s_values`."""
+    per_s = dx * np.sum((n_vals - rho_floor) * (j_vals / n_vals) ** 2, axis=1)
+    return float(np.trapezoid(per_s, s_values))
 
 
 def relaxation_study(setup: RunSetup, tau_list,
@@ -258,14 +254,13 @@ def relaxation_study(setup: RunSetup, tau_list,
         if not np.array_equal(traj.times[1:], s_records[1:] / tau):
             raise RuntimeError(
                 f"hydro recording at tau={tau} misaligned with the s ladder")
-        n_vals = np.array([snap.rho for snap in traj.snapshots])
-        j_vals = np.array([snap.mom for snap in traj.snapshots]) / tau
-        n_win = n_vals[late][:, cols]
+        n_win = traj.rho[late][:, cols]
         rows.append(StudyRow(
             tau=tau, epsilon=eps, delta=delta,
             l1_error=scaled_l1_gap(s_records[late], n_win, n_ref, grid.dx),
-            dissipation=dissipation_integral(s_records, n_vals, j_vals,
-                                             model.rho_floor, grid.dx),
+            dissipation=dissipation_integral(s_records, traj.rho,
+                                             traj.mom / tau, model.rho_floor,
+                                             grid.dx),
             l1_net=scaled_l1_gap(s_records[late], n_win - model.rho_floor,
                                  n_ref, grid.dx)))
 
@@ -288,5 +283,5 @@ def relaxation_study(setup: RunSetup, tau_list,
         "smoothing_width": setup.cfg.smoothing_width,
         "e_minus": profile.e_minus,
     }
-    return StudyResult(rows=rows, monotone=monotone, s_values=s_records,
-                       reference=reference, manifest=manifest)
+    return StudyResult(rows=rows, monotone=monotone, reference=reference,
+                       manifest=manifest)

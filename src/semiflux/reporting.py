@@ -1,9 +1,11 @@
 """Deterministic on-disk formats for runs.
 
-Snapshots (rho m) and the profile (x a b) are '#'-headed text tables
-holding only what verify reads back: the cell centres x follow from the grid
-in report.json and are stored once, in the profile, where the reader checks
-them; the field E is derived data, recomputed from rho on load.  Monitor
+A run directory stores a Trajectory's rows: each record's (step, time,
+rho, m) is one '#'-headed text snapshot, and the profile (x a b) another
+table; they hold only what verify reads back.  The cell centres x follow
+from the grid in report.json and are stored once, in the profile, where the
+reader checks them; the field E is derived data, which the monitors solve
+from rho and which is neither stored nor rebuilt on load.  Monitor
 series go to CSV, violations to JSON.  Every float is rendered with 17
 significant digits so repeated runs of the same build are byte-identical; a
 table body is formatted by one '%' operation over all its values, which
@@ -19,11 +21,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .field import solve_field
-from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
-                    Grid1D, PressureConvention)
+from .config import SCENARIO_KEYS, coerce
+from .model import ConfigurationError, DeviceProfile, GasModel, Grid1D
 from .monitors import MonitorReport
-from .solver import Snapshot, SolverConfig, SourceVariant, Trajectory
+from .solver import SolverConfig, Trajectory
+
+# the config echo keys a stored run is read back with: its grid and gas
+# law, and the SolverConfig fields
+_MODEL_KEYS = ("x_min", "x_max", "n_cells", "boundary", "gamma", "delta",
+               "pressure_convention")
+_SOLVER_KEYS = ("epsilon", "tau", "cfl", "t_end", "source_variant",
+                "smoothing_width")
 
 
 def fmt(x) -> str:
@@ -47,9 +55,9 @@ def _read_table(path: Path, grid: Grid1D, keys: tuple, names: tuple):
     found by name, so older layouts with extra columns still load; a table
     that does not describe the run's grid, or whose x column (where it has
     one) is not the grid's centres, is rejected."""
-    with open(path) as fh:
-        head = [ln[1:].replace("columns:", "columns =").partition("=")
-                for ln in takewhile(lambda ln: ln.startswith("#"), fh)]
+    lines = path.read_text().splitlines()
+    head = [ln[1:].replace("columns:", "columns =").partition("=")
+            for ln in takewhile(lambda ln: ln.startswith("#"), lines)]
     meta = {k.strip(): v.strip() for k, _, v in head}
     header = meta.get("columns", "").split()
     missing = [k for k in keys if k not in meta]
@@ -58,7 +66,7 @@ def _read_table(path: Path, grid: Grid1D, keys: tuple, names: tuple):
         raise ConfigurationError(f"{path}: missing {missing}")
     try:
         values = {k: float(meta[k]) for k in keys}
-        data = np.loadtxt(path, ndmin=2)
+        data = np.loadtxt(lines[len(head):], ndmin=2)
     except ValueError as err:
         raise ConfigurationError(f"{path}: unreadable table ({err})") from None
     if data.shape != (grid.n_cells, len(header)):
@@ -91,10 +99,11 @@ def write_run_dir(out_dir, traj: Trajectory, profile: DeviceProfile,
     out = Path(out_dir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
     paths = []
-    for snap in traj.snapshots:
-        p = out / "snapshots" / f"snap_{snap.step:08d}.dat"
-        p.write_text(_table_text({"step": snap.step, "time": snap.time},
-                                 {"rho": snap.rho, "m": snap.mom}))
+    for step, t, rho, mom in zip(traj.steps.tolist(), traj.times.tolist(),
+                                 traj.rho, traj.mom):
+        p = out / "snapshots" / f"snap_{step:08d}.dat"
+        p.write_text(_table_text({"step": step, "time": t},
+                                 {"rho": rho, "m": mom}))
         paths.append(str(p.relative_to(out)))
     (out / "monitors.csv").write_text(monitors_csv_text(report))
     (out / "violations.json").write_text(json_text(report.violations))
@@ -115,32 +124,31 @@ def write_run_dir(out_dir, traj: Trajectory, profile: DeviceProfile,
 
 def load_run_dir(run_dir):
     """Read back a finished run: (report.json payload, trajectory, profile,
-    the SolverConfig of its config echo).  The echo is parsed here only."""
+    the SolverConfig of its config echo).  The echo is parsed here only,
+    with the config files' key types, so a value its key cannot read is a
+    ConfigurationError naming the key."""
     out = Path(run_dir)
     payload = json.loads((out / "report.json").read_text())
-    echo = payload["config"]
-    grid = Grid1D(x_min=float(echo["x_min"]), x_max=float(echo["x_max"]),
-                  n_cells=int(echo["n_cells"]),
-                  boundary=Boundary(echo["boundary"]))
-    model = GasModel(gamma=float(echo["gamma"]), delta=float(echo["delta"]),
-                     convention=PressureConvention(echo["pressure_convention"]))
-    cfg = SolverConfig(epsilon=float(echo["epsilon"]), tau=float(echo["tau"]),
-                       cfl=float(echo["cfl"]), t_end=float(echo["t_end"]),
-                       source_variant=SourceVariant(echo["source_variant"]),
-                       smoothing_width=float(echo["smoothing_width"]))
+    echo = coerce({k: payload["config"][k] for k in _MODEL_KEYS + _SOLVER_KEYS},
+                  SCENARIO_KEYS)
+    grid = Grid1D(x_min=echo["x_min"], x_max=echo["x_max"],
+                  n_cells=echo["n_cells"], boundary=echo["boundary"])
+    model = GasModel(gamma=echo["gamma"], delta=echo["delta"],
+                     convention=echo["pressure_convention"])
+    cfg = SolverConfig(**{k: echo[k] for k in _SOLVER_KEYS})
     meta, cols = _read_table(out / "profile.dat", grid, ("e_minus",),
                              ("x", "a", "b"))
     profile = DeviceProfile.build(grid, cols["a"], cols["b"], meta["e_minus"])
-    snaps = []
-    for rel in payload["snapshots"]:
+    if not payload["snapshots"]:
+        raise ConfigurationError(f"{out / 'report.json'}: lists no snapshots")
+    shape = (len(payload["snapshots"]), grid.n_cells)
+    traj = Trajectory(grid=grid, model=model, steps=np.empty(shape[0], int),
+                      times=np.empty(shape[0]), rho=np.empty(shape),
+                      mom=np.empty(shape))
+    for i, rel in enumerate(payload["snapshots"]):
         meta, cols = _read_table(out / rel, grid, ("step", "time"),
                                  ("rho", "m"))
-        e_vals = solve_field(cols["rho"] - model.rho_floor, profile, grid)
-        snaps.append(Snapshot(step=int(meta["step"]), time=meta["time"],
-                              rho=cols["rho"], mom=cols["m"], e_vals=e_vals))
-    if not snaps:
-        raise ConfigurationError(f"{out / 'report.json'}: lists no snapshots")
-    traj = Trajectory(grid=grid, model=model, snapshots=snaps)
-    traj.min_rho_ever = min(float(np.min(s.rho)) for s in snaps)
-    traj.n_steps = snaps[-1].step
+        traj.steps[i], traj.times[i] = int(meta["step"]), meta["time"]
+        traj.rho[i], traj.mom[i] = cols["rho"], cols["m"]
+    traj.n_steps, traj.min_rho_ever = int(traj.steps[-1]), float(np.min(traj.rho))
     return payload, traj, profile, cfg

@@ -13,6 +13,7 @@ stiff damping is applied pointwise through its exact exponential factor so
 the update stays stable for tau much smaller than dt.  A step tests the
 density floor once, pads (rho, m, fluxes, wave speed) in one ghost-cell call
 and updates (rho, m) as one stacked array; only the source acts on m alone.
+A recorded run keeps only (step, time, rho, m) per record, as stacked arrays.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def prepare_initial(raw_rho, raw_u, model: GasModel, cfg: SolverConfig,
     if raw_rho.shape != (grid.n_cells,) or raw_u.shape != (grid.n_cells,):
         raise ConfigurationError("raw initial data must match the grid")
     if np.any(raw_rho < 0.0):
-        raise ValueError("raw excess density must be non-negative")
+        raise ConfigurationError("raw excess density must be non-negative")
     if cfg.smoothing_width > 0.0:
         k = gaussian_kernel(cfg.smoothing_width, grid.dx)
         sm_rho = np.convolve(raw_rho, k, mode="same")
@@ -183,42 +184,23 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
 
 
 @dataclass
-class Snapshot:
-    step: int
-    time: float
-    rho: np.ndarray
-    mom: np.ndarray
-    e_vals: np.ndarray
-
-
-@dataclass
 class Trajectory:
-    """Recorded history of one run: snapshots plus step-level diagnostics."""
+    """Recorded history of one run: the step index, time and conserved
+    variables (rho, m) of each record, stacked over records (`rho` and `mom`
+    are (k, n_cells)), plus step-level diagnostics.  The field is derived
+    data; the monitors solve it from `rho` when they need it."""
 
     grid: Grid1D
     model: GasModel
-    snapshots: list = field(default_factory=list)
+    steps: np.ndarray
+    times: np.ndarray
+    rho: np.ndarray
+    mom: np.ndarray
     dts: list = field(default_factory=list)
     n_steps: int = 0
     min_rho_ever: float = math.inf
     completed: bool = True
     failure_time: float | None = None
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.snapshots])
-
-    def state_at(self, index: int) -> HydroState:
-        s = self.snapshots[index]
-        return HydroState(rho=s.rho, mom=s.mom, time=s.time)
-
-
-def _record(traj: Trajectory, state: HydroState, profile: DeviceProfile,
-            model: GasModel, grid: Grid1D, step_idx: int):
-    e_vals = solve_field(state.excess(model), profile, grid)
-    traj.snapshots.append(Snapshot(step=step_idx, time=state.time,
-                                   rho=state.rho.copy(), mom=state.mom.copy(),
-                                   e_vals=e_vals))
 
 
 def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
@@ -228,7 +210,8 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
     """March to cfg.t_end, recording every `record_every` steps or exactly at
     the sorted instants `record_times` (the step is clamped to land on them).
     The initial and final states are always recorded; a march stopped early,
-    by a failed step or by `max_steps`, is marked incomplete.
+    by a failed step or by `max_steps`, is marked incomplete.  The records
+    are stacked once, into the returned Trajectory's arrays.
     """
     if record_every < 1:
         raise ConfigurationError("record_every must be >= 1")
@@ -238,10 +221,13 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
         if sorted(rec_times) != rec_times:
             raise ConfigurationError("record_times must be sorted")
 
-    traj = Trajectory(grid=grid, model=model)
     state = initial
-    traj.min_rho_ever = float(np.min(state.rho))
-    _record(traj, state, profile, model, grid, 0)
+    # (step, time, rho, m) per record; each step returns fresh arrays, so
+    # rows are kept without a copy and stacked once at the end
+    records = [(0, state.time, state.rho, state.mom)]
+    dts = []
+    min_rho_ever = float(np.min(state.rho))
+    completed, failure_time = True, None
 
     tiny = 1e-12 * max(cfg.t_end, 1.0)
     next_rec = 0
@@ -254,27 +240,27 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
         try:
             state, rep = step(state, profile, model, cfg, grid, t_stop=target)
         except IntegrationError as err:
-            traj.completed = False
-            traj.failure_time = err.time
+            completed, failure_time = False, err.time
             if raise_on_failure:
                 raise
             break
         k += 1
-        traj.n_steps = k
-        traj.dts.append(rep.dt_used)
-        traj.min_rho_ever = min(traj.min_rho_ever, rep.post_step_min_rho)
+        dts.append(rep.dt_used)
+        min_rho_ever = min(min_rho_ever, rep.post_step_min_rho)
 
-        due = False
-        if rec_times is not None:
-            if next_rec < len(rec_times) and state.time >= rec_times[next_rec] - tiny:
-                next_rec += 1
-                due = True
-        elif k % record_every == 0:
-            due = True
-        if state.time >= cfg.t_end - tiny:
-            due = True
-        if due:
-            _record(traj, state, profile, model, grid, k)
-    if traj.completed and state.time < cfg.t_end - tiny:  # max_steps hit
-        traj.completed, traj.failure_time = False, state.time
-    return traj
+        if rec_times is None:
+            due = k % record_every == 0
+        else:
+            due = (next_rec < len(rec_times)
+                   and state.time >= rec_times[next_rec] - tiny)
+            next_rec += int(due)
+        if due or state.time >= cfg.t_end - tiny:
+            records.append((k, state.time, state.rho, state.mom))
+    if completed and state.time < cfg.t_end - tiny:  # max_steps hit
+        completed, failure_time = False, state.time
+    steps, times, rhos, moms = zip(*records)
+    return Trajectory(grid=grid, model=model, steps=np.array(steps),
+                      times=np.array(times), rho=np.stack(rhos),
+                      mom=np.stack(moms), dts=dts, n_steps=k,
+                      min_rho_ever=min_rho_ever, completed=completed,
+                      failure_time=failure_time)

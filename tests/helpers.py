@@ -216,15 +216,16 @@ def phi_reference(phi, x, t):
 def entropy_residual_reference(traj, profile, pair, phi, tau,
                                source_variant=SourceVariant.FULL_DENSITY):
     """The weak-form residual as one walk over the trajectory per test
-    function, every density re-evaluated on each walk."""
+    function, every density and each record's field re-evaluated on each
+    walk."""
     model, grid = traj.model, traj.grid
     x = grid.centers
-    vals = np.empty(len(traj.snapshots))
-    for k, snap in enumerate(traj.snapshots):
-        rho, mom = snap.rho, snap.mom
-        src = source(source_variant, model, rho, mom, snap.e_vals,
+    vals = np.empty(len(traj.times))
+    for k, (t, rho, mom) in enumerate(zip(traj.times, traj.rho, traj.mom)):
+        e_vals = solve_field(rho - model.rho_floor, profile, grid)
+        src = source(source_variant, model, rho, mom, e_vals,
                      profile.a_vals, tau)
-        p, p_x, p_t = phi_reference(phi, x, snap.time)
+        p, p_x, p_t = phi_reference(phi, x, t)
         integrand = (pair.eta(rho, mom) * p_t + pair.q(rho, mom) * p_x
                      + src * pair.eta_m(rho, mom) * p)
         vals[k] = grid.dx * float(np.sum(integrand))
@@ -233,11 +234,12 @@ def entropy_residual_reference(traj, profile, pair, phi, tau,
 
 def entropy_scale_reference(traj, profile, pair, tau,
                             source_variant=SourceVariant.FULL_DENSITY):
-    """The tolerance scale as its own walk over the trajectory."""
+    """The tolerance scale as its own walk over the trajectory, each
+    record's field solved on its own."""
     scale = 0.0
-    for snap in traj.snapshots:
-        rho, mom = snap.rho, snap.mom
-        src = source(source_variant, traj.model, rho, mom, snap.e_vals,
+    for rho, mom in zip(traj.rho, traj.mom):
+        e_vals = solve_field(rho - traj.model.rho_floor, profile, traj.grid)
+        src = source(source_variant, traj.model, rho, mom, e_vals,
                      profile.a_vals, tau)
         scale = max(scale,
                     float(np.max(np.abs(pair.eta(rho, mom)))),

@@ -255,9 +255,8 @@ def test_criterion_08_picard_cross_validation():
     traj = run(setup.initial, setup.profile, setup.model, cfg, setup.grid,
                record_times=[t1])
     assert traj.completed
-    last = traj.snapshots[-1]
-    gap = float(np.max(np.abs(result.endpoint.rho - last.rho))
-                + np.max(np.abs(result.endpoint.mom - last.mom)))
+    gap = float(np.max(np.abs(result.endpoint.rho - traj.rho[-1]))
+                + np.max(np.abs(result.endpoint.mom - traj.mom[-1])))
     dt_mean = float(np.mean(traj.dts))
     bound = 5.0 * (setup.grid.dx + dt_mean)
     assert gap <= bound
@@ -292,7 +291,7 @@ def test_criterion_10_self_convergence():
                                              "t_end": 0.3})
         traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
                    setup.grid, record_times=[0.3])
-        runs[n_cells] = (setup.grid.centers, traj.snapshots[-1].rho)
+        runs[n_cells] = (setup.grid.centers, traj.rho[-1])
 
     def gap(nc, nf):
         xc, rc = runs[nc]

@@ -140,6 +140,24 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
 
+    @pytest.mark.parametrize("command,own_keys", [
+        ("solve", ""), ("picard", "t1 = 0.01\n"),
+        ("relax", "tau_list = 0.2 0.1 0.05\n"),
+    ], ids=["solve", "picard", "relax"])
+    @pytest.mark.parametrize("bad,message", [
+        ("damping = -1", "damping coefficient must be non-negative"),
+        ("bump_amplitude = -0.5", "raw excess density must be non-negative"),
+    ], ids=["negative-damping", "negative-bump"])
+    def test_bad_scenario_value_exits_2(self, tmp_path, capsys, command,
+                                        own_keys, bad, message):
+        # values the profile or the initial data reject are malformed
+        # configuration, not a failed check
+        cfg = write_cfg(tmp_path, ("scenario = gaussian-bump\nn_cells = 40\n"
+                                   f"{own_keys}{bad}\n"))
+        assert main([command, "--config", cfg,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_relax_failed_profile_check_exits_2(self, tmp_path, capsys):
         # zero damping fails gaussian-bump's declared profile check; relax
         # stops on it before any march, with solve's message
@@ -240,7 +258,20 @@ class TestVerify:
         assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 0
         return out
 
-    def test_round_trip_is_byte_identical(self, run_dir, capsys):
+    @pytest.mark.parametrize("swap", [
+        None, ("scenario = gaussian-bump", "scenario = doping-ramp"),
+        ("scenario = gaussian-bump", "scenario = isothermal-bump"),
+        ("seed = 3", "seed = 3\nsource_variant = excess-density"),
+    ], ids=["gaussian-bump", "doping-ramp", "isothermal-bump",
+            "gaussian-bump-excess-density"])
+    def test_round_trip_is_byte_identical(self, tmp_path, capsys, swap):
+        # the field is derived from rho on both sides; doping-ramp has
+        # b != 0 and e_minus = 1, so the datum and the doping enter it
+        cfg = write_cfg(tmp_path, BUMP_CFG.replace(*swap) if swap else BUMP_CFG)
+        run_dir = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out-dir", str(run_dir)]) \
+            in (0, 1)
+        capsys.readouterr()
         rc = main(["verify", str(run_dir)])
         assert rc == 0
         text = capsys.readouterr().out
@@ -288,6 +319,22 @@ class TestVerify:
 
     def test_missing_run_dir(self, tmp_path):
         assert main(["verify", str(tmp_path / "ghost")]) == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("boundary", "sideways"), ("pressure_convention", "sideways"),
+        ("source_variant", "sideways"), ("epsilon", "abc"),
+        ("n_cells", "many"),
+    ])
+    def test_bad_config_echo_exits_2(self, run_dir, capsys, key, value):
+        # an echo value its key cannot read is unreadable input
+        p = run_dir / "report.json"
+        payload = json.loads(p.read_text())
+        payload["config"][key] = value
+        p.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["verify", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and value in err
 
 
 class TestPicardCommand:

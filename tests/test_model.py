@@ -346,6 +346,25 @@ class TestProfileValidation:
         with pytest.raises(ConfigurationError):
             DeviceProfile.build(self.grid, np.ones(7), np.zeros(7), 0.0)
 
+    def test_build_rejects_negative_damping_as_configuration(self):
+        n = self.grid.n_cells
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            DeviceProfile.build(self.grid, np.full(n, -1.0), np.zeros(n), 0.0)
+
+    def test_zero_damping_fails_without_dividing(self):
+        # C is undefined where a = 0: it is NaN there, and the check records
+        # its condition as failed; no division by zero is evaluated (numpy
+        # warnings are errors in this suite)
+        n = self.grid.n_cells
+        a = np.ones(n)
+        a[n // 2:] = 0.0
+        prof = DeviceProfile.build(self.grid, a, np.zeros(n), 1.0)
+        assert not prof.uniform_ok
+        assert prof.check.first_failure == "damping positive"
+        assert prof.check.conditions["C non-decreasing"] is False
+        assert np.array_equal(prof.c_vals[:n // 2], np.ones(n // 2))
+        assert np.all(np.isnan(prof.c_vals[n // 2:]))
+
 
 class TestAuxFields:
     def setup_method(self):

@@ -15,6 +15,7 @@ from semiflux import (
     DeviceProfile,
     GasModel,
     Grid1D,
+    HydroState,
     MonitorSuite,
     SourceVariant,
     Trajectory,
@@ -31,28 +32,27 @@ from semiflux.monitors import (MONITOR_COLUMNS, EntropyPair, excess_mass,
                                random_test_function, trajectory_entropy_scale)
 from semiflux.monitors import TestFunction as SpaceTimeBump
 from semiflux.scenarios import make_setup
-from semiflux.solver import Snapshot, run
+from semiflux.solver import run
 
 from helpers import (entropy_residual_reference, entropy_scale_reference,
                      entropy_spot_check_pairs_reference, phi_reference)
 
 
 def make_traj(grid, model, frames):
-    """frames: list of (time, rho, mom, e_vals) tuples."""
-    traj = Trajectory(grid=grid, model=model)
-    for k, (t, rho, mom, e_vals) in enumerate(frames):
-        traj.snapshots.append(Snapshot(step=k, time=t,
-                                       rho=np.asarray(rho, float),
-                                       mom=np.asarray(mom, float),
-                                       e_vals=np.asarray(e_vals, float)))
-    traj.n_steps = len(frames) - 1
-    traj.min_rho_ever = min(float(np.min(f[1])) for f in frames)
-    return traj
+    """frames: list of (time, rho, mom) tuples, stacked into a trajectory
+    whose record k is step k; its field is derived from rho."""
+    times, rho, mom = zip(*frames)
+    rho = np.array(rho, dtype=float)
+    return Trajectory(grid=grid, model=model, steps=np.arange(len(frames)),
+                      times=np.array(times, dtype=float), rho=rho,
+                      mom=np.array(mom, dtype=float),
+                      n_steps=len(frames) - 1,
+                      min_rho_ever=float(np.min(rho)))
 
 
 def rest_frames(grid, rho0=1.0, times=(0.0, 1.0, 2.0, 3.0)):
     n = grid.n_cells
-    return [(t, np.full(n, rho0), np.zeros(n), np.zeros(n)) for t in times]
+    return [(t, np.full(n, rho0), np.zeros(n)) for t in times]
 
 
 class TestPlateauCheck:
@@ -110,7 +110,7 @@ class TestEvaluateTrajectory:
         frames = rest_frames(self.grid)
         bad = frames[2][1].copy()
         bad[5] = self.model.rho_floor - 1e-6
-        frames[2] = (frames[2][0], bad, frames[2][2], frames[2][3])
+        frames[2] = (frames[2][0], bad, frames[2][2])
         traj = make_traj(self.grid, self.model, frames)
         report = evaluate_trajectory(traj, self.profile)
         kinds = [v["monitor"] for v in report.violations]
@@ -120,15 +120,14 @@ class TestEvaluateTrajectory:
         frames = rest_frames(self.grid)
         bad = frames[2][1].copy()
         bad[5] = self.model.rho_floor - 1e-14 * self.model.delta
-        frames[2] = (frames[2][0], bad, frames[2][2], frames[2][3])
+        frames[2] = (frames[2][0], bad, frames[2][2])
         traj = make_traj(self.grid, self.model, frames)
         report = evaluate_trajectory(traj, self.profile)
         assert all(v["monitor"] != "positivity" for v in report.violations)
 
     def test_outflow_mass_gain_fires(self):
         frames = rest_frames(self.grid)
-        frames[3] = (frames[3][0], frames[3][1] + 0.01,
-                     frames[3][2], frames[3][3])
+        frames[3] = (frames[3][0], frames[3][1] + 0.01, frames[3][2])
         traj = make_traj(self.grid, self.model, frames)
         report = evaluate_trajectory(traj, self.profile)
         assert any(v["monitor"] == "mass" for v in report.violations)
@@ -139,30 +138,33 @@ class TestEvaluateTrajectory:
         n = grid.n_cells
         mass_scale = (1.0 - self.model.rho_floor) * 10.0  # initial excess mass
         drift = 2e-12 * mass_scale / (grid.x_max - grid.x_min)
-        frames = [(0.0, np.full(n, 1.0), np.zeros(n), np.zeros(n)),
-                  (1.0, np.full(n, 1.0 + drift), np.zeros(n), np.zeros(n))]
+        frames = [(0.0, np.full(n, 1.0), np.zeros(n)),
+                  (1.0, np.full(n, 1.0 + drift), np.zeros(n))]
         traj = make_traj(grid, self.model, frames)
-        traj.snapshots[1].step = 5000  # allowance grows to 5e-12 * scale
+        traj.steps[1] = 5000  # allowance grows to 5e-12 * scale
         report = evaluate_trajectory(traj, profile)
         assert all(v["monitor"] != "mass" for v in report.violations)
-        traj.snapshots[1].step = 500  # back to the per-1000-step budget
+        traj.steps[1] = 500  # back to the per-1000-step budget
         report = evaluate_trajectory(traj, profile)
         assert any(v["monitor"] == "mass" for v in report.violations)
 
     def test_field_monitor_fires_on_inflated_field(self):
+        # the sup bound assumes a non-negative excess: a charge dipole keeps
+        # the excess mass but drives the field derived from rho past it
         frames = rest_frames(self.grid)
         n = self.grid.n_cells
-        frames[2] = (frames[2][0], frames[2][1], frames[2][2],
-                     np.full(n, 1e3))
+        dipole = np.where(np.arange(n) < n // 2, -5.0, 5.0)
+        frames[2] = (frames[2][0], frames[2][1] + dipole, frames[2][2])
         traj = make_traj(self.grid, self.model, frames)
         report = evaluate_trajectory(traj, self.profile)
-        assert any(v["monitor"] == "field" for v in report.violations)
+        fired = [v for v in report.violations if v["monitor"] == "field"]
+        assert [v["time"] for v in fired] == [2.0]
+        assert fired[0]["value"] > 2.0 * fired[0]["bound"]
 
     def test_riemann_monitor_fires_on_invariant_blowup(self):
         frames = rest_frames(self.grid, times=(0.0, 1e-6))
         n = self.grid.n_cells
-        frames[1] = (frames[1][0], frames[1][1], np.full(n, 5.0),
-                     frames[1][3])
+        frames[1] = (frames[1][0], frames[1][1], np.full(n, 5.0))
         traj = make_traj(self.grid, self.model, frames)
         report = evaluate_trajectory(traj, self.profile)
         assert any(v["monitor"] == "riemann" for v in report.violations)
@@ -172,7 +174,7 @@ class TestEvaluateTrajectory:
         frames = []
         for k, t in enumerate((0.0, 1.0, 2.0, 3.0)):
             rho = np.full(n, 1.0 + (0.2 if t > 1.5 else 0.0))
-            frames.append((t, rho, np.zeros(n), np.zeros(n)))
+            frames.append((t, rho, np.zeros(n)))
         traj = make_traj(self.grid, self.model, frames)
 
         report = evaluate_trajectory(traj, self.profile)
@@ -193,7 +195,7 @@ class TestEvaluateTrajectory:
         for t in (0.0, 1.0, 2.0, 3.0):
             u = 0.5 if t > 1.5 else 0.0
             rho = np.full(n, 1.0)
-            frames.append((t, rho, rho * u, np.zeros(n)))
+            frames.append((t, rho, rho * u))
         traj = make_traj(self.grid, model, frames)
         report = evaluate_trajectory(traj, self.profile)
         fired = [v for v in report.violations if v["monitor"] == "uniform"]
@@ -204,7 +206,7 @@ class TestEvaluateTrajectory:
         frames = rest_frames(self.grid)
         bad = frames[2][1].copy()
         bad[5] = self.model.rho_floor - 1e-2
-        frames[2] = (frames[2][0], bad, frames[2][2], frames[2][3])
+        frames[2] = (frames[2][0], bad, frames[2][2])
         traj = make_traj(self.grid, self.model, frames)
         suite = MonitorSuite(enabled=("mass",))
         report = evaluate_trajectory(traj, self.profile, suite)
@@ -212,7 +214,7 @@ class TestEvaluateTrajectory:
 
     def test_excess_mass_of_rest_state(self):
         traj = make_traj(self.grid, self.model, rest_frames(self.grid))
-        state = traj.state_at(0)
+        state = HydroState(rho=traj.rho[0], mom=traj.mom[0])
         expected = (1.0 - self.model.rho_floor) * 10.0
         assert excess_mass(state, self.model, self.grid) == pytest.approx(
             expected, rel=1e-12)
@@ -303,7 +305,7 @@ class TestEntropyResidual:
         model = GasModel(gamma=1.4, delta=0.05)
         profile = DeviceProfile.uniform(grid)
         n = grid.n_cells
-        frames = [(t, np.full(n, model.rho_floor), np.zeros(n), np.zeros(n))
+        frames = [(t, np.full(n, model.rho_floor), np.zeros(n))
                   for t in np.linspace(0.0, 1.0, 11)]
         traj = make_traj(grid, model, frames)
         pair = mechanical_energy_pair(model)
@@ -319,7 +321,7 @@ class TestEntropyResidual:
         profile = DeviceProfile.uniform(grid)
         n = grid.n_cells
         times = np.linspace(0.0, 1.0, 81)
-        frames = [(t, np.full(n, 1.0), np.zeros(n), np.zeros(n))
+        frames = [(t, np.full(n, 1.0), np.zeros(n))
                   for t in times]
         traj = make_traj(grid, model, frames)
         pair = mechanical_energy_pair(model)
@@ -365,7 +367,7 @@ class TestEntropyResidual:
         profile = DeviceProfile.uniform(grid)
         n = grid.n_cells
         rho, mom = np.full(n, model.rho_floor), np.full(n, 0.05)
-        traj = make_traj(grid, model, [(t, rho, mom, np.zeros(n))
+        traj = make_traj(grid, model, [(t, rho, mom)
                                        for t in (0.0, 1.0, 2.0, 3.0)])
         pair = mechanical_energy_pair(model)
         scale = max(float(np.max(np.abs(pair.eta(rho, mom)))),
@@ -448,7 +450,7 @@ class TestEntropySweep:
             bump_traj, bump_setup.profile, tau=bump_setup.cfg.tau,
             epsilon=bump_setup.cfg.epsilon, seed=3)
         assert len(results) == 3
-        assert len(calls) == len(bump_traj.snapshots)
+        assert len(calls) == len(bump_traj.times)
 
 
 class TestTrapezoidRule:
@@ -480,7 +482,7 @@ class TestTrapezoidRule:
 
         monkeypatch.setattr(np, "trapezoid", scipy_rule)
         assert integrals() == got
-        assert calls == [len(s), len(bump_traj.snapshots)]
+        assert calls == [len(s), len(bump_traj.times)]
 
 
 class TestDissipationIntegral:

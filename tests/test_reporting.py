@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from semiflux.cli import main
+from semiflux.field import solve_field
 from semiflux.monitors import MonitorSuite, evaluate_trajectory
 from semiflux.reporting import _table_text, fmt, load_run_dir, write_run_dir
 from semiflux.scenarios import make_setup
@@ -66,12 +67,12 @@ def test_round_trip_is_bit_exact(tmp_path):
     write_run_dir(tmp_path, traj, setup.profile, report, echo)
     _, back, profile, cfg = load_run_dir(tmp_path)
     assert cfg == setup.cfg
-    assert len(back.snapshots) == len(traj.snapshots) > 2
-    for old, new in zip(traj.snapshots, back.snapshots):
-        assert (new.step, new.time) == (old.step, old.time)
-        assert np.array_equal(new.rho, old.rho)
-        assert np.array_equal(new.mom, old.mom)
-        assert np.array_equal(new.e_vals, old.e_vals)
+    assert len(back.times) == len(traj.times) > 2
+    for name in ("steps", "times", "rho", "mom"):
+        assert np.array_equal(getattr(back, name), getattr(traj, name))
+        assert getattr(back, name).dtype == getattr(traj, name).dtype
+    assert (back.n_steps, back.min_rho_ever) == (traj.n_steps,
+                                                 traj.min_rho_ever)
     assert profile.e_minus == setup.profile.e_minus
     for name in ("a_vals", "b_vals", "c_vals"):
         assert np.array_equal(getattr(profile, name),
@@ -104,15 +105,17 @@ def test_legacy_layout_still_verifies(small_run):
     # and c (profile) must keep verifying
     _, traj, profile, _ = load_run_dir(small_run)
     model, x = traj.model, traj.grid.centers
-    for snap in traj.snapshots:
-        z, w = model.riemann_invariants(snap.rho, snap.mom)
-        cols = [x, snap.rho, snap.mom / snap.rho, snap.mom, snap.e_vals, z, w]
-        head = [f"# step = {snap.step}", f"# time = {fmt(snap.time)}",
+    e_all = solve_field(traj.rho - model.rho_floor, profile, traj.grid)
+    for step, t, rho, mom, e_vals in zip(traj.steps, traj.times, traj.rho,
+                                         traj.mom, e_all):
+        z, w = model.riemann_invariants(rho, mom)
+        cols = [x, rho, mom / rho, mom, e_vals, z, w]
+        head = [f"# step = {step}", f"# time = {fmt(t)}",
                 f"# gamma = {fmt(model.gamma)}",
                 f"# delta = {fmt(model.delta)}",
                 f"# pressure_convention = {model.convention.value}",
                 "# columns: x rho u m E z w"]
-        write_rows(small_run / "snapshots" / f"snap_{snap.step:08d}.dat",
+        write_rows(small_run / "snapshots" / f"snap_{step:08d}.dat",
                    head, [[fmt(v) for v in row] for row in zip(*cols)])
     cols = [x, profile.a_vals, profile.b_vals, profile.c_vals]
     write_rows(small_run / "profile.dat",
@@ -185,10 +188,9 @@ class TestTableTextMatchesReference:
     value (the writer kept in tests/helpers.py)."""
 
     def test_snapshot_and_profile(self, bump_setup, bump_traj):
-        snap = bump_traj.snapshots[-1]
         profile = bump_setup.profile
-        tables = [({"step": snap.step, "time": snap.time},
-                   {"rho": snap.rho, "m": snap.mom}),
+        tables = [({"step": bump_traj.steps[-1], "time": bump_traj.times[-1]},
+                   {"rho": bump_traj.rho[-1], "m": bump_traj.mom[-1]}),
                   ({"e_minus": profile.e_minus},
                    {"x": bump_setup.grid.centers, "a": profile.a_vals,
                     "b": profile.b_vals})]

@@ -127,8 +127,8 @@ class TestConservation:
         raw = 0.8 * np.exp(-x ** 2)
         state = prepare_initial(raw, np.zeros_like(raw), model, cfg, grid)
         traj = run(state, profile, model, cfg, grid, record_every=10 ** 6)
-        m0 = total_integral(traj.snapshots[0].rho, grid.dx)
-        m1 = total_integral(traj.snapshots[-1].rho, grid.dx)
+        m0 = total_integral(traj.rho[0], grid.dx)
+        m1 = total_integral(traj.rho[-1], grid.dx)
         assert traj.completed
         assert traj.n_steps > 100
         assert m1 == pytest.approx(m0, rel=1e-12)
@@ -140,7 +140,7 @@ class TestConservation:
         raw = 0.9 * np.exp(-(x / 0.7) ** 2)
         state = prepare_initial(raw, 0.5 * np.ones_like(raw), model, cfg, grid)
         traj = run(state, profile, model, cfg, grid, record_every=20)
-        masses = [total_integral(s.rho, grid.dx) for s in traj.snapshots]
+        masses = [total_integral(rho, grid.dx) for rho in traj.rho]
         diffs = np.diff(masses)
         assert np.all(diffs <= 1e-12 * masses[0])
 
@@ -162,16 +162,16 @@ class TestFrictionDecay:
         state = HydroState(rho=np.full(grid.n_cells, rho0),
                            mom=np.full(grid.n_cells, rho0 * u0))
         traj = run(state, profile, model, cfg, grid, record_every=10 ** 6)
-        t = traj.snapshots[-1].time
+        t = traj.times[-1]
         if variant is SourceVariant.FULL_DENSITY:
             rate = a / tau
         else:
             rate = a * (rho0 - model.rho_floor) / rho0 / tau
         expected = rho0 * u0 * math.exp(-rate * t)
-        got = traj.snapshots[-1].mom
+        got = traj.mom[-1]
         assert np.all(got == got[0])
         assert got[0] == pytest.approx(expected, rel=1e-12)
-        assert np.all(traj.snapshots[-1].rho == rho0)
+        assert np.all(traj.rho[-1] == rho0)
 
 
 class TestPrepareInitial:
@@ -310,8 +310,9 @@ class TestRun:
                            mom=np.zeros(grid.n_cells))
         traj = run(state, profile, model, cfg, grid)
         assert traj.n_steps == 0
-        assert len(traj.snapshots) == 1
-        assert traj.snapshots[0].time == 0.0
+        assert traj.steps.tolist() == [0]
+        assert traj.times.tolist() == [0.0]
+        assert traj.rho.shape == traj.mom.shape == (1, grid.n_cells)
         assert traj.completed
 
     def test_record_times_land_exactly(self):
@@ -342,6 +343,9 @@ class TestRun:
         traj = run(state, profile, model, cfg, grid)
         assert not traj.completed
         assert traj.failure_time == 0.0
+        # the initial record is still stacked into the arrays
+        assert traj.steps.tolist() == [0] and traj.times.tolist() == [0.0]
+        assert np.array_equal(traj.rho, rho[None, :])
         with pytest.raises(IntegrationError):
             run(state, profile, model, cfg, grid, raise_on_failure=True)
 
@@ -354,6 +358,21 @@ class TestRun:
         assert not traj.completed
         assert 0.0 < traj.failure_time < cfg.t_end
         assert traj.failure_time == sum(traj.dts)
+        assert traj.steps.tolist() == [0]
+        assert traj.rho.shape == traj.mom.shape == (1, grid.n_cells)
+
+    def test_records_are_stacked_float64_rows(self, bump_setup, bump_traj):
+        k, n = len(bump_traj.times), bump_setup.grid.n_cells
+        assert bump_traj.steps.shape == (k,)
+        assert bump_traj.steps[0] == 0
+        assert bump_traj.steps[-1] == bump_traj.n_steps
+        assert np.all(bump_traj.steps[:-1] % 20 == 0)
+        assert bump_traj.times.dtype == np.float64
+        assert bump_traj.times[-1] == bump_setup.cfg.t_end
+        for arr in (bump_traj.rho, bump_traj.mom):
+            assert arr.shape == (k, n) and arr.dtype == np.float64
+        assert np.array_equal(bump_traj.rho[0], bump_setup.initial.rho)
+        assert bump_traj.min_rho_ever <= float(np.min(bump_traj.rho))
 
     def test_min_density_tracking(self, bump_setup):
         setup = bump_setup
@@ -367,7 +386,7 @@ class TestRun:
         state = HydroState(rho=np.ones(grid.n_cells),
                            mom=np.zeros(grid.n_cells))
         traj = run(state, profile, model, cfg, grid, record_every=10 ** 6)
-        assert traj.snapshots[-1].time == 0.37
+        assert traj.times[-1] == 0.37
 
 
 class TestSelfConsistency:
@@ -389,7 +408,7 @@ class TestSelfConsistency:
                                    model, cfg, grid)
             traj = run(init, profile, model, cfg, grid,
                        record_times=[cfg.t_end])
-            runs[n] = (grid.centers, traj.snapshots[-1].rho)
+            runs[n] = (grid.centers, traj.rho[-1])
         xf, rf = runs[fine_n]
         for n in (100, 200):
             xc, rc = runs[n]
