@@ -346,6 +346,8 @@ def cmd_relax(args) -> int:
         print(f"  {r.tau:>10.4g} {r.epsilon:>12.4g} {r.delta:>10.4g} "
               f"{r.l1_error:>12.6g} {r.dissipation:>12.6g} "
               f"{r.l1_net:>12.6g}")
+    print(f"drift-diffusion reference: {study.reference.n_steps} steps, "
+          f"{study.reference.halvings} dt halvings")
     print(f"l1 errors strictly decreasing: {'yes' if study.monotone else 'NO'}")
     print(f"wrote {out_dir}")
     return 0 if study.monotone else CHECK_FAILED

@@ -6,7 +6,8 @@ solve is involved.  The a-priori sup bound
 
     |E| <= |e_minus| + int (rho0 - 2*delta) dx + int |b| dx
 
-is computed separately by `field_bound`, only where a monitor needs it.
+is computed separately by `field_bound` (or `mass_field_bound`, from masses
+already at hand), only where a monitor needs it.
 """
 
 from __future__ import annotations
@@ -25,9 +26,20 @@ def solve_field(excess, profile: DeviceProfile, grid: Grid1D) -> np.ndarray:
         np.asarray(excess, dtype=float) - profile.b_vals, grid.dx)
 
 
+def doping_mass(profile: DeviceProfile, grid: Grid1D) -> float:
+    """int |b| dx, the doping's share of the field bound."""
+    return total_integral(np.abs(profile.b_vals), grid.dx)
+
+
+def mass_field_bound(excess_mass: float, doping: float,
+                     e_minus: float) -> float:
+    """|e_minus| + int (rho - 2*delta) + int |b| from the two masses: the
+    one formula of the bound, for an audit that has both masses at hand."""
+    return abs(e_minus) + excess_mass + doping
+
+
 def field_bound(state: HydroState, profile: DeviceProfile, model: GasModel,
                 grid: Grid1D) -> float:
     """Sup-norm bound on E built from the state's excess mass and the doping."""
-    excess_mass = total_integral(state.excess(model), grid.dx)
-    doping_mass = total_integral(np.abs(profile.b_vals), grid.dx)
-    return abs(profile.e_minus) + excess_mass + doping_mass
+    return mass_field_bound(total_integral(state.excess(model), grid.dx),
+                            doping_mass(profile, grid), profile.e_minus)

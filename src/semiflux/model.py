@@ -271,7 +271,13 @@ def validate_uniform_hypotheses(a_vals, b_vals, e_minus, grid: Grid1D) -> Profil
     """
     a = np.asarray(a_vals, dtype=float)
     b = np.asarray(b_vals, dtype=float)
-    dx = grid.dx
+    return _check_profile(a, b, e_minus, grid.dx,
+                          derived_c_profile(a, b, e_minus, grid.dx))
+
+
+def _check_profile(a, b, e_minus, dx: float, c) -> ProfileCheck:
+    """`validate_uniform_hypotheses` on float arrays, with the derived C
+    profile `c` already computed."""
     tol_a = 1e-10 * max(1.0, float(np.max(np.abs(a))))
 
     conditions: dict[str, bool] = {}
@@ -298,7 +304,6 @@ def validate_uniform_hypotheses(a_vals, b_vals, e_minus, grid: Grid1D) -> Profil
     record("damping non-increasing", bool(np.all(np.gradient(a, dx) <= tol_a)))
 
     if a_min > 0.0:
-        c = derived_c_profile(a, b, e_minus, dx)
         tol_c = 1e-10 * max(1.0, float(np.max(np.abs(c))))
         record("C non-decreasing", bool(np.all(np.gradient(c, dx) >= -tol_c)))
     else:  # C is undefined where a vanishes
@@ -335,8 +340,8 @@ class DeviceProfile:
             raise ConfigurationError("profile arrays must match the grid")
         if np.any(a < 0.0):
             raise ConfigurationError("damping coefficient must be non-negative")
-        check = validate_uniform_hypotheses(a, b, e_minus, grid)
         c = derived_c_profile(a, b, e_minus, grid.dx)
+        check = _check_profile(a, b, e_minus, grid.dx, c)
         return cls(a_vals=a, b_vals=b, e_minus=float(e_minus), c_vals=c,
                    uniform_ok=check.ok, check=check)
 

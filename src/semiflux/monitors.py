@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field import field_bound, solve_field
+from .field import doping_mass, mass_field_bound, solve_field
 from .model import (Boundary, DeviceProfile, GasModel, Grid1D, HydroState,
                     PressureConvention, _powm1_over, total_integral)
 from .solver import SourceVariant, Trajectory, source
@@ -82,7 +82,8 @@ def evaluate_trajectory(traj: Trajectory, profile: DeviceProfile,
 
     first = HydroState(rho=traj.rho[0], mom=traj.mom[0])
     mass0 = excess_mass(first, model, grid)
-    bound0 = field_bound(first, profile, model, grid)
+    doping = doping_mass(profile, grid)
+    bound0 = mass_field_bound(mass0, doping, profile.e_minus)
     z0, w0 = model.riemann_invariants(np.maximum(first.rho, model.rho_floor),
                                       first.mom)
     m2 = float(max(np.max(z0), np.max(w0)))
@@ -104,7 +105,7 @@ def evaluate_trajectory(traj: Trajectory, profile: DeviceProfile,
         sup_rho = float(np.max(rho))
         sup_u = float(np.max(np.abs(u)))
         sup_field = float(np.max(np.abs(e_vals)))
-        dyn_bound = field_bound(state, profile, model, grid)
+        dyn_bound = mass_field_bound(mass, doping, profile.e_minus)
         m1_running = max(m1_running, dyn_bound)
         z, w = model.riemann_invariants(rho_safe, mom)
         z_max, w_max = float(np.max(z)), float(np.max(w))

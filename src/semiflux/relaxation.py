@@ -6,8 +6,11 @@ limits onto
     N_s + J_x = 0,     a(x) J = N Upsilon - P(N)_x,     Upsilon_x = N - b,
 
 as tau -> 0 with delta = tau and eps shrinking like o(sqrt(P'(2*delta)) tau).
-This module integrates the limit system with an explicit conservative scheme
-(vacuum offset set to zero) and drives the tau-ladder study on a scenario's
+This module integrates the limit system (vacuum offset set to zero) with a
+conservative, linearly implicit midpoint scheme: two tridiagonal solves per
+step, each by a numpy-only Thomas sweep (Sherman-Morrison on a periodic
+grid), so the step is bounded by the drift alone, not by dx^2.  It also
+drives the tau-ladder study on a scenario's
 RunSetup, the same one `solve` and `picard` build: each rung swaps delta and
 the solver coefficients into the setup's model and config, each hydro run
 records exactly at t = s/tau, its stacked records are read as N = rho and
@@ -25,8 +28,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .field import solve_field
-from .model import (ConfigurationError, DeviceProfile, GasModel, Grid1D,
-                    PressureConvention)
+from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
+                    Grid1D, PressureConvention)
 from .scenarios import RunSetup
 from .solver import SourceVariant, prepare_initial, run
 
@@ -51,38 +54,122 @@ def _dd_face_flux(n_vals, upsilon, profile: DeviceProfile, model: GasModel,
     return (drift_face - grad_face) / a_face
 
 
-def dd_stable_dt(n_vals, upsilon, profile: DeviceProfile, model: GasModel,
-                 grid: Grid1D, cfl: float) -> float:
-    a_min = float(np.min(profile.a_vals))
-    diff = float(np.max(model.dpressure(np.maximum(n_vals, 0.0))))
+def _dd_face_slopes(n_lin, upsilon, profile: DeviceProfile, model: GasModel,
+                    grid: Grid1D):
+    """Derivatives of each face flux with respect to the density of the cell
+    on its left and on its right, Upsilon frozen and P' taken at `n_lin`."""
+    up_e, dp_e, a_e = grid.extend(np.stack(
+        (upsilon, model.dpressure(n_lin), profile.a_vals), dtype=float))
+    a_face = 0.5 * (a_e[:-1] + a_e[1:])
+    left = (0.5 * up_e[:-1] + dp_e[:-1] / grid.dx) / a_face
+    right = (0.5 * up_e[1:] - dp_e[1:] / grid.dx) / a_face
+    return left, right
+
+
+def _thomas(lower, diag, upper, rhs) -> np.ndarray:
+    """Solve the tridiagonal system with sub-, main and super-diagonal rows
+    `lower`, `diag`, `upper` (lower[0] and upper[-1] unused) by one forward
+    and one backward sweep."""
+    lo, up, r = lower.tolist(), upper.tolist(), rhs.tolist()
+    c_prime = [0.0] * len(r)
+    x = list(r)
+    prev_c, prev_x = 0.0, 0.0
+    for i, d in enumerate(diag.tolist()):
+        denom = d - lo[i] * prev_c
+        prev_c = c_prime[i] = up[i] / denom
+        prev_x = x[i] = (r[i] - lo[i] * prev_x) / denom
+    for i in range(len(r) - 2, -1, -1):
+        prev_x = x[i] = x[i] - c_prime[i] * prev_x
+    return np.array(x)
+
+
+def _dd_increment(n_lin, upsilon, profile: DeviceProfile, model: GasModel,
+                  grid: Grid1D, half_dt: float, residual) -> np.ndarray:
+    """The increment d of one linearised backward-Euler step,
+    (I - half_dt * A) d = half_dt * residual, with A the Jacobian of the
+    flux divergence at `n_lin` (Upsilon frozen).  Outflow ghosts copy the
+    edge cell; a periodic system is cyclic and is solved by
+    Sherman-Morrison."""
+    left, right = _dd_face_slopes(n_lin, upsilon, profile, model, grid)
+    r = half_dt / grid.dx
+    lower = -r * left[:-1]
+    upper = r * right[1:]
+    diag = 1.0 + r * (left[1:] - right[:-1])
+    rhs = half_dt * residual
+    if grid.boundary is Boundary.OUTFLOW:
+        diag[0] += lower[0]
+        diag[-1] += upper[-1]
+        return _thomas(lower, diag, upper, rhs)
+    # periodic: lower[0] couples cell 0 to cell n-1, upper[-1] the reverse
+    # A = T + u v^T with u = (shift, 0, .., corner_up) and
+    # v = (1, 0, .., corner_lo / shift): solve T y = rhs and T z = u
+    corner_lo, corner_up = lower[0], upper[-1]
+    shift = -diag[0]
+    diag[0] -= shift
+    diag[-1] -= corner_up * corner_lo / shift
+    y = _thomas(lower, diag, upper, rhs)
+    u = np.zeros_like(rhs)
+    u[0], u[-1] = shift, corner_up
+    z = _thomas(lower, diag, upper, u)
+    ratio = corner_lo / shift
+    return y - (y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1]) * z
+
+
+def _dd_residual(n_vals, upsilon, profile: DeviceProfile, model: GasModel,
+                 grid: Grid1D) -> np.ndarray:
+    """N_s = -J_x as the divergence of the face flux."""
+    j_face = _dd_face_flux(n_vals, upsilon, profile, model, grid)
+    return (j_face[:-1] - j_face[1:]) / grid.dx
+
+
+def dd_stable_dt(upsilon, profile: DeviceProfile, grid: Grid1D,
+                 cfl: float) -> float:
+    """The drift limit cfl * dx * min a / max |Upsilon|; inf where the field
+    vanishes.  The implicit diffusion sets no limit."""
     drift = float(np.max(np.abs(upsilon)))
-    dt = cfl * grid.dx ** 2 * a_min / (2.0 * diff) if diff > 0.0 else math.inf
-    if drift > 0.0:
-        dt = min(dt, cfl * grid.dx * a_min / drift)
-    return dt
+    if drift == 0.0:
+        return math.inf
+    return cfl * grid.dx * float(np.min(profile.a_vals)) / drift
 
 
 def drift_diffusion_step(n_vals, upsilon, profile: DeviceProfile,
                          model: GasModel, grid: Grid1D, dt_s: float):
-    """Conservative explicit update from N with its field Upsilon; halves dt
-    on a positivity violation and gives up after 40 halvings.  Returns
-    (n_new, upsilon_new, dt_used), the new field solved once."""
-    j_face = _dd_face_flux(n_vals, upsilon, profile, model, grid)
+    """Linearly implicit midpoint step from N with its field Upsilon.
+
+    A linearised backward-Euler half step with the coefficients at N gives
+    N*; a second half step from N, with Upsilon and P' at N*, gives the
+    midpoint M, and the new density is 2 M - N = N + 2 (M - N).  Both half
+    steps are in increment form, so a state with zero residual does not
+    move.  Halves dt when N* or the new density goes negative and gives up
+    after 40 halvings.  Returns (n_new, upsilon_new, dt_used, halvings)."""
+    residual = _dd_residual(n_vals, upsilon, profile, model, grid)
     dt = dt_s
-    for _ in range(41):
-        n_new = n_vals - (dt / grid.dx) * (j_face[1:] - j_face[:-1])
-        if np.all(n_new >= 0.0):
-            return n_new, solve_field(n_new, profile, grid), dt
-        dt *= 0.5
+    for halvings in range(41):
+        half = 0.5 * dt
+        n_star = n_vals + _dd_increment(n_vals, upsilon, profile, model, grid,
+                                        half, residual)
+        if np.all(n_star >= 0.0):
+            ups_star = solve_field(n_star, profile, grid)
+            n_new = n_vals + 2.0 * _dd_increment(
+                n_star, ups_star, profile, model, grid, half,
+                _dd_residual(n_vals, ups_star, profile, model, grid))
+            if np.all(n_new >= 0.0):
+                return (n_new, solve_field(n_new, profile, grid), dt,
+                        halvings)
+        dt = half
     raise PositivityError(
         "drift-diffusion density stayed negative after 40 dt halvings")
 
 
 @dataclass
 class DDTrajectory:
-    """Recorded slow times (k,) and densities N (k, n_cells); no field."""
+    """Recorded slow times (k,) and densities N (k, n_cells); no field.
+    `n_steps` counts the steps taken, `halvings` the dt halvings that
+    positivity forced along the way."""
     s_values: np.ndarray
     n_vals: np.ndarray
+    n_steps: int
+    halvings: int
 
 
 def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
@@ -99,20 +186,21 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
     s_out, n_out = [0.0], [n_vals]
     tiny = 1e-12 * max(s_end, 1.0)
     next_rec = 0
-    k = 0
+    k = halvings = 0
     while s < s_end - tiny and k < max_steps:
         target = s_end
         if next_rec < len(rec) and rec[next_rec] > s + tiny:
             target = min(target, rec[next_rec])
-        dt = dd_stable_dt(n_vals, upsilon, profile, model, grid, cfl)
+        dt = dd_stable_dt(upsilon, profile, grid, cfl)
         gap = target - s
         try:
-            n_vals, upsilon, dt_used = drift_diffusion_step(
+            n_vals, upsilon, dt_used, halved = drift_diffusion_step(
                 n_vals, upsilon, profile, model, grid, min(dt, gap))
         except PositivityError as err:
             raise PositivityError(f"{err} at s = {s!r}") from None
         s = target if dt_used >= gap - tiny else s + dt_used
         k += 1
+        halvings += halved
         due = False
         while next_rec < len(rec) and s >= rec[next_rec] - tiny:
             next_rec += 1
@@ -123,7 +211,8 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
     if s < s_end - tiny:
         raise RuntimeError(f"drift-diffusion reference stopped by max_steps = "
                            f"{max_steps} at s = {s!r}, before s_end = {s_end!r}")
-    return DDTrajectory(s_values=np.array(s_out), n_vals=np.array(n_out))
+    return DDTrajectory(s_values=np.array(s_out), n_vals=np.array(n_out),
+                        n_steps=k, halvings=halvings)
 
 
 # --- the tau-ladder study ----------------------------------------------------

@@ -14,6 +14,7 @@ from semiflux.model import (GasModel, HydroState, PressureConvention,
 from semiflux.monitors import (TestFunction, mechanical_energy_pair,
                                random_test_function)
 from semiflux.picard import PicardIterate
+from semiflux.relaxation import PositivityError, _dd_face_flux
 from semiflux.reporting import fmt
 from semiflux.solver import (IntegrationError, SourceVariant, StepReport,
                              flux, source)
@@ -268,3 +269,48 @@ def entropy_spot_check_pairs_reference(traj, profile, tau, epsilon, seed,
         out.append((entropy_residual_reference(traj, profile, pair, phi, tau,
                                                source_variant), tol))
     return out
+
+
+def explicit_dd_dt(n_vals, upsilon, profile, model, grid, cfl):
+    """The explicit drift-diffusion step limit: the dx^2 diffusion limit
+    cfl dx^2 min a / (2 max P') and the drift limit
+    cfl dx min a / max |Upsilon|."""
+    a_min = float(np.min(profile.a_vals))
+    diff = float(np.max(model.dpressure(np.maximum(n_vals, 0.0))))
+    drift = float(np.max(np.abs(upsilon)))
+    dt = cfl * grid.dx ** 2 * a_min / (2.0 * diff) if diff > 0.0 else np.inf
+    if drift > 0.0:
+        dt = min(dt, cfl * grid.dx * a_min / drift)
+    return dt
+
+
+def explicit_dd_step(n_vals, upsilon, profile, model, grid, dt_s):
+    """Forward-Euler conservative update of N, dt halved on a positivity
+    violation up to 40 times; returns (n_new, dt_used)."""
+    j_face = _dd_face_flux(n_vals, upsilon, profile, model, grid)
+    dt = dt_s
+    for _ in range(41):
+        n_new = n_vals - (dt / grid.dx) * (j_face[1:] - j_face[:-1])
+        if np.all(n_new >= 0.0):
+            return n_new, dt
+        dt *= 0.5
+    raise PositivityError("explicit reference stayed negative")
+
+
+def explicit_dd_run(n0, profile, model, grid, s_records, cfl=0.45):
+    """The explicit drift-diffusion reference: N (k, n_cells) at each of the
+    increasing slow times `s_records`, the first of which is 0."""
+    n_vals = np.asarray(n0, dtype=float)
+    upsilon = solve_field(n_vals, profile, grid)
+    out, s = [n_vals], 0.0
+    for target in s_records[1:]:
+        while s < target:
+            gap = target - s
+            dt = min(explicit_dd_dt(n_vals, upsilon, profile, model, grid,
+                                    cfl), gap)
+            n_vals, dt_used = explicit_dd_step(n_vals, upsilon, profile,
+                                               model, grid, dt)
+            upsilon = solve_field(n_vals, profile, grid)
+            s = target if dt_used == gap else s + dt_used
+        out.append(n_vals)
+    return np.array(out)

@@ -433,15 +433,20 @@ class TestRelaxCommand:
         out = tmp_path / "relax"
         rc = main(["relax", "--config", cfg, "--out-dir", str(out)])
         assert rc == 0
-        assert "strictly decreasing: yes" in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert "strictly decreasing: yes" in stdout
+        # 21 records over the horizon bound the reference's step at n = 150
+        assert "drift-diffusion reference: 20 steps, 0 dt halvings" in stdout
         rows = (out / "relax_table.csv").read_text().splitlines()
         assert rows[0] == "tau,epsilon,delta,l1_error,dissipation,l1_net"
         errs = [float(r.split(",")[3]) for r in rows[1:]]
         assert errs[0] > errs[1] > errs[2]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["monotone"] is True
-        # the table is the one place the rows are written
+        # the table is the one place the rows are written, and the
+        # reference's step counts are diagnostics kept off the files
         assert "rows" not in manifest
+        assert not {"n_steps", "halvings"} & set(manifest)
 
     def test_detuned_sweep_fails(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (

@@ -29,9 +29,9 @@ def test_help_exits_cleanly(path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name,args", [
-    # three levels, so at least one reduction factor and one order are gated
+    # three levels, so at least one reduction factor is gated
     ("grid_refinement.py", ["--levels", "3", "--base-n", "100",
-                            "--t-end", "0.05", "--s-end", "0.005"]),
+                            "--t-end", "0.05"]),
     ("long_run_bounds.py", ["--scenario", "gaussian-bump",
                             "--n-cells", "64", "--t-end", "0.5"]),
 ], ids=["grid_refinement.py", "long_run_bounds.py"])
