@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from semiflux import SCENARIOS, MonitorSuite, evaluate_trajectory, make_setup
+from semiflux import SCENARIOS, evaluate_trajectory, make_setup
 from semiflux.monitors import MONITOR_COLUMNS
 from semiflux.solver import run
 
@@ -25,7 +25,7 @@ def audit_one(name, n_cells, t_end, cadence):
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
                setup.grid, record_every=cadence)
     wall = time.perf_counter() - t0
-    report = evaluate_trajectory(traj, setup.profile, MonitorSuite())
+    report = evaluate_trajectory(traj, setup.profile)
     rows = np.asarray(report.rows)
     floor = 2.0 * setup.model.delta
     mass = rows[:, COL["mass"]]

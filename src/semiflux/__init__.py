@@ -11,14 +11,12 @@ The package tracks three layers of structure side by side:
   stiff-damping sweep toward the drift-diffusion regime.
 """
 
-from .field import field_bound, solve_field
+from .field import mass_field_bound, solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, HydroState, PressureConvention, ProfileCheck,
-                    cumulative_integral, total_integral,
-                    validate_uniform_hypotheses)
-from .monitors import (ALL_MONITORS, EntropyPair, MonitorReport, MonitorSuite,
-                       TestFunction, convexity_check, entropy_residual,
-                       entropy_spot_check, evaluate_trajectory,
+                    cumulative_integral, total_integral)
+from .monitors import (ALL_MONITORS, EntropyPair, MonitorReport, TestFunction,
+                       entropy_spot_check, entropy_sweep, evaluate_trajectory,
                        mechanical_energy_pair, plateau_check)
 from .picard import (ContractionReport, HeatKernel, PicardIterate,
                      PicardResult, picard_solve, picard_step)
@@ -35,15 +33,14 @@ __all__ = [
     "ALL_MONITORS", "Boundary", "ConfigurationError", "ContractionReport",
     "CouplingRule", "DDTrajectory", "DeviceProfile",
     "EntropyPair", "GasModel", "Grid1D", "HeatKernel", "HydroState",
-    "IntegrationError", "MonitorReport", "MonitorSuite", "PicardIterate",
+    "IntegrationError", "MonitorReport", "PicardIterate",
     "PicardResult", "PressureConvention",
     "ProfileCheck", "RunSetup", "SCENARIOS",
     "SolverConfig", "SourceVariant", "StepReport", "StudyResult", "StudyRow",
-    "TestFunction", "Trajectory", "convexity_check", "cumulative_integral",
-    "dissipation_integral", "drift_diffusion_run", "entropy_residual",
-    "entropy_spot_check", "evaluate_trajectory", "field_bound",
-    "make_setup", "mechanical_energy_pair", "picard_solve",
+    "TestFunction", "Trajectory", "cumulative_integral",
+    "dissipation_integral", "drift_diffusion_run", "entropy_spot_check",
+    "entropy_sweep", "evaluate_trajectory", "make_setup", "mass_field_bound",
+    "mechanical_energy_pair", "picard_solve",
     "picard_step", "plateau_check", "prepare_initial", "relaxation_study",
-    "run", "solve_field", "step", "total_integral",
-    "validate_uniform_hypotheses", "__version__",
+    "run", "solve_field", "step", "total_integral", "__version__",
 ]

@@ -18,8 +18,9 @@ settings of its config echo, through ``reporting.load_run_dir``.
 
 Exit codes: 0 all checks passed, 1 a check or monitor failed, 2 bad usage,
 unreadable input, or malformed configuration (an unknown key, a value its
-key's type cannot read, or a scenario whose profile fails its declared
-check).
+key's type cannot read, in a config file or in a stored run's config echo,
+a scenario whose profile fails its declared check, or a relax device whose
+drift-diffusion reference cannot keep its density non-negative).
 """
 
 from __future__ import annotations
@@ -37,12 +38,10 @@ import numpy as np
 from .config import (PICARD_KEYS, RELAX_KEYS, SCENARIO_KEYS, SOLVE_KEYS,
                      coerce, parse_key_value)
 from .model import ConfigurationError, Grid1D, HydroState
-from .monitors import (ALL_MONITORS, MonitorSuite, entropy_spot_check,
-                       evaluate_trajectory)
+from .monitors import ALL_MONITORS, entropy_spot_check, evaluate_trajectory
 from .picard import HeatKernel, picard_solve
 from .relaxation import CouplingRule, relaxation_study
-from .reporting import (fmt, json_text, load_run_dir, monitors_csv_text,
-                        write_run_dir)
+from .reporting import csv_text, json_text, load_run_dir, write_run_dir
 from .scenarios import make_setup
 from .solver import SolverConfig, run
 
@@ -125,8 +124,7 @@ def cmd_solve(args) -> int:
                setup.grid, record_every=cadence)
 
     t1 = time.perf_counter()
-    suite = MonitorSuite(enabled=enabled)
-    report = evaluate_trajectory(traj, setup.profile, suite)
+    report = evaluate_trajectory(traj, setup.profile, enabled)
     t2 = time.perf_counter()
     extra = {}
     if "entropy" in enabled:
@@ -173,7 +171,7 @@ def _cross_check(result, picard_grid: Grid1D, cfg: SolverConfig, t1: float,
                record_times=[t1])
     if not traj.completed:
         return None
-    x, end = picard_grid.centers, result.endpoint
+    x, end = picard_grid.centers, result.iterate.endpoint()
     gap = float(sum(np.max(np.abs(got - np.interp(x, grid.centers, rec[-1])))
                     for got, rec in ((end.rho, traj.rho), (end.mom, traj.mom))))
     dt_mean = float(np.mean(traj.dts)) if traj.dts else 0.0
@@ -204,18 +202,20 @@ def _first_difference(stored: str, fresh: str, csv: bool) -> str:
 def cmd_verify(args) -> int:
     payload, traj, profile, cfg = load_run_dir(args.run_dir)
     echo = payload["config"]
-    enabled = parse_monitor_list(echo.get("monitors", "all"))
-    suite = MonitorSuite(enabled=enabled)
-    report = evaluate_trajectory(traj, profile, suite)
+    audit = coerce({"monitors": echo.get("monitors", "all"),
+                    "seed": echo["seed"]}, SOLVE_KEYS)
+    enabled = parse_monitor_list(audit["monitors"])
+    report = evaluate_trajectory(traj, profile, enabled)
     if "entropy" in enabled:
         _, ent_viols = entropy_spot_check(
             traj, profile, tau=cfg.tau, epsilon=cfg.epsilon,
-            seed=int(echo["seed"]), source_variant=cfg.source_variant)
+            seed=audit["seed"], source_variant=cfg.source_variant)
         report.violations.extend(ent_viols)
 
     run_dir = Path(args.run_dir)
     ok = True
-    for fname, fresh in (("monitors.csv", monitors_csv_text(report)),
+    for fname, fresh in (("monitors.csv", csv_text(report.columns,
+                                                    report.rows)),
                          ("violations.json", json_text(report.violations))):
         stored = (run_dir / fname).read_text()
         if fresh == stored:
@@ -273,10 +273,9 @@ def cmd_picard(args) -> int:
     ratios = [rep.ratios[i - 1] if 1 <= i <= len(rep.ratios) else float("nan")
               for i in range(len(rep.distances))]
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["iteration,distance,ratio"]
-    lines += [f"{i},{fmt(d)},{fmt(r)}"
-              for i, (d, r) in enumerate(zip(rep.distances, ratios))]
-    (out_dir / "contraction.csv").write_text("\n".join(lines) + "\n")
+    (out_dir / "contraction.csv").write_text(csv_text(
+        ("iteration", "distance", "ratio"),
+        zip(range(len(ratios)), rep.distances, ratios)))
     summary = {
         "distances": rep.distances, "ratios": rep.ratios,
         "converged": rep.converged, "diverged": rep.diverged,
@@ -330,12 +329,9 @@ def cmd_relax(args) -> int:
         **_given(vals, ("horizon", "n_s_records", "s0_frac")))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["tau,epsilon,delta,l1_error,dissipation,l1_net"]
-    for r in study.rows:
-        lines.append(",".join(fmt(v) for v in
-                              (r.tau, r.epsilon, r.delta, r.l1_error,
-                               r.dissipation, r.l1_net)))
-    (out_dir / "relax_table.csv").write_text("\n".join(lines) + "\n")
+    columns = ("tau", "epsilon", "delta", "l1_error", "dissipation", "l1_net")
+    (out_dir / "relax_table.csv").write_text(csv_text(
+        columns, [[getattr(r, c) for c in columns] for r in study.rows]))
     (out_dir / "manifest.json").write_text(
         json_text({**study.manifest, "monotone": study.monotone}))
 

@@ -75,6 +75,9 @@ def coerce(raw: dict, schema: dict) -> dict:
         if key not in schema:
             raise ConfigurationError(f"unknown configuration key {key!r}")
         kind = schema[key]
+        if kind is str and not isinstance(val, str):
+            raise ConfigurationError(
+                f"bad value for {key!r}: {val!r} (not a string)")
         try:
             out[key] = kind(val)
         except (TypeError, ValueError) as err:

@@ -6,16 +6,15 @@ solve is involved.  The a-priori sup bound
 
     |E| <= |e_minus| + int (rho0 - 2*delta) dx + int |b| dx
 
-is computed separately by `field_bound` (or `mass_field_bound`, from masses
-already at hand), only where a monitor needs it.
+is computed separately, by `mass_field_bound` from the excess mass and the
+doping mass `doping_mass`, only where a monitor needs it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import (DeviceProfile, GasModel, Grid1D, HydroState,
-                    cumulative_integral, total_integral)
+from .model import DeviceProfile, Grid1D, cumulative_integral, total_integral
 
 
 def solve_field(excess, profile: DeviceProfile, grid: Grid1D) -> np.ndarray:
@@ -34,12 +33,5 @@ def doping_mass(profile: DeviceProfile, grid: Grid1D) -> float:
 def mass_field_bound(excess_mass: float, doping: float,
                      e_minus: float) -> float:
     """|e_minus| + int (rho - 2*delta) + int |b| from the two masses: the
-    one formula of the bound, for an audit that has both masses at hand."""
+    one formula of the bound."""
     return abs(e_minus) + excess_mass + doping
-
-
-def field_bound(state: HydroState, profile: DeviceProfile, model: GasModel,
-                grid: Grid1D) -> float:
-    """Sup-norm bound on E built from the state's excess mass and the doping."""
-    return mass_field_bound(total_integral(state.excess(model), grid.dx),
-                            doping_mass(profile, grid), profile.e_minus)

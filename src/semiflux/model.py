@@ -90,6 +90,11 @@ class GasModel:
             return rho ** (self.gamma - 1.0)
         return self.gamma * rho ** (self.gamma - 1.0)
 
+    def _spread(self, rho, excess):
+        """(excess/rho) * sqrt(P'(rho)) with excess = rho - 2*delta: half the
+        gap between the characteristic speeds; unchecked."""
+        return excess / rho * np.sqrt(self._dp(rho))
+
     @functools.cached_property
     def _p1_floor_terms(self):
         """rho-free terms of `_p1`: P(2d) and the 2d tail, or 2d - 2d log 2d."""
@@ -130,9 +135,6 @@ class GasModel:
         """P'(rho); equals rho**(gamma-1) under the 1/gamma normalization."""
         return self._dp(self._checked(rho))
 
-    def sound_speed(self, rho):
-        return np.sqrt(self.dpressure(rho))
-
     def perturbed_pressure(self, rho):
         """P1(rho, delta) of admissible densities (see `_p1`)."""
         val = self._p1(self._checked(rho, self.admissible_floor))
@@ -143,7 +145,7 @@ class GasModel:
         rho = self._checked(rho, self.admissible_floor)
         mom = np.asarray(mom, dtype=float)
         u = mom / rho
-        spread = (rho - self.rho_floor) / rho * np.sqrt(self._dp(rho))
+        spread = self._spread(rho, rho - self.rho_floor)
         lam1, lam2 = u - spread, u + spread
         if lam1.shape:
             return lam1, lam2
@@ -162,12 +164,10 @@ class GasModel:
         """int_l^rho sqrt(P'(s))/s ds with the canonical lower limit l."""
         rho = np.asarray(rho, dtype=float)
         coef = math.sqrt(self.gamma) if self.convention is PressureConvention.PLAIN else 1.0
-        th = self.theta
+        lower, th = self.canonical_lower_ref(), self.theta
         if self.gamma == 1.0:
-            return coef * np.log(rho)
-        if self.gamma >= 3.0:
-            return coef * (rho ** th - self.rho_floor ** th) / th
-        return coef * rho ** th / th
+            return coef * (np.log(rho) - math.log(lower))
+        return coef * (rho ** th - lower ** th) / th
 
     def riemann_invariants(self, rho, mom):
         """z = sound_integral(rho) - u and w = sound_integral(rho) + u, with
@@ -204,10 +204,6 @@ class Grid1D:
     @property
     def centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
-
-    @property
-    def faces(self) -> np.ndarray:
-        return self.x_min + np.arange(self.n_cells + 1) * self.dx
 
     def extend(self, arr: np.ndarray) -> np.ndarray:
         """Pad the last axis with one ghost cell per side: the wrapped
@@ -246,13 +242,6 @@ class HydroState:
         if self.rho.shape != self.mom.shape:
             raise ConfigurationError("rho and mom must share a shape")
 
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.mom / self.rho
-
-    def excess(self, model: GasModel) -> np.ndarray:
-        return self.rho - model.rho_floor
-
 
 @dataclass(frozen=True)
 class ProfileCheck:
@@ -263,21 +252,12 @@ class ProfileCheck:
     conditions: dict = field(default_factory=dict)
 
 
-def validate_uniform_hypotheses(a_vals, b_vals, e_minus, grid: Grid1D) -> ProfileCheck:
-    """Check the damping/doping conditions under which sup-norm bounds stay
-    uniform in time: a positive and non-increasing, doping non-negative with
-    total charge below the far-field datum (waived when the doping is
-    everywhere non-positive), and the derived C profile non-decreasing.
-    """
-    a = np.asarray(a_vals, dtype=float)
-    b = np.asarray(b_vals, dtype=float)
-    return _check_profile(a, b, e_minus, grid.dx,
-                          derived_c_profile(a, b, e_minus, grid.dx))
-
-
 def _check_profile(a, b, e_minus, dx: float, c) -> ProfileCheck:
-    """`validate_uniform_hypotheses` on float arrays, with the derived C
-    profile `c` already computed."""
+    """Check the damping/doping conditions under which sup-norm bounds stay
+    uniform in time, on float arrays with the derived C profile `c`: a
+    positive and non-increasing, doping non-negative with total charge below
+    the far-field datum (waived when the doping is everywhere non-positive),
+    and C non-decreasing."""
     tol_a = 1e-10 * max(1.0, float(np.max(np.abs(a))))
 
     conditions: dict[str, bool] = {}
@@ -323,13 +303,13 @@ def derived_c_profile(a_vals, b_vals, e_minus, dx: float) -> np.ndarray:
 @dataclass(frozen=True)
 class DeviceProfile:
     """Damping coefficient a(x), doping b(x), far-field datum, and the derived
-    C profile with its hypothesis check; c_vals is NaN where a(x) = 0."""
+    C profile with its hypothesis check (`check.ok`: the time-uniform bounds
+    apply); c_vals is NaN where a(x) = 0."""
 
     a_vals: np.ndarray
     b_vals: np.ndarray
     e_minus: float
     c_vals: np.ndarray
-    uniform_ok: bool
     check: ProfileCheck
 
     @classmethod
@@ -343,7 +323,7 @@ class DeviceProfile:
         c = derived_c_profile(a, b, e_minus, grid.dx)
         check = _check_profile(a, b, e_minus, grid.dx, c)
         return cls(a_vals=a, b_vals=b, e_minus=float(e_minus), c_vals=c,
-                   uniform_ok=check.ok, check=check)
+                   check=check)
 
     @classmethod
     def uniform(cls, grid: Grid1D, a: float = 1.0, b: float = 0.0,
@@ -363,7 +343,7 @@ class AuxFields:
 
 def build_aux_fields(state: HydroState, profile: DeviceProfile,
                      model: GasModel, grid: Grid1D) -> AuxFields:
-    charge = cumulative_integral(state.excess(model), grid.dx)
+    charge = cumulative_integral(state.rho - model.rho_floor, grid.dx)
     a = profile.a_vals
     a_prime = np.gradient(a, grid.dx)
     return AuxFields(

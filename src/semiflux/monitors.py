@@ -8,21 +8,21 @@ Monitored quantities: excess mass (non-increasing under outflow, constant
 under periodic), the field sup-bound ratio, growth of the Riemann invariants
 max z, max w <= M2 + M1*t, sup-norm plateaus under the uniform-bound
 hypotheses, and the weak entropy inequality against compactly supported test
-functions.  The entropy audit is one sweep over the snapshots: each
-snapshot's densities are evaluated once and shared by every test function
-and by the tolerance scale.
+functions.  `evaluate_trajectory` audits the monitors named in `enabled`
+(the command line validates that list).  The entropy audit is one
+`entropy_sweep` over the snapshots: each snapshot's densities are evaluated
+once and shared by every test function and by the tolerance scale.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .field import doping_mass, mass_field_bound, solve_field
-from .model import (Boundary, DeviceProfile, GasModel, Grid1D, HydroState,
-                    PressureConvention, _powm1_over, total_integral)
+from .model import (Boundary, DeviceProfile, GasModel, PressureConvention,
+                    _powm1_over, total_integral)
 from .solver import SourceVariant, Trajectory, source
 
 ALL_MONITORS = ("positivity", "mass", "field", "riemann", "uniform", "entropy")
@@ -35,16 +35,6 @@ FIELD_TOL = 1e-12
 RIEMANN_TOL = 1e-6
 # allowed late-over-early growth of a plateaued sup-norm
 PLATEAU_TOL = 0.01
-
-
-@dataclass(frozen=True)
-class MonitorSuite:
-    enabled: tuple = ALL_MONITORS
-
-    def __post_init__(self):
-        unknown = set(self.enabled) - set(ALL_MONITORS)
-        if unknown:
-            raise ValueError(f"unknown monitors: {sorted(unknown)}")
 
 
 MONITOR_COLUMNS = (
@@ -62,10 +52,6 @@ class MonitorReport:
     summary: dict = field(default_factory=dict)
 
 
-def excess_mass(state: HydroState, model: GasModel, grid: Grid1D) -> float:
-    return total_integral(state.excess(model), grid.dx)
-
-
 def _records(traj: Trajectory, profile: DeviceProfile):
     """(step, time, rho, m, E) of each record, E solved from its rho."""
     floor, grid = traj.model.rho_floor, traj.grid
@@ -75,17 +61,16 @@ def _records(traj: Trajectory, profile: DeviceProfile):
 
 
 def evaluate_trajectory(traj: Trajectory, profile: DeviceProfile,
-                        suite: MonitorSuite = MonitorSuite()) -> MonitorReport:
-    """Recompute every enabled monitor over the recorded snapshots."""
+                        enabled: tuple = ALL_MONITORS) -> MonitorReport:
+    """Recompute each monitor named in `enabled` over the recorded
+    snapshots; the monitor series are computed whatever is enabled."""
     model, grid = traj.model, traj.grid
     rows, violations = [], []
 
-    first = HydroState(rho=traj.rho[0], mom=traj.mom[0])
-    mass0 = excess_mass(first, model, grid)
+    mass0 = total_integral(traj.rho[0] - model.rho_floor, grid.dx)
     doping = doping_mass(profile, grid)
-    bound0 = mass_field_bound(mass0, doping, profile.e_minus)
-    z0, w0 = model.riemann_invariants(np.maximum(first.rho, model.rho_floor),
-                                      first.mom)
+    z0, w0 = model.riemann_invariants(
+        np.maximum(traj.rho[0], model.rho_floor), traj.mom[0])
     m2 = float(max(np.max(z0), np.max(w0)))
 
     mass_scale = max(1.0, abs(mass0))
@@ -98,9 +83,8 @@ def evaluate_trajectory(traj: Trajectory, profile: DeviceProfile,
         # failure does not abort the rest of the audit; the positivity
         # monitor itself always sees the raw minimum
         rho_safe = np.maximum(rho, model.rho_floor)
-        state = HydroState(rho=rho, mom=mom, time=t)
         u = mom / rho_safe
-        mass = excess_mass(state, model, grid)
+        mass = total_integral(rho - model.rho_floor, grid.dx)
         min_rho = float(np.min(rho))
         sup_rho = float(np.max(rho))
         sup_u = float(np.max(np.abs(u)))
@@ -119,10 +103,10 @@ def evaluate_trajectory(traj: Trajectory, profile: DeviceProfile,
                      sup_field, dyn_bound, z_max, w_max, r_bound, r_slack,
                      sup_log_plus, sup_log_minus])
 
-        if "positivity" in suite.enabled and min_rho < floor:
+        if "positivity" in enabled and min_rho < floor:
             violations.append({"monitor": "positivity", "time": t,
                                "value": min_rho, "bound": floor})
-        if "mass" in suite.enabled:
+        if "mass" in enabled:
             if traj.grid.boundary is Boundary.PERIODIC:
                 allowance = MASS_TOL * mass_scale * max(1.0, step / 1000.0)
                 if abs(mass - mass0) > allowance:
@@ -133,25 +117,22 @@ def evaluate_trajectory(traj: Trajectory, profile: DeviceProfile,
                 if mass > prev_mass + allowance or mass > mass0 + allowance:
                     violations.append({"monitor": "mass", "time": t,
                                        "value": mass, "bound": prev_mass})
-        if "field" in suite.enabled and sup_field > dyn_bound * (1.0 + FIELD_TOL) \
+        if "field" in enabled and sup_field > dyn_bound * (1.0 + FIELD_TOL) \
                 + FIELD_TOL:
             violations.append({"monitor": "field", "time": t,
                                "value": sup_field, "bound": dyn_bound})
-        if "riemann" in suite.enabled and r_slack < -RIEMANN_TOL:
+        if "riemann" in enabled and r_slack < -RIEMANN_TOL:
             violations.append({"monitor": "riemann", "time": t,
                                "value": max(z_max, w_max), "bound": r_bound})
         prev_mass = mass
 
     summary = {
-        "initial_mass": mass0,
-        "initial_field_bound": bound0,
-        "initial_invariant_max": m2,
         "min_rho_ever": traj.min_rho_ever,
         "n_steps": traj.n_steps,
         "completed": traj.completed,
     }
 
-    if "uniform" in suite.enabled and len(rows) >= 4:
+    if "uniform" in enabled and len(rows) >= 4:
         times = traj.times
         if model.gamma == 1.0:
             tracked = {"sup_log_plus": 12, "sup_log_minus": 13}
@@ -163,7 +144,7 @@ def evaluate_trajectory(traj: Trajectory, profile: DeviceProfile,
             summary[f"plateau_{name}_early"] = early
             summary[f"plateau_{name}_late"] = late
             summary[f"plateau_{name}_ok"] = ok
-            if profile.uniform_ok and not ok:
+            if profile.check.ok and not ok:
                 violations.append({"monitor": "uniform", "time": times[-1],
                                    "value": late, "bound": early * (1.0 + PLATEAU_TOL),
                                    "series": name})
@@ -228,25 +209,6 @@ def mechanical_energy_pair(model: GasModel) -> EntropyPair:
     return EntropyPair(eta=eta, q=q, eta_m=eta_m)
 
 
-def convexity_check(pair: EntropyPair, rho_samples, mom_samples,
-                    h: float = 1e-4) -> float:
-    """Smallest eigenvalue of the finite-difference Hessian of eta over the
-    sampled states (should be >= 0 for a convex pair)."""
-    worst = math.inf
-    for rho, mom in zip(np.atleast_1d(rho_samples), np.atleast_1d(mom_samples)):
-        hr = h * max(1.0, abs(rho))
-        hm = h * max(1.0, abs(mom))
-        e = pair.eta
-        h11 = (e(rho + hr, mom) - 2.0 * e(rho, mom) + e(rho - hr, mom)) / hr ** 2
-        h22 = (e(rho, mom + hm) - 2.0 * e(rho, mom) + e(rho, mom - hm)) / hm ** 2
-        h12 = (e(rho + hr, mom + hm) - e(rho + hr, mom - hm)
-               - e(rho - hr, mom + hm) + e(rho - hr, mom - hm)) / (4.0 * hr * hm)
-        tr, det_d = h11 + h22, h11 - h22
-        lam_min = 0.5 * (tr - math.sqrt(det_d ** 2 + 4.0 * h12 ** 2))
-        worst = min(worst, float(lam_min))
-    return worst
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """Compactly supported smooth bump phi(x,t) = g((x-xc)/wx) g((t-tc)/wt)."""
@@ -292,15 +254,6 @@ class TestFunction:
         (gx, dgx), (gt, dgt) = space, time
         return gx * gt, dgx * gt, gx * dgt / self.t_width
 
-    def phi(self, x, t):
-        return self.combine(self.space_factors(x), self.time_factors(t))[0]
-
-    def phi_x(self, x, t):
-        return self.combine(self.space_factors(x), self.time_factors(t))[1]
-
-    def phi_t(self, x, t):
-        return self.combine(self.space_factors(x), self.time_factors(t))[2]
-
 
 def random_test_function(rng: np.random.Generator, x_lo: float, x_hi: float,
                          t_lo: float, t_hi: float) -> TestFunction:
@@ -312,9 +265,9 @@ def random_test_function(rng: np.random.Generator, x_lo: float, x_hi: float,
     return TestFunction(x_center=xc, x_width=wx, t_center=tc, t_width=wt)
 
 
-def _entropy_sweep(traj: Trajectory, profile: DeviceProfile,
-                   pair: EntropyPair, phis: list, tau: float,
-                   source_variant: SourceVariant):
+def entropy_sweep(traj: Trajectory, profile: DeviceProfile,
+                  pair: EntropyPair, phis: list, tau: float,
+                  source_variant: SourceVariant = SourceVariant.FULL_DENSITY):
     """One pass over the snapshots: each snapshot's densities eta, q and
     source * eta_m are evaluated once and folded into the discrete weak-form
     residual of every test function in `phis`,
@@ -323,7 +276,8 @@ def _entropy_sweep(traj: Trajectory, profile: DeviceProfile,
 
     (cell sums in space, trapezoid in time), and into the tolerance scale,
     the largest magnitude any of the three densities reaches.  Returns
-    (residuals, scale).  Extra memory is O(n_cells) per test function.
+    (residuals, scale); each residual is nonnegative up to O(dx + eps) for
+    admissible runs.  Extra memory is O(n_cells) per test function.
     """
     model, grid = traj.model, traj.grid
     dx = grid.dx
@@ -343,32 +297,15 @@ def _entropy_sweep(traj: Trajectory, profile: DeviceProfile,
     return [float(np.trapezoid(v, traj.times)) for v in vals], scale
 
 
-def entropy_residual(traj: Trajectory, profile: DeviceProfile,
-                     pair: EntropyPair, phi: TestFunction, tau: float,
-                     source_variant: SourceVariant = SourceVariant.FULL_DENSITY) -> float:
-    """Discrete weak-form residual of one test function over the recorded
-    trajectory (see `_entropy_sweep`).  Nonnegative up to O(dx + eps) for
-    admissible runs."""
-    return _entropy_sweep(traj, profile, pair, [phi], tau, source_variant)[0][0]
-
-
-def trajectory_entropy_scale(traj: Trajectory, profile: DeviceProfile,
-                             pair: EntropyPair, tau: float,
-                             source_variant: SourceVariant = SourceVariant.FULL_DENSITY) -> float:
-    """Magnitude reference for entropy residual tolerances."""
-    return _entropy_sweep(traj, profile, pair, [], tau, source_variant)[1]
-
-
 def entropy_spot_check(traj: Trajectory, profile: DeviceProfile, tau: float,
                        epsilon: float, seed: int, n_phi: int = 3,
-                       coeff: float = 1.0,
                        source_variant: SourceVariant = SourceVariant.FULL_DENSITY):
     """Weak entropy inequality against a few random test functions.
 
     Deterministic in the seed, so an offline re-audit reproduces the same
     residuals.  All test functions are drawn first and audited in one
-    `_entropy_sweep`.  Returns (results, violations); a residual below
-    -coeff * (dx + eps + mean recording gap) * scale is a violation.
+    `entropy_sweep`.  Returns (results, violations); a residual below
+    -(dx + eps + mean recording gap) * scale is a violation.
     """
     model, grid = traj.model, traj.grid
     times = traj.times
@@ -381,13 +318,13 @@ def entropy_spot_check(traj: Trajectory, profile: DeviceProfile, tau: float,
                                  times[0] + 0.05 * span,
                                  times[-1] - 0.05 * span)
             for _ in range(n_phi)]
-    residuals, scale = _entropy_sweep(traj, profile,
-                                      mechanical_energy_pair(model), phis,
-                                      tau, source_variant)
+    residuals, scale = entropy_sweep(traj, profile,
+                                     mechanical_energy_pair(model), phis,
+                                     tau, source_variant)
     # the recording gap enters the tolerance: the time quadrature of the
     # residual is only as fine as the stored snapshots
     mean_gap = (times[-1] - times[0]) / (len(times) - 1)
-    tol = coeff * (grid.dx + epsilon + mean_gap) * max(scale, 1e-30)
+    tol = (grid.dx + epsilon + mean_gap) * max(scale, 1e-30)
     for phi, res in zip(phis, residuals):
         results.append({"x_center": phi.x_center, "x_width": phi.x_width,
                         "t_center": phi.t_center, "t_width": phi.t_width,

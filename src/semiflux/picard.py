@@ -215,7 +215,6 @@ class ContractionReport:
 @dataclass
 class PicardResult:
     iterate: PicardIterate
-    endpoint: HydroState
     report: ContractionReport
 
 
@@ -307,5 +306,4 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
             report.diverged = True
     if report.diverged:
         report.halve_suggestion = 0.5 * t1
-    return PicardResult(iterate=current, endpoint=current.endpoint(),
-                        report=report)
+    return PicardResult(iterate=current, report=report)

@@ -297,7 +297,8 @@ def relaxation_study(setup: RunSetup, tau_list,
     """Run the hydro solver along the tau ladder on `setup`'s device (grid,
     profile, raw initial data, gas law, cfl and smoothing width), read each
     run's rows at t = s/tau as N = rho and J = m/tau, and compare with one
-    drift-diffusion reference computed on the same grid."""
+    drift-diffusion reference computed on the same grid.  A device whose
+    reference cannot keep N >= 0 is rejected with a ConfigurationError."""
     grid, profile = setup.grid, setup.profile
     gamma, convention = setup.model.gamma, setup.model.convention
     taus = validate_tau_ladder(tau_list)
@@ -320,9 +321,15 @@ def relaxation_study(setup: RunSetup, tau_list,
     ref_model = replace(setup.model, delta=taus[0])
     n0 = prepare_initial(setup.raw_rho, setup.raw_u, ref_model, setup.cfg,
                          grid).rho - ref_model.rho_floor
-    reference = drift_diffusion_run(n0, profile, ref_model, grid,
-                                    s_end=horizon, record_times=s_records[1:],
-                                    cfl=setup.cfg.cfl)
+    try:
+        reference = drift_diffusion_run(n0, profile, ref_model, grid,
+                                        s_end=horizon,
+                                        record_times=s_records[1:],
+                                        cfl=setup.cfg.cfl)
+    except PositivityError as err:
+        raise ConfigurationError(
+            f"the drift-diffusion reference cannot march this device: {err}"
+        ) from None
     if not np.array_equal(reference.s_values, s_records):
         raise RuntimeError("reference recording misaligned with the s ladder")
     n_ref = reference.n_vals[late][:, cols]

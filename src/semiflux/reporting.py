@@ -6,7 +6,10 @@ table; they hold only what verify reads back.  The cell centres x follow
 from the grid in report.json and are stored once, in the profile, where the
 reader checks them; the field E is derived data, which the monitors solve
 from rho and which is neither stored nor rebuilt on load.  Monitor
-series go to CSV, violations to JSON.  Every float is rendered with 17
+series go to CSV, violations to JSON; report.json holds the config echo,
+the audit summary and the snapshot list, not values the other files already
+hold.  Every CSV a command writes (monitors.csv, contraction.csv,
+relax_table.csv) goes through `csv_text`.  Every float is rendered with 17
 significant digits so repeated runs of the same build are byte-identical; a
 table body is formatted by one '%' operation over all its values, which
 gives the bytes of one `fmt` call per value.  Wall-clock timing lives in its
@@ -79,11 +82,12 @@ def _read_table(path: Path, grid: Grid1D, keys: tuple, names: tuple):
     return values, cols
 
 
-def monitors_csv_text(report: MonitorReport) -> str:
-    lines = [",".join(report.columns)]
-    for row in report.rows:
-        cells = [str(int(row[0]))] + [fmt(v) for v in row[1:]]
-        lines.append(",".join(cells))
+def csv_text(columns, rows) -> str:
+    """A header line of `columns`, then one line per row: an int cell by
+    `str`, any other by `fmt`."""
+    lines = [",".join(columns)]
+    lines += [",".join(str(v) if isinstance(v, int) else fmt(v) for v in row)
+              for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -105,7 +109,7 @@ def write_run_dir(out_dir, traj: Trajectory, profile: DeviceProfile,
         p.write_text(_table_text({"step": step, "time": t},
                                  {"rho": rho, "m": mom}))
         paths.append(str(p.relative_to(out)))
-    (out / "monitors.csv").write_text(monitors_csv_text(report))
+    (out / "monitors.csv").write_text(csv_text(report.columns, report.rows))
     (out / "violations.json").write_text(json_text(report.violations))
     (out / "profile.dat").write_text(_table_text(
         {"e_minus": profile.e_minus},
@@ -114,7 +118,6 @@ def write_run_dir(out_dir, traj: Trajectory, profile: DeviceProfile,
         "config": config_echo,
         "summary": report.summary,
         "snapshots": paths,
-        "n_violations": len(report.violations),
     }
     if extra_report:
         payload.update(extra_report)

@@ -174,10 +174,10 @@ def make_setup(name: str, overrides: dict | None = None,
                        t_end=p["t_end"], source_variant=p["source_variant"],
                        smoothing_width=p["smoothing_width"])
     profile = DeviceProfile.build(grid, a_vals, b_vals, e_minus)
-    if not custom and profile.uniform_ok != scenario.expect_profile_ok:
+    if not custom and profile.check.ok != scenario.expect_profile_ok:
         raise ConfigurationError(
             f"scenario {name!r} expected uniform_ok={scenario.expect_profile_ok} "
-            f"but the profile check returned {profile.uniform_ok} "
+            f"but the profile check returned {profile.check.ok} "
             f"({profile.check.first_failure})")
     initial = prepare_initial(raw_rho, raw_u, model, cfg, grid)
     return RunSetup(scenario=scenario, model=model, grid=grid, profile=profile,

@@ -77,7 +77,6 @@ class SolverConfig:
 @dataclass(frozen=True)
 class StepReport:
     dt_used: float
-    max_wave_speed: float
     post_step_min_rho: float
 
 
@@ -144,9 +143,8 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     # combination
     u = mom / rho
     excess = rho - model.rho_floor
-    speed = np.abs(u) + excess / rho * np.sqrt(model._dp(rho))
-    max_speed = float(np.max(speed))
-    dt = cfg.cfl / (max_speed / dx + 2.0 * cfg.epsilon / dx ** 2)
+    speed = np.abs(u) + model._spread(rho, excess)
+    dt = cfg.cfl / (float(np.max(speed)) / dx + 2.0 * cfg.epsilon / dx ** 2)
     t_new = state.time + dt
     if t_stop is not None and dt >= t_stop - state.time:
         dt = t_stop - state.time
@@ -178,8 +176,7 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     if not np.all(np.isfinite(q_new)):
         raise IntegrationError("non-finite state", state, state.time)
 
-    report = StepReport(dt_used=dt, max_wave_speed=max_speed,
-                        post_step_min_rho=float(np.min(rho_new)))
+    report = StepReport(dt_used=dt, post_step_min_rho=float(np.min(rho_new)))
     return HydroState(rho=rho_new, mom=mom_star, time=t_new), report
 
 
@@ -205,8 +202,7 @@ class Trajectory:
 
 def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
         cfg: SolverConfig, grid: Grid1D, record_every: int = 50,
-        record_times=None, max_steps: int = 10 ** 7,
-        raise_on_failure: bool = False) -> Trajectory:
+        record_times=None, max_steps: int = 10 ** 7) -> Trajectory:
     """March to cfg.t_end, recording every `record_every` steps or exactly at
     the sorted instants `record_times` (the step is clamped to land on them).
     The initial and final states are always recorded; a march stopped early,
@@ -241,8 +237,6 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
             state, rep = step(state, profile, model, cfg, grid, t_stop=target)
         except IntegrationError as err:
             completed, failure_time = False, err.time
-            if raise_on_failure:
-                raise
             break
         k += 1
         dts.append(rep.dt_used)

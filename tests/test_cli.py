@@ -189,8 +189,11 @@ class TestSolve:
         assert list((out / "snapshots").glob("snap_*.dat"))
         payload = json.loads((out / "report.json").read_text())
         assert payload["config"]["scenario"] == "vacuum-rest"
-        assert payload["n_violations"] == 0
         assert json.loads((out / "violations.json").read_text()) == []
+        # values monitors.csv and violations.json already hold stay out
+        assert "n_violations" not in payload
+        assert not {"initial_mass", "initial_field_bound",
+                    "initial_invariant_max"} & set(payload["summary"])
 
     def test_bump_run_with_entropy_checks(self, tmp_path):
         cfg = write_cfg(tmp_path, BUMP_CFG)
@@ -323,7 +326,8 @@ class TestVerify:
     @pytest.mark.parametrize("key,value", [
         ("boundary", "sideways"), ("pressure_convention", "sideways"),
         ("source_variant", "sideways"), ("epsilon", "abc"),
-        ("n_cells", "many"),
+        ("n_cells", "many"), ("seed", "abc"), ("seed", None),
+        ("monitors", 7), ("monitors", None),
     ])
     def test_bad_config_echo_exits_2(self, run_dir, capsys, key, value):
         # an echo value its key cannot read is unreadable input
@@ -334,7 +338,8 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(run_dir)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err and value in err
+        assert err.startswith("error: ") and repr(key) in err
+        assert repr(value) in err
 
 
 class TestPicardCommand:
@@ -447,6 +452,18 @@ class TestRelaxCommand:
         # reference's step counts are diagnostics kept off the files
         assert "rows" not in manifest
         assert not {"n_steps", "halvings"} & set(manifest)
+
+    def test_reference_that_cannot_march_exits_2(self, tmp_path, capsys):
+        # doping-ramp's initial density sits on the floor in the far field,
+        # where the field drains mass from empty cells for every step
+        cfg = write_cfg(tmp_path, ("scenario = doping-ramp\nn_cells = 200\n"
+                                   "tau_list = 0.2 0.1 0.05\n"))
+        out = tmp_path / "relax"
+        assert main(["relax", "--config", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "drift-diffusion reference" in err and "at s = 0.0" in err
+        assert not out.exists()
 
     def test_detuned_sweep_fails(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
-from semiflux.field import field_bound, solve_field
+from semiflux.field import doping_mass, mass_field_bound, solve_field
 from semiflux.model import (Boundary, DeviceProfile, GasModel, Grid1D,
-                            HydroState, total_integral)
+                            total_integral)
 
 
 def make_parts(n_cells=400, delta=0.05):
@@ -17,16 +17,16 @@ def make_parts(n_cells=400, delta=0.05):
     return grid, model
 
 
-def rest_state(model, grid, excess):
-    rho = model.rho_floor + excess
-    return HydroState(rho=rho, mom=np.zeros_like(rho))
+def rest_excess(model, excess):
+    """rho - 2*delta of the density rho = 2*delta + excess."""
+    return (model.rho_floor + excess) - model.rho_floor
 
 
 def test_neutral_state_keeps_datum():
     grid, model = make_parts()
     prof = DeviceProfile.uniform(grid, a=1.0, b=0.0, e_minus=0.75)
-    state = rest_state(model, grid, np.zeros(grid.n_cells))
-    field = solve_field(state.excess(model), prof, grid)
+    field = solve_field(rest_excess(model, np.zeros(grid.n_cells)), prof,
+                        grid)
     assert np.allclose(field, 0.75, atol=0)
 
 
@@ -36,8 +36,7 @@ def test_gaussian_charge_matches_erf():
     prof = DeviceProfile.uniform(grid, a=1.0, b=0.0, e_minus=0.0)
     x = grid.centers
     excess = np.exp(-x ** 2) / math.sqrt(math.pi)
-    state = rest_state(model, grid, excess)
-    field = solve_field(state.excess(model), prof, grid)
+    field = solve_field(rest_excess(model, excess), prof, grid)
     expected = 0.5 * (1.0 + erf(x))
     assert np.max(np.abs(field - expected)) < 5e-6
 
@@ -48,9 +47,9 @@ def test_superposition():
     x = grid.centers
     e1 = np.exp(-x ** 2)
     e2 = 0.3 * np.exp(-((x - 1.5) / 0.5) ** 2)
-    f1 = solve_field(rest_state(model, grid, e1).excess(model), prof, grid)
-    f2 = solve_field(rest_state(model, grid, e2).excess(model), prof, grid)
-    f12 = solve_field(rest_state(model, grid, e1 + e2).excess(model), prof,
+    f1 = solve_field(rest_excess(model, e1), prof, grid)
+    f2 = solve_field(rest_excess(model, e2), prof, grid)
+    f12 = solve_field(rest_excess(model, e1 + e2), prof,
                       grid)
     assert np.allclose(f12, f1 + f2, atol=1e-13)
 
@@ -60,8 +59,7 @@ def test_doping_enters_with_opposite_sign():
     x = grid.centers
     b = 0.4 * np.exp(-x ** 2)
     prof = DeviceProfile.build(grid, np.ones(grid.n_cells), b, 0.0)
-    state = rest_state(model, grid, b.copy())
-    field = solve_field(state.excess(model), prof, grid)
+    field = solve_field(rest_excess(model, b.copy()), prof, grid)
     # excess exactly cancels the doping: charge-neutral, flat field
     assert np.allclose(field, 0.0, atol=1e-13)
 
@@ -72,8 +70,7 @@ def test_discrete_differencing_recovers_charge():
     b = 0.1 * np.exp(-((x + 1.0) / 0.7) ** 2)
     prof = DeviceProfile.build(grid, np.ones(grid.n_cells), b, 0.3)
     excess = 0.6 * np.exp(-x ** 2)
-    state = rest_state(model, grid, excess)
-    field = solve_field(state.excess(model), prof, grid)
+    field = solve_field(rest_excess(model, excess), prof, grid)
     charge = excess - b
     diff = np.diff(field) / grid.dx
     face_avg = 0.5 * (charge[:-1] + charge[1:])
@@ -86,9 +83,8 @@ def _consistency_error(n):
     x = grid.centers
     excess = 0.6 * np.exp(-x ** 2)
     prof = DeviceProfile.uniform(grid, a=1.0, b=0.0, e_minus=0.0)
-    state = rest_state(model, grid, excess)
-    field = solve_field(state.excess(model), prof, grid)
-    faces = grid.faces[1:-1]
+    field = solve_field(rest_excess(model, excess), prof, grid)
+    faces = grid.x_min + np.arange(1, grid.n_cells) * grid.dx
     return float(np.max(np.abs(np.diff(field) / grid.dx
                                - 0.6 * np.exp(-faces ** 2))))
 
@@ -107,11 +103,11 @@ def test_bound_composition():
     excess = 0.5 * np.exp(-x ** 2)
     b = -0.2 * np.exp(-x ** 2)
     prof = DeviceProfile.build(grid, np.ones(grid.n_cells), b, -0.4)
-    state = rest_state(model, grid, excess)
+    mass = total_integral(rest_excess(model, excess), grid.dx)
     expected = 0.4 + total_integral(excess, grid.dx) \
         + total_integral(np.abs(b), grid.dx)
-    assert field_bound(state, prof, model, grid) == pytest.approx(
-        expected, rel=1e-14)
+    assert mass_field_bound(mass, doping_mass(prof, grid),
+                            prof.e_minus) == pytest.approx(expected, rel=1e-14)
 
 
 @settings(max_examples=50, deadline=None)
@@ -125,7 +121,8 @@ def test_sup_field_within_bound(amp, center, b_amp, e_minus):
     excess = amp * np.exp(-(x - center) ** 2)
     b = b_amp * np.exp(-x ** 2)
     prof = DeviceProfile.build(grid, np.ones(grid.n_cells), b, e_minus)
-    state = rest_state(model, grid, excess)
-    field = solve_field(state.excess(model), prof, grid)
-    bound = field_bound(state, prof, model, grid)
+    charge = rest_excess(model, excess)
+    field = solve_field(charge, prof, grid)
+    bound = mass_field_bound(total_integral(charge, grid.dx),
+                             doping_mass(prof, grid), e_minus)
     assert float(np.max(np.abs(field))) <= bound + 1e-12

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from semiflux.model import (Boundary, ConfigurationError, DeviceProfile,
                             GasModel, Grid1D, HydroState, PressureConvention,
                             build_aux_fields, cumulative_integral,
-                            derived_c_profile, total_integral,
-                            validate_uniform_hypotheses)
+                            derived_c_profile, total_integral)
 
 from helpers import p1_quadrature, sound_integral_quadrature
 
@@ -137,7 +136,7 @@ class TestEigenvalues:
         rho = np.array([m.rho_floor + excess])
         mom = rho * u
         lam1, lam2 = m.eigenvalues(rho, mom)
-        gap = 2.0 * (excess / rho[0]) * float(m.sound_speed(rho[0]))
+        gap = 2.0 * (excess / rho[0]) * math.sqrt(m.dpressure(rho[0]))
         assert lam2[0] - lam1[0] == pytest.approx(gap, rel=1e-12, abs=1e-12)
         assert lam2[0] >= lam1[0]
         if excess == 0.0:
@@ -165,7 +164,11 @@ class TestRiemannInvariants:
         m = make_model(gamma, delta=delta, convention=convention)
         rho = np.array([m.rho_floor + excess])
         z, w = m.riemann_invariants(rho, rho * u)
-        assert w[0] - z[0] == pytest.approx(2.0 * u, rel=1e-12, abs=1e-12)
+        # w - z cancels the sound integral s, so it carries 2u only to the
+        # resolution of z and w: near gamma = 1 the power form of s is huge
+        resolution = 4.0 * np.spacing(abs(z[0]) + abs(w[0]))
+        assert w[0] - z[0] == pytest.approx(2.0 * u, rel=1e-12,
+                                            abs=1e-12 + resolution)
 
     @given(gamma=gammas, delta=deltas, convention=conventions,
            excess=st.floats(min_value=0.0, max_value=5.0),
@@ -207,7 +210,7 @@ class TestRiemannInvariants:
         h = 1e-6 * max(1.0, rho)
         fd = (float(m.sound_integral(rho + h))
               - float(m.sound_integral(rho - h))) / (2.0 * h)
-        expected = float(m.sound_speed(rho)) / rho
+        expected = math.sqrt(m.dpressure(rho)) / rho
         assert fd == pytest.approx(expected, rel=5e-6)
 
     @given(delta=deltas, convention=conventions,
@@ -269,15 +272,6 @@ class TestGrid:
             g.dx * vals.sum(), abs=0)
 
 
-class TestHydroState:
-    def test_velocity_and_excess(self):
-        m = make_model(2.0, delta=0.05)
-        state = HydroState(rho=np.array([0.5, 1.0]),
-                           mom=np.array([0.25, -1.0]))
-        assert np.allclose(state.velocity, [0.5, -1.0])
-        assert np.allclose(state.excess(m), [0.4, 0.9])
-
-
 def ramp_profile(grid, e_minus=1.0, coeff=1.0, b_mass=0.5, width=0.8):
     x = grid.centers
     b = b_mass / (width * math.sqrt(math.pi)) * np.exp(-(x / width) ** 2)
@@ -294,34 +288,34 @@ class TestProfileValidation:
         # a(x) = E_minus - coeff * int b with small positive doping passes
         # every hypothesis, including the derived-C slope
         a, b = ramp_profile(self.grid)
-        check = validate_uniform_hypotheses(a, b, 1.0, self.grid)
+        check = DeviceProfile.build(self.grid, a, b, 1.0).check
         assert check.ok, check.first_failure
 
     def test_flat_profile_passes(self):
         n = self.grid.n_cells
-        check = validate_uniform_hypotheses(np.ones(n), np.zeros(n), 1.0,
-                                            self.grid)
+        check = DeviceProfile.build(self.grid, np.ones(n), np.zeros(n),
+                                    1.0).check
         assert check.ok
         assert all(check.conditions.values())
 
     def test_increasing_damping_fails(self):
         n = self.grid.n_cells
         a = np.linspace(1.0, 2.0, n)
-        check = validate_uniform_hypotheses(a, np.zeros(n), 1.0, self.grid)
+        check = DeviceProfile.build(self.grid, a, np.zeros(n), 1.0).check
         assert not check.ok
         assert check.first_failure == "damping non-increasing"
 
     def test_excess_doping_fails(self):
         n = self.grid.n_cells
         b = np.full(n, 0.5)   # integral = 5 > e_minus
-        check = validate_uniform_hypotheses(np.ones(n), b, 1.0, self.grid)
+        check = DeviceProfile.build(self.grid, np.ones(n), b, 1.0).check
         assert not check.ok
         assert check.first_failure == "total doping below field datum"
 
     def test_nonpositive_doping_waives_mass_condition(self):
         n = self.grid.n_cells
         b = np.full(n, -0.2)
-        check = validate_uniform_hypotheses(np.ones(n), b, 0.0, self.grid)
+        check = DeviceProfile.build(self.grid, np.ones(n), b, 0.0).check
         assert check.ok
         assert check.conditions["total doping below field datum"]
 
@@ -329,7 +323,7 @@ class TestProfileValidation:
         # (E_minus - total doping)/sup(a) <= C <= E_minus/inf(a)
         a, b = ramp_profile(self.grid)
         prof = DeviceProfile.build(self.grid, a, b, 1.0)
-        assert prof.uniform_ok
+        assert prof.check.ok
         total_b = total_integral(b, self.grid.dx)
         lower = (1.0 - total_b) / float(np.max(a))
         upper = 1.0 / float(np.min(a))
@@ -359,7 +353,7 @@ class TestProfileValidation:
         a = np.ones(n)
         a[n // 2:] = 0.0
         prof = DeviceProfile.build(self.grid, a, np.zeros(n), 1.0)
-        assert not prof.uniform_ok
+        assert not prof.check.ok
         assert prof.check.first_failure == "damping positive"
         assert prof.check.conditions["C non-decreasing"] is False
         assert np.array_equal(prof.c_vals[:n // 2], np.ones(n // 2))
@@ -390,7 +384,7 @@ class TestAuxFields:
     def test_decreasing_damping_gives_nonnegative_b(self):
         a, b = ramp_profile(self.grid)
         prof = DeviceProfile.build(self.grid, a, b, 1.0)
-        assert prof.uniform_ok
+        assert prof.check.ok
         rho = self.model.rho_floor + 0.5 * np.exp(-self.grid.centers ** 2)
         state = HydroState(rho=rho, mom=np.zeros_like(rho))
         aux = build_aux_fields(state, prof, self.model, self.grid)
@@ -402,7 +396,7 @@ class TestAuxFields:
         rho = self.model.rho_floor + 0.5 * np.exp(-self.grid.centers ** 2)
         state = HydroState(rho=rho, mom=np.zeros_like(rho))
         aux = build_aux_fields(state, prof, self.model, self.grid)
-        mass = total_integral(state.excess(self.model), self.grid.dx)
+        mass = total_integral(rho - self.model.rho_floor, self.grid.dx)
         bound = float(np.max(prof.c_vals)) + mass / float(np.min(a))
         assert np.all(aux.a_field <= bound + 1e-12)
 

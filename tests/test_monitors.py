@@ -15,26 +15,24 @@ from semiflux import (
     DeviceProfile,
     GasModel,
     Grid1D,
-    HydroState,
-    MonitorSuite,
     SourceVariant,
     Trajectory,
-    convexity_check,
     dissipation_integral,
-    entropy_residual,
     entropy_spot_check,
+    entropy_sweep,
     evaluate_trajectory,
     mechanical_energy_pair,
     plateau_check,
 )
 from semiflux import monitors
-from semiflux.monitors import (MONITOR_COLUMNS, EntropyPair, excess_mass,
-                               random_test_function, trajectory_entropy_scale)
+from semiflux.monitors import (MONITOR_COLUMNS, EntropyPair,
+                               random_test_function)
 from semiflux.monitors import TestFunction as SpaceTimeBump
 from semiflux.scenarios import make_setup
 from semiflux.solver import run
 
-from helpers import (entropy_residual_reference, entropy_scale_reference,
+from helpers import (convexity_check, entropy_residual_reference,
+                     entropy_scale_reference,
                      entropy_spot_check_pairs_reference, phi_reference)
 
 
@@ -48,6 +46,11 @@ def make_traj(grid, model, frames):
                       mom=np.array(mom, dtype=float),
                       n_steps=len(frames) - 1,
                       min_rho_ever=float(np.min(rho)))
+
+
+def bump_values(phi, x, t):
+    """(phi, phi_x, phi_t) of a bump, combined as the entropy sweep does."""
+    return phi.combine(phi.space_factors(x), phi.time_factors(t))
 
 
 def rest_frames(grid, rho0=1.0, times=(0.0, 1.0, 2.0, 3.0)):
@@ -84,12 +87,6 @@ class TestPlateauCheck:
         ok, early, late = plateau_check(np.array([0.0]), np.array([5.0]), 0.01)
         assert ok
         assert np.isnan(early) and np.isnan(late)
-
-
-class TestSuiteValidation:
-    def test_unknown_monitor_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            MonitorSuite(enabled=("positivity", "bogus"))
 
 
 class TestEvaluateTrajectory:
@@ -183,7 +180,7 @@ class TestEvaluateTrajectory:
 
         rising_a = np.linspace(1.0, 2.0, n)
         loose = DeviceProfile.build(self.grid, rising_a, np.zeros(n), 0.0)
-        assert not loose.uniform_ok
+        assert not loose.check.ok
         report = evaluate_trajectory(traj, loose)
         assert all(v["monitor"] != "uniform" for v in report.violations)
         assert report.summary["plateau_sup_rho_ok"] is False
@@ -208,16 +205,15 @@ class TestEvaluateTrajectory:
         bad[5] = self.model.rho_floor - 1e-2
         frames[2] = (frames[2][0], bad, frames[2][2])
         traj = make_traj(self.grid, self.model, frames)
-        suite = MonitorSuite(enabled=("mass",))
-        report = evaluate_trajectory(traj, self.profile, suite)
+        report = evaluate_trajectory(traj, self.profile, ("mass",))
         assert all(v["monitor"] != "positivity" for v in report.violations)
 
     def test_excess_mass_of_rest_state(self):
         traj = make_traj(self.grid, self.model, rest_frames(self.grid))
-        state = HydroState(rho=traj.rho[0], mom=traj.mom[0])
+        report = evaluate_trajectory(traj, self.profile)
         expected = (1.0 - self.model.rho_floor) * 10.0
-        assert excess_mass(state, self.model, self.grid) == pytest.approx(
-            expected, rel=1e-12)
+        mass = [row[MONITOR_COLUMNS.index("mass")] for row in report.rows]
+        assert mass == pytest.approx([expected] * len(mass), rel=1e-12)
 
 
 class TestEntropyPair:
@@ -261,32 +257,38 @@ class TestBumpFunction:
     def test_compact_support(self):
         phi = SpaceTimeBump(x_center=0.0, x_width=1.0,
                            t_center=0.5, t_width=0.25)
-        assert phi.phi(1.0, 0.5) == 0.0
-        assert phi.phi(-1.5, 0.5) == 0.0
-        assert phi.phi(0.0, 0.76) == 0.0
-        assert phi.phi(0.0, 0.5) > 0.0
+        assert bump_values(phi, 1.0, 0.5)[0] == 0.0
+        assert bump_values(phi, -1.5, 0.5)[0] == 0.0
+        assert bump_values(phi, 0.0, 0.76)[0] == 0.0
+        assert bump_values(phi, 0.0, 0.5)[0] > 0.0
 
     def test_peak_at_center(self):
         phi = SpaceTimeBump(0.0, 1.0, 0.5, 0.25)
-        assert phi.phi(0.0, 0.5) == pytest.approx(np.exp(-2.0), rel=1e-12)
+        assert bump_values(phi, 0.0, 0.5)[0] == pytest.approx(np.exp(-2.0),
+                                                             rel=1e-12)
 
     def test_space_derivative_matches_finite_difference(self):
         phi = SpaceTimeBump(0.3, 0.8, 0.5, 0.25)
         x = np.linspace(-0.3, 0.9, 17)
         h = 1e-6
-        fd = (phi.phi(x + h, 0.5) - phi.phi(x - h, 0.5)) / (2 * h)
-        assert np.allclose(phi.phi_x(x, 0.5), fd, rtol=1e-5, atol=1e-8)
+        fd = (bump_values(phi, x + h, 0.5)[0]
+              - bump_values(phi, x - h, 0.5)[0]) / (2 * h)
+        assert np.allclose(bump_values(phi, x, 0.5)[1], fd, rtol=1e-5,
+                           atol=1e-8)
 
     def test_time_derivative_matches_finite_difference(self):
         phi = SpaceTimeBump(0.0, 1.0, 0.5, 0.3)
         t = np.linspace(0.3, 0.7, 9)
         h = 1e-7
-        fd = (phi.phi(0.1, t + h) - phi.phi(0.1, t - h)) / (2 * h)
-        assert np.allclose(phi.phi_t(0.1, t), fd, rtol=1e-4, atol=1e-8)
+        fd = (bump_values(phi, 0.1, t + h)[0]
+              - bump_values(phi, 0.1, t - h)[0]) / (2 * h)
+        assert np.allclose(bump_values(phi, 0.1, t)[2], fd, rtol=1e-4,
+                           atol=1e-8)
 
     def test_derivative_is_odd_about_center(self):
         phi = SpaceTimeBump(0.0, 1.0, 0.5, 0.25)
-        assert phi.phi_x(0.4, 0.5) == pytest.approx(-phi.phi_x(-0.4, 0.5))
+        assert bump_values(phi, 0.4, 0.5)[1] == pytest.approx(
+            -bump_values(phi, -0.4, 0.5)[1])
 
     @given(seed=st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
@@ -310,7 +312,7 @@ class TestEntropyResidual:
         traj = make_traj(grid, model, frames)
         pair = mechanical_energy_pair(model)
         phi = SpaceTimeBump(0.0, 2.0, 0.5, 0.3)
-        assert entropy_residual(traj, profile, pair, phi, tau=1.0) == 0.0
+        assert entropy_sweep(traj, profile, pair, [phi], tau=1.0)[0] == [0.0]
 
     def test_constant_state_residual_is_quadrature_small(self):
         # eta and q are constants, so the weak form reduces to integrals of
@@ -326,7 +328,7 @@ class TestEntropyResidual:
         traj = make_traj(grid, model, frames)
         pair = mechanical_energy_pair(model)
         phi = SpaceTimeBump(0.0, 2.0, 0.5, 0.3)
-        res = entropy_residual(traj, profile, pair, phi, tau=1.0)
+        (res,), _ = entropy_sweep(traj, profile, pair, [phi], tau=1.0)
         scale = float(pair.eta(1.0, 0.0)) * 2.0 * 2.0
         assert abs(res) < 1e-3 * scale
 
@@ -398,7 +400,7 @@ class TestEntropySweep:
         x = np.linspace(-1.0, 1.5, 41)
         for t in (0.1, 0.21, 0.37, 0.5, 0.66, 0.79, 0.9):
             want = phi_reference(phi, x, t)
-            got = (phi.phi(x, t), phi.phi_x(x, t), phi.phi_t(x, t))
+            got = bump_values(phi, x, t)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
 
@@ -418,19 +420,20 @@ class TestEntropySweep:
             assert [(r["residual"], r["tolerance"]) for r in results] == want
 
     @pytest.mark.parametrize("variant", list(SourceVariant))
-    def test_public_callers_equal_reference(self, variant, periodic_excess):
+    def test_sweep_equals_reference(self, variant, periodic_excess):
         # a stiff tau lets the source term set the scale, so each variant
         # gives its own
         setup, traj = periodic_excess
         tau = 1e-3
         pair = mechanical_energy_pair(setup.model)
-        phi = SpaceTimeBump(-0.5, 2.0, 0.3, 0.2)
-        assert entropy_residual(traj, setup.profile, pair, phi, tau,
-                                variant) == entropy_residual_reference(
-            traj, setup.profile, pair, phi, tau, variant)
-        assert trajectory_entropy_scale(traj, setup.profile, pair, tau,
-                                        variant) == entropy_scale_reference(
-            traj, setup.profile, pair, tau, variant)
+        phis = [SpaceTimeBump(-0.5, 2.0, 0.3, 0.2),
+                SpaceTimeBump(1.0, 1.5, 0.35, 0.15)]
+        residuals, scale = entropy_sweep(traj, setup.profile, pair, phis,
+                                         tau, variant)
+        assert residuals == [entropy_residual_reference(
+            traj, setup.profile, pair, phi, tau, variant) for phi in phis]
+        assert scale == entropy_scale_reference(traj, setup.profile, pair,
+                                                tau, variant)
 
     def test_densities_evaluated_once_per_snapshot(self, monkeypatch,
                                                    bump_setup, bump_traj):
@@ -468,8 +471,8 @@ class TestTrapezoidRule:
 
         def integrals():
             return (dissipation_integral(s, n_vals, j_vals, 0.1, 0.05),
-                    entropy_residual(bump_traj, bump_setup.profile, pair,
-                                     phi, tau=bump_setup.cfg.tau))
+                    entropy_sweep(bump_traj, bump_setup.profile, pair,
+                                  [phi], tau=bump_setup.cfg.tau)[0])
 
         got = integrals()
         assert got[0] == trapezoid(

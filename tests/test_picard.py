@@ -178,7 +178,8 @@ class TestFixedPoints:
                               tau=1.0, t1=0.01, n_intervals=6)
         assert result.report.converged
         m0 = float(np.sum(init.rho - model.rho_floor)) * grid.dx
-        m1 = float(np.sum(result.endpoint.rho - model.rho_floor)) * grid.dx
+        m1 = float(np.sum(result.iterate.endpoint().rho
+                          - model.rho_floor)) * grid.dx
         assert m1 == pytest.approx(m0, rel=1e-9)
 
 
@@ -260,8 +261,9 @@ class TestContraction:
         kernel = HeatKernel(epsilon=0.01)
         result = picard_solve(init, profile, model, kernel, grid,
                               tau=1.0, t1=0.01, n_intervals=4)
-        assert result.endpoint.time == pytest.approx(0.01)
-        assert np.array_equal(result.endpoint.rho, result.iterate.rho[-1])
+        end = result.iterate.endpoint()
+        assert end.time == pytest.approx(0.01)
+        assert np.array_equal(end.rho, result.iterate.rho[-1])
 
 
 class TestFftLagSum:

@@ -8,8 +8,9 @@ import pytest
 
 from semiflux.cli import main
 from semiflux.field import solve_field
-from semiflux.monitors import MonitorSuite, evaluate_trajectory
-from semiflux.reporting import _table_text, fmt, load_run_dir, write_run_dir
+from semiflux.monitors import evaluate_trajectory
+from semiflux.reporting import (_table_text, csv_text, fmt, load_run_dir,
+                                write_run_dir)
 from semiflux.scenarios import make_setup
 from semiflux.solver import run
 
@@ -54,7 +55,7 @@ def test_round_trip_is_bit_exact(tmp_path):
         "source_variant": "excess-density"})
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
                setup.grid, record_every=2)
-    report = evaluate_trajectory(traj, setup.profile, MonitorSuite())
+    report = evaluate_trajectory(traj, setup.profile)
     grid, model = setup.grid, setup.model
     echo = {"x_min": grid.x_min, "x_max": grid.x_max,
             "n_cells": grid.n_cells, "boundary": grid.boundary.value,
@@ -77,7 +78,7 @@ def test_round_trip_is_bit_exact(tmp_path):
     for name in ("a_vals", "b_vals", "c_vals"):
         assert np.array_equal(getattr(profile, name),
                               getattr(setup.profile, name))
-    assert profile.uniform_ok == setup.profile.uniform_ok
+    assert profile.check == setup.profile.check
 
 
 def test_snapshot_stores_no_derived_columns(small_run):
@@ -120,7 +121,7 @@ def test_legacy_layout_still_verifies(small_run):
     cols = [x, profile.a_vals, profile.b_vals, profile.c_vals]
     write_rows(small_run / "profile.dat",
                [f"# e_minus = {fmt(profile.e_minus)}",
-                f"# uniform_ok = {profile.uniform_ok}", "# columns: x a b c"],
+                f"# uniform_ok = {profile.check.ok}", "# columns: x a b c"],
                [[fmt(v) for v in row] for row in zip(*cols)])
     _, rows = read_rows(later_snapshot(small_run))
     assert len(rows[0]) == 7
@@ -210,3 +211,12 @@ class TestTableTextMatchesReference:
         for got, want in zip(data.T, cols.values()):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_csv_cells_are_str_for_ints_and_fmt_for_floats():
+    # the layout of monitors.csv (int step), contraction.csv (int
+    # iteration, nan ratio at iteration 0) and relax_table.csv (floats)
+    rows = [(0, 0.1, float("nan")), (12, 2.0 ** 60, -0.0), (3, 5e-324, 1.0)]
+    assert csv_text(("i", "x", "y"), rows) == (
+        "i,x,y\n0,0.10000000000000001,nan\n12,1.152921504606847e+18,-0\n"
+        "3,4.9406564584124654e-324,1\n")
