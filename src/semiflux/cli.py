@@ -105,6 +105,21 @@ def _print_violations(violations: list, limit: int = 10):
         print(f"  ... {len(violations) - limit} more")
 
 
+def _march_summary(traj) -> dict:
+    """What bounded the march's steps: the dt range and the step count per
+    limiter; dt to four significant digits, null when no step was taken."""
+    # sorted by hand: statistics.median imports decimal and np.median pages
+    # in numpy's sort kernels, each about half a megabyte resident
+    dts, k = sorted(traj.dts), len(traj.dts)
+    span = ((dts[0], (dts[(k - 1) // 2] + dts[k // 2]) / 2, dts[-1]) if dts
+            else (None, None, None))
+    out = {key: None if dt is None else float(f"{dt:.4g}")
+           for key, dt in zip(("dt_min", "dt_median", "dt_max"), span)}
+    return {**out, "advection_limited": traj.limits["advection"],
+            "viscosity_limited": traj.limits["viscosity"],
+            "clamped": traj.limits["clamp"]}
+
+
 def cmd_solve(args) -> int:
     vals = coerce(parse_key_value(args.config), {**SCENARIO_KEYS, **SOLVE_KEYS})
     name = vals.pop("scenario", None)
@@ -139,11 +154,11 @@ def cmd_solve(args) -> int:
     echo = _config_echo(name, setup, cadence, enabled, seed)
     out = write_run_dir(out_dir, traj, setup.profile, report, echo,
                         extra or None)
-    # wall times live outside report.json so stored runs stay reproducible;
-    # wall_seconds is the march
+    # wall times and the march's account live outside report.json so stored
+    # runs stay reproducible; wall_seconds is the march
     (out / "timing.json").write_text(json_text({
         "wall_seconds": t1 - t0, "monitors_s": t2 - t1, "entropy_s": t3 - t2,
-        "write_s": time.perf_counter() - t3}))
+        "write_s": time.perf_counter() - t3, "march": _march_summary(traj)}))
 
     print(f"run {name}: {traj.n_steps} steps to t={traj.times[-1]:.6g}, "
           f"{len(traj.times)} snapshots, "

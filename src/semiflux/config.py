@@ -78,6 +78,10 @@ def coerce(raw: dict, schema: dict) -> dict:
         if kind is str and not isinstance(val, str):
             raise ConfigurationError(
                 f"bad value for {key!r}: {val!r} (not a string)")
+        # a JSON float or boolean would be truncated by int(): 3.9 -> 3
+        if kind is int and isinstance(val, (bool, float)):
+            raise ConfigurationError(
+                f"bad value for {key!r}: {val!r} (not an integer)")
         try:
             out[key] = kind(val)
         except (TypeError, ValueError) as err:

@@ -90,10 +90,13 @@ class GasModel:
             return rho ** (self.gamma - 1.0)
         return self.gamma * rho ** (self.gamma - 1.0)
 
-    def _spread(self, rho, excess):
+    def _spread(self, rho, excess, out=None):
         """(excess/rho) * sqrt(P'(rho)) with excess = rho - 2*delta: half the
-        gap between the characteristic speeds; unchecked."""
-        return excess / rho * np.sqrt(self._dp(rho))
+        gap between the characteristic speeds; unchecked, written into the
+        array `out` when given."""
+        out = np.divide(excess, rho, out=out)
+        out *= np.sqrt(self._dp(rho))
+        return out
 
     @functools.cached_property
     def _p1_floor_terms(self):
@@ -205,13 +208,21 @@ class Grid1D:
     def centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
-    def extend(self, arr: np.ndarray) -> np.ndarray:
-        """Pad the last axis with one ghost cell per side: the wrapped
-        neighbour under periodic boundaries, a copy of the edge cell under
-        outflow."""
+    def fill_ghosts(self, padded: np.ndarray) -> None:
+        """Set the ghost cells of an array padded on its last axis with one
+        cell per side: the wrapped neighbour under periodic boundaries, a
+        copy of the edge cell under outflow."""
         if self.boundary is Boundary.PERIODIC:
-            return np.concatenate((arr[..., -1:], arr, arr[..., :1]), axis=-1)
-        return np.concatenate((arr[..., :1], arr, arr[..., -1:]), axis=-1)
+            padded[..., 0], padded[..., -1] = padded[..., -2], padded[..., 1]
+        else:
+            padded[..., 0], padded[..., -1] = padded[..., 1], padded[..., -2]
+
+    def extend(self, arr: np.ndarray) -> np.ndarray:
+        """`arr` padded on its last axis with one ghost cell per side."""
+        out = np.empty(arr.shape[:-1] + (arr.shape[-1] + 2,), dtype=arr.dtype)
+        out[..., 1:-1] = arr
+        self.fill_ghosts(out)
+        return out
 
 
 def cumulative_integral(vals: np.ndarray, dx: float) -> np.ndarray:

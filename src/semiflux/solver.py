@@ -11,9 +11,13 @@ local Lax-Friedrichs interface dissipation with the exact characteristic
 speeds, the artificial viscosity is a centered second difference, and the
 stiff damping is applied pointwise through its exact exponential factor so
 the update stays stable for tau much smaller than dt.  A step tests the
-density floor once, pads (rho, m, fluxes, wave speed) in one ghost-cell call
-and updates (rho, m) as one stacked array; only the source acts on m alone.
-A recorded run keeps only (step, time, rho, m) per record, as stacked arrays.
+density floor once and writes (rho, m, fluxes, wave speed) into the rows of
+one padded workspace, whose ghost cells `Grid1D.fill_ghosts` sets; the
+faces, jumps and viscosity land in the workspace's own buffers, and (rho, m)
+are updated as one stacked array, the only one a step allocates for what it
+returns.  `run` builds the workspace once and every step reuses it.  A
+recorded run keeps only (step, time, rho, m) per record, as stacked arrays,
+plus every dt and what limited each step.
 """
 
 from __future__ import annotations
@@ -74,10 +78,16 @@ class SolverConfig:
             raise ConfigurationError("smoothing_width must be non-negative")
 
 
+# what bounded a step: the advective or the viscous term of the stable-step
+# budget, or a record time or t_end that cut the step short
+LIMITS = ("advection", "viscosity", "clamp")
+
+
 @dataclass(frozen=True)
 class StepReport:
     dt_used: float
     post_step_min_rho: float
+    limit: str
 
 
 def gaussian_kernel(width: float, dx: float) -> np.ndarray:
@@ -113,70 +123,146 @@ def prepare_initial(raw_rho, raw_u, model: GasModel, cfg: SolverConfig,
     return HydroState(rho=rho, mom=rho * sm_u, time=0.0)
 
 
-def flux(model: GasModel, rho, mom, u=None):
+def flux(model: GasModel, rho, mom, u=None, excess=None, out=None):
     """Physical flux ((rho-2d) u, m u - delta u^2 + P1) of admissible float
-    arrays (P1 is read unchecked); `u` is m/rho when the caller has it."""
+    arrays (P1 is read unchecked); `u` and `excess` are m/rho and rho - 2d
+    when the caller has them, and `out` a pair of arrays to write the two
+    components into."""
     if u is None:
         u = mom / rho
-    f1 = (rho - model.rho_floor) * u
-    f2 = mom * u - model.delta * u * u + model._p1(rho)
+    f1, f2 = (None, None) if out is None else out
+    # a computed excess dies with this product, before P1's temporaries
+    f1 = np.multiply(rho - model.rho_floor if excess is None else excess, u,
+                     out=f1)
+    f2 = np.multiply(mom, u, out=f2)
+    f2 -= model.delta * u * u
+    f2 += model._p1(rho)
     return f1, f2
 
 
+class _Workspace:
+    """The buffers and per-run constants of `step` on one grid.
+
+    `pad` holds the rows (rho, m, f1, f2, speed) with one ghost cell per
+    side; the views below are its interior, its left/right face neighbours
+    and its two-cell stencil, cut once.  Nothing here is returned: the new
+    (rho, m) of each step is a fresh array, because `run` keeps recorded
+    rows without copying them.
+    """
+
+    def __init__(self, profile: DeviceProfile, cfg: SolverConfig,
+                 grid: Grid1D):
+        n, dx = grid.n_cells, grid.dx
+        self.pad = pad = np.empty((5, n + 2))
+        self.rho, self.mom, self.f1, self.f2, self.speed = pad[:, 1:-1]
+        self.q, self.q_lo, self.q_hi = pad[:2, 1:-1], pad[:2, :-2], pad[:2, 2:]
+        self.q_left, self.q_right = pad[:2, :-1], pad[:2, 1:]
+        self.f_left, self.f_right = pad[2:4, :-1], pad[2:4, 1:]
+        self.s_left, self.s_right = pad[4, :-1], pad[4, 1:]
+
+        self.alpha = np.empty(n + 1)
+        self.face = np.empty((2, n + 1))
+        self.face_lo, self.face_hi = self.face[:, :-1], self.face[:, 1:]
+        self.jump = np.empty((2, n + 1))
+        self.visc = np.empty((2, n))
+        self.u, self.excess, self.tmp = np.empty(n), np.empty(n), np.empty(n)
+        self.finite = np.empty((2, n), dtype=bool)
+
+        self.dx, self.dx2 = dx, dx ** 2
+        self.visc_rate = 2.0 * cfg.epsilon / self.dx2
+        self.neg_rate = -(profile.a_vals / cfg.tau)   # full-density damping
+
+
 def step(state: HydroState, profile: DeviceProfile, model: GasModel,
-         cfg: SolverConfig, grid: Grid1D, t_stop: float | None = None):
+         cfg: SolverConfig, grid: Grid1D, t_stop: float | None = None, *,
+         _work: _Workspace | None = None):
     """One explicit flux/viscosity update followed by the exact damping decay.
 
     Returns (new_state, StepReport).  The step is the stable one unless it
     would pass t_stop; then it ends on t_stop exactly, so output instants are
-    hit without rounding drift.
+    hit without rounding drift.  `_work` is the workspace `run` reuses from
+    step to step; a step called alone builds its own.
     """
     rho, mom = state.rho, state.mom
-    dx = grid.dx
 
-    if float(np.min(rho)) < model.admissible_floor:
+    if rho.min() < model.admissible_floor:
         raise IntegrationError("density fell below the vacuum offset",
                                state, state.time)
+    w = _work if _work is not None else _Workspace(profile, cfg, grid)
     # cellwise largest characteristic speed |u| + ((rho-2d)/rho) sqrt(P') and
     # the stable step cfl / (max|lambda|/dx + 2 eps/dx^2): one budget shared
     # by advection and viscosity, so the explicit update stays a convex
     # combination
-    u = mom / rho
-    excess = rho - model.rho_floor
-    speed = np.abs(u) + model._spread(rho, excess)
-    dt = cfg.cfl / (float(np.max(speed)) / dx + 2.0 * cfg.epsilon / dx ** 2)
+    u = np.divide(mom, rho, out=w.u)
+    excess = np.subtract(rho, model.rho_floor, out=w.excess)
+    speed = model._spread(rho, excess, out=w.speed)
+    speed += np.abs(u, out=w.tmp)
+    adv_rate = float(speed.max()) / w.dx
+    dt = cfg.cfl / (adv_rate + w.visc_rate)
+    limit = "advection" if adv_rate >= w.visc_rate else "viscosity"
     t_new = state.time + dt
     if t_stop is not None and dt >= t_stop - state.time:
         dt = t_stop - state.time
         t_new = t_stop
+        limit = "clamp"
 
+    np.copyto(w.rho, rho)
+    np.copyto(w.mom, mom)
+    flux(model, rho, mom, u, excess, out=(w.f1, w.f2))
     # ghost cells copy interior cells, so their fluxes are copies too
-    f1, f2 = flux(model, rho, mom, u)
-    ext = grid.extend(np.stack((rho, mom, f1, f2, speed)))
-    q_e, f_e, speed_e = ext[:2], ext[2:4], ext[4]
-    q = ext[:2, 1:-1]
+    grid.fill_ghosts(w.pad)
 
-    alpha = np.maximum(speed_e[:-1], speed_e[1:])
-    face = 0.5 * (f_e[:, :-1] + f_e[:, 1:]) \
-        - 0.5 * alpha * (q_e[:, 1:] - q_e[:, :-1])
-    visc = cfg.epsilon * (q_e[:, 2:] - 2.0 * q + q_e[:, :-2]) / dx ** 2
-    q_new = q - (dt / dx) * (face[:, 1:] - face[:, :-1]) + dt * visc
+    # each in-place sequence below makes its formula's operations in the
+    # formula's order (+ and * commute exactly), so the bits are the formula's
+    # 0.5 (f_l + f_r) - (0.5 alpha) (q_r - q_l) at every face
+    alpha = np.maximum(w.s_left, w.s_right, out=w.alpha)
+    alpha *= 0.5
+    face = np.add(w.f_left, w.f_right, out=w.face)
+    face *= 0.5
+    jump = np.subtract(w.q_right, w.q_left, out=w.jump)
+    jump *= alpha
+    face -= jump
+    # eps (q_{i+1} - 2 q_i + q_{i-1}) / dx^2
+    visc = np.multiply(w.q, 2.0, out=w.visc)
+    np.subtract(w.q_hi, visc, out=visc)
+    visc += w.q_lo
+    visc *= cfg.epsilon
+    visc /= w.dx2
+    # q - (dt/dx) (face_{i+1/2} - face_{i-1/2}) + dt visc, in a fresh array
+    q_new = np.subtract(w.face_hi, w.face_lo)
+    q_new *= dt / w.dx
+    np.subtract(w.q, q_new, out=q_new)
+    visc *= dt
+    q_new += visc
     rho_new, mom_star = q_new
 
     # explicit field force, then the damping through its exact decay factor
+    # exp((-rate) dt)
     e_vals = solve_field(excess, profile, grid)
+    tmp = w.tmp
     if cfg.source_variant is SourceVariant.FULL_DENSITY:
-        mom_star += dt * rho * e_vals
-        rate = profile.a_vals / cfg.tau
+        np.multiply(rho, dt, out=tmp)
+        tmp *= e_vals
+        mom_star += tmp
+        np.multiply(w.neg_rate, dt, out=tmp)
     else:
-        mom_star += dt * excess * e_vals
-        rate = profile.a_vals * (rho_new - model.rho_floor) / rho_new / cfg.tau
-    mom_star *= np.exp(-rate * dt)
+        np.multiply(excess, dt, out=tmp)
+        tmp *= e_vals
+        mom_star += tmp
+        # rate = a (rho_new - 2d) / rho_new / tau
+        np.subtract(rho_new, model.rho_floor, out=tmp)
+        tmp *= profile.a_vals
+        tmp /= rho_new
+        tmp /= cfg.tau
+        np.negative(tmp, out=tmp)
+        tmp *= dt
+    mom_star *= np.exp(tmp, out=tmp)
 
-    if not np.all(np.isfinite(q_new)):
+    if not np.isfinite(q_new, out=w.finite).all():
         raise IntegrationError("non-finite state", state, state.time)
 
-    report = StepReport(dt_used=dt, post_step_min_rho=float(np.min(rho_new)))
+    report = StepReport(dt_used=dt, post_step_min_rho=float(rho_new.min()),
+                        limit=limit)
     return HydroState(rho=rho_new, mom=mom_star, time=t_new), report
 
 
@@ -184,7 +270,8 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
 class Trajectory:
     """Recorded history of one run: the step index, time and conserved
     variables (rho, m) of each record, stacked over records (`rho` and `mom`
-    are (k, n_cells)), plus step-level diagnostics.  The field is derived
+    are (k, n_cells)), plus step-level diagnostics: every dt, how many steps
+    each of `LIMITS` bounded, and the lowest density.  The field is derived
     data; the monitors solve it from `rho` when they need it."""
 
     grid: Grid1D
@@ -196,6 +283,7 @@ class Trajectory:
     dts: list = field(default_factory=list)
     n_steps: int = 0
     min_rho_ever: float = math.inf
+    limits: dict = field(default_factory=dict)
     completed: bool = True
     failure_time: float | None = None
 
@@ -222,8 +310,10 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
     # rows are kept without a copy and stacked once at the end
     records = [(0, state.time, state.rho, state.mom)]
     dts = []
+    limits = dict.fromkeys(LIMITS, 0)
     min_rho_ever = float(np.min(state.rho))
     completed, failure_time = True, None
+    work = _Workspace(profile, cfg, grid)
 
     tiny = 1e-12 * max(cfg.t_end, 1.0)
     next_rec = 0
@@ -234,12 +324,14 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
             targets.append(rec_times[next_rec])
         target = min(t for t in targets if t > state.time + tiny)
         try:
-            state, rep = step(state, profile, model, cfg, grid, t_stop=target)
+            state, rep = step(state, profile, model, cfg, grid, t_stop=target,
+                              _work=work)
         except IntegrationError as err:
             completed, failure_time = False, err.time
             break
         k += 1
         dts.append(rep.dt_used)
+        limits[rep.limit] += 1
         min_rho_ever = min(min_rho_ever, rep.post_step_min_rho)
 
         if rec_times is None:
@@ -256,5 +348,6 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
     return Trajectory(grid=grid, model=model, steps=np.array(steps),
                       times=np.array(times), rho=np.stack(rhos),
                       mom=np.stack(moms), dts=dts, n_steps=k,
-                      min_rho_ever=min_rho_ever, completed=completed,
+                      min_rho_ever=min_rho_ever, limits=limits,
+                      completed=completed,
                       failure_time=failure_time)

@@ -155,10 +155,13 @@ def step_reference(state, profile, model, cfg, grid, t_stop=None):
         * np.sqrt(model.dpressure(rho))
     max_speed = float(np.max(speed))
     dt = cfg.cfl / (max_speed / dx + 2.0 * cfg.epsilon / dx ** 2)
+    limit = ("advection" if max_speed / dx >= 2.0 * cfg.epsilon / dx ** 2
+             else "viscosity")
     t_new = state.time + dt
     if t_stop is not None and dt >= t_stop - state.time:
         dt = t_stop - state.time
         t_new = t_stop
+        limit = "clamp"
 
     u = mom / rho
     f1 = (rho - model.rho_floor) * u
@@ -191,8 +194,42 @@ def step_reference(state, profile, model, cfg, grid, t_stop=None):
     if not (np.all(np.isfinite(rho_new)) and np.all(np.isfinite(mom_new))):
         raise IntegrationError("non-finite state", state, state.time)
 
-    report = StepReport(dt_used=dt, post_step_min_rho=float(np.min(rho_new)))
+    report = StepReport(dt_used=dt, post_step_min_rho=float(np.min(rho_new)),
+                        limit=limit)
     return HydroState(rho=rho_new, mom=mom_new, time=t_new), report
+
+
+def run_reference(initial, profile, model, cfg, grid, record_every=50,
+                  record_times=None):
+    """The march as a plain loop of `step_reference`, each step clamped to
+    t_end or the next record instant as `run` clamps it; returns (steps,
+    times, rho, mom, dts, min_rho_ever, limits), every record a copy and
+    `limits` the step count per `StepReport.limit`."""
+    tiny = 1e-12 * max(cfg.t_end, 1.0)
+    pending = [float(t) for t in record_times or () if 0.0 < t <= cfg.t_end]
+    state, k, nxt, dts = initial, 0, 0, []
+    limits = dict.fromkeys(("advection", "viscosity", "clamp"), 0)
+    records = [(0, state.time, state.rho.copy(), state.mom.copy())]
+    min_rho = float(np.min(state.rho))
+    while state.time < cfg.t_end - tiny:
+        target = min(t for t in [cfg.t_end, *pending[nxt:nxt + 1]]
+                     if t > state.time + tiny)
+        state, rep = step_reference(state, profile, model, cfg, grid,
+                                    t_stop=target)
+        k += 1
+        dts.append(rep.dt_used)
+        limits[rep.limit] += 1
+        min_rho = min(min_rho, rep.post_step_min_rho)
+        if record_times is None:
+            due = k % record_every == 0
+        else:
+            due = nxt < len(pending) and state.time >= pending[nxt] - tiny
+            nxt += int(due)
+        if due or state.time >= cfg.t_end - tiny:
+            records.append((k, state.time, state.rho.copy(), state.mom.copy()))
+    steps, times, rhos, moms = zip(*records)
+    return (np.array(steps), np.array(times), np.stack(rhos), np.stack(moms),
+            dts, min_rho, limits)
 
 
 def table_text_reference(meta, columns):

@@ -210,9 +210,17 @@ class TestSolve:
         out = tmp_path / "run"
         assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 0
         timing = json.loads((out / "timing.json").read_text())
+        march = timing.pop("march")
         assert set(timing) == {"wall_seconds", "monitors_s", "entropy_s",
                                "write_s"}
         assert all(v >= 0.0 for v in timing.values())
+        # the march's account: the limiter counts cover every step
+        n_steps = json.loads(
+            (out / "report.json").read_text())["summary"]["n_steps"]
+        assert march["advection_limited"] + march["viscosity_limited"] \
+            + march["clamped"] == n_steps
+        assert march["clamped"] >= 1          # the last step lands on t_end
+        assert 0.0 < march["dt_min"] <= march["dt_median"] <= march["dt_max"]
 
     def test_monitor_flag_overrides_config(self, tmp_path):
         cfg = write_cfg(tmp_path, BUMP_CFG)
@@ -328,6 +336,7 @@ class TestVerify:
         ("source_variant", "sideways"), ("epsilon", "abc"),
         ("n_cells", "many"), ("seed", "abc"), ("seed", None),
         ("monitors", 7), ("monitors", None),
+        ("seed", 3.9), ("seed", True), ("n_cells", 500.5),
     ])
     def test_bad_config_echo_exits_2(self, run_dir, capsys, key, value):
         # an echo value its key cannot read is unreadable input

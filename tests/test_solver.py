@@ -30,7 +30,8 @@ from semiflux import (
 )
 from semiflux.solver import flux, gaussian_kernel
 
-from helpers import step_reference
+import semiflux.solver as solver_mod
+from helpers import run_reference, step_reference
 
 
 def uniform_setup(n_cells=64, boundary=Boundary.PERIODIC, gamma=1.4,
@@ -244,6 +245,19 @@ class TestStepMechanics:
         assert rep.dt_used == dt
         assert new.time == 0.123 + dt
 
+    def test_limit_names_the_larger_term_or_the_clamp(self):
+        # max lambda/dx against 2 eps/dx^2 on a uniform state (dx = 0.1,
+        # lambda = 0.4 + 1.4/1.5 sqrt(1.5)): eps = 0.01 leaves advection the
+        # larger term, eps = 0.2 viscosity; a stop time inside the step
+        # clamps it whichever term is larger
+        state = HydroState(rho=np.full(100, 1.5), mom=np.full(100, 0.6))
+        for eps, want in ((0.01, "advection"), (0.2, "viscosity")):
+            grid, model, profile, cfg = uniform_setup(n_cells=100,
+                                                      epsilon=eps)
+            assert step(state, profile, model, cfg, grid)[1].limit == want
+            assert step(state, profile, model, cfg, grid,
+                        t_stop=1e-9)[1].limit == "clamp"
+
     def test_floor_violation_raises(self):
         grid, model, profile, cfg = uniform_setup()
         rho = np.full(grid.n_cells, 1.0)
@@ -300,6 +314,99 @@ class TestStepMatchesReference:
             if clamped:
                 assert rep.dt_used == t_stop - state.time
             state = new
+
+
+class TestRunMatchesReference:
+    """A whole run against a loop of the row-wise reference step, bit for
+    bit, records included: every recorded state must be its own array."""
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("variant", list(SourceVariant))
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    @pytest.mark.parametrize("record_times",
+                             [None, [0.31, 0.7, 1.234, 2.0, 2.9]])
+    def test_bit_identical(self, monkeypatch, boundary, variant, gamma,
+                           record_times):
+        grid = Grid1D(-5.0, 5.0, 100, boundary=boundary)
+        model = GasModel(gamma=gamma, delta=0.05)
+        x = grid.centers
+        profile = DeviceProfile.build(grid, 1.5 - 0.1 * np.tanh(x),
+                                      0.2 * np.exp(-x ** 2), 0.3)
+        cfg = SolverConfig(epsilon=2e-3, tau=0.05, t_end=3.0,
+                           source_variant=variant)
+        initial = TestStepMatchesReference.bumpy_state(grid, model)
+        initial.time = 0.0
+        returned = []
+        real_step = solver_mod.step
+
+        def kept_step(*args, **kwargs):
+            out = real_step(*args, **kwargs)
+            returned.append(out[0])
+            return out
+
+        monkeypatch.setattr(solver_mod, "step", kept_step)
+        traj = run(initial, profile, model, cfg, grid, record_every=7,
+                   record_times=record_times)
+        steps, times, rho, mom, dts, min_rho, limits = run_reference(
+            initial, profile, model, cfg, grid, record_every=7,
+            record_times=record_times)
+        assert traj.completed and traj.n_steps >= 50
+        assert traj.n_steps == len(returned) == len(dts)
+        assert np.array_equal(traj.steps, steps)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.rho, rho)
+        assert np.array_equal(traj.mom, mom)
+        assert traj.dts == dts
+        assert traj.min_rho_ever == min_rho
+        assert traj.limits == limits
+        # the states run kept for its records: no two share memory
+        kept = [initial] + [returned[k - 1] for k in traj.steps[1:]]
+        arrays = [a for st_ in kept for a in (st_.rho, st_.mom)]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+    def test_march_diagnostics_add_up(self):
+        # an outward flow rarefies the centre, so the lowest density comes
+        # after the start; every step is recorded to find it
+        grid, model, profile, cfg = uniform_setup(
+            n_cells=80, boundary=Boundary.OUTFLOW, t_end=1.0, epsilon=2e-3)
+        rho = np.ones(grid.n_cells)
+        state = HydroState(rho=rho, mom=0.8 * np.tanh(grid.centers))
+        traj = run(state, profile, model, cfg, grid, record_every=1)
+        assert sum(traj.limits.values()) == traj.n_steps
+        assert traj.limits["clamp"] == 1    # the last step lands on t_end
+        assert traj.steps.tolist() == list(range(traj.n_steps + 1))
+        assert traj.min_rho_ever == float(np.min(traj.rho)) < 1.0
+
+
+class TestBenchmarkHooks:
+    def test_run_calls_module_step_and_field_once_per_step(self,
+                                                           monkeypatch):
+        # the benchmark's per-layer view traces semiflux.solver.step and
+        # solve_field and reads the cell count off step's first argument:
+        # run must reach both through the module, once per step
+        grid, model, profile, cfg = uniform_setup(t_end=0.3)
+        calls = {"step": 0, "field": 0}
+        firsts = []
+        real_step, real_field = solver_mod.step, solver_mod.solve_field
+
+        def counted_step(*args, **kwargs):
+            calls["step"] += 1
+            firsts.append(args[0])
+            return real_step(*args, **kwargs)
+
+        def counted_field(*args, **kwargs):
+            calls["field"] += 1
+            return real_field(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "step", counted_step)
+        monkeypatch.setattr(solver_mod, "solve_field", counted_field)
+        state = HydroState(rho=np.ones(grid.n_cells),
+                           mom=np.zeros(grid.n_cells))
+        traj = run(state, profile, model, cfg, grid)
+        assert traj.n_steps > 0
+        assert calls == {"step": traj.n_steps, "field": traj.n_steps}
+        assert all(a.rho.size == grid.n_cells for a in firsts)
 
 
 class TestRun:
