@@ -15,9 +15,9 @@ from .field import mass_field_bound, solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, HydroState, PressureConvention, ProfileCheck,
                     cumulative_integral, total_integral)
-from .monitors import (ALL_MONITORS, EntropyPair, MonitorReport, TestFunction,
+from .monitors import (ALL_MONITORS, MonitorReport, TestFunction,
                        entropy_spot_check, entropy_sweep, evaluate_trajectory,
-                       mechanical_energy_pair, plateau_check)
+                       plateau_check)
 from .picard import (ContractionReport, HeatKernel, PicardIterate,
                      PicardResult, picard_solve, picard_step)
 from .relaxation import (CouplingRule, DDTrajectory, StudyResult, StudyRow,
@@ -31,8 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_MONITORS", "Boundary", "ConfigurationError", "ContractionReport",
-    "CouplingRule", "DDTrajectory", "DeviceProfile",
-    "EntropyPair", "GasModel", "Grid1D", "HeatKernel", "HydroState",
+    "CouplingRule", "DDTrajectory", "DeviceProfile", "GasModel", "Grid1D",
+    "HeatKernel", "HydroState",
     "IntegrationError", "MonitorReport", "PicardIterate",
     "PicardResult", "PressureConvention",
     "ProfileCheck", "RunSetup", "SCENARIOS",
@@ -40,7 +40,7 @@ __all__ = [
     "TestFunction", "Trajectory", "cumulative_integral",
     "dissipation_integral", "drift_diffusion_run", "entropy_spot_check",
     "entropy_sweep", "evaluate_trajectory", "make_setup", "mass_field_bound",
-    "mechanical_energy_pair", "picard_solve",
-    "picard_step", "plateau_check", "prepare_initial", "relaxation_study",
+    "picard_solve", "picard_step", "plateau_check", "prepare_initial",
+    "relaxation_study",
     "run", "solve_field", "step", "total_integral", "__version__",
 ]

@@ -3,8 +3,9 @@
 Four subcommands:
 
 * ``solve``   run one scenario, write snapshots + monitor outputs to a run dir
-* ``verify``  recompute monitors.csv / violations.json from a stored run and
-              demand byte-identical output; optional short-time fixed-point
+* ``verify``  recompute monitors.csv / violations.json and report.json's
+              entropy checks and plateau verdicts from a stored run and
+              demand identical output; optional short-time fixed-point
               cross-check against the integral-equation iteration
 * ``picard``  run the integral-equation iteration on a scenario and compare
               its endpoint with the finite-volume solver on a grid refined
@@ -13,8 +14,8 @@ Four subcommands:
               drift-diffusion reference, with and without the vacuum offset
 
 ``solve``, ``picard`` and ``relax`` build their device through
-``scenarios.make_setup``; ``verify`` reads a stored run, with the solver
-settings of its config echo, through ``reporting.load_run_dir``.
+``scenarios.make_setup``; ``verify`` audits a stored run, read through
+``reporting.load_run_dir``, under the profile and SolverConfig it holds.
 
 Exit codes: 0 all checks passed, 1 a check or monitor failed, 2 bad usage,
 unreadable input, or malformed configuration (an unknown key, a value its
@@ -39,9 +40,10 @@ from .config import (PICARD_KEYS, RELAX_KEYS, SCENARIO_KEYS, SOLVE_KEYS,
                      coerce, parse_key_value)
 from .model import ConfigurationError, Grid1D, HydroState
 from .monitors import ALL_MONITORS, entropy_spot_check, evaluate_trajectory
-from .picard import HeatKernel, picard_solve
+from .picard import picard_solve
 from .relaxation import CouplingRule, relaxation_study
-from .reporting import csv_text, json_text, load_run_dir, write_run_dir
+from .reporting import (audited_texts, audited_values, csv_text, json_text,
+                        load_run_dir, write_run_dir)
 from .scenarios import make_setup
 from .solver import SolverConfig, run
 
@@ -74,26 +76,6 @@ def _overrides(vals: dict) -> dict:
 def _given(vals: dict, keys: tuple) -> dict:
     """The keys a config sets, so every unset one keeps its library default."""
     return {k: vals[k] for k in keys if k in vals}
-
-
-def _config_echo(name: str, setup, cadence: int, enabled: tuple,
-                 seed: int) -> dict:
-    cfg, model, grid = setup.cfg, setup.model, setup.grid
-    return {
-        "scenario": name,
-        "hypothesis_tag": setup.scenario.hypothesis_tag,
-        "x_min": grid.x_min, "x_max": grid.x_max, "n_cells": grid.n_cells,
-        "boundary": grid.boundary.value,
-        "gamma": model.gamma, "delta": model.delta,
-        "pressure_convention": model.convention.value,
-        "epsilon": cfg.epsilon, "tau": cfg.tau, "cfl": cfg.cfl,
-        "t_end": cfg.t_end,
-        "source_variant": cfg.source_variant.value,
-        "smoothing_width": cfg.smoothing_width,
-        "cadence": cadence,
-        "monitors": ",".join(enabled) if enabled else "none",
-        "seed": seed,
-    }
 
 
 def _print_violations(violations: list, limit: int = 10):
@@ -139,21 +121,20 @@ def cmd_solve(args) -> int:
                setup.grid, record_every=cadence)
 
     t1 = time.perf_counter()
-    report = evaluate_trajectory(traj, setup.profile, enabled)
+    report = evaluate_trajectory(traj, enabled)
     t2 = time.perf_counter()
     extra = {}
     if "entropy" in enabled:
-        ent, ent_viols = entropy_spot_check(
-            traj, setup.profile, tau=setup.cfg.tau,
-            epsilon=setup.cfg.epsilon, seed=seed,
-            source_variant=setup.cfg.source_variant)
+        extra["entropy_checks"], ent_viols = entropy_spot_check(traj, seed)
         report.violations.extend(ent_viols)
-        extra["entropy_checks"] = ent
     t3 = time.perf_counter()
 
-    echo = _config_echo(name, setup, cadence, enabled, seed)
-    out = write_run_dir(out_dir, traj, setup.profile, report, echo,
-                        extra or None)
+    echo = {"scenario": name,
+            "hypothesis_tag": setup.scenario.hypothesis_tag,
+            "cadence": cadence,
+            "monitors": ",".join(enabled) if enabled else "none",
+            "seed": seed}
+    out = write_run_dir(out_dir, traj, report, echo, extra or None)
     # wall times and the march's account live outside report.json so stored
     # runs stay reproducible; wall_seconds is the march
     (out / "timing.json").write_text(json_text({
@@ -215,23 +196,21 @@ def _first_difference(stored: str, fresh: str, csv: bool) -> str:
 
 
 def cmd_verify(args) -> int:
-    payload, traj, profile, cfg = load_run_dir(args.run_dir)
+    payload, traj = load_run_dir(args.run_dir)
     echo = payload["config"]
     audit = coerce({"monitors": echo.get("monitors", "all"),
                     "seed": echo["seed"]}, SOLVE_KEYS)
     enabled = parse_monitor_list(audit["monitors"])
-    report = evaluate_trajectory(traj, profile, enabled)
+    report = evaluate_trajectory(traj, enabled)
+    derived = {"summary": report.summary}
     if "entropy" in enabled:
-        _, ent_viols = entropy_spot_check(
-            traj, profile, tau=cfg.tau, epsilon=cfg.epsilon,
-            seed=audit["seed"], source_variant=cfg.source_variant)
+        derived["entropy_checks"], ent_viols = entropy_spot_check(
+            traj, audit["seed"])
         report.violations.extend(ent_viols)
 
     run_dir = Path(args.run_dir)
     ok = True
-    for fname, fresh in (("monitors.csv", csv_text(report.columns,
-                                                    report.rows)),
-                         ("violations.json", json_text(report.violations))):
+    for fname, fresh in audited_texts(report).items():
         stored = (run_dir / fname).read_text()
         if fresh == stored:
             print(f"{fname}: byte-identical under recomputation")
@@ -239,15 +218,22 @@ def cmd_verify(args) -> int:
             where = _first_difference(stored, fresh, fname.endswith(".csv"))
             print(f"{fname}: MISMATCH under recomputation, {where}")
             ok = False
+    stored, fresh = audited_values(payload), audited_values(derived)
+    for key in sorted(stored.keys() | fresh.keys()):
+        old, new = stored.get(key, "absent\n"), fresh.get(key, "absent\n")
+        if old != new:
+            print(f"report.json: MISMATCH under recomputation, key {key}, "
+                  f"{_first_difference(old, new, False)}")
+            ok = False
 
     if args.picard:
+        cfg = traj.cfg
         t1 = min(args.t1, cfg.t_end)
         initial = HydroState(rho=traj.rho[0], mom=traj.mom[0], time=0.0)
-        result = picard_solve(initial, profile, traj.model,
-                              HeatKernel(cfg.epsilon), traj.grid, cfg.tau, t1,
-                              source_variant=cfg.source_variant)
+        result = picard_solve(initial, traj.profile, traj.model, cfg,
+                              traj.grid, t1)
         check = _cross_check(result, traj.grid, cfg, t1, args.cross_tol_factor,
-                             initial, profile, traj.model, traj.grid)
+                             initial, traj.profile, traj.model, traj.grid)
         if check is None:
             print("short-time cross-check: finite-volume rerun failed")
             ok = False
@@ -270,9 +256,7 @@ def cmd_picard(args) -> int:
 
     setup = make_setup(name, overrides)
     result = picard_solve(setup.initial, setup.profile, setup.model,
-                          HeatKernel(setup.cfg.epsilon), setup.grid,
-                          setup.cfg.tau, t1,
-                          source_variant=setup.cfg.source_variant,
+                          setup.cfg, setup.grid, t1,
                           **_given(vals, ("n_intervals", "tol", "max_iters")))
     n_fine = setup.grid.n_cells * vals.get("refine", 2)
     fine = make_setup(name, {**overrides, "n_cells": n_fine})

@@ -8,10 +8,13 @@ Monitored quantities: excess mass (non-increasing under outflow, constant
 under periodic), the field sup-bound ratio, growth of the Riemann invariants
 max z, max w <= M2 + M1*t, sup-norm plateaus under the uniform-bound
 hypotheses, and the weak entropy inequality against compactly supported test
-functions.  `evaluate_trajectory` audits the monitors named in `enabled`
-(the command line validates that list).  The entropy audit is one
-`entropy_sweep` over the snapshots: each snapshot's densities are evaluated
-once and shared by every test function and by the tolerance scale.
+functions.  Every audit reads the device profile and the SolverConfig (eps,
+tau, source coupling) from the Trajectory itself, so it judges the run
+under the settings it was marched with.  `evaluate_trajectory` audits the
+monitors named in `enabled` (the command line validates that list).  The
+entropy audit is one `entropy_sweep` over the snapshots: each snapshot's
+mechanical energy, flux and source term are evaluated once and shared by
+every test function and by the tolerance scale.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import doping_mass, mass_field_bound, solve_field
-from .model import (Boundary, DeviceProfile, GasModel, PressureConvention,
-                    _powm1_over, total_integral)
-from .solver import SourceVariant, Trajectory, source
+from .model import (Boundary, GasModel, PressureConvention, _powm1_over,
+                    total_integral)
+from .solver import Trajectory, source
 
 ALL_MONITORS = ("positivity", "mass", "field", "riemann", "uniform", "entropy")
 
@@ -35,6 +38,8 @@ FIELD_TOL = 1e-12
 RIEMANN_TOL = 1e-6
 # allowed late-over-early growth of a plateaued sup-norm
 PLATEAU_TOL = 0.01
+# random test functions per entropy spot check
+N_PHI = 3
 
 
 MONITOR_COLUMNS = (
@@ -52,19 +57,19 @@ class MonitorReport:
     summary: dict = field(default_factory=dict)
 
 
-def _records(traj: Trajectory, profile: DeviceProfile):
+def _records(traj: Trajectory):
     """(step, time, rho, m, E) of each record, E solved from its rho."""
-    floor, grid = traj.model.rho_floor, traj.grid
+    floor, grid, profile = traj.model.rho_floor, traj.grid, traj.profile
     for step, t, rho, mom in zip(traj.steps.tolist(), traj.times.tolist(),
                                  traj.rho, traj.mom):
         yield step, t, rho, mom, solve_field(rho - floor, profile, grid)
 
 
-def evaluate_trajectory(traj: Trajectory, profile: DeviceProfile,
+def evaluate_trajectory(traj: Trajectory,
                         enabled: tuple = ALL_MONITORS) -> MonitorReport:
     """Recompute each monitor named in `enabled` over the recorded
     snapshots; the monitor series are computed whatever is enabled."""
-    model, grid = traj.model, traj.grid
+    model, grid, profile = traj.model, traj.grid, traj.profile
     rows, violations = [], []
 
     mass0 = total_integral(traj.rho[0] - model.rho_floor, grid.dx)
@@ -78,7 +83,7 @@ def evaluate_trajectory(traj: Trajectory, profile: DeviceProfile,
     prev_mass = mass0
     m1_running = 0.0
 
-    for step, t, rho, mom, e_vals in _records(traj, profile):
+    for step, t, rho, mom, e_vals in _records(traj):
         # derived columns use a floored density so that one positivity
         # failure does not abort the rest of the audit; the positivity
         # monitor itself always sees the raw minimum
@@ -168,45 +173,24 @@ def plateau_check(times: np.ndarray, series: np.ndarray, tol: float):
 
 # --- entropy machinery -----------------------------------------------------
 
-@dataclass(frozen=True)
-class EntropyPair:
-    """Convex entropy with its flux; eta_m is the source multiplier."""
-
-    eta: object
-    q: object
-    eta_m: object
-
-
-def _internal_energy_integral(model: GasModel, rho):
-    """int_{2*delta}^{rho} P(s)/s^2 ds."""
+def _mechanical_energy(model: GasModel, rho, mom):
+    """Kinetic plus internal energy, the canonical convex entropy, at
+    (rho, m): its density eta, its flux q and the source multiplier
+    eta_m = u.  The internal energy int_{2*delta}^{rho} P(s)/s^2 ds is
+    evaluated once, for eta and q both."""
     rho = np.asarray(rho, dtype=float)
+    mom = np.asarray(mom, dtype=float)
     d2 = model.rho_floor
     if model.gamma == 1.0:
-        return np.log(rho / d2)
-    tail = _powm1_over(rho, model.gamma - 1.0) - _powm1_over(d2, model.gamma - 1.0)
-    if model.convention is PressureConvention.ONE_OVER_GAMMA:
-        tail = tail / model.gamma
-    return tail
-
-
-def mechanical_energy_pair(model: GasModel) -> EntropyPair:
-    """Kinetic plus internal energy, the canonical convex pair."""
-
-    def eta(rho, mom):
-        rho = np.asarray(rho, dtype=float)
-        mom = np.asarray(mom, dtype=float)
-        return 0.5 * mom ** 2 / rho + rho * _internal_energy_integral(model, rho)
-
-    def q(rho, mom):
-        rho = np.asarray(rho, dtype=float)
-        mom = np.asarray(mom, dtype=float)
-        enthalpy = model.pressure(rho) / rho + _internal_energy_integral(model, rho)
-        return 0.5 * mom ** 3 / rho ** 2 + enthalpy * mom
-
-    def eta_m(rho, mom):
-        return np.asarray(mom, dtype=float) / np.asarray(rho, dtype=float)
-
-    return EntropyPair(eta=eta, q=q, eta_m=eta_m)
+        internal = np.log(rho / d2)
+    else:
+        internal = (_powm1_over(rho, model.gamma - 1.0)
+                    - _powm1_over(d2, model.gamma - 1.0))
+        if model.convention is PressureConvention.ONE_OVER_GAMMA:
+            internal = internal / model.gamma
+    eta = 0.5 * mom ** 2 / rho + rho * internal
+    enthalpy = model.pressure(rho) / rho + internal
+    return eta, 0.5 * mom ** 3 / rho ** 2 + enthalpy * mom, mom / rho
 
 
 @dataclass(frozen=True)
@@ -265,12 +249,11 @@ def random_test_function(rng: np.random.Generator, x_lo: float, x_hi: float,
     return TestFunction(x_center=xc, x_width=wx, t_center=tc, t_width=wt)
 
 
-def entropy_sweep(traj: Trajectory, profile: DeviceProfile,
-                  pair: EntropyPair, phis: list, tau: float,
-                  source_variant: SourceVariant = SourceVariant.FULL_DENSITY):
-    """One pass over the snapshots: each snapshot's densities eta, q and
-    source * eta_m are evaluated once and folded into the discrete weak-form
-    residual of every test function in `phis`,
+def entropy_sweep(traj: Trajectory, phis: list):
+    """One pass over the snapshots: each snapshot's mechanical energy eta,
+    its flux q and source * eta_m, the source of the run's own coupling,
+    tau and profile, are evaluated once and folded into the discrete
+    weak-form residual of every test function in `phis`,
 
         int int  eta phi_t + q phi_x + source * eta_m * phi  dx dt
 
@@ -279,16 +262,16 @@ def entropy_sweep(traj: Trajectory, profile: DeviceProfile,
     (residuals, scale); each residual is nonnegative up to O(dx + eps) for
     admissible runs.  Extra memory is O(n_cells) per test function.
     """
-    model, grid = traj.model, traj.grid
+    model, grid, cfg = traj.model, traj.grid, traj.cfg
     dx = grid.dx
     space = [phi.space_factors(grid.centers) for phi in phis]
     vals = np.empty((len(phis), len(traj.times)))
     scale = 0.0
-    for k, (_, t, rho, mom, e_vals) in enumerate(_records(traj, profile)):
-        src = source(source_variant, model, rho, mom, e_vals,
-                     profile.a_vals, tau)
-        eta, q = pair.eta(rho, mom), pair.q(rho, mom)
-        src_eta = src * pair.eta_m(rho, mom)
+    for k, (_, t, rho, mom, e_vals) in enumerate(_records(traj)):
+        src = source(cfg.source_variant, model, rho, mom, e_vals,
+                     traj.profile.a_vals, cfg.tau)
+        eta, q, eta_m = _mechanical_energy(model, rho, mom)
+        src_eta = src * eta_m
         scale = max(scale, float(np.max(np.abs(eta))),
                     float(np.max(np.abs(q))), float(np.max(np.abs(src_eta))))
         for i, phi in enumerate(phis):
@@ -297,18 +280,15 @@ def entropy_sweep(traj: Trajectory, profile: DeviceProfile,
     return [float(np.trapezoid(v, traj.times)) for v in vals], scale
 
 
-def entropy_spot_check(traj: Trajectory, profile: DeviceProfile, tau: float,
-                       epsilon: float, seed: int, n_phi: int = 3,
-                       source_variant: SourceVariant = SourceVariant.FULL_DENSITY):
-    """Weak entropy inequality against a few random test functions.
+def entropy_spot_check(traj: Trajectory, seed: int):
+    """Weak entropy inequality against `N_PHI` random test functions.
 
     Deterministic in the seed, so an offline re-audit reproduces the same
     residuals.  All test functions are drawn first and audited in one
     `entropy_sweep`.  Returns (results, violations); a residual below
     -(dx + eps + mean recording gap) * scale is a violation.
     """
-    model, grid = traj.model, traj.grid
-    times = traj.times
+    grid, times = traj.grid, traj.times
     results, violations = [], []
     if len(times) < 4 or times[-1] <= times[0]:
         return results, violations
@@ -317,14 +297,12 @@ def entropy_spot_check(traj: Trajectory, profile: DeviceProfile, tau: float,
     phis = [random_test_function(rng, grid.x_min, grid.x_max,
                                  times[0] + 0.05 * span,
                                  times[-1] - 0.05 * span)
-            for _ in range(n_phi)]
-    residuals, scale = entropy_sweep(traj, profile,
-                                     mechanical_energy_pair(model), phis,
-                                     tau, source_variant)
+            for _ in range(N_PHI)]
+    residuals, scale = entropy_sweep(traj, phis)
     # the recording gap enters the tolerance: the time quadrature of the
     # residual is only as fine as the stored snapshots
     mean_gap = (times[-1] - times[0]) / (len(times) - 1)
-    tol = (grid.dx + epsilon + mean_gap) * max(scale, 1e-30)
+    tol = (grid.dx + traj.cfg.epsilon + mean_gap) * max(scale, 1e-30)
     for phi, res in zip(phis, residuals):
         results.append({"x_center": phi.x_center, "x_width": phi.x_width,
                         "t_center": phi.t_center, "t_width": phi.t_width,

@@ -23,7 +23,8 @@ never reaches a kept level, and to n_cells + 2h cells for the widest kernel
 half-width h, so values outside the grid count as zero on the real line,
 also on a periodic grid and also when a kernel is wider than the grid.  The
 kernel spectra and the initial-data terms G(t_k) * rho0 and G(t_k) * m0 do
-not depend on the iterate: `picard_solve` builds them once per slab.
+not depend on the iterate: `picard_solve` builds them once per slab.  Eps,
+tau and the source coupling come from one SolverConfig, as in the march.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from scipy.special import erf
 from .field import solve_field
 from .model import (ConfigurationError, DeviceProfile, GasModel, Grid1D,
                     HydroState, total_integral)
-from .solver import SourceVariant, flux, source
+from .solver import SolverConfig, flux, source
 
 
 @dataclass(frozen=True)
@@ -168,24 +169,25 @@ class _SlabTables:
 
 
 def picard_step(prev: PicardIterate, initial: HydroState,
-                profile: DeviceProfile, model: GasModel, kernel: HeatKernel,
-                grid: Grid1D, tau: float,
-                source_variant: SourceVariant = SourceVariant.FULL_DENSITY,
+                profile: DeviceProfile, model: GasModel, cfg: SolverConfig,
+                grid: Grid1D,
                 tables: _SlabTables | None = None) -> PicardIterate:
-    """Apply the integral right-hand side once to the previous iterate.
+    """Apply the integral right-hand side of `cfg` once to the previous
+    iterate.
 
     `tables` are the slab's kernel spectra and initial-data terms; they are
     built here when not given (`picard_solve` builds them once per slab).
     The iterate must be admissible (`picard_solve` checks every one).
     """
     if tables is None:
-        tables = _SlabTables.build(prev.times, initial, model, kernel, grid)
+        tables = _SlabTables.build(prev.times, initial, model,
+                                   HeatKernel(cfg.epsilon), grid)
 
     # flux and source terms of the previous iterate, all levels at once
     h_lvl, f_lvl = flux(model, prev.rho, prev.mom)
     e_vals = solve_field(prev.rho - model.rho_floor, profile, grid)
-    s_lvl = source(source_variant, model, prev.rho, prev.mom, e_vals,
-                   profile.a_vals, tau)
+    s_lvl = source(cfg.source_variant, model, prev.rho, prev.mom, e_vals,
+                   profile.a_vals, cfg.tau)
 
     # one spectrum at a time keeps the sweep's memory near two slab spectra
     rho_lag = tables.lag_sum(tables.spectrum(h_lvl) * tables.grad_hat)
@@ -253,20 +255,20 @@ def _admissibility_violation(it: PicardIterate, model: GasModel):
 
 
 def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
-                 kernel: HeatKernel, grid: Grid1D, tau: float, t1: float,
+                 cfg: SolverConfig, grid: Grid1D, t1: float,
                  n_intervals: int = 8, tol: float = 1e-10,
-                 max_iters: int = 30,
-                 source_variant: SourceVariant = SourceVariant.FULL_DENSITY) -> PicardResult:
-    """Iterate the integral map until the sup distance between successive
-    iterates drops below tol.  Three consecutive non-contracting ratios, or
-    an iterate whose density leaves the admissible band, stop the iteration
-    with a suggestion to halve the slab.
+                 max_iters: int = 30) -> PicardResult:
+    """Iterate the integral map of `cfg` on [0, t1] until the sup distance
+    between successive iterates drops below tol.  Three consecutive
+    non-contracting ratios, or an iterate whose density leaves the
+    admissible band, stop the iteration with a suggestion to halve the slab.
     """
     if t1 <= 0.0 or n_intervals < 1:
         raise ConfigurationError("need t1 > 0 and at least one slab interval")
     bound = iterate_band_bound(initial, model, grid)
     report = ContractionReport(tol=tol)
     prev = constant_first_guess(initial, t1, n_intervals)
+    kernel = HeatKernel(cfg.epsilon)
     tables = _SlabTables.build(prev.times, initial, model, kernel, grid)
     current = prev
     bad = 0
@@ -278,8 +280,8 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
             report.band_violations.append(violation)
             report.diverged = True
             break
-        current = picard_step(prev, initial, profile, model, kernel,
-                              grid, tau, source_variant, tables=tables)
+        current = picard_step(prev, initial, profile, model, cfg, grid,
+                              tables=tables)
         report.band_violations.extend(_band_check(current, model, bound))
         d = sup_distance(current, prev)
         report.distances.append(d)
@@ -298,8 +300,8 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
     if not report.diverged:
         violation = _admissibility_violation(current, model)
         if violation is None:
-            once_more = picard_step(current, initial, profile, model, kernel,
-                                    grid, tau, source_variant, tables=tables)
+            once_more = picard_step(current, initial, profile, model, cfg,
+                                    grid, tables=tables)
             report.fixed_point_residual = sup_distance(once_more, current)
         else:
             report.band_violations.append(violation)

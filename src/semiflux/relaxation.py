@@ -23,7 +23,7 @@ density, stacked over records; its field Upsilon is derived data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -368,10 +368,7 @@ def relaxation_study(setup: RunSetup, tau_list,
         "grid": {"x_min": grid.x_min, "x_max": grid.x_max,
                  "n_cells": grid.n_cells, "boundary": grid.boundary.value},
         "tau_list": taus,
-        "coupling": {"eps_coeff": coupling.eps_coeff,
-                     "eps_power": coupling.eps_power,
-                     "eps_fixed": coupling.eps_fixed,
-                     "delta_coeff": coupling.delta_coeff},
+        "coupling": asdict(coupling),
         "horizon": horizon,
         "window": [window[0], window[1]],
         "s0": s_min,

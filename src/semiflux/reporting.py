@@ -1,24 +1,26 @@
 """Deterministic on-disk formats for runs.
 
-A run directory stores a Trajectory's rows: each record's (step, time,
-rho, m) is one '#'-headed text snapshot, and the profile (x a b) another
-table; they hold only what verify reads back.  The cell centres x follow
-from the grid in report.json and are stored once, in the profile, where the
-reader checks them; the field E is derived data, which the monitors solve
-from rho and which is neither stored nor rebuilt on load.  Monitor
-series go to CSV, violations to JSON; report.json holds the config echo,
-the audit summary and the snapshot list, not values the other files already
-hold.  Every CSV a command writes (monitors.csv, contraction.csv,
-relax_table.csv) goes through `csv_text`.  Every float is rendered with 17
-significant digits so repeated runs of the same build are byte-identical; a
-table body is formatted by one '%' operation over all its values, which
-gives the bytes of one `fmt` call per value.  Wall-clock timing lives in its
-own file.
+A run directory stores a whole Trajectory: each record's (step, time,
+rho, m) is one '#'-headed text snapshot, the profile (x a b) another table,
+and its grid, gas law and SolverConfig the config echo, written and read
+back through the one key table `_ECHO`.  The cell centres x are stored
+once, in the profile, where the reader checks them against the grid; the
+field E is derived data, which the monitors solve from rho.  Monitor series
+go to CSV, violations to JSON (`audited_texts`); report.json holds the
+config echo, the audit summary and the snapshot list, not values the other
+files already hold.  Every CSV a command writes (monitors.csv,
+contraction.csv, relax_table.csv) goes through `csv_text`.  Every float is
+rendered with 17 significant digits so repeated runs of the same build are
+byte-identical; a table body is formatted by one '%' operation over all its
+values, which gives the bytes of one `fmt` call per value.  Wall-clock
+timing lives in its own file.
 """
 
 from __future__ import annotations
 
+import enum
 import json
+from dataclasses import fields
 from itertools import takewhile
 from pathlib import Path
 
@@ -29,12 +31,13 @@ from .model import ConfigurationError, DeviceProfile, GasModel, Grid1D
 from .monitors import MonitorReport
 from .solver import SolverConfig, Trajectory
 
-# the config echo keys a stored run is read back with: its grid and gas
-# law, and the SolverConfig fields
-_MODEL_KEYS = ("x_min", "x_max", "n_cells", "boundary", "gamma", "delta",
-               "pressure_convention")
-_SOLVER_KEYS = ("epsilon", "tau", "cfl", "t_end", "source_variant",
-                "smoothing_width")
+# the config echo's grid, gas-law and solver keys, per Trajectory part with
+# its class; the echo is written and read back with this one table, each key
+# naming its attribute but for the gas law's `convention`
+_ECHO = (("grid", Grid1D, ("x_min", "x_max", "n_cells", "boundary")),
+         ("model", GasModel, ("gamma", "delta", "pressure_convention")),
+         ("cfg", SolverConfig, tuple(f.name for f in fields(SolverConfig))))
+_ATTR = {"pressure_convention": "convention"}
 
 
 def fmt(x) -> str:
@@ -95,11 +98,27 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_run_dir(out_dir, traj: Trajectory, profile: DeviceProfile,
-                  report: MonitorReport, config_echo: dict,
-                  extra_report: dict | None = None) -> Path:
+def audited_texts(report: MonitorReport) -> dict:
+    """{file name: text} of the files an audit re-derives."""
+    return {"monitors.csv": csv_text(report.columns, report.rows),
+            "violations.json": json_text(report.violations)}
+
+
+def audited_values(payload: dict) -> dict:
+    """{key: `json_text` of its value} of the report.json values an audit
+    re-derives: the entropy checks and the summary's plateau verdicts."""
+    values = {f"summary.{k}": v for k, v in payload["summary"].items()
+              if k.startswith("plateau_")}
+    if "entropy_checks" in payload:
+        values["entropy_checks"] = payload["entropy_checks"]
+    return {k: json_text(v) for k, v in values.items()}
+
+
+def write_run_dir(out_dir, traj: Trajectory, report: MonitorReport,
+                  command_echo: dict, extra_report: dict | None = None) -> Path:
     """Lay out a run directory: report.json, monitors.csv, violations.json,
-    profile.dat, snapshots/."""
+    profile.dat, snapshots/.  The config echo is `traj`'s settings plus
+    `command_echo`."""
     out = Path(out_dir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
     paths = []
@@ -109,13 +128,17 @@ def write_run_dir(out_dir, traj: Trajectory, profile: DeviceProfile,
         p.write_text(_table_text({"step": step, "time": t},
                                  {"rho": rho, "m": mom}))
         paths.append(str(p.relative_to(out)))
-    (out / "monitors.csv").write_text(csv_text(report.columns, report.rows))
-    (out / "violations.json").write_text(json_text(report.violations))
+    for name, text in audited_texts(report).items():
+        (out / name).write_text(text)
+    profile = traj.profile
     (out / "profile.dat").write_text(_table_text(
         {"e_minus": profile.e_minus},
         {"x": traj.grid.centers, "a": profile.a_vals, "b": profile.b_vals}))
+    echo = {key: getattr(getattr(traj, part), _ATTR.get(key, key))
+            for part, _, keys in _ECHO for key in keys}
     payload = {
-        "config": config_echo,
+        "config": {**{k: v.value if isinstance(v, enum.Enum) else v
+                      for k, v in echo.items()}, **command_echo},
         "summary": report.summary,
         "snapshots": paths,
     }
@@ -126,32 +149,28 @@ def write_run_dir(out_dir, traj: Trajectory, profile: DeviceProfile,
 
 
 def load_run_dir(run_dir):
-    """Read back a finished run: (report.json payload, trajectory, profile,
-    the SolverConfig of its config echo).  The echo is parsed here only,
-    with the config files' key types, so a value its key cannot read is a
-    ConfigurationError naming the key."""
+    """Read back a finished run: (report.json payload, trajectory).  The
+    echo is parsed here only, with the config files' key types, so a value
+    its key cannot read is a ConfigurationError naming the key."""
     out = Path(run_dir)
     payload = json.loads((out / "report.json").read_text())
-    echo = coerce({k: payload["config"][k] for k in _MODEL_KEYS + _SOLVER_KEYS},
-                  SCENARIO_KEYS)
-    grid = Grid1D(x_min=echo["x_min"], x_max=echo["x_max"],
-                  n_cells=echo["n_cells"], boundary=echo["boundary"])
-    model = GasModel(gamma=echo["gamma"], delta=echo["delta"],
-                     convention=echo["pressure_convention"])
-    cfg = SolverConfig(**{k: echo[k] for k in _SOLVER_KEYS})
+    echo = coerce({k: payload["config"][k] for _, _, keys in _ECHO
+                   for k in keys}, SCENARIO_KEYS)
+    grid, model, cfg = (cls(**{_ATTR.get(k, k): echo[k] for k in keys})
+                        for _, cls, keys in _ECHO)
     meta, cols = _read_table(out / "profile.dat", grid, ("e_minus",),
                              ("x", "a", "b"))
     profile = DeviceProfile.build(grid, cols["a"], cols["b"], meta["e_minus"])
     if not payload["snapshots"]:
         raise ConfigurationError(f"{out / 'report.json'}: lists no snapshots")
     shape = (len(payload["snapshots"]), grid.n_cells)
-    traj = Trajectory(grid=grid, model=model, steps=np.empty(shape[0], int),
-                      times=np.empty(shape[0]), rho=np.empty(shape),
-                      mom=np.empty(shape))
+    traj = Trajectory(grid=grid, model=model, profile=profile, cfg=cfg,
+                      steps=np.empty(shape[0], int), times=np.empty(shape[0]),
+                      rho=np.empty(shape), mom=np.empty(shape))
     for i, rel in enumerate(payload["snapshots"]):
         meta, cols = _read_table(out / rel, grid, ("step", "time"),
                                  ("rho", "m"))
         traj.steps[i], traj.times[i] = int(meta["step"]), meta["time"]
         traj.rho[i], traj.mom[i] = cols["rho"], cols["m"]
     traj.n_steps, traj.min_rho_ever = int(traj.steps[-1]), float(np.min(traj.rho))
-    return payload, traj, profile, cfg
+    return payload, traj

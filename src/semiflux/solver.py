@@ -17,7 +17,8 @@ faces, jumps and viscosity land in the workspace's own buffers, and (rho, m)
 are updated as one stacked array, the only one a step allocates for what it
 returns.  `run` builds the workspace once and every step reuses it.  A
 recorded run keeps only (step, time, rho, m) per record, as stacked arrays,
-plus every dt and what limited each step.
+plus every dt and what limited each step, and the device and SolverConfig
+it was marched with.
 """
 
 from __future__ import annotations
@@ -268,14 +269,17 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
 
 @dataclass
 class Trajectory:
-    """Recorded history of one run: the step index, time and conserved
+    """Recorded history of one run: the grid, gas law, device profile and
+    SolverConfig it was marched with; the step index, time and conserved
     variables (rho, m) of each record, stacked over records (`rho` and `mom`
-    are (k, n_cells)), plus step-level diagnostics: every dt, how many steps
+    are (k, n_cells)); and step-level diagnostics: every dt, how many steps
     each of `LIMITS` bounded, and the lowest density.  The field is derived
     data; the monitors solve it from `rho` when they need it."""
 
     grid: Grid1D
     model: GasModel
+    profile: DeviceProfile
+    cfg: SolverConfig
     steps: np.ndarray
     times: np.ndarray
     rho: np.ndarray
@@ -345,9 +349,8 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
     if completed and state.time < cfg.t_end - tiny:  # max_steps hit
         completed, failure_time = False, state.time
     steps, times, rhos, moms = zip(*records)
-    return Trajectory(grid=grid, model=model, steps=np.array(steps),
-                      times=np.array(times), rho=np.stack(rhos),
-                      mom=np.stack(moms), dts=dts, n_steps=k,
-                      min_rho_ever=min_rho_ever, limits=limits,
-                      completed=completed,
-                      failure_time=failure_time)
+    return Trajectory(grid=grid, model=model, profile=profile, cfg=cfg,
+                      steps=np.array(steps), times=np.array(times),
+                      rho=np.stack(rhos), mom=np.stack(moms), dts=dts,
+                      n_steps=k, min_rho_ever=min_rho_ever, limits=limits,
+                      completed=completed, failure_time=failure_time)

@@ -26,7 +26,7 @@ def bump_traj(bump_setup):
 
 @pytest.fixture(scope="session")
 def bump_report(bump_setup, bump_traj):
-    return evaluate_trajectory(bump_traj, bump_setup.profile)
+    return evaluate_trajectory(bump_traj)
 
 
 @pytest.fixture()

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from semiflux.field import solve_field
 from semiflux.model import (GasModel, HydroState, PressureConvention,
                             _powm1_over)
-from semiflux.monitors import (TestFunction, mechanical_energy_pair,
+from semiflux.monitors import (N_PHI, TestFunction, _mechanical_energy,
                                random_test_function)
 from semiflux.picard import PicardIterate
 from semiflux.relaxation import PositivityError, _dd_face_flux
@@ -242,14 +242,15 @@ def table_text_reference(meta, columns):
     return "\n".join(lines) + "\n"
 
 
-def convexity_check(pair, rho_samples, mom_samples, h: float = 1e-4) -> float:
-    """Smallest eigenvalue of the finite-difference Hessian of eta over the
-    sampled states (should be >= 0 for a convex pair)."""
+def convexity_check(eta, rho_samples, mom_samples, h: float = 1e-4) -> float:
+    """Smallest eigenvalue of the finite-difference Hessian of the entropy
+    eta(rho, m) over the sampled states (should be >= 0 for a convex
+    entropy)."""
     worst = math.inf
     for rho, mom in zip(np.atleast_1d(rho_samples), np.atleast_1d(mom_samples)):
         hr = h * max(1.0, abs(rho))
         hm = h * max(1.0, abs(mom))
-        e = pair.eta
+        e = eta
         h11 = (e(rho + hr, mom) - 2.0 * e(rho, mom) + e(rho - hr, mom)) / hr ** 2
         h22 = (e(rho, mom + hm) - 2.0 * e(rho, mom) + e(rho, mom - hm)) / hm ** 2
         h12 = (e(rho + hr, mom + hm) - e(rho + hr, mom - hm)
@@ -270,7 +271,7 @@ def phi_reference(phi, x, t):
             bump(xi_x) * dbump(xi_t) / phi.t_width)
 
 
-def entropy_residual_reference(traj, profile, pair, phi, tau,
+def entropy_residual_reference(traj, profile, phi, tau,
                                source_variant=SourceVariant.FULL_DENSITY):
     """The weak-form residual as one walk over the trajectory per test
     function, every density and each record's field re-evaluated on each
@@ -283,13 +284,13 @@ def entropy_residual_reference(traj, profile, pair, phi, tau,
         src = source(source_variant, model, rho, mom, e_vals,
                      profile.a_vals, tau)
         p, p_x, p_t = phi_reference(phi, x, t)
-        integrand = (pair.eta(rho, mom) * p_t + pair.q(rho, mom) * p_x
-                     + src * pair.eta_m(rho, mom) * p)
+        eta, q, eta_m = _mechanical_energy(model, rho, mom)
+        integrand = eta * p_t + q * p_x + src * eta_m * p
         vals[k] = grid.dx * float(np.sum(integrand))
     return float(np.trapezoid(vals, traj.times))
 
 
-def entropy_scale_reference(traj, profile, pair, tau,
+def entropy_scale_reference(traj, profile, tau,
                             source_variant=SourceVariant.FULL_DENSITY):
     """The tolerance scale as its own walk over the trajectory, each
     record's field solved on its own."""
@@ -298,31 +299,30 @@ def entropy_scale_reference(traj, profile, pair, tau,
         e_vals = solve_field(rho - traj.model.rho_floor, profile, traj.grid)
         src = source(source_variant, traj.model, rho, mom, e_vals,
                      profile.a_vals, tau)
+        eta, q, eta_m = _mechanical_energy(traj.model, rho, mom)
         scale = max(scale,
-                    float(np.max(np.abs(pair.eta(rho, mom)))),
-                    float(np.max(np.abs(pair.q(rho, mom)))),
-                    float(np.max(np.abs(src * pair.eta_m(rho, mom)))))
+                    float(np.max(np.abs(eta))),
+                    float(np.max(np.abs(q))),
+                    float(np.max(np.abs(src * eta_m))))
     return scale
 
 
 def entropy_spot_check_pairs_reference(traj, profile, tau, epsilon, seed,
-                                       n_phi=3,
                                        source_variant=SourceVariant.FULL_DENSITY):
     """(residual, tolerance) per test function from the per-function
     walks, drawing the test functions as `entropy_spot_check` does."""
     times, grid = traj.times, traj.grid
-    pair = mechanical_energy_pair(traj.model)
-    scale = entropy_scale_reference(traj, profile, pair, tau, source_variant)
+    scale = entropy_scale_reference(traj, profile, tau, source_variant)
     mean_gap = (times[-1] - times[0]) / (len(times) - 1)
     tol = (grid.dx + epsilon + mean_gap) * max(scale, 1e-30)
     rng = np.random.default_rng(seed)
     span = times[-1] - times[0]
     out = []
-    for _ in range(n_phi):
+    for _ in range(N_PHI):
         phi = random_test_function(rng, grid.x_min, grid.x_max,
                                    times[0] + 0.05 * span,
                                    times[-1] - 0.05 * span)
-        out.append((entropy_residual_reference(traj, profile, pair, phi, tau,
+        out.append((entropy_residual_reference(traj, profile, phi, tau,
                                                source_variant), tol))
     return out
 

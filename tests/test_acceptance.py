@@ -20,7 +20,6 @@ from semiflux import (
     DeviceProfile,
     GasModel,
     Grid1D,
-    HeatKernel,
     PressureConvention,
     SCENARIOS,
     SolverConfig,
@@ -34,7 +33,6 @@ from semiflux.cli import main
 from semiflux.monitors import (
     MONITOR_COLUMNS,
     entropy_sweep,
-    mechanical_energy_pair,
     random_test_function,
 )
 from semiflux.scenarios import make_setup
@@ -62,7 +60,7 @@ def library_runs():
             traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
                        setup.grid, record_every=25)
             wall = time.perf_counter() - t0
-            report = evaluate_trajectory(traj, setup.profile)
+            report = evaluate_trajectory(traj)
             out[(name, n_cells)] = SimpleNamespace(
                 setup=setup, traj=traj, report=report, wall=wall)
     return out
@@ -74,7 +72,7 @@ def periodic_run():
                                          "boundary": "periodic"})
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
                setup.grid, record_every=25)
-    report = evaluate_trajectory(traj, setup.profile)
+    report = evaluate_trajectory(traj)
     return SimpleNamespace(setup=setup, traj=traj, report=report)
 
 
@@ -178,7 +176,7 @@ def test_criterion_06_time_uniform_plateaus():
     setup = make_setup("doping-ramp", {"t_end": 50.0})
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
                setup.grid, record_every=50)
-    report = evaluate_trajectory(traj, setup.profile)
+    report = evaluate_trajectory(traj)
     assert setup.model.gamma == 2.0
     assert setup.profile.check.ok
     growths = []
@@ -192,7 +190,7 @@ def test_criterion_06_time_uniform_plateaus():
     iso = make_setup("isothermal-bump", {"t_end": 50.0})
     iso_traj = run(iso.initial, iso.profile, iso.model, iso.cfg, iso.grid,
                    record_every=50)
-    iso_report = evaluate_trajectory(iso_traj, iso.profile)
+    iso_report = evaluate_trajectory(iso_traj)
     assert iso.model.gamma == 1.0
     for series in ("sup_log_plus", "sup_log_minus"):
         assert iso_report.summary[f"plateau_{series}_ok"]
@@ -220,9 +218,7 @@ def test_criterion_07_entropy_inequality_on_shock_run():
                                  times[0] + 0.05 * span,
                                  times[-1] - 0.05 * span)
             for _ in range(20)]
-    residuals, scale = entropy_sweep(
-        traj, setup.profile, mechanical_energy_pair(setup.model), phis,
-        setup.cfg.tau, setup.cfg.source_variant)
+    residuals, scale = entropy_sweep(traj, phis)
     tol = ENTROPY_C * (setup.grid.dx + setup.cfg.epsilon) * scale
     for res in residuals:
         assert res >= -tol, f"residual {res!r} below -{tol!r}"
@@ -233,12 +229,10 @@ def test_criterion_07_entropy_inequality_on_shock_run():
 
 def test_criterion_08_picard_cross_validation():
     setup = make_setup("gaussian-bump", {"epsilon": 0.01})
-    kernel = HeatKernel(setup.cfg.epsilon)
     t1 = 0.01
-    result = picard_solve(setup.initial, setup.profile, setup.model, kernel,
-                          setup.grid, setup.cfg.tau, t1, n_intervals=8,
-                          tol=1e-14,
-                          source_variant=setup.cfg.source_variant)
+    result = picard_solve(setup.initial, setup.profile, setup.model,
+                          setup.cfg, setup.grid, t1, n_intervals=8,
+                          tol=1e-14)
     rep = result.report
     assert rep.converged and not rep.diverged
     assert not rep.band_violations

@@ -5,6 +5,8 @@ into its firing condition deliberately; the entropy residual is checked on
 states where the weak form collapses to something computable.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,17 +17,17 @@ from semiflux import (
     DeviceProfile,
     GasModel,
     Grid1D,
+    SolverConfig,
     SourceVariant,
     Trajectory,
     dissipation_integral,
     entropy_spot_check,
     entropy_sweep,
     evaluate_trajectory,
-    mechanical_energy_pair,
     plateau_check,
 )
 from semiflux import monitors
-from semiflux.monitors import (MONITOR_COLUMNS, EntropyPair,
+from semiflux.monitors import (MONITOR_COLUMNS, _mechanical_energy,
                                random_test_function)
 from semiflux.monitors import TestFunction as SpaceTimeBump
 from semiflux.scenarios import make_setup
@@ -36,12 +38,14 @@ from helpers import (convexity_check, entropy_residual_reference,
                      entropy_spot_check_pairs_reference, phi_reference)
 
 
-def make_traj(grid, model, frames):
+def make_traj(grid, model, frames, profile, cfg=SolverConfig()):
     """frames: list of (time, rho, mom) tuples, stacked into a trajectory
-    whose record k is step k; its field is derived from rho."""
+    of `profile` and `cfg` whose record k is step k; its field is derived
+    from rho."""
     times, rho, mom = zip(*frames)
     rho = np.array(rho, dtype=float)
-    return Trajectory(grid=grid, model=model, steps=np.arange(len(frames)),
+    return Trajectory(grid=grid, model=model, profile=profile, cfg=cfg,
+                      steps=np.arange(len(frames)),
                       times=np.array(times, dtype=float), rho=rho,
                       mom=np.array(mom, dtype=float),
                       n_steps=len(frames) - 1,
@@ -96,8 +100,9 @@ class TestEvaluateTrajectory:
         self.profile = DeviceProfile.uniform(self.grid)
 
     def test_rest_state_is_clean(self):
-        traj = make_traj(self.grid, self.model, rest_frames(self.grid))
-        report = evaluate_trajectory(traj, self.profile)
+        traj = make_traj(self.grid, self.model, rest_frames(self.grid),
+                         self.profile)
+        report = evaluate_trajectory(traj)
         assert report.violations == []
         assert report.columns == MONITOR_COLUMNS
         assert all(len(r) == len(MONITOR_COLUMNS) for r in report.rows)
@@ -108,8 +113,8 @@ class TestEvaluateTrajectory:
         bad = frames[2][1].copy()
         bad[5] = self.model.rho_floor - 1e-6
         frames[2] = (frames[2][0], bad, frames[2][2])
-        traj = make_traj(self.grid, self.model, frames)
-        report = evaluate_trajectory(traj, self.profile)
+        traj = make_traj(self.grid, self.model, frames, self.profile)
+        report = evaluate_trajectory(traj)
         kinds = [v["monitor"] for v in report.violations]
         assert "positivity" in kinds
 
@@ -118,15 +123,15 @@ class TestEvaluateTrajectory:
         bad = frames[2][1].copy()
         bad[5] = self.model.rho_floor - 1e-14 * self.model.delta
         frames[2] = (frames[2][0], bad, frames[2][2])
-        traj = make_traj(self.grid, self.model, frames)
-        report = evaluate_trajectory(traj, self.profile)
+        traj = make_traj(self.grid, self.model, frames, self.profile)
+        report = evaluate_trajectory(traj)
         assert all(v["monitor"] != "positivity" for v in report.violations)
 
     def test_outflow_mass_gain_fires(self):
         frames = rest_frames(self.grid)
         frames[3] = (frames[3][0], frames[3][1] + 0.01, frames[3][2])
-        traj = make_traj(self.grid, self.model, frames)
-        report = evaluate_trajectory(traj, self.profile)
+        traj = make_traj(self.grid, self.model, frames, self.profile)
+        report = evaluate_trajectory(traj)
         assert any(v["monitor"] == "mass" for v in report.violations)
 
     def test_periodic_mass_allowance_scales_with_steps(self):
@@ -137,12 +142,12 @@ class TestEvaluateTrajectory:
         drift = 2e-12 * mass_scale / (grid.x_max - grid.x_min)
         frames = [(0.0, np.full(n, 1.0), np.zeros(n)),
                   (1.0, np.full(n, 1.0 + drift), np.zeros(n))]
-        traj = make_traj(grid, self.model, frames)
+        traj = make_traj(grid, self.model, frames, profile)
         traj.steps[1] = 5000  # allowance grows to 5e-12 * scale
-        report = evaluate_trajectory(traj, profile)
+        report = evaluate_trajectory(traj)
         assert all(v["monitor"] != "mass" for v in report.violations)
         traj.steps[1] = 500  # back to the per-1000-step budget
-        report = evaluate_trajectory(traj, profile)
+        report = evaluate_trajectory(traj)
         assert any(v["monitor"] == "mass" for v in report.violations)
 
     def test_field_monitor_fires_on_inflated_field(self):
@@ -152,8 +157,8 @@ class TestEvaluateTrajectory:
         n = self.grid.n_cells
         dipole = np.where(np.arange(n) < n // 2, -5.0, 5.0)
         frames[2] = (frames[2][0], frames[2][1] + dipole, frames[2][2])
-        traj = make_traj(self.grid, self.model, frames)
-        report = evaluate_trajectory(traj, self.profile)
+        traj = make_traj(self.grid, self.model, frames, self.profile)
+        report = evaluate_trajectory(traj)
         fired = [v for v in report.violations if v["monitor"] == "field"]
         assert [v["time"] for v in fired] == [2.0]
         assert fired[0]["value"] > 2.0 * fired[0]["bound"]
@@ -162,8 +167,8 @@ class TestEvaluateTrajectory:
         frames = rest_frames(self.grid, times=(0.0, 1e-6))
         n = self.grid.n_cells
         frames[1] = (frames[1][0], frames[1][1], np.full(n, 5.0))
-        traj = make_traj(self.grid, self.model, frames)
-        report = evaluate_trajectory(traj, self.profile)
+        traj = make_traj(self.grid, self.model, frames, self.profile)
+        report = evaluate_trajectory(traj)
         assert any(v["monitor"] == "riemann" for v in report.violations)
 
     def test_plateau_gated_on_profile_hypotheses(self):
@@ -172,16 +177,16 @@ class TestEvaluateTrajectory:
         for k, t in enumerate((0.0, 1.0, 2.0, 3.0)):
             rho = np.full(n, 1.0 + (0.2 if t > 1.5 else 0.0))
             frames.append((t, rho, np.zeros(n)))
-        traj = make_traj(self.grid, self.model, frames)
+        traj = make_traj(self.grid, self.model, frames, self.profile)
 
-        report = evaluate_trajectory(traj, self.profile)
+        report = evaluate_trajectory(traj)
         assert any(v["monitor"] == "uniform" for v in report.violations)
         assert report.summary["plateau_sup_rho_ok"] is False
 
         rising_a = np.linspace(1.0, 2.0, n)
         loose = DeviceProfile.build(self.grid, rising_a, np.zeros(n), 0.0)
         assert not loose.check.ok
-        report = evaluate_trajectory(traj, loose)
+        report = evaluate_trajectory(replace(traj, profile=loose))
         assert all(v["monitor"] != "uniform" for v in report.violations)
         assert report.summary["plateau_sup_rho_ok"] is False
 
@@ -193,8 +198,8 @@ class TestEvaluateTrajectory:
             u = 0.5 if t > 1.5 else 0.0
             rho = np.full(n, 1.0)
             frames.append((t, rho, rho * u))
-        traj = make_traj(self.grid, model, frames)
-        report = evaluate_trajectory(traj, self.profile)
+        traj = make_traj(self.grid, model, frames, self.profile)
+        report = evaluate_trajectory(traj)
         fired = [v for v in report.violations if v["monitor"] == "uniform"]
         assert fired and fired[0]["series"] in ("sup_log_plus",
                                                 "sup_log_minus")
@@ -204,13 +209,14 @@ class TestEvaluateTrajectory:
         bad = frames[2][1].copy()
         bad[5] = self.model.rho_floor - 1e-2
         frames[2] = (frames[2][0], bad, frames[2][2])
-        traj = make_traj(self.grid, self.model, frames)
-        report = evaluate_trajectory(traj, self.profile, ("mass",))
+        traj = make_traj(self.grid, self.model, frames, self.profile)
+        report = evaluate_trajectory(traj, ("mass",))
         assert all(v["monitor"] != "positivity" for v in report.violations)
 
     def test_excess_mass_of_rest_state(self):
-        traj = make_traj(self.grid, self.model, rest_frames(self.grid))
-        report = evaluate_trajectory(traj, self.profile)
+        traj = make_traj(self.grid, self.model, rest_frames(self.grid),
+                         self.profile)
+        report = evaluate_trajectory(traj)
         expected = (1.0 - self.model.rho_floor) * 10.0
         mass = [row[MONITOR_COLUMNS.index("mass")] for row in report.rows]
         assert mass == pytest.approx([expected] * len(mass), rel=1e-12)
@@ -220,37 +226,34 @@ class TestEntropyPair:
     def test_floor_state_has_zero_entropy(self):
         for gamma in (1.0, 1.4, 2.0):
             model = GasModel(gamma=gamma, delta=0.05)
-            pair = mechanical_energy_pair(model)
-            assert pair.eta(model.rho_floor, 0.0) == 0.0
-            assert pair.q(model.rho_floor, 0.0) == 0.0
+            eta, q, _ = _mechanical_energy(model, model.rho_floor, 0.0)
+            assert eta == 0.0
+            assert q == 0.0
 
     def test_isothermal_internal_energy_is_logarithmic(self):
         model = GasModel(gamma=1.0, delta=0.05)
-        pair = mechanical_energy_pair(model)
         rho = 1.7
-        assert pair.eta(rho, 0.0) == pytest.approx(rho * np.log(rho / 0.1),
-                                                   rel=1e-13)
+        assert _mechanical_energy(model, rho, 0.0)[0] == pytest.approx(
+            rho * np.log(rho / 0.1), rel=1e-13)
 
     def test_velocity_multiplier(self):
         model = GasModel(gamma=1.4, delta=0.05)
-        pair = mechanical_energy_pair(model)
-        assert pair.eta_m(2.0, 1.0) == pytest.approx(0.5)
+        assert _mechanical_energy(model, 2.0, 1.0)[2] == pytest.approx(0.5)
 
     @given(rho=st.floats(0.100001, 4.0), u=st.floats(-3.0, 3.0))
     @settings(max_examples=60, deadline=None)
     def test_entropy_nonnegative_above_floor(self, rho, u):
         model = GasModel(gamma=1.4, delta=0.05)
-        pair = mechanical_energy_pair(model)
-        assert pair.eta(rho, rho * u) >= -1e-12
+        assert _mechanical_energy(model, rho, rho * u)[0] >= -1e-12
 
     @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
     def test_hessian_positive_semidefinite(self, gamma):
         model = GasModel(gamma=gamma, delta=0.05)
-        pair = mechanical_energy_pair(model)
         rng = np.random.default_rng(11)
         rho = rng.uniform(0.15, 3.0, size=40)
         mom = rng.uniform(-2.0, 2.0, size=40)
-        assert convexity_check(pair, rho, mom) >= -1e-6
+        assert convexity_check(
+            lambda r, m: _mechanical_energy(model, r, m)[0], rho, mom) >= -1e-6
 
 
 class TestBumpFunction:
@@ -309,10 +312,9 @@ class TestEntropyResidual:
         n = grid.n_cells
         frames = [(t, np.full(n, model.rho_floor), np.zeros(n))
                   for t in np.linspace(0.0, 1.0, 11)]
-        traj = make_traj(grid, model, frames)
-        pair = mechanical_energy_pair(model)
+        traj = make_traj(grid, model, frames, profile)
         phi = SpaceTimeBump(0.0, 2.0, 0.5, 0.3)
-        assert entropy_sweep(traj, profile, pair, [phi], tau=1.0)[0] == [0.0]
+        assert entropy_sweep(traj, [phi])[0] == [0.0]
 
     def test_constant_state_residual_is_quadrature_small(self):
         # eta and q are constants, so the weak form reduces to integrals of
@@ -325,30 +327,23 @@ class TestEntropyResidual:
         times = np.linspace(0.0, 1.0, 81)
         frames = [(t, np.full(n, 1.0), np.zeros(n))
                   for t in times]
-        traj = make_traj(grid, model, frames)
-        pair = mechanical_energy_pair(model)
+        traj = make_traj(grid, model, frames, profile)
         phi = SpaceTimeBump(0.0, 2.0, 0.5, 0.3)
-        (res,), _ = entropy_sweep(traj, profile, pair, [phi], tau=1.0)
-        scale = float(pair.eta(1.0, 0.0)) * 2.0 * 2.0
+        (res,), _ = entropy_sweep(traj, [phi])
+        scale = float(_mechanical_energy(model, 1.0, 0.0)[0]) * 2.0 * 2.0
         assert abs(res) < 1e-3 * scale
 
     def test_spot_check_deterministic_in_seed(self, bump_traj, bump_setup):
-        r1, v1 = entropy_spot_check(bump_traj, bump_setup.profile,
-                                    tau=bump_setup.cfg.tau,
-                                    epsilon=bump_setup.cfg.epsilon, seed=42)
-        r2, v2 = entropy_spot_check(bump_traj, bump_setup.profile,
-                                    tau=bump_setup.cfg.tau,
-                                    epsilon=bump_setup.cfg.epsilon, seed=42)
+        r1, v1 = entropy_spot_check(bump_traj, seed=42)
+        r2, v2 = entropy_spot_check(bump_traj, seed=42)
         assert r1 == r2 and v1 == v2
-        r3, _ = entropy_spot_check(bump_traj, bump_setup.profile,
-                                   tau=bump_setup.cfg.tau,
-                                   epsilon=bump_setup.cfg.epsilon, seed=43)
+        r3, _ = entropy_spot_check(bump_traj, seed=43)
         assert [d["x_center"] for d in r3] != [d["x_center"] for d in r1]
 
-    def test_spot_check_clean_on_smooth_run(self, bump_traj, bump_setup):
-        results, violations = entropy_spot_check(
-            bump_traj, bump_setup.profile, tau=bump_setup.cfg.tau,
-            epsilon=bump_setup.cfg.epsilon, seed=7, n_phi=5)
+    def test_spot_check_clean_on_smooth_run(self, monkeypatch, bump_traj,
+                                            bump_setup):
+        monkeypatch.setattr(monitors, "N_PHI", 5)
+        results, violations = entropy_spot_check(bump_traj, seed=7)
         assert len(results) == 5
         assert violations == []
 
@@ -356,9 +351,9 @@ class TestEntropyResidual:
         grid = Grid1D(-5.0, 5.0, 64)
         model = GasModel(gamma=1.4, delta=0.05)
         profile = DeviceProfile.uniform(grid)
-        traj = make_traj(grid, model, rest_frames(grid, times=(0.0, 1.0)))
-        results, violations = entropy_spot_check(traj, profile, tau=1.0,
-                                                 epsilon=1e-3, seed=0)
+        traj = make_traj(grid, model, rest_frames(grid, times=(0.0, 1.0)),
+                         profile, SolverConfig(tau=1.0, epsilon=1e-3))
+        results, violations = entropy_spot_check(traj, seed=0)
         assert results == [] and violations == []
 
     def test_tolerance_scale_follows_source_variant(self):
@@ -370,13 +365,14 @@ class TestEntropyResidual:
         n = grid.n_cells
         rho, mom = np.full(n, model.rho_floor), np.full(n, 0.05)
         traj = make_traj(grid, model, [(t, rho, mom)
-                                       for t in (0.0, 1.0, 2.0, 3.0)])
-        pair = mechanical_energy_pair(model)
-        scale = max(float(np.max(np.abs(pair.eta(rho, mom)))),
-                    float(np.max(np.abs(pair.q(rho, mom)))))
-        results, _ = entropy_spot_check(
-            traj, profile, tau=0.01, epsilon=1e-3, seed=0,
-            source_variant=SourceVariant.EXCESS_DENSITY)
+                                       for t in (0.0, 1.0, 2.0, 3.0)],
+                         profile, SolverConfig(
+                             tau=0.01, epsilon=1e-3,
+                             source_variant=SourceVariant.EXCESS_DENSITY))
+        eta, q, _ = _mechanical_energy(model, rho, mom)
+        scale = max(float(np.max(np.abs(eta))),
+                    float(np.max(np.abs(q))))
+        results, _ = entropy_spot_check(traj, seed=0)
         expected = (grid.dx + 1e-3 + 1.0) * scale
         assert results[0]["tolerance"] == pytest.approx(expected, rel=1e-12)
 
@@ -411,9 +407,7 @@ class TestEntropySweep:
                        else periodic_excess)
         variant = setup.cfg.source_variant
         for seed in (0, 7):
-            results, _ = entropy_spot_check(
-                traj, setup.profile, tau=setup.cfg.tau,
-                epsilon=setup.cfg.epsilon, seed=seed, source_variant=variant)
+            results, _ = entropy_spot_check(traj, seed)
             want = entropy_spot_check_pairs_reference(
                 traj, setup.profile, setup.cfg.tau, setup.cfg.epsilon, seed,
                 source_variant=variant)
@@ -425,33 +419,27 @@ class TestEntropySweep:
         # gives its own
         setup, traj = periodic_excess
         tau = 1e-3
-        pair = mechanical_energy_pair(setup.model)
         phis = [SpaceTimeBump(-0.5, 2.0, 0.3, 0.2),
                 SpaceTimeBump(1.0, 1.5, 0.35, 0.15)]
-        residuals, scale = entropy_sweep(traj, setup.profile, pair, phis,
-                                         tau, variant)
+        stiff = replace(traj, cfg=replace(traj.cfg, tau=tau,
+                                          source_variant=variant))
+        residuals, scale = entropy_sweep(stiff, phis)
         assert residuals == [entropy_residual_reference(
-            traj, setup.profile, pair, phi, tau, variant) for phi in phis]
-        assert scale == entropy_scale_reference(traj, setup.profile, pair,
+            traj, setup.profile, phi, tau, variant) for phi in phis]
+        assert scale == entropy_scale_reference(traj, setup.profile,
                                                 tau, variant)
 
     def test_densities_evaluated_once_per_snapshot(self, monkeypatch,
                                                    bump_setup, bump_traj):
         calls = []
-        real_pair = monitors.mechanical_energy_pair
+        real_energy = monitors._mechanical_energy
 
-        def counting_pair(model):
-            pair = real_pair(model)
+        def counting_energy(model, rho, mom):
+            calls.append(1)
+            return real_energy(model, rho, mom)
 
-            def q(rho, mom):
-                calls.append(1)
-                return pair.q(rho, mom)
-            return EntropyPair(eta=pair.eta, q=q, eta_m=pair.eta_m)
-
-        monkeypatch.setattr(monitors, "mechanical_energy_pair", counting_pair)
-        results, _ = entropy_spot_check(
-            bump_traj, bump_setup.profile, tau=bump_setup.cfg.tau,
-            epsilon=bump_setup.cfg.epsilon, seed=3)
+        monkeypatch.setattr(monitors, "_mechanical_energy", counting_energy)
+        results, _ = entropy_spot_check(bump_traj, seed=3)
         assert len(results) == 3
         assert len(calls) == len(bump_traj.times)
 
@@ -466,13 +454,11 @@ class TestTrapezoidRule:
         s = np.sort(rng.uniform(0.0, 2.0, 17))
         n_vals = rng.uniform(0.2, 2.0, (17, 40))
         j_vals = rng.normal(size=(17, 40))
-        pair = mechanical_energy_pair(bump_setup.model)
         phi = random_test_function(rng, -3.0, 3.0, 0.0, 1.0)
 
         def integrals():
             return (dissipation_integral(s, n_vals, j_vals, 0.1, 0.05),
-                    entropy_sweep(bump_traj, bump_setup.profile, pair,
-                                  [phi], tau=bump_setup.cfg.tau)[0])
+                    entropy_sweep(bump_traj, [phi])[0])
 
         got = integrals()
         assert got[0] == trapezoid(

@@ -133,16 +133,16 @@ class TestFixedPoints:
         grid = Grid1D(-5.0, 5.0, 100)
         model = GasModel(gamma=1.4, delta=0.05)
         profile = DeviceProfile.uniform(grid)
-        kernel = HeatKernel(epsilon=0.01)
+        cfg = SolverConfig(epsilon=0.01, tau=1.0)
         init = HydroState(rho=np.full(100, model.rho_floor),
                           mom=np.zeros(100))
         guess = constant_first_guess(init, t1=0.05, n_intervals=4)
-        out = picard_step(guess, init, profile, model, kernel, grid, tau=1.0)
+        out = picard_step(guess, init, profile, model, cfg, grid)
         assert np.array_equal(out.rho, guess.rho)
         assert np.array_equal(out.mom, guess.mom)
 
-        result = picard_solve(init, profile, model, kernel, grid,
-                              tau=1.0, t1=0.05, n_intervals=4)
+        result = picard_solve(init, profile, model, cfg, grid,
+                              t1=0.05, n_intervals=4)
         assert result.report.converged
         assert result.report.fixed_point_residual == 0.0
 
@@ -158,10 +158,10 @@ class TestFixedPoints:
         profile = DeviceProfile.build(grid, np.ones(n),
                                       np.full(n, rho0 - model.rho_floor),
                                       e_minus=0.0)
-        kernel = HeatKernel(epsilon=0.01)
+        cfg = SolverConfig(epsilon=0.01, tau=1.0)
         init = HydroState(rho=np.full(n, rho0), mom=np.zeros(n))
         guess = constant_first_guess(init, t1=0.02, n_intervals=4)
-        out = picard_step(guess, init, profile, model, kernel, grid, tau=1.0)
+        out = picard_step(guess, init, profile, model, cfg, grid)
         inner = slice(10, -10)
         assert np.max(np.abs(out.rho[-1][inner] - rho0)) < 1e-12
         assert np.max(np.abs(out.mom[-1][inner])) < 1e-12
@@ -170,12 +170,12 @@ class TestFixedPoints:
         grid = Grid1D(-5.0, 5.0, 200)
         model = GasModel(gamma=1.4, delta=0.05)
         profile = DeviceProfile.uniform(grid)
-        kernel = HeatKernel(epsilon=0.01)
+        cfg = SolverConfig(epsilon=0.01, tau=1.0)
         x = grid.centers
         raw = 0.8 * np.exp(-(x / 0.7) ** 2)
         init = HydroState(rho=raw + model.rho_floor, mom=np.zeros(200))
-        result = picard_solve(init, profile, model, kernel, grid,
-                              tau=1.0, t1=0.01, n_intervals=6)
+        result = picard_solve(init, profile, model, cfg, grid,
+                              t1=0.01, n_intervals=6)
         assert result.report.converged
         m0 = float(np.sum(init.rho - model.rho_floor)) * grid.dx
         m1 = float(np.sum(result.iterate.endpoint().rho
@@ -193,7 +193,7 @@ class TestHeatEvolution:
         model = GasModel(gamma=1.4, delta=0.05)
         profile = DeviceProfile.uniform(grid)
         eps = 0.05
-        kernel = HeatKernel(epsilon=eps)
+        cfg = SolverConfig(epsilon=eps, tau=1.0)
         x = grid.centers
         sigma = 0.5
         amp = 0.8
@@ -202,7 +202,7 @@ class TestHeatEvolution:
 
         t1 = 0.1
         guess = constant_first_guess(init, t1, n_intervals=2)
-        out = picard_step(guess, init, profile, model, kernel, grid, tau=1.0)
+        out = picard_step(guess, init, profile, model, cfg, grid)
 
         var = sigma ** 2 + 2 * eps * t1
         exact = model.rho_floor + amp * sigma / math.sqrt(var) \
@@ -223,9 +223,9 @@ class TestContraction:
 
     def test_short_slab_contracts(self):
         grid, model, profile, init = self.make_bump()
-        kernel = HeatKernel(epsilon=0.01)
-        result = picard_solve(init, profile, model, kernel, grid,
-                              tau=1.0, t1=0.01, n_intervals=6, tol=1e-12)
+        cfg = SolverConfig(epsilon=0.01, tau=1.0)
+        result = picard_solve(init, profile, model, cfg, grid,
+                              t1=0.01, n_intervals=6, tol=1e-12)
         rep = result.report
         assert rep.converged
         assert not rep.diverged
@@ -237,10 +237,10 @@ class TestContraction:
 
     def test_long_slab_triggers_halving_advice(self):
         grid, model, profile, init = self.make_bump()
-        kernel = HeatKernel(epsilon=0.01)
+        cfg = SolverConfig(epsilon=0.01, tau=1.0)
         t1 = 8.0
-        result = picard_solve(init, profile, model, kernel, grid,
-                              tau=1.0, t1=t1, n_intervals=6, max_iters=12)
+        result = picard_solve(init, profile, model, cfg, grid,
+                              t1=t1, n_intervals=6, max_iters=12)
         rep = result.report
         assert rep.diverged
         assert not rep.converged
@@ -249,18 +249,18 @@ class TestContraction:
 
     def test_invalid_slab_rejected(self):
         grid, model, profile, init = self.make_bump(n_cells=64)
-        kernel = HeatKernel(epsilon=0.01)
+        cfg = SolverConfig(epsilon=0.01, tau=1.0)
         with pytest.raises(ValueError):
-            picard_solve(init, profile, model, kernel, grid, tau=1.0, t1=0.0)
+            picard_solve(init, profile, model, cfg, grid, t1=0.0)
         with pytest.raises(ValueError):
-            picard_solve(init, profile, model, kernel, grid, tau=1.0,
+            picard_solve(init, profile, model, cfg, grid,
                          t1=0.1, n_intervals=0)
 
     def test_endpoint_matches_last_level(self):
         grid, model, profile, init = self.make_bump(n_cells=100)
-        kernel = HeatKernel(epsilon=0.01)
-        result = picard_solve(init, profile, model, kernel, grid,
-                              tau=1.0, t1=0.01, n_intervals=4)
+        cfg = SolverConfig(epsilon=0.01, tau=1.0)
+        result = picard_solve(init, profile, model, cfg, grid,
+                              t1=0.01, n_intervals=4)
         end = result.iterate.endpoint()
         assert end.time == pytest.approx(0.01)
         assert np.array_equal(end.rho, result.iterate.rho[-1])
@@ -287,12 +287,13 @@ class TestFftLagSum:
     def test_matches_direct_double_loop(self, case):
         slab, conv = self.CASES[case]
         s, kernel, prev = scenario_slab(*slab)
-        args = (s.initial, s.profile, s.model, kernel, s.grid, s.cfg.tau,
-                s.cfg.source_variant)
         # the first guess and one sweep on, where transport is under way
         for _ in range(2):
-            fast = picard_step(prev, *args)
-            ref = picard_step_reference(prev, *args, conv=conv)
+            fast = picard_step(prev, s.initial, s.profile, s.model, s.cfg,
+                               s.grid)
+            ref = picard_step_reference(prev, s.initial, s.profile, s.model,
+                                        kernel, s.grid, s.cfg.tau,
+                                        s.cfg.source_variant, conv=conv)
             for got, want in ((fast.rho, ref.rho), (fast.mom, ref.mom)):
                 assert got.shape == want.shape
                 tol = 1e-13 * max(1.0, float(np.max(np.abs(want))))
@@ -304,15 +305,15 @@ class TestWideKernel:
     def test_sweep_keeps_the_grid_shape(self):
         s, kernel, guess = scenario_slab(*WIDE)
         assert 2 * kernel._half_width(s.grid.dx, WIDE[2]) + 1 > s.grid.n_cells
-        out = picard_step(guess, s.initial, s.profile, s.model, kernel,
-                          s.grid, s.cfg.tau)
+        out = picard_step(guess, s.initial, s.profile, s.model, s.cfg,
+                          s.grid)
         assert out.rho.shape == (WIDE[3] + 1, s.grid.n_cells)
         assert out.mom.shape == (WIDE[3] + 1, s.grid.n_cells)
 
     def test_solve_is_not_reported_as_divergence(self):
-        s, kernel, _ = scenario_slab(*WIDE)
-        result = picard_solve(s.initial, s.profile, s.model, kernel, s.grid,
-                              s.cfg.tau, t1=WIDE[2], n_intervals=WIDE[3])
+        s, _, _ = scenario_slab(*WIDE)
+        result = picard_solve(s.initial, s.profile, s.model, s.cfg, s.grid,
+                              t1=WIDE[2], n_intervals=WIDE[3])
         rep = result.report
         assert not rep.diverged
         assert rep.converged
@@ -330,7 +331,7 @@ class TestDivergenceSignal:
         monkeypatch.setattr(picard_module, "picard_step",
                             lambda *a, **k: calls.append(a))
         result = picard_solve(init, DeviceProfile.uniform(grid), model,
-                              HeatKernel(epsilon=0.01), grid, tau=1.0,
+                              SolverConfig(epsilon=0.01, tau=1.0), grid,
                               t1=0.02, n_intervals=4)
         rep = result.report
         assert calls == []
@@ -352,4 +353,4 @@ class TestDivergenceSignal:
         monkeypatch.setattr(picard_module, "picard_step", broken)
         with pytest.raises(ValueError, match="not a divergence"):
             picard_solve(init, DeviceProfile.uniform(grid), model,
-                         HeatKernel(epsilon=0.01), grid, tau=1.0, t1=0.02)
+                         SolverConfig(epsilon=0.01, tau=1.0), grid, t1=0.02)

@@ -344,6 +344,18 @@ class TestRelaxationStudy:
         assert len(result.reference.s_values) == len(result.reference.n_vals)
         assert result.manifest["tau_list"] == [0.2, 0.1, 0.05]
 
+    def test_manifest_echoes_the_coupling_rule(self):
+        # the manifest's coupling object is the rule's four fields, as
+        # given, so a study can be rerun from its manifest
+        coupling = CouplingRule(eps_coeff=0.3, eps_power=1.5, eps_fixed=0.25,
+                                delta_coeff=0.2)
+        result = relaxation_study(
+            study_inputs(40), tau_list=[0.2, 0.1, 0.05], coupling=coupling,
+            horizon=0.1, window=(-2.0, 2.0))
+        assert result.manifest["coupling"] == {
+            "eps_coeff": 0.3, "eps_power": 1.5, "eps_fixed": 0.25,
+            "delta_coeff": 0.2}
+
     def test_detuned_viscosity_breaks_monotonicity(self):
         # freezing eps while tau shrinks violates the smallness coupling and
         # the ladder stops improving: the guard must catch this, not bless it

@@ -55,18 +55,10 @@ def test_round_trip_is_bit_exact(tmp_path):
         "source_variant": "excess-density"})
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
                setup.grid, record_every=2)
-    report = evaluate_trajectory(traj, setup.profile)
-    grid, model = setup.grid, setup.model
-    echo = {"x_min": grid.x_min, "x_max": grid.x_max,
-            "n_cells": grid.n_cells, "boundary": grid.boundary.value,
-            "gamma": model.gamma, "delta": model.delta,
-            "pressure_convention": model.convention.value,
-            "epsilon": setup.cfg.epsilon, "tau": setup.cfg.tau,
-            "cfl": setup.cfg.cfl, "t_end": setup.cfg.t_end,
-            "source_variant": setup.cfg.source_variant.value,
-            "smoothing_width": setup.cfg.smoothing_width}
-    write_run_dir(tmp_path, traj, setup.profile, report, echo)
-    _, back, profile, cfg = load_run_dir(tmp_path)
+    report = evaluate_trajectory(traj)
+    write_run_dir(tmp_path, traj, report, {})
+    _, back = load_run_dir(tmp_path)
+    profile, cfg = back.profile, back.cfg
     assert cfg == setup.cfg
     assert len(back.times) == len(traj.times) > 2
     for name in ("steps", "times", "rho", "mom"):
@@ -104,8 +96,8 @@ def test_scaled_stored_density_detected(small_run, capsys):
 def test_legacy_layout_still_verifies(small_run):
     # run directories written with the derived columns u, z, w (snapshots)
     # and c (profile) must keep verifying
-    _, traj, profile, _ = load_run_dir(small_run)
-    model, x = traj.model, traj.grid.centers
+    _, traj = load_run_dir(small_run)
+    profile, model, x = traj.profile, traj.model, traj.grid.centers
     e_all = solve_field(traj.rho - model.rho_floor, profile, traj.grid)
     for step, t, rho, mom, e_vals in zip(traj.steps, traj.times, traj.rho,
                                          traj.mom, e_all):
@@ -161,7 +153,7 @@ def test_shifted_x_in_an_older_snapshot_rejected(small_run, capsys):
     # snapshots no longer store x, but one that does is still checked
     path = later_snapshot(small_run)
     head, rows = read_rows(path)
-    _, traj, _, _ = load_run_dir(small_run)
+    _, traj = load_run_dir(small_run)
     head[-1] = "# columns: x rho m"
     x = traj.grid.centers + 1e-3
     write_rows(path, head, [[fmt(xi)] + r for xi, r in zip(x, rows)])
