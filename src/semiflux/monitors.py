@@ -8,13 +8,15 @@ Monitored quantities: excess mass (non-increasing under outflow, constant
 under periodic), the field sup-bound ratio, growth of the Riemann invariants
 max z, max w <= M2 + M1*t, sup-norm plateaus under the uniform-bound
 hypotheses, and the weak entropy inequality against compactly supported test
-functions.  Every audit reads the device profile and the SolverConfig (eps,
-tau, source coupling) from the Trajectory itself, so it judges the run
-under the settings it was marched with.  `evaluate_trajectory` audits the
-monitors named in `enabled` (the command line validates that list).  The
-entropy audit is one `entropy_sweep` over the snapshots: each snapshot's
-mechanical energy, flux and source term are evaluated once and shared by
-every test function and by the tolerance scale.
+functions.  The summary's step count, completion and lowest density are
+read off the records too.  Every audit reads the device profile and the
+SolverConfig (eps, tau, source coupling) from the Trajectory itself, so it
+judges the run under the settings it was marched with.
+`evaluate_trajectory` audits the monitors named in `enabled` (the command
+line validates that list).  The entropy audit is one `entropy_sweep` over
+the snapshots: each snapshot's mechanical energy, flux and source term are
+evaluated once and shared by every test function and by the tolerance
+scale.
 """
 
 from __future__ import annotations
@@ -131,11 +133,8 @@ def evaluate_trajectory(traj: Trajectory,
                                "value": max(z_max, w_max), "bound": r_bound})
         prev_mass = mass
 
-    summary = {
-        "min_rho_ever": traj.min_rho_ever,
-        "n_steps": traj.n_steps,
-        "completed": traj.completed,
-    }
+    summary = {"min_rho_ever": float(np.min(traj.min_rho)),
+               "n_steps": traj.n_steps, "completed": traj.completed}
 
     if "uniform" in enabled and len(rows) >= 4:
         times = traj.times

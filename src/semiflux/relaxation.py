@@ -30,6 +30,7 @@ import numpy as np
 from .field import solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, PressureConvention)
+from .reporting import config_echo
 from .scenarios import RunSetup
 from .solver import SourceVariant, prepare_initial, run
 
@@ -363,17 +364,17 @@ def relaxation_study(setup: RunSetup, tau_list,
     errors = [r.l1_error for r in rows]
     monotone = all(b < a for a, b in zip(errors, errors[1:]))
     manifest = {
-        "gamma": gamma,
-        "pressure_convention": convention.value,
-        "grid": {"x_min": grid.x_min, "x_max": grid.x_max,
-                 "n_cells": grid.n_cells, "boundary": grid.boundary.value},
+        # less the keys the ladder sets itself: delta, epsilon, tau and
+        # t_end per rung (relax_table.csv holds them), the source for all
+        **config_echo(setup, skip=("delta", "epsilon", "tau", "t_end",
+                                   "source_variant")),
+        "scenario": setup.scenario.name,
         "tau_list": taus,
         "coupling": asdict(coupling),
         "horizon": horizon,
         "window": [window[0], window[1]],
         "s0": s_min,
         "n_s_records": n_s_records,
-        "smoothing_width": setup.cfg.smoothing_width,
         "e_minus": profile.e_minus,
     }
     return StudyResult(rows=rows, monotone=monotone, reference=reference,

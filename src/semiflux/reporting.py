@@ -1,19 +1,18 @@
 """Deterministic on-disk formats for runs.
 
 A run directory stores a whole Trajectory: each record's (step, time,
-rho, m) is one '#'-headed text snapshot, the profile (x a b) another table,
-and its grid, gas law and SolverConfig the config echo, written and read
-back through the one key table `_ECHO`.  The cell centres x are stored
-once, in the profile, where the reader checks them against the grid; the
-field E is derived data, which the monitors solve from rho.  Monitor series
-go to CSV, violations to JSON (`audited_texts`); report.json holds the
-config echo, the audit summary and the snapshot list, not values the other
-files already hold.  Every CSV a command writes (monitors.csv,
-contraction.csv, relax_table.csv) goes through `csv_text`.  Every float is
-rendered with 17 significant digits so repeated runs of the same build are
-byte-identical; a table body is formatted by one '%' operation over all its
-values, which gives the bytes of one `fmt` call per value.  Wall-clock
-timing lives in its own file.
+min_rho, rho, m) is one '#'-headed text snapshot, the profile (x a b)
+another table, and its grid, gas law and SolverConfig the config echo,
+written and read back through the one key table `_ECHO`, which the relax
+manifest echoes too.  The cell centres x are stored once, in the profile,
+where the reader checks them against the grid; the field E is derived data.
+`audited_texts` renders what an audit re-derives from the records: monitor
+series to CSV, violations to JSON, and report.json (config echo, audit
+summary, snapshot list, entropy checks).  Every CSV a command writes goes
+through `csv_text`.  Every float is rendered with 17 significant digits so
+repeated runs of the same build are byte-identical; a table body is
+formatted by one '%' operation over all its values, which gives the bytes
+of one `fmt` call per value.  Wall-clock timing lives in its own file.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ _ECHO = (("grid", Grid1D, ("x_min", "x_max", "n_cells", "boundary")),
          ("model", GasModel, ("gamma", "delta", "pressure_convention")),
          ("cfg", SolverConfig, tuple(f.name for f in fields(SolverConfig))))
 _ATTR = {"pressure_convention": "convention"}
+_SNAPSHOT = "snapshots/snap_{:08d}.dat"   # the path of a record, by its step
 
 
 def fmt(x) -> str:
@@ -98,53 +98,49 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def audited_texts(report: MonitorReport) -> dict:
-    """{file name: text} of the files an audit re-derives."""
+def config_echo(setup, skip=()) -> dict:
+    """The `_ECHO` keys but those in `skip`, each with its value in the
+    grid, model and cfg of `setup` (a Trajectory or a RunSetup); enums by
+    their names."""
+    vals = {key: getattr(getattr(setup, part), _ATTR.get(key, key))
+            for part, _, keys in _ECHO for key in keys if key not in skip}
+    return {k: v.value if isinstance(v, enum.Enum) else v
+            for k, v in vals.items()}
+
+
+def audited_texts(traj: Trajectory, report: MonitorReport,
+                  command_echo: dict, extra_report: dict | None = None) -> dict:
+    """{file name: text} of the files an audit re-derives: the monitor
+    series, the violations, and report.json, which holds the config echo
+    (`command_echo` with `traj`'s settings over it), the audit summary, the
+    snapshot list and `extra_report` (the entropy checks)."""
+    payload = {"config": {**command_echo, **config_echo(traj)},
+               "summary": report.summary,
+               "snapshots": [_SNAPSHOT.format(s) for s in traj.steps.tolist()],
+               **(extra_report or {})}
     return {"monitors.csv": csv_text(report.columns, report.rows),
-            "violations.json": json_text(report.violations)}
-
-
-def audited_values(payload: dict) -> dict:
-    """{key: `json_text` of its value} of the report.json values an audit
-    re-derives: the entropy checks and the summary's plateau verdicts."""
-    values = {f"summary.{k}": v for k, v in payload["summary"].items()
-              if k.startswith("plateau_")}
-    if "entropy_checks" in payload:
-        values["entropy_checks"] = payload["entropy_checks"]
-    return {k: json_text(v) for k, v in values.items()}
+            "violations.json": json_text(report.violations),
+            "report.json": json_text(payload)}
 
 
 def write_run_dir(out_dir, traj: Trajectory, report: MonitorReport,
                   command_echo: dict, extra_report: dict | None = None) -> Path:
-    """Lay out a run directory: report.json, monitors.csv, violations.json,
-    profile.dat, snapshots/.  The config echo is `traj`'s settings plus
-    `command_echo`."""
+    """Lay out a run directory: snapshots/, profile.dat and the
+    `audited_texts` (report.json, monitors.csv, violations.json)."""
     out = Path(out_dir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
-    paths = []
-    for step, t, rho, mom in zip(traj.steps.tolist(), traj.times.tolist(),
-                                 traj.rho, traj.mom):
-        p = out / "snapshots" / f"snap_{step:08d}.dat"
-        p.write_text(_table_text({"step": step, "time": t},
-                                 {"rho": rho, "m": mom}))
-        paths.append(str(p.relative_to(out)))
-    for name, text in audited_texts(report).items():
-        (out / name).write_text(text)
+    for step, t, low, rho, mom in zip(traj.steps.tolist(), traj.times.tolist(),
+                                      traj.min_rho.tolist(), traj.rho,
+                                      traj.mom):
+        (out / _SNAPSHOT.format(step)).write_text(_table_text(
+            {"step": step, "time": t, "min_rho": low}, {"rho": rho, "m": mom}))
     profile = traj.profile
     (out / "profile.dat").write_text(_table_text(
         {"e_minus": profile.e_minus},
         {"x": traj.grid.centers, "a": profile.a_vals, "b": profile.b_vals}))
-    echo = {key: getattr(getattr(traj, part), _ATTR.get(key, key))
-            for part, _, keys in _ECHO for key in keys}
-    payload = {
-        "config": {**{k: v.value if isinstance(v, enum.Enum) else v
-                      for k, v in echo.items()}, **command_echo},
-        "summary": report.summary,
-        "snapshots": paths,
-    }
-    if extra_report:
-        payload.update(extra_report)
-    (out / "report.json").write_text(json_text(payload))
+    for name, text in audited_texts(traj, report, command_echo,
+                                    extra_report).items():
+        (out / name).write_text(text)
     return out
 
 
@@ -166,11 +162,12 @@ def load_run_dir(run_dir):
     shape = (len(payload["snapshots"]), grid.n_cells)
     traj = Trajectory(grid=grid, model=model, profile=profile, cfg=cfg,
                       steps=np.empty(shape[0], int), times=np.empty(shape[0]),
-                      rho=np.empty(shape), mom=np.empty(shape))
+                      rho=np.empty(shape), mom=np.empty(shape),
+                      min_rho=np.empty(shape[0]))
     for i, rel in enumerate(payload["snapshots"]):
-        meta, cols = _read_table(out / rel, grid, ("step", "time"),
+        meta, cols = _read_table(out / rel, grid, ("step", "time", "min_rho"),
                                  ("rho", "m"))
         traj.steps[i], traj.times[i] = int(meta["step"]), meta["time"]
+        traj.min_rho[i] = meta["min_rho"]
         traj.rho[i], traj.mom[i] = cols["rho"], cols["m"]
-    traj.n_steps, traj.min_rho_ever = int(traj.steps[-1]), float(np.min(traj.rho))
     return payload, traj

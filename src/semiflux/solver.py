@@ -16,9 +16,9 @@ one padded workspace, whose ghost cells `Grid1D.fill_ghosts` sets; the
 faces, jumps and viscosity land in the workspace's own buffers, and (rho, m)
 are updated as one stacked array, the only one a step allocates for what it
 returns.  `run` builds the workspace once and every step reuses it.  A
-recorded run keeps only (step, time, rho, m) per record, as stacked arrays,
-plus every dt and what limited each step, and the device and SolverConfig
-it was marched with.
+recorded run keeps only (step, time, rho, m, lowest rho since the last
+record) per record, as stacked arrays, plus every dt and what limited each
+step, and the device and SolverConfig it was marched with.
 """
 
 from __future__ import annotations
@@ -267,14 +267,20 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     return HydroState(rho=rho_new, mom=mom_star, time=t_new), report
 
 
+def _at_end(t: float, cfg: SolverConfig) -> bool:
+    """Whether time t has reached cfg.t_end, up to the march's slack."""
+    return t >= cfg.t_end - 1e-12 * max(cfg.t_end, 1.0)
+
+
 @dataclass
 class Trajectory:
     """Recorded history of one run: the grid, gas law, device profile and
-    SolverConfig it was marched with; the step index, time and conserved
-    variables (rho, m) of each record, stacked over records (`rho` and `mom`
-    are (k, n_cells)); and step-level diagnostics: every dt, how many steps
-    each of `LIMITS` bounded, and the lowest density.  The field is derived
-    data; the monitors solve it from `rho` when they need it."""
+    SolverConfig it was marched with; each record's step index, time,
+    conserved variables (rho, m) and `min_rho`, the lowest density over the
+    steps since the record before it, stacked over records (`rho` and `mom`
+    are (k, n_cells)); every dt and how many steps each of `LIMITS` bounded.
+    The last record is the last state, so the step count and completion
+    are read off it.  The field is derived data."""
 
     grid: Grid1D
     model: GasModel
@@ -284,12 +290,17 @@ class Trajectory:
     times: np.ndarray
     rho: np.ndarray
     mom: np.ndarray
+    min_rho: np.ndarray
     dts: list = field(default_factory=list)
-    n_steps: int = 0
-    min_rho_ever: float = math.inf
     limits: dict = field(default_factory=dict)
-    completed: bool = True
-    failure_time: float | None = None
+
+    @property
+    def n_steps(self) -> int:
+        return int(self.steps[-1])
+
+    @property
+    def completed(self) -> bool:  # else it stopped early, at times[-1]
+        return _at_end(float(self.times[-1]), self.cfg)
 
 
 def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
@@ -297,9 +308,9 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
         record_times=None, max_steps: int = 10 ** 7) -> Trajectory:
     """March to cfg.t_end, recording every `record_every` steps or exactly at
     the sorted instants `record_times` (the step is clamped to land on them).
-    The initial and final states are always recorded; a march stopped early,
-    by a failed step or by `max_steps`, is marked incomplete.  The records
-    are stacked once, into the returned Trajectory's arrays.
+    The initial and final states are always recorded, also when a failed
+    step or `max_steps` stops the march early, incomplete.  The records are
+    stacked once, into the returned Trajectory's arrays.
     """
     if record_every < 1:
         raise ConfigurationError("record_every must be >= 1")
@@ -310,19 +321,18 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
             raise ConfigurationError("record_times must be sorted")
 
     state = initial
-    # (step, time, rho, m) per record; each step returns fresh arrays, so
-    # rows are kept without a copy and stacked once at the end
-    records = [(0, state.time, state.rho, state.mom)]
+    # (step, time, rho, m, min_rho) per record; each step returns fresh
+    # arrays, so rows are kept without a copy and stacked once at the end
+    records = [(0, state.time, state.rho, state.mom, float(np.min(state.rho)))]
     dts = []
     limits = dict.fromkeys(LIMITS, 0)
-    min_rho_ever = float(np.min(state.rho))
-    completed, failure_time = True, None
+    low = math.inf
     work = _Workspace(profile, cfg, grid)
 
     tiny = 1e-12 * max(cfg.t_end, 1.0)
     next_rec = 0
     k = 0
-    while state.time < cfg.t_end - tiny and k < max_steps:
+    while not _at_end(state.time, cfg) and k < max_steps:
         targets = [cfg.t_end]
         if rec_times is not None and next_rec < len(rec_times):
             targets.append(rec_times[next_rec])
@@ -330,13 +340,12 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
         try:
             state, rep = step(state, profile, model, cfg, grid, t_stop=target,
                               _work=work)
-        except IntegrationError as err:
-            completed, failure_time = False, err.time
+        except IntegrationError:
             break
         k += 1
         dts.append(rep.dt_used)
         limits[rep.limit] += 1
-        min_rho_ever = min(min_rho_ever, rep.post_step_min_rho)
+        low = min(low, rep.post_step_min_rho)
 
         if rec_times is None:
             due = k % record_every == 0
@@ -344,13 +353,13 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
             due = (next_rec < len(rec_times)
                    and state.time >= rec_times[next_rec] - tiny)
             next_rec += int(due)
-        if due or state.time >= cfg.t_end - tiny:
-            records.append((k, state.time, state.rho, state.mom))
-    if completed and state.time < cfg.t_end - tiny:  # max_steps hit
-        completed, failure_time = False, state.time
-    steps, times, rhos, moms = zip(*records)
+        if due or _at_end(state.time, cfg):
+            records.append((k, state.time, state.rho, state.mom, low))
+            low = math.inf
+    if records[-1][0] != k:  # stopped early: the last state is a record too
+        records.append((k, state.time, state.rho, state.mom, low))
+    steps, times, rhos, moms, lows = zip(*records)
     return Trajectory(grid=grid, model=model, profile=profile, cfg=cfg,
                       steps=np.array(steps), times=np.array(times),
-                      rho=np.stack(rhos), mom=np.stack(moms), dts=dts,
-                      n_steps=k, min_rho_ever=min_rho_ever, limits=limits,
-                      completed=completed, failure_time=failure_time)
+                      rho=np.stack(rhos), mom=np.stack(moms),
+                      min_rho=np.array(lows), dts=dts, limits=limits)

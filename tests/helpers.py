@@ -203,14 +203,16 @@ def run_reference(initial, profile, model, cfg, grid, record_every=50,
                   record_times=None):
     """The march as a plain loop of `step_reference`, each step clamped to
     t_end or the next record instant as `run` clamps it; returns (steps,
-    times, rho, mom, dts, min_rho_ever, limits), every record a copy and
-    `limits` the step count per `StepReport.limit`."""
+    times, rho, mom, min_rho, dts, limits), every record a copy, `min_rho`
+    each record's lowest density over the steps since the record before it
+    (the first record's own minimum) and `limits` the step count per
+    `StepReport.limit`."""
     tiny = 1e-12 * max(cfg.t_end, 1.0)
     pending = [float(t) for t in record_times or () if 0.0 < t <= cfg.t_end]
     state, k, nxt, dts = initial, 0, 0, []
     limits = dict.fromkeys(("advection", "viscosity", "clamp"), 0)
     records = [(0, state.time, state.rho.copy(), state.mom.copy())]
-    min_rho = float(np.min(state.rho))
+    lows, since = [float(np.min(state.rho))], []
     while state.time < cfg.t_end - tiny:
         target = min(t for t in [cfg.t_end, *pending[nxt:nxt + 1]]
                      if t > state.time + tiny)
@@ -219,7 +221,7 @@ def run_reference(initial, profile, model, cfg, grid, record_every=50,
         k += 1
         dts.append(rep.dt_used)
         limits[rep.limit] += 1
-        min_rho = min(min_rho, rep.post_step_min_rho)
+        since.append(rep.post_step_min_rho)
         if record_times is None:
             due = k % record_every == 0
         else:
@@ -227,9 +229,11 @@ def run_reference(initial, profile, model, cfg, grid, record_every=50,
             nxt += int(due)
         if due or state.time >= cfg.t_end - tiny:
             records.append((k, state.time, state.rho.copy(), state.mom.copy()))
+            lows.append(min(since))
+            since = []
     steps, times, rhos, moms = zip(*records)
     return (np.array(steps), np.array(times), np.stack(rhos), np.stack(moms),
-            dts, min_rho, limits)
+            np.array(lows), dts, limits)
 
 
 def table_text_reference(meta, columns):

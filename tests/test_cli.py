@@ -288,7 +288,8 @@ class TestVerify:
         rc = main(["verify", str(run_dir)])
         assert rc == 0
         text = capsys.readouterr().out
-        assert text.count("byte-identical under recomputation") == 2
+        assert text.count("byte-identical under recomputation") == 3
+        assert "report.json: byte-identical under recomputation" in text
 
     def test_tampered_monitors_detected(self, run_dir, capsys):
         p = run_dir / "monitors.csv"
@@ -314,45 +315,23 @@ class TestVerify:
                 f"column mass: stored '0.5', recomputed '{stored}'") in out
         assert "violations.json: byte-identical" in out
 
-    @pytest.mark.parametrize("path,key,value", [
-        (("entropy_checks", 0, "residual"), "entropy_checks", -123.0),
-        (("summary", "plateau_sup_rho_late"), "summary.plateau_sup_rho_late",
-         99.0),
-    ], ids=["entropy-residual", "plateau-late"])
-    def test_tampered_audit_value_detected(self, tmp_path, capsys, path, key,
-                                           value):
-        # report.json's entropy checks and plateau verdicts are audit
-        # values too: verify re-derives them and names the one that differs
-        cfg = write_cfg(tmp_path, BUMP_CFG.replace(
-            "monitors = positivity,mass,field,riemann,entropy",
-            "monitors = all"))
-        run_dir = tmp_path / "run"
-        assert main(["solve", "--config", cfg, "--out-dir", str(run_dir)]) \
-            in (0, 1)
-        assert main(["verify", str(run_dir)]) == 0
-        p = run_dir / "report.json"
-        payload = json.loads(p.read_text())
-        *parents, last = path
-        target = payload
-        for k in parents:
-            target = target[k]
-        target[last] = value
-        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        capsys.readouterr()
-        assert main(["verify", str(run_dir)]) == 1
-        out = capsys.readouterr().out
-        assert (f"report.json: MISMATCH under recomputation, key {key}, "
-                in out)
-        assert repr(value) in out
-        assert out.count("byte-identical under recomputation") == 2
+    DROP = object()
 
-    @pytest.mark.parametrize("path,key", [
-        (("entropy_checks",), "entropy_checks"),
-        (("summary", "plateau_sup_rho_ok"), "summary.plateau_sup_rho_ok"),
-    ], ids=["entropy-checks", "plateau-ok"])
-    def test_dropped_audit_value_detected(self, tmp_path, capsys, path, key):
-        # a re-derived value that report.json no longer holds is a mismatch
-        # too, reported as stored 'absent'
+    @pytest.mark.parametrize("path,value", [
+        (("entropy_checks", 0, "residual"), -123.0),
+        (("summary", "plateau_sup_rho_late"), 99.0),
+        (("entropy_checks",), DROP),
+        (("summary", "plateau_sup_rho_ok"), DROP),
+        (("summary", "n_steps"), 99),
+        (("summary", "min_rho_ever"), -5.0),
+        (("summary", "completed"), False),
+        (("snapshots", 1), "snapshots/renamed.dat"),
+    ], ids=["entropy-residual", "plateau-late", "drop-entropy-checks",
+            "drop-plateau-ok", "n-steps", "min-rho-ever", "completed",
+            "renamed-snapshot"])
+    def test_tampered_report_detected(self, tmp_path, capsys, path, value):
+        # report.json is re-rendered whole from the stored records: an
+        # edited or dropped value is a mismatch naming the line it is on
         cfg = write_cfg(tmp_path, BUMP_CFG.replace(
             "monitors = positivity,mass,field,riemann,entropy",
             "monitors = all"))
@@ -360,19 +339,31 @@ class TestVerify:
         assert main(["solve", "--config", cfg, "--out-dir", str(run_dir)]) \
             in (0, 1)
         p = run_dir / "report.json"
-        payload = json.loads(p.read_text())
+        original = p.read_text()
+        payload = json.loads(original)
         *parents, last = path
         target = payload
         for k in parents:
             target = target[k]
-        del target[last]
+        if value is self.DROP:
+            del target[last]
+        else:
+            if parents == ["snapshots"]:   # the file moves with its entry
+                (run_dir / target[last]).rename(run_dir / value)
+            target[last] = value
         p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        tampered = p.read_text()
+        i, (old, new) = next((i, pair) for i, pair in enumerate(zip(
+            tampered.splitlines(True), original.splitlines(True)))
+            if pair[0] != pair[1])
         capsys.readouterr()
         assert main(["verify", str(run_dir)]) == 1
         out = capsys.readouterr().out
-        assert (f"report.json: MISMATCH under recomputation, key {key}, "
-                "line 1: stored 'absent\\n'") in out
-        assert out.count("report.json: MISMATCH") == 1
+        assert (f"report.json: MISMATCH under recomputation, line {i + 1}: "
+                f"stored {old!r}, recomputed {new!r}") in out
+        if value is not self.DROP:
+            assert json.dumps(value) in old
+        assert out.count("MISMATCH") == 1
         assert out.count("byte-identical under recomputation") == 2
 
     def test_short_time_cross_check(self, run_dir, capsys):
@@ -524,6 +515,31 @@ class TestRelaxCommand:
         # reference's step counts are diagnostics kept off the files
         assert "rows" not in manifest
         assert not {"n_steps", "halvings"} & set(manifest)
+
+    def test_manifest_echoes_scenario_grid_and_cfl(self, tmp_path):
+        # the manifest names every setting its table depends on but the
+        # per-rung ones, which relax_table.csv holds; a cfl the config
+        # changes shows in it
+        base = ("scenario = gaussian-bump\nx_min = -4\nx_max = 4\n"
+                "n_cells = 40\ntau_list = 0.2 0.1 0.05\n")
+        manifests = []
+        for cfl in (0.45, 0.3):
+            cfg = write_cfg(tmp_path, base + f"cfl = {cfl}\n",
+                            name=f"relax-{cfl}.cfg")
+            out = tmp_path / f"relax-{cfl}"
+            assert main(["relax", "--config", cfg, "--out-dir", str(out)]) \
+                in (0, 1)
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        for manifest, cfl in zip(manifests, (0.45, 0.3)):
+            assert {k: manifest[k] for k in (
+                "scenario", "x_min", "x_max", "n_cells", "boundary", "gamma",
+                "pressure_convention", "cfl", "smoothing_width")} == {
+                "scenario": "gaussian-bump", "x_min": -4.0, "x_max": 4.0,
+                "n_cells": 40, "boundary": "outflow", "gamma": 2.0,
+                "pressure_convention": "one-over-gamma", "cfl": cfl,
+                "smoothing_width": 0.1}
+            assert not {"delta", "epsilon", "tau", "t_end", "source_variant",
+                        "grid"} & set(manifest)
 
     def test_reference_that_cannot_march_exits_2(self, tmp_path, capsys):
         # doping-ramp's initial density sits on the floor in the far field,

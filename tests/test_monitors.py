@@ -40,16 +40,14 @@ from helpers import (convexity_check, entropy_residual_reference,
 
 def make_traj(grid, model, frames, profile, cfg=SolverConfig()):
     """frames: list of (time, rho, mom) tuples, stacked into a trajectory
-    of `profile` and `cfg` whose record k is step k; its field is derived
-    from rho."""
+    of `profile` and `cfg` whose record k is step k, so each record's
+    lowest density is its own row's; its field is derived from rho."""
     times, rho, mom = zip(*frames)
     rho = np.array(rho, dtype=float)
     return Trajectory(grid=grid, model=model, profile=profile, cfg=cfg,
                       steps=np.arange(len(frames)),
                       times=np.array(times, dtype=float), rho=rho,
-                      mom=np.array(mom, dtype=float),
-                      n_steps=len(frames) - 1,
-                      min_rho_ever=float(np.min(rho)))
+                      mom=np.array(mom, dtype=float), min_rho=rho.min(axis=1))
 
 
 def bump_values(phi, x, t):

@@ -9,8 +9,8 @@ import pytest
 from semiflux.cli import main
 from semiflux.field import solve_field
 from semiflux.monitors import evaluate_trajectory
-from semiflux.reporting import (_table_text, csv_text, fmt, load_run_dir,
-                                write_run_dir)
+from semiflux.reporting import (_table_text, audited_texts, csv_text, fmt,
+                                load_run_dir, write_run_dir)
 from semiflux.scenarios import make_setup
 from semiflux.solver import run
 
@@ -61,11 +61,13 @@ def test_round_trip_is_bit_exact(tmp_path):
     profile, cfg = back.profile, back.cfg
     assert cfg == setup.cfg
     assert len(back.times) == len(traj.times) > 2
-    for name in ("steps", "times", "rho", "mom"):
+    for name in ("steps", "times", "rho", "mom", "min_rho"):
         assert np.array_equal(getattr(back, name), getattr(traj, name))
         assert getattr(back, name).dtype == getattr(traj, name).dtype
-    assert (back.n_steps, back.min_rho_ever) == (traj.n_steps,
-                                                 traj.min_rho_ever)
+    assert (back.n_steps, back.completed) == (traj.n_steps, True)
+    # report.json re-renders from the records read back, summary included
+    again = audited_texts(back, evaluate_trajectory(back), {})
+    assert again["report.json"] == (tmp_path / "report.json").read_text()
     assert profile.e_minus == setup.profile.e_minus
     for name in ("a_vals", "b_vals", "c_vals"):
         assert np.array_equal(getattr(profile, name),
@@ -78,7 +80,8 @@ def test_snapshot_stores_no_derived_columns(small_run):
     # x is the grid of report.json, stored once in profile.dat
     head, rows = read_rows(later_snapshot(small_run))
     assert head[-1] == "# columns: rho m"
-    assert [ln.split(" = ")[0] for ln in head[:-1]] == ["# step", "# time"]
+    assert [ln.split(" = ")[0] for ln in head[:-1]] == [
+        "# step", "# time", "# min_rho"]
     assert {len(r) for r in rows} == {2}
     head, _ = read_rows(small_run / "profile.dat")
     assert head[-1] == "# columns: x a b"
@@ -94,16 +97,19 @@ def test_scaled_stored_density_detected(small_run, capsys):
 
 
 def test_legacy_layout_still_verifies(small_run):
-    # run directories written with the derived columns u, z, w (snapshots)
-    # and c (profile) must keep verifying
+    # tables with the derived columns of older layouts, u, z, w (snapshots)
+    # and c (profile), and their extra header keys, must keep verifying:
+    # columns and keys are read by name (the min_rho header is required)
     _, traj = load_run_dir(small_run)
     profile, model, x = traj.profile, traj.model, traj.grid.centers
     e_all = solve_field(traj.rho - model.rho_floor, profile, traj.grid)
-    for step, t, rho, mom, e_vals in zip(traj.steps, traj.times, traj.rho,
-                                         traj.mom, e_all):
+    for step, t, low, rho, mom, e_vals in zip(traj.steps, traj.times,
+                                              traj.min_rho, traj.rho,
+                                              traj.mom, e_all):
         z, w = model.riemann_invariants(rho, mom)
         cols = [x, rho, mom / rho, mom, e_vals, z, w]
         head = [f"# step = {step}", f"# time = {fmt(t)}",
+                f"# min_rho = {fmt(low)}",
                 f"# gamma = {fmt(model.gamma)}",
                 f"# delta = {fmt(model.delta)}",
                 f"# pressure_convention = {model.convention.value}",
@@ -123,6 +129,52 @@ def test_legacy_layout_still_verifies(small_run):
 def rejected(run_dir, path, capsys):
     assert main(["verify", str(run_dir)]) == 2
     return path.name in capsys.readouterr().err
+
+
+def test_snapshot_without_min_rho_rejected(small_run, capsys):
+    # run directories written before snapshots stored min_rho
+    path = later_snapshot(small_run)
+    head, rows = read_rows(path)
+    write_rows(path, [h for h in head if not h.startswith("# min_rho")], rows)
+    assert main(["verify", str(small_run)]) == 2
+    err = capsys.readouterr().err
+    assert path.name in err and "min_rho" in err
+
+
+def test_edited_min_rho_header_detected(small_run, capsys):
+    # the run's lowest density is stored per record; report.json's
+    # min_rho_ever is re-derived from those headers
+    path = later_snapshot(small_run)
+    head, rows = read_rows(path)
+    stored = json.loads((small_run / "report.json").read_text())[
+        "summary"]["min_rho_ever"]
+    head = [f"# min_rho = {fmt(stored / 2)}" if h.startswith("# min_rho")
+            else h for h in head]
+    write_rows(path, head, rows)
+    assert main(["verify", str(small_run)]) == 1
+    out = capsys.readouterr().out
+    assert "report.json: MISMATCH under recomputation, line " in out
+    old, new = (repr(f'    "min_rho_ever": {v!r},\n')
+                for v in (stored, stored / 2))
+    assert f"stored {old}, recomputed {new}" in out
+    assert out.count("byte-identical under recomputation") == 2
+
+
+def test_early_stop_round_trip(tmp_path):
+    # a march cut by max_steps records its last state; its report.json
+    # re-renders byte for byte from the records read back
+    setup = make_setup("gaussian-bump", {"n_cells": 100, "t_end": 0.3})
+    traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
+               setup.grid, max_steps=3)
+    report = evaluate_trajectory(traj)
+    write_run_dir(tmp_path, traj, report, {"seed": 0})
+    stored = (tmp_path / "report.json").read_text()
+    summary = json.loads(stored)["summary"]
+    assert (summary["completed"], summary["n_steps"]) == (False, 3)
+    _, back = load_run_dir(tmp_path)
+    assert back.steps.tolist() == [0, 3] and not back.completed
+    again = audited_texts(back, evaluate_trajectory(back), {"seed": 0})
+    assert again["report.json"] == stored
 
 
 def test_missing_column_rejected(small_run, capsys):

@@ -347,7 +347,7 @@ class TestRunMatchesReference:
         monkeypatch.setattr(solver_mod, "step", kept_step)
         traj = run(initial, profile, model, cfg, grid, record_every=7,
                    record_times=record_times)
-        steps, times, rho, mom, dts, min_rho, limits = run_reference(
+        steps, times, rho, mom, min_rho, dts, limits = run_reference(
             initial, profile, model, cfg, grid, record_every=7,
             record_times=record_times)
         assert traj.completed and traj.n_steps >= 50
@@ -356,8 +356,8 @@ class TestRunMatchesReference:
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.rho, rho)
         assert np.array_equal(traj.mom, mom)
+        assert np.array_equal(traj.min_rho, min_rho)
         assert traj.dts == dts
-        assert traj.min_rho_ever == min_rho
         assert traj.limits == limits
         # the states run kept for its records: no two share memory
         kept = [initial] + [returned[k - 1] for k in traj.steps[1:]]
@@ -376,7 +376,9 @@ class TestRunMatchesReference:
         assert sum(traj.limits.values()) == traj.n_steps
         assert traj.limits["clamp"] == 1    # the last step lands on t_end
         assert traj.steps.tolist() == list(range(traj.n_steps + 1))
-        assert traj.min_rho_ever == float(np.min(traj.rho)) < 1.0
+        # every step is a record, so each record's lowest density is its row's
+        assert np.array_equal(traj.min_rho, traj.rho.min(axis=1))
+        assert float(np.min(traj.min_rho)) < 1.0
 
 
 class TestBenchmarkHooks:
@@ -448,7 +450,7 @@ class TestRun:
         state = HydroState(rho=rho, mom=np.zeros(grid.n_cells))
         traj = run(state, profile, model, cfg, grid)
         assert not traj.completed
-        assert traj.failure_time == 0.0
+        assert traj.times[-1] == 0.0
         # the initial record is still stacked into the arrays
         assert traj.steps.tolist() == [0] and traj.times.tolist() == [0.0]
         assert np.array_equal(traj.rho, rho[None, :])
@@ -460,10 +462,33 @@ class TestRun:
         traj = run(state, profile, model, cfg, grid, max_steps=3)
         assert traj.n_steps == 3
         assert not traj.completed
-        assert 0.0 < traj.failure_time < cfg.t_end
-        assert traj.failure_time == sum(traj.dts)
-        assert traj.steps.tolist() == [0]
-        assert traj.rho.shape == traj.mom.shape == (1, grid.n_cells)
+        # the state the cut left is recorded; it stopped at its time
+        assert traj.steps.tolist() == [0, 3]
+        assert 0.0 < traj.times[-1] < cfg.t_end
+        assert traj.times[-1] == sum(traj.dts)
+        assert traj.rho.shape == traj.mom.shape == (2, grid.n_cells)
+
+    def test_failed_step_records_the_last_valid_state(self, monkeypatch):
+        grid, model, profile, cfg = uniform_setup(t_end=1.0)
+        state = HydroState(rho=np.ones(grid.n_cells),
+                           mom=np.zeros(grid.n_cells))
+        real_step, kept = solver_mod.step, []
+
+        def step_then_fail(state, *args, **kwargs):
+            if len(kept) == 4:
+                raise IntegrationError("injected", state, state.time)
+            out = real_step(state, *args, **kwargs)
+            kept.append(out[0])
+            return out
+
+        monkeypatch.setattr(solver_mod, "step", step_then_fail)
+        traj = run(state, profile, model, cfg, grid, record_every=3)
+        assert not traj.completed
+        assert traj.steps.tolist() == [0, 3, 4]
+        assert traj.times[-1] == kept[-1].time == sum(traj.dts)
+        assert np.array_equal(traj.rho[-1], kept[-1].rho)
+        # the last record's minimum covers the one step since step 3
+        assert traj.min_rho[-1] == float(np.min(kept[-1].rho))
 
     def test_records_are_stacked_float64_rows(self, bump_setup, bump_traj):
         k, n = len(bump_traj.times), bump_setup.grid.n_cells
@@ -476,14 +501,20 @@ class TestRun:
         for arr in (bump_traj.rho, bump_traj.mom):
             assert arr.shape == (k, n) and arr.dtype == np.float64
         assert np.array_equal(bump_traj.rho[0], bump_setup.initial.rho)
-        assert bump_traj.min_rho_ever <= float(np.min(bump_traj.rho))
+        assert bump_traj.min_rho.shape == (k,)
+        assert bump_traj.min_rho.dtype == np.float64
+        assert np.all(bump_traj.min_rho <= bump_traj.rho.min(axis=1))
+        assert bump_traj.min_rho[0] == float(np.min(bump_traj.rho[0]))
 
     def test_min_density_tracking(self, bump_setup):
         setup = bump_setup
         traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
                    setup.grid, record_every=10 ** 6)
-        assert traj.min_rho_ever >= setup.model.rho_floor
-        assert traj.min_rho_ever <= float(np.min(setup.initial.rho))
+        assert traj.steps.tolist() == [0, traj.n_steps]
+        assert np.all(traj.min_rho >= setup.model.rho_floor)
+        assert traj.min_rho[0] == float(np.min(setup.initial.rho))
+        # the final record's minimum spans every step, not only its own row
+        assert traj.min_rho[1] <= float(np.min(traj.rho[1]))
 
     def test_final_time_is_exact(self):
         grid, model, profile, cfg = uniform_setup(t_end=0.37, epsilon=1e-3)
