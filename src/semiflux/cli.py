@@ -13,10 +13,16 @@ Four subcommands:
 * ``relax``   sweep a tau ladder and tabulate the scaled L1 gap against a
               drift-diffusion reference, with and without the vacuum offset
 
+``solve`` and ``verify`` audit a run with the one call
+``reporting.audited_texts(traj, echo)``: ``solve`` on the echo it builds,
+``verify`` on the echo the run stored, so the monitors and the entropy
+seed come from the echo alone and a stored echo without either exits 2.
+
 ``solve``, ``picard`` and ``relax`` build their device through
 ``scenarios.make_setup``; ``verify`` audits a stored run, read through
 ``reporting.load_run_dir``, under the profile and SolverConfig it holds;
-a snapshot without the ``min_rho`` header (written before it) exits 2.
+a stored table laid out otherwise than ``solve`` writes it (a snapshot
+without the ``min_rho`` header, an extra column or header key) exits 2.
 
 Exit codes: 0 all checks passed, 1 a check or monitor failed, 2 bad usage,
 unreadable input, or malformed configuration (an unknown key, a value its
@@ -40,7 +46,7 @@ import numpy as np
 from .config import (PICARD_KEYS, RELAX_KEYS, SCENARIO_KEYS, SOLVE_KEYS,
                      coerce, parse_key_value)
 from .model import ConfigurationError, Grid1D, HydroState
-from .monitors import ALL_MONITORS, entropy_spot_check, evaluate_trajectory
+from .monitors import parse_monitor_list
 from .picard import picard_solve
 from .relaxation import CouplingRule, relaxation_study
 from .reporting import (audited_texts, csv_text, json_text, load_run_dir,
@@ -54,20 +60,6 @@ USAGE_ERROR = 2
 # short-time cross-check defaults shared by `verify --picard` and `picard`
 CROSS_CHECK_T1 = 0.01
 CROSS_TOL_FACTOR = 5.0
-
-
-def parse_monitor_list(spec: str) -> tuple:
-    body = spec.strip().lower()
-    if body in ("all", ""):
-        return ALL_MONITORS
-    if body == "none":
-        return ()
-    names = tuple(s.strip() for s in body.split(",") if s.strip())
-    unknown = set(names) - set(ALL_MONITORS)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown monitors {sorted(unknown)}; choose from {list(ALL_MONITORS)}")
-    return names
 
 
 def _overrides(vals: dict) -> dict:
@@ -110,37 +102,30 @@ def cmd_solve(args) -> int:
         raise ConfigurationError("solve config must set 'scenario'")
     overrides = _overrides(vals)
     out_dir = args.out_dir or vals.get("out_dir") or f"runs/{name}"
-    seed = args.seed if args.seed is not None else vals.get("seed", 0)
     enabled = parse_monitor_list(args.monitors or vals.get("monitors", "all"))
     cadence = vals.get("cadence", 50)
 
     tables = {k: vals[f"{k}_table"] for k in "ab" if f"{k}_table" in vals}
     setup = make_setup(name, overrides, profile_tables=tables)
 
-    t0 = time.perf_counter()
-    traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
-               setup.grid, record_every=cadence)
-
-    t1 = time.perf_counter()
-    report = evaluate_trajectory(traj, enabled)
-    t2 = time.perf_counter()
-    extra = {}
-    if "entropy" in enabled:
-        extra["entropy_checks"], ent_viols = entropy_spot_check(traj, seed)
-        report.violations.extend(ent_viols)
-    t3 = time.perf_counter()
-
-    echo = {"scenario": name,
-            "hypothesis_tag": setup.scenario.hypothesis_tag,
+    seed = args.seed if args.seed is not None else vals.get("seed", 0)
+    echo = {"scenario": name, "hypothesis_tag": setup.scenario.hypothesis_tag,
             "cadence": cadence,
             "monitors": ",".join(enabled) if enabled else "none",
             "seed": seed}
-    out = write_run_dir(out_dir, traj, report, echo, extra or None)
+
+    t0 = time.perf_counter()
+    traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
+               setup.grid, record_every=cadence)
+    t1 = time.perf_counter()
+    report, texts = audited_texts(traj, echo)
+    t2 = time.perf_counter()
+    out = write_run_dir(out_dir, traj, texts)
     # wall times and the march's account live outside report.json so stored
     # runs stay reproducible; wall_seconds is the march
     (out / "timing.json").write_text(json_text({
-        "wall_seconds": t1 - t0, "monitors_s": t2 - t1, "entropy_s": t3 - t2,
-        "write_s": time.perf_counter() - t3, "march": _march_summary(traj)}))
+        "wall_seconds": t1 - t0, "audit_s": t2 - t1,
+        "write_s": time.perf_counter() - t2, "march": _march_summary(traj)}))
 
     print(f"run {name}: {traj.n_steps} steps to t={traj.times[-1]:.6g}, "
           f"{len(traj.times)} snapshots, "
@@ -198,20 +183,10 @@ def _first_difference(stored: str, fresh: str, csv: bool) -> str:
 
 def cmd_verify(args) -> int:
     payload, traj = load_run_dir(args.run_dir)
-    echo = payload["config"]
-    audit = coerce({"monitors": echo.get("monitors", "all"),
-                    "seed": echo["seed"]}, SOLVE_KEYS)
-    enabled = parse_monitor_list(audit["monitors"])
-    report = evaluate_trajectory(traj, enabled)
-    extra = {}
-    if "entropy" in enabled:
-        extra["entropy_checks"], ent_viols = entropy_spot_check(
-            traj, audit["seed"])
-        report.violations.extend(ent_viols)
-
+    _, texts = audited_texts(traj, payload["config"])
     run_dir = Path(args.run_dir)
     ok = True
-    for fname, fresh in audited_texts(traj, report, echo, extra).items():
+    for fname, fresh in texts.items():
         stored = (run_dir / fname).read_text()
         if fresh == stored:
             print(f"{fname}: byte-identical under recomputation")

@@ -12,8 +12,9 @@ functions.  The summary's step count, completion and lowest density are
 read off the records too.  Every audit reads the device profile and the
 SolverConfig (eps, tau, source coupling) from the Trajectory itself, so it
 judges the run under the settings it was marched with.
-`evaluate_trajectory` audits the monitors named in `enabled` (the command
-line validates that list).  The entropy audit is one `entropy_sweep` over
+`evaluate_trajectory` audits the monitors named in `enabled`, a tuple that
+`parse_monitor_list` reads and validates; `reporting.audited_texts` is
+where a command runs them.  The entropy audit is one `entropy_sweep` over
 the snapshots: each snapshot's mechanical energy, flux and source term are
 evaluated once and shared by every test function and by the tolerance
 scale.
@@ -26,11 +27,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import doping_mass, mass_field_bound, solve_field
-from .model import (Boundary, GasModel, PressureConvention, _powm1_over,
-                    total_integral)
+from .model import (Boundary, ConfigurationError, GasModel,
+                    PressureConvention, _powm1_over, total_integral)
 from .solver import Trajectory, source
 
 ALL_MONITORS = ("positivity", "mass", "field", "riemann", "uniform", "entropy")
+
+
+def parse_monitor_list(spec: str) -> tuple:
+    body = spec.strip().lower()
+    if body in ("all", ""):
+        return ALL_MONITORS
+    if body == "none":
+        return ()
+    names = tuple(s.strip() for s in body.split(",") if s.strip())
+    unknown = set(names) - set(ALL_MONITORS)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown monitors {sorted(unknown)}; choose from {list(ALL_MONITORS)}")
+    return names
+
 
 # relative slack on excess mass (per 1000 steps under periodic boundaries)
 MASS_TOL = 1e-12
@@ -138,11 +154,10 @@ def evaluate_trajectory(traj: Trajectory,
 
     if "uniform" in enabled and len(rows) >= 4:
         times = traj.times
-        if model.gamma == 1.0:
-            tracked = {"sup_log_plus": 12, "sup_log_minus": 13}
-        else:
-            tracked = {"sup_rho": 4, "sup_abs_u": 5}
-        for name, col in tracked.items():
+        tracked = (("sup_log_plus", "sup_log_minus") if model.gamma == 1.0
+                   else ("sup_rho", "sup_abs_u"))
+        for name in tracked:
+            col = MONITOR_COLUMNS.index(name)
             series = np.array([r[col] for r in rows])
             ok, early, late = plateau_check(times, series, PLATEAU_TOL)
             summary[f"plateau_{name}_early"] = early

@@ -10,10 +10,11 @@ This module integrates the limit system (vacuum offset set to zero) with a
 conservative, linearly implicit midpoint scheme: two tridiagonal solves per
 step, each by a numpy-only Thomas sweep (Sherman-Morrison on a periodic
 grid), so the step is bounded by the drift alone, not by dx^2.  It also
-drives the tau-ladder study on a scenario's
-RunSetup, the same one `solve` and `picard` build: each rung swaps delta and
-the solver coefficients into the setup's model and config, each hydro run
-records exactly at t = s/tau, its stacked records are read as N = rho and
+drives the tau-ladder study on a scenario's RunSetup, the same one `solve`
+and `picard` build: each rung, and the reference's initial density, is
+that scenario built again by `make_setup` with the rung's keys (delta and
+the solver coefficients) over its parameters, each hydro run records
+exactly at t = s/tau, its stacked records are read as N = rho and
 J = m/tau, and the L1 gap to the reference is reported twice, on N
 (l1_error) and on N - 2 delta (l1_net, free of the vacuum offset the
 reference lacks).  Like a hydro Trajectory, the reference keeps only its
@@ -23,7 +24,7 @@ density, stacked over records; its field Upsilon is derived data.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .field import solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, PressureConvention)
 from .reporting import config_echo
-from .scenarios import RunSetup
-from .solver import SourceVariant, prepare_initial, run
+from .scenarios import RunSetup, make_setup
+from .solver import SourceVariant, run
 
 
 # --- drift-diffusion limit solver ------------------------------------------
@@ -295,11 +296,13 @@ def relaxation_study(setup: RunSetup, tau_list,
                      horizon: float = 0.25, window=None,
                      n_s_records: int = 21,
                      s0_frac: float = 0.05) -> StudyResult:
-    """Run the hydro solver along the tau ladder on `setup`'s device (grid,
-    profile, raw initial data, gas law, cfl and smoothing width), read each
-    run's rows at t = s/tau as N = rho and J = m/tau, and compare with one
-    drift-diffusion reference computed on the same grid.  A device whose
-    reference cannot keep N >= 0 is rejected with a ConfigurationError."""
+    """Run the hydro solver along the tau ladder on `setup`'s scenario, each
+    rung rebuilt by `make_setup` with its delta, eps, tau, t_end and the
+    excess-density source over the scenario's parameters, read each run's
+    rows at t = s/tau as N = rho and J = m/tau, and compare with one
+    drift-diffusion reference on the same grid from the scenario's initial
+    data at delta = tau_list[0].  A device whose reference cannot keep
+    N >= 0 is rejected with a ConfigurationError."""
     grid, profile = setup.grid, setup.profile
     gamma, convention = setup.model.gamma, setup.model.convention
     taus = validate_tau_ladder(tau_list)
@@ -318,12 +321,12 @@ def relaxation_study(setup: RunSetup, tau_list,
         raise ConfigurationError(
             f"window [{window[0]!r}, {window[1]!r}] holds no cell centre")
 
-    # mollify exactly as the hydro initial data, minus the vacuum offset
-    ref_model = replace(setup.model, delta=taus[0])
-    n0 = prepare_initial(setup.raw_rho, setup.raw_u, ref_model, setup.cfg,
-                         grid).rho - ref_model.rho_floor
+    # the reference's datum and each rung: the scenario, their keys over it
+    name, params = setup.scenario.name, setup.scenario.params
+    ref = make_setup(name, {**params, "delta": taus[0]})
+    n0 = ref.initial.rho - ref.model.rho_floor
     try:
-        reference = drift_diffusion_run(n0, profile, ref_model, grid,
+        reference = drift_diffusion_run(n0, profile, ref.model, grid,
                                         s_end=horizon,
                                         record_times=s_records[1:],
                                         cfl=setup.cfg.cfl)
@@ -339,13 +342,13 @@ def relaxation_study(setup: RunSetup, tau_list,
     for tau in taus:
         delta = coupling.delta(tau)
         eps = coupling.epsilon(tau, gamma, convention)
-        model = replace(setup.model, delta=delta)
-        cfg = replace(setup.cfg, epsilon=eps, tau=tau, t_end=horizon / tau,
-                      source_variant=SourceVariant.EXCESS_DENSITY)
-        initial = prepare_initial(setup.raw_rho, setup.raw_u, model, cfg,
-                                  grid)
-        traj = run(initial, profile, model, cfg, grid,
-                   record_times=s_records[1:] / tau)
+        rung = make_setup(name, {
+            **params, "delta": delta, "epsilon": eps, "tau": tau,
+            "t_end": horizon / tau,
+            "source_variant": SourceVariant.EXCESS_DENSITY})
+        traj = run(rung.initial, rung.profile, rung.model, rung.cfg,
+                   rung.grid, record_times=s_records[1:] / tau)
+        floor = rung.model.rho_floor
         if not traj.completed:
             raise RuntimeError(f"hydro run failed at tau={tau}")
         if not np.array_equal(traj.times[1:], s_records[1:] / tau):
@@ -356,10 +359,9 @@ def relaxation_study(setup: RunSetup, tau_list,
             tau=tau, epsilon=eps, delta=delta,
             l1_error=scaled_l1_gap(s_records[late], n_win, n_ref, grid.dx),
             dissipation=dissipation_integral(s_records, traj.rho,
-                                             traj.mom / tau, model.rho_floor,
-                                             grid.dx),
-            l1_net=scaled_l1_gap(s_records[late], n_win - model.rho_floor,
-                                 n_ref, grid.dx)))
+                                             traj.mom / tau, floor, grid.dx),
+            l1_net=scaled_l1_gap(s_records[late], n_win - floor, n_ref,
+                                 grid.dx)))
 
     errors = [r.l1_error for r in rows]
     monotone = all(b < a for a, b in zip(errors, errors[1:]))

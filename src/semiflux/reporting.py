@@ -4,15 +4,19 @@ A run directory stores a whole Trajectory: each record's (step, time,
 min_rho, rho, m) is one '#'-headed text snapshot, the profile (x a b)
 another table, and its grid, gas law and SolverConfig the config echo,
 written and read back through the one key table `_ECHO`, which the relax
-manifest echoes too.  The cell centres x are stored once, in the profile,
-where the reader checks them against the grid; the field E is derived data.
-`audited_texts` renders what an audit re-derives from the records: monitor
-series to CSV, violations to JSON, and report.json (config echo, audit
-summary, snapshot list, entropy checks).  Every CSV a command writes goes
-through `csv_text`.  Every float is rendered with 17 significant digits so
-repeated runs of the same build are byte-identical; a table body is
-formatted by one '%' operation over all its values, which gives the bytes
-of one `fmt` call per value.  Wall-clock timing lives in its own file.
+manifest echoes too.  The reader accepts only the layout the writer
+writes, header keys and columns alike.  The cell centres x are stored
+once, in the profile, where the reader checks them against the grid; the
+field E is derived data.  `audited_texts` is the one audit of a run, for
+`solve` and `verify` both: it reads the monitors and the seed from the
+command echo, runs them, and renders what they derive from the records:
+monitor series to CSV, violations to JSON, and report.json (config echo,
+audit summary, snapshot list, entropy checks).  Every CSV a command
+writes goes through `csv_text`.  Every float is rendered with 17
+significant digits so repeated runs of the same build are byte-identical;
+a table body is formatted by one '%' operation over all its values, which
+gives the bytes of one `fmt` call per value.  Wall-clock timing lives in
+its own file.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SCENARIO_KEYS, coerce
+from .config import SCENARIO_KEYS, SOLVE_KEYS, coerce
 from .model import ConfigurationError, DeviceProfile, GasModel, Grid1D
-from .monitors import MonitorReport
+from .monitors import (entropy_spot_check, evaluate_trajectory,
+                       parse_monitor_list)
 from .solver import SolverConfig, Trajectory
 
 # the config echo's grid, gas-law and solver keys, per Trajectory part with
@@ -57,32 +62,30 @@ def _table_text(meta: dict, columns: dict) -> str:
 
 
 def _read_table(path: Path, grid: Grid1D, keys: tuple, names: tuple):
-    """Read a stored table as ({key: float}, {column: values}).  Columns are
-    found by name, so older layouts with extra columns still load; a table
-    that does not describe the run's grid, or whose x column (where it has
-    one) is not the grid's centres, is rejected."""
+    """Read a stored table as ({key: float}, {column: values}).  It must be
+    laid out as `_table_text` writes it, with exactly the header keys
+    `keys` and the columns `names`, and hold one row per cell of the run's
+    grid; any other table is rejected."""
     lines = path.read_text().splitlines()
     head = [ln[1:].replace("columns:", "columns =").partition("=")
             for ln in takewhile(lambda ln: ln.startswith("#"), lines)]
     meta = {k.strip(): v.strip() for k, _, v in head}
+    found = [k.strip() for k, _, _ in head]
     header = meta.get("columns", "").split()
-    missing = [k for k in keys if k not in meta]
-    missing += [n for n in names if n not in header]
-    if missing:
-        raise ConfigurationError(f"{path}: missing {missing}")
+    if found != [*keys, "columns"] or header != list(names):
+        raise ConfigurationError(
+            f"{path}: header {found} with columns {header}, expected "
+            f"{[*keys, 'columns']} with {list(names)}")
     try:
         values = {k: float(meta[k]) for k in keys}
         data = np.loadtxt(lines[len(head):], ndmin=2)
     except ValueError as err:
         raise ConfigurationError(f"{path}: unreadable table ({err})") from None
-    if data.shape != (grid.n_cells, len(header)):
+    if data.shape != (grid.n_cells, len(names)):
         raise ConfigurationError(
             f"{path}: {data.shape[0]} rows of {data.shape[1]} values, "
-            f"expected {grid.n_cells} rows of {len(header)}")
-    cols = dict(zip(header, data.T))
-    if "x" in cols and not np.array_equal(cols["x"], grid.centers):
-        raise ConfigurationError(f"{path}: x column is not the run's grid")
-    return values, cols
+            f"expected {grid.n_cells} rows of {len(names)}")
+    return values, dict(zip(names, data.T))
 
 
 def csv_text(columns, rows) -> str:
@@ -108,25 +111,35 @@ def config_echo(setup, skip=()) -> dict:
             for k, v in vals.items()}
 
 
-def audited_texts(traj: Trajectory, report: MonitorReport,
-                  command_echo: dict, extra_report: dict | None = None) -> dict:
-    """{file name: text} of the files an audit re-derives: the monitor
-    series, the violations, and report.json, which holds the config echo
-    (`command_echo` with `traj`'s settings over it), the audit summary, the
-    snapshot list and `extra_report` (the entropy checks)."""
+def audited_texts(traj: Trajectory, command_echo: dict):
+    """The one audit of a run, for `solve` and `verify` alike: the monitors
+    and the entropy seed are read from `command_echo` with `solve`'s key
+    types, the enabled monitors run over `traj` and, with "entropy", the
+    spot check.  Returns (MonitorReport, {file name: text}) of the files
+    the audit derives: the monitor series, the violations, and report.json,
+    which holds the config echo (`command_echo` with `traj`'s settings over
+    it), the audit summary, the snapshot list and the entropy checks."""
+    audit = coerce({k: command_echo[k] for k in ("monitors", "seed")},
+                   SOLVE_KEYS)
+    enabled = parse_monitor_list(audit["monitors"])
+    report = evaluate_trajectory(traj, enabled)
+    entropy = {}
+    if "entropy" in enabled:
+        entropy["entropy_checks"], violations = entropy_spot_check(
+            traj, audit["seed"])
+        report.violations.extend(violations)
     payload = {"config": {**command_echo, **config_echo(traj)},
                "summary": report.summary,
                "snapshots": [_SNAPSHOT.format(s) for s in traj.steps.tolist()],
-               **(extra_report or {})}
-    return {"monitors.csv": csv_text(report.columns, report.rows),
-            "violations.json": json_text(report.violations),
-            "report.json": json_text(payload)}
+               **entropy}
+    return report, {"monitors.csv": csv_text(report.columns, report.rows),
+                    "violations.json": json_text(report.violations),
+                    "report.json": json_text(payload)}
 
 
-def write_run_dir(out_dir, traj: Trajectory, report: MonitorReport,
-                  command_echo: dict, extra_report: dict | None = None) -> Path:
-    """Lay out a run directory: snapshots/, profile.dat and the
-    `audited_texts` (report.json, monitors.csv, violations.json)."""
+def write_run_dir(out_dir, traj: Trajectory, texts: dict) -> Path:
+    """Lay out a run directory: snapshots/, profile.dat and `texts`, the
+    audited files by name (`audited_texts`)."""
     out = Path(out_dir)
     (out / "snapshots").mkdir(parents=True, exist_ok=True)
     for step, t, low, rho, mom in zip(traj.steps.tolist(), traj.times.tolist(),
@@ -138,8 +151,7 @@ def write_run_dir(out_dir, traj: Trajectory, report: MonitorReport,
     (out / "profile.dat").write_text(_table_text(
         {"e_minus": profile.e_minus},
         {"x": traj.grid.centers, "a": profile.a_vals, "b": profile.b_vals}))
-    for name, text in audited_texts(traj, report, command_echo,
-                                    extra_report).items():
+    for name, text in texts.items():
         (out / name).write_text(text)
     return out
 
@@ -156,6 +168,9 @@ def load_run_dir(run_dir):
                         for _, cls, keys in _ECHO)
     meta, cols = _read_table(out / "profile.dat", grid, ("e_minus",),
                              ("x", "a", "b"))
+    if not np.array_equal(cols["x"], grid.centers):
+        raise ConfigurationError(
+            f"{out / 'profile.dat'}: x column is not the run's grid")
     profile = DeviceProfile.build(grid, cols["a"], cols["b"], meta["e_minus"])
     if not payload["snapshots"]:
         raise ConfigurationError(f"{out / 'report.json'}: lists no snapshots")

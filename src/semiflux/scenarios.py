@@ -49,8 +49,6 @@ class RunSetup:
     grid: Grid1D
     profile: DeviceProfile
     cfg: SolverConfig
-    raw_rho: np.ndarray
-    raw_u: np.ndarray
     initial: object  # HydroState
 
 
@@ -181,4 +179,4 @@ def make_setup(name: str, overrides: dict | None = None,
             f"({profile.check.first_failure})")
     initial = prepare_initial(raw_rho, raw_u, model, cfg, grid)
     return RunSetup(scenario=scenario, model=model, grid=grid, profile=profile,
-                    cfg=cfg, raw_rho=raw_rho, raw_u=raw_u, initial=initial)
+                    cfg=cfg, initial=initial)

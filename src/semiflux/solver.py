@@ -49,12 +49,8 @@ def source(variant: SourceVariant, model: GasModel, rho, mom, e_vals, a_vals,
 
 
 class IntegrationError(RuntimeError):
-    """Non-finite values appeared; carries the last valid state."""
-
-    def __init__(self, message: str, state: HydroState, time: float):
-        super().__init__(message)
-        self.state = state
-        self.time = time
+    """A step met a state below the density floor or made a non-finite
+    one; `run` stops there, its last record the last valid state."""
 
 
 @dataclass(frozen=True)
@@ -187,8 +183,7 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     rho, mom = state.rho, state.mom
 
     if rho.min() < model.admissible_floor:
-        raise IntegrationError("density fell below the vacuum offset",
-                               state, state.time)
+        raise IntegrationError("density fell below the vacuum offset")
     w = _work if _work is not None else _Workspace(profile, cfg, grid)
     # cellwise largest characteristic speed |u| + ((rho-2d)/rho) sqrt(P') and
     # the stable step cfl / (max|lambda|/dx + 2 eps/dx^2): one budget shared
@@ -260,7 +255,7 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     mom_star *= np.exp(tmp, out=tmp)
 
     if not np.isfinite(q_new, out=w.finite).all():
-        raise IntegrationError("non-finite state", state, state.time)
+        raise IntegrationError("non-finite state")
 
     report = StepReport(dt_used=dt, post_step_min_rho=float(rho_new.min()),
                         limit=limit)

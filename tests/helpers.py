@@ -149,8 +149,7 @@ def step_reference(state, profile, model, cfg, grid, t_stop=None):
     dx = grid.dx
 
     if float(np.min(rho)) < model.admissible_floor:
-        raise IntegrationError("density fell below the vacuum offset",
-                               state, state.time)
+        raise IntegrationError("density fell below the vacuum offset")
     speed = np.abs(mom / rho) + (rho - model.rho_floor) / rho \
         * np.sqrt(model.dpressure(rho))
     max_speed = float(np.max(speed))
@@ -192,7 +191,7 @@ def step_reference(state, profile, model, cfg, grid, t_stop=None):
     mom_new = mom_star * np.exp(-rate * dt)
 
     if not (np.all(np.isfinite(rho_new)) and np.all(np.isfinite(mom_new))):
-        raise IntegrationError("non-finite state", state, state.time)
+        raise IntegrationError("non-finite state")
 
     report = StepReport(dt_used=dt, post_step_min_rho=float(np.min(rho_new)),
                         limit=limit)

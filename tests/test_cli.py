@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import semiflux
-from semiflux.cli import main, parse_monitor_list
+from semiflux.cli import main
 from semiflux.model import ConfigurationError
-from semiflux.monitors import ALL_MONITORS
+from semiflux.monitors import ALL_MONITORS, parse_monitor_list
 from semiflux.picard import picard_solve
 from semiflux.relaxation import CouplingRule, relaxation_study
 
@@ -213,8 +213,7 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 0
         timing = json.loads((out / "timing.json").read_text())
         march = timing.pop("march")
-        assert set(timing) == {"wall_seconds", "monitors_s", "entropy_s",
-                               "write_s"}
+        assert set(timing) == {"wall_seconds", "audit_s", "write_s"}
         assert all(v >= 0.0 for v in timing.values())
         # the march's account: the limiter counts cover every step
         n_steps = json.loads(
@@ -381,6 +380,18 @@ class TestVerify:
         payload["config"]["flux_scheme"] = "llf"
         p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         assert main(["verify", str(run_dir), "--picard", "--t1", "0.01"]) == 0
+
+    @pytest.mark.parametrize("key", ["monitors", "seed"])
+    def test_echo_without_audit_key_exits_2(self, run_dir, capsys, key):
+        # the audit reads what to check from the stored echo alone: a run
+        # whose echo lacks the monitors or the seed is unreadable input
+        p = run_dir / "report.json"
+        payload = json.loads(p.read_text())
+        del payload["config"][key]
+        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(run_dir)]) == 2
+        assert repr(key) in capsys.readouterr().err
 
     def test_missing_run_dir(self, tmp_path):
         assert main(["verify", str(tmp_path / "ghost")]) == 2
@@ -596,6 +607,21 @@ class TestModuleEntry:
         assert missing <= {"semiflux.scenarios.make_arrays",
                            "semiflux.solver.stable_dt",
                            "semiflux.relaxation.rescale"}
+
+    def test_one_audit_call_site(self):
+        # solve and verify audit a run through reporting.audited_texts, the
+        # only caller of the monitor entry points outside monitors.py
+        src = Path(semiflux.__file__).resolve().parent
+        entry = {"evaluate_trajectory", "entropy_spot_check"}
+        callers = {(path.name, fn.name)
+                   for path in sorted(src.glob("*.py"))
+                   if path.name != "monitors.py"
+                   for fn in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Call)
+                   and ast.unparse(node.func).split(".")[-1] in entry}
+        assert callers == {("reporting.py", "audited_texts")}
 
     def test_cli_import_leaves_scipy_signal_unloaded(self):
         # scipy.signal costs about a second of import on every command

@@ -2,7 +2,6 @@
 which reads each hydro run's rows at t = s/tau as N = rho, J = m/tau."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from semiflux import (
 )
 from semiflux import relaxation
 from semiflux.scenarios import make_setup
-from semiflux.solver import prepare_initial
+from semiflux.solver import SolverConfig, SourceVariant
 from semiflux.relaxation import (
     PositivityError,
     dd_stable_dt,
@@ -124,8 +123,9 @@ class TestDriftDiffusionRun:
         profile = DeviceProfile.uniform(setup.grid, b=0.2)
         model = GasModel(gamma=1.4, delta=0.05)
         with pytest.raises(RuntimeError, match=r"s = .*s_end = 0\.25"):
-            drift_diffusion_run(setup.raw_rho, profile, model, setup.grid,
-                                s_end=0.25, max_steps=3)
+            drift_diffusion_run(0.8 * np.exp(-setup.grid.centers ** 2),
+                                profile, model, setup.grid, s_end=0.25,
+                                max_steps=3)
 
     def test_two_field_solves_per_step(self, monkeypatch):
         # the midpoint step solves the field at N* and at the new density,
@@ -209,12 +209,10 @@ class TestDriftDiffusionRun:
 def criterion_09_reference_inputs(n_cells):
     """The criterion-09 reference datum: the mollified gaussian-bump on
     [-4, 4] less its vacuum offset, delta = 0.2."""
-    setup = make_setup("gaussian-bump",
-                       {"x_min": -4.0, "x_max": 4.0, "n_cells": n_cells})
-    model = replace(setup.model, delta=0.2)
-    n0 = prepare_initial(setup.raw_rho, setup.raw_u, model, setup.cfg,
-                         setup.grid).rho - model.rho_floor
-    return n0, setup.profile, model, setup.grid
+    setup = make_setup("gaussian-bump", {"x_min": -4.0, "x_max": 4.0,
+                                         "n_cells": n_cells, "delta": 0.2})
+    n0 = setup.initial.rho - setup.model.rho_floor
+    return n0, setup.profile, setup.model, setup.grid
 
 
 def periodic_doped_inputs(n_cells):
@@ -321,8 +319,9 @@ class TestRelaxationStudy:
         grid = Grid1D(-4.0, 4.0, n_cells, boundary=Boundary.OUTFLOW)
         x = grid.centers
         assert setup.grid == grid
-        assert np.array_equal(setup.raw_rho, 0.8 * np.exp(-x ** 2))
-        assert np.array_equal(setup.raw_u, np.zeros_like(x))
+        assert np.array_equal(setup.initial.rho,
+                              0.8 * np.exp(-x ** 2) + setup.model.rho_floor)
+        assert np.array_equal(setup.initial.mom, np.zeros_like(x))
         assert np.array_equal(setup.profile.a_vals, np.ones(n_cells))
         assert np.array_equal(setup.profile.b_vals, np.zeros(n_cells))
         assert setup.profile.e_minus == 0.0
@@ -368,7 +367,8 @@ class TestRelaxationStudy:
     def test_scaled_gap_of_reference_with_itself_is_zero(self):
         setup = study_inputs(n_cells=100)
         model = GasModel(gamma=1.4, delta=0.05)
-        out = drift_diffusion_run(setup.raw_rho, setup.profile, model,
+        out = drift_diffusion_run(0.8 * np.exp(-setup.grid.centers ** 2),
+                                  setup.profile, model,
                                   setup.grid, s_end=0.05,
                                   record_times=[0.025, 0.05])
         assert scaled_l1_gap(out.s_values, out.n_vals, out.n_vals,
@@ -405,6 +405,40 @@ class TestRelaxationStudy:
             gap = scaled_l1_gap(s_values, n_vals - 2.0 * row.delta,
                                 result.reference.n_vals, setup.grid.dx)
             assert row.l1_net == pytest.approx(gap, rel=1e-12)
+
+    def test_each_rung_is_a_scenario_run(self, monkeypatch):
+        # a rung is the scenario built again by make_setup with the rung's
+        # keys over its parameters, and marched bit for bit like it
+        runs, real_run = [], relaxation.run
+
+        def recording_run(*args, **kwargs):
+            runs.append(real_run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(relaxation, "run", recording_run)
+        setup = study_inputs(n_cells=60)
+        result = relaxation_study(setup, tau_list=[0.2, 0.1, 0.05],
+                                  horizon=0.05, n_s_records=6)
+        assert len(runs) == 3
+        s_ref = result.reference.s_values
+        for row, got in zip(result.rows, runs):
+            keys = {"delta": row.delta, "epsilon": row.epsilon,
+                    "tau": row.tau, "t_end": 0.05 / row.tau,
+                    "source_variant": "excess-density"}
+            rung = make_setup("gaussian-bump",
+                              {**setup.scenario.params, **keys})
+            assert rung.cfg == SolverConfig(
+                epsilon=row.epsilon, tau=row.tau, t_end=0.05 / row.tau,
+                source_variant=SourceVariant.EXCESS_DENSITY)
+            want = real_run(rung.initial, rung.profile, rung.model,
+                            rung.cfg, rung.grid,
+                            record_times=s_ref[1:] / row.tau)
+            assert (got.model, got.cfg, got.grid) == (
+                rung.model, rung.cfg, rung.grid)
+            for name in ("steps", "times", "rho", "mom", "min_rho"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name))
+            assert got.dts == want.dts
 
     def test_record_that_misses_s_over_tau_raises(self, monkeypatch):
         real_run = relaxation.run

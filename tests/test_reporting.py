@@ -1,5 +1,6 @@
-"""The run store: stored tables read back bit-exactly, by column name, and
-anything that does not describe the run's grid is rejected as unreadable."""
+"""The run store: stored tables read back bit-exactly, and a table laid out
+otherwise than the writer writes it, or that does not describe the run's
+grid, is rejected as unreadable."""
 
 import json
 
@@ -7,8 +8,6 @@ import numpy as np
 import pytest
 
 from semiflux.cli import main
-from semiflux.field import solve_field
-from semiflux.monitors import evaluate_trajectory
 from semiflux.reporting import (_table_text, audited_texts, csv_text, fmt,
                                 load_run_dir, write_run_dir)
 from semiflux.scenarios import make_setup
@@ -55,9 +54,9 @@ def test_round_trip_is_bit_exact(tmp_path):
         "source_variant": "excess-density"})
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
                setup.grid, record_every=2)
-    report = evaluate_trajectory(traj)
-    write_run_dir(tmp_path, traj, report, {})
-    _, back = load_run_dir(tmp_path)
+    _, texts = audited_texts(traj, {"monitors": "all", "seed": 0})
+    write_run_dir(tmp_path, traj, texts)
+    payload, back = load_run_dir(tmp_path)
     profile, cfg = back.profile, back.cfg
     assert cfg == setup.cfg
     assert len(back.times) == len(traj.times) > 2
@@ -65,9 +64,8 @@ def test_round_trip_is_bit_exact(tmp_path):
         assert np.array_equal(getattr(back, name), getattr(traj, name))
         assert getattr(back, name).dtype == getattr(traj, name).dtype
     assert (back.n_steps, back.completed) == (traj.n_steps, True)
-    # report.json re-renders from the records read back, summary included
-    again = audited_texts(back, evaluate_trajectory(back), {})
-    assert again["report.json"] == (tmp_path / "report.json").read_text()
+    # every audited file re-renders from the records and echo read back
+    assert audited_texts(back, payload["config"])[1] == texts
     assert profile.e_minus == setup.profile.e_minus
     for name in ("a_vals", "b_vals", "c_vals"):
         assert np.array_equal(getattr(profile, name),
@@ -94,36 +92,6 @@ def test_scaled_stored_density_detected(small_run, capsys):
     write_rows(path, head, rows)
     assert main(["verify", str(small_run)]) == 1
     assert "MISMATCH" in capsys.readouterr().out
-
-
-def test_legacy_layout_still_verifies(small_run):
-    # tables with the derived columns of older layouts, u, z, w (snapshots)
-    # and c (profile), and their extra header keys, must keep verifying:
-    # columns and keys are read by name (the min_rho header is required)
-    _, traj = load_run_dir(small_run)
-    profile, model, x = traj.profile, traj.model, traj.grid.centers
-    e_all = solve_field(traj.rho - model.rho_floor, profile, traj.grid)
-    for step, t, low, rho, mom, e_vals in zip(traj.steps, traj.times,
-                                              traj.min_rho, traj.rho,
-                                              traj.mom, e_all):
-        z, w = model.riemann_invariants(rho, mom)
-        cols = [x, rho, mom / rho, mom, e_vals, z, w]
-        head = [f"# step = {step}", f"# time = {fmt(t)}",
-                f"# min_rho = {fmt(low)}",
-                f"# gamma = {fmt(model.gamma)}",
-                f"# delta = {fmt(model.delta)}",
-                f"# pressure_convention = {model.convention.value}",
-                "# columns: x rho u m E z w"]
-        write_rows(small_run / "snapshots" / f"snap_{step:08d}.dat",
-                   head, [[fmt(v) for v in row] for row in zip(*cols)])
-    cols = [x, profile.a_vals, profile.b_vals, profile.c_vals]
-    write_rows(small_run / "profile.dat",
-               [f"# e_minus = {fmt(profile.e_minus)}",
-                f"# uniform_ok = {profile.check.ok}", "# columns: x a b c"],
-               [[fmt(v) for v in row] for row in zip(*cols)])
-    _, rows = read_rows(later_snapshot(small_run))
-    assert len(rows[0]) == 7
-    assert main(["verify", str(small_run), "--picard", "--t1", "0.01"]) == 0
 
 
 def rejected(run_dir, path, capsys):
@@ -166,15 +134,14 @@ def test_early_stop_round_trip(tmp_path):
     setup = make_setup("gaussian-bump", {"n_cells": 100, "t_end": 0.3})
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
                setup.grid, max_steps=3)
-    report = evaluate_trajectory(traj)
-    write_run_dir(tmp_path, traj, report, {"seed": 0})
+    _, texts = audited_texts(traj, {"monitors": "all", "seed": 0})
+    write_run_dir(tmp_path, traj, texts)
     stored = (tmp_path / "report.json").read_text()
     summary = json.loads(stored)["summary"]
     assert (summary["completed"], summary["n_steps"]) == (False, 3)
-    _, back = load_run_dir(tmp_path)
+    payload, back = load_run_dir(tmp_path)
     assert back.steps.tolist() == [0, 3] and not back.completed
-    again = audited_texts(back, evaluate_trajectory(back), {"seed": 0})
-    assert again["report.json"] == stored
+    assert audited_texts(back, payload["config"])[1]["report.json"] == stored
 
 
 def test_missing_column_rejected(small_run, capsys):
@@ -201,14 +168,25 @@ def test_shifted_grid_rejected(small_run, capsys):
     assert rejected(small_run, path, capsys)
 
 
-def test_shifted_x_in_an_older_snapshot_rejected(small_run, capsys):
-    # snapshots no longer store x, but one that does is still checked
-    path = later_snapshot(small_run)
-    head, rows = read_rows(path)
+@pytest.mark.parametrize("table", ["snapshot", "profile"])
+@pytest.mark.parametrize("extra", ["column", "header-key"])
+def test_extra_column_or_header_key_rejected(small_run, capsys, table,
+                                             extra):
+    # the reader accepts only the layout the writer writes; an older
+    # layout's derived column (x in a snapshot, c in the profile) or extra
+    # header key is unreadable input, even where its values are right
     _, traj = load_run_dir(small_run)
-    head[-1] = "# columns: x rho m"
-    x = traj.grid.centers + 1e-3
-    write_rows(path, head, [[fmt(xi)] + r for xi, r in zip(x, rows)])
+    path, name, vals = (
+        (later_snapshot(small_run), "x", traj.grid.centers)
+        if table == "snapshot"
+        else (small_run / "profile.dat", "c", traj.profile.c_vals))
+    head, rows = read_rows(path)
+    if extra == "column":
+        head[-1] += f" {name}"
+        rows = [r + [fmt(v)] for r, v in zip(rows, vals)]
+    else:
+        head.insert(-1, f"# gamma = {fmt(traj.model.gamma)}")
+    write_rows(path, head, rows)
     assert rejected(small_run, path, capsys)
 
 

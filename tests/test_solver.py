@@ -263,10 +263,8 @@ class TestStepMechanics:
         rho = np.full(grid.n_cells, 1.0)
         rho[10] = model.rho_floor - 1e-3
         state = HydroState(rho=rho, mom=np.zeros(grid.n_cells), time=0.7)
-        with pytest.raises(IntegrationError) as exc:
+        with pytest.raises(IntegrationError):
             step(state, profile, model, cfg, grid)
-        assert exc.value.time == 0.7
-        assert exc.value.state is state
 
     def test_non_finite_state_raises(self):
         grid, model, profile, cfg = uniform_setup()
@@ -476,7 +474,7 @@ class TestRun:
 
         def step_then_fail(state, *args, **kwargs):
             if len(kept) == 4:
-                raise IntegrationError("injected", state, state.time)
+                raise IntegrationError("injected")
             out = real_step(state, *args, **kwargs)
             kept.append(out[0])
             return out
