@@ -17,12 +17,17 @@ import numpy as np
 from .model import DeviceProfile, Grid1D, cumulative_integral, total_integral
 
 
-def solve_field(excess, profile: DeviceProfile, grid: Grid1D) -> np.ndarray:
+def solve_field(excess, profile: DeviceProfile, grid: Grid1D, out=None,
+                tmp=None) -> np.ndarray:
     """Integrate the charge imbalance excess - b left to right from the field
     datum.  `excess` is the density above the vacuum: rho - 2*delta for the
-    hydro state, N itself for the drift-diffusion limit."""
-    return profile.e_minus + cumulative_integral(
-        np.asarray(excess, dtype=float) - profile.b_vals, grid.dx)
+    hydro state, N itself for the drift-diffusion limit; a row, or a stack
+    of rows.  `out` takes the field and `tmp` the charge imbalance (arrays
+    of excess's shape); left out, both are allocated."""
+    charge = np.subtract(excess, profile.b_vals, out=tmp, dtype=float)
+    field = cumulative_integral(charge, grid.dx, out=out, tmp=charge)
+    field += profile.e_minus
+    return field
 
 
 def doping_mass(profile: DeviceProfile, grid: Grid1D) -> float:

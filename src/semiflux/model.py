@@ -39,11 +39,15 @@ class Boundary(enum.Enum):
     PERIODIC = "periodic"
 
 
-def _powm1_over(x, e):
-    """(x**e - 1) / e, stable as e -> 0 (limit log(x))."""
-    if e == 0.0:
-        return np.log(x)
-    return np.expm1(e * np.log(x)) / e
+def _powm1_over(x, e, out=None):
+    """(x**e - 1) / e, stable as e -> 0 (limit log(x)); written into the
+    array `out` when given."""
+    v = np.log(x, out=out)
+    if e != 0.0:
+        v *= e
+        v = np.expm1(v, out=out)
+        v /= e
+    return v
 
 
 @dataclass(frozen=True)
@@ -80,23 +84,30 @@ class GasModel:
             return 1.0 / self.gamma
         return 1.0
 
-    def _p(self, rho):
-        return self._pref * rho ** self.gamma
+    # The unchecked pressure terms below take `out`, an array to write the
+    # result into, and those needing a second row `tmp`, a scratch array of
+    # the same shape; left out, both are allocated.  Each in-place sequence
+    # makes its formula's operations in the formula's order (+ and * commute
+    # exactly), so both forms give the same bits.
 
-    def _dp(self, rho):
-        if self.gamma == 1.0:
-            return np.ones_like(rho)
-        if self.convention is PressureConvention.ONE_OVER_GAMMA:
-            return rho ** (self.gamma - 1.0)
-        return self.gamma * rho ** (self.gamma - 1.0)
+    def _p(self, rho, out=None):
+        v = np.power(rho, self.gamma, out=out)
+        v *= self._pref
+        return v
 
-    def _spread(self, rho, excess, out=None):
+    def _dp(self, rho, out=None):
+        # rho**0 is exactly 1 (NaN included) at gamma = 1
+        v = np.power(rho, self.gamma - 1.0, out=out)
+        if self.convention is PressureConvention.PLAIN:
+            v *= self.gamma
+        return v
+
+    def _spread(self, rho, excess, out=None, tmp=None):
         """(excess/rho) * sqrt(P'(rho)) with excess = rho - 2*delta: half the
-        gap between the characteristic speeds; unchecked, written into the
-        array `out` when given."""
-        out = np.divide(excess, rho, out=out)
-        out *= np.sqrt(self._dp(rho))
-        return out
+        gap between the characteristic speeds; unchecked."""
+        v = np.divide(excess, rho, out=out)
+        v *= np.sqrt(self._dp(rho, out=tmp), out=tmp)
+        return v
 
     @functools.cached_property
     def _p1_floor_terms(self):
@@ -106,7 +117,7 @@ class GasModel:
             return d2 - d2 * np.log(d2)
         return self.pressure(d2), _powm1_over(d2, self.gamma - 1.0)
 
-    def _p1(self, rho):
+    def _p1(self, rho, out=None, tmp=None):
         """P1(rho, delta), closed form for every gamma >= 1; unchecked.
 
         For gamma > 1 the antiderivative is P(t) - 2*delta*int P'(t)/t dt with
@@ -115,13 +126,21 @@ class GasModel:
         """
         d2, g = self.rho_floor, self.gamma
         if g == 1.0:
-            return (rho - d2 * np.log(rho)) - self._p1_floor_terms
+            v = np.log(rho, out=out)
+            v *= d2
+            v = np.subtract(rho, v, out=out)
+            v -= self._p1_floor_terms
+            return v
         p_floor, tail_floor = self._p1_floor_terms
         # int_{2d}^{rho} P'(t)/t dt, conditioned for gamma near 1
-        tail = _powm1_over(rho, g - 1.0) - tail_floor
+        tail = _powm1_over(rho, g - 1.0, out=tmp)
+        tail -= tail_floor
         if self.convention is PressureConvention.PLAIN:
-            tail = g * tail
-        return (self._p(rho) - p_floor) - d2 * tail
+            tail *= g
+        tail *= d2
+        v = self._p(rho, out=out)
+        v -= p_floor
+        return np.subtract(v, tail, out=out)
 
     def _checked(self, rho, floor: float = 0.0):
         """rho as a float array; ValueError if it dips below `floor`."""
@@ -225,14 +244,21 @@ class Grid1D:
         return out
 
 
-def cumulative_integral(vals: np.ndarray, dx: float) -> np.ndarray:
+def cumulative_integral(vals: np.ndarray, dx: float, out=None,
+                        tmp=None) -> np.ndarray:
     """Running integral from the left edge to each cell center (last axis).
 
     Cell-centered data: full weight on cells already passed, half weight on
-    the current one (midpoint rule up to the center of cell i).
+    the current one (midpoint rule up to the center of cell i).  `out` takes
+    the result and `tmp` the half weights, and may be `vals` itself, which
+    is then overwritten; left out, both are allocated.
     """
     vals = np.asarray(vals, dtype=float)
-    return dx * (np.cumsum(vals, axis=-1) - 0.5 * vals)
+    # dx (sum_{j <= i} v_j - 0.5 v_i), in the formula's order
+    c = np.add.accumulate(vals, axis=-1, out=out)
+    c -= np.multiply(vals, 0.5, out=tmp)
+    c *= dx
+    return c
 
 
 def total_integral(vals: np.ndarray, dx: float) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .field import solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
-                    Grid1D, PressureConvention)
+                    Grid1D, PressureConvention, total_integral)
 from .reporting import config_echo
 from .scenarios import RunSetup, make_setup
 from .solver import SourceVariant, run
@@ -178,10 +178,21 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
                         grid: Grid1D, s_end: float, record_times=None,
                         cfl: float = 0.45, max_steps: int = 10 ** 7) -> DDTrajectory:
     """March N from s = 0 to s_end, recording s = 0, each of `record_times`
-    and s_end.  Raises RuntimeError if `max_steps` stops it short of s_end."""
+    and s_end.  Raises RuntimeError if `max_steps` stops it short of s_end,
+    and ConfigurationError on a periodic grid unless the net charge
+    int N0 dx - int b dx is zero to round-off: Upsilon_x = N - b has no
+    periodic solution otherwise, and the field anchored at the left edge
+    jumps across the wrap."""
     n0 = np.asarray(n0, dtype=float)
     if np.any(n0 < 0.0):
         raise ValueError("initial density must be non-negative")
+    if grid.boundary is Boundary.PERIODIC:
+        net = total_integral(n0 - profile.b_vals, grid.dx)
+        scale = total_integral(np.abs(n0) + np.abs(profile.b_vals), grid.dx)
+        if abs(net) > 1e-12 * scale:
+            raise ConfigurationError(
+                "a periodic device needs zero net charge, int N0 dx - int b dx"
+                f" = 0; got {net!r}")
     n_vals, upsilon, s = n0.copy(), solve_field(n0, profile, grid), 0.0
     rec = sorted(float(t) for t in (record_times if record_times is not None else [])
                  if 0.0 < t <= s_end)

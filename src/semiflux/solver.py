@@ -11,11 +11,16 @@ local Lax-Friedrichs interface dissipation with the exact characteristic
 speeds, the artificial viscosity is a centered second difference, and the
 stiff damping is applied pointwise through its exact exponential factor so
 the update stays stable for tau much smaller than dt.  A step tests the
-density floor once and writes (rho, m, fluxes, wave speed) into the rows of
-one padded workspace, whose ghost cells `Grid1D.fill_ghosts` sets; the
-faces, jumps and viscosity land in the workspace's own buffers, and (rho, m)
-are updated as one stacked array, the only one a step allocates for what it
-returns.  `run` builds the workspace once and every step reuses it.  A
+density floor once and writes (rho, m), the fluxes (f1, f2) and the wave
+speed (twice) into six padded rows of one workspace, whose ghost cells
+`Grid1D.fill_ghosts` sets.  Each pair of rows is one flat run of 2(n+2)
+values, so every face, jump, viscosity and update operation is one ufunc
+call over a contiguous run; the two seam cells where the rows of a pair
+meet are computed too and read by no interior cell.  The wave speeds, the
+fluxes with P1 and the field are written into workspace rows through the
+`out=` paths of `GasModel`, `flux` and `solve_field`, so the one array a
+step allocates is the (2, n+2) block whose interior rows are the returned
+rho and m.  `run` builds the workspace once and every step reuses it.  A
 recorded run keeps only (step, time, rho, m, lowest rho since the last
 record) per record, as stacked arrays, plus every dt and what limited each
 step, and the device and SolverConfig it was marched with.
@@ -120,52 +125,65 @@ def prepare_initial(raw_rho, raw_u, model: GasModel, cfg: SolverConfig,
     return HydroState(rho=rho, mom=rho * sm_u, time=0.0)
 
 
-def flux(model: GasModel, rho, mom, u=None, excess=None, out=None):
+def flux(model: GasModel, rho, mom, u=None, excess=None, out=None,
+         tmp=None):
     """Physical flux ((rho-2d) u, m u - delta u^2 + P1) of admissible float
     arrays (P1 is read unchecked); `u` and `excess` are m/rho and rho - 2d
-    when the caller has them, and `out` a pair of arrays to write the two
-    components into."""
+    when the caller has them, `out` a pair of arrays to write the two
+    components into and `tmp` a scratch array for P1."""
     if u is None:
         u = mom / rho
     f1, f2 = (None, None) if out is None else out
-    # a computed excess dies with this product, before P1's temporaries
-    f1 = np.multiply(rho - model.rho_floor if excess is None else excess, u,
-                     out=f1)
     f2 = np.multiply(mom, u, out=f2)
-    f2 -= model.delta * u * u
-    f2 += model._p1(rho)
+    # the first component's row holds delta u^2, then P1, before its own
+    # value
+    s = np.multiply(u, model.delta, out=f1)
+    s *= u
+    f2 -= s
+    f2 += model._p1(rho, out=s, tmp=tmp)
+    f1 = np.multiply(rho - model.rho_floor if excess is None else excess, u,
+                     out=s)
     return f1, f2
 
 
 class _Workspace:
     """The buffers and per-run constants of `step` on one grid.
 
-    `pad` holds the rows (rho, m, f1, f2, speed) with one ghost cell per
-    side; the views below are its interior, its left/right face neighbours
-    and its two-cell stencil, cut once.  Nothing here is returned: the new
-    (rho, m) of each step is a fresh array, because `run` keeps recorded
-    rows without copying them.
+    `pad` holds six rows of n + 2 cells, one ghost cell per side: rho, m,
+    f1, f2 and the wave speed twice.  Read flat, each pair of rows, (rho, m),
+    (f1, f2) and (speed, speed), is one contiguous run of 2(n+2) values, and
+    the face, jump, viscosity and update arithmetic runs once over each run,
+    on the views cut below: `q` the cells between the run's two ends,
+    `q_lo`/`q_hi` their neighbours, `*_left`/`*_right` the two sides of
+    each of the run's 2n+3 faces.  Where the rows meet, the first row's
+    right ghost and the second row's left ghost are neighbours: the face
+    between them (the seam face) and the update of those two seam cells are
+    computed like any other and read by no interior cell.  The remaining
+    rows (u, the excess, the field and a scratch row) are n cells long.
+    Nothing here is returned: each step's new (rho, m) are the interior rows
+    of one fresh (2, n+2) block, because `run` keeps recorded rows without
+    copying them.
     """
 
     def __init__(self, profile: DeviceProfile, cfg: SolverConfig,
                  grid: Grid1D):
         n, dx = grid.n_cells, grid.dx
-        self.pad = pad = np.empty((5, n + 2))
-        self.rho, self.mom, self.f1, self.f2, self.speed = pad[:, 1:-1]
-        self.q, self.q_lo, self.q_hi = pad[:2, 1:-1], pad[:2, :-2], pad[:2, 2:]
-        self.q_left, self.q_right = pad[:2, :-1], pad[:2, 1:]
-        self.f_left, self.f_right = pad[2:4, :-1], pad[2:4, 1:]
-        self.s_left, self.s_right = pad[4, :-1], pad[4, 1:]
+        self.pad = pad = np.empty((6, n + 2))
+        (self.rho, self.mom, self.f1, self.f2, self.speed,
+         self.speed_copy) = pad[:, 1:-1]
+        q, f, s = (pad[r:r + 2].reshape(-1) for r in (0, 2, 4))
+        self.q, self.q_lo, self.q_hi = q[1:-1], q[:-2], q[2:]
+        self.q_left, self.q_right = q[:-1], q[1:]
+        self.f_left, self.f_right = f[:-1], f[1:]
+        self.s_left, self.s_right = s[:-1], s[1:]
 
-        self.alpha = np.empty(n + 1)
-        self.face = np.empty((2, n + 1))
-        self.face_lo, self.face_hi = self.face[:, :-1], self.face[:, 1:]
-        self.jump = np.empty((2, n + 1))
-        self.visc = np.empty((2, n))
-        self.u, self.excess, self.tmp = np.empty(n), np.empty(n), np.empty(n)
+        self.alpha, self.face, self.jump = np.empty((3, 2 * n + 3))
+        self.face_lo, self.face_hi = self.face[:-1], self.face[1:]
+        self.visc = np.empty(2 * n + 2)
+        self.u, self.excess, self.e, self.tmp = np.empty((4, n))
         self.finite = np.empty((2, n), dtype=bool)
 
-        self.dx, self.dx2 = dx, dx ** 2
+        self.n, self.dx, self.dx2 = n, dx, dx ** 2
         self.visc_rate = 2.0 * cfg.epsilon / self.dx2
         self.neg_rate = -(profile.a_vals / cfg.tau)   # full-density damping
 
@@ -191,7 +209,7 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     # combination
     u = np.divide(mom, rho, out=w.u)
     excess = np.subtract(rho, model.rho_floor, out=w.excess)
-    speed = model._spread(rho, excess, out=w.speed)
+    speed = model._spread(rho, excess, out=w.speed, tmp=w.tmp)
     speed += np.abs(u, out=w.tmp)
     adv_rate = float(speed.max()) / w.dx
     dt = cfg.cfl / (adv_rate + w.visc_rate)
@@ -204,7 +222,8 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
 
     np.copyto(w.rho, rho)
     np.copyto(w.mom, mom)
-    flux(model, rho, mom, u, excess, out=(w.f1, w.f2))
+    np.copyto(w.speed_copy, speed)
+    flux(model, rho, mom, u, excess, out=(w.f1, w.f2), tmp=w.tmp)
     # ghost cells copy interior cells, so their fluxes are copies too
     grid.fill_ghosts(w.pad)
 
@@ -224,17 +243,20 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     visc += w.q_lo
     visc *= cfg.epsilon
     visc /= w.dx2
-    # q - (dt/dx) (face_{i+1/2} - face_{i-1/2}) + dt visc, in a fresh array
-    q_new = np.subtract(w.face_hi, w.face_lo)
+    # q - (dt/dx) (face_{i+1/2} - face_{i-1/2}) + dt visc, into the cells of
+    # the one block the step allocates
+    block = np.empty((2, w.n + 2))
+    q_new = np.subtract(w.face_hi, w.face_lo, out=block.reshape(-1)[1:-1])
     q_new *= dt / w.dx
     np.subtract(w.q, q_new, out=q_new)
     visc *= dt
     q_new += visc
-    rho_new, mom_star = q_new
+    rows = block[:, 1:-1]
+    rho_new, mom_star = rows
 
     # explicit field force, then the damping through its exact decay factor
     # exp((-rate) dt)
-    e_vals = solve_field(excess, profile, grid)
+    e_vals = solve_field(excess, profile, grid, out=w.e, tmp=w.tmp)
     tmp = w.tmp
     if cfg.source_variant is SourceVariant.FULL_DENSITY:
         np.multiply(rho, dt, out=tmp)
@@ -254,7 +276,7 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
         tmp *= dt
     mom_star *= np.exp(tmp, out=tmp)
 
-    if not np.isfinite(q_new, out=w.finite).all():
+    if not np.isfinite(rows, out=w.finite).all():
         raise IntegrationError("non-finite state")
 
     report = StepReport(dt_used=dt, post_step_min_rho=float(rho_new.min()),
@@ -309,7 +331,7 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
     """
     if record_every < 1:
         raise ConfigurationError("record_every must be >= 1")
-    rec_times = None
+    rec_times = []
     if record_times is not None:
         rec_times = [float(t) for t in record_times if 0.0 < t <= cfg.t_end]
         if sorted(rec_times) != rec_times:
@@ -327,11 +349,14 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
     tiny = 1e-12 * max(cfg.t_end, 1.0)
     next_rec = 0
     k = 0
-    while not _at_end(state.time, cfg) and k < max_steps:
-        targets = [cfg.t_end]
-        if rec_times is not None and next_rec < len(rec_times):
-            targets.append(rec_times[next_rec])
-        target = min(t for t in targets if t > state.time + tiny)
+    done = _at_end(state.time, cfg)
+    while not done and k < max_steps:
+        # the next record instant (never past t_end) unless it is already
+        # behind, else t_end
+        target = cfg.t_end
+        if (next_rec < len(rec_times)
+                and rec_times[next_rec] > state.time + tiny):
+            target = rec_times[next_rec]
         try:
             state, rep = step(state, profile, model, cfg, grid, t_stop=target,
                               _work=work)
@@ -342,13 +367,14 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
         limits[rep.limit] += 1
         low = min(low, rep.post_step_min_rho)
 
-        if rec_times is None:
+        if record_times is None:
             due = k % record_every == 0
         else:
             due = (next_rec < len(rec_times)
                    and state.time >= rec_times[next_rec] - tiny)
             next_rec += int(due)
-        if due or _at_end(state.time, cfg):
+        done = _at_end(state.time, cfg)
+        if due or done:
             records.append((k, state.time, state.rho, state.mom, low))
             low = math.inf
     if records[-1][0] != k:  # stopped early: the last state is a record too

@@ -19,6 +19,7 @@ from semiflux.cli import main
 from semiflux.model import ConfigurationError
 from semiflux.monitors import ALL_MONITORS, parse_monitor_list
 from semiflux.picard import picard_solve
+from semiflux import relaxation
 from semiflux.relaxation import CouplingRule, relaxation_study
 
 
@@ -118,6 +119,26 @@ class TestUsageErrors:
         assert main([command, "--config", cfg,
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_relax_rejects_periodic_net_charge(self, tmp_path, capsys,
+                                               monkeypatch):
+        # on a periodic grid the field needs int N0 - int b = 0; the bump
+        # carries about 0.71 of net charge, so relax stops before either
+        # march (this device once ran the reference for CPU-minutes)
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched a rejected device")
+
+        monkeypatch.setattr(relaxation, "drift_diffusion_step", no_march)
+        monkeypatch.setattr(relaxation, "run", no_march)
+        cfg = write_cfg(tmp_path, (
+            "scenario = gaussian-bump\nboundary = periodic\nx_min = -4\n"
+            "x_max = 4\nn_cells = 200\ntau_list = 0.2, 0.1, 0.05\n"
+            "eps_fixed = 0.5\ndelta_coeff = 0.2\nhorizon = 0.25\n"))
+        out = tmp_path / "out"
+        assert main(["relax", "--config", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a periodic device needs zero net charge")
+        assert not out.exists()
 
     def test_relax_rejects_crooked_ladder(self, tmp_path):
         cfg = write_cfg(tmp_path,

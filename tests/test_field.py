@@ -7,7 +7,7 @@ from scipy.special import erf
 
 from semiflux.field import doping_mass, mass_field_bound, solve_field
 from semiflux.model import (Boundary, DeviceProfile, GasModel, Grid1D,
-                            total_integral)
+                            cumulative_integral, total_integral)
 
 
 def make_parts(n_cells=400, delta=0.05):
@@ -126,3 +126,29 @@ def test_sup_field_within_bound(amp, center, b_amp, e_minus):
     bound = mass_field_bound(total_integral(charge, grid.dx),
                              doping_mass(prof, grid), e_minus)
     assert float(np.max(np.abs(field))) <= bound + 1e-12
+
+
+@pytest.mark.parametrize("levels", [None, 9], ids=["row", "slab"])
+def test_out_path_matches_cumsum_formula(levels):
+    # the field as it was first written, np.cumsum and fresh arrays, bit for
+    # bit: on one row (the march) and on a (levels, n) slab (Picard)
+    grid, model = make_parts(n_cells=300)
+    x = grid.centers
+    prof = DeviceProfile.build(grid, np.ones(grid.n_cells),
+                               0.3 * np.exp(-x ** 2), 0.4)
+    shape = (grid.n_cells,) if levels is None else (levels, grid.n_cells)
+    excess = np.random.default_rng(5).uniform(0.0, 2.0, size=shape)
+    vals = excess - prof.b_vals
+    want = prof.e_minus + grid.dx * (np.cumsum(vals, axis=-1) - 0.5 * vals)
+    assert np.array_equal(solve_field(excess, prof, grid), want)
+    out, tmp = np.full(shape, np.nan), np.full(shape, np.nan)
+    assert solve_field(excess, prof, grid, out=out, tmp=tmp) is out
+    assert np.array_equal(out, want)
+
+    integral = grid.dx * (np.cumsum(excess, axis=-1) - 0.5 * excess)
+    assert np.array_equal(cumulative_integral(excess, grid.dx), integral)
+    # the half weights may overwrite the values themselves
+    vals = excess.copy()
+    out = np.full(shape, np.nan)
+    cumulative_integral(vals, grid.dx, out=out, tmp=vals)
+    assert np.array_equal(out, integral)

@@ -263,6 +263,25 @@ class TestExplicitOracle:
             assert gaps[0] >= 3.0 * gaps[1]
 
 
+class TestPeriodicNetCharge:
+    def test_charged_periodic_device_rejected_before_a_step(self,
+                                                            monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped a rejected device")
+
+        n0, profile, model, grid = periodic_doped_inputs(60)
+        monkeypatch.setattr(relaxation, "drift_diffusion_step", no_step)
+        with pytest.raises(ConfigurationError, match="zero net charge"):
+            drift_diffusion_run(n0 + 0.01, profile, model, grid, s_end=0.25)
+
+    def test_neutral_periodic_device_runs(self):
+        # the neutral device's net charge is round-off, not zero
+        n0, profile, model, grid = periodic_doped_inputs(200)
+        assert total_integral(n0 - profile.b_vals, grid.dx) != 0.0
+        out = drift_diffusion_run(n0, profile, model, grid, s_end=0.05)
+        assert out.s_values[-1] == 0.05
+
+
 class TestCouplingRule:
     def test_delta_scales_linearly(self):
         rule = CouplingRule(delta_coeff=0.2)

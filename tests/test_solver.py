@@ -314,6 +314,69 @@ class TestStepMatchesReference:
             state = new
 
 
+def workspace_arrays(work):
+    """Every array a step workspace holds, views included."""
+    return {name: arr for name, arr in vars(work).items()
+            if isinstance(arr, np.ndarray)}
+
+
+class TestPoisonedWorkspace:
+    """A workspace whose every buffer is NaN before each step marches bit for
+    bit as the reference: no ghost, seam or stale value reaches an interior
+    cell."""
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("variant", list(SourceVariant))
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+    def test_bit_identical(self, boundary, variant, gamma):
+        grid = Grid1D(-5.0, 5.0, 90, boundary=boundary)
+        model = GasModel(gamma=gamma, delta=0.05)
+        x = grid.centers
+        profile = DeviceProfile.build(grid, 1.5 - 0.1 * np.tanh(x),
+                                      0.2 * np.exp(-x ** 2), 0.3)
+        cfg = SolverConfig(epsilon=2e-3, tau=0.05, source_variant=variant)
+        work = solver_mod._Workspace(profile, cfg, grid)
+        # the damping rate is a per-run constant, not a buffer
+        buffers = [arr for name, arr in workspace_arrays(work).items()
+                   if arr.dtype == np.float64 and name != "neg_rate"]
+        state = ref = TestStepMatchesReference.bumpy_state(grid, model)
+        for _ in range(4):
+            for arr in buffers:
+                arr.fill(np.nan)
+            assert np.isnan(work.pad).all()
+            state, rep = step(state, profile, model, cfg, grid, _work=work)
+            ref, ref_rep = step_reference(ref, profile, model, cfg, grid)
+            assert np.array_equal(state.rho, ref.rho)
+            assert np.array_equal(state.mom, ref.mom)
+            assert rep == ref_rep
+
+
+class TestReturnedRows:
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_fresh_contiguous_rows(self, boundary):
+        # run keeps returned rows as records without a copy: each must be
+        # its own float64 row, tied to neither the input nor the workspace
+        grid = Grid1D(-5.0, 5.0, 64, boundary=boundary)
+        model = GasModel(gamma=2.0, delta=0.05)
+        profile = DeviceProfile.uniform(grid)
+        cfg = SolverConfig()
+        work = solver_mod._Workspace(profile, cfg, grid)
+        state = TestStepMatchesReference.bumpy_state(grid, model)
+        new, _ = step(state, profile, model, cfg, grid, _work=work)
+        newer, _ = step(new, profile, model, cfg, grid, _work=work)
+        for rows in ((new.rho, new.mom), (newer.rho, newer.mom)):
+            for row in rows:
+                assert row.dtype == np.float64
+                assert row.shape == (grid.n_cells,)
+                assert row.flags.c_contiguous
+            assert not np.shares_memory(*rows)
+        held = [state.rho, state.mom, *workspace_arrays(work).values()]
+        for row in (new.rho, new.mom, newer.rho, newer.mom):
+            assert not any(np.shares_memory(row, other) for other in held)
+        assert not any(np.shares_memory(a, b) for a in (new.rho, new.mom)
+                       for b in (newer.rho, newer.mom))
+
+
 class TestRunMatchesReference:
     """A whole run against a loop of the row-wise reference step, bit for
     bit, records included: every recorded state must be its own array."""
