@@ -23,10 +23,11 @@ def solve_field(excess, profile: DeviceProfile, grid: Grid1D, out=None,
     datum.  `excess` is the density above the vacuum: rho - 2*delta for the
     hydro state, N itself for the drift-diffusion limit; a row, or a stack
     of rows.  `out` takes the field and `tmp` the charge imbalance (arrays
-    of excess's shape); left out, both are allocated."""
+    of excess's shape); left out, both are allocated.  dx and e_minus enter
+    as the 0-d arrays the grid and the profile keep."""
     charge = np.subtract(excess, profile.b_vals, out=tmp, dtype=float)
-    field = cumulative_integral(charge, grid.dx, out=out, tmp=charge)
-    field += profile.e_minus
+    field = cumulative_integral(charge, grid._dx, out=out, tmp=charge)
+    field += profile._e_minus
     return field
 
 

@@ -9,6 +9,12 @@ also perturbs the pressure,
 
 which is the momentum-flux potential actually advected by the regularized
 system.  Everything here is plain numpy on a uniform cell-centered grid.
+
+The scalars the march hands to numpy each step (delta, 2*delta, gamma,
+gamma - 1, the pressure prefactor, P1's rho-free terms, dx, e_minus and
+0.5) are also kept as read-only 0-d float64 arrays, built once by the
+object owning the value: numpy takes such an operand about 0.45 us faster
+than a Python float, with the same bits.
 """
 
 from __future__ import annotations
@@ -23,6 +29,18 @@ import numpy as np
 # Admissible states may undershoot the vacuum offset by this fraction of delta
 # (floating-point slack, not physics).
 RHO_FLOOR_SLACK = 1e-12
+
+
+def _const(x) -> np.ndarray:
+    """x as a read-only 0-d float64 array, an operand numpy takes faster
+    than a Python float.  Under NEP 50 it is not a weak scalar: met with a
+    float32 array it would promote, so it only meets float64 arrays."""
+    a = np.array(x, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+_HALF = _const(0.5)
 
 
 class ConfigurationError(ValueError):
@@ -43,7 +61,7 @@ def _powm1_over(x, e, out=None):
     """(x**e - 1) / e, stable as e -> 0 (limit log(x)); written into the
     array `out` when given."""
     v = np.log(x, out=out)
-    if e != 0.0:
+    if e:  # e != 0; a 0-d e tests faster by its truth value
         v *= e
         v = np.expm1(v, out=out)
         v /= e
@@ -68,7 +86,7 @@ class GasModel:
     def rho_floor(self) -> float:
         return 2.0 * self.delta
 
-    @property
+    @functools.cached_property
     def admissible_floor(self) -> float:
         """Lowest density the pressure accepts: 2*delta less a round-off slack."""
         return self.rho_floor - RHO_FLOOR_SLACK * self.delta
@@ -77,12 +95,31 @@ class GasModel:
     def theta(self) -> float:
         return 0.5 * (self.gamma - 1.0)
 
-    @property
-    def _pref(self) -> float:
-        # multiplier turning rho**gamma into P(rho)
+    # the gas law's scalars as 0-d arrays (`_const`), for the pressure terms
+    # below and the march: delta, 2*delta, gamma, gamma - 1 and the
+    # multiplier turning rho**gamma into P(rho)
+
+    @functools.cached_property
+    def _d(self) -> np.ndarray:
+        return _const(self.delta)
+
+    @functools.cached_property
+    def _d2(self) -> np.ndarray:
+        return _const(self.rho_floor)
+
+    @functools.cached_property
+    def _g(self) -> np.ndarray:
+        return _const(self.gamma)
+
+    @functools.cached_property
+    def _gm1(self) -> np.ndarray:
+        return _const(self.gamma - 1.0)
+
+    @functools.cached_property
+    def _pref(self) -> np.ndarray:
         if self.convention is PressureConvention.ONE_OVER_GAMMA:
-            return 1.0 / self.gamma
-        return 1.0
+            return _const(1.0 / self.gamma)
+        return _const(1.0)
 
     # The unchecked pressure terms below take `out`, an array to write the
     # result into, and those needing a second row `tmp`, a scratch array of
@@ -91,15 +128,15 @@ class GasModel:
     # exactly), so both forms give the same bits.
 
     def _p(self, rho, out=None):
-        v = np.power(rho, self.gamma, out=out)
+        v = np.power(rho, self._g, out=out)
         v *= self._pref
         return v
 
     def _dp(self, rho, out=None):
         # rho**0 is exactly 1 (NaN included) at gamma = 1
-        v = np.power(rho, self.gamma - 1.0, out=out)
+        v = np.power(rho, self._gm1, out=out)
         if self.convention is PressureConvention.PLAIN:
-            v *= self.gamma
+            v *= self._g
         return v
 
     def _spread(self, rho, excess, out=None, tmp=None):
@@ -111,11 +148,13 @@ class GasModel:
 
     @functools.cached_property
     def _p1_floor_terms(self):
-        """rho-free terms of `_p1`: P(2d) and the 2d tail, or 2d - 2d log 2d."""
+        """rho-free terms of `_p1` as 0-d arrays: P(2d) and the 2d tail, or
+        2d - 2d log 2d."""
         d2 = self.rho_floor
         if self.gamma == 1.0:
-            return d2 - d2 * np.log(d2)
-        return self.pressure(d2), _powm1_over(d2, self.gamma - 1.0)
+            return _const(d2 - d2 * np.log(d2))
+        return (_const(self.pressure(d2)),
+                _const(_powm1_over(d2, self.gamma - 1.0)))
 
     def _p1(self, rho, out=None, tmp=None):
         """P1(rho, delta), closed form for every gamma >= 1; unchecked.
@@ -124,8 +163,8 @@ class GasModel:
         the power integral evaluated through expm1 so nothing blows up as
         gamma -> 1; at gamma = 1 it degenerates to rho - 2*delta*log(rho).
         """
-        d2, g = self.rho_floor, self.gamma
-        if g == 1.0:
+        d2, g = self._d2, self._g
+        if self.gamma == 1.0:
             v = np.log(rho, out=out)
             v *= d2
             v = np.subtract(rho, v, out=out)
@@ -133,7 +172,7 @@ class GasModel:
             return v
         p_floor, tail_floor = self._p1_floor_terms
         # int_{2d}^{rho} P'(t)/t dt, conditioned for gamma near 1
-        tail = _powm1_over(rho, g - 1.0, out=tmp)
+        tail = _powm1_over(rho, self._gm1, out=tmp)
         tail -= tail_floor
         if self.convention is PressureConvention.PLAIN:
             tail *= g
@@ -223,6 +262,11 @@ class Grid1D:
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_cells
 
+    @functools.cached_property
+    def _dx(self) -> np.ndarray:
+        """dx as a 0-d array (`_const`)."""
+        return _const(self.dx)
+
     @property
     def centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
@@ -256,7 +300,7 @@ def cumulative_integral(vals: np.ndarray, dx: float, out=None,
     vals = np.asarray(vals, dtype=float)
     # dx (sum_{j <= i} v_j - 0.5 v_i), in the formula's order
     c = np.add.accumulate(vals, axis=-1, out=out)
-    c -= np.multiply(vals, 0.5, out=tmp)
+    c -= np.multiply(vals, _HALF, out=tmp)
     c *= dx
     return c
 
@@ -348,6 +392,11 @@ class DeviceProfile:
     e_minus: float
     c_vals: np.ndarray
     check: ProfileCheck
+
+    @functools.cached_property
+    def _e_minus(self) -> np.ndarray:
+        """e_minus as a 0-d array (`_const`)."""
+        return _const(self.e_minus)
 
     @classmethod
     def build(cls, grid: Grid1D, a_vals, b_vals, e_minus: float) -> "DeviceProfile":

@@ -20,10 +20,15 @@ meet are computed too and read by no interior cell.  The wave speeds, the
 fluxes with P1 and the field are written into workspace rows through the
 `out=` paths of `GasModel`, `flux` and `solve_field`, so the one array a
 step allocates is the (2, n+2) block whose interior rows are the returned
-rho and m.  `run` builds the workspace once and every step reuses it.  A
-recorded run keeps only (step, time, rho, m, lowest rho since the last
-record) per record, as stacked arrays, plus every dt and what limited each
-step, and the device and SolverConfig it was marched with.
+rho and m.  Every scalar a step hands to numpy is a 0-d float64 array
+(the gas law's on `GasModel`, dx on `Grid1D`, e_minus on `DeviceProfile`,
+the run's in the workspace, dt and dt/dx in two 0-d buffers), since a
+step on a few hundred cells is mostly per-call overhead and numpy takes a
+0-d operand faster than a Python float, with the same bits.  `run` builds
+the workspace once and every step reuses it.  A recorded run keeps only
+(step, time, rho, m, lowest rho since the last record) per record, as
+stacked arrays, plus every dt and what limited each step, and the device
+and SolverConfig it was marched with.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import solve_field
-from .model import (ConfigurationError, DeviceProfile, GasModel, Grid1D,
-                    HydroState)
+from .model import (_HALF, ConfigurationError, DeviceProfile, GasModel,
+                    Grid1D, HydroState, _const)
 
 
 class SourceVariant(enum.Enum):
@@ -107,7 +112,9 @@ def prepare_initial(raw_rho, raw_u, model: GasModel, cfg: SolverConfig,
     The raw density is the excess over vacuum (must be >= 0 and decay before
     the domain edges); both it and the velocity are smoothed with a discrete
     Gaussian, then the vacuum offset is added so the far field is exactly
-    2*delta.  Zero smoothing width skips the convolution.
+    2*delta.  Zero smoothing width skips the convolution.  The smoothed
+    values are the centred window of the full convolution, so a kernel wider
+    than the grid still gives one value per cell.
     """
     raw_rho = np.asarray(raw_rho, dtype=float)
     raw_u = np.asarray(raw_u, dtype=float)
@@ -117,8 +124,9 @@ def prepare_initial(raw_rho, raw_u, model: GasModel, cfg: SolverConfig,
         raise ConfigurationError("raw excess density must be non-negative")
     if cfg.smoothing_width > 0.0:
         k = gaussian_kernel(cfg.smoothing_width, grid.dx)
-        sm_rho = np.convolve(raw_rho, k, mode="same")
-        sm_u = np.convolve(raw_u, k, mode="same")
+        h, n = (len(k) - 1) // 2, grid.n_cells
+        sm_rho = np.convolve(raw_rho, k, mode="full")[h:h + n]
+        sm_u = np.convolve(raw_u, k, mode="full")[h:h + n]
     else:
         sm_rho, sm_u = raw_rho, raw_u
     rho = sm_rho + model.rho_floor
@@ -137,7 +145,7 @@ def flux(model: GasModel, rho, mom, u=None, excess=None, out=None,
     f2 = np.multiply(mom, u, out=f2)
     # the first component's row holds delta u^2, then P1, before its own
     # value
-    s = np.multiply(u, model.delta, out=f1)
+    s = np.multiply(u, model._d, out=f1)
     s *= u
     f2 -= s
     f2 += model._p1(rho, out=s, tmp=tmp)
@@ -160,6 +168,10 @@ class _Workspace:
     between them (the seam face) and the update of those two seam cells are
     computed like any other and read by no interior cell.  The remaining
     rows (u, the excess, the field and a scratch row) are n cells long.
+    The per-run constants are read-only: epsilon, dx^2 and tau as 0-d
+    arrays, the damping rate -a/tau as a row; `dt` and `dt_dx` are 0-d
+    buffers each step fills, so every scalar a step hands to numpy is a 0-d
+    array.
     Nothing here is returned: each step's new (rho, m) are the interior rows
     of one fresh (2, n+2) block, because `run` keeps recorded rows without
     copying them.
@@ -182,10 +194,15 @@ class _Workspace:
         self.visc = np.empty(2 * n + 2)
         self.u, self.excess, self.e, self.tmp = np.empty((4, n))
         self.finite = np.empty((2, n), dtype=bool)
+        self.finite_flat = self.finite.reshape(-1)
+        self.dt, self.dt_dx = np.empty(()), np.empty(())
 
-        self.n, self.dx, self.dx2 = n, dx, dx ** 2
-        self.visc_rate = 2.0 * cfg.epsilon / self.dx2
+        self.n, self.dx = n, dx
+        self.visc_rate = 2.0 * cfg.epsilon / dx ** 2
+        self.eps, self.dx2, self.tau = (_const(v) for v in
+                                        (cfg.epsilon, dx ** 2, cfg.tau))
         self.neg_rate = -(profile.a_vals / cfg.tau)   # full-density damping
+        self.neg_rate.flags.writeable = False
 
 
 def step(state: HydroState, profile: DeviceProfile, model: GasModel,
@@ -195,12 +212,16 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
 
     Returns (new_state, StepReport).  The step is the stable one unless it
     would pass t_stop; then it ends on t_stop exactly, so output instants are
-    hit without rounding drift.  `_work` is the workspace `run` reuses from
-    step to step; a step called alone builds its own.
+    hit without rounding drift; a t_stop not after the state's time is a
+    ConfigurationError.  `_work` is the workspace `run` reuses from step to
+    step; a step called alone builds its own.
     """
     rho, mom = state.rho, state.mom
 
-    if rho.min() < model.admissible_floor:
+    if t_stop is not None and not t_stop > state.time:
+        raise ConfigurationError(
+            f"t_stop {t_stop!r} is not after the state's time {state.time!r}")
+    if np.minimum.reduce(rho) < model.admissible_floor:
         raise IntegrationError("density fell below the vacuum offset")
     w = _work if _work is not None else _Workspace(profile, cfg, grid)
     # cellwise largest characteristic speed |u| + ((rho-2d)/rho) sqrt(P') and
@@ -208,10 +229,10 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     # by advection and viscosity, so the explicit update stays a convex
     # combination
     u = np.divide(mom, rho, out=w.u)
-    excess = np.subtract(rho, model.rho_floor, out=w.excess)
+    excess = np.subtract(rho, model._d2, out=w.excess)
     speed = model._spread(rho, excess, out=w.speed, tmp=w.tmp)
     speed += np.abs(u, out=w.tmp)
-    adv_rate = float(speed.max()) / w.dx
+    adv_rate = float(np.maximum.reduce(speed)) / w.dx
     dt = cfg.cfl / (adv_rate + w.visc_rate)
     limit = "advection" if adv_rate >= w.visc_rate else "viscosity"
     t_new = state.time + dt
@@ -219,6 +240,7 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
         dt = t_stop - state.time
         t_new = t_stop
         limit = "clamp"
+    w.dt[()], w.dt_dx[()] = dt, dt / w.dx
 
     np.copyto(w.rho, rho)
     np.copyto(w.mom, mom)
@@ -231,25 +253,25 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     # formula's order (+ and * commute exactly), so the bits are the formula's
     # 0.5 (f_l + f_r) - (0.5 alpha) (q_r - q_l) at every face
     alpha = np.maximum(w.s_left, w.s_right, out=w.alpha)
-    alpha *= 0.5
+    alpha *= _HALF
     face = np.add(w.f_left, w.f_right, out=w.face)
-    face *= 0.5
+    face *= _HALF
     jump = np.subtract(w.q_right, w.q_left, out=w.jump)
     jump *= alpha
     face -= jump
-    # eps (q_{i+1} - 2 q_i + q_{i-1}) / dx^2
-    visc = np.multiply(w.q, 2.0, out=w.visc)
+    # eps (q_{i+1} - 2 q_i + q_{i-1}) / dx^2, with 2 q_i as q_i + q_i
+    visc = np.add(w.q, w.q, out=w.visc)
     np.subtract(w.q_hi, visc, out=visc)
     visc += w.q_lo
-    visc *= cfg.epsilon
+    visc *= w.eps
     visc /= w.dx2
     # q - (dt/dx) (face_{i+1/2} - face_{i-1/2}) + dt visc, into the cells of
     # the one block the step allocates
     block = np.empty((2, w.n + 2))
     q_new = np.subtract(w.face_hi, w.face_lo, out=block.reshape(-1)[1:-1])
-    q_new *= dt / w.dx
+    q_new *= w.dt_dx
     np.subtract(w.q, q_new, out=q_new)
-    visc *= dt
+    visc *= w.dt
     q_new += visc
     rows = block[:, 1:-1]
     rho_new, mom_star = rows
@@ -259,27 +281,29 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     e_vals = solve_field(excess, profile, grid, out=w.e, tmp=w.tmp)
     tmp = w.tmp
     if cfg.source_variant is SourceVariant.FULL_DENSITY:
-        np.multiply(rho, dt, out=tmp)
+        np.multiply(rho, w.dt, out=tmp)
         tmp *= e_vals
         mom_star += tmp
-        np.multiply(w.neg_rate, dt, out=tmp)
+        np.multiply(w.neg_rate, w.dt, out=tmp)
     else:
-        np.multiply(excess, dt, out=tmp)
+        np.multiply(excess, w.dt, out=tmp)
         tmp *= e_vals
         mom_star += tmp
         # rate = a (rho_new - 2d) / rho_new / tau
-        np.subtract(rho_new, model.rho_floor, out=tmp)
+        np.subtract(rho_new, model._d2, out=tmp)
         tmp *= profile.a_vals
         tmp /= rho_new
-        tmp /= cfg.tau
+        tmp /= w.tau
         np.negative(tmp, out=tmp)
-        tmp *= dt
+        tmp *= w.dt
     mom_star *= np.exp(tmp, out=tmp)
 
-    if not np.isfinite(rows, out=w.finite).all():
+    np.isfinite(rows, out=w.finite)
+    if not np.logical_and.reduce(w.finite_flat):
         raise IntegrationError("non-finite state")
 
-    report = StepReport(dt_used=dt, post_step_min_rho=float(rho_new.min()),
+    report = StepReport(dt_used=dt,
+                        post_step_min_rho=float(np.minimum.reduce(rho_new)),
                         limit=limit)
     return HydroState(rho=rho_new, mom=mom_star, time=t_new), report
 

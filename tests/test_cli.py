@@ -218,6 +218,17 @@ class TestSolve:
         assert not {"initial_mass", "initial_field_bound",
                     "initial_invariant_max"} & set(payload["summary"])
 
+    def test_kernel_wider_than_grid_runs(self, tmp_path):
+        # a 49-point smoothing kernel on 20 cells used to break the first
+        # step's broadcast (exit 1, as a failed check)
+        cfg = write_cfg(tmp_path,
+                        "scenario = gaussian-bump\nn_cells = 20\n"
+                        "smoothing_width = 3.0\nt_end = 0.1\n")
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["summary"]["completed"]
+
     def test_bump_run_with_entropy_checks(self, tmp_path):
         cfg = write_cfg(tmp_path, BUMP_CFG)
         out = tmp_path / "run"

@@ -31,7 +31,7 @@ from semiflux import (
 from semiflux.solver import flux, gaussian_kernel
 
 import semiflux.solver as solver_mod
-from helpers import run_reference, step_reference
+from helpers import conv_same, run_reference, step_reference
 
 
 def uniform_setup(n_cells=64, boundary=Boundary.PERIODIC, gamma=1.4,
@@ -205,6 +205,37 @@ class TestPrepareInitial:
         state = prepare_initial(raw, np.zeros_like(raw), model, cfg, grid)
         assert np.array_equal(state.rho, raw + model.rho_floor)
 
+    def test_fitting_kernel_keeps_same_mode_bits(self):
+        # the centred window of the full convolution is np.convolve's
+        # 'same' mode wherever the kernel is no longer than the grid
+        grid, model, _, cfg = uniform_setup(n_cells=500, smoothing_width=0.1)
+        x = grid.centers
+        raw, u = 0.8 * np.exp(-(x / 0.5) ** 2), 0.3 * np.sin(x)
+        state = prepare_initial(raw, u, model, cfg, grid)
+        k = gaussian_kernel(cfg.smoothing_width, grid.dx)
+        assert len(k) < grid.n_cells
+        rho = conv_same(raw, k) + model.rho_floor
+        assert np.array_equal(state.rho, rho)
+        assert np.array_equal(state.mom, rho * conv_same(u, k))
+
+    def test_kernel_wider_than_grid(self):
+        # 20 cells of width 0.5 against a 49-point kernel: one smoothed
+        # value per cell, and the state marches
+        grid, model, profile, cfg = uniform_setup(
+            n_cells=20, boundary=Boundary.OUTFLOW, smoothing_width=3.0,
+            t_end=0.1)
+        raw = 0.8 * np.exp(-(grid.centers / 0.5) ** 2)
+        k = gaussian_kernel(cfg.smoothing_width, grid.dx)
+        assert len(k) == 49
+        state = prepare_initial(raw, np.zeros_like(raw), model, cfg, grid)
+        assert state.rho.shape == state.mom.shape == (grid.n_cells,)
+        h = (len(k) - 1) // 2
+        assert np.array_equal(
+            state.rho,
+            np.convolve(raw, k, mode="full")[h:h + 20] + model.rho_floor)
+        traj = run(state, profile, model, cfg, grid)
+        assert traj.completed
+
     def test_negative_excess_rejected(self):
         grid, model, _, cfg = uniform_setup()
         bad = np.full(grid.n_cells, -1e-3)
@@ -244,6 +275,14 @@ class TestStepMechanics:
         new, rep = step(state, profile, model, cfg, grid, t_stop=1.0)
         assert rep.dt_used == dt
         assert new.time == 0.123 + dt
+
+    @pytest.mark.parametrize("t_stop", [0.2, 0.5])
+    def test_stop_time_not_after_state_time_rejected(self, t_stop):
+        grid, model, profile, cfg = uniform_setup()
+        state = HydroState(rho=np.ones(grid.n_cells),
+                           mom=np.zeros(grid.n_cells), time=0.5)
+        with pytest.raises(ConfigurationError, match="not after"):
+            step(state, profile, model, cfg, grid, t_stop=t_stop)
 
     def test_limit_names_the_larger_term_or_the_clamp(self):
         # max lambda/dx against 2 eps/dx^2 on a uniform state (dx = 0.1,
@@ -336,9 +375,13 @@ class TestPoisonedWorkspace:
                                       0.2 * np.exp(-x ** 2), 0.3)
         cfg = SolverConfig(epsilon=2e-3, tau=0.05, source_variant=variant)
         work = solver_mod._Workspace(profile, cfg, grid)
-        # the damping rate is a per-run constant, not a buffer
-        buffers = [arr for name, arr in workspace_arrays(work).items()
-                   if arr.dtype == np.float64 and name != "neg_rate"]
+        # the damping rate, epsilon, dx^2 and tau are per-run constants, not
+        # buffers: a step must leave them as they were
+        constants = ("neg_rate", "eps", "dx2", "tau")
+        arrays = workspace_arrays(work)
+        buffers = [arr for name, arr in arrays.items()
+                   if arr.dtype == np.float64 and name not in constants]
+        kept = {name: arrays[name].copy() for name in constants}
         state = ref = TestStepMatchesReference.bumpy_state(grid, model)
         for _ in range(4):
             for arr in buffers:
@@ -349,6 +392,8 @@ class TestPoisonedWorkspace:
             assert np.array_equal(state.rho, ref.rho)
             assert np.array_equal(state.mom, ref.mom)
             assert rep == ref_rep
+            for name, val in kept.items():
+                assert arrays[name].tobytes() == val.tobytes()
 
 
 class TestReturnedRows:
