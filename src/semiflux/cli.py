@@ -9,7 +9,8 @@ Four subcommands:
               optional fixed-point cross-check at a short time
 * ``picard``  run the integral-equation iteration on a scenario and compare
               its endpoint with the finite-volume solver on a grid refined
-              ``refine`` times (1: the same grid)
+              ``refine`` times (1: the same grid), within
+              ``CROSS_TOL_FACTOR * (dx + mean dt)``
 * ``relax``   sweep a tau ladder and tabulate the scaled L1 gap against a
               drift-diffusion reference, with and without the vacuum offset
 
@@ -17,6 +18,9 @@ Four subcommands:
 ``reporting.audited_texts(traj, echo)``: ``solve`` on the echo it builds,
 ``verify`` on the echo the run stored, so the monitors and the entropy
 seed come from the echo alone and a stored echo without either exits 2.
+
+Each setting has one spelling but the seed (``--seed`` overrides ``seed``):
+the output directory is ``--out-dir``, the monitors the ``monitors`` key.
 
 ``solve``, ``picard`` and ``relax`` build their device through
 ``scenarios.make_setup``; ``verify`` audits a stored run, read through
@@ -52,12 +56,13 @@ from .relaxation import CouplingRule, relaxation_study
 from .reporting import (audited_texts, csv_text, json_text, load_run_dir,
                         write_run_dir)
 from .scenarios import make_setup
-from .solver import SolverConfig, run
+from .solver import run
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
 
-# short-time cross-check defaults shared by `verify --picard` and `picard`
+# the short-time cross-check of `verify --picard` and `picard`: the default
+# horizon, and the endpoint tolerance's factor on dx + mean dt
 CROSS_CHECK_T1 = 0.01
 CROSS_TOL_FACTOR = 5.0
 
@@ -101,8 +106,8 @@ def cmd_solve(args) -> int:
     if name is None:
         raise ConfigurationError("solve config must set 'scenario'")
     overrides = _overrides(vals)
-    out_dir = args.out_dir or vals.get("out_dir") or f"runs/{name}"
-    enabled = parse_monitor_list(args.monitors or vals.get("monitors", "all"))
+    out_dir = args.out_dir or f"runs/{name}"
+    enabled = parse_monitor_list(vals.get("monitors", "all"))
     cadence = vals.get("cadence", 50)
 
     tables = {k: vals[f"{k}_table"] for k in "ab" if f"{k}_table" in vals}
@@ -137,27 +142,27 @@ def cmd_solve(args) -> int:
     return CHECK_FAILED if (report.violations or not traj.completed) else 0
 
 
-def _cross_check(result, picard_grid: Grid1D, cfg: SolverConfig, t1: float,
-                 factor: float, initial: HydroState, profile, model,
-                 grid: Grid1D):
-    """March `initial` to t1 with `cfg`'s coefficients on `grid`, sample the
-    march onto the Picard grid, and judge the Picard result against it.
+def _cross_check(result, picard_grid: Grid1D, t1: float, march,
+                 initial: HydroState):
+    """March `initial` to t1 on the grid, gas law, profile and SolverConfig
+    of `march` (a RunSetup or a Trajectory), sample the march onto the
+    Picard grid, and judge the Picard result against it.
 
     Returns (gap, tolerance, verdict): the gap is the sup distance in rho plus
-    the one in m, the tolerance factor * (dx + mean dt), and the verdict also
-    asks for a converged, admissible iteration whose fixed-point residual is
-    within ten times the tolerance the solve was given.  Returns None when
-    the march failed.
+    the one in m, the tolerance CROSS_TOL_FACTOR * (dx + mean dt), and the
+    verdict also asks for a converged, admissible iteration whose fixed-point
+    residual is within ten times the tolerance the solve was given.  Returns
+    None when the march failed.
     """
-    traj = run(initial, profile, model, replace(cfg, t_end=t1), grid,
-               record_times=[t1])
+    traj = run(initial, march.profile, march.model,
+               replace(march.cfg, t_end=t1), march.grid, record_times=[t1])
     if not traj.completed:
         return None
     x, end = picard_grid.centers, result.iterate.endpoint()
-    gap = float(sum(np.max(np.abs(got - np.interp(x, grid.centers, rec[-1])))
+    gap = float(sum(np.max(np.abs(got - np.interp(x, traj.grid.centers, rec[-1])))
                     for got, rec in ((end.rho, traj.rho), (end.mom, traj.mom))))
     dt_mean = float(np.mean(traj.dts)) if traj.dts else 0.0
-    tol_cross = factor * (picard_grid.dx + dt_mean)
+    tol_cross = CROSS_TOL_FACTOR * (picard_grid.dx + dt_mean)
     rep = result.report
     ok = rep.converged and not rep.diverged and not rep.band_violations
     if rep.fixed_point_residual is not None:
@@ -201,8 +206,7 @@ def cmd_verify(args) -> int:
         initial = HydroState(rho=traj.rho[0], mom=traj.mom[0], time=0.0)
         result = picard_solve(initial, traj.profile, traj.model, cfg,
                               traj.grid, t1)
-        check = _cross_check(result, traj.grid, cfg, t1, args.cross_tol_factor,
-                             initial, traj.profile, traj.model, traj.grid)
+        check = _cross_check(result, traj.grid, t1, traj, initial)
         if check is None:
             print("short-time cross-check: finite-volume rerun failed")
             ok = False
@@ -220,7 +224,7 @@ def cmd_picard(args) -> int:
     vals = coerce(parse_key_value(args.config), PICARD_KEYS)
     name = vals.pop("scenario", "gaussian-bump")
     overrides = _overrides(vals)
-    out_dir = Path(args.out_dir or vals.get("out_dir") or f"runs/picard-{name}")
+    out_dir = Path(args.out_dir or f"runs/picard-{name}")
     t1 = vals.get("t1", CROSS_CHECK_T1)
 
     setup = make_setup(name, overrides)
@@ -229,9 +233,7 @@ def cmd_picard(args) -> int:
                           **_given(vals, ("n_intervals", "tol", "max_iters")))
     n_fine = setup.grid.n_cells * vals.get("refine", 2)
     fine = make_setup(name, {**overrides, "n_cells": n_fine})
-    check = _cross_check(result, setup.grid, fine.cfg, t1,
-                         vals.get("cross_tol_factor", CROSS_TOL_FACTOR),
-                         fine.initial, fine.profile, fine.model, fine.grid)
+    check = _cross_check(result, setup.grid, t1, fine, fine.initial)
     if check is None:
         print("refined finite-volume run failed; cannot cross-check")
         return CHECK_FAILED
@@ -245,9 +247,8 @@ def cmd_picard(args) -> int:
         ("iteration", "distance", "ratio"),
         zip(range(len(ratios)), rep.distances, ratios)))
     summary = {
-        "distances": rep.distances, "ratios": rep.ratios,
-        "converged": rep.converged, "diverged": rep.diverged,
-        "halve_suggestion": rep.halve_suggestion,
+        "distances": rep.distances, "converged": rep.converged,
+        "diverged": rep.diverged, "halve_suggestion": rep.halve_suggestion,
         "fixed_point_residual": rep.fixed_point_residual,
         "band_violations": rep.band_violations,
         "endpoint_gap": gap, "endpoint_tolerance": tol_cross,
@@ -279,7 +280,7 @@ def cmd_relax(args) -> int:
     vals = coerce(parse_key_value(args.config), RELAX_KEYS)
     name = vals.pop("scenario", "gaussian-bump")
     overrides = _overrides(vals)
-    out_dir = Path(args.out_dir or vals.get("out_dir") or f"runs/relax-{name}")
+    out_dir = Path(args.out_dir or f"runs/relax-{name}")
     if "tau_list" not in vals:
         raise ConfigurationError("relax config must set 'tau_list'")
     tau_list = vals["tau_list"].replace(",", " ").split()
@@ -327,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="run a scenario, write a run directory")
     s.add_argument("--config", required=True, help="key = value run file")
     s.add_argument("--out-dir", help="run directory (default runs/<scenario>)")
-    s.add_argument("--monitors",
-                   help="comma list, 'all', or 'none' (overrides the config)")
     s.add_argument("--seed", type=int, help="seed for randomized spot checks")
     s.set_defaults(func=cmd_solve)
 
@@ -339,9 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also cross-check a short-time fixed-point solve")
     v.add_argument("--t1", type=float, default=CROSS_CHECK_T1,
                    help="horizon for the fixed-point cross-check")
-    v.add_argument("--cross-tol-factor", type=float,
-                   default=CROSS_TOL_FACTOR, dest="cross_tol_factor",
-                   help="endpoint tolerance = factor * (dx + mean dt)")
     v.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("picard",

@@ -22,17 +22,14 @@ _SHARED = ("x_min", "x_max", "n_cells", "boundary", "gamma",
            "pressure_convention", "smoothing_width", "bump_amplitude",
            "bump_center", "bump_width", "bump_speed", "e_minus", "damping")
 
-_COMMAND_KEYS = {"scenario": str, "out_dir": str}
-
 # keys accepted by `solve` beyond the scenario parameter set
 SOLVE_KEYS = {
-    **_COMMAND_KEYS,
-    "seed": int, "monitors": str, "cadence": int,
+    "scenario": str, "seed": int, "monitors": str, "cadence": int,
     "a_table": str, "b_table": str,
 }
 
 RELAX_KEYS = {
-    **_COMMAND_KEYS,
+    "scenario": str,
     **{k: SCENARIO_KEYS[k] for k in (*_SHARED, "cfl", "neutral_level")},
     "tau_list": str, "eps_coeff": float, "eps_power": float,
     "eps_fixed": float, "delta_coeff": float,
@@ -41,10 +38,10 @@ RELAX_KEYS = {
 }
 
 PICARD_KEYS = {
-    **_COMMAND_KEYS,
+    "scenario": str,
     **{k: SCENARIO_KEYS[k] for k in (*_SHARED, "delta", "epsilon", "tau")},
     "t1": float, "n_intervals": int, "tol": float, "max_iters": int,
-    "refine": int, "cross_tol_factor": float,
+    "refine": int,
 }
 
 

@@ -6,9 +6,10 @@ A run records only (rho, m); the field E is derived here, record by record
 in `_records`, so the audit holds one row of it at a time.
 Monitored quantities: excess mass (non-increasing under outflow, constant
 under periodic), the field sup-bound ratio, growth of the Riemann invariants
-max z, max w <= M2 + M1*t, sup-norm plateaus under the uniform-bound
-hypotheses, and the weak entropy inequality against compactly supported test
-functions.  The summary's step count, completion and lowest density are
+max z, max w <= M2 + M1*t, plateaus of sup rho and sup |u| (at gamma = 1 of
+max w and max z, w and z being ln rho +- u) under the uniform-bound
+hypotheses, and the weak entropy inequality against compactly supported
+test functions.  The summary's step count, completion and lowest density are
 read off the records too.  Every audit reads the device profile and the
 SolverConfig (eps, tau, source coupling) from the Trajectory itself, so it
 judges the run under the settings it was marched with.
@@ -63,7 +64,7 @@ N_PHI = 3
 MONITOR_COLUMNS = (
     "step", "time", "mass", "min_rho", "sup_rho", "sup_abs_u",
     "sup_abs_field", "field_bound", "z_max", "w_max", "riemann_bound",
-    "riemann_slack", "sup_log_plus", "sup_log_minus",
+    "riemann_slack",
 )
 
 
@@ -118,13 +119,9 @@ def evaluate_trajectory(traj: Trajectory,
         z_max, w_max = float(np.max(z)), float(np.max(w))
         r_bound = m2 + m1_running * t
         r_slack = r_bound - max(z_max, w_max)
-        logr = np.log(rho_safe)
-        sup_log_plus = float(np.max(logr + u))
-        sup_log_minus = float(np.max(logr - u))
 
         rows.append([step, t, mass, min_rho, sup_rho, sup_u,
-                     sup_field, dyn_bound, z_max, w_max, r_bound, r_slack,
-                     sup_log_plus, sup_log_minus])
+                     sup_field, dyn_bound, z_max, w_max, r_bound, r_slack])
 
         if "positivity" in enabled and min_rho < floor:
             violations.append({"monitor": "positivity", "time": t,
@@ -154,7 +151,8 @@ def evaluate_trajectory(traj: Trajectory,
 
     if "uniform" in enabled and len(rows) >= 4:
         times = traj.times
-        tracked = (("sup_log_plus", "sup_log_minus") if model.gamma == 1.0
+        # at gamma = 1 the invariants w, z = ln rho +- u bound both at once
+        tracked = (("w_max", "z_max") if model.gamma == 1.0
                    else ("sup_rho", "sup_abs_u"))
         for name in tracked:
             col = MONITOR_COLUMNS.index(name)

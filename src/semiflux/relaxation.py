@@ -28,12 +28,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import RELAX_KEYS, SCENARIO_KEYS
 from .field import solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, PressureConvention, total_integral)
-from .reporting import config_echo
 from .scenarios import RunSetup, make_setup
-from .solver import SourceVariant, run
+from .solver import SourceVariant, record_instants, run
 
 
 # --- drift-diffusion limit solver ------------------------------------------
@@ -194,8 +194,7 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
                 "a periodic device needs zero net charge, int N0 dx - int b dx"
                 f" = 0; got {net!r}")
     n_vals, upsilon, s = n0.copy(), solve_field(n0, profile, grid), 0.0
-    rec = sorted(float(t) for t in (record_times if record_times is not None else [])
-                 if 0.0 < t <= s_end)
+    rec = record_instants(record_times, s_end)
     s_out, n_out = [0.0], [n_vals]
     tiny = 1e-12 * max(s_end, 1.0)
     next_rec = 0
@@ -377,10 +376,9 @@ def relaxation_study(setup: RunSetup, tau_list,
     errors = [r.l1_error for r in rows]
     monotone = all(b < a for a, b in zip(errors, errors[1:]))
     manifest = {
-        # less the keys the ladder sets itself: delta, epsilon, tau and
-        # t_end per rung (relax_table.csv holds them), the source for all
-        **config_echo(setup, skip=("delta", "epsilon", "tau", "t_end",
-                                   "source_variant")),
+        # every scenario key relax reads; the ladder sets delta, epsilon,
+        # tau and t_end per rung (relax_table.csv holds them), the source
+        **{k: params[k] for k in RELAX_KEYS if k in SCENARIO_KEYS},
         "scenario": setup.scenario.name,
         "tau_list": taus,
         "coupling": asdict(coupling),
@@ -388,7 +386,6 @@ def relaxation_study(setup: RunSetup, tau_list,
         "window": [window[0], window[1]],
         "s0": s_min,
         "n_s_records": n_s_records,
-        "e_minus": profile.e_minus,
     }
     return StudyResult(rows=rows, monotone=monotone, reference=reference,
                        manifest=manifest)

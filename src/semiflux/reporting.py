@@ -3,28 +3,27 @@
 A run directory stores a whole Trajectory: each record's (step, time,
 min_rho, rho, m) is one '#'-headed text snapshot, the profile (x a b)
 another table, and its grid, gas law and SolverConfig the config echo,
-written and read back through the one key table `_ECHO`, which the relax
-manifest echoes too.  The reader accepts only the layout the writer
-writes, header keys and columns alike.  The cell centres x are stored
-once, in the profile, where the reader checks them against the grid; the
-field E is derived data.  `audited_texts` is the one audit of a run, for
-`solve` and `verify` both: it reads the monitors and the seed from the
-command echo, runs them, and renders what they derive from the records:
-monitor series to CSV, violations to JSON, and report.json (config echo,
-audit summary, snapshot list, entropy checks).  Every CSV a command
-writes goes through `csv_text`.  Every float is rendered with 17
-significant digits so repeated runs of the same build are byte-identical;
-a table body is formatted by one '%' operation over all its values, which
-gives the bytes of one `fmt` call per value.  Wall-clock timing lives in
-its own file.
+written and read back through the one key table `_ECHO`.  The reader
+accepts only the layout the writer writes, header keys and columns alike.
+The cell centres x are stored once, in the profile, where the reader
+checks them against the grid; the field E is derived data.  `audited_texts`
+is the one audit of a run, for `solve` and `verify` both: it reads the
+monitors and the seed from the command echo, runs them, and renders what
+they derive from the records: monitor series to CSV, violations to JSON,
+and report.json (config echo, audit summary, snapshot list, entropy
+checks).  Every CSV a command writes goes through `csv_text`.  Every float
+is rendered with 17 significant digits so repeated runs of the same build
+are byte-identical; a table body is formatted by one '%' operation over
+all its values, which gives the bytes of one `fmt` call per value.
+Wall-clock timing lives in its own file.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import fields
 from itertools import takewhile
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -98,17 +97,16 @@ def csv_text(columns, rows) -> str:
 
 
 def json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Indented JSON with sorted keys; an enum by its value."""
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      default=attrgetter("value")) + "\n"
 
 
-def config_echo(setup, skip=()) -> dict:
-    """The `_ECHO` keys but those in `skip`, each with its value in the
-    grid, model and cfg of `setup` (a Trajectory or a RunSetup); enums by
-    their names."""
-    vals = {key: getattr(getattr(setup, part), _ATTR.get(key, key))
-            for part, _, keys in _ECHO for key in keys if key not in skip}
-    return {k: v.value if isinstance(v, enum.Enum) else v
-            for k, v in vals.items()}
+def config_echo(traj: Trajectory) -> dict:
+    """The `_ECHO` keys, each with its value in the grid, model and cfg of
+    `traj`."""
+    return {key: getattr(getattr(traj, part), _ATTR.get(key, key))
+            for part, _, keys in _ECHO for key in keys}
 
 
 def audited_texts(traj: Trajectory, command_echo: dict):

@@ -138,7 +138,13 @@ def flux(model: GasModel, rho, mom, u=None, excess=None, out=None,
     """Physical flux ((rho-2d) u, m u - delta u^2 + P1) of admissible float
     arrays (P1 is read unchecked); `u` and `excess` are m/rho and rho - 2d
     when the caller has them, `out` a pair of arrays to write the two
-    components into and `tmp` a scratch array for P1."""
+    components into and `tmp` a scratch array for P1; scalars give floats."""
+    if out is None and np.ndim(rho) == 0:
+        # on 0-d operands a ufunc returns a numpy scalar, which cannot be the
+        # `out` of the next call: evaluate one cell instead
+        cell = [None if v is None else np.full(1, v, dtype=float)
+                for v in (rho, mom, u, excess)]
+        return tuple(float(f[0]) for f in flux(model, *cell))
     if u is None:
         u = mom / rho
     f1, f2 = (None, None) if out is None else out
@@ -344,6 +350,16 @@ class Trajectory:
         return _at_end(float(self.times[-1]), self.cfg)
 
 
+def record_instants(record_times, t_end: float) -> list:
+    """The instants of `record_times` (None: none) in (0, t_end], as floats,
+    for both marches; a ConfigurationError unless they are sorted."""
+    rec = [float(t) for t in (() if record_times is None else record_times)
+           if 0.0 < t <= t_end]
+    if sorted(rec) != rec:
+        raise ConfigurationError("record_times must be sorted")
+    return rec
+
+
 def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
         cfg: SolverConfig, grid: Grid1D, record_every: int = 50,
         record_times=None, max_steps: int = 10 ** 7) -> Trajectory:
@@ -355,11 +371,7 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
     """
     if record_every < 1:
         raise ConfigurationError("record_every must be >= 1")
-    rec_times = []
-    if record_times is not None:
-        rec_times = [float(t) for t in record_times if 0.0 < t <= cfg.t_end]
-        if sorted(rec_times) != rec_times:
-            raise ConfigurationError("record_times must be sorted")
+    rec_times = record_instants(record_times, cfg.t_end)
 
     state = initial
     # (step, time, rho, m, min_rho) per record; each step returns fresh

@@ -195,7 +195,7 @@ def test_criterion_06_time_uniform_plateaus():
                    record_every=50)
     iso_report = evaluate_trajectory(iso_traj)
     assert iso.model.gamma == 1.0
-    for series in ("sup_log_plus", "sup_log_minus"):
+    for series in ("w_max", "z_max"):
         assert iso_report.summary[f"plateau_{series}_ok"]
         early = iso_report.summary[f"plateau_{series}_early"]
         late = iso_report.summary[f"plateau_{series}_late"]

@@ -16,6 +16,7 @@ import pytest
 
 import semiflux
 from semiflux.cli import main
+from semiflux.config import RELAX_KEYS, SCENARIO_KEYS
 from semiflux.model import ConfigurationError
 from semiflux.monitors import ALL_MONITORS, parse_monitor_list
 from semiflux.picard import picard_solve
@@ -83,9 +84,38 @@ class TestUsageErrors:
         cfg = write_cfg(tmp_path, "scenario = warp-bubble\n")
         assert main(["solve", "--config", cfg]) == 2
 
-    def test_bad_monitor_flag(self, tmp_path):
-        cfg = write_cfg(tmp_path, "scenario = gaussian-bump\n")
-        assert main(["solve", "--config", cfg, "--monitors", "warp"]) == 2
+    def test_bad_monitors_key(self, tmp_path):
+        cfg = write_cfg(tmp_path, "scenario = gaussian-bump\nmonitors = warp\n")
+        assert main(["solve", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command,body", [
+        ("solve", "out_dir = elsewhere"),
+        ("picard", "out_dir = elsewhere"),
+        ("relax", "tau_list = 0.2 0.1 0.05\nout_dir = elsewhere"),
+        ("picard", "cross_tol_factor = 5.0"),
+    ], ids=["solve-out-dir", "picard-out-dir", "relax-out-dir",
+            "picard-cross-tol-factor"])
+    def test_removed_config_keys_exit_2(self, tmp_path, capsys, command,
+                                        body):
+        # the run directory is --out-dir alone; the cross-check factor is
+        # the constant CROSS_TOL_FACTOR
+        cfg = write_cfg(tmp_path, ("scenario = gaussian-bump\nn_cells = 40\n"
+                                   f"{body}\n"))
+        assert main([command, "--config", cfg,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "unknown configuration key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--config", "run.cfg", "--monitors", "mass"],
+        ["verify", "run", "--cross-tol-factor", "5.0"],
+    ], ids=["solve-monitors", "verify-cross-tol-factor"])
+    def test_removed_flags_exit_2(self, argv, capsys):
+        # `monitors` is a config key only; the factor is a constant
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_relax_requires_tau_list(self, tmp_path):
         cfg = write_cfg(tmp_path, "scenario = gaussian-bump\n")
@@ -255,16 +285,6 @@ class TestSolve:
         assert march["clamped"] >= 1          # the last step lands on t_end
         assert 0.0 < march["dt_min"] <= march["dt_median"] <= march["dt_max"]
 
-    def test_monitor_flag_overrides_config(self, tmp_path):
-        cfg = write_cfg(tmp_path, BUMP_CFG)
-        out = tmp_path / "run"
-        rc = main(["solve", "--config", cfg, "--out-dir", str(out),
-                   "--monitors", "mass"])
-        assert rc == 0
-        payload = json.loads((out / "report.json").read_text())
-        assert payload["config"]["monitors"] == "mass"
-        assert "entropy_checks" not in payload
-
     def test_profile_tables_reshape_device(self, tmp_path):
         table = tmp_path / "damping.dat"
         table.write_text("-5.0 2.0\n5.0 1.0\n")
@@ -321,6 +341,21 @@ class TestVerify:
         text = capsys.readouterr().out
         assert text.count("byte-identical under recomputation") == 3
         assert "report.json: byte-identical under recomputation" in text
+
+    def test_monitors_table_with_the_old_log_columns_mismatches(self,
+                                                                run_dir,
+                                                                capsys):
+        # a monitors.csv that still carries sup_log_plus/sup_log_minus
+        # (removed: at gamma = 1 they are w_max and z_max again) fails on
+        # its header line
+        p = run_dir / "monitors.csv"
+        lines = p.read_text().splitlines()
+        lines = [lines[0] + ",sup_log_plus,sup_log_minus"] + [
+            ln + ",0,0" for ln in lines[1:]]
+        p.write_text("\n".join(lines) + "\n")
+        assert main(["verify", str(run_dir)]) == 1
+        assert "monitors.csv: MISMATCH under recomputation, line 1:" in \
+            capsys.readouterr().out
 
     def test_tampered_monitors_detected(self, run_dir, capsys):
         p = run_dir / "monitors.csv"
@@ -463,7 +498,9 @@ class TestPicardCommand:
         assert len(csv) >= 3
         payload = json.loads((out / "picard_report.json").read_text())
         assert payload["converged"] is True
-        assert all(r < 1.0 for r in payload["ratios"])
+        assert "ratios" not in payload
+        ratios = [float(row.split(",")[2]) for row in csv[2:]]
+        assert ratios and all(r < 1.0 for r in ratios)
         assert payload["endpoint_gap"] <= payload["endpoint_tolerance"]
 
     def test_iteration_times_stay_out_of_the_output_files(self, tmp_path,
@@ -485,7 +522,7 @@ class TestPicardCommand:
         assert csv[0] == "iteration,distance,ratio"
         assert [row.count(",") for row in csv[1:]] == [2] * n_iter
         assert set(payload) == {
-            "distances", "ratios", "converged", "diverged",
+            "distances", "converged", "diverged",
             "halve_suggestion", "fixed_point_residual", "band_violations",
             "endpoint_gap", "endpoint_tolerance", "t1", "n_intervals",
             "scenario"}
@@ -500,6 +537,18 @@ class TestPicardCommand:
         payload = json.loads((out / "picard_report.json").read_text())
         assert payload["converged"] is True
         assert payload["endpoint_gap"] <= payload["endpoint_tolerance"]
+
+    def test_repeat_runs_are_byte_identical(self, tmp_path):
+        cfg = write_cfg(tmp_path, (
+            "scenario = gaussian-bump\nn_cells = 60\nepsilon = 0.01\n"
+            "t1 = 0.01\nn_intervals = 4\n"))
+        texts = []
+        for d in ("a", "b"):
+            assert main(["picard", "--config", cfg,
+                         "--out-dir", str(tmp_path / d)]) == 0
+            texts.append([(tmp_path / d / f).read_bytes() for f in
+                          ("contraction.csv", "picard_report.json")])
+        assert texts[0] == texts[1]
 
     def test_unset_study_keys_take_the_library_defaults(self, tmp_path):
         base = ("scenario = gaussian-bump\nn_cells = 40\nepsilon = 0.01\n"
@@ -583,6 +632,45 @@ class TestRelaxCommand:
                 "smoothing_width": 0.1}
             assert not {"delta", "epsilon", "tau", "t_end", "source_variant",
                         "grid"} & set(manifest)
+
+    def test_repeat_runs_are_byte_identical(self, tmp_path):
+        cfg = write_cfg(tmp_path, (
+            "scenario = gaussian-bump\nx_min = -4\nx_max = 4\n"
+            "n_cells = 40\ntau_list = 0.2 0.1 0.05\nhorizon = 0.05\n"))
+        results = []
+        for d in ("a", "b"):
+            rc = main(["relax", "--config", cfg, "--out-dir", str(tmp_path / d)])
+            results.append((rc, [(tmp_path / d / f).read_bytes() for f in
+                                 ("relax_table.csv", "manifest.json")]))
+        assert results[0][0] in (0, 1)
+        assert results[0] == results[1]
+
+    def test_manifest_names_every_scenario_key(self, tmp_path):
+        # two runs that differ only in damping write different tables, so
+        # their manifests must differ too; every scenario key relax reads
+        # is echoed with the value the study ran with
+        base = ("scenario = gaussian-bump\nx_min = -4\nx_max = 4\n"
+                "n_cells = 60\ntau_list = 0.2 0.1 0.05\nhorizon = 0.05\n")
+        outs = []
+        for damping in (1.0, 2.0):
+            cfg = write_cfg(tmp_path, base + f"damping = {damping}\n",
+                            name=f"relax-{damping}.cfg")
+            out = tmp_path / f"relax-{damping}"
+            assert main(["relax", "--config", cfg, "--out-dir", str(out)]) \
+                in (0, 1)
+            outs.append(out)
+        tables = [(o / "relax_table.csv").read_bytes() for o in outs]
+        manifests = [(o / "manifest.json").read_bytes() for o in outs]
+        assert tables[0] != tables[1]
+        assert manifests[0] != manifests[1]
+        manifest = json.loads(manifests[1])
+        assert {k for k in RELAX_KEYS if k in SCENARIO_KEYS} <= set(manifest)
+        assert {k: manifest[k] for k in (
+            "bump_amplitude", "bump_center", "bump_width", "bump_speed",
+            "damping", "neutral_level", "e_minus")} == {
+            "bump_amplitude": 0.8, "bump_center": 0.0, "bump_width": 0.5,
+            "bump_speed": 0.0, "damping": 2.0, "neutral_level": 0.5,
+            "e_minus": 0.0}
 
     def test_reference_that_cannot_march_exits_2(self, tmp_path, capsys):
         # doping-ramp's initial density sits on the floor in the far field,

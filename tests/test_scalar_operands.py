@@ -121,6 +121,20 @@ class TestPressureTerms:
         lam1, lam2 = model.eigenvalues(0.7, 0.2)
         assert type(lam1) is float and type(lam2) is float
 
+    def test_flux_on_scalars(self, gamma, delta, convention):
+        # Python floats and 0-d arrays give a pair of floats, the formula's
+        # bits; with or without the caller's u and excess
+        model = GasModel(gamma=gamma, delta=delta, convention=convention)
+        for rho, mom in ((0.7, 0.3), (model.rho_floor, 0.0), (3, -1.2)):
+            r = np.asarray(rho, dtype=float)
+            m = np.asarray(mom, dtype=float)
+            want = tuple(float(v) for v in flux_ref(model, r, m))
+            for args in ((rho, mom), (r, m),
+                         (rho, mom, mom / rho, rho - model.rho_floor)):
+                got = flux(model, *args)
+                assert type(got) is tuple and len(got) == 2
+                assert all(same_bits(g, w) for g, w in zip(got, want))
+
     @pytest.mark.parametrize("shape", SHAPES[1:])
     def test_perturbed_pressure_and_flux(self, gamma, delta, convention,
                                          shape):
