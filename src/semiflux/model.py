@@ -8,7 +8,13 @@ also perturbs the pressure,
     P1(rho, delta) = int_{2*delta}^{rho} ((t - 2*delta)/t) * P'(t) dt,
 
 which is the momentum-flux potential actually advected by the regularized
-system.  Everything here is plain numpy on a uniform cell-centered grid.
+system.  The Riemann invariants are z, w = int_1^rho sqrt(P'(s))/s ds -+ u
+for every gamma >= 1.  Each gas-law quantity has one formula that is
+continuous in gamma: the power integrals run through expm1
+(`_powm1_over`), which is exactly a logarithm at gamma = 1, and P1's tail
+and the internal energy share `_tail`.  Only `_p1` keeps a gamma = 1 branch,
+the operation order the isothermal reference step pins.  Everything here is
+plain numpy on a uniform cell-centered grid.
 
 The scalars the march hands to numpy each step (delta, 2*delta, gamma,
 gamma - 1, the pressure prefactor, P1's rho-free terms, dx, e_minus and
@@ -91,10 +97,6 @@ class GasModel:
         """Lowest density the pressure accepts: 2*delta less a round-off slack."""
         return self.rho_floor - RHO_FLOOR_SLACK * self.delta
 
-    @property
-    def theta(self) -> float:
-        return 0.5 * (self.gamma - 1.0)
-
     # the gas law's scalars as 0-d arrays (`_const`), for the pressure terms
     # below and the march: delta, 2*delta, gamma, gamma - 1 and the
     # multiplier turning rho**gamma into P(rho)
@@ -147,38 +149,48 @@ class GasModel:
         return v
 
     @functools.cached_property
-    def _p1_floor_terms(self):
-        """rho-free terms of `_p1` as 0-d arrays: P(2d) and the 2d tail, or
-        2d - 2d log 2d."""
+    def _tail_floor(self) -> np.ndarray:
+        """((2d)**(gamma-1) - 1)/(gamma-1) as a 0-d array, log 2d at
+        gamma = 1: the floor term of `_tail`."""
+        return _const(_powm1_over(self.rho_floor, self.gamma - 1.0))
+
+    def _tail(self, rho, out=None):
+        """int_{2d}^{rho} s**(gamma-2) ds through expm1, continuous in gamma
+        (log(rho) - log(2d) at gamma = 1); unchecked.  The internal energy
+        and P1's tail both read it."""
+        v = _powm1_over(rho, self._gm1, out=out)
+        v -= self._tail_floor
+        return v
+
+    @functools.cached_property
+    def _p1_floor(self) -> np.ndarray:
+        """P1's rho-free term besides `_tail`'s, as a 0-d array: P(2d), or
+        2d - 2d log 2d at gamma = 1, where `_p1` reads no `_tail`."""
         d2 = self.rho_floor
-        if self.gamma == 1.0:
-            return _const(d2 - d2 * np.log(d2))
-        return (_const(self.pressure(d2)),
-                _const(_powm1_over(d2, self.gamma - 1.0)))
+        return _const(d2 - d2 * np.log(d2) if self.gamma == 1.0
+                      else self.pressure(d2))
 
     def _p1(self, rho, out=None, tmp=None):
         """P1(rho, delta), closed form for every gamma >= 1; unchecked.
 
-        For gamma > 1 the antiderivative is P(t) - 2*delta*int P'(t)/t dt with
-        the power integral evaluated through expm1 so nothing blows up as
-        gamma -> 1; at gamma = 1 it degenerates to rho - 2*delta*log(rho).
+        For gamma > 1 the antiderivative is P(t) - 2*delta*int P'(t)/t dt,
+        the power integral being `_tail`; at gamma = 1 it is
+        rho - 2*delta*log(rho), in the operation order the isothermal
+        reference step pins.
         """
         d2, g = self._d2, self._g
         if self.gamma == 1.0:
             v = np.log(rho, out=out)
             v *= d2
             v = np.subtract(rho, v, out=out)
-            v -= self._p1_floor_terms
+            v -= self._p1_floor
             return v
-        p_floor, tail_floor = self._p1_floor_terms
-        # int_{2d}^{rho} P'(t)/t dt, conditioned for gamma near 1
-        tail = _powm1_over(rho, self._gm1, out=tmp)
-        tail -= tail_floor
+        tail = self._tail(rho, out=tmp)
         if self.convention is PressureConvention.PLAIN:
             tail *= g
         tail *= d2
         v = self._p(rho, out=out)
-        v -= p_floor
+        v -= self._p1_floor
         return np.subtract(v, tail, out=out)
 
     def _checked(self, rho, floor: float = 0.0):
@@ -196,43 +208,16 @@ class GasModel:
         """P'(rho); equals rho**(gamma-1) under the 1/gamma normalization."""
         return self._dp(self._checked(rho))
 
-    def perturbed_pressure(self, rho):
-        """P1(rho, delta) of admissible densities (see `_p1`)."""
-        val = self._p1(self._checked(rho, self.admissible_floor))
-        return val if val.shape else float(val)
-
-    def eigenvalues(self, rho, mom):
-        """Characteristic speeds u -/+ ((rho - 2*delta)/rho) * sqrt(P'(rho))."""
-        rho = self._checked(rho, self.admissible_floor)
-        mom = np.asarray(mom, dtype=float)
-        u = mom / rho
-        spread = self._spread(rho, rho - self.rho_floor)
-        lam1, lam2 = u - spread, u + spread
-        if lam1.shape:
-            return lam1, lam2
-        return float(lam1), float(lam2)
-
-    def canonical_lower_ref(self) -> float:
-        """Lower limit of the sound integral: 2*delta for gamma >= 3, zero for
-        1 < gamma < 3, and 1 for the isothermal log form."""
-        if self.gamma == 1.0:
-            return 1.0
-        if self.gamma >= 3.0:
-            return self.rho_floor
-        return 0.0
-
     def sound_integral(self, rho):
-        """int_l^rho sqrt(P'(s))/s ds with the canonical lower limit l."""
-        rho = np.asarray(rho, dtype=float)
+        """int_1^rho sqrt(P'(s))/s ds = c (rho**theta - 1)/theta with
+        theta = (gamma - 1)/2 and c = sqrt(gamma) under the plain
+        convention, else 1: through expm1, continuous in gamma and exactly
+        log(rho) at gamma = 1."""
         coef = math.sqrt(self.gamma) if self.convention is PressureConvention.PLAIN else 1.0
-        lower, th = self.canonical_lower_ref(), self.theta
-        if self.gamma == 1.0:
-            return coef * (np.log(rho) - math.log(lower))
-        return coef * (rho ** th - lower ** th) / th
+        return coef * _powm1_over(rho, 0.5 * (self.gamma - 1.0))
 
     def riemann_invariants(self, rho, mom):
-        """z = sound_integral(rho) - u and w = sound_integral(rho) + u, with
-        the sound integral's lower limit fixed by gamma."""
+        """z = sound_integral(rho) - u and w = sound_integral(rho) + u."""
         rho = self._checked(rho, self.admissible_floor)
         mom = np.asarray(mom, dtype=float)
         u = mom / rho

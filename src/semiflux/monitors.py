@@ -6,13 +6,14 @@ A run records only (rho, m); the field E is derived here, record by record
 in `_records`, so the audit holds one row of it at a time.
 Monitored quantities: excess mass (non-increasing under outflow, constant
 under periodic), the field sup-bound ratio, growth of the Riemann invariants
-max z, max w <= M2 + M1*t, plateaus of sup rho and sup |u| (at gamma = 1 of
-max w and max z, w and z being ln rho +- u) under the uniform-bound
-hypotheses, and the weak entropy inequality against compactly supported
-test functions.  The summary's step count, completion and lowest density are
-read off the records too.  Every audit reads the device profile and the
-SolverConfig (eps, tau, source coupling) from the Trajectory itself, so it
-judges the run under the settings it was marched with.
+max z, max w <= M2 + M1*t (z, w = int_1^rho sqrt(P'(s))/s ds -+ u, ln rho
+-+ u at gamma = 1), plateaus of sup rho and sup |u| (at gamma = 1 of max w
+and max z) under the uniform-bound hypotheses, and the weak entropy
+inequality against compactly supported test functions.  The summary's step
+count, completion and lowest density are read off the records too.  Every
+audit reads the device profile and the SolverConfig (eps, tau, source
+coupling) from the Trajectory itself, so it judges the run under the
+settings it was marched with.
 `evaluate_trajectory` audits the monitors named in `enabled`, a tuple that
 `parse_monitor_list` reads and validates; `reporting.audited_texts` is
 where a command runs them.  The entropy audit is one `entropy_sweep` over
@@ -29,7 +30,7 @@ import numpy as np
 
 from .field import doping_mass, mass_field_bound, solve_field
 from .model import (Boundary, ConfigurationError, GasModel,
-                    PressureConvention, _powm1_over, total_integral)
+                    PressureConvention, total_integral)
 from .solver import Trajectory, source
 
 ALL_MONITORS = ("positivity", "mass", "field", "riemann", "uniform", "entropy")
@@ -188,18 +189,15 @@ def plateau_check(times: np.ndarray, series: np.ndarray, tol: float):
 def _mechanical_energy(model: GasModel, rho, mom):
     """Kinetic plus internal energy, the canonical convex entropy, at
     (rho, m): its density eta, its flux q and the source multiplier
-    eta_m = u.  The internal energy int_{2*delta}^{rho} P(s)/s^2 ds is
-    evaluated once, for eta and q both."""
+    eta_m = u.  The internal energy int_{2*delta}^{rho} P(s)/s^2 ds is the
+    gas law's `_tail`, the term P1 reads too, divided by gamma under the
+    1/gamma convention: one expm1 form for every gamma >= 1, evaluated once
+    for eta and q both."""
     rho = np.asarray(rho, dtype=float)
     mom = np.asarray(mom, dtype=float)
-    d2 = model.rho_floor
-    if model.gamma == 1.0:
-        internal = np.log(rho / d2)
-    else:
-        internal = (_powm1_over(rho, model.gamma - 1.0)
-                    - _powm1_over(d2, model.gamma - 1.0))
-        if model.convention is PressureConvention.ONE_OVER_GAMMA:
-            internal = internal / model.gamma
+    internal = model._tail(rho)
+    if model.convention is PressureConvention.ONE_OVER_GAMMA:
+        internal = internal / model.gamma
     eta = 0.5 * mom ** 2 / rho + rho * internal
     enthalpy = model.pressure(rho) / rho + internal
     return eta, 0.5 * mom ** 3 / rho ** 2 + enthalpy * mom, mom / rho

@@ -263,8 +263,9 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
     non-contracting ratios, or an iterate whose density leaves the
     admissible band, stop the iteration with a suggestion to halve the slab.
     """
-    if t1 <= 0.0 or n_intervals < 1:
-        raise ConfigurationError("need t1 > 0 and at least one slab interval")
+    if t1 <= 0.0 or n_intervals < 1 or not tol > 0.0 or max_iters < 1:
+        raise ConfigurationError("need t1 > 0, tol > 0, at least one slab "
+                                 "interval and at least one iteration")
     bound = iterate_band_bound(initial, model, grid)
     report = ContractionReport(tol=tol)
     prev = constant_first_guess(initial, t1, n_intervals)

@@ -352,11 +352,11 @@ class Trajectory:
 
 def record_instants(record_times, t_end: float) -> list:
     """The instants of `record_times` (None: none) in (0, t_end], as floats,
-    for both marches; a ConfigurationError unless they are sorted."""
+    for both marches; a ConfigurationError unless they strictly increase."""
     rec = [float(t) for t in (() if record_times is None else record_times)
            if 0.0 < t <= t_end]
-    if sorted(rec) != rec:
-        raise ConfigurationError("record_times must be sorted")
+    if sorted(set(rec)) != rec:
+        raise ConfigurationError("record_times must be sorted, each once")
     return rec
 
 

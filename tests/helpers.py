@@ -37,26 +37,13 @@ def p1_quadrature(gamma: float, delta: float, rho: float,
 
 
 def sound_integral_quadrature(model: GasModel, rho: float) -> float:
-    """Adaptive quadrature of sqrt(P'(s))/s from the gamma-dependent lower
-    reference to rho.  The 1 < gamma < 3 case has an integrable endpoint
-    singularity at 0 which quad handles adaptively."""
-    lo = model.canonical_lower_ref()
+    """Adaptive quadrature of sqrt(P'(s))/s from 1 to rho."""
 
     def integrand(s):
         return float(np.sqrt(model.dpressure(s))) / s
 
-    val, err = quad(integrand, lo, rho, epsabs=1e-12, epsrel=1e-11, limit=400)
+    val, err = quad(integrand, 1.0, rho, epsabs=1e-12, epsrel=1e-11, limit=400)
     return val
-
-
-def l1_gap(x_coarse, v_coarse, x_fine, v_fine) -> float:
-    """L1 distance between two cell-center profiles, the finer one
-    interpolated onto the coarse centers."""
-    x_coarse = np.asarray(x_coarse, dtype=float)
-    on_coarse = np.interp(x_coarse, np.asarray(x_fine, dtype=float),
-                          np.asarray(v_fine, dtype=float))
-    dx = x_coarse[1] - x_coarse[0]
-    return float(dx * np.sum(np.abs(np.asarray(v_coarse) - on_coarse)))
 
 
 def conv_same(vals, weights):

@@ -139,9 +139,11 @@ class TestUsageErrors:
         ("relax", "tau_list = 0.2 0.1 0.05\nwindow_lo = 3\nwindow_hi = -3"),
         ("picard", "t1 = 0"),
         ("picard", "n_intervals = 0"),
+        ("picard", "tol = 0"),
+        ("picard", "max_iters = 0"),
     ], ids=["relax-tau-not-a-number", "relax-one-s-record",
             "relax-negative-horizon", "relax-empty-window", "picard-t1-zero",
-            "picard-no-intervals"])
+            "picard-no-intervals", "picard-tol-zero", "picard-no-iterations"])
     def test_bad_study_settings_exit_2(self, tmp_path, capsys, command, body):
         # exit 1 is a verdict of the study; a setting it cannot run is usage
         cfg = write_cfg(tmp_path, ("scenario = gaussian-bump\nn_cells = 40\n"

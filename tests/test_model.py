@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semiflux.model import (Boundary, ConfigurationError, DeviceProfile,
                             GasModel, Grid1D, HydroState, PressureConvention,
                             build_aux_fields, cumulative_integral,
                             derived_c_profile, total_integral)
+from semiflux.solver import flux
 
 from helpers import p1_quadrature, sound_integral_quadrature
 
@@ -17,6 +18,18 @@ PLAIN = PressureConvention.PLAIN
 
 def make_model(gamma, delta=0.05, convention=OOG):
     return GasModel(gamma=gamma, delta=delta, convention=convention)
+
+
+def p1(m, rho):
+    """P1 as the march reads it: the momentum flux at rest."""
+    return flux(m, rho, 0.0)[1]
+
+
+def eigenvalues(m, rho, mom):
+    """The characteristic speeds u -/+ the spread the march reads."""
+    u = mom / rho
+    spread = m._spread(rho, rho - m.rho_floor)
+    return u - spread, u + spread
 
 
 # strategies shared across the property tests
@@ -66,24 +79,19 @@ class TestPerturbedPressure:
     @pytest.mark.parametrize("convention", [OOG, PLAIN])
     def test_zero_at_floor(self, gamma, convention):
         m = make_model(gamma, delta=0.07, convention=convention)
-        assert m.perturbed_pressure(m.rho_floor) == 0.0
+        assert p1(m, m.rho_floor) == 0.0
 
     def test_isothermal_antiderivative(self):
         # rho - 2 delta ln rho evaluated between 2 delta and 1
         m = make_model(1.0, delta=0.05)
         expected = 1.0 - 0.1 + 0.1 * math.log(0.1)
-        assert m.perturbed_pressure(1.0) == pytest.approx(expected, rel=1e-14)
+        assert p1(m, 1.0) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(0.66974, abs=5e-6)
 
     def test_quadratic_closed_form(self):
         # rho^2/2 - 2 delta rho + 2 delta^2 at rho=1, delta=0.05
         m = make_model(2.0, delta=0.05)
-        assert m.perturbed_pressure(1.0) == pytest.approx(0.405, rel=1e-13)
-
-    def test_below_floor_rejected(self):
-        m = make_model(1.4, delta=0.1)
-        with pytest.raises(ValueError):
-            m.perturbed_pressure(0.15)
+        assert p1(m, 1.0) == pytest.approx(0.405, rel=1e-13)
 
     @settings(max_examples=150, deadline=None)
     @given(gamma=gammas, delta=deltas, convention=conventions,
@@ -91,7 +99,7 @@ class TestPerturbedPressure:
     def test_matches_quadrature(self, gamma, delta, convention, frac):
         m = make_model(gamma, delta=delta, convention=convention)
         rho = m.rho_floor + frac * (10.0 - m.rho_floor)
-        closed = float(m.perturbed_pressure(rho))
+        closed = float(p1(m, rho))
         oracle = p1_quadrature(gamma, delta, rho, convention)
         assert closed == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
@@ -101,29 +109,28 @@ class TestPerturbedPressure:
     def test_nondecreasing(self, gamma, delta, convention, a, bump):
         m = make_model(gamma, delta=delta, convention=convention)
         lo = m.rho_floor + a
-        assert m.perturbed_pressure(lo + bump) >= m.perturbed_pressure(lo) \
-            - 1e-14
+        assert p1(m, lo + bump) >= p1(m, lo) - 1e-14
 
 
 class TestEigenvalues:
     def test_degenerate_at_floor(self):
         m = make_model(1.4, delta=0.05)
         u0 = 0.37
-        lam1, lam2 = m.eigenvalues(np.array([m.rho_floor]),
-                                   np.array([m.rho_floor * u0]))
+        lam1, lam2 = eigenvalues(m, np.array([m.rho_floor]),
+                                 np.array([m.rho_floor * u0]))
         assert lam1[0] == pytest.approx(u0, abs=1e-15)
         assert lam2[0] == pytest.approx(u0, abs=1e-15)
 
     def test_isothermal_reference(self):
         m = make_model(1.0, delta=0.05)
-        lam1, lam2 = m.eigenvalues(np.array([1.0]), np.array([0.0]))
+        lam1, lam2 = eigenvalues(m, np.array([1.0]), np.array([0.0]))
         assert lam1[0] == pytest.approx(-0.9, abs=1e-14)
         assert lam2[0] == pytest.approx(0.9, abs=1e-14)
 
     def test_cubic_sound_speed(self):
         # gamma=3 normalized: sqrt(P') = rho; offset negligible
         m = make_model(3.0, delta=1e-12)
-        lam1, lam2 = m.eigenvalues(np.array([2.0]), np.array([0.0]))
+        lam1, lam2 = eigenvalues(m, np.array([2.0]), np.array([0.0]))
         assert lam1[0] == pytest.approx(-2.0, abs=1e-9)
         assert lam2[0] == pytest.approx(2.0, abs=1e-9)
 
@@ -135,7 +142,7 @@ class TestEigenvalues:
         m = make_model(gamma, delta=delta, convention=convention)
         rho = np.array([m.rho_floor + excess])
         mom = rho * u
-        lam1, lam2 = m.eigenvalues(rho, mom)
+        lam1, lam2 = eigenvalues(m, rho, mom)
         gap = 2.0 * (excess / rho[0]) * math.sqrt(m.dpressure(rho[0]))
         assert lam2[0] - lam1[0] == pytest.approx(gap, rel=1e-12, abs=1e-12)
         assert lam2[0] >= lam1[0]
@@ -151,24 +158,33 @@ class TestRiemannInvariants:
         assert w[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_square_root_integral(self):
-        # int_0^1 s^(-1/2) ds = 2 for gamma = 2 normalized
+        # int_1^rho s^(-1/2) ds = 2 (sqrt(rho) - 1) for gamma = 2 normalized
         m = make_model(2.0, delta=0.05)
-        z, w = m.riemann_invariants(np.array([1.0]), np.array([0.0]))
-        assert z[0] == pytest.approx(2.0, rel=1e-14)
-        assert w[0] == pytest.approx(2.0, rel=1e-14)
+        rho = np.array([0.1, 1.0, 2.25, 4.0])
+        z, w = m.riemann_invariants(rho, np.zeros_like(rho))
+        expected = 2.0 * (np.sqrt(rho) - 1.0)
+        assert z == pytest.approx(expected, rel=1e-14, abs=1e-15)
+        assert w == pytest.approx(expected, rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("convention", [OOG, PLAIN])
+    def test_continuous_at_isothermal(self, convention):
+        # one expm1 form for every gamma: no jump as gamma reaches 1
+        iso = make_model(1.0, delta=0.05, convention=convention)
+        near = make_model(1.0 + 1e-12, delta=0.05, convention=convention)
+        rho = np.linspace(iso.rho_floor, 5.0, 201)
+        assert np.max(np.abs(near.sound_integral(rho)
+                             - iso.sound_integral(rho))) <= 1e-10
 
     @given(gamma=gammas, delta=deltas, convention=conventions,
            excess=st.floats(min_value=0.0, max_value=5.0),
            u=st.floats(min_value=-4.0, max_value=4.0))
+    @example(gamma=1.0 + 2.0 ** -52, delta=0.25, convention=OOG, excess=0.2,
+             u=0.5)
     def test_difference_identity(self, gamma, delta, convention, excess, u):
         m = make_model(gamma, delta=delta, convention=convention)
         rho = np.array([m.rho_floor + excess])
         z, w = m.riemann_invariants(rho, rho * u)
-        # w - z cancels the sound integral s, so it carries 2u only to the
-        # resolution of z and w: near gamma = 1 the power form of s is huge
-        resolution = 4.0 * np.spacing(abs(z[0]) + abs(w[0]))
-        assert w[0] - z[0] == pytest.approx(2.0 * u, rel=1e-12,
-                                            abs=1e-12 + resolution)
+        assert w[0] - z[0] == pytest.approx(2.0 * u, rel=1e-12, abs=1e-12)
 
     @given(gamma=gammas, delta=deltas, convention=conventions,
            excess=st.floats(min_value=0.0, max_value=5.0),
@@ -185,7 +201,7 @@ class TestRiemannInvariants:
         assert w2[0] >= w1[0] - 1e-12
 
     @settings(max_examples=60, deadline=None)
-    @given(gamma=st.floats(min_value=1.5, max_value=4.0), delta=deltas,
+    @given(gamma=gammas, delta=deltas,
            convention=conventions,
            excess=st.floats(min_value=0.05, max_value=5.0))
     def test_sound_integral_matches_quadrature(self, gamma, delta, convention,
@@ -196,15 +212,11 @@ class TestRiemannInvariants:
         assert float(m.sound_integral(rho)) == pytest.approx(
             oracle, rel=1e-7, abs=1e-9)
 
-    @given(gamma=st.floats(min_value=1.1, max_value=4.0), delta=deltas,
-           convention=conventions,
+    @given(gamma=gammas, delta=deltas, convention=conventions,
            excess=st.floats(min_value=0.1, max_value=5.0))
     def test_sound_integral_derivative(self, gamma, delta, convention, excess):
         # d/drho of the integral is sqrt(P'(rho))/rho, independent of the
-        # antiderivative normalization.  gamma stays away from 1: the
-        # integral from zero diverges like 2/(gamma-1) there, which makes a
-        # finite-difference probe cancel catastrophically (the isothermal
-        # case switches to the log form and is checked exactly below).
+        # antiderivative normalization
         m = make_model(gamma, delta=delta, convention=convention)
         rho = m.rho_floor + excess
         h = 1e-6 * max(1.0, rho)
@@ -409,11 +421,3 @@ class TestModelValidation:
     def test_nonpositive_delta_rejected(self):
         with pytest.raises(ValueError):
             GasModel(gamma=2.0, delta=0.0)
-
-    def test_lower_ref_selection(self):
-        assert make_model(1.0).canonical_lower_ref() == 1.0
-        assert make_model(2.0).canonical_lower_ref() == 0.0
-        assert make_model(3.0, delta=0.05).canonical_lower_ref() == \
-            pytest.approx(0.1)
-        assert make_model(3.5, delta=0.2).canonical_lower_ref() == \
-            pytest.approx(0.4)

@@ -1,5 +1,6 @@
-"""The README's command synopsis and its study config examples against the
-parser and the config key tables they document."""
+"""The README's command synopsis, its study config examples and its
+`monitors.csv` column list against the parser, the config key tables and
+the monitor columns they document."""
 
 import argparse
 import re
@@ -9,6 +10,7 @@ import pytest
 
 from semiflux.cli import build_parser
 from semiflux.config import PICARD_KEYS, RELAX_KEYS
+from semiflux.monitors import MONITOR_COLUMNS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -53,3 +55,9 @@ def test_synopsis_matches_the_parser():
 def test_study_examples_use_known_keys(name, keys):
     found = example_keys(name)
     assert found and found <= set(keys)
+
+
+def test_monitor_columns_match_the_table():
+    listed = re.search(r"`monitors\.csv` \(one\s+audited row [^`]*"
+                       r"with the columns `([^`]*)`", README).group(1)
+    assert tuple(re.split(r",\s*", listed)) == MONITOR_COLUMNS

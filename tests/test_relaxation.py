@@ -100,8 +100,8 @@ class TestDriftDiffusionRun:
             assert np.any(np.isclose(out.s_values, t, atol=1e-12))
 
     def test_unsorted_record_times_rejected(self):
-        # the same rule as the hydro march's: unsorted instants are a
-        # ConfigurationError, not silently sorted
+        # the same rule as the hydro march's: unsorted or repeated instants
+        # are a ConfigurationError, not silently sorted
         grid = Grid1D(-5.0, 5.0, 80)
         model = GasModel(gamma=1.4, delta=0.05)
         profile = DeviceProfile.uniform(grid)
@@ -109,6 +109,9 @@ class TestDriftDiffusionRun:
         with pytest.raises(ConfigurationError, match="must be sorted"):
             drift_diffusion_run(n0, profile, model, grid, s_end=0.04,
                                 record_times=[0.02, 0.01])
+        with pytest.raises(ConfigurationError, match="each once"):
+            drift_diffusion_run(n0, profile, model, grid, s_end=0.04,
+                                record_times=[0.01, 0.01, 0.02])
 
     def test_negative_initial_rejected(self):
         grid = Grid1D(-1.0, 1.0, 20)

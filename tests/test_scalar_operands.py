@@ -116,10 +116,8 @@ class TestPressureTerms:
             r = np.asarray(rho, dtype=float)
             assert same_bits(model.pressure(rho), p_ref(model, r))
             assert same_bits(model.dpressure(rho), dp_ref(model, r))
-            assert same_bits(model.perturbed_pressure(rho),
-                             float(p1_ref(model, r)))
-        lam1, lam2 = model.eigenvalues(0.7, 0.2)
-        assert type(lam1) is float and type(lam2) is float
+        z, w = model.riemann_invariants(0.7, 0.2)
+        assert type(z) is float and type(w) is float
 
     def test_flux_on_scalars(self, gamma, delta, convention):
         # Python floats and 0-d arrays give a pair of floats, the formula's
@@ -141,7 +139,9 @@ class TestPressureTerms:
         model = GasModel(gamma=gamma, delta=delta, convention=convention)
         rho = densities(model, shape)
         mom = rho * np.sin(np.arange(rho.size)).reshape(shape)
-        assert same_bits(model.perturbed_pressure(rho), p1_ref(model, rho))
+        # at rest the momentum flux is P1 itself
+        assert same_bits(flux(model, rho, np.zeros(shape))[1],
+                         p1_ref(model, rho))
         f1, f2 = flux(model, rho, mom)
         r1, r2 = flux_ref(model, rho, mom)
         assert same_bits(f1, r1) and same_bits(f2, r2)

@@ -546,6 +546,9 @@ class TestRun:
                            mom=np.zeros(grid.n_cells))
         with pytest.raises(ConfigurationError):
             run(state, profile, model, cfg, grid, record_times=[0.1, 0.05])
+        with pytest.raises(ConfigurationError, match="each once"):
+            run(state, profile, model, cfg, grid,
+                record_times=[0.05, 0.05, 0.1])
         with pytest.raises(ConfigurationError):
             run(state, profile, model, cfg, grid, record_every=0)
 
