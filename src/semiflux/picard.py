@@ -18,13 +18,17 @@ At level t_k = k ds that midpoint rule is the lag sum
 sum_{m=1..k} ds conv_x(H[k-m], K_m) of the interval midpoints H of a term
 against its kernel K_m at lag (m - 1/2) ds: a causal convolution in time of
 convolutions in space.  A sweep evaluates each lag sum as one product of
-2-D real FFTs, zero-padded to 2 n_intervals levels, so the circular wrap
-never reaches a kept level, and to n_cells + 2h cells for the widest kernel
-half-width h, so values outside the grid count as zero on the real line,
-also on a periodic grid and also when a kernel is wider than the grid.  The
-kernel spectra and the initial-data terms G(t_k) * rho0 and G(t_k) * m0 do
-not depend on the iterate: `picard_solve` builds them once per slab.  Eps,
-tau and the source coupling come from one SolverConfig, as in the march.
+2-D real FFTs, zero-padded to at least 2 n_intervals levels, so the
+circular wrap never reaches a kept level, and to at least n_cells + 2h cells
+for the widest kernel half-width h, so values outside the grid count as zero
+on the real line, also on a periodic grid and also when a kernel is wider
+than the grid.  Each axis is rounded up from that wrap-free length to the
+next 2^a 3^b 5^c, a length the FFT transforms fast (n_cells + 2h = 2036 is
+4 * 509, a fifth as fast as 2048).  The kernel spectra and the initial-data
+terms G(t_k) * rho0 and G(t_k) * m0 do not depend on the iterate:
+`picard_solve` builds them once per slab, each kernel table in one
+evaluation over (times x offsets).  Eps, tau and the source coupling come
+from one SolverConfig, as in the march.
 """
 
 from __future__ import annotations
@@ -48,30 +52,59 @@ class HeatKernel:
 
     epsilon: float
 
-    def values(self, x, t: float):
+    # `values`, `cdf`, `_half_width`, `_cells` and `_faces` take t as a
+    # scalar or as an array broadcasting against x, element by element the
+    # same arithmetic either way: a table row is bit-identical to the
+    # weights of its own time
+
+    def values(self, x, t):
         x = np.asarray(x, dtype=float)
         return np.exp(-x ** 2 / (4.0 * self.epsilon * t)) \
-            / math.sqrt(4.0 * math.pi * self.epsilon * t)
+            / np.sqrt(4.0 * math.pi * self.epsilon * t)
 
-    def cdf(self, x, t: float):
+    def cdf(self, x, t):
         x = np.asarray(x, dtype=float)
-        return 0.5 * (1.0 + erf(x / (2.0 * math.sqrt(self.epsilon * t))))
+        return 0.5 * (1.0 + erf(x / (2.0 * np.sqrt(self.epsilon * t))))
 
-    def _half_width(self, dx: float, t: float) -> int:
-        return max(int(math.ceil(8.0 * math.sqrt(self.epsilon * t) / dx)) + 2, 3)
+    def _half_width(self, dx: float, t):
+        """Cells each side that the weights at time t cover: eight standard
+        deviations and two cells, at least three."""
+        h = np.ceil(8.0 * np.sqrt(self.epsilon * t) / dx)
+        return np.maximum(h.astype(int) + 2, 3)
+
+    def _cells(self, r, dx: float, t):
+        """The integral of G over the cell at offset r."""
+        return self.cdf(r + 0.5 * dx, t) - self.cdf(r - 0.5 * dx, t)
+
+    def _faces(self, r, dx: float, t):
+        """G at the right face of the cell at offset r minus G at its left."""
+        return self.values(r + 0.5 * dx, t) - self.values(r - 0.5 * dx, t)
 
     def cell_weights(self, dx: float, t: float) -> np.ndarray:
         """w[r] = int over cell at offset r of G: exact smoothing weights."""
         h = self._half_width(dx, t)
-        r = np.arange(-h, h + 1) * dx
-        return self.cdf(r + 0.5 * dx, t) - self.cdf(r - 0.5 * dx, t)
+        return self._cells(np.arange(-h, h + 1) * dx, dx, t)
 
     def gradient_weights(self, dx: float, t: float) -> np.ndarray:
         """Weights reproducing the convolution with d_xi G exactly on
         piecewise-constant data: G at the right face minus G at the left."""
         h = self._half_width(dx, t)
-        r = np.arange(-h, h + 1) * dx
-        return self.values(r + 0.5 * dx, t) - self.values(r - 0.5 * dx, t)
+        return self._faces(np.arange(-h, h + 1) * dx, dx, t)
+
+    def circular_table(self, weights, dx: float, times,
+                       width: int) -> np.ndarray:
+        """Row i holds `weights` (`_cells` or `_faces`) at times[i], zero
+        beyond that time's half-width and laid out for a circular
+        convolution of length `width`: offset r goes to column r mod width.
+        The widest row must fit, 2h + 1 <= width."""
+        t = np.asarray(times, dtype=float)[:, None]
+        h = self._half_width(dx, t)
+        offsets = np.arange(-h.max(), h.max() + 1)
+        rows = weights(offsets * dx, dx, t)
+        rows[np.abs(offsets) > h] = 0.0
+        out = np.zeros((len(t), width))
+        out[:, offsets % width] = rows
+        return out
 
 
 @dataclass
@@ -99,22 +132,30 @@ def sup_distance(a: PicardIterate, b: PicardIterate) -> float:
     return float(np.max(np.abs(a.rho - b.rho)) + np.max(np.abs(a.mom - b.mom)))
 
 
-def _circular(rows, width: int) -> np.ndarray:
-    """Centred odd-length weight rows laid out for a circular convolution of
-    length `width`: the weight at offset r goes to column r mod width."""
-    out = np.zeros((len(rows), width))
-    for i, w in enumerate(rows):
-        h = (len(w) - 1) // 2
-        out[i, :h + 1] = w[h:]
-        out[i, width - h:] = w[:h]
-    return out
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c at least n (n >= 1): an FFT length made of
+    the radices the FFT transforms fastest.  Written out because importing
+    scipy.fft for its next_fast_len costs about 0.3 s on every command."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @dataclass(frozen=True)
 class _SlabTables:
     """The parts of a sweep that the iterate does not change.
 
-    `shape` is the zero-padded (time, space) FFT shape; `grad_hat` and
+    `shape` is the zero-padded (time, space) FFT shape, each axis its
+    wrap-free length rounded up by `_fast_len`; `grad_hat` and
     `smooth_hat` are ds times the 2-D spectra of the gradient and smoothing
     weights stacked by lag, row j holding lag (j + 1/2) ds, so that row k-1
     of a product's inverse is level k; `rho_init` and `mom_init` are the
@@ -135,15 +176,17 @@ class _SlabTables:
         n = grid.n_cells
         dx = grid.dx
         ds = float(times[1] - times[0])
-        # the widest kernel is the initial-data one at t1; n + 2h columns
+        # 2 n_int levels keep the causal time convolution unwrapped; the
+        # widest kernel is the initial-data one at t1, and n + 2h columns
         # keep the real-line (zero outside the grid) convolution unwrapped
-        width = n + 2 * kernel._half_width(dx, float(times[-1]))
-        shape = (2 * n_int, width)
-        lags = [(m - 0.5) * ds for m in range(1, n_int + 1)]
-        grad = _circular([kernel.gradient_weights(dx, s) for s in lags], width)
-        smooth = _circular([kernel.cell_weights(dx, s) for s in lags], width)
-        base = np.fft.rfft(_circular(
-            [kernel.cell_weights(dx, float(t)) for t in times[1:]], width))
+        h = int(kernel._half_width(dx, times[-1]))
+        shape = (_fast_len(2 * n_int), _fast_len(n + 2 * h))
+        width = shape[1]
+        lags = (np.arange(1, n_int + 1) - 0.5) * ds
+        grad = kernel.circular_table(kernel._faces, dx, lags, width)
+        smooth = kernel.circular_table(kernel._cells, dx, lags, width)
+        base = np.fft.rfft(kernel.circular_table(kernel._cells, dx,
+                                                 times[1:], width))
 
         def smoothed(vals):
             return np.fft.irfft(base * np.fft.rfft(vals, width), width)[:, :n]
@@ -263,9 +306,11 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
     non-contracting ratios, or an iterate whose density leaves the
     admissible band, stop the iteration with a suggestion to halve the slab.
     """
-    if t1 <= 0.0 or n_intervals < 1 or not tol > 0.0 or max_iters < 1:
-        raise ConfigurationError("need t1 > 0, tol > 0, at least one slab "
-                                 "interval and at least one iteration")
+    if not (0.0 < t1 < math.inf and 0.0 < tol < math.inf) \
+            or n_intervals < 1 or max_iters < 1:
+        raise ConfigurationError("need 0 < t1 < inf, 0 < tol < inf, at least "
+                                 "one slab interval and at least one "
+                                 "iteration")
     bound = iterate_band_bound(initial, model, grid)
     report = ContractionReport(tol=tol)
     prev = constant_first_guess(initial, t1, n_intervals)

@@ -60,6 +60,18 @@ def conv_full_sliced(vals, weights):
     return np.convolve(vals, weights, mode="full")[h:h + len(vals)]
 
 
+def circular_reference(rows, width: int) -> np.ndarray:
+    """Centred odd-length weight rows laid out one at a time for a circular
+    convolution of length `width`: the weight at offset r goes to column
+    r mod width."""
+    out = np.zeros((len(rows), width))
+    for i, w in enumerate(rows):
+        h = (len(w) - 1) // 2
+        out[i, :h + 1] = w[h:]
+        out[i, width - h:] = w[:h]
+    return out
+
+
 def picard_step_reference(prev, initial, profile, model, kernel, grid, tau,
                           source_variant=SourceVariant.FULL_DENSITY,
                           conv=conv_same):

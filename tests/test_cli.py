@@ -138,12 +138,16 @@ class TestUsageErrors:
         ("relax", "tau_list = 0.2 0.1 0.05\nhorizon = -1"),
         ("relax", "tau_list = 0.2 0.1 0.05\nwindow_lo = 3\nwindow_hi = -3"),
         ("picard", "t1 = 0"),
+        ("picard", "t1 = nan"),
+        ("picard", "t1 = inf"),
         ("picard", "n_intervals = 0"),
         ("picard", "tol = 0"),
+        ("picard", "tol = inf"),
         ("picard", "max_iters = 0"),
     ], ids=["relax-tau-not-a-number", "relax-one-s-record",
             "relax-negative-horizon", "relax-empty-window", "picard-t1-zero",
-            "picard-no-intervals", "picard-tol-zero", "picard-no-iterations"])
+            "picard-t1-nan", "picard-t1-inf", "picard-no-intervals",
+            "picard-tol-zero", "picard-tol-inf", "picard-no-iterations"])
     def test_bad_study_settings_exit_2(self, tmp_path, capsys, command, body):
         # exit 1 is a verdict of the study; a setting it cannot run is usage
         cfg = write_cfg(tmp_path, ("scenario = gaussian-bump\nn_cells = 40\n"
@@ -440,6 +444,10 @@ class TestVerify:
         text = capsys.readouterr().out
         assert "fixed-point cross-check" in text
         assert "agrees" in text
+
+    def test_cross_check_at_nan_t1_exits_2(self, run_dir, capsys):
+        assert main(["verify", str(run_dir), "--picard", "--t1", "nan"]) == 2
+        assert "error: need 0 < t1 < inf" in capsys.readouterr().err
 
     def test_legacy_flux_scheme_echo_still_verifies(self, run_dir):
         # run directories written while the config echo carried a flux
@@ -758,9 +766,11 @@ class TestModuleEntry:
 
     def test_cli_import_leaves_scipy_integrate_unloaded(self):
         # scipy.integrate drags in scipy.sparse, scipy.linalg and
-        # scipy.optimize: about half a second of import on every command
+        # scipy.optimize: about half a second of import on every command;
+        # scipy.fft alone costs about 0.3 s
         src = str(Path(semiflux.__file__).resolve().parents[1])
-        heavy = ("scipy.integrate", "scipy.sparse", "scipy.optimize")
+        heavy = ("scipy.integrate", "scipy.sparse", "scipy.optimize",
+                 "scipy.linalg", "scipy.fft")
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, semiflux.cli; "

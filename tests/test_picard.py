@@ -6,13 +6,15 @@ exact fixed points and the analytic heat evolution of a Gaussian, and the
 contraction/divergence bookkeeping against runs engineered to do each.
 """
 
+import bisect
 import math
 
 import numpy as np
 import pytest
 
 import semiflux.picard as picard_module
-from helpers import conv_full_sliced, conv_same, picard_step_reference
+from helpers import (circular_reference, conv_full_sliced, conv_same,
+                     picard_step_reference)
 from semiflux import (
     DeviceProfile,
     GasModel,
@@ -27,6 +29,8 @@ from semiflux import (
 from semiflux.picard import (
     PicardIterate,
     _band_check,
+    _fast_len,
+    _SlabTables,
     constant_first_guess,
     iterate_band_bound,
     sup_distance,
@@ -43,6 +47,22 @@ def scenario_slab(scenario, overrides, t1, n_intervals):
 
 # a kernel wider than the grid: h = 54 cells each side on 64 cells
 WIDE = ("gaussian-bump", {"n_cells": 64, "epsilon": 1.0}, 1.0, 8)
+# the slab of the picard-slab benchmark workload
+BENCH_SLAB = ("gaussian-bump", {"n_cells": 1000, "epsilon": 0.01}, 0.01, 64)
+# an odd interval count: 14 levels, padded to 15
+ODD = ("gaussian-bump", {"n_cells": 90, "epsilon": 0.02, "bump_speed": 0.3},
+       0.02, 7)
+
+
+def five_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def slab_tables(s, kernel, guess):
+    return _SlabTables.build(guess.times, s.initial, s.model, kernel, s.grid)
 
 
 class TestHeatKernel:
@@ -88,6 +108,46 @@ class TestHeatKernel:
         assert abs(w.sum()) < 1e-14
         h = (len(w) - 1) // 2
         assert w[h] == 0.0  # face values at +/- dx/2 coincide by symmetry
+
+
+class TestSlabTables:
+    def test_fast_len_is_the_smallest_five_smooth_length(self):
+        smooth = [m for m in range(1, 8193) if five_smooth(m)]
+        for n in range(1, 4097):
+            assert _fast_len(n) == smooth[bisect.bisect_left(smooth, n)]
+
+    @pytest.mark.parametrize("slab", [BENCH_SLAB, WIDE, ODD],
+                             ids=["bench-slab", "wide-kernel", "odd"])
+    def test_shape_is_fast_and_wrap_free(self, slab):
+        s, kernel, guess = scenario_slab(*slab)
+        shape = slab_tables(s, kernel, guess).shape
+        h = kernel._half_width(s.grid.dx, slab[2])
+        assert all(five_smooth(m) for m in shape)
+        assert shape[0] >= 2 * slab[3]
+        assert shape[1] >= s.grid.n_cells + 2 * h
+
+    def test_odd_interval_count_pads_the_levels(self):
+        s, kernel, guess = scenario_slab(*ODD)
+        assert slab_tables(s, kernel, guess).shape[0] == 15
+
+    @pytest.mark.parametrize("slab", [BENCH_SLAB, WIDE],
+                             ids=["bench-slab", "wide-kernel"])
+    def test_tables_match_the_per_time_rows(self, slab):
+        # each table row is its time's weights, bit for bit, however much
+        # wider the table's widest row is
+        s, kernel, guess = scenario_slab(*slab)
+        dx = s.grid.dx
+        width = slab_tables(s, kernel, guess).shape[1]
+        ds = float(guess.times[1] - guess.times[0])
+        lags = [(m - 0.5) * ds for m in range(1, slab[3] + 1)]
+        levels = [float(t) for t in guess.times[1:]]
+        for weights, per_time, times in (
+                (kernel._faces, kernel.gradient_weights, lags),
+                (kernel._cells, kernel.cell_weights, lags),
+                (kernel._cells, kernel.cell_weights, levels)):
+            want = circular_reference([per_time(dx, t) for t in times], width)
+            got = kernel.circular_table(weights, dx, times, width)
+            assert np.array_equal(got, want)
 
 
 class TestIterateBasics:
@@ -255,6 +315,10 @@ class TestContraction:
         with pytest.raises(ValueError):
             picard_solve(init, profile, model, cfg, grid,
                          t1=0.1, n_intervals=0)
+        for bad in ({"t1": math.nan}, {"t1": math.inf},
+                    {"t1": 0.1, "tol": math.inf}):
+            with pytest.raises(ValueError):
+                picard_solve(init, profile, model, cfg, grid, **bad)
 
     def test_endpoint_matches_last_level(self):
         grid, model, profile, init = self.make_bump(n_cells=100)
@@ -281,6 +345,11 @@ class TestFftLagSum:
                           0.01, 1), conv_same),
         # np.convolve's 'same' mode cannot serve a kernel wider than the grid
         "wide-kernel": (WIDE, conv_full_sliced),
+        # n_cells + 2h = 109 is prime: the padded width is 120
+        "prime-width": (("gaussian-bump", {"n_cells": 99, "epsilon": 0.05,
+                                           "bump_speed": 0.4}, 0.02, 6),
+                        conv_same),
+        "seven-intervals": (ODD, conv_same),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
