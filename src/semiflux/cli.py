@@ -51,7 +51,7 @@ from .config import (PICARD_KEYS, RELAX_KEYS, SCENARIO_KEYS, SOLVE_KEYS,
                      coerce, parse_key_value)
 from .model import ConfigurationError, Grid1D, HydroState
 from .monitors import parse_monitor_list
-from .picard import picard_solve
+from .picard import picard_solve, positive_finite
 from .relaxation import CouplingRule, relaxation_study
 from .reporting import (audited_texts, csv_text, json_text, load_run_dir,
                         write_run_dir)
@@ -188,6 +188,13 @@ def _first_difference(stored: str, fresh: str, csv: bool) -> str:
 
 def cmd_verify(args) -> int:
     payload, traj = load_run_dir(args.run_dir)
+    # the cross-check runs on [0, min(--t1, t_end)]: a bad flag is a usage
+    # error before anything is audited or printed
+    t1 = min(args.t1, traj.cfg.t_end)
+    if args.picard and not positive_finite(t1):
+        raise ConfigurationError(
+            f"--t1 {args.t1!r}: need 0 < t1 < inf for t1 = min(--t1, t_end "
+            f"= {traj.cfg.t_end!r})")
     _, texts = audited_texts(traj, payload["config"])
     run_dir = Path(args.run_dir)
     ok = True
@@ -201,10 +208,8 @@ def cmd_verify(args) -> int:
             ok = False
 
     if args.picard:
-        cfg = traj.cfg
-        t1 = min(args.t1, cfg.t_end)
         initial = HydroState(rho=traj.rho[0], mom=traj.mom[0], time=0.0)
-        result = picard_solve(initial, traj.profile, traj.model, cfg,
+        result = picard_solve(initial, traj.profile, traj.model, traj.cfg,
                               traj.grid, t1)
         check = _cross_check(result, traj.grid, t1, traj, initial)
         if check is None:

@@ -297,6 +297,12 @@ def _admissibility_violation(it: PicardIterate, model: GasModel):
     return None
 
 
+def positive_finite(x: float) -> bool:
+    """The rule `picard_solve` holds t1 and tol to: 0 < x < inf (nan fails
+    it)."""
+    return 0.0 < x < math.inf
+
+
 def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
                  cfg: SolverConfig, grid: Grid1D, t1: float,
                  n_intervals: int = 8, tol: float = 1e-10,
@@ -306,8 +312,8 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
     non-contracting ratios, or an iterate whose density leaves the
     admissible band, stop the iteration with a suggestion to halve the slab.
     """
-    if not (0.0 < t1 < math.inf and 0.0 < tol < math.inf) \
-            or n_intervals < 1 or max_iters < 1:
+    if not (positive_finite(t1) and positive_finite(tol)) or n_intervals < 1 \
+            or max_iters < 1:
         raise ConfigurationError("need 0 < t1 < inf, 0 < tol < inf, at least "
                                  "one slab interval and at least one "
                                  "iteration")

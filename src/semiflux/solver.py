@@ -10,25 +10,33 @@ excess-density variant (rho - 2*delta) (E - a(x) u / tau).  Fluxes use a
 local Lax-Friedrichs interface dissipation with the exact characteristic
 speeds, the artificial viscosity is a centered second difference, and the
 stiff damping is applied pointwise through its exact exponential factor so
-the update stays stable for tau much smaller than dt.  A step tests the
-density floor once and writes (rho, m), the fluxes (f1, f2) and the wave
-speed (twice) into six padded rows of one workspace, whose ghost cells
-`Grid1D.fill_ghosts` sets.  Each pair of rows is one flat run of 2(n+2)
-values, so every face, jump, viscosity and update operation is one ufunc
-call over a contiguous run; the two seam cells where the rows of a pair
-meet are computed too and read by no interior cell.  The wave speeds, the
-fluxes with P1 and the field are written into workspace rows through the
-`out=` paths of `GasModel`, `flux` and `solve_field`, so the one array a
-step allocates is the (2, n+2) block whose interior rows are the returned
-rho and m.  Every scalar a step hands to numpy is a 0-d float64 array
-(the gas law's on `GasModel`, dx on `Grid1D`, e_minus on `DeviceProfile`,
-the run's in the workspace, dt and dt/dx in two 0-d buffers), since a
-step on a few hundred cells is mostly per-call overhead and numpy takes a
-0-d operand faster than a Python float, with the same bits.  `run` builds
-the workspace once and every step reuses it.  A recorded run keeps only
-(step, time, rho, m, lowest rho since the last record) per record, as
-stacked arrays, plus every dt and what limited each step, and the device
-and SolverConfig it was marched with.
+the update stays stable for tau much smaller than dt.  The march state is
+resident in one workspace: two padded (2, n+2) blocks of (rho, m), one
+ghost cell per side, each with a HydroState over its interior rows built
+once.  A step reads the current block and writes the new (rho, m) into the
+idle one, then flips them and returns the idle block's state, its time
+set, allocating no array and copying no state.  A returned state is
+therefore overwritten by the step after next, and `run` copies a state out
+only where it records one.  The step tests the density floor on the
+minimum the step before computed for its report; an input that is not the
+resident state is copied into the current block and reduced afresh.  The
+fluxes (f1, f2) and the wave speed (twice) take four more padded rows of
+the same array, whose ghost cells one `Grid1D.fill_ghosts` call sets.
+Each pair of rows is one flat run of 2(n+2) values, so every face, jump,
+viscosity and update operation is one ufunc call over a contiguous run;
+the two seam cells where the rows of a pair meet are computed too and read
+by no interior cell.  The wave speeds, the fluxes with P1 and the field
+are written into workspace rows through the `out=` paths of `GasModel`,
+`flux` and `solve_field`.  Every scalar a step hands to numpy is a 0-d
+float64 array (the gas law's on `GasModel`, dx on `Grid1D`, e_minus on
+`DeviceProfile`, the run's in the workspace, dt and dt/dx in two 0-d
+buffers), since a step on a few hundred cells is mostly per-call overhead
+and numpy takes a 0-d operand faster than a Python float, with the same
+bits.  A step that raises has written only the idle block, so the state
+it was given stays valid.  A recorded run keeps only (step, time, rho, m,
+lowest rho since the last record) per record, as stacked arrays, plus
+every dt and what limited each step, and the device and SolverConfig it
+was marched with.
 """
 
 from __future__ import annotations
@@ -160,38 +168,53 @@ def flux(model: GasModel, rho, mom, u=None, excess=None, out=None,
     return f1, f2
 
 
-class _Workspace:
-    """The buffers and per-run constants of `step` on one grid.
+class _Block:
+    """One padded (2, n+2) state block of a workspace: rows rho and m, one
+    ghost cell per side.  `rho`/`mom` are its interior rows and `state` the
+    HydroState over them, built once; `q` and its neighbours are cut from
+    the block read flat as one run of 2(n+2) values, like the flux and
+    speed runs of `_Workspace`.  `low` is the lowest density of the state
+    the block holds, set where the block is written."""
 
-    `pad` holds six rows of n + 2 cells, one ghost cell per side: rho, m,
-    f1, f2 and the wave speed twice.  Read flat, each pair of rows, (rho, m),
-    (f1, f2) and (speed, speed), is one contiguous run of 2(n+2) values, and
-    the face, jump, viscosity and update arithmetic runs once over each run,
-    on the views cut below: `q` the cells between the run's two ends,
-    `q_lo`/`q_hi` their neighbours, `*_left`/`*_right` the two sides of
-    each of the run's 2n+3 faces.  Where the rows meet, the first row's
-    right ghost and the second row's left ghost are neighbours: the face
-    between them (the seam face) and the update of those two seam cells are
-    computed like any other and read by no interior cell.  The remaining
-    rows (u, the excess, the field and a scratch row) are n cells long.
-    The per-run constants are read-only: epsilon, dx^2 and tau as 0-d
-    arrays, the damping rate -a/tau as a row; `dt` and `dt_dx` are 0-d
-    buffers each step fills, so every scalar a step hands to numpy is a 0-d
-    array.
-    Nothing here is returned: each step's new (rho, m) are the interior rows
-    of one fresh (2, n+2) block, because `run` keeps recorded rows without
-    copying them.
+    def __init__(self, pad: np.ndarray):
+        self.rho, self.mom = pad[:, 1:-1]
+        self.state = HydroState(rho=self.rho, mom=self.mom)
+        q = pad.reshape(-1)
+        self.q, self.q_lo, self.q_hi = q[1:-1], q[:-2], q[2:]
+        self.q_left, self.q_right = q[:-1], q[1:]
+        self.low = math.nan
+
+
+class _Workspace:
+    """The resident march state, buffers and per-run constants of `step` on
+    one grid.
+
+    `pad` holds eight rows of n + 2 cells, one ghost cell per side: two
+    state blocks of (rho, m), then f1, f2 and the wave speed twice.
+    `blocks` is (current, idle): a step reads the current block and writes
+    the idle one, then swaps them, so the state it returns lives until the
+    step after next writes its block again.  Read flat, each pair of rows
+    is one contiguous run of 2(n+2) values, and the face, jump, viscosity
+    and update arithmetic runs once over each run, on the views cut below
+    and in `_Block`: `q` the cells between the run's two ends, `q_lo`/`q_hi`
+    their neighbours, `*_left`/`*_right` the two sides of each of the run's
+    2n+3 faces.  Where the rows meet, the first row's right ghost and the
+    second row's left ghost are neighbours: the face between them (the seam
+    face) and the update of those two seam cells are computed like any
+    other and read by no interior cell.  The remaining rows (u, the excess,
+    the field and a scratch row) are n cells long.  The per-run constants
+    are read-only: epsilon, dx^2 and tau as 0-d arrays, the damping rate
+    -a/tau as a row; `dt` and `dt_dx` are 0-d buffers each step fills, so
+    every scalar a step hands to numpy is a 0-d array.
     """
 
     def __init__(self, profile: DeviceProfile, cfg: SolverConfig,
                  grid: Grid1D):
         n, dx = grid.n_cells, grid.dx
-        self.pad = pad = np.empty((6, n + 2))
-        (self.rho, self.mom, self.f1, self.f2, self.speed,
-         self.speed_copy) = pad[:, 1:-1]
-        q, f, s = (pad[r:r + 2].reshape(-1) for r in (0, 2, 4))
-        self.q, self.q_lo, self.q_hi = q[1:-1], q[:-2], q[2:]
-        self.q_left, self.q_right = q[:-1], q[1:]
+        self.pad = pad = np.empty((8, n + 2))
+        self.blocks = (_Block(pad[0:2]), _Block(pad[2:4]))
+        self.f1, self.f2, self.speed, self.speed_copy = pad[4:, 1:-1]
+        f, s = (pad[r:r + 2].reshape(-1) for r in (4, 6))
         self.f_left, self.f_right = f[:-1], f[1:]
         self.s_left, self.s_right = s[:-1], s[1:]
 
@@ -199,11 +222,12 @@ class _Workspace:
         self.face_lo, self.face_hi = self.face[:-1], self.face[1:]
         self.visc = np.empty(2 * n + 2)
         self.u, self.excess, self.e, self.tmp = np.empty((4, n))
-        self.finite = np.empty((2, n), dtype=bool)
-        self.finite_flat = self.finite.reshape(-1)
+        finite = np.empty((2, n), dtype=bool)
+        self.finite_rho, self.finite_mom = finite
+        self.finite_flat = finite.reshape(-1)
         self.dt, self.dt_dx = np.empty(()), np.empty(())
 
-        self.n, self.dx = n, dx
+        self.dx = dx
         self.visc_rate = 2.0 * cfg.epsilon / dx ** 2
         self.eps, self.dx2, self.tau = (_const(v) for v in
                                         (cfg.epsilon, dx ** 2, cfg.tau))
@@ -220,16 +244,25 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     would pass t_stop; then it ends on t_stop exactly, so output instants are
     hit without rounding drift; a t_stop not after the state's time is a
     ConfigurationError.  `_work` is the workspace `run` reuses from step to
-    step; a step called alone builds its own.
+    step; a step called alone builds its own, so it never writes into the
+    caller's arrays.  The new state is the workspace's idle block, returned
+    as its one HydroState: the step after next overwrites it, arrays and
+    time.  Given the state the last step returned, the step reads it in
+    place; any other input is first copied into the current block, over
+    that state.  A step that raises has written only the idle block.
     """
-    rho, mom = state.rho, state.mom
-
     if t_stop is not None and not t_stop > state.time:
         raise ConfigurationError(
             f"t_stop {t_stop!r} is not after the state's time {state.time!r}")
-    if np.minimum.reduce(rho) < model.admissible_floor:
-        raise IntegrationError("density fell below the vacuum offset")
     w = _work if _work is not None else _Workspace(profile, cfg, grid)
+    cur, new = w.blocks
+    rho, mom = cur.rho, cur.mom
+    if state is not cur.state:
+        np.copyto(rho, state.rho)
+        np.copyto(mom, state.mom)
+        cur.low = float(np.minimum.reduce(rho))
+    if cur.low < model.admissible_floor:
+        raise IntegrationError("density fell below the vacuum offset")
     # cellwise largest characteristic speed |u| + ((rho-2d)/rho) sqrt(P') and
     # the stable step cfl / (max|lambda|/dx + 2 eps/dx^2): one budget shared
     # by advection and viscosity, so the explicit update stays a convex
@@ -248,8 +281,6 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
         limit = "clamp"
     w.dt[()], w.dt_dx[()] = dt, dt / w.dx
 
-    np.copyto(w.rho, rho)
-    np.copyto(w.mom, mom)
     np.copyto(w.speed_copy, speed)
     flux(model, rho, mom, u, excess, out=(w.f1, w.f2), tmp=w.tmp)
     # ghost cells copy interior cells, so their fluxes are copies too
@@ -262,25 +293,23 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     alpha *= _HALF
     face = np.add(w.f_left, w.f_right, out=w.face)
     face *= _HALF
-    jump = np.subtract(w.q_right, w.q_left, out=w.jump)
+    jump = np.subtract(cur.q_right, cur.q_left, out=w.jump)
     jump *= alpha
     face -= jump
     # eps (q_{i+1} - 2 q_i + q_{i-1}) / dx^2, with 2 q_i as q_i + q_i
-    visc = np.add(w.q, w.q, out=w.visc)
-    np.subtract(w.q_hi, visc, out=visc)
-    visc += w.q_lo
+    visc = np.add(cur.q, cur.q, out=w.visc)
+    np.subtract(cur.q_hi, visc, out=visc)
+    visc += cur.q_lo
     visc *= w.eps
     visc /= w.dx2
-    # q - (dt/dx) (face_{i+1/2} - face_{i-1/2}) + dt visc, into the cells of
-    # the one block the step allocates
-    block = np.empty((2, w.n + 2))
-    q_new = np.subtract(w.face_hi, w.face_lo, out=block.reshape(-1)[1:-1])
+    # q - (dt/dx) (face_{i+1/2} - face_{i-1/2}) + dt visc, into the idle
+    # block's cells
+    q_new = np.subtract(w.face_hi, w.face_lo, out=new.q)
     q_new *= w.dt_dx
-    np.subtract(w.q, q_new, out=q_new)
+    np.subtract(cur.q, q_new, out=q_new)
     visc *= w.dt
     q_new += visc
-    rows = block[:, 1:-1]
-    rho_new, mom_star = rows
+    rho_new, mom_star = new.rho, new.mom
 
     # explicit field force, then the damping through its exact decay factor
     # exp((-rate) dt)
@@ -304,14 +333,19 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
         tmp *= w.dt
     mom_star *= np.exp(tmp, out=tmp)
 
-    np.isfinite(rows, out=w.finite)
+    # row by row: over the strided (2, n) interior numpy would allocate an
+    # iteration buffer on every call
+    np.isfinite(rho_new, out=w.finite_rho)
+    np.isfinite(mom_star, out=w.finite_mom)
     if not np.logical_and.reduce(w.finite_flat):
         raise IntegrationError("non-finite state")
 
-    report = StepReport(dt_used=dt,
-                        post_step_min_rho=float(np.minimum.reduce(rho_new)),
-                        limit=limit)
-    return HydroState(rho=rho_new, mom=mom_star, time=t_new), report
+    new.low = float(np.minimum.reduce(rho_new))
+    w.blocks = new, cur
+    out = new.state
+    out.time = t_new
+    return out, StepReport(dt_used=dt, post_step_min_rho=new.low,
+                           limit=limit)
 
 
 def _at_end(t: float, cfg: SolverConfig) -> bool:
@@ -366,17 +400,36 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
     """March to cfg.t_end, recording every `record_every` steps or exactly at
     the sorted instants `record_times` (the step is clamped to land on them).
     The initial and final states are always recorded, also when a failed
-    step or `max_steps` stops the march early, incomplete.  The records are
-    stacked once, into the returned Trajectory's arrays.
+    step or `max_steps` stops the march early, incomplete.  The march state
+    stays in one workspace and each record is copied out of it once: with
+    `record_times`, whose count is known, into rows of arrays sized for them,
+    the initial state and an early stop, trimmed to the rows used; with
+    `record_every` into one (2, n) block per record, stacked once.
     """
     if record_every < 1:
         raise ConfigurationError("record_every must be >= 1")
     rec_times = record_instants(record_times, cfg.t_end)
 
     state = initial
-    # (step, time, rho, m, min_rho) per record; each step returns fresh
-    # arrays, so rows are kept without a copy and stacked once at the end
-    records = [(0, state.time, state.rho, state.mom, float(np.min(state.rho)))]
+    # (step, time, min_rho) per record; (rho, m) go to `kept`, by way of
+    # `blocks` under a cadence
+    steps, times, lows = [], [], []
+    if record_times is None:
+        blocks = []
+    else:
+        kept = np.empty((2, len(rec_times) + 2, grid.n_cells))
+
+    def record(k, state, low):
+        if record_times is None:
+            blocks.append(np.stack((state.rho, state.mom)))
+        else:
+            kept[0, len(steps)] = state.rho
+            kept[1, len(steps)] = state.mom
+        steps.append(k)
+        times.append(state.time)
+        lows.append(low)
+
+    record(0, state, float(np.min(state.rho)))
     dts = []
     limits = dict.fromkeys(LIMITS, 0)
     low = math.inf
@@ -411,12 +464,14 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
             next_rec += int(due)
         done = _at_end(state.time, cfg)
         if due or done:
-            records.append((k, state.time, state.rho, state.mom, low))
+            record(k, state, low)
             low = math.inf
-    if records[-1][0] != k:  # stopped early: the last state is a record too
-        records.append((k, state.time, state.rho, state.mom, low))
-    steps, times, rhos, moms, lows = zip(*records)
+    if steps[-1] != k:  # stopped early: the last state is a record too
+        record(k, state, low)
+    if record_times is None:
+        kept = np.stack(blocks, axis=1)
+    rho, mom = kept[:, :len(steps)]
     return Trajectory(grid=grid, model=model, profile=profile, cfg=cfg,
                       steps=np.array(steps), times=np.array(times),
-                      rho=np.stack(rhos), mom=np.stack(moms),
-                      min_rho=np.array(lows), dts=dts, limits=limits)
+                      rho=rho, mom=mom, min_rho=np.array(lows), dts=dts,
+                      limits=limits)

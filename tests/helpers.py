@@ -198,20 +198,21 @@ def step_reference(state, profile, model, cfg, grid, t_stop=None):
 
 
 def run_reference(initial, profile, model, cfg, grid, record_every=50,
-                  record_times=None):
+                  record_times=None, max_steps=None):
     """The march as a plain loop of `step_reference`, each step clamped to
-    t_end or the next record instant as `run` clamps it; returns (steps,
-    times, rho, mom, min_rho, dts, limits), every record a copy, `min_rho`
-    each record's lowest density over the steps since the record before it
-    (the first record's own minimum) and `limits` the step count per
-    `StepReport.limit`."""
+    t_end or the next record instant as `run` clamps it, cut after
+    `max_steps` steps (None: never) with the last state recorded; returns
+    (steps, times, rho, mom, min_rho, dts, limits), every record a copy,
+    `min_rho` each record's lowest density over the steps since the record
+    before it (the first record's own minimum) and `limits` the step count
+    per `StepReport.limit`."""
     tiny = 1e-12 * max(cfg.t_end, 1.0)
     pending = [float(t) for t in record_times or () if 0.0 < t <= cfg.t_end]
     state, k, nxt, dts = initial, 0, 0, []
     limits = dict.fromkeys(("advection", "viscosity", "clamp"), 0)
     records = [(0, state.time, state.rho.copy(), state.mom.copy())]
     lows, since = [float(np.min(state.rho))], []
-    while state.time < cfg.t_end - tiny:
+    while state.time < cfg.t_end - tiny and k != max_steps:
         target = min(t for t in [cfg.t_end, *pending[nxt:nxt + 1]]
                      if t > state.time + tiny)
         state, rep = step_reference(state, profile, model, cfg, grid,
@@ -229,6 +230,9 @@ def run_reference(initial, profile, model, cfg, grid, record_every=50,
             records.append((k, state.time, state.rho.copy(), state.mom.copy()))
             lows.append(min(since))
             since = []
+    if since:  # cut short: the last state is a record too
+        records.append((k, state.time, state.rho.copy(), state.mom.copy()))
+        lows.append(min(since))
     steps, times, rhos, moms = zip(*records)
     return (np.array(steps), np.array(times), np.stack(rhos), np.stack(moms),
             np.array(lows), dts, limits)

@@ -445,9 +445,14 @@ class TestVerify:
         assert "fixed-point cross-check" in text
         assert "agrees" in text
 
-    def test_cross_check_at_nan_t1_exits_2(self, run_dir, capsys):
-        assert main(["verify", str(run_dir), "--picard", "--t1", "nan"]) == 2
-        assert "error: need 0 < t1 < inf" in capsys.readouterr().err
+    @pytest.mark.parametrize("t1", ["nan", "0", "-1"])
+    def test_cross_check_at_nan_t1_exits_2(self, run_dir, capsys, t1):
+        # a bad --t1 is refused before the stored files are re-audited
+        capsys.readouterr()
+        assert main(["verify", str(run_dir), "--picard", "--t1", t1]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: --t1 {float(t1)!r}: need 0 < t1 < inf" in err
 
     def test_legacy_flux_scheme_echo_still_verifies(self, run_dir):
         # run directories written while the config echo carried a flux

@@ -6,6 +6,7 @@ decay, initial-data preparation, and the bookkeeping of run().
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,15 +355,22 @@ class TestStepMatchesReference:
 
 
 def workspace_arrays(work):
-    """Every array a step workspace holds, views included."""
-    return {name: arr for name, arr in vars(work).items()
-            if isinstance(arr, np.ndarray)}
+    """Every array a step workspace holds, its state blocks' included, views
+    too."""
+    arrays = {name: arr for name, arr in vars(work).items()
+              if isinstance(arr, np.ndarray)}
+    for i, block in enumerate(work.blocks):
+        arrays.update({f"blocks[{i}].{name}": arr
+                       for name, arr in vars(block).items()
+                       if isinstance(arr, np.ndarray)})
+    return arrays
 
 
 class TestPoisonedWorkspace:
-    """A workspace whose every buffer is NaN before each step marches bit for
-    bit as the reference: no ghost, seam or stale value reaches an interior
-    cell."""
+    """A workspace whose every buffer is NaN before each step, the idle
+    block and the resident block's ghost and seam cells included, marches
+    bit for bit as the reference: no ghost, seam or stale value reaches an
+    interior cell.  Only the resident state's interior rows are spared."""
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     @pytest.mark.parametrize("variant", list(SourceVariant))
@@ -383,14 +391,21 @@ class TestPoisonedWorkspace:
                    if arr.dtype == np.float64 and name not in constants]
         kept = {name: arrays[name].copy() for name in constants}
         state = ref = TestStepMatchesReference.bumpy_state(grid, model)
-        for _ in range(4):
+        for i in range(4):
+            cur = work.blocks[0]
+            # the first input is the caller's, every later one resident
+            assert (state is cur.state) == (i > 0)
+            spared = cur.rho.copy(), cur.mom.copy()
             for arr in buffers:
                 arr.fill(np.nan)
             assert np.isnan(work.pad).all()
+            if i > 0:
+                cur.rho[...], cur.mom[...] = spared
             state, rep = step(state, profile, model, cfg, grid, _work=work)
             ref, ref_rep = step_reference(ref, profile, model, cfg, grid)
             assert np.array_equal(state.rho, ref.rho)
             assert np.array_equal(state.mom, ref.mom)
+            assert state.time == ref.time
             assert rep == ref_rep
             for name, val in kept.items():
                 assert arrays[name].tobytes() == val.tobytes()
@@ -398,33 +413,69 @@ class TestPoisonedWorkspace:
 
 class TestReturnedRows:
     @pytest.mark.parametrize("boundary", list(Boundary))
-    def test_fresh_contiguous_rows(self, boundary):
-        # run keeps returned rows as records without a copy: each must be
-        # its own float64 row, tied to neither the input nor the workspace
+    def test_standalone_step_keeps_caller_arrays(self, boundary):
+        # a step called alone marches in a workspace of its own: it never
+        # writes into its input, and each returned state is two contiguous
+        # float64 rows that share no memory
+        grid = Grid1D(-5.0, 5.0, 64, boundary=boundary)
+        model = GasModel(gamma=2.0, delta=0.05)
+        profile = DeviceProfile.uniform(grid)
+        cfg = SolverConfig()
+        state = TestStepMatchesReference.bumpy_state(grid, model)
+        given = state.rho.copy(), state.mom.copy()
+        new, _ = step(state, profile, model, cfg, grid)
+        kept = new.rho.copy(), new.mom.copy(), new.time
+        newer, _ = step(new, profile, model, cfg, grid)
+        assert np.array_equal(state.rho, given[0])
+        assert np.array_equal(state.mom, given[1])
+        assert np.array_equal(new.rho, kept[0])
+        assert np.array_equal(new.mom, kept[1])
+        assert new.time == kept[2]
+        rows = (state.rho, state.mom, new.rho, new.mom, newer.rho, newer.mom)
+        for row in rows[2:]:
+            assert row.dtype == np.float64
+            assert row.shape == (grid.n_cells,)
+            assert row.flags.c_contiguous
+        for i, a in enumerate(rows):
+            assert not any(np.shares_memory(a, b) for b in rows[i + 1:])
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_resident_state_lives_until_the_step_after_next(self, boundary):
+        # a workspace's steps alternate between its two blocks: a returned
+        # state holds until the step after next overwrites it, and a stale
+        # state handed back is copied in, not read as resident
         grid = Grid1D(-5.0, 5.0, 64, boundary=boundary)
         model = GasModel(gamma=2.0, delta=0.05)
         profile = DeviceProfile.uniform(grid)
         cfg = SolverConfig()
         work = solver_mod._Workspace(profile, cfg, grid)
         state = TestStepMatchesReference.bumpy_state(grid, model)
-        new, _ = step(state, profile, model, cfg, grid, _work=work)
-        newer, _ = step(new, profile, model, cfg, grid, _work=work)
-        for rows in ((new.rho, new.mom), (newer.rho, newer.mom)):
-            for row in rows:
-                assert row.dtype == np.float64
-                assert row.shape == (grid.n_cells,)
-                assert row.flags.c_contiguous
-            assert not np.shares_memory(*rows)
-        held = [state.rho, state.mom, *workspace_arrays(work).values()]
-        for row in (new.rho, new.mom, newer.rho, newer.mom):
-            assert not any(np.shares_memory(row, other) for other in held)
-        assert not any(np.shares_memory(a, b) for a in (new.rho, new.mom)
-                       for b in (newer.rho, newer.mom))
+        first, _ = step(state, profile, model, cfg, grid, _work=work)
+        held = HydroState(rho=first.rho.copy(), mom=first.mom.copy(),
+                          time=first.time)
+        second, _ = step(first, profile, model, cfg, grid, _work=work)
+        assert second is not first
+        assert not np.shares_memory(first.rho, second.rho)
+        assert np.array_equal(first.rho, held.rho)
+        assert np.array_equal(first.mom, held.mom)
+        assert first.time == held.time
+        third, _ = step(second, profile, model, cfg, grid, _work=work)
+        assert third is first and third.time > second.time
+        # `second` is now the idle block's state: stepping it again starts
+        # from its own values
+        again, rep = step(second, profile, model, cfg, grid, _work=work)
+        ref, ref_rep = step_reference(
+            step_reference(held, profile, model, cfg, grid)[0], profile,
+            model, cfg, grid)
+        assert np.array_equal(again.rho, ref.rho)
+        assert np.array_equal(again.mom, ref.mom)
+        assert again.time == ref.time and rep == ref_rep
 
 
 class TestRunMatchesReference:
     """A whole run against a loop of the row-wise reference step, bit for
-    bit, records included: every recorded state must be its own array."""
+    bit, records included: every record is a copy of its state, made when
+    the state was current."""
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     @pytest.mark.parametrize("variant", list(SourceVariant))
@@ -442,12 +493,13 @@ class TestRunMatchesReference:
                            source_variant=variant)
         initial = TestStepMatchesReference.bumpy_state(grid, model)
         initial.time = 0.0
-        returned = []
+        returned, works = [], set()
         real_step = solver_mod.step
 
         def kept_step(*args, **kwargs):
             out = real_step(*args, **kwargs)
-            returned.append(out[0])
+            returned.append((out[0].rho.copy(), out[0].mom.copy()))
+            works.add(kwargs["_work"])
             return out
 
         monkeypatch.setattr(solver_mod, "step", kept_step)
@@ -465,11 +517,66 @@ class TestRunMatchesReference:
         assert np.array_equal(traj.min_rho, min_rho)
         assert traj.dts == dts
         assert traj.limits == limits
-        # the states run kept for its records: no two share memory
-        kept = [initial] + [returned[k - 1] for k in traj.steps[1:]]
-        arrays = [a for st_ in kept for a in (st_.rho, st_.mom)]
-        for i, a in enumerate(arrays):
-            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+        # records are the only copies: no two share memory, none shares the
+        # workspace's, and each still holds the state its step returned,
+        # unchanged by the steps after it
+        (work,) = works
+        held = list(workspace_arrays(work).values())
+        records = [*traj.rho, *traj.mom]
+        for i, a in enumerate(records):
+            assert not any(np.shares_memory(a, b) for b in records[i + 1:])
+            assert not any(np.shares_memory(a, b) for b in held)
+        for i, k in enumerate(traj.steps[1:], start=1):
+            assert np.array_equal(traj.rho[i], returned[k - 1][0])
+            assert np.array_equal(traj.mom[i], returned[k - 1][1])
+
+    @pytest.mark.parametrize("record_times", [None, [0.05, 0.1, 0.4]])
+    def test_failed_step_keeps_the_last_valid_state(self, monkeypatch,
+                                                    record_times):
+        # the field solve of step k turns NaN, so the real step raises
+        # "non-finite state" after writing its idle block: the last record
+        # is the state after step k - 1, the run cut there
+        grid = Grid1D(-5.0, 5.0, 100)
+        model = GasModel(gamma=1.4, delta=0.05)
+        x = grid.centers
+        profile = DeviceProfile.build(grid, 1.5 - 0.1 * np.tanh(x),
+                                      0.2 * np.exp(-x ** 2), 0.3)
+        cfg = SolverConfig(epsilon=2e-3, tau=0.05, t_end=1.0)
+        initial = TestStepMatchesReference.bumpy_state(grid, model)
+        initial.time = 0.0
+        fail_at, calls, raised = 20, [], []
+        real_field, real_step = solver_mod.solve_field, solver_mod.step
+
+        def failing_field(*args, **kwargs):
+            calls.append(None)
+            e_vals = real_field(*args, **kwargs)
+            return np.full_like(e_vals, np.nan) \
+                if len(calls) == fail_at else e_vals
+
+        def watched_step(*args, **kwargs):
+            try:
+                return real_step(*args, **kwargs)
+            except IntegrationError as err:
+                raised.append(str(err))
+                raise
+
+        monkeypatch.setattr(solver_mod, "solve_field", failing_field)
+        monkeypatch.setattr(solver_mod, "step", watched_step)
+        traj = run(initial, profile, model, cfg, grid, record_every=3,
+                   record_times=record_times)
+        assert raised == ["non-finite state"]
+        assert not traj.completed
+        steps, times, rho, mom, min_rho, dts, limits = run_reference(
+            initial, profile, model, cfg, grid, record_every=3,
+            record_times=record_times, max_steps=fail_at - 1)
+        assert traj.steps[-1] == fail_at - 1
+        assert np.array_equal(traj.steps, steps)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.rho, rho)
+        assert np.array_equal(traj.mom, mom)
+        assert np.array_equal(traj.min_rho, min_rho)
+        assert traj.dts == dts
+        assert traj.limits == limits
 
     def test_march_diagnostics_add_up(self):
         # an outward flow rarefies the centre, so the lowest density comes
@@ -631,6 +738,83 @@ class TestRun:
                            mom=np.zeros(grid.n_cells))
         traj = run(state, profile, model, cfg, grid, record_every=10 ** 6)
         assert traj.times[-1] == 0.37
+
+
+class TestAllocationGuard:
+    """Traced bytes, never times: the march keeps one resident state, so
+    its peak is the workspace plus the records, whatever the step count,
+    and a resident step allocates no state-sized array."""
+
+    N_CELLS = 2000
+    BLOCK = 2 * (N_CELLS + 2) * 8    # bytes of one (2, n+2) state block
+    # the workspace is about eleven blocks (eight padded rows, the face,
+    # viscosity and cell scratch rows, the damping rate), a run's two
+    # records and their stacking two more
+    BOUND = 16 * BLOCK
+
+    def setup(self, t_end):
+        grid = Grid1D(-5.0, 5.0, self.N_CELLS, boundary=Boundary.OUTFLOW)
+        model = GasModel(gamma=1.4, delta=0.05)
+        profile = DeviceProfile.uniform(grid)
+        cfg = SolverConfig(epsilon=1e-3, t_end=t_end)
+        x = grid.centers
+        rho = model.rho_floor + 0.8 * np.exp(-x ** 2)
+        return (HydroState(rho=rho, mom=rho * 0.3 * np.sin(x)), profile,
+                model, cfg, grid)
+
+    @staticmethod
+    def traced_peak(func):
+        """func's result and the peak of traced bytes above those live when
+        it was called."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = func()
+            return out, tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_steps(self):
+        peaks, counts = [], []
+        for t_end in (0.015, 0.07):
+            args = self.setup(t_end)
+            traj, peak = self.traced_peak(
+                lambda: run(*args, record_every=10 ** 6))
+            peaks.append(peak)
+            counts.append(traj.n_steps)
+        assert counts[1] >= 4 * counts[0] > 0
+        assert max(peaks) < self.BOUND
+        # 4x the steps add their dts and nothing the size of a row
+        assert abs(peaks[1] - peaks[0]) < 8 * self.N_CELLS
+
+    def test_records_written_in_place(self):
+        # with record times the records are written into arrays sized for
+        # them: no list of rows and no stacked copy of it
+        args = self.setup(0.06)
+        instants = [0.06 * (i + 1) / 40 for i in range(40)]
+        traj, peak = self.traced_peak(
+            lambda: run(*args, record_times=instants))
+        assert len(traj.times) == 41
+        records = 2 * (len(instants) + 2) * self.N_CELLS * 8
+        assert peak < records + self.BOUND
+
+    def test_resident_step_allocates_no_row(self):
+        state, profile, model, cfg, grid = self.setup(1.0)
+        work = solver_mod._Workspace(profile, cfg, grid)
+        for _ in range(2):
+            state, _ = step(state, profile, model, cfg, grid, _work=work)
+
+        def march():
+            nonlocal state
+            for _ in range(10):
+                state, _ = step(state, profile, model, cfg, grid, _work=work)
+
+        _, peak = self.traced_peak(march)
+        assert peak < 8 * self.N_CELLS
 
 
 class TestSelfConsistency:
