@@ -51,7 +51,7 @@ from .config import (PICARD_KEYS, RELAX_KEYS, SCENARIO_KEYS, SOLVE_KEYS,
                      coerce, parse_key_value)
 from .model import ConfigurationError, Grid1D, HydroState
 from .monitors import parse_monitor_list
-from .picard import picard_solve, positive_finite
+from .picard import check_t1, picard_solve
 from .relaxation import CouplingRule, relaxation_study
 from .reporting import (audited_texts, csv_text, json_text, load_run_dir,
                         write_run_dir)
@@ -191,10 +191,8 @@ def cmd_verify(args) -> int:
     # the cross-check runs on [0, min(--t1, t_end)]: a bad flag is a usage
     # error before anything is audited or printed
     t1 = min(args.t1, traj.cfg.t_end)
-    if args.picard and not positive_finite(t1):
-        raise ConfigurationError(
-            f"--t1 {args.t1!r}: need 0 < t1 < inf for t1 = min(--t1, t_end "
-            f"= {traj.cfg.t_end!r})")
+    if args.picard:
+        check_t1(t1, f"--t1 {args.t1!r}")
     _, texts = audited_texts(traj, payload["config"])
     run_dir = Path(args.run_dir)
     ok = True

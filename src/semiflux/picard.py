@@ -297,10 +297,12 @@ def _admissibility_violation(it: PicardIterate, model: GasModel):
     return None
 
 
-def positive_finite(x: float) -> bool:
-    """The rule `picard_solve` holds t1 and tol to: 0 < x < inf (nan fails
-    it)."""
-    return 0.0 < x < math.inf
+def check_t1(t1: float, name: str = "t1"):
+    """The slab rule of `picard_solve`: a ConfigurationError naming `name`
+    unless 0 < t1 < inf (nan fails it)."""
+    if not 0.0 < t1 < math.inf:
+        raise ConfigurationError(f"{name}: need 0 < t1 < inf, got t1 = "
+                                 f"{t1!r}")
 
 
 def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
@@ -312,11 +314,10 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
     non-contracting ratios, or an iterate whose density leaves the
     admissible band, stop the iteration with a suggestion to halve the slab.
     """
-    if not (positive_finite(t1) and positive_finite(tol)) or n_intervals < 1 \
-            or max_iters < 1:
-        raise ConfigurationError("need 0 < t1 < inf, 0 < tol < inf, at least "
-                                 "one slab interval and at least one "
-                                 "iteration")
+    check_t1(t1)
+    if not 0.0 < tol < math.inf or n_intervals < 1 or max_iters < 1:
+        raise ConfigurationError("need 0 < tol < inf, at least one slab "
+                                 "interval and at least one iteration")
     bound = iterate_band_bound(initial, model, grid)
     report = ContractionReport(tol=tol)
     prev = constant_first_guess(initial, t1, n_intervals)

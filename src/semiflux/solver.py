@@ -401,30 +401,20 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
     the sorted instants `record_times` (the step is clamped to land on them).
     The initial and final states are always recorded, also when a failed
     step or `max_steps` stops the march early, incomplete.  The march state
-    stays in one workspace and each record is copied out of it once: with
-    `record_times`, whose count is known, into rows of arrays sized for them,
-    the initial state and an early stop, trimmed to the rows used; with
-    `record_every` into one (2, n) block per record, stacked once.
+    stays in one workspace; each record is copied out of it once, as one
+    (2, n) block, and the blocks are stacked once into the returned
+    Trajectory's arrays.
     """
     if record_every < 1:
         raise ConfigurationError("record_every must be >= 1")
     rec_times = record_instants(record_times, cfg.t_end)
 
     state = initial
-    # (step, time, min_rho) per record; (rho, m) go to `kept`, by way of
-    # `blocks` under a cadence
-    steps, times, lows = [], [], []
-    if record_times is None:
-        blocks = []
-    else:
-        kept = np.empty((2, len(rec_times) + 2, grid.n_cells))
+    # (step, time, min_rho) and a copy of (rho, m) per record
+    steps, times, lows, blocks = [], [], [], []
 
     def record(k, state, low):
-        if record_times is None:
-            blocks.append(np.stack((state.rho, state.mom)))
-        else:
-            kept[0, len(steps)] = state.rho
-            kept[1, len(steps)] = state.mom
+        blocks.append(np.stack((state.rho, state.mom)))
         steps.append(k)
         times.append(state.time)
         lows.append(low)
@@ -468,9 +458,7 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
             low = math.inf
     if steps[-1] != k:  # stopped early: the last state is a record too
         record(k, state, low)
-    if record_times is None:
-        kept = np.stack(blocks, axis=1)
-    rho, mom = kept[:, :len(steps)]
+    rho, mom = np.stack(blocks, axis=1)
     return Trajectory(grid=grid, model=model, profile=profile, cfg=cfg,
                       steps=np.array(steps), times=np.array(times),
                       rho=rho, mom=mom, min_rho=np.array(lows), dts=dts,

@@ -791,16 +791,16 @@ class TestAllocationGuard:
         # 4x the steps add their dts and nothing the size of a row
         assert abs(peaks[1] - peaks[0]) < 8 * self.N_CELLS
 
-    def test_records_written_in_place(self):
-        # with record times the records are written into arrays sized for
-        # them: no list of rows and no stacked copy of it
+    def test_record_times_peak_is_the_records_twice(self):
+        # each record is one copied block, stacked once: at the peak the
+        # copies and their stack are live together, and nothing per step
         args = self.setup(0.06)
         instants = [0.06 * (i + 1) / 40 for i in range(40)]
         traj, peak = self.traced_peak(
             lambda: run(*args, record_times=instants))
         assert len(traj.times) == 41
-        records = 2 * (len(instants) + 2) * self.N_CELLS * 8
-        assert peak < records + self.BOUND
+        records = 2 * len(traj.times) * self.N_CELLS * 8
+        assert peak < 2 * records + self.BOUND
 
     def test_resident_step_allocates_no_row(self):
         state, profile, model, cfg, grid = self.setup(1.0)
