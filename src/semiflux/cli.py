@@ -10,7 +10,7 @@ Four subcommands:
 * ``picard``  run the integral-equation iteration on a scenario and compare
               its endpoint with the finite-volume solver on a grid refined
               ``refine`` times (1: the same grid), within
-              ``CROSS_TOL_FACTOR * (dx + mean dt)``
+              ``picard.CROSS_TOL_FACTOR * (dx + mean dt)``
 * ``relax``   sweep a tau ladder and tabulate the scaled L1 gap against a
               drift-diffusion reference, with and without the vacuum offset
 
@@ -41,17 +41,14 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
 
-import numpy as np
-
 from .config import (PICARD_KEYS, RELAX_KEYS, SCENARIO_KEYS, SOLVE_KEYS,
                      coerce, parse_key_value)
-from .model import ConfigurationError, Grid1D, HydroState
+from .model import ConfigurationError, HydroState
 from .monitors import parse_monitor_list
-from .picard import check_t1, picard_solve
+from .picard import CROSS_CHECK_T1, check_t1, cross_check, picard_solve
 from .relaxation import CouplingRule, relaxation_study
 from .reporting import (audited_texts, csv_text, json_text, load_run_dir,
                         write_run_dir)
@@ -60,12 +57,6 @@ from .solver import run
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
-
-# the short-time cross-check of `verify --picard` and `picard`: the default
-# horizon, and the endpoint tolerance's factor on dx + mean dt
-CROSS_CHECK_T1 = 0.01
-CROSS_TOL_FACTOR = 5.0
-
 
 def _overrides(vals: dict) -> dict:
     return {k: v for k, v in vals.items() if k in SCENARIO_KEYS}
@@ -121,7 +112,7 @@ def cmd_solve(args) -> int:
 
     t0 = time.perf_counter()
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
-               setup.grid, record_every=cadence)
+               setup.grid, cadence=cadence)
     t1 = time.perf_counter()
     report, texts = audited_texts(traj, echo)
     t2 = time.perf_counter()
@@ -140,34 +131,6 @@ def cmd_solve(args) -> int:
         print(f"  integration stopped early at t={traj.times[-1]:.6g}")
     print(f"wrote {out}")
     return CHECK_FAILED if (report.violations or not traj.completed) else 0
-
-
-def _cross_check(result, picard_grid: Grid1D, t1: float, march,
-                 initial: HydroState):
-    """March `initial` to t1 on the grid, gas law, profile and SolverConfig
-    of `march` (a RunSetup or a Trajectory), sample the march onto the
-    Picard grid, and judge the Picard result against it.
-
-    Returns (gap, tolerance, verdict): the gap is the sup distance in rho plus
-    the one in m, the tolerance CROSS_TOL_FACTOR * (dx + mean dt), and the
-    verdict also asks for a converged, admissible iteration whose fixed-point
-    residual is within ten times the tolerance the solve was given.  Returns
-    None when the march failed.
-    """
-    traj = run(initial, march.profile, march.model,
-               replace(march.cfg, t_end=t1), march.grid, record_times=[t1])
-    if not traj.completed:
-        return None
-    x, end = picard_grid.centers, result.iterate.endpoint()
-    gap = float(sum(np.max(np.abs(got - np.interp(x, traj.grid.centers, rec[-1])))
-                    for got, rec in ((end.rho, traj.rho), (end.mom, traj.mom))))
-    dt_mean = float(np.mean(traj.dts)) if traj.dts else 0.0
-    tol_cross = CROSS_TOL_FACTOR * (picard_grid.dx + dt_mean)
-    rep = result.report
-    ok = rep.converged and not rep.diverged and not rep.band_violations
-    if rep.fixed_point_residual is not None:
-        ok = ok and rep.fixed_point_residual <= 10.0 * rep.tol
-    return gap, tol_cross, ok and gap <= tol_cross
 
 
 def _first_difference(stored: str, fresh: str, csv: bool) -> str:
@@ -209,7 +172,7 @@ def cmd_verify(args) -> int:
         initial = HydroState(rho=traj.rho[0], mom=traj.mom[0], time=0.0)
         result = picard_solve(initial, traj.profile, traj.model, traj.cfg,
                               traj.grid, t1)
-        check = _cross_check(result, traj.grid, t1, traj, initial)
+        check = cross_check(result, traj.grid, t1, traj, initial)
         if check is None:
             print("short-time cross-check: finite-volume rerun failed")
             ok = False
@@ -236,7 +199,7 @@ def cmd_picard(args) -> int:
                           **_given(vals, ("n_intervals", "tol", "max_iters")))
     n_fine = setup.grid.n_cells * vals.get("refine", 2)
     fine = make_setup(name, {**overrides, "n_cells": n_fine})
-    check = _cross_check(result, setup.grid, t1, fine, fine.initial)
+    check = cross_check(result, setup.grid, t1, fine, fine.initial)
     if check is None:
         print("refined finite-volume run failed; cannot cross-check")
         return CHECK_FAILED
@@ -251,7 +214,7 @@ def cmd_picard(args) -> int:
         zip(range(len(ratios)), rep.distances, ratios)))
     summary = {
         "distances": rep.distances, "converged": rep.converged,
-        "diverged": rep.diverged, "halve_suggestion": rep.halve_suggestion,
+        "diverged": rep.diverged,
         "fixed_point_residual": rep.fixed_point_residual,
         "band_violations": rep.band_violations,
         "endpoint_gap": gap, "endpoint_tolerance": tol_cross,
@@ -269,8 +232,8 @@ def cmd_picard(args) -> int:
                                          rep.iteration_s)):
         print(f"  iteration {i}: distance {d:.3e}, ratio {r:.4f}, "
               f"{1e3 * secs:.1f} ms")
-    if rep.halve_suggestion is not None:
-        print(f"  suggestion: retry with t1 = {rep.halve_suggestion:g}")
+    if rep.diverged:
+        print(f"  suggestion: retry with t1 = {0.5 * t1:g}")
     if rep.band_violations:
         print(f"  {len(rep.band_violations)} band violation(s)")
     print(f"endpoint gap vs refined run: {gap:.3e} "

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import erf
@@ -43,7 +43,7 @@ from scipy.special import erf
 from .field import solve_field
 from .model import (ConfigurationError, DeviceProfile, GasModel, Grid1D,
                     HydroState, total_integral)
-from .solver import SolverConfig, flux, source
+from .solver import SolverConfig, flux, run, source
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,6 @@ class ContractionReport:
     ratios: list = field(default_factory=list)
     converged: bool = False
     diverged: bool = False
-    halve_suggestion: float | None = None
     band_violations: list = field(default_factory=list)
     fixed_point_residual: float | None = None
     # wall seconds per iteration, beside `distances`; a diagnostic only,
@@ -297,12 +296,46 @@ def _admissibility_violation(it: PicardIterate, model: GasModel):
     return None
 
 
+# the short-time cross-check of `verify --picard` and `picard`: the default
+# horizon, and the endpoint tolerance's factor on dx + mean dt
+CROSS_CHECK_T1 = 0.01
+CROSS_TOL_FACTOR = 5.0
+
+
 def check_t1(t1: float, name: str = "t1"):
     """The slab rule of `picard_solve`: a ConfigurationError naming `name`
     unless 0 < t1 < inf (nan fails it)."""
     if not 0.0 < t1 < math.inf:
         raise ConfigurationError(f"{name}: need 0 < t1 < inf, got t1 = "
                                  f"{t1!r}")
+
+
+def cross_check(result: PicardResult, picard_grid: Grid1D, t1: float, march,
+                initial: HydroState):
+    """March `initial` to t1 on the grid, gas law, profile and SolverConfig
+    of `march` (a RunSetup or a Trajectory), sample the march onto the
+    Picard grid, and judge the Picard result against it.
+
+    Returns (gap, tolerance, verdict): the gap is the sup distance in rho plus
+    the one in m, the tolerance CROSS_TOL_FACTOR * (dx + mean dt), and the
+    verdict also asks for a converged, admissible iteration whose fixed-point
+    residual is within ten times the tolerance the solve was given.  Returns
+    None when the march failed.
+    """
+    traj = run(initial, march.profile, march.model,
+               replace(march.cfg, t_end=t1), march.grid, record_times=[t1])
+    if not traj.completed:
+        return None
+    x, end = picard_grid.centers, result.iterate.endpoint()
+    gap = float(sum(np.max(np.abs(got - np.interp(x, traj.grid.centers, rec[-1])))
+                    for got, rec in ((end.rho, traj.rho), (end.mom, traj.mom))))
+    dt_mean = float(np.mean(traj.dts)) if traj.dts else 0.0
+    tol_cross = CROSS_TOL_FACTOR * (picard_grid.dx + dt_mean)
+    rep = result.report
+    ok = rep.converged and not rep.diverged and not rep.band_violations
+    if rep.fixed_point_residual is not None:
+        ok = ok and rep.fixed_point_residual <= 10.0 * rep.tol
+    return gap, tol_cross, ok and gap <= tol_cross
 
 
 def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
@@ -312,7 +345,7 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
     """Iterate the integral map of `cfg` on [0, t1] until the sup distance
     between successive iterates drops below tol.  Three consecutive
     non-contracting ratios, or an iterate whose density leaves the
-    admissible band, stop the iteration with a suggestion to halve the slab.
+    admissible band, stop the iteration as diverged: halve the slab.
     """
     check_t1(t1)
     if not 0.0 < tol < math.inf or n_intervals < 1 or max_iters < 1:
@@ -359,6 +392,4 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
         else:
             report.band_violations.append(violation)
             report.diverged = True
-    if report.diverged:
-        report.halve_suggestion = 0.5 * t1
     return PicardResult(iterate=current, report=report)

@@ -13,8 +13,10 @@ grid), so the step is bounded by the drift alone, not by dx^2.  It also
 drives the tau-ladder study on a scenario's RunSetup, the same one `solve`
 and `picard` build: each rung, and the reference's initial density, is
 that scenario built again by `make_setup` with the rung's keys (delta and
-the solver coefficients) over its parameters, each hydro run records
-exactly at t = s/tau, its stacked records are read as N = rho and
+the solver coefficients) over its parameters.  The reference and every
+hydro run take their record instants, slack and end from one rule, a
+`solver.RecordClock`, so each run records exactly at t = s/tau where the
+reference records s.  The run's stacked records are read as N = rho and
 J = m/tau, and the L1 gap to the reference is reported twice, on N
 (l1_error) and on N - 2 delta (l1_net, free of the vacuum offset the
 reference lacks).  Like a hydro Trajectory, the reference keeps only its
@@ -33,7 +35,7 @@ from .field import solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, PressureConvention, total_integral)
 from .scenarios import RunSetup, make_setup
-from .solver import SourceVariant, record_instants, run
+from .solver import RecordClock, SourceVariant, run
 
 
 # --- drift-diffusion limit solver ------------------------------------------
@@ -177,9 +179,10 @@ class DDTrajectory:
 def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
                         grid: Grid1D, s_end: float, record_times=None,
                         cfl: float = 0.45, max_steps: int = 10 ** 7) -> DDTrajectory:
-    """March N from s = 0 to s_end, recording s = 0, each of `record_times`
-    and s_end.  Raises RuntimeError if `max_steps` stops it short of s_end,
-    and ConfigurationError on a periodic grid unless the net charge
+    """March N from s = 0 to s_end, recording s = 0, s_end and, as `run`
+    does, the instants of the `RecordClock` of `record_times`.  Raises
+    RuntimeError if `max_steps` stops it short of s_end, and
+    ConfigurationError on a periodic grid unless the net charge
     int N0 dx - int b dx is zero to round-off: Upsilon_x = N - b has no
     periodic solution otherwise, and the field anchored at the left edge
     jumps across the wrap."""
@@ -194,15 +197,11 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
                 "a periodic device needs zero net charge, int N0 dx - int b dx"
                 f" = 0; got {net!r}")
     n_vals, upsilon, s = n0.copy(), solve_field(n0, profile, grid), 0.0
-    rec = record_instants(record_times, s_end)
+    clock = RecordClock(s_end, record_times)
     s_out, n_out = [0.0], [n_vals]
-    tiny = 1e-12 * max(s_end, 1.0)
-    next_rec = 0
     k = halvings = 0
-    while s < s_end - tiny and k < max_steps:
-        target = s_end
-        if next_rec < len(rec) and rec[next_rec] > s + tiny:
-            target = min(target, rec[next_rec])
+    while not clock.at_end(s) and k < max_steps:
+        target = clock.target()
         dt = dd_stable_dt(upsilon, profile, grid, cfl)
         gap = target - s
         try:
@@ -210,17 +209,13 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
                 n_vals, upsilon, profile, model, grid, min(dt, gap))
         except PositivityError as err:
             raise PositivityError(f"{err} at s = {s!r}") from None
-        s = target if dt_used >= gap - tiny else s + dt_used
+        s = target if dt_used >= gap - clock.slack else s + dt_used
         k += 1
         halvings += halved
-        due = False
-        while next_rec < len(rec) and s >= rec[next_rec] - tiny:
-            next_rec += 1
-            due = True
-        if due or s >= s_end - tiny:
+        if clock.due(s) or clock.at_end(s):
             s_out.append(s)
             n_out.append(n_vals)
-    if s < s_end - tiny:
+    if not clock.at_end(s):
         raise RuntimeError(f"drift-diffusion reference stopped by max_steps = "
                            f"{max_steps} at s = {s!r}, before s_end = {s_end!r}")
     return DDTrajectory(s_values=np.array(s_out), n_vals=np.array(n_out),

@@ -33,10 +33,12 @@ float64 array (the gas law's on `GasModel`, dx on `Grid1D`, e_minus on
 buffers), since a step on a few hundred cells is mostly per-call overhead
 and numpy takes a 0-d operand faster than a Python float, with the same
 bits.  A step that raises has written only the idle block, so the state
-it was given stays valid.  A recorded run keeps only (step, time, rho, m,
-lowest rho since the last record) per record, as stacked arrays, plus
-every dt and what limited each step, and the device and SolverConfig it
-was marched with.
+it was given stays valid.  A run records every `cadence` steps or at
+given instants; one `RecordClock` holds the instants, the slack of every
+time comparison and the end test, for the drift-diffusion reference too.
+A recorded run keeps only (step, time, rho, m, lowest rho since the last
+record) per record, as stacked arrays, plus every dt and what limited
+each step, and the device and SolverConfig it was marched with.
 """
 
 from __future__ import annotations
@@ -348,9 +350,39 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
                            limit=limit)
 
 
-def _at_end(t: float, cfg: SolverConfig) -> bool:
-    """Whether time t has reached cfg.t_end, up to the march's slack."""
-    return t >= cfg.t_end - 1e-12 * max(cfg.t_end, 1.0)
+class RecordClock:
+    """The record instants and the end of one march, `run`'s or the
+    drift-diffusion reference's.  Times meet the `end` and the `instants`
+    up to `slack` = 1e-12 max(end, 1): the instants are the `record_times`
+    in (slack, end], as floats (one within the slack of the start is the
+    start's own record), each more than the slack after the one before, or
+    a ConfigurationError.  A march steps to `target()` and asks `due(t)`
+    after each step, so the step that lands on an instant records it once.
+    """
+
+    def __init__(self, end: float, record_times=None):
+        self.end, self.slack = end, 1e-12 * max(end, 1.0)
+        rec = () if record_times is None else record_times
+        self.instants = rec = [float(t) for t in rec if self.slack < t <= end]
+        if not all(b - a > self.slack for a, b in zip(rec, rec[1:])):
+            raise ConfigurationError("record_times must be sorted, each once "
+                                     "and more than the slack apart")
+        self._next = 0
+
+    def target(self) -> float:
+        """The next record instant, else the end."""
+        rec, i = self.instants, self._next
+        return rec[i] if i < len(rec) else self.end
+
+    def due(self, t: float) -> bool:
+        """Whether time t has reached the next instant, which it passes."""
+        rec, i = self.instants, self._next
+        hit = i < len(rec) and t >= rec[i] - self.slack
+        self._next += hit
+        return hit
+
+    def at_end(self, t: float) -> bool:
+        return t >= self.end - self.slack
 
 
 @dataclass
@@ -381,33 +413,24 @@ class Trajectory:
 
     @property
     def completed(self) -> bool:  # else it stopped early, at times[-1]
-        return _at_end(float(self.times[-1]), self.cfg)
-
-
-def record_instants(record_times, t_end: float) -> list:
-    """The instants of `record_times` (None: none) in (0, t_end], as floats,
-    for both marches; a ConfigurationError unless they strictly increase."""
-    rec = [float(t) for t in (() if record_times is None else record_times)
-           if 0.0 < t <= t_end]
-    if sorted(set(rec)) != rec:
-        raise ConfigurationError("record_times must be sorted, each once")
-    return rec
+        return RecordClock(self.cfg.t_end).at_end(float(self.times[-1]))
 
 
 def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
-        cfg: SolverConfig, grid: Grid1D, record_every: int = 50,
+        cfg: SolverConfig, grid: Grid1D, cadence: int = 50,
         record_times=None, max_steps: int = 10 ** 7) -> Trajectory:
-    """March to cfg.t_end, recording every `record_every` steps or exactly at
-    the sorted instants `record_times` (the step is clamped to land on them).
-    The initial and final states are always recorded, also when a failed
-    step or `max_steps` stops the march early, incomplete.  The march state
-    stays in one workspace; each record is copied out of it once, as one
-    (2, n) block, and the blocks are stacked once into the returned
-    Trajectory's arrays.
+    """March to cfg.t_end, recording every `cadence` steps or, given
+    `record_times`, at the instants of their `RecordClock`, each step
+    clamped to land on the next (one not after the initial state's time is
+    a ConfigurationError).  The initial and final states are always
+    recorded, also when a failed step or `max_steps` stops the march early,
+    incomplete.  The march state stays in one workspace; each record is
+    copied out of it once, as one (2, n) block, and the blocks are stacked
+    once into the returned Trajectory's arrays.
     """
-    if record_every < 1:
-        raise ConfigurationError("record_every must be >= 1")
-    rec_times = record_instants(record_times, cfg.t_end)
+    if cadence < 1:
+        raise ConfigurationError("cadence must be >= 1")
+    clock = RecordClock(cfg.t_end, record_times)
 
     state = initial
     # (step, time, min_rho) and a copy of (rho, m) per record
@@ -425,20 +448,12 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
     low = math.inf
     work = _Workspace(profile, cfg, grid)
 
-    tiny = 1e-12 * max(cfg.t_end, 1.0)
-    next_rec = 0
     k = 0
-    done = _at_end(state.time, cfg)
+    done = clock.at_end(state.time)
     while not done and k < max_steps:
-        # the next record instant (never past t_end) unless it is already
-        # behind, else t_end
-        target = cfg.t_end
-        if (next_rec < len(rec_times)
-                and rec_times[next_rec] > state.time + tiny):
-            target = rec_times[next_rec]
         try:
-            state, rep = step(state, profile, model, cfg, grid, t_stop=target,
-                              _work=work)
+            state, rep = step(state, profile, model, cfg, grid,
+                              t_stop=clock.target(), _work=work)
         except IntegrationError:
             break
         k += 1
@@ -446,13 +461,9 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
         limits[rep.limit] += 1
         low = min(low, rep.post_step_min_rho)
 
-        if record_times is None:
-            due = k % record_every == 0
-        else:
-            due = (next_rec < len(rec_times)
-                   and state.time >= rec_times[next_rec] - tiny)
-            next_rec += int(due)
-        done = _at_end(state.time, cfg)
+        due = (k % cadence == 0 if record_times is None
+               else clock.due(state.time))
+        done = clock.at_end(state.time)
         if due or done:
             record(k, state, low)
             low = math.inf

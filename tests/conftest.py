@@ -21,7 +21,7 @@ def bump_setup():
 @pytest.fixture(scope="session")
 def bump_traj(bump_setup):
     return run(bump_setup.initial, bump_setup.profile, bump_setup.model,
-               bump_setup.cfg, bump_setup.grid, record_every=20)
+               bump_setup.cfg, bump_setup.grid, cadence=20)
 
 
 @pytest.fixture(scope="session")

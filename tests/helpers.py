@@ -197,7 +197,7 @@ def step_reference(state, profile, model, cfg, grid, t_stop=None):
     return HydroState(rho=rho_new, mom=mom_new, time=t_new), report
 
 
-def run_reference(initial, profile, model, cfg, grid, record_every=50,
+def run_reference(initial, profile, model, cfg, grid, cadence=50,
                   record_times=None, max_steps=None):
     """The march as a plain loop of `step_reference`, each step clamped to
     t_end or the next record instant as `run` clamps it, cut after
@@ -222,7 +222,7 @@ def run_reference(initial, profile, model, cfg, grid, record_every=50,
         limits[rep.limit] += 1
         since.append(rep.post_step_min_rho)
         if record_times is None:
-            due = k % record_every == 0
+            due = k % cadence == 0
         else:
             due = nxt < len(pending) and state.time >= pending[nxt] - tiny
             nxt += int(due)

@@ -59,7 +59,7 @@ def library_runs():
             setup = make_setup(name, {"n_cells": n_cells})
             t0 = time.perf_counter()
             traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
-                       setup.grid, record_every=25)
+                       setup.grid, cadence=25)
             wall = time.perf_counter() - t0
             report = evaluate_trajectory(traj)
             out[(name, n_cells)] = SimpleNamespace(
@@ -72,7 +72,7 @@ def periodic_run():
     setup = make_setup("gaussian-bump", {"n_cells": 500,
                                          "boundary": "periodic"})
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
-               setup.grid, record_every=25)
+               setup.grid, cadence=25)
     report = evaluate_trajectory(traj)
     return SimpleNamespace(setup=setup, traj=traj, report=report)
 
@@ -180,7 +180,7 @@ def test_criterion_06_time_uniform_plateaus():
     t0 = time.perf_counter()
     setup = make_setup("doping-ramp", {"t_end": 50.0})
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
-               setup.grid, record_every=50)
+               setup.grid, cadence=50)
     report = evaluate_trajectory(traj)
     assert setup.model.gamma == 2.0
     assert setup.profile.check.ok
@@ -194,7 +194,7 @@ def test_criterion_06_time_uniform_plateaus():
 
     iso = make_setup("isothermal-bump", {"t_end": 50.0})
     iso_traj = run(iso.initial, iso.profile, iso.model, iso.cfg, iso.grid,
-                   record_every=50)
+                   cadence=50)
     iso_report = evaluate_trajectory(iso_traj)
     assert iso.model.gamma == 1.0
     for series in ("w_max", "z_max"):
@@ -214,7 +214,7 @@ def test_criterion_07_entropy_inequality_on_shock_run():
         "bump_amplitude": 1.5, "bump_speed": 1.2, "bump_width": 0.3,
         "epsilon": 2e-4, "t_end": 1.5, "n_cells": 500})
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
-               setup.grid, record_every=2)
+               setup.grid, cadence=2)
     assert traj.completed
     rng = np.random.default_rng(SEED)
     times = traj.times

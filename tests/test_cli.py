@@ -88,6 +88,13 @@ class TestUsageErrors:
         cfg = write_cfg(tmp_path, "scenario = gaussian-bump\nmonitors = warp\n")
         assert main(["solve", "--config", cfg]) == 2
 
+    def test_zero_cadence_names_the_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "scenario = gaussian-bump\ncadence = 0\n")
+        assert main(["solve", "--config", cfg,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: cadence must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command,body", [
         ("solve", "out_dir = elsewhere"),
         ("picard", "out_dir = elsewhere"),
@@ -517,6 +524,18 @@ class TestPicardCommand:
         ratios = [float(row.split(",")[2]) for row in csv[2:]]
         assert ratios and all(r < 1.0 for r in ratios)
         assert payload["endpoint_gap"] <= payload["endpoint_tolerance"]
+        assert "suggestion" not in text
+
+    def test_diverged_slab_suggests_half_of_t1(self, tmp_path, capsys):
+        # the suggestion is read off `diverged` and `t1`, and not stored
+        cfg = write_cfg(tmp_path, (
+            "scenario = gaussian-bump\nn_cells = 40\nepsilon = 0.01\n"
+            "t1 = 8\nn_intervals = 6\nmax_iters = 12\nrefine = 1\n"))
+        out = tmp_path / "pic"
+        assert main(["picard", "--config", cfg, "--out-dir", str(out)]) == 1
+        assert "  suggestion: retry with t1 = 4\n" in capsys.readouterr().out
+        payload = json.loads((out / "picard_report.json").read_text())
+        assert payload["diverged"] is True and payload["t1"] == 8.0
 
     def test_iteration_times_stay_out_of_the_output_files(self, tmp_path,
                                                           capsys):
@@ -538,7 +557,7 @@ class TestPicardCommand:
         assert [row.count(",") for row in csv[1:]] == [2] * n_iter
         assert set(payload) == {
             "distances", "converged", "diverged",
-            "halve_suggestion", "fixed_point_residual", "band_violations",
+            "fixed_point_residual", "band_violations",
             "endpoint_gap", "endpoint_tolerance", "t1", "n_intervals",
             "scenario"}
 

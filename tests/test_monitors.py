@@ -381,7 +381,7 @@ def periodic_excess():
         "n_cells": 120, "t_end": 0.6, "boundary": "periodic",
         "source_variant": "excess-density"})
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
-               setup.grid, record_every=5)
+               setup.grid, cadence=5)
     return setup, traj
 
 

@@ -24,7 +24,7 @@ from semiflux import (
 )
 from semiflux import relaxation
 from semiflux.scenarios import make_setup
-from semiflux.solver import SolverConfig, SourceVariant
+from semiflux.solver import SolverConfig, SourceVariant, run
 from semiflux.relaxation import (
     PositivityError,
     dd_stable_dt,
@@ -218,6 +218,28 @@ class TestDriftDiffusionRun:
         got = dd_stable_dt(ups, profile, grid, cfl=0.4)
         assert got == pytest.approx(0.4 * grid.dx * 2.0 / 100.0, rel=1e-15)
         assert dd_stable_dt(np.zeros(40), profile, grid, cfl=0.4) == math.inf
+
+
+def record_times_of(march, record_times):
+    """The record instants of the hydro march or of the drift-diffusion
+    reference on a 100-cell gaussian bump marched to 0.5."""
+    setup = make_setup("gaussian-bump", {"n_cells": 100, "t_end": 0.5})
+    if march == "hydro":
+        return run(setup.initial, setup.profile, setup.model, setup.cfg,
+                   setup.grid, record_times=record_times).times.tolist()
+    n0 = setup.initial.rho - setup.model.rho_floor
+    return drift_diffusion_run(n0, setup.profile, setup.model, setup.grid,
+                               s_end=0.5,
+                               record_times=record_times).s_values.tolist()
+
+
+@pytest.mark.parametrize("march", ["hydro", "reference"])
+def test_both_marches_record_by_one_clock(march):
+    assert record_times_of(march, [0.1, 0.2]) == [0.0, 0.1, 0.2, 0.5]
+    # an instant within the slack of the one before it is rejected, not
+    # recorded a step late
+    with pytest.raises(ConfigurationError, match="more than the slack apart"):
+        record_times_of(march, [0.1, 0.1 + 1e-14, 0.2])
 
 
 def criterion_09_reference_inputs(n_cells):

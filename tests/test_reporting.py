@@ -53,7 +53,7 @@ def test_round_trip_is_bit_exact(tmp_path):
         "n_cells": 120, "t_end": 0.3, "boundary": "periodic",
         "source_variant": "excess-density"})
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
-               setup.grid, record_every=2)
+               setup.grid, cadence=2)
     _, texts = audited_texts(traj, {"monitors": "all", "seed": 0})
     write_run_dir(tmp_path, traj, texts)
     payload, back = load_run_dir(tmp_path)

@@ -128,7 +128,7 @@ class TestConservation:
         x = grid.centers
         raw = 0.8 * np.exp(-x ** 2)
         state = prepare_initial(raw, np.zeros_like(raw), model, cfg, grid)
-        traj = run(state, profile, model, cfg, grid, record_every=10 ** 6)
+        traj = run(state, profile, model, cfg, grid, cadence=10 ** 6)
         m0 = total_integral(traj.rho[0], grid.dx)
         m1 = total_integral(traj.rho[-1], grid.dx)
         assert traj.completed
@@ -141,7 +141,7 @@ class TestConservation:
         x = grid.centers
         raw = 0.9 * np.exp(-(x / 0.7) ** 2)
         state = prepare_initial(raw, 0.5 * np.ones_like(raw), model, cfg, grid)
-        traj = run(state, profile, model, cfg, grid, record_every=20)
+        traj = run(state, profile, model, cfg, grid, cadence=20)
         masses = [total_integral(rho, grid.dx) for rho in traj.rho]
         diffs = np.diff(masses)
         assert np.all(diffs <= 1e-12 * masses[0])
@@ -163,7 +163,7 @@ class TestFrictionDecay:
             source_variant=variant)
         state = HydroState(rho=np.full(grid.n_cells, rho0),
                            mom=np.full(grid.n_cells, rho0 * u0))
-        traj = run(state, profile, model, cfg, grid, record_every=10 ** 6)
+        traj = run(state, profile, model, cfg, grid, cadence=10 ** 6)
         t = traj.times[-1]
         if variant is SourceVariant.FULL_DENSITY:
             rate = a / tau
@@ -503,10 +503,10 @@ class TestRunMatchesReference:
             return out
 
         monkeypatch.setattr(solver_mod, "step", kept_step)
-        traj = run(initial, profile, model, cfg, grid, record_every=7,
+        traj = run(initial, profile, model, cfg, grid, cadence=7,
                    record_times=record_times)
         steps, times, rho, mom, min_rho, dts, limits = run_reference(
-            initial, profile, model, cfg, grid, record_every=7,
+            initial, profile, model, cfg, grid, cadence=7,
             record_times=record_times)
         assert traj.completed and traj.n_steps >= 50
         assert traj.n_steps == len(returned) == len(dts)
@@ -562,12 +562,12 @@ class TestRunMatchesReference:
 
         monkeypatch.setattr(solver_mod, "solve_field", failing_field)
         monkeypatch.setattr(solver_mod, "step", watched_step)
-        traj = run(initial, profile, model, cfg, grid, record_every=3,
+        traj = run(initial, profile, model, cfg, grid, cadence=3,
                    record_times=record_times)
         assert raised == ["non-finite state"]
         assert not traj.completed
         steps, times, rho, mom, min_rho, dts, limits = run_reference(
-            initial, profile, model, cfg, grid, record_every=3,
+            initial, profile, model, cfg, grid, cadence=3,
             record_times=record_times, max_steps=fail_at - 1)
         assert traj.steps[-1] == fail_at - 1
         assert np.array_equal(traj.steps, steps)
@@ -585,7 +585,7 @@ class TestRunMatchesReference:
             n_cells=80, boundary=Boundary.OUTFLOW, t_end=1.0, epsilon=2e-3)
         rho = np.ones(grid.n_cells)
         state = HydroState(rho=rho, mom=0.8 * np.tanh(grid.centers))
-        traj = run(state, profile, model, cfg, grid, record_every=1)
+        traj = run(state, profile, model, cfg, grid, cadence=1)
         assert sum(traj.limits.values()) == traj.n_steps
         assert traj.limits["clamp"] == 1    # the last step lands on t_end
         assert traj.steps.tolist() == list(range(traj.n_steps + 1))
@@ -657,7 +657,11 @@ class TestRun:
             run(state, profile, model, cfg, grid,
                 record_times=[0.05, 0.05, 0.1])
         with pytest.raises(ConfigurationError):
-            run(state, profile, model, cfg, grid, record_every=0)
+            run(state, profile, model, cfg, grid, cadence=0)
+        # instants are times, not offsets from a later start
+        state.time = 0.1
+        with pytest.raises(ConfigurationError, match="not after"):
+            run(state, profile, model, cfg, grid, record_times=[0.05, 0.15])
 
     def test_failure_is_reported_not_raised(self):
         grid, model, profile, cfg = uniform_setup(t_end=1.0)
@@ -698,7 +702,7 @@ class TestRun:
             return out
 
         monkeypatch.setattr(solver_mod, "step", step_then_fail)
-        traj = run(state, profile, model, cfg, grid, record_every=3)
+        traj = run(state, profile, model, cfg, grid, cadence=3)
         assert not traj.completed
         assert traj.steps.tolist() == [0, 3, 4]
         assert traj.times[-1] == kept[-1].time == sum(traj.dts)
@@ -725,7 +729,7 @@ class TestRun:
     def test_min_density_tracking(self, bump_setup):
         setup = bump_setup
         traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
-                   setup.grid, record_every=10 ** 6)
+                   setup.grid, cadence=10 ** 6)
         assert traj.steps.tolist() == [0, traj.n_steps]
         assert np.all(traj.min_rho >= setup.model.rho_floor)
         assert traj.min_rho[0] == float(np.min(setup.initial.rho))
@@ -736,7 +740,7 @@ class TestRun:
         grid, model, profile, cfg = uniform_setup(t_end=0.37, epsilon=1e-3)
         state = HydroState(rho=np.ones(grid.n_cells),
                            mom=np.zeros(grid.n_cells))
-        traj = run(state, profile, model, cfg, grid, record_every=10 ** 6)
+        traj = run(state, profile, model, cfg, grid, cadence=10 ** 6)
         assert traj.times[-1] == 0.37
 
 
@@ -783,7 +787,7 @@ class TestAllocationGuard:
         for t_end in (0.015, 0.07):
             args = self.setup(t_end)
             traj, peak = self.traced_peak(
-                lambda: run(*args, record_every=10 ** 6))
+                lambda: run(*args, cadence=10 ** 6))
             peaks.append(peak)
             counts.append(traj.n_steps)
         assert counts[1] >= 4 * counts[0] > 0
