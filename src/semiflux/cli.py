@@ -192,13 +192,16 @@ def cmd_picard(args) -> int:
     overrides = _overrides(vals)
     out_dir = Path(args.out_dir or f"runs/picard-{name}")
     t1 = vals.get("t1", CROSS_CHECK_T1)
+    refine = vals.get("refine", 2)
+    if refine < 1:
+        raise ConfigurationError(f"refine: need refine >= 1, got {refine}")
 
     setup = make_setup(name, overrides)
     result = picard_solve(setup.initial, setup.profile, setup.model,
                           setup.cfg, setup.grid, t1,
                           **_given(vals, ("n_intervals", "tol", "max_iters")))
-    n_fine = setup.grid.n_cells * vals.get("refine", 2)
-    fine = make_setup(name, {**overrides, "n_cells": n_fine})
+    fine = make_setup(name, {**overrides,
+                             "n_cells": setup.grid.n_cells * refine})
     check = cross_check(result, setup.grid, t1, fine, fine.initial)
     if check is None:
         print("refined finite-volume run failed; cannot cross-check")
@@ -206,12 +209,13 @@ def cmd_picard(args) -> int:
     gap, tol_cross, agree = check
 
     rep = result.report
-    ratios = [rep.ratios[i - 1] if 1 <= i <= len(rep.ratios) else float("nan")
-              for i in range(len(rep.distances))]
+    # the first sweep has no predecessor, so no ratio
+    ratios = [float("nan")] + [b / a for a, b in zip(rep.distances,
+                                                     rep.distances[1:])]
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "contraction.csv").write_text(csv_text(
         ("iteration", "distance", "ratio"),
-        zip(range(len(ratios)), rep.distances, ratios)))
+        zip(range(len(rep.distances)), rep.distances, ratios)))
     summary = {
         "distances": rep.distances, "converged": rep.converged,
         "diverged": rep.diverged,
@@ -223,7 +227,7 @@ def cmd_picard(args) -> int:
     }
     (out_dir / "picard_report.json").write_text(json_text(summary))
 
-    worst = max(rep.ratios) if rep.ratios else float("nan")
+    worst = max(ratios[1:], default=float("nan"))
     print(f"picard {name}: {len(rep.distances)} iterations, "
           f"worst ratio {worst:.4f}, "
           f"{'converged' if rep.converged else 'not converged'}"

@@ -7,13 +7,13 @@ in `_records`, so the audit holds one row of it at a time.
 Monitored quantities: excess mass (non-increasing under outflow, constant
 under periodic), the field sup-bound ratio, growth of the Riemann invariants
 max z, max w <= M2 + M1*t (z, w = int_1^rho sqrt(P'(s))/s ds -+ u, ln rho
--+ u at gamma = 1), plateaus of sup rho and sup |u| (at gamma = 1 of max w
-and max z) under the uniform-bound hypotheses, and the weak entropy
-inequality against compactly supported test functions.  The summary's step
-count, completion and lowest density are read off the records too.  Every
-audit reads the device profile and the SolverConfig (eps, tau, source
-coupling) from the Trajectory itself, so it judges the run under the
-settings it was marched with.
+-+ u at gamma = 1), plateaus of sup rho and sup |u|, the quantities the
+uniform bound rho <= M, |u| <= M names, at every gamma under the
+uniform-bound hypotheses, and the weak entropy inequality against compactly
+supported test functions.  The summary's step count, completion and lowest
+density are read off the records too.  Every audit reads the device profile
+and the SolverConfig (eps, tau, source coupling) from the Trajectory
+itself, so it judges the run under the settings it was marched with.
 `evaluate_trajectory` audits the monitors named in `enabled`, a tuple that
 `parse_monitor_list` reads and validates; `reporting.audited_texts` is
 where a command runs them.  The entropy audit is one `entropy_sweep` over
@@ -152,10 +152,7 @@ def evaluate_trajectory(traj: Trajectory,
 
     if "uniform" in enabled and len(rows) >= 4:
         times = traj.times
-        # at gamma = 1 the invariants w, z = ln rho +- u bound both at once
-        tracked = (("w_max", "z_max") if model.gamma == 1.0
-                   else ("sup_rho", "sup_abs_u"))
-        for name in tracked:
+        for name in ("sup_rho", "sup_abs_u"):
             col = MONITOR_COLUMNS.index(name)
             series = np.array([r[col] for r in rows])
             ok, early, late = plateau_check(times, series, PLATEAU_TOL)

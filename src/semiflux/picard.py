@@ -29,6 +29,9 @@ terms G(t_k) * rho0 and G(t_k) * m0 do not depend on the iterate:
 `picard_solve` builds them once per slab, each kernel table in one
 evaluation over (times x offsets).  Eps, tau and the source coupling come
 from one SolverConfig, as in the march.
+Each iterate meets the band 2d <= rho <= M, |m| <= M in one check per
+side, `_admissibility_violation` and `_band_check`; a contraction ratio is
+the quotient of two successive distances.
 """
 
 from __future__ import annotations
@@ -246,7 +249,6 @@ def picard_step(prev: PicardIterate, initial: HydroState,
 class ContractionReport:
     tol: float                  # the stopping tolerance the solve was given
     distances: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)
     converged: bool = False
     diverged: bool = False
     band_violations: list = field(default_factory=list)
@@ -270,11 +272,8 @@ def iterate_band_bound(initial: HydroState, model: GasModel,
 
 
 def _band_check(it: PicardIterate, model: GasModel, bound: float) -> list:
+    """The 'upper' violations: rho or |m| above twice the band bound."""
     out = []
-    rho_min = float(np.min(it.rho))
-    if rho_min < model.delta:
-        out.append({"field": "rho", "value": rho_min, "bound": model.delta,
-                    "kind": "lower"})
     rho_max = float(np.max(it.rho))
     if rho_max > 2.0 * bound:
         out.append({"field": "rho", "value": rho_max, "bound": 2.0 * bound,
@@ -332,9 +331,8 @@ def cross_check(result: PicardResult, picard_grid: Grid1D, t1: float, march,
     dt_mean = float(np.mean(traj.dts)) if traj.dts else 0.0
     tol_cross = CROSS_TOL_FACTOR * (picard_grid.dx + dt_mean)
     rep = result.report
-    ok = rep.converged and not rep.diverged and not rep.band_violations
-    if rep.fixed_point_residual is not None:
-        ok = ok and rep.fixed_point_residual <= 10.0 * rep.tol
+    ok = (rep.converged and not rep.diverged and not rep.band_violations
+          and rep.fixed_point_residual <= 10.0 * rep.tol)
     return gap, tol_cross, ok and gap <= tol_cross
 
 
@@ -343,9 +341,11 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
                  n_intervals: int = 8, tol: float = 1e-10,
                  max_iters: int = 30) -> PicardResult:
     """Iterate the integral map of `cfg` on [0, t1] until the sup distance
-    between successive iterates drops below tol.  Three consecutive
-    non-contracting ratios, or an iterate whose density leaves the
-    admissible band, stop the iteration as diverged: halve the slab.
+    between successive iterates drops below tol.  Each iterate, the first
+    guess included, is tested once for admissibility: one whose density
+    lies below the admissible floor is listed as 'inadmissible' and stops
+    the iteration as diverged, as do three consecutive non-contracting
+    ratios.  Either way: halve the slab.
     """
     check_t1(t1)
     if not 0.0 < tol < math.inf or n_intervals < 1 or max_iters < 1:
@@ -353,43 +353,39 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
                                  "interval and at least one iteration")
     bound = iterate_band_bound(initial, model, grid)
     report = ContractionReport(tol=tol)
-    prev = constant_first_guess(initial, t1, n_intervals)
-    kernel = HeatKernel(cfg.epsilon)
-    tables = _SlabTables.build(prev.times, initial, model, kernel, grid)
-    current = prev
+    current = constant_first_guess(initial, t1, n_intervals)
+    tables = _SlabTables.build(current.times, initial, model,
+                               HeatKernel(cfg.epsilon), grid)
+    # the pressure is not defined on an inadmissible iterate, so no sweep
+    # starts from one: divergence
+    violation = _admissibility_violation(current, model)
     bad = 0
-    for _ in range(max_iters):
+    for _ in range(max_iters if violation is None else 0):
         start = time.perf_counter()
-        violation = _admissibility_violation(prev, model)
-        if violation is not None:
-            # the pressure is not defined on this iterate: divergence
-            report.band_violations.append(violation)
-            report.diverged = True
-            break
-        current = picard_step(prev, initial, profile, model, cfg, grid,
-                              tables=tables)
-        report.band_violations.extend(_band_check(current, model, bound))
-        d = sup_distance(current, prev)
+        # the previous iterate is dropped before the residual sweep
+        sweep = picard_step(current, initial, profile, model, cfg, grid,
+                            tables=tables)
+        d = sup_distance(sweep, current)
+        current = sweep
         report.distances.append(d)
         report.iteration_s.append(time.perf_counter() - start)
-        if len(report.distances) >= 2 and report.distances[-2] > 0.0:
-            ratio = d / report.distances[-2]
-            report.ratios.append(ratio)
-            bad = bad + 1 if ratio >= 1.0 else 0
+        report.band_violations.extend(_band_check(current, model, bound))
+        violation = _admissibility_violation(current, model)
+        if violation is not None:
+            break
+        if len(report.distances) >= 2:
+            bad = bad + 1 if d / report.distances[-2] >= 1.0 else 0
             if bad >= 3:
                 report.diverged = True
                 break
-        prev = current
         if d < tol:
             report.converged = True
             break
-    if not report.diverged:
-        violation = _admissibility_violation(current, model)
-        if violation is None:
-            once_more = picard_step(current, initial, profile, model, cfg,
-                                    grid, tables=tables)
-            report.fixed_point_residual = sup_distance(once_more, current)
-        else:
-            report.band_violations.append(violation)
-            report.diverged = True
+    if violation is not None:
+        report.band_violations.append(violation)
+        report.diverged = True
+    elif not report.diverged:
+        once_more = picard_step(current, initial, profile, model, cfg, grid,
+                                tables=tables)
+        report.fixed_point_residual = sup_distance(once_more, current)
     return PicardResult(iterate=current, report=report)

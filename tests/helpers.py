@@ -127,19 +127,6 @@ def picard_step_reference(prev, initial, profile, model, kernel, grid, tau,
     return PicardIterate(times=times.copy(), rho=rho_new, mom=mom_new)
 
 
-def perturbed_pressure_reference(model, rho):
-    """P1 with its rho-free terms recomputed on every call."""
-    rho = np.asarray(rho, dtype=float)
-    d2 = model.rho_floor
-    g = model.gamma
-    if g == 1.0:
-        return (rho - d2 * np.log(rho)) - (d2 - d2 * np.log(d2))
-    tail = _powm1_over(rho, g - 1.0) - _powm1_over(d2, g - 1.0)
-    if model.convention is PressureConvention.PLAIN:
-        tail = g * tail
-    return (model.pressure(rho) - model.pressure(d2)) - d2 * tail
-
-
 def step_reference(state, profile, model, cfg, grid, t_stop=None):
     """The march step as five separate ghost-cell pads and row-wise updates,
     with the checked pressure methods; `step` must reproduce it bit for
@@ -161,10 +148,19 @@ def step_reference(state, profile, model, cfg, grid, t_stop=None):
         t_new = t_stop
         limit = "clamp"
 
+    # P1 with its rho-free terms recomputed on every call
+    d2, g = model.rho_floor, model.gamma
+    if g == 1.0:
+        p1 = (rho - d2 * np.log(rho)) - (d2 - d2 * np.log(d2))
+    else:
+        tail = _powm1_over(rho, g - 1.0) - _powm1_over(d2, g - 1.0)
+        if model.convention is PressureConvention.PLAIN:
+            tail = g * tail
+        p1 = (model.pressure(rho) - model.pressure(d2)) - d2 * tail
+
     u = mom / rho
     f1 = (rho - model.rho_floor) * u
-    f2 = mom * u - model.delta * u * u + perturbed_pressure_reference(model,
-                                                                      rho)
+    f2 = mom * u - model.delta * u * u + p1
     rho_e, mom_e = grid.extend(rho), grid.extend(mom)
     f1_e, f2_e = grid.extend(f1), grid.extend(f2)
     speed_e = grid.extend(speed)

@@ -22,7 +22,6 @@ from semiflux import (
     Grid1D,
     PressureConvention,
     SCENARIOS,
-    SolverConfig,
     drift_diffusion_run,
     evaluate_trajectory,
     picard_solve,
@@ -32,9 +31,12 @@ from semiflux import (
 from semiflux.cli import main
 from semiflux.monitors import (
     MONITOR_COLUMNS,
+    PLATEAU_TOL,
     entropy_sweep,
+    plateau_check,
     random_test_function,
 )
+from semiflux.picard import cross_check
 from semiflux.scenarios import make_setup
 from semiflux.solver import flux
 
@@ -197,10 +199,18 @@ def test_criterion_06_time_uniform_plateaus():
                    cadence=50)
     iso_report = evaluate_trajectory(iso_traj)
     assert iso.model.gamma == 1.0
-    for series in ("w_max", "z_max"):
+    # the summary judges sup rho and sup |u| at gamma = 1 too; the log
+    # invariants w, z = ln rho +- u of monitors.csv must plateau as well
+    for series in ("sup_rho", "sup_abs_u"):
         assert iso_report.summary[f"plateau_{series}_ok"]
         early = iso_report.summary[f"plateau_{series}_early"]
         late = iso_report.summary[f"plateau_{series}_late"]
+        assert late <= early * 1.01 + 1e-30
+        growths.append(late / early - 1.0)
+    for series in ("w_max", "z_max"):
+        values = np.array([r[COL[series]] for r in iso_report.rows])
+        ok, early, late = plateau_check(iso_traj.times, values, PLATEAU_TOL)
+        assert ok
         assert late <= early + 0.01 * abs(early) + 1e-30
         growths.append((late - early) / max(abs(early), 1e-30))
     wall = time.perf_counter() - t0
@@ -241,24 +251,19 @@ def test_criterion_08_picard_cross_validation():
     rep = result.report
     assert rep.converged and not rep.diverged
     assert not rep.band_violations
-    assert len(rep.ratios) >= 5
-    assert all(r < 1.0 for r in rep.ratios)
+    d = rep.distances
+    ratios = [b / a for a, b in zip(d, d[1:])]
+    assert len(ratios) >= 5
+    assert all(r < 1.0 for r in ratios)
 
-    cfg = SolverConfig(epsilon=setup.cfg.epsilon, tau=setup.cfg.tau,
-                       cfl=setup.cfg.cfl, t_end=t1,
-                       source_variant=setup.cfg.source_variant,
-                       smoothing_width=setup.cfg.smoothing_width)
-    traj = run(setup.initial, setup.profile, setup.model, cfg, setup.grid,
-               record_times=[t1])
-    assert traj.completed
-    end = result.iterate.endpoint()
-    gap = float(np.max(np.abs(end.rho - traj.rho[-1]))
-                + np.max(np.abs(end.mom - traj.mom[-1])))
-    dt_mean = float(np.mean(traj.dts))
-    bound = 5.0 * (setup.grid.dx + dt_mean)
+    # the march to t1 on the Picard grid, judged by the one cross-check
+    check = cross_check(result, setup.grid, t1, setup, setup.initial)
+    assert check is not None
+    gap, bound, agree = check
     assert gap <= bound
+    assert agree
     passline(8, "fixed-point cross-validation",
-             f"{len(rep.ratios)} ratios max {max(rep.ratios):.3f}, "
+             f"{len(ratios)} ratios max {max(ratios):.3f}, "
              f"endpoint gap {gap:.3e} <= {bound:.3e}")
 
 

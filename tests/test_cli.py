@@ -151,10 +151,12 @@ class TestUsageErrors:
         ("picard", "tol = 0"),
         ("picard", "tol = inf"),
         ("picard", "max_iters = 0"),
+        ("picard", "refine = 0"),
     ], ids=["relax-tau-not-a-number", "relax-one-s-record",
             "relax-negative-horizon", "relax-empty-window", "picard-t1-zero",
             "picard-t1-nan", "picard-t1-inf", "picard-no-intervals",
-            "picard-tol-zero", "picard-tol-inf", "picard-no-iterations"])
+            "picard-tol-zero", "picard-tol-inf", "picard-no-iterations",
+            "picard-refine-zero"])
     def test_bad_study_settings_exit_2(self, tmp_path, capsys, command, body):
         # exit 1 is a verdict of the study; a setting it cannot run is usage
         cfg = write_cfg(tmp_path, ("scenario = gaussian-bump\nn_cells = 40\n"
@@ -162,6 +164,19 @@ class TestUsageErrors:
         assert main([command, "--config", cfg,
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_picard_rejects_refine_before_the_solve(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # refine = 0 once solved the whole slab, then failed on a grid of 0
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a slab it cannot cross-check")
+
+        monkeypatch.setattr("semiflux.cli.picard_solve", no_solve)
+        cfg = write_cfg(tmp_path, "scenario = gaussian-bump\nrefine = 0\n")
+        assert main(["picard", "--config", cfg,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "error: refine: need refine >= 1, got 0\n"
 
     def test_relax_rejects_periodic_net_charge(self, tmp_path, capsys,
                                                monkeypatch):

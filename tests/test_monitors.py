@@ -188,7 +188,7 @@ class TestEvaluateTrajectory:
         assert all(v["monitor"] != "uniform" for v in report.violations)
         assert report.summary["plateau_sup_rho_ok"] is False
 
-    def test_isothermal_plateau_tracks_log_invariants(self):
+    def test_isothermal_plateau_tracks_sup_rho_and_sup_u(self):
         model = GasModel(gamma=1.0, delta=0.05)
         n = self.grid.n_cells
         frames = []
@@ -199,8 +199,11 @@ class TestEvaluateTrajectory:
         traj = make_traj(self.grid, model, frames, self.profile)
         report = evaluate_trajectory(traj)
         fired = [v for v in report.violations if v["monitor"] == "uniform"]
-        # at gamma = 1 the invariants are w, z = ln rho +- u
-        assert fired and fired[0]["series"] in ("w_max", "z_max")
+        # at gamma = 1 too the plateaus are those of sup rho and sup |u|
+        assert [v["series"] for v in fired] == ["sup_abs_u"]
+        assert report.summary["plateau_sup_rho_ok"] is True
+        assert not any(k.startswith(("plateau_w_max", "plateau_z_max"))
+                       for k in report.summary)
 
     def test_disabled_monitors_stay_silent(self):
         frames = rest_frames(self.grid)

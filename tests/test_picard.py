@@ -28,6 +28,7 @@ from semiflux import (
 )
 from semiflux.picard import (
     PicardIterate,
+    _admissibility_violation,
     _band_check,
     _fast_len,
     _SlabTables,
@@ -168,12 +169,16 @@ class TestIterateBasics:
         good = PicardIterate(times=times, rho=np.full((3, 16), 1.0),
                              mom=np.zeros((3, 16)))
         assert _band_check(good, model, bound=5.0) == []
+        assert _admissibility_violation(good, model) is None
 
+        # the floor side is the admissibility test alone
         rho = np.full((3, 16), 1.0)
         rho[1, 4] = 0.5 * model.delta
         low = PicardIterate(times=times, rho=rho, mom=np.zeros((3, 16)))
-        kinds = [(v["field"], v["kind"]) for v in _band_check(low, model, 5.0)]
-        assert ("rho", "lower") in kinds
+        assert _band_check(low, model, 5.0) == []
+        assert _admissibility_violation(low, model) == {
+            "field": "rho", "value": 0.5 * model.delta,
+            "bound": model.admissible_floor, "kind": "inadmissible"}
 
         mom = np.zeros((3, 16))
         mom[2, 7] = 11.0
@@ -290,8 +295,7 @@ class TestContraction:
         assert rep.converged
         assert not rep.diverged
         assert rep.band_violations == []
-        assert len(rep.ratios) >= 2
-        assert all(r < 1.0 for r in rep.ratios)
+        assert len(rep.distances) >= 3
         assert np.all(np.diff(rep.distances) < 0.0)
         assert rep.fixed_point_residual <= 10.0 * 1e-12
 
@@ -305,6 +309,20 @@ class TestContraction:
         assert rep.diverged
         assert not rep.converged
         assert rep.band_violations
+
+    def test_sweep_below_the_floor_is_listed_once(self):
+        # the first sweep of a two-unit slab dips to rho = -0.1487
+        grid, model, profile, init = self.make_bump()
+        cfg = SolverConfig(epsilon=0.01, tau=1.0)
+        result = picard_solve(init, profile, model, cfg, grid,
+                              t1=2.0, n_intervals=6, max_iters=12)
+        rep = result.report
+        assert rep.diverged and not rep.converged
+        assert [v["kind"] for v in rep.band_violations] == ["inadmissible"]
+        assert rep.band_violations[0]["value"] == \
+            pytest.approx(-0.148731, abs=1e-6)
+        assert rep.band_violations[0]["value"] == \
+            float(np.min(result.iterate.rho))
 
     def test_invalid_slab_rejected(self):
         grid, model, profile, init = self.make_bump(n_cells=64)
@@ -407,6 +425,35 @@ class TestDivergenceSignal:
         assert rep.distances == [] and rep.iteration_s == []
         assert rep.band_violations == [
             {"field": "rho", "value": float(rho[7]),
+             "bound": model.admissible_floor, "kind": "inadmissible"}]
+
+    def test_non_contracting_exit_checks_its_last_iterate(self,
+                                                          monkeypatch):
+        # three growing distances end the solve; the sweep that ends it
+        # lands at 1.5 delta, above delta but below the 2 delta floor
+        grid = Grid1D(-5.0, 5.0, 40)
+        model = GasModel(gamma=1.4, delta=0.05)
+        init = HydroState(rho=np.full(40, 1.0), mom=np.zeros(40))
+        sweeps = iter([(0.1, 1.0), (0.3, 1.0), (0.7, 1.0),
+                       (1.5, 1.5 * model.delta)])
+
+        def growing(prev, *args, **kwargs):
+            mom, low = next(sweeps)
+            rho = np.ones_like(prev.rho)
+            rho[-1, 3] = low
+            return PicardIterate(times=prev.times, rho=rho,
+                                 mom=np.full_like(prev.mom, mom))
+
+        monkeypatch.setattr(picard_module, "picard_step", growing)
+        result = picard_solve(init, DeviceProfile.uniform(grid), model,
+                              SolverConfig(epsilon=0.01, tau=1.0), grid,
+                              t1=0.02, n_intervals=4)
+        rep = result.report
+        assert len(rep.distances) == 4
+        assert rep.diverged and not rep.converged
+        assert rep.fixed_point_residual is None
+        assert rep.band_violations == [
+            {"field": "rho", "value": 1.5 * model.delta,
              "bound": model.admissible_floor, "kind": "inadmissible"}]
 
     def test_other_errors_propagate(self, monkeypatch):
