@@ -1,21 +1,33 @@
-"""Plain key = value run configuration files.
+"""Plain key = value run configuration files, and the scenario key table.
 
 One assignment per line, '#' starts a comment, keys mirror the solver and
 scenario fields.  Unknown keys are rejected so typos fail loudly instead of
 silently running defaults, and a value its key's type (float, int, or one of
 the boundary, pressure-convention and source-variant enums) cannot read is
-rejected the same way.
+rejected the same way.  `coerce` is the one cast, for a file's strings and
+`scenarios.make_setup`'s overrides alike.  Each scenario is a row of
+`SCENARIO_DEFAULTS`, whose defaults type the keys.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .model import ConfigurationError
-from .scenarios import _COMMON
+from .model import Boundary, ConfigurationError, PressureConvention
+from .solver import SourceVariant
 
-# one entry per scenario key, typed by the scenario table's defaults
-SCENARIO_KEYS = {key: type(val) for key, val in _COMMON.items()}
+SCENARIO_DEFAULTS = {
+    "x_min": -5.0, "x_max": 5.0, "n_cells": 500,
+    "boundary": Boundary.OUTFLOW, "gamma": 2.0, "delta": 0.05,
+    "pressure_convention": PressureConvention.ONE_OVER_GAMMA,
+    "epsilon": 1e-3, "tau": 1.0, "cfl": 0.45, "t_end": 5.0,
+    "smoothing_width": 0.1, "source_variant": SourceVariant.FULL_DENSITY,
+    "bump_amplitude": 0.8, "bump_center": 0.0, "bump_width": 0.5,
+    "bump_speed": 0.0, "neutral_level": 0.0,
+    "doping_mass": 0.0, "doping_center": 0.0, "doping_width": 0.8,
+    "e_minus": 0.0, "damping": 1.0, "damping_slope_coeff": 0.0,
+}
+SCENARIO_KEYS = {key: type(val) for key, val in SCENARIO_DEFAULTS.items()}
 
 # scenario parameters shared by the picard and relax commands
 _SHARED = ("x_min", "x_max", "n_cells", "boundary", "gamma",

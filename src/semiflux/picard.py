@@ -286,10 +286,10 @@ def _band_check(it: PicardIterate, model: GasModel, bound: float) -> list:
 
 
 def _admissibility_violation(it: PicardIterate, model: GasModel):
-    """The 'inadmissible' band violation when some level's density lies
-    below the floor on which the pressure is defined, else None."""
+    """The 'inadmissible' band violation when some level's density is NaN
+    or below the floor on which the pressure is defined, else None."""
     rho_min = float(np.min(it.rho))
-    if rho_min < model.admissible_floor:
+    if not rho_min >= model.admissible_floor:
         return {"field": "rho", "value": rho_min,
                 "bound": model.admissible_floor, "kind": "inadmissible"}
     return None
@@ -348,9 +348,11 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
     ratios.  Either way: halve the slab.
     """
     check_t1(t1)
-    if not 0.0 < tol < math.inf or n_intervals < 1 or max_iters < 1:
-        raise ConfigurationError("need 0 < tol < inf, at least one slab "
-                                 "interval and at least one iteration")
+    if not 0.0 < tol < math.inf:
+        raise ConfigurationError(f"tol: need 0 < tol < inf, got {tol!r}")
+    for key, val in (("n_intervals", n_intervals), ("max_iters", max_iters)):
+        if val < 1:
+            raise ConfigurationError(f"{key}: need {key} >= 1, got {val!r}")
     bound = iterate_band_bound(initial, model, grid)
     report = ContractionReport(tol=tol)
     current = constant_first_guess(initial, t1, n_intervals)

@@ -11,16 +11,16 @@ conservative, linearly implicit midpoint scheme: two tridiagonal solves per
 step, each by a numpy-only Thomas sweep (Sherman-Morrison on a periodic
 grid), so the step is bounded by the drift alone, not by dx^2.  It also
 drives the tau-ladder study on a scenario's RunSetup, the same one `solve`
-and `picard` build: each rung, and the reference's initial density, is
-that scenario built again by `make_setup` with the rung's keys (delta and
-the solver coefficients) over its parameters.  The reference and every
-hydro run take their record instants, slack and end from one rule, a
-`solver.RecordClock`, so each run records exactly at t = s/tau where the
-reference records s.  The run's stacked records are read as N = rho and
-J = m/tau, and the L1 gap to the reference is reported twice, on N
-(l1_error) and on N - 2 delta (l1_net, free of the vacuum offset the
-reference lacks).  Like a hydro Trajectory, the reference keeps only its
-density, stacked over records; its field Upsilon is derived data.
+and `picard` build: each rung is that scenario built again by `make_setup`
+with the rung's keys (delta and the solver coefficients) over its
+parameters, and the reference starts from the first rung's excess density.
+The reference and every hydro run take their record instants, slack and end
+from one rule, a `solver.RecordClock`, so each run records exactly at
+t = s/tau where the reference records s.  The run's stacked records are
+read as N = rho and J = m/tau, and the L1 gap to the reference is reported
+twice, on N (l1_error) and on N - 2 delta (l1_net, free of the vacuum
+offset the reference lacks).  Like a hydro Trajectory, the reference keeps
+only its density, stacked over records; its field Upsilon is derived data.
 """
 
 from __future__ import annotations
@@ -305,9 +305,9 @@ def relaxation_study(setup: RunSetup, tau_list,
     rung rebuilt by `make_setup` with its delta, eps, tau, t_end and the
     excess-density source over the scenario's parameters, read each run's
     rows at t = s/tau as N = rho and J = m/tau, and compare with one
-    drift-diffusion reference on the same grid from the scenario's initial
-    data at delta = tau_list[0].  A device whose reference cannot keep
-    N >= 0 is rejected with a ConfigurationError."""
+    drift-diffusion reference on the same grid from the first rung's excess
+    density.  A device whose reference cannot keep N >= 0 is rejected with
+    a ConfigurationError."""
     grid, profile = setup.grid, setup.profile
     gamma, convention = setup.model.gamma, setup.model.convention
     taus = validate_tau_ladder(tau_list)
@@ -326,15 +326,20 @@ def relaxation_study(setup: RunSetup, tau_list,
         raise ConfigurationError(
             f"window [{window[0]!r}, {window[1]!r}] holds no cell centre")
 
-    # the reference's datum and each rung: the scenario, their keys over it
+    # each rung: the scenario, its keys over it; the reference starts from
+    # rung 0's excess density
     name, params = setup.scenario.name, setup.scenario.params
-    ref = make_setup(name, {**params, "delta": taus[0]})
-    n0 = ref.initial.rho - ref.model.rho_floor
+    rungs = [make_setup(name, {
+        **params, "delta": coupling.delta(tau),
+        "epsilon": coupling.epsilon(tau, gamma, convention), "tau": tau,
+        "t_end": horizon / tau,
+        "source_variant": SourceVariant.EXCESS_DENSITY}) for tau in taus]
+    first = rungs[0]
     try:
-        reference = drift_diffusion_run(n0, profile, ref.model, grid,
-                                        s_end=horizon,
-                                        record_times=s_records[1:],
-                                        cfl=setup.cfg.cfl)
+        reference = drift_diffusion_run(
+            first.initial.rho - first.model.rho_floor, profile, first.model,
+            grid, s_end=horizon, record_times=s_records[1:],
+            cfl=setup.cfg.cfl)
     except PositivityError as err:
         raise ConfigurationError(
             f"the drift-diffusion reference cannot march this device: {err}"
@@ -344,13 +349,8 @@ def relaxation_study(setup: RunSetup, tau_list,
     n_ref = reference.n_vals[late][:, cols]
 
     rows = []
-    for tau in taus:
-        delta = coupling.delta(tau)
-        eps = coupling.epsilon(tau, gamma, convention)
-        rung = make_setup(name, {
-            **params, "delta": delta, "epsilon": eps, "tau": tau,
-            "t_end": horizon / tau,
-            "source_variant": SourceVariant.EXCESS_DENSITY})
+    for rung in rungs:
+        tau = rung.cfg.tau
         traj = run(rung.initial, rung.profile, rung.model, rung.cfg,
                    rung.grid, record_times=s_records[1:] / tau)
         floor = rung.model.rho_floor
@@ -361,7 +361,7 @@ def relaxation_study(setup: RunSetup, tau_list,
                 f"hydro recording at tau={tau} misaligned with the s ladder")
         n_win = traj.rho[late][:, cols]
         rows.append(StudyRow(
-            tau=tau, epsilon=eps, delta=delta,
+            tau=tau, epsilon=rung.cfg.epsilon, delta=rung.model.delta,
             l1_error=scaled_l1_gap(s_records[late], n_win, n_ref, grid.dx),
             dissipation=dissipation_integral(s_records, traj.rho,
                                              traj.mom / tau, floor, grid.dx),

@@ -1,21 +1,32 @@
 """Canonical device setups used by the CLI and the acceptance suite.
 
-Each scenario fixes the gas law, the raw initial data, and the device
-profile, and declares which hypothesis set it targets:
+A device is one formula over the scenario keys (`device_arrays`): on the
+cell centres x, with gaussian bumps g_bump and g_doping,
 
-  vacuum-rest        constant offset state, exact fixed point of the scheme
+  raw excess density  neutral_level + bump_amplitude * g_bump
+  velocity            bump_speed * g_bump
+  doping b            neutral_level + doping_mass / (doping_width sqrt(pi))
+                      * g_doping
+  damping a           damping - damping_slope_coeff * int_left^x b
+
+with the far-field datum e_minus.  A scenario is a row of
+`config.SCENARIO_DEFAULTS`: the values it overrides, the hypothesis set it
+targets, and the outcome its profile check must give.
+
+  vacuum-rest        no bump: constant offset state, exact fixed point of
+                     the scheme
   gaussian-bump      excess-density bump at rest, gamma = 2
   doping-ramp        non-negative doping with matched decreasing damping, the
                      time-uniform-bounds setup (plain pressure normalization)
   isothermal-bump    gamma = 1 variant of the bump
-  charge-neutral-rest  constant doping exactly balanced by the density, the
-                     stationary relaxation fixture (fails the uniform-bound
-                     profile check by design: unbounded total doping)
+  charge-neutral-rest  no bump, a constant doping exactly balanced by the
+                     density: the stationary relaxation fixture (fails the
+                     uniform-bound profile check by design: unbounded total
+                     doping)
 
-`_COMMON` is the one table of scenario keys: each default carries its key's
-type (the enums for boundary, pressure_convention and source_variant), and
-the config schema is derived from it.  `make_setup` builds the device for
-every command, the tau-ladder included.
+Overrides pass through `config.coerce`, the cast every config file takes.
+`make_setup` builds the device for every command, the tau-ladder included;
+no step of it reads the scenario's name.
 """
 
 from __future__ import annotations
@@ -25,9 +36,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
-                    Grid1D, PressureConvention, cumulative_integral)
-from .solver import SolverConfig, SourceVariant, prepare_initial
+from .config import SCENARIO_DEFAULTS, SCENARIO_KEYS, coerce
+from .model import (ConfigurationError, DeviceProfile, GasModel, Grid1D,
+                    PressureConvention, cumulative_integral)
+from .solver import SolverConfig, prepare_initial
 
 
 def gaussian(x, center: float, width: float):
@@ -52,23 +64,9 @@ class RunSetup:
     initial: object  # HydroState
 
 
-_COMMON = {
-    "x_min": -5.0, "x_max": 5.0, "n_cells": 500,
-    "boundary": Boundary.OUTFLOW, "gamma": 2.0, "delta": 0.05,
-    "pressure_convention": PressureConvention.ONE_OVER_GAMMA,
-    "epsilon": 1e-3, "tau": 1.0, "cfl": 0.45, "t_end": 5.0,
-    "smoothing_width": 0.1, "source_variant": SourceVariant.FULL_DENSITY,
-    "bump_amplitude": 0.8, "bump_center": 0.0, "bump_width": 0.5,
-    "bump_speed": 0.0,
-    "doping_mass": 0.5, "doping_center": 0.0, "doping_width": 0.8,
-    "e_minus": 0.0, "damping": 1.0, "damping_slope_coeff": 1.0,
-    "neutral_level": 0.5,
-}
-
-
-def _scenario(name, tag, ok, **extra) -> Scenario:
+def _scenario(name, tag, ok, **row) -> Scenario:
     return Scenario(name=name, hypothesis_tag=tag, expect_profile_ok=ok,
-                    params={**_COMMON, **extra})
+                    params={**SCENARIO_DEFAULTS, **row})
 
 
 SCENARIOS = {
@@ -80,60 +78,42 @@ SCENARIOS = {
     "doping-ramp": _scenario(
         "doping-ramp", "time-uniform", True,
         pressure_convention=PressureConvention.PLAIN,
-        e_minus=1.0, bump_amplitude=0.5, bump_center=-1.0),
+        e_minus=1.0, bump_amplitude=0.5, bump_center=-1.0,
+        doping_mass=0.5, damping_slope_coeff=1.0),
     "isothermal-bump": _scenario(
         "isothermal-bump", "global-existence", True, gamma=1.0),
     "charge-neutral-rest": _scenario(
-        "charge-neutral-rest", "relaxation", False, smoothing_width=0.0),
+        "charge-neutral-rest", "relaxation", False,
+        smoothing_width=0.0, bump_amplitude=0.0, neutral_level=0.5),
 }
 
 
-def build_raw(scenario: Scenario, grid: Grid1D, p: dict):
+def device_arrays(grid: Grid1D, p: dict):
+    """(raw excess density, velocity, a, b) on the cell centres from the
+    scenario keys `p`; a matched ramp (damping = e_minus, slope 1) makes the
+    derived C profile constant."""
+    for key in ("bump_width", "doping_width"):
+        if not p[key] > 0.0:
+            raise ConfigurationError(f"{key}: need {key} > 0, got {p[key]!r}")
     x = grid.centers
-    name = scenario.name
-    if name == "vacuum-rest":
-        return np.zeros(grid.n_cells), np.zeros(grid.n_cells)
-    if name == "charge-neutral-rest":
-        return np.full(grid.n_cells, p["neutral_level"]), np.zeros(grid.n_cells)
-    raw = p["bump_amplitude"] * gaussian(x, p["bump_center"], p["bump_width"])
-    u = p["bump_speed"] * gaussian(x, p["bump_center"], p["bump_width"])
-    return raw, u
-
-
-def build_profile_arrays(scenario: Scenario, grid: Grid1D, p: dict):
-    x = grid.centers
-    n = grid.n_cells
-    name = scenario.name
-    if name == "charge-neutral-rest":
-        b = np.full(n, p["neutral_level"])
-        a = np.full(n, p["damping"])
-        return a, b, p["e_minus"]
-    if name == "doping-ramp":
-        # doping bump normalized to the requested total charge; damping is the
-        # matched ramp e_minus - coeff * cumulative doping, which keeps the
-        # derived C profile monotone
-        shape = gaussian(x, p["doping_center"], p["doping_width"])
-        b = p["doping_mass"] / (p["doping_width"] * math.sqrt(math.pi)) * shape
-        a = p["e_minus"] - p["damping_slope_coeff"] * cumulative_integral(b, grid.dx)
-        return a, b, p["e_minus"]
-    a = np.full(n, p["damping"])
-    b = np.zeros(n)
-    return a, b, p["e_minus"]
+    bump = gaussian(x, p["bump_center"], p["bump_width"])
+    doping = gaussian(x, p["doping_center"], p["doping_width"])
+    level = p["neutral_level"]
+    b = level + p["doping_mass"] / (p["doping_width"] * math.sqrt(math.pi)) \
+        * doping
+    a = p["damping"] - p["damping_slope_coeff"] * cumulative_integral(b, grid.dx)
+    return level + p["bump_amplitude"] * bump, p["bump_speed"] * bump, a, b
 
 
 def resolve_params(name: str, overrides: dict | None = None):
-    """Merge overrides into the scenario defaults, each cast to its
-    default's type."""
+    """The scenario's row with the overrides, cast by `config.coerce`,
+    merged in."""
     if name not in SCENARIOS:
         raise ConfigurationError(
             f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
     scenario = SCENARIOS[name]
-    p = dict(scenario.params)
-    for key, val in (overrides or {}).items():
-        if key not in p:
-            raise ConfigurationError(f"unknown scenario parameter {key!r}")
-        p[key] = type(p[key])(val)
-    return replace(scenario, params=p)
+    return replace(scenario, params={
+        **scenario.params, **coerce(overrides or {}, SCENARIO_KEYS)})
 
 
 def interp_profile(path, centers: np.ndarray) -> np.ndarray:
@@ -158,8 +138,7 @@ def make_setup(name: str, overrides: dict | None = None,
     p = scenario.params
     grid = Grid1D(x_min=p["x_min"], x_max=p["x_max"], n_cells=p["n_cells"],
                   boundary=p["boundary"])
-    raw_rho, raw_u = build_raw(scenario, grid, p)
-    a_vals, b_vals, e_minus = build_profile_arrays(scenario, grid, p)
+    raw_rho, raw_u, a_vals, b_vals = device_arrays(grid, p)
     custom = bool(profile_tables)
     if custom:
         if "a" in profile_tables:
@@ -171,7 +150,7 @@ def make_setup(name: str, overrides: dict | None = None,
     cfg = SolverConfig(epsilon=p["epsilon"], tau=p["tau"], cfl=p["cfl"],
                        t_end=p["t_end"], source_variant=p["source_variant"],
                        smoothing_width=p["smoothing_width"])
-    profile = DeviceProfile.build(grid, a_vals, b_vals, e_minus)
+    profile = DeviceProfile.build(grid, a_vals, b_vals, p["e_minus"])
     if not custom and profile.check.ok != scenario.expect_profile_ok:
         raise ConfigurationError(
             f"scenario {name!r} expected uniform_ok={scenario.expect_profile_ok} "

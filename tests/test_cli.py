@@ -163,7 +163,12 @@ class TestUsageErrors:
                                    f"{body}\n"))
         assert main([command, "--config", cfg,
                      "--out-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if command == "picard":
+            # each picard setting is named by its own message
+            key = body.partition(" = ")[0]
+            assert err.startswith(f"error: {key}: need ")
 
     def test_picard_rejects_refine_before_the_solve(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -718,7 +723,7 @@ class TestRelaxCommand:
             "bump_amplitude", "bump_center", "bump_width", "bump_speed",
             "damping", "neutral_level", "e_minus")} == {
             "bump_amplitude": 0.8, "bump_center": 0.0, "bump_width": 0.5,
-            "bump_speed": 0.0, "damping": 2.0, "neutral_level": 0.5,
+            "bump_speed": 0.0, "damping": 2.0, "neutral_level": 0.0,
             "e_minus": 0.0}
 
     def test_reference_that_cannot_march_exits_2(self, tmp_path, capsys):

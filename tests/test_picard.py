@@ -186,6 +186,17 @@ class TestIterateBasics:
         kinds = [(v["field"], v["kind"]) for v in _band_check(high, model, 5.0)]
         assert ("mom", "upper") in kinds
 
+    def test_nan_density_is_inadmissible(self):
+        # min() of a slab holding a NaN is NaN, and NaN < floor is false
+        model = GasModel(gamma=1.4, delta=0.05)
+        rho = np.full((3, 8), 1.0)
+        rho[1, 5] = np.nan
+        it = PicardIterate(times=np.linspace(0.0, 0.1, 3), rho=rho,
+                           mom=np.zeros((3, 8)))
+        violation = _admissibility_violation(it, model)
+        assert violation["kind"] == "inadmissible"
+        assert math.isnan(violation["value"])
+
     def test_band_bound_reference(self):
         grid = Grid1D(0.0, 1.0, 10)
         model = GasModel(gamma=1.4, delta=0.05)
