@@ -88,19 +88,21 @@ SCENARIOS = {
 }
 
 
-def device_arrays(grid: Grid1D, p: dict):
+def device_arrays(grid: Grid1D, p: dict, b=None):
     """(raw excess density, velocity, a, b) on the cell centres from the
     scenario keys `p`; a matched ramp (damping = e_minus, slope 1) makes the
-    derived C profile constant."""
+    derived C profile constant.  A doping `b` given on the cell centres (a
+    `b` table) replaces the doping formula, and the ramp integrates it."""
     for key in ("bump_width", "doping_width"):
         if not p[key] > 0.0:
             raise ConfigurationError(f"{key}: need {key} > 0, got {p[key]!r}")
     x = grid.centers
     bump = gaussian(x, p["bump_center"], p["bump_width"])
-    doping = gaussian(x, p["doping_center"], p["doping_width"])
     level = p["neutral_level"]
-    b = level + p["doping_mass"] / (p["doping_width"] * math.sqrt(math.pi)) \
-        * doping
+    if b is None:
+        doping = gaussian(x, p["doping_center"], p["doping_width"])
+        b = level + p["doping_mass"] \
+            / (p["doping_width"] * math.sqrt(math.pi)) * doping
     a = p["damping"] - p["damping_slope_coeff"] * cumulative_integral(b, grid.dx)
     return level + p["bump_amplitude"] * bump, p["bump_speed"] * bump, a, b
 
@@ -133,18 +135,18 @@ def make_setup(name: str, overrides: dict | None = None,
                profile_tables: dict | None = None) -> RunSetup:
     """Full solver setup.  profile_tables may map "a" and/or "b" to a
     two-column (x, value) table file, interpolated onto the grid; a profile
-    built from tables skips the declared-outcome check."""
+    built from tables skips the declared-outcome check.  A `b` table
+    replaces the doping formula and an `a` table the damping ramp, which
+    otherwise integrates the doping in use, a `b` table's included."""
     scenario = resolve_params(name, overrides)
     p = scenario.params
     grid = Grid1D(x_min=p["x_min"], x_max=p["x_max"], n_cells=p["n_cells"],
                   boundary=p["boundary"])
-    raw_rho, raw_u, a_vals, b_vals = device_arrays(grid, p)
-    custom = bool(profile_tables)
-    if custom:
-        if "a" in profile_tables:
-            a_vals = interp_profile(profile_tables["a"], grid.centers)
-        if "b" in profile_tables:
-            b_vals = interp_profile(profile_tables["b"], grid.centers)
+    tables = {key: interp_profile(path, grid.centers)
+              for key, path in (profile_tables or {}).items()}
+    raw_rho, raw_u, a_vals, b_vals = device_arrays(grid, p, tables.get("b"))
+    a_vals = tables.get("a", a_vals)
+    custom = bool(tables)
     model = GasModel(gamma=p["gamma"], delta=p["delta"],
                      convention=p["pressure_convention"])
     cfg = SolverConfig(epsilon=p["epsilon"], tau=p["tau"], cfl=p["cfl"],

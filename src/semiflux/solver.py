@@ -6,39 +6,52 @@ State is (rho, m) on a uniform grid, evolved by
     m_t   + (rho u^2 - delta u^2 + P1)_x     = eps * m_xx + S(rho, m, E)
 
 with S either rho*E - a(x) m / tau (full-density coupling) or the
-excess-density variant (rho - 2*delta) (E - a(x) u / tau).  Fluxes use a
-local Lax-Friedrichs interface dissipation with the exact characteristic
-speeds, the artificial viscosity is a centered second difference, and the
-stiff damping is applied pointwise through its exact exponential factor so
-the update stays stable for tau much smaller than dt.  The march state is
-resident in one workspace: two padded (2, n+2) blocks of (rho, m), one
-ghost cell per side, each with a HydroState over its interior rows built
-once.  A step reads the current block and writes the new (rho, m) into the
-idle one, then flips them and returns the idle block's state, its time
-set, allocating no array and copying no state.  A returned state is
-therefore overwritten by the step after next, and `run` copies a state out
-only where it records one.  The step tests the density floor on the
+excess-density variant (rho - 2*delta) (E - a(x) u / tau).  The scheme is
+a viscosity-flux approximation: the artificial viscosity eps q_xx is a flux
+too, so each face carries one viscous face flux
+
+    G = (f_l + f_r) - (alpha + 2 eps/dx) (q_r - q_l),
+
+the local Lax-Friedrichs (Rusanov) flux, with alpha the larger exact
+characteristic speed of the two cells, plus eps's conservative face
+term, and a cell moves by (0.5 dt/dx) (G_{i+1/2} - G_{i-1/2}).  The face
+viscosity is 0.5 dx alpha + eps: the scheme's own share next to the eps
+it names.  The stiff damping is applied pointwise through its exact
+exponential factor so the update stays stable for tau much smaller than
+dt.
+
+The march state is resident in one workspace: two padded (2, n+2) blocks of
+(rho, m), one ghost cell per side, each with a HydroState over its interior
+rows built once.  A step reads the current block and writes the new (rho,
+m) into the idle one, then flips them and returns the idle block's state,
+its time set, allocating no array and copying no state.  A returned state
+is therefore overwritten by the step after next, and `run` copies a state
+out only where it records one.  The step tests the density floor on the
 minimum the step before computed for its report; an input that is not the
 resident state is copied into the current block and reduced afresh.  The
 fluxes (f1, f2) and the wave speed (twice) take four more padded rows of
-the same array, whose ghost cells one `Grid1D.fill_ghosts` call sets.
-Each pair of rows is one flat run of 2(n+2) values, so every face, jump,
-viscosity and update operation is one ufunc call over a contiguous run;
-the two seam cells where the rows of a pair meet are computed too and read
-by no interior cell.  The wave speeds, the fluxes with P1 and the field
-are written into workspace rows through the `out=` paths of `GasModel`,
-`flux` and `solve_field`.  Every scalar a step hands to numpy is a 0-d
-float64 array (the gas law's on `GasModel`, dx on `Grid1D`, e_minus on
-`DeviceProfile`, the run's in the workspace, dt and dt/dx in two 0-d
-buffers), since a step on a few hundred cells is mostly per-call overhead
-and numpy takes a 0-d operand faster than a Python float, with the same
-bits.  A step that raises has written only the idle block, so the state
-it was given stays valid.  A run records every `cadence` steps or at
-given instants; one `RecordClock` holds the instants, the slack of every
-time comparison and the end test, for the drift-diffusion reference too.
-A recorded run keeps only (step, time, rho, m, lowest rho since the last
-record) per record, as stacked arrays, plus every dt and what limited
-each step, and the device and SolverConfig it was marched with.
+the same array, whose ghost cells one `Grid1D.fill_ghosts` call sets.  Each
+pair of rows is one flat run of 2(n+2) values, so every face, jump and
+update operation and the finiteness test are one ufunc call over a
+contiguous run; the two seam cells where the rows of a pair meet are
+computed too and read by no interior cell.  The wave speeds, the fluxes
+with P1 and the field are written into workspace rows through the `out=`
+paths of `GasModel`, `flux` and `solve_field`.  Every scalar a step hands
+to numpy is a 0-d float64 array (the gas law's on `GasModel`, dx on
+`Grid1D`, e_minus on `DeviceProfile`, the run's in the workspace, dt and
+0.5 dt/dx in two 0-d buffers), since a step on a few hundred cells is
+mostly per-call overhead and numpy takes a 0-d operand faster than a Python
+float, with the same bits.  On march-sparse's path (gamma = 2, plain
+pressure, full-density source) a step makes 55 numpy calls, counting each
+ufunc call (in-place operators included), reduction, accumulation,
+`copyto`, ghost-cell assignment and 0-d buffer fill.  A step that raises
+has written only the idle block, so the state it was given stays valid.  A
+run records every `cadence` steps or at given instants; one `RecordClock`
+holds the instants, the slack of every time comparison and the end test,
+for the drift-diffusion reference too.  A recorded run keeps only (step,
+time, rho, m, lowest rho since the last record) per record, as stacked
+arrays, plus every dt and what limited each step, and the device and
+SolverConfig it was marched with.
 """
 
 from __future__ import annotations
@@ -50,8 +63,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import solve_field
-from .model import (_HALF, ConfigurationError, DeviceProfile, GasModel,
-                    Grid1D, HydroState, _const)
+from .model import (ConfigurationError, DeviceProfile, GasModel, Grid1D,
+                    HydroState, _const)
 
 
 class SourceVariant(enum.Enum):
@@ -146,27 +159,20 @@ def prepare_initial(raw_rho, raw_u, model: GasModel, cfg: SolverConfig,
 def flux(model: GasModel, rho, mom, u=None, excess=None, out=None,
          tmp=None):
     """Physical flux ((rho-2d) u, m u - delta u^2 + P1) of admissible float
-    arrays (P1 is read unchecked); `u` and `excess` are m/rho and rho - 2d
-    when the caller has them, `out` a pair of arrays to write the two
-    components into and `tmp` a scratch array for P1; scalars give floats."""
-    if out is None and np.ndim(rho) == 0:
-        # on 0-d operands a ufunc returns a numpy scalar, which cannot be the
-        # `out` of the next call: evaluate one cell instead
-        cell = [None if v is None else np.full(1, v, dtype=float)
-                for v in (rho, mom, u, excess)]
-        return tuple(float(f[0]) for f in flux(model, *cell))
+    arrays (P1 is read unchecked), the second component formed from the
+    first as ((rho-2d) u + delta u) u + P1; `u` and `excess` are m/rho and
+    rho - 2d when the caller has them, `out` a pair of arrays to write the
+    two components into and `tmp` a scratch array of their shape."""
     if u is None:
         u = mom / rho
     f1, f2 = (None, None) if out is None else out
-    f2 = np.multiply(mom, u, out=f2)
-    # the first component's row holds delta u^2, then P1, before its own
-    # value
-    s = np.multiply(u, model._d, out=f1)
-    s *= u
-    f2 -= s
-    f2 += model._p1(rho, out=s, tmp=tmp)
+    f2 = model._p1(rho, out=f2, tmp=tmp)
     f1 = np.multiply(rho - model.rho_floor if excess is None else excess, u,
-                     out=s)
+                     out=f1)
+    s = np.multiply(u, model._d, out=tmp)
+    s += f1
+    s *= u
+    f2 += s
     return f1, f2
 
 
@@ -196,18 +202,19 @@ class _Workspace:
     `blocks` is (current, idle): a step reads the current block and writes
     the idle one, then swaps them, so the state it returns lives until the
     step after next writes its block again.  Read flat, each pair of rows
-    is one contiguous run of 2(n+2) values, and the face, jump, viscosity
-    and update arithmetic runs once over each run, on the views cut below
-    and in `_Block`: `q` the cells between the run's two ends, `q_lo`/`q_hi`
+    is one contiguous run of 2(n+2) values, and the face, jump and update
+    arithmetic runs once over each run, on the views cut below and in
+    `_Block`: `q` the cells between the run's two ends, `q_lo`/`q_hi`
     their neighbours, `*_left`/`*_right` the two sides of each of the run's
     2n+3 faces.  Where the rows meet, the first row's right ghost and the
     second row's left ghost are neighbours: the face between them (the seam
     face) and the update of those two seam cells are computed like any
     other and read by no interior cell.  The remaining rows (u, the excess,
     the field and a scratch row) are n cells long.  The per-run constants
-    are read-only: epsilon, dx^2 and tau as 0-d arrays, the damping rate
-    -a/tau as a row; `dt` and `dt_dx` are 0-d buffers each step fills, so
-    every scalar a step hands to numpy is a 0-d array.
+    are read-only: eps's face coefficient 2 eps/dx and tau as 0-d arrays,
+    the damping rate -a/tau as a row; `dt` and `half_dt_dx` (0.5 dt/dx) are
+    0-d buffers each step fills, so every scalar a step hands to numpy is a
+    0-d array.
     """
 
     def __init__(self, profile: DeviceProfile, cfg: SolverConfig,
@@ -222,17 +229,14 @@ class _Workspace:
 
         self.alpha, self.face, self.jump = np.empty((3, 2 * n + 3))
         self.face_lo, self.face_hi = self.face[:-1], self.face[1:]
-        self.visc = np.empty(2 * n + 2)
         self.u, self.excess, self.e, self.tmp = np.empty((4, n))
-        finite = np.empty((2, n), dtype=bool)
-        self.finite_rho, self.finite_mom = finite
-        self.finite_flat = finite.reshape(-1)
-        self.dt, self.dt_dx = np.empty(()), np.empty(())
+        self.finite = np.empty(2 * n + 2, dtype=bool)
+        self.dt, self.half_dt_dx = np.empty(()), np.empty(())
 
         self.dx = dx
         self.visc_rate = 2.0 * cfg.epsilon / dx ** 2
-        self.eps, self.dx2, self.tau = (_const(v) for v in
-                                        (cfg.epsilon, dx ** 2, cfg.tau))
+        self.two_eps_dx = _const(2.0 * cfg.epsilon / dx)
+        self.tau = _const(cfg.tau)
         self.neg_rate = -(profile.a_vals / cfg.tau)   # full-density damping
         self.neg_rate.flags.writeable = False
 
@@ -240,7 +244,7 @@ class _Workspace:
 def step(state: HydroState, profile: DeviceProfile, model: GasModel,
          cfg: SolverConfig, grid: Grid1D, t_stop: float | None = None, *,
          _work: _Workspace | None = None):
-    """One explicit flux/viscosity update followed by the exact damping decay.
+    """One explicit viscous-flux update followed by the exact damping decay.
 
     Returns (new_state, StepReport).  The step is the stable one unless it
     would pass t_stop; then it ends on t_stop exactly, so output instants are
@@ -281,36 +285,29 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
         dt = t_stop - state.time
         t_new = t_stop
         limit = "clamp"
-    w.dt[()], w.dt_dx[()] = dt, dt / w.dx
+    w.dt[()], w.half_dt_dx[()] = dt, 0.5 * dt / w.dx
 
     np.copyto(w.speed_copy, speed)
     flux(model, rho, mom, u, excess, out=(w.f1, w.f2), tmp=w.tmp)
     # ghost cells copy interior cells, so their fluxes are copies too
     grid.fill_ghosts(w.pad)
 
-    # each in-place sequence below makes its formula's operations in the
-    # formula's order (+ and * commute exactly), so the bits are the formula's
-    # 0.5 (f_l + f_r) - (0.5 alpha) (q_r - q_l) at every face
+    # the viscous face flux G = (f_l + f_r) - (alpha + 2 eps/dx) (q_r - q_l):
+    # Rusanov's dissipation and eps's second difference as one face
+    # coefficient, the factor 0.5 of both moved into 0.5 dt/dx.  Each
+    # in-place sequence below makes its formula's operations in the
+    # formula's order (+ and * commute exactly), so the bits are the
+    # formula's at every face
     alpha = np.maximum(w.s_left, w.s_right, out=w.alpha)
-    alpha *= _HALF
+    alpha += w.two_eps_dx
     face = np.add(w.f_left, w.f_right, out=w.face)
-    face *= _HALF
     jump = np.subtract(cur.q_right, cur.q_left, out=w.jump)
     jump *= alpha
     face -= jump
-    # eps (q_{i+1} - 2 q_i + q_{i-1}) / dx^2, with 2 q_i as q_i + q_i
-    visc = np.add(cur.q, cur.q, out=w.visc)
-    np.subtract(cur.q_hi, visc, out=visc)
-    visc += cur.q_lo
-    visc *= w.eps
-    visc /= w.dx2
-    # q - (dt/dx) (face_{i+1/2} - face_{i-1/2}) + dt visc, into the idle
-    # block's cells
+    # q - (0.5 dt/dx) (G_{i+1/2} - G_{i-1/2}), into the idle block's cells
     q_new = np.subtract(w.face_hi, w.face_lo, out=new.q)
-    q_new *= w.dt_dx
+    q_new *= w.half_dt_dx
     np.subtract(cur.q, q_new, out=q_new)
-    visc *= w.dt
-    q_new += visc
     rho_new, mom_star = new.rho, new.mom
 
     # explicit field force, then the damping through its exact decay factor
@@ -335,11 +332,11 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
         tmp *= w.dt
     mom_star *= np.exp(tmp, out=tmp)
 
-    # row by row: over the strided (2, n) interior numpy would allocate an
-    # iteration buffer on every call
-    np.isfinite(rho_new, out=w.finite_rho)
-    np.isfinite(mom_star, out=w.finite_mom)
-    if not np.logical_and.reduce(w.finite_flat):
+    # one call over the new block's flat run: both interior rows and the two
+    # seam cells between them, which read only the edge cells' values, so
+    # they turn non-finite only with them or on overflow
+    np.isfinite(new.q, out=w.finite)
+    if not np.logical_and.reduce(w.finite):
         raise IntegrationError("non-finite state")
 
     new.low = float(np.minimum.reduce(rho_new))

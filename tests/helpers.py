@@ -127,10 +127,20 @@ def picard_step_reference(prev, initial, profile, model, kernel, grid, tau,
     return PicardIterate(times=times.copy(), rho=rho_new, mom=mom_new)
 
 
+def cell_flux(model, rho, mom, u=None, excess=None):
+    """`flux` of one cell given as Python floats or 0-d arrays, evaluated
+    on one-cell rows (a ufunc on 0-d operands returns a numpy scalar, which
+    cannot be the `out` of the next call): a pair of floats."""
+    cell = [None if v is None else np.full(1, v, dtype=float)
+            for v in (rho, mom, u, excess)]
+    return tuple(float(f[0]) for f in flux(model, *cell))
+
+
 def step_reference(state, profile, model, cfg, grid, t_stop=None):
-    """The march step as five separate ghost-cell pads and row-wise updates,
-    with the checked pressure methods; `step` must reproduce it bit for
-    bit."""
+    """The march step as five separate ghost-cell pads and row-wise updates
+    through the viscous face flux
+    G = (f_l + f_r) - (alpha + 2 eps/dx) (q_r - q_l), with the checked
+    pressure methods; `step` must reproduce it bit for bit."""
     rho, mom = state.rho, state.mom
     dx = grid.dx
 
@@ -160,20 +170,17 @@ def step_reference(state, profile, model, cfg, grid, t_stop=None):
 
     u = mom / rho
     f1 = (rho - model.rho_floor) * u
-    f2 = mom * u - model.delta * u * u + p1
+    f2 = p1 + (f1 + model.delta * u) * u
     rho_e, mom_e = grid.extend(rho), grid.extend(mom)
     f1_e, f2_e = grid.extend(f1), grid.extend(f2)
     speed_e = grid.extend(speed)
 
-    alpha = np.maximum(speed_e[:-1], speed_e[1:])
-    flux1 = 0.5 * (f1_e[:-1] + f1_e[1:]) - 0.5 * alpha * (rho_e[1:] - rho_e[:-1])
-    flux2 = 0.5 * (f2_e[:-1] + f2_e[1:]) - 0.5 * alpha * (mom_e[1:] - mom_e[:-1])
+    coeff = np.maximum(speed_e[:-1], speed_e[1:]) + 2.0 * cfg.epsilon / dx
+    g1 = (f1_e[:-1] + f1_e[1:]) - coeff * (rho_e[1:] - rho_e[:-1])
+    g2 = (f2_e[:-1] + f2_e[1:]) - coeff * (mom_e[1:] - mom_e[:-1])
 
-    visc_rho = cfg.epsilon * (rho_e[2:] - 2.0 * rho + rho_e[:-2]) / dx ** 2
-    visc_mom = cfg.epsilon * (mom_e[2:] - 2.0 * mom + mom_e[:-2]) / dx ** 2
-
-    rho_new = rho - (dt / dx) * (flux1[1:] - flux1[:-1]) + dt * visc_rho
-    mom_star = mom - (dt / dx) * (flux2[1:] - flux2[:-1]) + dt * visc_mom
+    rho_new = rho - (0.5 * dt / dx) * (g1[1:] - g1[:-1])
+    mom_star = mom - (0.5 * dt / dx) * (g2[1:] - g2[:-1])
 
     excess = rho - model.rho_floor
     e_vals = solve_field(excess, profile, grid)

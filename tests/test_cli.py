@@ -4,6 +4,7 @@ verify round trips, and bitwise reproducibility of stored runs."""
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -781,6 +782,30 @@ class TestModuleEntry:
         assert missing <= {"semiflux.scenarios.make_arrays",
                            "semiflux.solver.stable_dt",
                            "semiflux.relaxation.rescale"}
+
+    def test_benchmark_references_hold(self, tmp_path, monkeypatch):
+        # the benchmark gates every pass on perfbench/references.json: run
+        # the march-sparse and picard-slab commands through main and gate
+        # them with the benchmark's own reader and tolerance, so a change
+        # that moves a gated value fails here first; run.py imports only
+        # the standard library and loads without writing bytecode into the
+        # benchmark's tree
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                      bench / "run.py")
+        harness = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(harness)
+        refs = json.loads((bench / "references.json").read_text())
+        for workload in ("march-sparse", "picard-slab"):
+            cfg = str(bench / "workloads" / f"{workload}.cfg")
+            argv = harness.WORKLOADS[workload](cfg, tmp_path / workload, 1)[0]
+            code, values = main(argv), {}
+            run_dir = Path(argv[argv.index("--out-dir") + 1])
+            assert harness.read_verdicts(argv[0], run_dir, {"code": code},
+                                         {}, values) == []
+            assert code in (0, 1) and refs[workload]
+            assert harness.reference_errors(workload, values, refs) == []
 
     def test_one_audit_call_site(self):
         # solve and verify audit a run through reporting.audited_texts, the

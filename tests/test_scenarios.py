@@ -107,3 +107,25 @@ def test_every_key_reaches_the_setup():
 def test_bad_override_names_its_key(key, value):
     with pytest.raises(ConfigurationError, match=key):
         make_setup("gaussian-bump", {key: value})
+
+
+def test_doping_table_feeds_the_damping_ramp(tmp_path):
+    # a `b` table replaces the doping formula and the damping ramp
+    # integrates the doping in use: a zero table leaves a at `damping`, a
+    # ramp table gives damping - slope * its running integral; an `a` table
+    # replaces the ramp
+    zero, ramp, flat = (tmp_path / f"{n}.dat" for n in ("zero", "ramp", "a"))
+    zero.write_text("-5.0 0.0\n5.0 0.0\n")
+    ramp.write_text("-5.0 0.0\n5.0 0.1\n")
+    flat.write_text("-5.0 1.5\n5.0 1.5\n")
+    setup = make_setup("doping-ramp", {}, profile_tables={"b": zero})
+    assert np.all(setup.profile.b_vals == 0.0)
+    assert np.all(setup.profile.a_vals == setup.scenario.params["damping"])
+    setup = make_setup("doping-ramp", {}, profile_tables={"b": ramp})
+    grid, b = setup.grid, setup.profile.b_vals
+    np.testing.assert_allclose(b, 0.01 * (grid.centers + 5.0), rtol=1e-14)
+    np.testing.assert_array_equal(setup.profile.a_vals,
+                                  1.0 - cumulative_integral(b, grid.dx))
+    setup = make_setup("doping-ramp", {},
+                       profile_tables={"a": flat, "b": ramp})
+    assert np.all(setup.profile.a_vals == 1.5)

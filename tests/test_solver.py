@@ -29,6 +29,7 @@ from semiflux import (
     step,
     total_integral,
 )
+from semiflux.field import solve_field
 from semiflux.solver import flux, gaussian_kernel
 
 import semiflux.solver as solver_mod
@@ -354,6 +355,60 @@ class TestStepMatchesReference:
             state = new
 
 
+
+class TestViscousFaceFlux:
+    """`step` against the scheme before eps moved into the face
+    coefficient, written out here: the Rusanov update with the face
+    coefficient 0.5 max lambda, then eps's centred second difference added,
+    on steps eps makes viscosity-limited.  A slip made in both `step` and
+    `step_reference` still fails here."""
+
+    @staticmethod
+    def prefold_step(state, profile, model, cfg, grid):
+        rho, mom, dx = state.rho, state.mom, grid.dx
+        excess, u = rho - model.rho_floor, mom / rho
+        speed = np.abs(u) + excess / rho * np.sqrt(model.dpressure(rho))
+        dt = cfg.cfl / (np.max(speed) / dx + 2.0 * cfg.epsilon / dx ** 2)
+        se = grid.extend(speed)
+        half_alpha = 0.5 * np.maximum(se[:-1], se[1:])
+        p1 = flux(model, rho, np.zeros_like(rho))[1]
+        rows = []
+        for f, q in ((excess * u, rho), (mom * u - model.delta * u ** 2 + p1,
+                                         mom)):
+            fe, qe = grid.extend(f), grid.extend(q)
+            face = 0.5 * (fe[:-1] + fe[1:]) - half_alpha * (qe[1:] - qe[:-1])
+            visc = cfg.epsilon * (qe[2:] - 2.0 * q + qe[:-2]) / dx ** 2
+            rows.append(q - dt / dx * (face[1:] - face[:-1]) + dt * visc)
+        rho_new, mom_star = rows
+        e_vals = solve_field(excess, profile, grid)
+        if cfg.source_variant is SourceVariant.FULL_DENSITY:
+            mom_star = mom_star + dt * rho * e_vals
+            rate = profile.a_vals / cfg.tau
+        else:
+            mom_star = mom_star + dt * excess * e_vals
+            rate = profile.a_vals * (rho_new - model.rho_floor) / rho_new \
+                / cfg.tau
+        return rho_new, mom_star * np.exp(-rate * dt), dt
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("variant", list(SourceVariant))
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+    def test_fold_matches_the_second_difference(self, boundary, variant,
+                                                gamma):
+        grid = Grid1D(-5.0, 5.0, 90, boundary=boundary)
+        model = GasModel(gamma=gamma, delta=0.05)
+        x = grid.centers
+        profile = DeviceProfile.build(grid, 1.5 - 0.1 * np.tanh(x),
+                                      0.2 * np.exp(-x ** 2), 0.3)
+        cfg = SolverConfig(epsilon=0.2, tau=0.05, source_variant=variant)
+        state = TestStepMatchesReference.bumpy_state(grid, model)
+        new, rep = step(state, profile, model, cfg, grid)
+        rho, mom, dt = self.prefold_step(state, profile, model, cfg, grid)
+        assert rep.limit == "viscosity"
+        assert rep.dt_used == pytest.approx(dt, rel=1e-15)
+        for got, want in ((new.rho, rho), (new.mom, mom)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
 def workspace_arrays(work):
     """Every array a step workspace holds, its state blocks' included, views
     too."""
@@ -383,9 +438,10 @@ class TestPoisonedWorkspace:
                                       0.2 * np.exp(-x ** 2), 0.3)
         cfg = SolverConfig(epsilon=2e-3, tau=0.05, source_variant=variant)
         work = solver_mod._Workspace(profile, cfg, grid)
-        # the damping rate, epsilon, dx^2 and tau are per-run constants, not
-        # buffers: a step must leave them as they were
-        constants = ("neg_rate", "eps", "dx2", "tau")
+        # the damping rate, eps's face coefficient 2 eps/dx and tau are
+        # per-run constants, not buffers: a step must leave them as they
+        # were
+        constants = ("neg_rate", "two_eps_dx", "tau")
         arrays = workspace_arrays(work)
         buffers = [arr for name, arr in arrays.items()
                    if arr.dtype == np.float64 and name not in constants]
