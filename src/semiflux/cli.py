@@ -31,6 +31,8 @@ without the ``min_rho`` header, an extra column or header key) exits 2.
 Exit codes: 0 all checks passed, 1 a check or monitor failed, 2 bad usage,
 unreadable input, or malformed configuration (an unknown key, a value its
 key's type cannot read, in a config file or in a stored run's config echo,
+a setting that would change nothing, like ``verify --t1`` without
+``--picard`` or a relax ``eps_fixed`` beside ``eps_coeff``/``eps_power``,
 a scenario whose profile fails its declared check, or a relax device whose
 drift-diffusion reference cannot keep its density non-negative).
 """
@@ -57,6 +59,9 @@ from .solver import run
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
+# relax_table.csv's header, one column per StudyRow field
+RELAX_COLUMNS = ("tau", "epsilon", "delta", "l1_error", "dissipation",
+                 "l1_net")
 
 def _overrides(vals: dict) -> dict:
     return {k: v for k, v in vals.items() if k in SCENARIO_KEYS}
@@ -150,12 +155,17 @@ def _first_difference(stored: str, fresh: str, csv: bool) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.t1 is not None and not args.picard:
+        raise ConfigurationError(
+            f"--t1 {args.t1!r} is read only with --picard; without it the "
+            "flag would be ignored")
     payload, traj = load_run_dir(args.run_dir)
     # the cross-check runs on [0, min(--t1, t_end)]: a bad flag is a usage
     # error before anything is audited or printed
-    t1 = min(args.t1, traj.cfg.t_end)
+    flag = CROSS_CHECK_T1 if args.t1 is None else args.t1
+    t1 = min(flag, traj.cfg.t_end)
     if args.picard:
-        check_t1(t1, f"--t1 {args.t1!r}")
+        check_t1(t1, f"--t1 {flag!r}")
     _, texts = audited_texts(traj, payload["config"])
     run_dir = Path(args.run_dir)
     ok = True
@@ -254,6 +264,11 @@ def cmd_relax(args) -> int:
     if "tau_list" not in vals:
         raise ConfigurationError("relax config must set 'tau_list'")
     tau_list = vals["tau_list"].replace(",", " ").split()
+    overridden = [k for k in ("eps_coeff", "eps_power") if k in vals]
+    if "eps_fixed" in vals and overridden:
+        raise ConfigurationError(
+            f"eps_fixed replaces {' and '.join(overridden)}; "
+            "set one or the other")
     coupling = CouplingRule(**_given(
         vals, ("eps_coeff", "eps_power", "eps_fixed", "delta_coeff")))
     window = None
@@ -268,9 +283,9 @@ def cmd_relax(args) -> int:
         **_given(vals, ("horizon", "n_s_records", "s0_frac")))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = ("tau", "epsilon", "delta", "l1_error", "dissipation", "l1_net")
     (out_dir / "relax_table.csv").write_text(csv_text(
-        columns, [[getattr(r, c) for c in columns] for r in study.rows]))
+        RELAX_COLUMNS,
+        [[getattr(r, c) for c in RELAX_COLUMNS] for r in study.rows]))
     (out_dir / "manifest.json").write_text(
         json_text({**study.manifest, "monotone": study.monotone}))
 
@@ -306,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("run_dir", help="directory written by solve")
     v.add_argument("--picard", action="store_true",
                    help="also cross-check a short-time fixed-point solve")
-    v.add_argument("--t1", type=float, default=CROSS_CHECK_T1,
-                   help="horizon for the fixed-point cross-check")
+    v.add_argument("--t1", type=float,
+                   help="horizon for the fixed-point cross-check (with "
+                        f"--picard; default {CROSS_CHECK_T1:g})")
     v.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("picard",

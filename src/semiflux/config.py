@@ -6,15 +6,19 @@ silently running defaults, and a value its key's type (float, int, or one of
 the boundary, pressure-convention and source-variant enums) cannot read is
 rejected the same way.  `coerce` is the one cast, for a file's strings and
 `scenarios.make_setup`'s overrides alike.  Each scenario is a row of
-`SCENARIO_DEFAULTS`, whose defaults type the keys.
+`SCENARIO_DEFAULTS`, whose defaults type the keys.  A run's grid, gas law
+and SolverConfig are built from their keys by `build_parts` and echoed by
+`config_echo`, both through the one key table `_ECHO`.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
-from .model import Boundary, ConfigurationError, PressureConvention
-from .solver import SourceVariant
+from .model import (Boundary, ConfigurationError, GasModel, Grid1D,
+                    PressureConvention)
+from .solver import SolverConfig, SourceVariant
 
 SCENARIO_DEFAULTS = {
     "x_min": -5.0, "x_max": 5.0, "n_cells": 500,
@@ -28,6 +32,14 @@ SCENARIO_DEFAULTS = {
     "e_minus": 0.0, "damping": 1.0, "damping_slope_coeff": 0.0,
 }
 SCENARIO_KEYS = {key: type(val) for key, val in SCENARIO_DEFAULTS.items()}
+
+# a run's grid, gas-law and solver keys, per Trajectory part with its class;
+# each key names its attribute but for the gas law's `convention`
+_ECHO = (("grid", Grid1D, ("x_min", "x_max", "n_cells", "boundary")),
+         ("model", GasModel, ("gamma", "delta", "pressure_convention")),
+         ("cfg", SolverConfig, tuple(f.name for f in fields(SolverConfig))))
+_ATTR = {"pressure_convention": "convention"}
+ECHO_KEYS = tuple(key for _, _, keys in _ECHO for key in keys)
 
 # scenario parameters shared by the picard and relax commands
 _SHARED = ("x_min", "x_max", "n_cells", "boundary", "gamma",
@@ -97,3 +109,17 @@ def coerce(raw: dict, schema: dict) -> dict:
             raise ConfigurationError(
                 f"bad value for {key!r}: {val!r} ({err})") from None
     return out
+
+
+def build_parts(values: dict) -> tuple:
+    """(grid, model, cfg) built from the `ECHO_KEYS` of `values`, a dict of
+    cast values."""
+    return tuple(cls(**{_ATTR.get(k, k): values[k] for k in keys})
+                 for _, cls, keys in _ECHO)
+
+
+def config_echo(traj) -> dict:
+    """The `ECHO_KEYS`, each with its value in the grid, model and cfg of
+    the Trajectory `traj`."""
+    return {key: getattr(getattr(traj, part), _ATTR.get(key, key))
+            for part, _, keys in _ECHO for key in keys}

@@ -10,10 +10,9 @@ also perturbs the pressure,
 which is the momentum-flux potential actually advected by the regularized
 system.  The Riemann invariants are z, w = int_1^rho sqrt(P'(s))/s ds -+ u
 for every gamma >= 1.  Each gas-law quantity has one formula that is
-continuous in gamma: the power integrals run through expm1
-(`_powm1_over`), which is exactly a logarithm at gamma = 1, and P1's tail
-and the internal energy share `_tail`.  Only `_p1` keeps a gamma = 1 branch,
-the operation order the isothermal reference step pins.  Everything here is
+continuous in gamma, with no gamma = 1 branch: the power integrals run
+through expm1 (`_powm1_over`), which is exactly a logarithm at gamma = 1,
+and P1's tail and the internal energy share `_tail`.  Everything here is
 plain numpy on a uniform cell-centered grid.
 
 The scalars the march hands to numpy each step (delta, 2*delta, gamma,
@@ -164,31 +163,18 @@ class GasModel:
 
     @functools.cached_property
     def _p1_floor(self) -> np.ndarray:
-        """P1's rho-free term besides `_tail`'s, as a 0-d array: P(2d), or
-        2d - 2d log 2d at gamma = 1, where `_p1` reads no `_tail`."""
-        d2 = self.rho_floor
-        return _const(d2 - d2 * np.log(d2) if self.gamma == 1.0
-                      else self.pressure(d2))
+        """P(2d), P1's rho-free term besides `_tail`'s, as a 0-d array."""
+        return _const(self.pressure(self.rho_floor))
 
     def _p1(self, rho, out=None, tmp=None):
-        """P1(rho, delta), closed form for every gamma >= 1; unchecked.
-
-        For gamma > 1 the antiderivative is P(t) - 2*delta*int P'(t)/t dt,
-        the power integral being `_tail`; at gamma = 1 it is
-        rho - 2*delta*log(rho), in the operation order the isothermal
-        reference step pins.
-        """
-        d2, g = self._d2, self._g
-        if self.gamma == 1.0:
-            v = np.log(rho, out=out)
-            v *= d2
-            v = np.subtract(rho, v, out=out)
-            v -= self._p1_floor
-            return v
+        """P1(rho, delta) = (P(rho) - P(2d)) - 2d c `_tail`(rho), c = gamma
+        under the plain convention, else 1: the antiderivative
+        P(t) - 2*delta*int P'(t)/t dt, one closed form for every gamma >= 1
+        (the tail is log(rho) - log(2d) at gamma = 1); unchecked."""
         tail = self._tail(rho, out=tmp)
         if self.convention is PressureConvention.PLAIN:
-            tail *= g
-        tail *= d2
+            tail *= self._g
+        tail *= self._d2
         v = self._p(rho, out=out)
         v -= self._p1_floor
         return np.subtract(v, tail, out=out)
@@ -222,10 +208,7 @@ class GasModel:
         mom = np.asarray(mom, dtype=float)
         u = mom / rho
         s = self.sound_integral(rho)
-        z, w = s - u, s + u
-        if z.shape:
-            return z, w
-        return float(z), float(w)
+        return s - u, s + u
 
 
 @dataclass(frozen=True)

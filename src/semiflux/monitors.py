@@ -7,13 +7,16 @@ in `_records`, so the audit holds one row of it at a time.
 Monitored quantities: excess mass (non-increasing under outflow, constant
 under periodic), the field sup-bound ratio, growth of the Riemann invariants
 max z, max w <= M2 + M1*t (z, w = int_1^rho sqrt(P'(s))/s ds -+ u, ln rho
--+ u at gamma = 1), plateaus of sup rho and sup |u|, the quantities the
+-+ u at gamma = 1; a row stores max z, max w and the bound, not their
+difference), plateaus of sup rho and sup |u|, the quantities the
 uniform bound rho <= M, |u| <= M names, at every gamma under the
 uniform-bound hypotheses, and the weak entropy inequality against compactly
-supported test functions.  The summary's step count, completion and lowest
-density are read off the records too.  Every audit reads the device profile
-and the SolverConfig (eps, tau, source coupling) from the Trajectory
-itself, so it judges the run under the settings it was marched with.
+supported test functions phi = g(xi_x) g(xi_t), `TestFunction._bump`
+giving g and g' from one exponential.  The summary's step count,
+completion and lowest density are read off the records too.  Every audit
+reads the device profile and the SolverConfig (eps, tau, source coupling)
+from the Trajectory itself, so it judges the run under the settings it was
+marched with.
 `evaluate_trajectory` audits the monitors named in `enabled`, a tuple that
 `parse_monitor_list` reads and validates; `reporting.audited_texts` is
 where a command runs them.  The entropy audit is one `entropy_sweep` over
@@ -65,7 +68,6 @@ N_PHI = 3
 MONITOR_COLUMNS = (
     "step", "time", "mass", "min_rho", "sup_rho", "sup_abs_u",
     "sup_abs_field", "field_bound", "z_max", "w_max", "riemann_bound",
-    "riemann_slack",
 )
 
 
@@ -122,7 +124,7 @@ def evaluate_trajectory(traj: Trajectory,
         r_slack = r_bound - max(z_max, w_max)
 
         rows.append([step, t, mass, min_rho, sup_rho, sup_u,
-                     sup_field, dyn_bound, z_max, w_max, r_bound, r_slack])
+                     sup_field, dyn_bound, z_max, w_max, r_bound])
 
         if "positivity" in enabled and min_rho < floor:
             violations.append({"monitor": "positivity", "time": t,
@@ -211,33 +213,28 @@ class TestFunction:
 
     @staticmethod
     def _bump(xi):
+        """(g, g') at xi, g(xi) = exp(-1/(1 - xi^2)) inside |xi| < 1 and 0
+        outside, g' = g * (-2 xi / (1 - xi^2)^2); the exponential is
+        evaluated once for both."""
         xi = np.asarray(xi, dtype=float)
-        out = np.zeros_like(xi)
-        inside = np.abs(xi) < 1.0
-        with np.errstate(divide="ignore", over="ignore"):
-            out[inside] = np.exp(-1.0 / (1.0 - xi[inside] ** 2))
-        return out
-
-    @staticmethod
-    def _dbump(xi):
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros_like(xi)
+        g, dg = np.zeros_like(xi), np.zeros_like(xi)
         inside = np.abs(xi) < 1.0
         with np.errstate(divide="ignore", over="ignore"):
             xin = xi[inside]
-            out[inside] = np.exp(-1.0 / (1.0 - xin ** 2)) \
-                * (-2.0 * xin / (1.0 - xin ** 2) ** 2)
-        return out
+            gap = 1.0 - xin ** 2
+            g_in = np.exp(-1.0 / gap)
+            g[inside] = g_in
+            dg[inside] = g_in * (-2.0 * xin / gap ** 2)
+        return g, dg
 
     def space_factors(self, x):
         """(g(xi_x), g'(xi_x) / wx): the spatial half of phi and phi_x."""
-        xi = (x - self.x_center) / self.x_width
-        return self._bump(xi), self._dbump(xi) / self.x_width
+        g, dg = self._bump((x - self.x_center) / self.x_width)
+        return g, dg / self.x_width
 
     def time_factors(self, t):
         """(g(xi_t), g'(xi_t)); phi_t divides by wt after the product."""
-        xi = (t - self.t_center) / self.t_width
-        return self._bump(xi), self._dbump(xi)
+        return self._bump((t - self.t_center) / self.t_width)
 
     def combine(self, space, time):
         """(phi, phi_x, phi_t) from the two factor pairs, in the one

@@ -58,7 +58,8 @@ class HeatKernel:
     # `values`, `cdf`, `_half_width`, `_cells` and `_faces` take t as a
     # scalar or as an array broadcasting against x, element by element the
     # same arithmetic either way: a table row is bit-identical to the
-    # weights of its own time
+    # weights of its own time.  `circular_table` is the one layout of the
+    # weights, the smoothing `_cells` and the gradient `_faces`.
 
     def values(self, x, t):
         x = np.asarray(x, dtype=float)
@@ -80,19 +81,9 @@ class HeatKernel:
         return self.cdf(r + 0.5 * dx, t) - self.cdf(r - 0.5 * dx, t)
 
     def _faces(self, r, dx: float, t):
-        """G at the right face of the cell at offset r minus G at its left."""
+        """G at the right face of the cell at offset r minus G at its left:
+        the convolution with d_xi G, exact on piecewise-constant data."""
         return self.values(r + 0.5 * dx, t) - self.values(r - 0.5 * dx, t)
-
-    def cell_weights(self, dx: float, t: float) -> np.ndarray:
-        """w[r] = int over cell at offset r of G: exact smoothing weights."""
-        h = self._half_width(dx, t)
-        return self._cells(np.arange(-h, h + 1) * dx, dx, t)
-
-    def gradient_weights(self, dx: float, t: float) -> np.ndarray:
-        """Weights reproducing the convolution with d_xi G exactly on
-        piecewise-constant data: G at the right face minus G at the left."""
-        h = self._half_width(dx, t)
-        return self._faces(np.arange(-h, h + 1) * dx, dx, t)
 
     def circular_table(self, weights, dx: float, times,
                        width: int) -> np.ndarray:

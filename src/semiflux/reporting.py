@@ -3,7 +3,7 @@
 A run directory stores a whole Trajectory: each record's (step, time,
 min_rho, rho, m) is one '#'-headed text snapshot, the profile (x a b)
 another table, and its grid, gas law and SolverConfig the config echo,
-written and read back through the one key table `_ECHO`.  The reader
+written and read back through the one key table of `config`.  The reader
 accepts only the layout the writer writes, header keys and columns alike.
 The cell centres x are stored once, in the profile, where the reader
 checks them against the grid; the field E is derived data.  `audited_texts`
@@ -21,26 +21,19 @@ Wall-clock timing lives in its own file.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from itertools import takewhile
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .config import SCENARIO_KEYS, SOLVE_KEYS, coerce
-from .model import ConfigurationError, DeviceProfile, GasModel, Grid1D
+from .config import (ECHO_KEYS, SCENARIO_KEYS, SOLVE_KEYS, build_parts,
+                     coerce, config_echo)
+from .model import ConfigurationError, DeviceProfile, Grid1D
 from .monitors import (entropy_spot_check, evaluate_trajectory,
                        parse_monitor_list)
-from .solver import SolverConfig, Trajectory
+from .solver import Trajectory
 
-# the config echo's grid, gas-law and solver keys, per Trajectory part with
-# its class; the echo is written and read back with this one table, each key
-# naming its attribute but for the gas law's `convention`
-_ECHO = (("grid", Grid1D, ("x_min", "x_max", "n_cells", "boundary")),
-         ("model", GasModel, ("gamma", "delta", "pressure_convention")),
-         ("cfg", SolverConfig, tuple(f.name for f in fields(SolverConfig))))
-_ATTR = {"pressure_convention": "convention"}
 _SNAPSHOT = "snapshots/snap_{:08d}.dat"   # the path of a record, by its step
 
 
@@ -102,13 +95,6 @@ def json_text(payload) -> str:
                       default=attrgetter("value")) + "\n"
 
 
-def config_echo(traj: Trajectory) -> dict:
-    """The `_ECHO` keys, each with its value in the grid, model and cfg of
-    `traj`."""
-    return {key: getattr(getattr(traj, part), _ATTR.get(key, key))
-            for part, _, keys in _ECHO for key in keys}
-
-
 def audited_texts(traj: Trajectory, command_echo: dict):
     """The one audit of a run, for `solve` and `verify` alike: the monitors
     and the entropy seed are read from `command_echo` with `solve`'s key
@@ -160,10 +146,8 @@ def load_run_dir(run_dir):
     its key cannot read is a ConfigurationError naming the key."""
     out = Path(run_dir)
     payload = json.loads((out / "report.json").read_text())
-    echo = coerce({k: payload["config"][k] for _, _, keys in _ECHO
-                   for k in keys}, SCENARIO_KEYS)
-    grid, model, cfg = (cls(**{_ATTR.get(k, k): echo[k] for k in keys})
-                        for _, cls, keys in _ECHO)
+    grid, model, cfg = build_parts(coerce(
+        {k: payload["config"][k] for k in ECHO_KEYS}, SCENARIO_KEYS))
     meta, cols = _read_table(out / "profile.dat", grid, ("e_minus",),
                              ("x", "a", "b"))
     if not np.array_equal(cols["x"], grid.centers):

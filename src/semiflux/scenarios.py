@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import SCENARIO_DEFAULTS, SCENARIO_KEYS, coerce
+from .config import SCENARIO_DEFAULTS, SCENARIO_KEYS, build_parts, coerce
 from .model import (ConfigurationError, DeviceProfile, GasModel, Grid1D,
                     PressureConvention, cumulative_integral)
 from .solver import SolverConfig, prepare_initial
@@ -140,18 +140,12 @@ def make_setup(name: str, overrides: dict | None = None,
     otherwise integrates the doping in use, a `b` table's included."""
     scenario = resolve_params(name, overrides)
     p = scenario.params
-    grid = Grid1D(x_min=p["x_min"], x_max=p["x_max"], n_cells=p["n_cells"],
-                  boundary=p["boundary"])
+    grid, model, cfg = build_parts(p)
     tables = {key: interp_profile(path, grid.centers)
               for key, path in (profile_tables or {}).items()}
     raw_rho, raw_u, a_vals, b_vals = device_arrays(grid, p, tables.get("b"))
     a_vals = tables.get("a", a_vals)
     custom = bool(tables)
-    model = GasModel(gamma=p["gamma"], delta=p["delta"],
-                     convention=p["pressure_convention"])
-    cfg = SolverConfig(epsilon=p["epsilon"], tau=p["tau"], cfl=p["cfl"],
-                       t_end=p["t_end"], source_variant=p["source_variant"],
-                       smoothing_width=p["smoothing_width"])
     profile = DeviceProfile.build(grid, a_vals, b_vals, p["e_minus"])
     if not custom and profile.check.ok != scenario.expect_profile_ok:
         raise ConfigurationError(

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from semiflux.field import solve_field
 from semiflux.model import (GasModel, HydroState, PressureConvention,
                             _powm1_over)
-from semiflux.monitors import (N_PHI, TestFunction, _mechanical_energy,
+from semiflux.monitors import (N_PHI, _mechanical_energy,
                                random_test_function)
 from semiflux.picard import PicardIterate
 from semiflux.relaxation import PositivityError, _dd_face_flux
@@ -60,6 +60,13 @@ def conv_full_sliced(vals, weights):
     return np.convolve(vals, weights, mode="full")[h:h + len(vals)]
 
 
+def centred_weights(kernel, weights, dx: float, t: float) -> np.ndarray:
+    """`weights` (the kernel's `_cells` or `_faces`) at time t on the
+    offsets -h dx .. h dx of its half-width h, centred for np.convolve."""
+    h = kernel._half_width(dx, t)
+    return weights(np.arange(-h, h + 1) * dx, dx, t)
+
+
 def circular_reference(rows, width: int) -> np.ndarray:
     """Centred odd-length weight rows laid out one at a time for a circular
     convolution of length `width`: the weight at offset r goes to column
@@ -99,8 +106,8 @@ def picard_step_reference(prev, initial, profile, model, kernel, grid, tau,
     grad_w = [None]
     for m in range(1, n_lev):
         lag = (m - 0.5) * ds
-        smooth_w.append(kernel.cell_weights(dx, lag))
-        grad_w.append(kernel.gradient_weights(dx, lag))
+        smooth_w.append(centred_weights(kernel, kernel._cells, dx, lag))
+        grad_w.append(centred_weights(kernel, kernel._faces, dx, lag))
 
     rho_new = np.empty_like(prev.rho)
     mom_new = np.empty_like(prev.mom)
@@ -110,7 +117,7 @@ def picard_step_reference(prev, initial, profile, model, kernel, grid, tau,
 
     for k in range(1, n_lev):
         t_k = float(times[k])
-        base_w = kernel.cell_weights(dx, t_k)
+        base_w = centred_weights(kernel, kernel._cells, dx, t_k)
         r_acc = d2 + conv(excess0, base_w)
         m_acc = conv(initial.mom, base_w)
         for j in range(k):
@@ -158,15 +165,13 @@ def step_reference(state, profile, model, cfg, grid, t_stop=None):
         t_new = t_stop
         limit = "clamp"
 
-    # P1 with its rho-free terms recomputed on every call
+    # P1 with its rho-free terms recomputed on every call, one formula for
+    # every gamma (the tail is log(rho) - log(d2) at gamma = 1)
     d2, g = model.rho_floor, model.gamma
-    if g == 1.0:
-        p1 = (rho - d2 * np.log(rho)) - (d2 - d2 * np.log(d2))
-    else:
-        tail = _powm1_over(rho, g - 1.0) - _powm1_over(d2, g - 1.0)
-        if model.convention is PressureConvention.PLAIN:
-            tail = g * tail
-        p1 = (model.pressure(rho) - model.pressure(d2)) - d2 * tail
+    tail = _powm1_over(rho, g - 1.0) - _powm1_over(d2, g - 1.0)
+    if model.convention is PressureConvention.PLAIN:
+        tail = g * tail
+    p1 = (model.pressure(rho) - model.pressure(d2)) - d2 * tail
 
     u = mom / rho
     f1 = (rho - model.rho_floor) * u
@@ -270,14 +275,25 @@ def convexity_check(eta, rho_samples, mom_samples, h: float = 1e-4) -> float:
     return worst
 
 
+def bump_reference(xi):
+    """(g, g') at xi, each written out on its own: g = exp(-1/(1 - xi^2))
+    inside |xi| < 1 and 0 outside, g' = g * (-2 xi / (1 - xi^2)^2)."""
+    xi = np.asarray(xi, dtype=float)
+    g, dg = np.zeros_like(xi), np.zeros_like(xi)
+    inside = np.abs(xi) < 1.0
+    xin = xi[inside]
+    with np.errstate(divide="ignore", over="ignore"):
+        g[inside] = np.exp(-1.0 / (1.0 - xin ** 2))
+        dg[inside] = np.exp(-1.0 / (1.0 - xin ** 2)) \
+            * (-2.0 * xin / (1.0 - xin ** 2) ** 2)
+    return g, dg
+
+
 def phi_reference(phi, x, t):
     """(phi, phi_x, phi_t) of a bump, each from its own bump evaluations."""
-    bump, dbump = TestFunction._bump, TestFunction._dbump
-    xi_x = (x - phi.x_center) / phi.x_width
-    xi_t = (t - phi.t_center) / phi.t_width
-    return (bump(xi_x) * bump(xi_t),
-            dbump(xi_x) / phi.x_width * bump(xi_t),
-            bump(xi_x) * dbump(xi_t) / phi.t_width)
+    gx, dgx = bump_reference((x - phi.x_center) / phi.x_width)
+    gt, dgt = bump_reference((t - phi.t_center) / phi.t_width)
+    return gx * gt, dgx / phi.x_width * gt, gx * dgt / phi.t_width
 
 
 def entropy_residual_reference(traj, profile, phi, tau,

@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,21 @@ from semiflux.monitors import ALL_MONITORS, parse_monitor_list
 from semiflux.picard import picard_solve
 from semiflux import relaxation
 from semiflux.relaxation import CouplingRule, relaxation_study
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def benchmark_harness(monkeypatch):
+    """perfbench/run.py as a module and its references.json; run.py imports
+    only the standard library and loads without writing bytecode into the
+    benchmark's tree."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  BENCH / "run.py")
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    return harness, json.loads((BENCH / "references.json").read_text())
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -466,6 +482,16 @@ class TestVerify:
         assert out.count("MISMATCH") == 1
         assert out.count("byte-identical under recomputation") == 2
 
+    @pytest.mark.parametrize("t1", ["0.01", "nan"])
+    def test_t1_without_picard_exits_2(self, run_dir, capsys, t1):
+        # --t1 is the cross-check's horizon: without --picard it would
+        # change nothing, so it is refused before anything is re-audited
+        capsys.readouterr()
+        assert main(["verify", str(run_dir), "--t1", t1]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--t1 {float(t1)!r}" in err and "--picard" in err
+
     def test_short_time_cross_check(self, run_dir, capsys):
         rc = main(["verify", str(run_dir), "--picard", "--t1", "0.01"])
         assert rc == 0
@@ -739,6 +765,23 @@ class TestRelaxCommand:
         assert "drift-diffusion reference" in err and "at s = 0.0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", ["eps_coeff = 0.1", "eps_power = 2",
+                                       "eps_coeff = 0.1\neps_power = 2"])
+    def test_eps_fixed_with_the_coupling_keys_exits_2(self, tmp_path, capsys,
+                                                      extra):
+        # eps_fixed replaces the coupling's eps_coeff and eps_power: a
+        # config setting both would silently run without the latter
+        cfg = write_cfg(tmp_path, (
+            "scenario = gaussian-bump\nn_cells = 100\n"
+            "tau_list = 0.2 0.1 0.05\neps_fixed = 0.5\n" + extra + "\n"))
+        out = tmp_path / "relax"
+        assert main(["relax", "--config", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: eps_fixed replaces ")
+        for key in ("eps_coeff", "eps_power"):
+            assert (key in err) == (key in extra)
+        assert not out.exists()
+
     def test_detuned_sweep_fails(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (
             "scenario = gaussian-bump\nx_min = -4\nx_max = 4\n"
@@ -787,18 +830,10 @@ class TestModuleEntry:
         # the benchmark gates every pass on perfbench/references.json: run
         # the march-sparse and picard-slab commands through main and gate
         # them with the benchmark's own reader and tolerance, so a change
-        # that moves a gated value fails here first; run.py imports only
-        # the standard library and loads without writing bytecode into the
-        # benchmark's tree
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)
-        bench = Path(__file__).resolve().parents[1] / "perfbench"
-        spec = importlib.util.spec_from_file_location("perfbench_run",
-                                                      bench / "run.py")
-        harness = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(harness)
-        refs = json.loads((bench / "references.json").read_text())
+        # that moves a gated value fails here first
+        harness, refs = benchmark_harness(monkeypatch)
         for workload in ("march-sparse", "picard-slab"):
-            cfg = str(bench / "workloads" / f"{workload}.cfg")
+            cfg = str(BENCH / "workloads" / f"{workload}.cfg")
             argv = harness.WORKLOADS[workload](cfg, tmp_path / workload, 1)[0]
             code, values = main(argv), {}
             run_dir = Path(argv[argv.index("--out-dir") + 1])
@@ -806,6 +841,34 @@ class TestModuleEntry:
                                          {}, values) == []
             assert code in (0, 1) and refs[workload]
             assert harness.reference_errors(workload, values, refs) == []
+
+    # relax-ladder's (dissipation, l1_net) per tau, as relax_table.csv
+    # stores them; references.json holds no relax-ladder values, so this
+    # guard gates them with its tolerance
+    RELAX_LADDER = {0.2: (0.070791000976598073, 0.016391227025005322),
+                    0.1: (0.101452789135785, 0.0028161972645405898),
+                    0.05: (0.098530276370248318, 0.0024795242498753408)}
+
+    def test_relax_ladder_values_hold(self, tmp_path, monkeypatch):
+        # each rung's tau, delta = tau and eps = 0.1 sqrt(P'(2 delta)) tau^2
+        # (gamma = 2) exactly, the two measured columns within the
+        # benchmark's tolerance, and the ladder monotone
+        harness, refs = benchmark_harness(monkeypatch)
+        cfg = str(BENCH / "workloads" / "relax-ladder.cfg")
+        argv = harness.WORKLOADS["relax-ladder"](cfg, tmp_path, 1)[0]
+        assert main(argv) == 0
+        out = Path(argv[argv.index("--out-dir") + 1])
+        lines = (out / "relax_table.csv").read_text().splitlines()[1:]
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert [r[0] for r in rows] == list(self.RELAX_LADDER)
+        for tau, eps, delta, _, dissipation, l1_net in rows:
+            assert delta == tau
+            assert eps == 0.1 * math.sqrt(2.0 * tau) * tau ** 2
+            for got, want in zip((dissipation, l1_net),
+                                 self.RELAX_LADDER[tau]):
+                assert harness.close_enough(got, want, refs["tolerance"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["monotone"] is True
 
     def test_one_audit_call_site(self):
         # solve and verify audit a run through reporting.audited_texts, the

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import semiflux.picard as picard_module
-from helpers import (circular_reference, conv_full_sliced, conv_same,
-                     picard_step_reference)
+from helpers import (centred_weights, circular_reference, conv_full_sliced,
+                     conv_same, picard_step_reference)
 from semiflux import (
     DeviceProfile,
     GasModel,
@@ -90,13 +90,13 @@ class TestHeatKernel:
 
     def test_cell_weights_sum_to_one(self):
         k = HeatKernel(epsilon=0.01)
-        w = k.cell_weights(dx=0.05, t=0.05)
+        w = centred_weights(k, k._cells, dx=0.05, t=0.05)
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(w >= 0.0)
 
     def test_cell_weights_smooth_constants_exactly(self):
         k = HeatKernel(epsilon=0.01)
-        w = k.cell_weights(dx=0.05, t=0.02)
+        w = centred_weights(k, k._cells, dx=0.05, t=0.02)
         vals = np.full(200, 3.7)
         out = np.convolve(vals, w, mode="same")
         mid = out[len(w): -len(w)]
@@ -104,7 +104,7 @@ class TestHeatKernel:
 
     def test_gradient_weights_antisymmetric(self):
         k = HeatKernel(epsilon=0.01)
-        w = k.gradient_weights(dx=0.05, t=0.03)
+        w = centred_weights(k, k._faces, dx=0.05, t=0.03)
         assert np.allclose(w, -w[::-1], atol=1e-18)
         assert abs(w.sum()) < 1e-14
         h = (len(w) - 1) // 2
@@ -142,11 +142,10 @@ class TestSlabTables:
         ds = float(guess.times[1] - guess.times[0])
         lags = [(m - 0.5) * ds for m in range(1, slab[3] + 1)]
         levels = [float(t) for t in guess.times[1:]]
-        for weights, per_time, times in (
-                (kernel._faces, kernel.gradient_weights, lags),
-                (kernel._cells, kernel.cell_weights, lags),
-                (kernel._cells, kernel.cell_weights, levels)):
-            want = circular_reference([per_time(dx, t) for t in times], width)
+        for weights, times in ((kernel._faces, lags), (kernel._cells, lags),
+                               (kernel._cells, levels)):
+            rows = [centred_weights(kernel, weights, dx, t) for t in times]
+            want = circular_reference(rows, width)
             got = kernel.circular_table(weights, dx, times, width)
             assert np.array_equal(got, want)
 

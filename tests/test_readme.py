@@ -1,6 +1,7 @@
 """The README's command synopsis, its study config examples and its
-`monitors.csv` column list against the parser, the config key tables and
-the monitor columns they document."""
+`monitors.csv` and `relax_table.csv` column lists against the parser, the
+config key tables, the monitor columns and the relax table header they
+document."""
 
 import argparse
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from semiflux.cli import build_parser
+from semiflux.cli import RELAX_COLUMNS, build_parser
 from semiflux.config import PICARD_KEYS, RELAX_KEYS
 from semiflux.monitors import MONITOR_COLUMNS
 
@@ -61,3 +62,9 @@ def test_monitor_columns_match_the_table():
     listed = re.search(r"`monitors\.csv` \(one\s+audited row [^`]*"
                        r"with the columns `([^`]*)`", README).group(1)
     assert tuple(re.split(r",\s*", listed)) == MONITOR_COLUMNS
+
+
+def test_relax_columns_match_the_header():
+    listed = re.search(r"`relax_table\.csv`\s+has the columns `([^`]*)`",
+                       README).group(1)
+    assert tuple(re.split(r",\s*", listed)) == RELAX_COLUMNS

@@ -43,13 +43,12 @@ def spread_ref(model, rho, excess):
 
 
 def powm1_ref(x, e):
-    return np.expm1(np.log(x) * e) / e
+    """(x**e - 1) / e, and its limit log(x) at e = 0."""
+    return np.expm1(np.log(x) * e) / e if e else np.log(x)
 
 
 def p1_ref(model, rho):
     d2, g = 2.0 * model.delta, model.gamma
-    if g == 1.0:
-        return (rho - np.log(rho) * d2) - (d2 - d2 * np.log(d2))
     tail = powm1_ref(rho, g - 1.0) - powm1_ref(d2, g - 1.0)
     if model.convention is PressureConvention.PLAIN:
         tail = tail * g
@@ -118,8 +117,6 @@ class TestPressureTerms:
             r = np.asarray(rho, dtype=float)
             assert same_bits(model.pressure(rho), p_ref(model, r))
             assert same_bits(model.dpressure(rho), dp_ref(model, r))
-        z, w = model.riemann_invariants(0.7, 0.2)
-        assert type(z) is float and type(w) is float
 
     def test_flux_on_scalars(self, gamma, delta, convention):
         # a cell given as Python floats or 0-d arrays, evaluated as one-cell
