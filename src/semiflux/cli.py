@@ -19,8 +19,9 @@ Four subcommands:
 ``verify`` on the echo the run stored, so the monitors and the entropy
 seed come from the echo alone and a stored echo without either exits 2.
 
-Each setting has one spelling but the seed (``--seed`` overrides ``seed``):
-the output directory is ``--out-dir``, the monitors the ``monitors`` key.
+Each setting has one spelling but the seed (``--seed`` or ``seed``, never
+both): the output directory is ``--out-dir``, the monitors the ``monitors``
+key.
 
 ``solve``, ``picard`` and ``relax`` build their device through
 ``scenarios.make_setup``; ``verify`` audits a stored run, read through
@@ -33,8 +34,9 @@ unreadable input, or malformed configuration (an unknown key, a value its
 key's type cannot read, in a config file or in a stored run's config echo,
 a setting that would change nothing, like ``verify --t1`` without
 ``--picard`` or a relax ``eps_fixed`` beside ``eps_coeff``/``eps_power``,
-a scenario whose profile fails its declared check, or a relax device whose
-drift-diffusion reference cannot keep its density non-negative).
+a scenario whose profile fails its declared check, a periodic device with
+net charge, or a relax device whose drift-diffusion reference cannot keep
+its density non-negative).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from itertools import zip_longest
 from pathlib import Path
 
@@ -51,7 +54,7 @@ from .config import (PICARD_KEYS, RELAX_KEYS, SCENARIO_KEYS, SOLVE_KEYS,
 from .model import ConfigurationError, HydroState
 from .monitors import parse_monitor_list
 from .picard import CROSS_CHECK_T1, check_t1, cross_check, picard_solve
-from .relaxation import CouplingRule, relaxation_study
+from .relaxation import CouplingRule, StudyRow, relaxation_study
 from .reporting import (audited_texts, csv_text, json_text, load_run_dir,
                         write_run_dir)
 from .scenarios import make_setup
@@ -59,9 +62,10 @@ from .solver import run
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
-# relax_table.csv's header, one column per StudyRow field
-RELAX_COLUMNS = ("tau", "epsilon", "delta", "l1_error", "dissipation",
-                 "l1_net")
+# relax_table.csv's header and relax's printed table, one column per
+# StudyRow field, printed (width, significant digits) as below or (12, 6)
+RELAX_COLUMNS = tuple(f.name for f in fields(StudyRow))
+_RELAX_FORMAT = {"tau": (10, 4), "epsilon": (12, 4), "delta": (10, 4)}
 
 def _overrides(vals: dict) -> dict:
     return {k: v for k, v in vals.items() if k in SCENARIO_KEYS}
@@ -106,6 +110,9 @@ def cmd_solve(args) -> int:
     enabled = parse_monitor_list(vals.get("monitors", "all"))
     cadence = vals.get("cadence", 50)
 
+    if args.seed is not None and "seed" in vals:
+        raise ConfigurationError(f"the seed is given twice, --seed {args.seed}"
+                                 f" and seed = {vals['seed']}; set one")
     tables = {k: vals[f"{k}_table"] for k in "ab" if f"{k}_table" in vals}
     setup = make_setup(name, overrides, profile_tables=tables)
 
@@ -289,13 +296,12 @@ def cmd_relax(args) -> int:
     (out_dir / "manifest.json").write_text(
         json_text({**study.manifest, "monotone": study.monotone}))
 
+    spec = [(c, *_RELAX_FORMAT.get(c, (12, 6))) for c in RELAX_COLUMNS]
     print(f"relaxation sweep on {name}:")
-    print(f"  {'tau':>10} {'epsilon':>12} {'delta':>10} "
-          f"{'l1_error':>12} {'dissipation':>12} {'l1_net':>12}")
+    print("  " + " ".join(f"{c:>{w}}" for c, w, _ in spec))
     for r in study.rows:
-        print(f"  {r.tau:>10.4g} {r.epsilon:>12.4g} {r.delta:>10.4g} "
-              f"{r.l1_error:>12.6g} {r.dissipation:>12.6g} "
-              f"{r.l1_net:>12.6g}")
+        print("  " + " ".join(f"{getattr(r, c):>{w}.{d}g}"
+                              for c, w, d in spec))
     print(f"drift-diffusion reference: {study.reference.n_steps} steps, "
           f"{study.reference.halvings} dt halvings")
     print(f"l1 errors strictly decreasing: {'yes' if study.monotone else 'NO'}")

@@ -2,7 +2,9 @@
 
 On the truncated domain the field is anchored at the left edge with the
 far-field datum e_minus and recovered by a running integral, so no linear
-solve is involved.  The a-priori sup bound
+solve is involved.  A periodic grid takes the same left-anchored integral,
+periodic only at zero net charge (which `scenarios.make_setup` demands) and
+with a mean that need not vanish.  The a-priori sup bound
 
     |E| <= |e_minus| + int (rho0 - 2*delta) dx + int |b| dx
 

@@ -33,7 +33,7 @@ import numpy as np
 from .config import RELAX_KEYS, SCENARIO_KEYS
 from .field import solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
-                    Grid1D, PressureConvention, total_integral)
+                    Grid1D, PressureConvention)
 from .scenarios import RunSetup, make_setup
 from .solver import RecordClock, SourceVariant, run
 
@@ -44,30 +44,25 @@ class PositivityError(RuntimeError):
     pass
 
 
-def _dd_face_flux(n_vals, upsilon, profile: DeviceProfile, model: GasModel,
-                  grid: Grid1D) -> np.ndarray:
-    """a J = N Upsilon - P(N)_x on the n_cells+1 faces (centered averages,
-    pressure gradient split onto faces)."""
-    n_e, up_e, a_e = grid.extend(
-        np.stack((n_vals, upsilon, profile.a_vals), dtype=float))
+def _dd_faces(n_vals, n_lin, upsilon, profile: DeviceProfile,
+              model: GasModel, grid: Grid1D):
+    """One pass over the n_cells+1 faces of a J = N Upsilon - P(N)_x
+    (centered averages, pressure gradient split onto faces).  Returns the
+    residual N_s = -J_x at `n_vals` and the derivatives of each face flux
+    with respect to the density of the cell on its left and on its right,
+    Upsilon frozen and P' taken at `n_lin`."""
+    n_e, lin_e, up_e, a_e = grid.extend(
+        np.stack((n_vals, n_lin, upsilon, profile.a_vals), dtype=float))
     drift_e = n_e * up_e
     p_e = model.pressure(n_e)
     drift_face = 0.5 * (drift_e[:-1] + drift_e[1:])
     grad_face = (p_e[1:] - p_e[:-1]) / grid.dx
     a_face = 0.5 * (a_e[:-1] + a_e[1:])
-    return (drift_face - grad_face) / a_face
-
-
-def _dd_face_slopes(n_lin, upsilon, profile: DeviceProfile, model: GasModel,
-                    grid: Grid1D):
-    """Derivatives of each face flux with respect to the density of the cell
-    on its left and on its right, Upsilon frozen and P' taken at `n_lin`."""
-    up_e, dp_e, a_e = grid.extend(np.stack(
-        (upsilon, model.dpressure(n_lin), profile.a_vals), dtype=float))
-    a_face = 0.5 * (a_e[:-1] + a_e[1:])
+    j_face = (drift_face - grad_face) / a_face
+    dp_e = model.dpressure(lin_e)
     left = (0.5 * up_e[:-1] + dp_e[:-1] / grid.dx) / a_face
     right = (0.5 * up_e[1:] - dp_e[1:] / grid.dx) / a_face
-    return left, right
+    return (j_face[:-1] - j_face[1:]) / grid.dx, left, right
 
 
 def _thomas(lower, diag, upper, rhs) -> np.ndarray:
@@ -87,14 +82,13 @@ def _thomas(lower, diag, upper, rhs) -> np.ndarray:
     return np.array(x)
 
 
-def _dd_increment(n_lin, upsilon, profile: DeviceProfile, model: GasModel,
-                  grid: Grid1D, half_dt: float, residual) -> np.ndarray:
+def _dd_increment(faces, grid: Grid1D, half_dt: float) -> np.ndarray:
     """The increment d of one linearised backward-Euler step,
-    (I - half_dt * A) d = half_dt * residual, with A the Jacobian of the
-    flux divergence at `n_lin` (Upsilon frozen).  Outflow ghosts copy the
-    edge cell; a periodic system is cyclic and is solved by
-    Sherman-Morrison."""
-    left, right = _dd_face_slopes(n_lin, upsilon, profile, model, grid)
+    (I - half_dt * A) d = half_dt * residual, from the (residual, left,
+    right) triple of `_dd_faces`: A is the Jacobian of the flux divergence
+    its slopes give.  Outflow ghosts copy the edge cell; a periodic system
+    is cyclic and is solved by Sherman-Morrison."""
+    residual, left, right = faces
     r = half_dt / grid.dx
     lower = -r * left[:-1]
     upper = r * right[1:]
@@ -119,13 +113,6 @@ def _dd_increment(n_lin, upsilon, profile: DeviceProfile, model: GasModel,
     return y - (y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1]) * z
 
 
-def _dd_residual(n_vals, upsilon, profile: DeviceProfile, model: GasModel,
-                 grid: Grid1D) -> np.ndarray:
-    """N_s = -J_x as the divergence of the face flux."""
-    j_face = _dd_face_flux(n_vals, upsilon, profile, model, grid)
-    return (j_face[:-1] - j_face[1:]) / grid.dx
-
-
 def dd_stable_dt(upsilon, profile: DeviceProfile, grid: Grid1D,
                  cfl: float) -> float:
     """The drift limit cfl * dx * min a / max |Upsilon|; inf where the field
@@ -145,18 +132,17 @@ def drift_diffusion_step(n_vals, upsilon, profile: DeviceProfile,
     midpoint M, and the new density is 2 M - N = N + 2 (M - N).  Both half
     steps are in increment form, so a state with zero residual does not
     move.  Halves dt when N* or the new density goes negative and gives up
-    after 40 halvings.  Returns (n_new, upsilon_new, dt_used, halvings)."""
-    residual = _dd_residual(n_vals, upsilon, profile, model, grid)
+    after 40 halvings; the first half step's faces do not depend on dt and
+    are built once.  Returns (n_new, upsilon_new, dt_used, halvings)."""
+    first = _dd_faces(n_vals, n_vals, upsilon, profile, model, grid)
     dt = dt_s
     for halvings in range(41):
         half = 0.5 * dt
-        n_star = n_vals + _dd_increment(n_vals, upsilon, profile, model, grid,
-                                        half, residual)
+        n_star = n_vals + _dd_increment(first, grid, half)
         if np.all(n_star >= 0.0):
             ups_star = solve_field(n_star, profile, grid)
-            n_new = n_vals + 2.0 * _dd_increment(
-                n_star, ups_star, profile, model, grid, half,
-                _dd_residual(n_vals, ups_star, profile, model, grid))
+            second = _dd_faces(n_vals, n_star, ups_star, profile, model, grid)
+            n_new = n_vals + 2.0 * _dd_increment(second, grid, half)
             if np.all(n_new >= 0.0):
                 return (n_new, solve_field(n_new, profile, grid), dt,
                         halvings)
@@ -181,21 +167,13 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
                         cfl: float = 0.45, max_steps: int = 10 ** 7) -> DDTrajectory:
     """March N from s = 0 to s_end, recording s = 0, s_end and, as `run`
     does, the instants of the `RecordClock` of `record_times`.  Raises
-    RuntimeError if `max_steps` stops it short of s_end, and
-    ConfigurationError on a periodic grid unless the net charge
-    int N0 dx - int b dx is zero to round-off: Upsilon_x = N - b has no
-    periodic solution otherwise, and the field anchored at the left edge
-    jumps across the wrap."""
+    RuntimeError if `max_steps` stops it short of s_end.  The field is
+    `solve_field`'s: on a periodic grid it is periodic only at zero net
+    charge, which `scenarios.make_setup` demands of every device it
+    builds."""
     n0 = np.asarray(n0, dtype=float)
     if np.any(n0 < 0.0):
         raise ValueError("initial density must be non-negative")
-    if grid.boundary is Boundary.PERIODIC:
-        net = total_integral(n0 - profile.b_vals, grid.dx)
-        scale = total_integral(np.abs(n0) + np.abs(profile.b_vals), grid.dx)
-        if abs(net) > 1e-12 * scale:
-            raise ConfigurationError(
-                "a periodic device needs zero net charge, int N0 dx - int b dx"
-                f" = 0; got {net!r}")
     n_vals, upsilon, s = n0.copy(), solve_field(n0, profile, grid), 0.0
     clock = RecordClock(s_end, record_times)
     s_out, n_out = [0.0], [n_vals]

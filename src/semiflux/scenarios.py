@@ -37,8 +37,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SCENARIO_DEFAULTS, SCENARIO_KEYS, build_parts, coerce
-from .model import (ConfigurationError, DeviceProfile, GasModel, Grid1D,
-                    PressureConvention, cumulative_integral)
+from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
+                    Grid1D, PressureConvention, cumulative_integral,
+                    total_integral)
 from .solver import SolverConfig, prepare_initial
 
 
@@ -137,7 +138,10 @@ def make_setup(name: str, overrides: dict | None = None,
     two-column (x, value) table file, interpolated onto the grid; a profile
     built from tables skips the declared-outcome check.  A `b` table
     replaces the doping formula and an `a` table the damping ramp, which
-    otherwise integrates the doping in use, a `b` table's included."""
+    otherwise integrates the doping in use, a `b` table's included.  A
+    periodic device whose net charge int (rho0 - 2 delta - b) dx exceeds
+    1e-12 int (|rho0 - 2 delta| + |b|) dx, so that its field would jump
+    across the wrap, is a ConfigurationError."""
     scenario = resolve_params(name, overrides)
     p = scenario.params
     grid, model, cfg = build_parts(p)
@@ -153,5 +157,13 @@ def make_setup(name: str, overrides: dict | None = None,
             f"but the profile check returned {profile.check.ok} "
             f"({profile.check.first_failure})")
     initial = prepare_initial(raw_rho, raw_u, model, cfg, grid)
+    if grid.boundary is Boundary.PERIODIC:
+        excess = initial.rho - model.rho_floor
+        net = total_integral(excess - b_vals, grid.dx)
+        scale = total_integral(np.abs(excess) + np.abs(b_vals), grid.dx)
+        if abs(net) > 1e-12 * scale:
+            raise ConfigurationError(
+                "a periodic device needs zero net charge, int N0 dx - int b dx"
+                f" = 0 with N0 = rho0 - 2 delta; got {net!r}")
     return RunSetup(scenario=scenario, model=model, grid=grid, profile=profile,
                     cfg=cfg, initial=initial)

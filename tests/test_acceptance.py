@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import cell_flux, p1_quadrature
+from helpers import NEUTRAL_PERIODIC, cell_flux, p1_quadrature
 
 from semiflux import (
     CouplingRule,
@@ -70,8 +70,8 @@ def library_runs():
 
 @pytest.fixture(scope="module")
 def periodic_run():
-    setup = make_setup("gaussian-bump", {"n_cells": 500,
-                                         "boundary": "periodic"})
+    setup = make_setup("charge-neutral-rest",
+                       {**NEUTRAL_PERIODIC, "n_cells": 500})
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
                setup.grid, cadence=25)
     report = evaluate_trajectory(traj)

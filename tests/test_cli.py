@@ -22,7 +22,6 @@ from semiflux.config import RELAX_KEYS, SCENARIO_KEYS
 from semiflux.model import ConfigurationError
 from semiflux.monitors import ALL_MONITORS, parse_monitor_list
 from semiflux.picard import picard_solve
-from semiflux import relaxation
 from semiflux.relaxation import CouplingRule, relaxation_study
 
 
@@ -200,22 +199,29 @@ class TestUsageErrors:
         assert capsys.readouterr().err == \
             "error: refine: need refine >= 1, got 0\n"
 
-    def test_relax_rejects_periodic_net_charge(self, tmp_path, capsys,
-                                               monkeypatch):
-        # on a periodic grid the field needs int N0 - int b = 0; the bump
-        # carries about 0.71 of net charge, so relax stops before either
-        # march (this device once ran the reference for CPU-minutes)
+    @pytest.mark.parametrize("command,own_keys", [
+        ("solve", "t_end = 0.1\n"),
+        ("picard", ""),
+        ("relax", "tau_list = 0.2, 0.1, 0.05\neps_fixed = 0.5\n"
+                  "delta_coeff = 0.2\nhorizon = 0.25\n"),
+    ], ids=["solve", "picard", "relax"])
+    def test_periodic_net_charge_exits_2_before_a_march(
+            self, tmp_path, capsys, monkeypatch, command, own_keys):
+        # on a periodic grid the field needs int (rho0 - 2 delta) - int b
+        # = 0; the bump carries about 0.71 of net charge, so each command
+        # stops before it marches
         def no_march(*args, **kwargs):
             raise AssertionError("marched a rejected device")
 
-        monkeypatch.setattr(relaxation, "drift_diffusion_step", no_march)
-        monkeypatch.setattr(relaxation, "run", no_march)
+        for target in ("semiflux.cli.run", "semiflux.cli.picard_solve",
+                       "semiflux.relaxation.run",
+                       "semiflux.relaxation.drift_diffusion_step"):
+            monkeypatch.setattr(target, no_march)
         cfg = write_cfg(tmp_path, (
             "scenario = gaussian-bump\nboundary = periodic\nx_min = -4\n"
-            "x_max = 4\nn_cells = 200\ntau_list = 0.2, 0.1, 0.05\n"
-            "eps_fixed = 0.5\ndelta_coeff = 0.2\nhorizon = 0.25\n"))
+            f"x_max = 4\nn_cells = 200\n{own_keys}"))
         out = tmp_path / "out"
-        assert main(["relax", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: a periodic device needs zero net charge")
         assert not out.exists()
@@ -297,6 +303,27 @@ class TestSolve:
         assert "n_violations" not in payload
         assert not {"initial_mass", "initial_field_bound",
                     "initial_invariant_max"} & set(payload["summary"])
+
+    def test_seed_flag_reaches_the_echo(self, tmp_path):
+        cfg = write_cfg(tmp_path, "scenario = vacuum-rest\nn_cells = 40\n"
+                                  "t_end = 0.1\n")
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out-dir", str(out),
+                     "--seed", "11"]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["config"]["seed"] == 11
+
+    def test_seed_given_twice_exits_2(self, tmp_path, capsys):
+        # neither spelling wins over the other
+        cfg = write_cfg(tmp_path, "scenario = vacuum-rest\nn_cells = 40\n"
+                                  "t_end = 0.1\nseed = 3\n")
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out-dir", str(out),
+                     "--seed", "11"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the seed is given twice")
+        assert "--seed 11" in err and "seed = 3" in err
+        assert not out.exists()
 
     def test_kernel_wider_than_grid_runs(self, tmp_path):
         # a 49-point smoothing kernel on 20 cells used to break the first

@@ -33,7 +33,8 @@ from semiflux.monitors import TestFunction as SpaceTimeBump
 from semiflux.scenarios import make_setup
 from semiflux.solver import run
 
-from helpers import (convexity_check, entropy_residual_reference,
+from helpers import (NEUTRAL_PERIODIC, convexity_check,
+                     entropy_residual_reference,
                      entropy_scale_reference,
                      entropy_spot_check_pairs_reference, phi_reference)
 
@@ -380,8 +381,8 @@ class TestEntropyResidual:
 
 @pytest.fixture(scope="module")
 def periodic_excess():
-    setup = make_setup("gaussian-bump", {
-        "n_cells": 120, "t_end": 0.6, "boundary": "periodic",
+    setup = make_setup("charge-neutral-rest", {
+        **NEUTRAL_PERIODIC, "n_cells": 120, "t_end": 0.6,
         "source_variant": "excess-density"})
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
                setup.grid, cadence=5)

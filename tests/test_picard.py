@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import semiflux.picard as picard_module
-from helpers import (centred_weights, circular_reference, conv_full_sliced,
-                     conv_same, picard_step_reference)
+from helpers import (NEUTRAL_PERIODIC, centred_weights, circular_reference,
+                     conv_full_sliced, conv_same, picard_step_reference)
 from semiflux import (
     DeviceProfile,
     GasModel,
@@ -364,8 +364,8 @@ class TestFftLagSum:
         "outflow-bump": (("gaussian-bump", {"n_cells": 120, "epsilon": 0.05,
                                             "bump_speed": 0.4}, 0.02, 6),
                          conv_same),
-        "periodic-excess-density": (("gaussian-bump", {
-            "n_cells": 96, "epsilon": 0.02, "boundary": "periodic",
+        "periodic-excess-density": (("charge-neutral-rest", {
+            **NEUTRAL_PERIODIC, "n_cells": 96, "epsilon": 0.02,
             "source_variant": "excess-density", "bump_speed": 0.3},
             0.02, 5), conv_same),
         "one-interval": (("doping-ramp", {"n_cells": 80, "epsilon": 0.01},

@@ -1,14 +1,18 @@
 """The README's command synopsis, its study config examples and its
 `monitors.csv` and `relax_table.csv` column lists against the parser, the
 config key tables, the monitor columns and the relax table header they
-document."""
+document; and every constant and `module.name` it quotes against the
+package."""
 
 import argparse
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import semiflux
 from semiflux.cli import RELAX_COLUMNS, build_parser
 from semiflux.config import PICARD_KEYS, RELAX_KEYS
 from semiflux.monitors import MONITOR_COLUMNS
@@ -18,6 +22,19 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 def fenced_blocks(lang: str) -> list:
     return re.findall(rf"^```{lang}\n(.*?)^```", README, re.S | re.M)
+
+
+def inline_names(pattern: str) -> set:
+    """The names matching `pattern` inside the README's inline code spans,
+    fenced blocks aside."""
+    prose = re.sub(r"^```.*?^```", "", README, flags=re.S | re.M)
+    return {name for span in re.findall(r"`([^`\n]+)`", prose)
+            for name in re.findall(pattern, span)}
+
+
+# a dotted name ending so is a file name; np and scipy name their own
+FILE_SUFFIXES = {"py", "csv", "json", "dat", "cfg"}
+OTHER_PACKAGES = {"np", "scipy"}
 
 
 def parser_flags() -> dict:
@@ -68,3 +85,30 @@ def test_relax_columns_match_the_header():
     listed = re.search(r"`relax_table\.csv`\s+has the columns `([^`]*)`",
                        README).group(1)
     assert tuple(re.split(r",\s*", listed)) == RELAX_COLUMNS
+
+
+def test_quoted_module_names_resolve():
+    missing = []
+    for ref in inline_names(r"\b[a-z_]+\.[A-Za-z_]\w*"):
+        module, _, name = ref.partition(".")
+        if name in FILE_SUFFIXES or module in OTHER_PACKAGES:
+            continue
+        try:
+            found = hasattr(importlib.import_module(f"semiflux.{module}"),
+                            name)
+        except ModuleNotFoundError:
+            found = False
+        if not found:
+            missing.append(ref)
+    assert not missing
+
+
+def test_quoted_constants_resolve():
+    # __main__ runs the command line on import
+    modules = [importlib.import_module(f"semiflux.{m.name}")
+               for m in pkgutil.iter_modules(semiflux.__path__)
+               if m.name != "__main__"]
+    constants = inline_names(r"\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\b")
+    assert constants
+    assert not [c for c in constants
+                if not any(hasattr(m, c) for m in modules)]

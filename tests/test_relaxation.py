@@ -200,14 +200,45 @@ class TestDriftDiffusionRun:
         ups = rng.normal(size=40)
         residual = rng.normal(size=40)
         half = 0.01
-        d = relaxation._dd_increment(n_lin, ups, profile, model, grid, half,
-                                     residual)
-        left, right = relaxation._dd_face_slopes(n_lin, ups, profile, model,
-                                                 grid)
+        _, left, right = relaxation._dd_faces(n_lin, n_lin, ups, profile,
+                                              model, grid)
+        d = relaxation._dd_increment((residual, left, right), grid, half)
         d_e = grid.extend(d)
         flux = left * d_e[:-1] + right * d_e[1:]
         applied = d - half * (flux[:-1] - flux[1:]) / grid.dx
         assert np.allclose(applied, half * residual, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+    def test_slopes_are_the_residuals_derivative(self, gamma, boundary, rng):
+        # the increment's linear system uses the true Jacobian J of the
+        # residual in N (Upsilon frozen, n_lin = N), built here densely by
+        # central differences: d - h J d = h R to round-off in J
+        grid = Grid1D(-2.0, 2.0, 40, boundary=boundary)
+        model = GasModel(gamma=gamma, delta=0.05)
+        x = grid.centers
+        profile = DeviceProfile.build(grid, 1.0 + 0.2 * np.cos(np.pi * x / 2),
+                                      np.full(40, 0.3), e_minus=0.0)
+        n_vals = 0.5 + 0.3 * rng.random(40)
+        ups = rng.normal(size=40)
+
+        def residual(n):
+            return relaxation._dd_faces(n, n, ups, profile, model, grid)[0]
+
+        step = 1e-6
+        jac = np.empty((40, 40))
+        for k, bump in enumerate(step * np.eye(40)):
+            jac[:, k] = (residual(n_vals + bump)
+                         - residual(n_vals - bump)) / (2.0 * step)
+        faces = relaxation._dd_faces(n_vals, n_vals, ups, profile, model,
+                                     grid)
+        half = 0.01
+        d = relaxation._dd_increment(faces, grid, half)
+        gap = d - half * jac @ d - half * faces[0]
+        # the differences' round-off reads about 4e-11 of h max |R|; a
+        # slope with a dropped or misplaced term reads 1e-2 or more
+        scale = half * float(np.max(np.abs(faces[0])))
+        assert np.max(np.abs(gap)) <= 1e-8 * scale
 
     def test_stable_dt_formula(self):
         # the drift limit alone: the implicit diffusion sets none
@@ -300,16 +331,6 @@ class TestExplicitOracle:
 
 
 class TestPeriodicNetCharge:
-    def test_charged_periodic_device_rejected_before_a_step(self,
-                                                            monkeypatch):
-        def no_step(*args, **kwargs):
-            raise AssertionError("stepped a rejected device")
-
-        n0, profile, model, grid = periodic_doped_inputs(60)
-        monkeypatch.setattr(relaxation, "drift_diffusion_step", no_step)
-        with pytest.raises(ConfigurationError, match="zero net charge"):
-            drift_diffusion_run(n0 + 0.01, profile, model, grid, s_end=0.25)
-
     def test_neutral_periodic_device_runs(self):
         # the neutral device's net charge is round-off, not zero
         n0, profile, model, grid = periodic_doped_inputs(200)

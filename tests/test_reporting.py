@@ -13,7 +13,7 @@ from semiflux.reporting import (_table_text, audited_texts, csv_text, fmt,
 from semiflux.scenarios import make_setup
 from semiflux.solver import run
 
-from helpers import table_text_reference
+from helpers import NEUTRAL_PERIODIC, table_text_reference
 
 SMALL_CFG = """
 scenario = gaussian-bump
@@ -49,8 +49,8 @@ def later_snapshot(run_dir):
 
 
 def test_round_trip_is_bit_exact(tmp_path):
-    setup = make_setup("gaussian-bump", {
-        "n_cells": 120, "t_end": 0.3, "boundary": "periodic",
+    setup = make_setup("charge-neutral-rest", {
+        **NEUTRAL_PERIODIC, "n_cells": 120, "t_end": 0.3,
         "source_variant": "excess-density"})
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
                setup.grid, cadence=2)

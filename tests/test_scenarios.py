@@ -2,8 +2,9 @@
 scenario a row of overrides.
 
 Every row is pinned to the arrays its own formula gave before the rows
-shared one, every key of every row must reach the RunSetup, and overrides
-take the config file's cast.
+shared one (a charged row on a periodic grid to its rejection), every key
+of every row must reach the RunSetup, and overrides take the config file's
+cast.
 """
 
 import enum
@@ -18,6 +19,8 @@ from semiflux.scenarios import SCENARIOS, gaussian, make_setup
 
 GRIDS = [({"n_cells": 500}, "n500-outflow"),
          ({"n_cells": 97, "boundary": "periodic"}, "n97-periodic")]
+# rows whose bump and doping do not balance: no periodic field exists
+CHARGED = ("gaussian-bump", "doping-ramp", "isothermal-bump")
 
 
 def row_arrays(name, x, dx):
@@ -40,6 +43,11 @@ def row_arrays(name, x, dx):
                          ids=[i for _, i in GRIDS])
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_row_matches_its_own_formula(name, overrides):
+    if name in CHARGED and overrides.get("boundary") == "periodic":
+        with pytest.raises(ConfigurationError,
+                           match="a periodic device needs zero net charge"):
+            make_setup(name, overrides)
+        return
     setup = make_setup(name, overrides)
     grid = setup.grid
     raw, u, a, b, e_minus = row_arrays(name, grid.centers, grid.dx)
