@@ -235,9 +235,7 @@ def cmd_picard(args) -> int:
         zip(range(len(rep.distances)), rep.distances, ratios)))
     summary = {
         "distances": rep.distances, "converged": rep.converged,
-        "diverged": rep.diverged,
-        "fixed_point_residual": rep.fixed_point_residual,
-        "band_violations": rep.band_violations,
+        "diverged": rep.diverged, "band_violations": rep.band_violations,
         "endpoint_gap": gap, "endpoint_tolerance": tol_cross,
         "t1": t1, "n_intervals": len(result.iterate.times) - 1,
         "scenario": name,

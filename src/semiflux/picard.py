@@ -29,9 +29,11 @@ terms G(t_k) * rho0 and G(t_k) * m0 do not depend on the iterate:
 `picard_solve` builds them once per slab, each kernel table in one
 evaluation over (times x offsets).  Eps, tau and the source coupling come
 from one SolverConfig, as in the march.
-Each iterate meets the band 2d <= rho <= M, |m| <= M in one check per
-side, `_admissibility_violation` and `_band_check`; a contraction ratio is
-the quotient of two successive distances.
+A distance sup|P(x) - x| is the exact residual of the iterate x its sweep
+started from, so the solve returns that iterate and measures nothing
+twice.  Each iterate meets the band 2d <= rho <= M, |m| <= M in one check
+per side, `_admissibility_violation` and `_band_check`; a contraction
+ratio is the quotient of two successive distances.
 """
 
 from __future__ import annotations
@@ -108,10 +110,6 @@ class PicardIterate:
     times: np.ndarray
     rho: np.ndarray
     mom: np.ndarray
-
-    def endpoint(self) -> HydroState:
-        return HydroState(rho=self.rho[-1].copy(), mom=self.mom[-1].copy(),
-                          time=float(self.times[-1]))
 
 
 def constant_first_guess(initial: HydroState, t1: float,
@@ -207,19 +205,14 @@ class _SlabTables:
 
 def picard_step(prev: PicardIterate, initial: HydroState,
                 profile: DeviceProfile, model: GasModel, cfg: SolverConfig,
-                grid: Grid1D,
-                tables: _SlabTables | None = None) -> PicardIterate:
+                grid: Grid1D, tables: _SlabTables) -> PicardIterate:
     """Apply the integral right-hand side of `cfg` once to the previous
     iterate.
 
-    `tables` are the slab's kernel spectra and initial-data terms; they are
-    built here when not given (`picard_solve` builds them once per slab).
-    The iterate must be admissible (`picard_solve` checks every one).
+    `tables` are the slab's kernel spectra and initial-data terms, which
+    `picard_solve` builds once per slab.  The iterate must be admissible
+    (`picard_solve` checks every one).
     """
-    if tables is None:
-        tables = _SlabTables.build(prev.times, initial, model,
-                                   HeatKernel(cfg.epsilon), grid)
-
     # flux and source terms of the previous iterate, all levels at once
     h_lvl, f_lvl = flux(model, prev.rho, prev.mom)
     e_vals = solve_field(prev.rho - model.rho_floor, profile, grid)
@@ -238,12 +231,11 @@ def picard_step(prev: PicardIterate, initial: HydroState,
 
 @dataclass
 class ContractionReport:
-    tol: float                  # the stopping tolerance the solve was given
+    # distances[k] is the residual of the iterate sweep k started from
     distances: list = field(default_factory=list)
     converged: bool = False
     diverged: bool = False
     band_violations: list = field(default_factory=list)
-    fixed_point_residual: float | None = None
     # wall seconds per iteration, beside `distances`; a diagnostic only,
     # never written to the run's output files
     iteration_s: list = field(default_factory=list)
@@ -262,17 +254,14 @@ def iterate_band_bound(initial: HydroState, model: GasModel,
                total_integral(initial.rho - model.rho_floor, grid.dx))
 
 
-def _band_check(it: PicardIterate, model: GasModel, bound: float) -> list:
+def _band_check(it: PicardIterate, bound: float) -> list:
     """The 'upper' violations: rho or |m| above twice the band bound."""
     out = []
-    rho_max = float(np.max(it.rho))
-    if rho_max > 2.0 * bound:
-        out.append({"field": "rho", "value": rho_max, "bound": 2.0 * bound,
-                    "kind": "upper"})
-    mom_max = float(np.max(np.abs(it.mom)))
-    if mom_max > 2.0 * bound:
-        out.append({"field": "mom", "value": mom_max, "bound": 2.0 * bound,
-                    "kind": "upper"})
+    for name, vals in (("rho", it.rho), ("mom", np.abs(it.mom))):
+        top = float(np.max(vals))
+        if top > 2.0 * bound:
+            out.append({"field": name, "value": top, "bound": 2.0 * bound,
+                        "kind": "upper"})
     return out
 
 
@@ -306,37 +295,42 @@ def cross_check(result: PicardResult, picard_grid: Grid1D, t1: float, march,
     of `march` (a RunSetup or a Trajectory), sample the march onto the
     Picard grid, and judge the Picard result against it.
 
-    Returns (gap, tolerance, verdict): the gap is the sup distance in rho plus
-    the one in m, the tolerance CROSS_TOL_FACTOR * (dx + mean dt), and the
-    verdict also asks for a converged, admissible iteration whose fixed-point
-    residual is within ten times the tolerance the solve was given.  Returns
-    None when the march failed.
+    Returns (gap, tolerance, verdict): the gap is the `sup_distance` between
+    the last level of the Picard iterate and the sampled march, the
+    tolerance CROSS_TOL_FACTOR * (dx + mean dt), and the verdict also asks
+    for a converged iteration with no band violation.  Returns None when
+    the march failed.
     """
     traj = run(initial, march.profile, march.model,
                replace(march.cfg, t_end=t1), march.grid, record_times=[t1])
     if not traj.completed:
         return None
-    x, end = picard_grid.centers, result.iterate.endpoint()
-    gap = float(sum(np.max(np.abs(got - np.interp(x, traj.grid.centers, rec[-1])))
-                    for got, rec in ((end.rho, traj.rho), (end.mom, traj.mom))))
+    x, it = picard_grid.centers, result.iterate
+    last = PicardIterate(times=it.times[-1:], rho=it.rho[-1], mom=it.mom[-1])
+    sampled = replace(last, rho=np.interp(x, traj.grid.centers, traj.rho[-1]),
+                      mom=np.interp(x, traj.grid.centers, traj.mom[-1]))
+    gap = sup_distance(last, sampled)
     dt_mean = float(np.mean(traj.dts)) if traj.dts else 0.0
     tol_cross = CROSS_TOL_FACTOR * (picard_grid.dx + dt_mean)
     rep = result.report
-    ok = (rep.converged and not rep.diverged and not rep.band_violations
-          and rep.fixed_point_residual <= 10.0 * rep.tol)
-    return gap, tol_cross, ok and gap <= tol_cross
+    ok = rep.converged and not rep.band_violations and gap <= tol_cross
+    return gap, tol_cross, ok
 
 
 def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
                  cfg: SolverConfig, grid: Grid1D, t1: float,
                  n_intervals: int = 8, tol: float = 1e-10,
                  max_iters: int = 30) -> PicardResult:
-    """Iterate the integral map of `cfg` on [0, t1] until the sup distance
-    between successive iterates drops below tol.  Each iterate, the first
-    guess included, is tested once for admissibility: one whose density
-    lies below the admissible floor is listed as 'inadmissible' and stops
-    the iteration as diverged, as do three consecutive non-contracting
-    ratios.  Either way: halve the slab.
+    """Iterate the integral map of `cfg` on [0, t1] until a sweep moves its
+    iterate by less than tol in the sup distance, and return the iterate
+    the last sweep started from: the last distance is its exact residual.
+
+    Each iterate, the first guess included, is tested once for
+    admissibility: one whose density lies below the admissible floor is
+    listed as 'inadmissible' and stops the iteration as diverged, as do
+    three consecutive non-contracting ratios.  Either way the solve returns
+    its last admissible iterate, and the advice is to halve the slab.
+    Otherwise the solve stops unconverged at max_iters distances.
     """
     check_t1(t1)
     if not 0.0 < tol < math.inf:
@@ -345,7 +339,7 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
         if val < 1:
             raise ConfigurationError(f"{key}: need {key} >= 1, got {val!r}")
     bound = iterate_band_bound(initial, model, grid)
-    report = ContractionReport(tol=tol)
+    report = ContractionReport()
     current = constant_first_guess(initial, t1, n_intervals)
     tables = _SlabTables.build(current.times, initial, model,
                                HeatKernel(cfg.epsilon), grid)
@@ -353,32 +347,25 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
     # starts from one: divergence
     violation = _admissibility_violation(current, model)
     bad = 0
-    for _ in range(max_iters if violation is None else 0):
+    while violation is None:
         start = time.perf_counter()
-        # the previous iterate is dropped before the residual sweep
         sweep = picard_step(current, initial, profile, model, cfg, grid,
-                            tables=tables)
+                            tables)
         d = sup_distance(sweep, current)
-        current = sweep
         report.distances.append(d)
         report.iteration_s.append(time.perf_counter() - start)
-        report.band_violations.extend(_band_check(current, model, bound))
-        violation = _admissibility_violation(current, model)
-        if violation is not None:
-            break
-        if len(report.distances) >= 2:
-            bad = bad + 1 if d / report.distances[-2] >= 1.0 else 0
-            if bad >= 3:
-                report.diverged = True
-                break
         if d < tol:
             report.converged = True
             break
+        report.band_violations.extend(_band_check(sweep, bound))
+        violation = _admissibility_violation(sweep, model)
+        if len(report.distances) >= 2:
+            bad = bad + 1 if d / report.distances[-2] >= 1.0 else 0
+        if violation is not None or bad >= 3 \
+                or len(report.distances) == max_iters:
+            break
+        current = sweep
     if violation is not None:
         report.band_violations.append(violation)
-        report.diverged = True
-    elif not report.diverged:
-        once_more = picard_step(current, initial, profile, model, cfg, grid,
-                                tables=tables)
-        report.fixed_point_residual = sup_distance(once_more, current)
+    report.diverged = violation is not None or bad >= 3
     return PicardResult(iterate=current, report=report)

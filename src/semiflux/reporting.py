@@ -11,10 +11,10 @@ is the one audit of a run, for `solve` and `verify` both: it reads the
 monitors and the seed from the command echo, runs them, and renders what
 they derive from the records: monitor series to CSV, violations to JSON,
 and report.json (config echo, audit summary, snapshot list, entropy
-checks).  Every CSV a command writes goes through `csv_text`.  Every float
-is rendered with 17 significant digits so repeated runs of the same build
-are byte-identical; a table body is formatted by one '%' operation over
-all its values, which gives the bytes of one `fmt` call per value.
+checks).  Every CSV a command writes goes through `csv_text`.  Every
+number is rendered by '%.17g', 17 significant digits, so repeated runs of
+the same build are byte-identical; a table or CSV body is formatted by one
+'%' operation over all its values (`_lines`).
 Wall-clock timing lives in its own file.
 """
 
@@ -37,20 +37,19 @@ from .solver import Trajectory
 _SNAPSHOT = "snapshots/snap_{:08d}.dat"   # the path of a record, by its step
 
 
-def fmt(x) -> str:
-    return format(float(x), ".17g")
+def _lines(flat: list, width: int, sep: str) -> str:
+    """The values of `flat`, `width` to a line with `sep` between them, each
+    by '%.17g': one '%' operation renders them all.  No values, no lines."""
+    line = sep.join(["%.17g"] * width) + "\n"
+    return (line * (len(flat) // width)) % tuple(flat)
 
 
 def _table_text(meta: dict, columns: dict) -> str:
-    """'#' header lines, then the whole body rendered by one '%' operation;
-    '%.17g' gives the same bytes as `fmt`."""
-    lines = [f"# {key} = {fmt(val)}" for key, val in meta.items()]
-    lines.append("# columns: " + " ".join(columns))
+    """'#' header lines, then the whole body in one `_lines` operation."""
+    head = "".join("# %s = %.17g\n" % item for item in meta.items())
     table = np.column_stack(list(columns.values()))
-    row = " ".join(["%.17g"] * table.shape[1])
-    lines.append("\n".join([row] * table.shape[0])
-                 % tuple(table.ravel().tolist()))
-    return "\n".join(lines) + "\n"
+    return (head + "# columns: " + " ".join(columns) + "\n"
+            + _lines(table.ravel().tolist(), table.shape[1], " "))
 
 
 def _read_table(path: Path, grid: Grid1D, keys: tuple, names: tuple):
@@ -81,12 +80,10 @@ def _read_table(path: Path, grid: Grid1D, keys: tuple, names: tuple):
 
 
 def csv_text(columns, rows) -> str:
-    """A header line of `columns`, then one line per row: an int cell by
-    `str`, any other by `fmt`."""
-    lines = [",".join(columns)]
-    lines += [",".join(str(v) if isinstance(v, int) else fmt(v) for v in row)
-              for row in rows]
-    return "\n".join(lines) + "\n"
+    """A header line of `columns`, then one line per row of numbers, the
+    body in one `_lines` operation."""
+    flat = [v for row in rows for v in row]
+    return ",".join(columns) + "\n" + _lines(flat, len(columns), ",")
 
 
 def json_text(payload) -> str:

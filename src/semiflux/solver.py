@@ -179,16 +179,17 @@ def flux(model: GasModel, rho, mom, u=None, excess=None, out=None,
 class _Block:
     """One padded (2, n+2) state block of a workspace: rows rho and m, one
     ghost cell per side.  `rho`/`mom` are its interior rows and `state` the
-    HydroState over them, built once; `q` and its neighbours are cut from
-    the block read flat as one run of 2(n+2) values, like the flux and
-    speed runs of `_Workspace`.  `low` is the lowest density of the state
-    the block holds, set where the block is written."""
+    HydroState over them, built once; `q` and its face sides
+    `q_left`/`q_right` are cut from the block read flat as one run of
+    2(n+2) values, like the flux and speed runs of `_Workspace`.  `low` is
+    the lowest density of the state the block holds, set where the block
+    is written."""
 
     def __init__(self, pad: np.ndarray):
         self.rho, self.mom = pad[:, 1:-1]
         self.state = HydroState(rho=self.rho, mom=self.mom)
         q = pad.reshape(-1)
-        self.q, self.q_lo, self.q_hi = q[1:-1], q[:-2], q[2:]
+        self.q = q[1:-1]
         self.q_left, self.q_right = q[:-1], q[1:]
         self.low = math.nan
 
@@ -204,10 +205,10 @@ class _Workspace:
     step after next writes its block again.  Read flat, each pair of rows
     is one contiguous run of 2(n+2) values, and the face, jump and update
     arithmetic runs once over each run, on the views cut below and in
-    `_Block`: `q` the cells between the run's two ends, `q_lo`/`q_hi`
-    their neighbours, `*_left`/`*_right` the two sides of each of the run's
-    2n+3 faces.  Where the rows meet, the first row's right ghost and the
-    second row's left ghost are neighbours: the face between them (the seam
+    `_Block`: `q` the cells between the run's two ends and
+    `*_left`/`*_right` the two sides of each of the run's 2n+3 faces.
+    Where the rows meet, the first row's right ghost and the second row's
+    left ghost are neighbours: the face between them (the seam
     face) and the update of those two seam cells are computed like any
     other and read by no interior cell.  The remaining rows (u, the excess,
     the field and a scratch row) are n cells long.  The per-run constants

@@ -17,7 +17,6 @@ from semiflux.monitors import (N_PHI, _mechanical_energy,
                                random_test_function)
 from semiflux.picard import PicardIterate
 from semiflux.relaxation import PositivityError, _dd_faces
-from semiflux.reporting import fmt
 from semiflux.solver import (IntegrationError, SourceVariant, StepReport,
                              flux, source)
 
@@ -252,6 +251,11 @@ def run_reference(initial, profile, model, cfg, grid, cadence=50,
             np.array(lows), dts, limits)
 
 
+def fmt(x) -> str:
+    """One value as the run store renders it, 17 significant digits."""
+    return format(float(x), ".17g")
+
+
 def table_text_reference(meta, columns):
     """A stored table with every value formatted by its own `fmt` call and
     one join per row; `_table_text` must reproduce it byte for byte."""
@@ -259,6 +263,14 @@ def table_text_reference(meta, columns):
     lines.append("# columns: " + " ".join(columns))
     for row in zip(*(c.tolist() for c in columns.values())):
         lines.append(" ".join(fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def csv_text_reference(columns, rows):
+    """A CSV with every value formatted by its own `fmt` call and one join
+    per row; `csv_text` must reproduce it byte for byte."""
+    lines = [",".join(columns)] + [",".join(fmt(v) for v in row)
+                                   for row in rows]
     return "\n".join(lines) + "\n"
 
 

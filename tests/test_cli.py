@@ -630,8 +630,7 @@ class TestPicardCommand:
         assert csv[0] == "iteration,distance,ratio"
         assert [row.count(",") for row in csv[1:]] == [2] * n_iter
         assert set(payload) == {
-            "distances", "converged", "diverged",
-            "fixed_point_residual", "band_violations",
+            "distances", "converged", "diverged", "band_violations",
             "endpoint_gap", "endpoint_tolerance", "t1", "n_intervals",
             "scenario"}
 

@@ -62,8 +62,15 @@ def five_smooth(m):
     return m == 1
 
 
-def slab_tables(s, kernel, guess):
-    return _SlabTables.build(guess.times, s.initial, s.model, kernel, s.grid)
+def slab_tables(guess, initial, model, cfg, grid):
+    """The kernel spectra and initial-data terms of the slab of `guess`, as
+    `picard_solve` builds them."""
+    return _SlabTables.build(guess.times, initial, model,
+                             HeatKernel(cfg.epsilon), grid)
+
+
+def scenario_tables(s, guess):
+    return slab_tables(guess, s.initial, s.model, s.cfg, s.grid)
 
 
 class TestHeatKernel:
@@ -121,7 +128,7 @@ class TestSlabTables:
                              ids=["bench-slab", "wide-kernel", "odd"])
     def test_shape_is_fast_and_wrap_free(self, slab):
         s, kernel, guess = scenario_slab(*slab)
-        shape = slab_tables(s, kernel, guess).shape
+        shape = scenario_tables(s, guess).shape
         h = kernel._half_width(s.grid.dx, slab[2])
         assert all(five_smooth(m) for m in shape)
         assert shape[0] >= 2 * slab[3]
@@ -129,7 +136,7 @@ class TestSlabTables:
 
     def test_odd_interval_count_pads_the_levels(self):
         s, kernel, guess = scenario_slab(*ODD)
-        assert slab_tables(s, kernel, guess).shape[0] == 15
+        assert scenario_tables(s, guess).shape[0] == 15
 
     @pytest.mark.parametrize("slab", [BENCH_SLAB, WIDE],
                              ids=["bench-slab", "wide-kernel"])
@@ -138,7 +145,7 @@ class TestSlabTables:
         # wider the table's widest row is
         s, kernel, guess = scenario_slab(*slab)
         dx = s.grid.dx
-        width = slab_tables(s, kernel, guess).shape[1]
+        width = scenario_tables(s, guess).shape[1]
         ds = float(guess.times[1] - guess.times[0])
         lags = [(m - 0.5) * ds for m in range(1, slab[3] + 1)]
         levels = [float(t) for t in guess.times[1:]]
@@ -167,23 +174,26 @@ class TestIterateBasics:
         times = np.linspace(0.0, 0.1, 3)
         good = PicardIterate(times=times, rho=np.full((3, 16), 1.0),
                              mom=np.zeros((3, 16)))
-        assert _band_check(good, model, bound=5.0) == []
+        assert _band_check(good, bound=5.0) == []
         assert _admissibility_violation(good, model) is None
 
         # the floor side is the admissibility test alone
         rho = np.full((3, 16), 1.0)
         rho[1, 4] = 0.5 * model.delta
         low = PicardIterate(times=times, rho=rho, mom=np.zeros((3, 16)))
-        assert _band_check(low, model, 5.0) == []
+        assert _band_check(low, 5.0) == []
         assert _admissibility_violation(low, model) == {
             "field": "rho", "value": 0.5 * model.delta,
             "bound": model.admissible_floor, "kind": "inadmissible"}
 
         mom = np.zeros((3, 16))
-        mom[2, 7] = 11.0
+        mom[2, 7] = -11.0
         high = PicardIterate(times=times, rho=np.full((3, 16), 1.0), mom=mom)
-        kinds = [(v["field"], v["kind"]) for v in _band_check(high, model, 5.0)]
-        assert ("mom", "upper") in kinds
+        assert _band_check(high, 5.0) == [
+            {"field": "mom", "value": 11.0, "bound": 10.0, "kind": "upper"}]
+        both = PicardIterate(times=times, rho=np.full((3, 16), 12.0), mom=mom)
+        assert [(v["field"], v["value"]) for v in _band_check(both, 5.0)] \
+            == [("rho", 12.0), ("mom", 11.0)]
 
     def test_nan_density_is_inadmissible(self):
         # min() of a slab holding a NaN is NaN, and NaN < floor is false
@@ -212,14 +222,15 @@ class TestFixedPoints:
         init = HydroState(rho=np.full(100, model.rho_floor),
                           mom=np.zeros(100))
         guess = constant_first_guess(init, t1=0.05, n_intervals=4)
-        out = picard_step(guess, init, profile, model, cfg, grid)
+        out = picard_step(guess, init, profile, model, cfg, grid,
+                          slab_tables(guess, init, model, cfg, grid))
         assert np.array_equal(out.rho, guess.rho)
         assert np.array_equal(out.mom, guess.mom)
 
         result = picard_solve(init, profile, model, cfg, grid,
                               t1=0.05, n_intervals=4)
         assert result.report.converged
-        assert result.report.fixed_point_residual == 0.0
+        assert result.report.distances == [0.0]
 
     def test_charge_neutral_interior_is_untouched_by_one_sweep(self):
         # a uniform neutral state is only a fixed point away from the box
@@ -236,7 +247,8 @@ class TestFixedPoints:
         cfg = SolverConfig(epsilon=0.01, tau=1.0)
         init = HydroState(rho=np.full(n, rho0), mom=np.zeros(n))
         guess = constant_first_guess(init, t1=0.02, n_intervals=4)
-        out = picard_step(guess, init, profile, model, cfg, grid)
+        out = picard_step(guess, init, profile, model, cfg, grid,
+                          slab_tables(guess, init, model, cfg, grid))
         inner = slice(10, -10)
         assert np.max(np.abs(out.rho[-1][inner] - rho0)) < 1e-12
         assert np.max(np.abs(out.mom[-1][inner])) < 1e-12
@@ -253,7 +265,7 @@ class TestFixedPoints:
                               t1=0.01, n_intervals=6)
         assert result.report.converged
         m0 = float(np.sum(init.rho - model.rho_floor)) * grid.dx
-        m1 = float(np.sum(result.iterate.endpoint().rho
+        m1 = float(np.sum(result.iterate.rho[-1]
                           - model.rho_floor)) * grid.dx
         assert m1 == pytest.approx(m0, rel=1e-9)
 
@@ -277,7 +289,8 @@ class TestHeatEvolution:
 
         t1 = 0.1
         guess = constant_first_guess(init, t1, n_intervals=2)
-        out = picard_step(guess, init, profile, model, cfg, grid)
+        out = picard_step(guess, init, profile, model, cfg, grid,
+                          slab_tables(guess, init, model, cfg, grid))
 
         var = sigma ** 2 + 2 * eps * t1
         exact = model.rho_floor + amp * sigma / math.sqrt(var) \
@@ -307,7 +320,8 @@ class TestContraction:
         assert rep.band_violations == []
         assert len(rep.distances) >= 3
         assert np.all(np.diff(rep.distances) < 0.0)
-        assert rep.fixed_point_residual <= 10.0 * 1e-12
+        # the last distance is the returned iterate's own residual
+        assert rep.distances[-1] < 1e-12
 
     def test_long_slab_triggers_halving_advice(self):
         grid, model, profile, init = self.make_bump()
@@ -321,7 +335,8 @@ class TestContraction:
         assert rep.band_violations
 
     def test_sweep_below_the_floor_is_listed_once(self):
-        # the first sweep of a two-unit slab dips to rho = -0.1487
+        # the first sweep of a two-unit slab dips to rho = -0.1487; the
+        # solve returns the admissible iterate that sweep started from
         grid, model, profile, init = self.make_bump()
         cfg = SolverConfig(epsilon=0.01, tau=1.0)
         result = picard_solve(init, profile, model, cfg, grid,
@@ -331,8 +346,7 @@ class TestContraction:
         assert [v["kind"] for v in rep.band_violations] == ["inadmissible"]
         assert rep.band_violations[0]["value"] == \
             pytest.approx(-0.148731, abs=1e-6)
-        assert rep.band_violations[0]["value"] == \
-            float(np.min(result.iterate.rho))
+        assert float(np.min(result.iterate.rho)) >= model.admissible_floor
 
     def test_invalid_slab_rejected(self):
         grid, model, profile, init = self.make_bump(n_cells=64)
@@ -347,14 +361,33 @@ class TestContraction:
             with pytest.raises(ValueError):
                 picard_solve(init, profile, model, cfg, grid, **bad)
 
-    def test_endpoint_matches_last_level(self):
-        grid, model, profile, init = self.make_bump(n_cells=100)
-        cfg = SolverConfig(epsilon=0.01, tau=1.0)
-        result = picard_solve(init, profile, model, cfg, grid,
-                              t1=0.01, n_intervals=4)
-        end = result.iterate.endpoint()
-        assert end.time == pytest.approx(0.01)
-        assert np.array_equal(end.rho, result.iterate.rho[-1])
+
+class TestOneResidualPerSolve:
+    """Each distance is the exact residual of the iterate its sweep started
+    from, so the solve returns that iterate and sweeps once per distance."""
+
+    @pytest.mark.parametrize("max_iters", [30, 2],
+                             ids=["converged", "stopped-by-max-iters"])
+    def test_last_distance_is_the_returned_iterates_residual(self, max_iters,
+                                                             monkeypatch):
+        s, _, guess = scenario_slab(*ODD)
+        step, calls = picard_step, []
+
+        def counted(*args):
+            calls.append(args[0])
+            return step(*args)
+
+        monkeypatch.setattr(picard_module, "picard_step", counted)
+        result = picard_solve(s.initial, s.profile, s.model, s.cfg, s.grid,
+                              t1=ODD[2], n_intervals=ODD[3], tol=1e-13,
+                              max_iters=max_iters)
+        rep, it = result.report, result.iterate
+        assert rep.converged == (max_iters == 30) and not rep.diverged
+        assert len(calls) == len(rep.distances) <= max_iters
+        assert calls[-1] is it
+        again = step(it, s.initial, s.profile, s.model, s.cfg, s.grid,
+                     scenario_tables(s, guess))
+        assert sup_distance(again, it) == rep.distances[-1]
 
 
 class TestFftLagSum:
@@ -383,10 +416,11 @@ class TestFftLagSum:
     def test_matches_direct_double_loop(self, case):
         slab, conv = self.CASES[case]
         s, kernel, prev = scenario_slab(*slab)
+        tables = scenario_tables(s, prev)
         # the first guess and one sweep on, where transport is under way
         for _ in range(2):
             fast = picard_step(prev, s.initial, s.profile, s.model, s.cfg,
-                               s.grid)
+                               s.grid, tables)
             ref = picard_step_reference(prev, s.initial, s.profile, s.model,
                                         kernel, s.grid, s.cfg.tau,
                                         s.cfg.source_variant, conv=conv)
@@ -402,7 +436,7 @@ class TestWideKernel:
         s, kernel, guess = scenario_slab(*WIDE)
         assert 2 * kernel._half_width(s.grid.dx, WIDE[2]) + 1 > s.grid.n_cells
         out = picard_step(guess, s.initial, s.profile, s.model, s.cfg,
-                          s.grid)
+                          s.grid, scenario_tables(s, guess))
         assert out.rho.shape == (WIDE[3] + 1, s.grid.n_cells)
         assert out.mom.shape == (WIDE[3] + 1, s.grid.n_cells)
 
@@ -461,7 +495,9 @@ class TestDivergenceSignal:
         rep = result.report
         assert len(rep.distances) == 4
         assert rep.diverged and not rep.converged
-        assert rep.fixed_point_residual is None
+        # the last admissible iterate, the third sweep, is returned
+        assert np.array_equal(result.iterate.mom, np.full((5, 40), 0.7))
+        assert np.array_equal(result.iterate.rho, np.ones((5, 40)))
         assert rep.band_violations == [
             {"field": "rho", "value": 1.5 * model.delta,
              "bound": model.admissible_floor, "kind": "inadmissible"}]

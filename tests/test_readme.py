@@ -1,11 +1,12 @@
-"""The README's command synopsis, its study config examples and its
-`monitors.csv` and `relax_table.csv` column lists against the parser, the
-config key tables, the monitor columns and the relax table header they
-document; and every constant and `module.name` it quotes against the
-package."""
+"""The README's command synopsis, its study config examples, its
+`monitors.csv` and `relax_table.csv` column lists and its
+`picard_report.json` key list against the parser, the config key tables,
+the monitor columns, the relax table header and the keys `picard` writes;
+and every constant and `module.name` it quotes against the package."""
 
 import argparse
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import semiflux
-from semiflux.cli import RELAX_COLUMNS, build_parser
+from semiflux.cli import RELAX_COLUMNS, build_parser, main
 from semiflux.config import PICARD_KEYS, RELAX_KEYS
 from semiflux.monitors import MONITOR_COLUMNS
 
@@ -85,6 +86,18 @@ def test_relax_columns_match_the_header():
     listed = re.search(r"`relax_table\.csv`\s+has the columns `([^`]*)`",
                        README).group(1)
     assert tuple(re.split(r",\s*", listed)) == RELAX_COLUMNS
+
+
+def test_picard_report_keys_match_the_writer(tmp_path):
+    listed = re.search(r"`picard_report\.json` has the keys `([^`]*)`",
+                       README).group(1)
+    cfg = tmp_path / "picard.cfg"
+    cfg.write_text("n_cells = 100\n")
+    out = tmp_path / "pic"
+    assert main(["picard", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    written = json.loads((out / "picard_report.json").read_text())
+    # the file's keys are sorted; the README lists them in reading order
+    assert sorted(re.split(r",\s*", listed)) == list(written)
 
 
 def test_quoted_module_names_resolve():

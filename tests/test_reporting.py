@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from semiflux.cli import main
-from semiflux.reporting import (_table_text, audited_texts, csv_text, fmt,
+from semiflux.reporting import (_table_text, audited_texts, csv_text,
                                 load_run_dir, write_run_dir)
 from semiflux.scenarios import make_setup
 from semiflux.solver import run
 
-from helpers import NEUTRAL_PERIODIC, table_text_reference
+from helpers import (NEUTRAL_PERIODIC, csv_text_reference, fmt,
+                     table_text_reference)
 
 SMALL_CFG = """
 scenario = gaussian-bump
@@ -242,3 +243,26 @@ def test_csv_cells_are_str_for_ints_and_fmt_for_floats():
     assert csv_text(("i", "x", "y"), rows) == (
         "i,x,y\n0,0.10000000000000001,nan\n12,1.152921504606847e+18,-0\n"
         "3,4.9406564584124654e-324,1\n")
+
+
+class TestCsvTextMatchesReference:
+    """The one-pass CSV body is byte-identical to one `fmt` call per value
+    (the writer kept in tests/helpers.py)."""
+
+    def test_monitor_rows(self, bump_report):
+        rows = bump_report.rows
+        assert len(rows) > 1
+        assert csv_text(bump_report.columns, rows) == \
+            csv_text_reference(bump_report.columns, rows)
+
+    def test_edge_values(self):
+        rows = [(0, float("nan"), -0.0), (7, float("inf"), -float("inf")),
+                (np.int64(12), np.float64(0.1), 2 ** 53),
+                (-3, 5e-324, np.nextafter(1.0, 2.0))]
+        assert csv_text(("i", "d", "r"), rows) == \
+            csv_text_reference(("i", "d", "r"), rows)
+
+    def test_no_rows_is_the_header_alone(self):
+        assert csv_text(("i", "d", "r"), []) == "i,d,r\n"
+        assert csv_text(("i", "d", "r"), iter([])) == \
+            csv_text_reference(("i", "d", "r"), [])
