@@ -9,7 +9,8 @@ Four subcommands:
               optional fixed-point cross-check at a short time
 * ``picard``  run the integral-equation iteration on a scenario and compare
               its endpoint with the finite-volume solver on a grid refined
-              ``refine`` times (1: the same grid), within
+              ``refine`` times (1: the same grid), averaged back onto the
+              Picard grid cell by cell, within
               ``picard.CROSS_TOL_FACTOR * (dx + mean dt)``
 * ``relax``   sweep a tau ladder and tabulate the scaled L1 gap against a
               drift-diffusion reference, with and without the vacuum offset

@@ -19,16 +19,23 @@ sum_{m=1..k} ds conv_x(H[k-m], K_m) of the interval midpoints H of a term
 against its kernel K_m at lag (m - 1/2) ds: a causal convolution in time of
 convolutions in space.  A sweep evaluates each lag sum as one product of
 2-D real FFTs, zero-padded to at least 2 n_intervals levels, so the
-circular wrap never reaches a kept level, and to at least n_cells + 2h cells
-for the widest kernel half-width h, so values outside the grid count as zero
-on the real line, also on a periodic grid and also when a kernel is wider
-than the grid.  Each axis is rounded up from that wrap-free length to the
-next 2^a 3^b 5^c, a length the FFT transforms fast (n_cells + 2h = 2036 is
-4 * 509, a fifth as fast as 2048).  The kernel spectra and the initial-data
+circular wrap never reaches a kept level.  In space a periodic slab is
+circular: its axis is exactly n_cells wide, and weights that wrap onto one
+cell, for a kernel wider than the grid, add up there.  An outflow slab is
+padded to at least n_cells + 2h cells for the widest kernel half-width h,
+so values outside the grid count as zero on the real line, also when a
+kernel is wider than the grid: it takes vacuum beyond its edges, so an
+outflow device whose data do not vanish there (charge-neutral-rest, say)
+lies outside that assumption and its edge cells drift.  The padded axes
+are rounded up from their wrap-free length to the next 2^a 3^b 5^c, a
+length the FFT transforms fast (n_cells + 2h = 2036 is 4 * 509, a fifth as
+fast as 2048).  The kernel spectra and the initial-data
 terms G(t_k) * rho0 and G(t_k) * m0 do not depend on the iterate:
 `picard_solve` builds them once per slab, each kernel table in one
 evaluation over (times x offsets).  Eps, tau and the source coupling come
-from one SolverConfig, as in the march.
+from one SolverConfig, as in the march.  `cross_check` compares the slab's
+last level with the march on the Picard grid, by exact cell averages
+(`solver.march_rungs`).
 A distance sup|P(x) - x| is the exact residual of the iterate x its sweep
 started from, so the solve returns that iterate and measures nothing
 twice.  Each iterate meets the band 2d <= rho <= M, |m| <= M in one check
@@ -46,9 +53,10 @@ import numpy as np
 from scipy.special import erf
 
 from .field import solve_field
-from .model import (ConfigurationError, DeviceProfile, GasModel, Grid1D,
-                    HydroState, total_integral)
-from .solver import SolverConfig, flux, run, source
+from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
+                    Grid1D, HydroState, total_integral)
+from .solver import (IntegrationError, SolverConfig, flux, march_rungs,
+                     source)
 
 
 @dataclass(frozen=True)
@@ -91,15 +99,15 @@ class HeatKernel:
                        width: int) -> np.ndarray:
         """Row i holds `weights` (`_cells` or `_faces`) at times[i], zero
         beyond that time's half-width and laid out for a circular
-        convolution of length `width`: offset r goes to column r mod width.
-        The widest row must fit, 2h + 1 <= width."""
+        convolution of length `width`: offset r goes to column r mod width,
+        and offsets that wrap onto one column (2h + 1 > width) sum there."""
         t = np.asarray(times, dtype=float)[:, None]
         h = self._half_width(dx, t)
         offsets = np.arange(-h.max(), h.max() + 1)
         rows = weights(offsets * dx, dx, t)
         rows[np.abs(offsets) > h] = 0.0
         out = np.zeros((len(t), width))
-        out[:, offsets % width] = rows
+        np.add.at(out.T, offsets % width, rows.T)
         return out
 
 
@@ -168,12 +176,15 @@ class _SlabTables:
         n = grid.n_cells
         dx = grid.dx
         ds = float(times[1] - times[0])
-        # 2 n_int levels keep the causal time convolution unwrapped; the
-        # widest kernel is the initial-data one at t1, and n + 2h columns
-        # keep the real-line (zero outside the grid) convolution unwrapped
-        h = int(kernel._half_width(dx, times[-1]))
-        shape = (_fast_len(2 * n_int), _fast_len(n + 2 * h))
-        width = shape[1]
+        # 2 n_int levels keep the causal time convolution unwrapped; on an
+        # outflow grid the widest kernel is the initial-data one at t1, and
+        # n + 2h columns keep the real-line (zero outside the grid)
+        # convolution unwrapped, while a periodic grid wraps on its n cells
+        if grid.boundary is Boundary.PERIODIC:
+            width = n
+        else:
+            width = _fast_len(n + 2 * int(kernel._half_width(dx, times[-1])))
+        shape = (_fast_len(2 * n_int), width)
         lags = (np.arange(1, n_int + 1) - 0.5) * ds
         grad = kernel.circular_table(kernel._faces, dx, lags, width)
         smooth = kernel.circular_table(kernel._cells, dx, lags, width)
@@ -292,24 +303,24 @@ def check_t1(t1: float, name: str = "t1"):
 def cross_check(result: PicardResult, picard_grid: Grid1D, t1: float, march,
                 initial: HydroState):
     """March `initial` to t1 on the grid, gas law, profile and SolverConfig
-    of `march` (a RunSetup or a Trajectory), sample the march onto the
-    Picard grid, and judge the Picard result against it.
+    of `march` (a RunSetup or a Trajectory) through `solver.march_rungs`,
+    which restricts the march onto the Picard grid by exact cell averages,
+    and judge the Picard result against it.
 
     Returns (gap, tolerance, verdict): the gap is the `sup_distance` between
-    the last level of the Picard iterate and the sampled march, the
+    the last level of the Picard iterate and the restricted march, the
     tolerance CROSS_TOL_FACTOR * (dx + mean dt), and the verdict also asks
     for a converged iteration with no band violation.  Returns None when
     the march failed.
     """
-    traj = run(initial, march.profile, march.model,
-               replace(march.cfg, t_end=t1), march.grid, record_times=[t1])
-    if not traj.completed:
+    try:
+        (traj,) = march_rungs([(march, initial, [t1])], picard_grid)
+    except IntegrationError:
         return None
-    x, it = picard_grid.centers, result.iterate
+    it = result.iterate
     last = PicardIterate(times=it.times[-1:], rho=it.rho[-1], mom=it.mom[-1])
-    sampled = replace(last, rho=np.interp(x, traj.grid.centers, traj.rho[-1]),
-                      mom=np.interp(x, traj.grid.centers, traj.mom[-1]))
-    gap = sup_distance(last, sampled)
+    gap = sup_distance(last, replace(last, rho=traj.rho[-1],
+                                     mom=traj.mom[-1]))
     dt_mean = float(np.mean(traj.dts)) if traj.dts else 0.0
     tol_cross = CROSS_TOL_FACTOR * (picard_grid.dx + dt_mean)
     rep = result.report

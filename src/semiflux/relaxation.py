@@ -14,9 +14,14 @@ drives the tau-ladder study on a scenario's RunSetup, the same one `solve`
 and `picard` build: each rung is that scenario built again by `make_setup`
 with the rung's keys (delta and the solver coefficients) over its
 parameters, and the reference starts from the first rung's excess density.
-The reference and every hydro run take their record instants, slack and end
+The rungs march through `solver.march_rungs`, the one rung loop that the
+Picard cross-check shares, which checks that each reaches its end and
+records exactly its instants and restricts it by exact cell averages (the
+identity here, where every rung is on the study's grid).  The
+reference and every hydro run take their record instants, slack and end
 from one rule, a `solver.RecordClock`, so each run records exactly at
-t = s/tau where the reference records s.  The run's stacked records are
+t = s/tau where the reference records s, and the late records are chosen
+with the same slack.  The run's stacked records are
 read as N = rho and J = m/tau, and the L1 gap to the reference is reported
 twice, on N (l1_error) and on N - 2 delta (l1_net, free of the vacuum
 offset the reference lacks).  Like a hydro Trajectory, the reference keeps
@@ -35,7 +40,7 @@ from .field import solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, PressureConvention)
 from .scenarios import RunSetup, make_setup
-from .solver import RecordClock, SourceVariant, run
+from .solver import RecordClock, SourceVariant, march_rungs
 
 
 # --- drift-diffusion limit solver ------------------------------------------
@@ -280,12 +285,13 @@ def relaxation_study(setup: RunSetup, tau_list,
                      n_s_records: int = 21,
                      s0_frac: float = 0.05) -> StudyResult:
     """Run the hydro solver along the tau ladder on `setup`'s scenario, each
-    rung rebuilt by `make_setup` with its delta, eps, tau, t_end and the
-    excess-density source over the scenario's parameters, read each run's
-    rows at t = s/tau as N = rho and J = m/tau, and compare with one
-    drift-diffusion reference on the same grid from the first rung's excess
-    density.  A device whose reference cannot keep N >= 0 is rejected with
-    a ConfigurationError."""
+    rung rebuilt by `make_setup` with its delta, eps, tau and the
+    excess-density source over the scenario's parameters and marched by
+    `solver.march_rungs` to t = s/tau on the study's grid, read each run's
+    rows as N = rho and J = m/tau, and compare with one drift-diffusion
+    reference on the same grid from the first rung's excess density.  A
+    device whose reference cannot keep N >= 0 is rejected with a
+    ConfigurationError."""
     grid, profile = setup.grid, setup.profile
     gamma, convention = setup.model.gamma, setup.model.convention
     taus = validate_tau_ladder(tau_list)
@@ -295,7 +301,7 @@ def relaxation_study(setup: RunSetup, tau_list,
         window = (grid.x_min, grid.x_max)
     s_records = np.linspace(0.0, horizon, n_s_records)
     s_min = s0_frac * horizon
-    late = s_records >= s_min - 1e-12
+    late = s_records >= s_min - RecordClock(horizon).slack
     cols = (grid.centers >= window[0]) & (grid.centers <= window[1])
     if np.count_nonzero(late) < 2:
         raise ConfigurationError(
@@ -310,7 +316,6 @@ def relaxation_study(setup: RunSetup, tau_list,
     rungs = [make_setup(name, {
         **params, "delta": coupling.delta(tau),
         "epsilon": coupling.epsilon(tau, gamma, convention), "tau": tau,
-        "t_end": horizon / tau,
         "source_variant": SourceVariant.EXCESS_DENSITY}) for tau in taus]
     first = rungs[0]
     try:
@@ -326,17 +331,11 @@ def relaxation_study(setup: RunSetup, tau_list,
         raise RuntimeError("reference recording misaligned with the s ladder")
     n_ref = reference.n_vals[late][:, cols]
 
+    trajs = march_rungs([(rung, rung.initial, s_records[1:] / rung.cfg.tau)
+                         for rung in rungs], grid)
     rows = []
-    for rung in rungs:
-        tau = rung.cfg.tau
-        traj = run(rung.initial, rung.profile, rung.model, rung.cfg,
-                   rung.grid, record_times=s_records[1:] / tau)
-        floor = rung.model.rho_floor
-        if not traj.completed:
-            raise RuntimeError(f"hydro run failed at tau={tau}")
-        if not np.array_equal(traj.times[1:], s_records[1:] / tau):
-            raise RuntimeError(
-                f"hydro recording at tau={tau} misaligned with the s ladder")
+    for rung, traj in zip(rungs, trajs):
+        tau, floor = rung.cfg.tau, rung.model.rho_floor
         n_win = traj.rho[late][:, cols]
         rows.append(StudyRow(
             tau=tau, epsilon=rung.cfg.epsilon, delta=rung.model.delta,

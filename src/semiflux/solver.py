@@ -51,14 +51,21 @@ holds the instants, the slack of every time comparison and the end test,
 for the drift-diffusion reference too.  A recorded run keeps only (step,
 time, rho, m, lowest rho since the last record) per record, as stacked
 arrays, plus every dt and what limited each step, and the device and
-SolverConfig it was marched with.
+SolverConfig it was marched with.  Marches that are compared with each
+other (the tau-ladder, the convergence tests) or with the Picard slab go
+through `march_rungs`, the one rung loop, which restricts each to a common
+grid by exact cell averages, for the Picard cross-check the Picard grid.
+That slab is circular on a periodic grid, as the march is, and takes vacuum
+beyond the edges of an outflow grid, where the march's ghost cells copy the
+edge cells: on outflow the two agree only for data whose excess density
+and momentum vanish at the edges.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -472,3 +479,41 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
                       steps=np.array(steps), times=np.array(times),
                       rho=rho, mom=mom, min_rho=np.array(lows), dts=dts,
                       limits=limits)
+
+
+def cell_averages(vals, grid: Grid1D, onto: Grid1D) -> np.ndarray:
+    """Exact averages over the cells of `onto` of values (last axis) on
+    `grid`, which must nest in `onto`: the same extent and n_cells a
+    multiple of onto's, else a ConfigurationError.  A factor of 1 returns
+    the values bit for bit."""
+    k, rest = divmod(grid.n_cells, onto.n_cells)
+    if rest or (grid.x_min, grid.x_max) != (onto.x_min, onto.x_max):
+        raise ConfigurationError(f"{grid} does not nest in {onto}")
+    vals = np.asarray(vals)
+    return vals.reshape(vals.shape[:-1] + (onto.n_cells, k)).mean(axis=-1)
+
+
+def march_rungs(rungs, onto: Grid1D) -> list:
+    """March each rung (parts, initial state, record times) through `run`
+    to its times, t_end its last, and return its Trajectory with `rho` and
+    `mom` restricted to `onto` by `cell_averages`, the rest the march's own.
+    The parts are a RunSetup or a Trajectory (grid, model, profile, cfg).
+    Every grid must nest in `onto`, checked before any march.  A rung that
+    stops early raises an IntegrationError, and one whose records miss its
+    times a RuntimeError, each naming the rung."""
+    for parts, _, _ in rungs:
+        cell_averages(parts.grid.centers, parts.grid, onto)
+    out = []
+    for i, (parts, initial, times) in enumerate(rungs):
+        end = float(times[-1])
+        traj = run(initial, parts.profile, parts.model,
+                   replace(parts.cfg, t_end=end), parts.grid,
+                   record_times=times)
+        if not traj.completed:
+            raise IntegrationError(f"rung {i} stopped at t = "
+                                   f"{float(traj.times[-1])!r}, before {end!r}")
+        if not np.array_equal(traj.times[1:], times):
+            raise RuntimeError(f"rung {i} misaligned with its record times")
+        out.append(replace(traj, rho=cell_averages(traj.rho, parts.grid, onto),
+                           mom=cell_averages(traj.mom, parts.grid, onto)))
+    return out

@@ -65,6 +65,14 @@ def conv_full_sliced(vals, weights):
     return np.convolve(vals, weights, mode="full")[h:h + len(vals)]
 
 
+def conv_circular(vals, weights):
+    """The circular convolution of period len(vals), a periodic grid's: the
+    weight at offset r acts on the cell r cells away mod n, so weights that
+    wrap onto one cell, for a kernel wider than the grid, add up there."""
+    h = (len(weights) - 1) // 2
+    return sum(w * np.roll(vals, r) for r, w in zip(range(-h, h + 1), weights))
+
+
 def centred_weights(kernel, weights, dx: float, t: float) -> np.ndarray:
     """`weights` (the kernel's `_cells` or `_faces`) at time t on the
     offsets -h dx .. h dx of its half-width h, centred for np.convolve."""

@@ -38,6 +38,7 @@ from semiflux.monitors import (
 )
 from semiflux.picard import cross_check
 from semiflux.scenarios import make_setup
+from semiflux.solver import cell_averages, march_rungs
 
 SEED = 20260814
 FLOOR_SLACK = 1e-12            # relative density-floor slack, in units of delta
@@ -292,41 +293,30 @@ def test_criterion_09_relaxation_limit():
 
 
 def test_criterion_10_self_convergence():
-    # hydro: L1 self-difference under dx halving
-    runs = {}
-    for n_cells in (250, 500, 1000):
-        setup = make_setup("gaussian-bump", {"n_cells": n_cells,
-                                             "t_end": 0.3})
-        traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
-                   setup.grid, record_times=[0.3])
-        runs[n_cells] = (setup.grid.centers, traj.rho[-1])
+    # L1 self-differences under dx halving, each run restricted onto the
+    # coarsest grid by exact cell averages; on one grid dx cancels
+    def l1(a, b):
+        return float(np.sum(np.abs(a - b)))
 
-    def gap(nc, nf):
-        xc, rc = runs[nc]
-        xf, rf = runs[nf]
-        return float(np.sum(np.abs(rc - np.interp(xc, xf, rf))) * (10.0 / nc))
-
-    e_coarse, e_fine = gap(250, 500), gap(500, 1000)
-    factor = e_coarse / e_fine
+    # hydro
+    rungs = [make_setup("gaussian-bump", {"n_cells": n_cells, "t_end": 0.3})
+             for n_cells in (250, 500, 1000)]
+    rho = [traj.rho[-1] for traj in march_rungs(
+        [(setup, setup.initial, [0.3]) for setup in rungs], rungs[0].grid)]
+    factor = l1(rho[0], rho[1]) / l1(rho[1], rho[2])
     assert factor >= 1.8
 
     # drift-diffusion: measured order
-    outs = {}
-    for n_cells in (200, 400, 800):
-        dd_grid = Grid1D(-4.0, 4.0, n_cells)
-        model = GasModel(gamma=1.4, delta=0.05)
-        profile = DeviceProfile.uniform(dd_grid)
-        x = dd_grid.centers
-        n0 = 0.5 + 0.8 * np.exp(-x ** 2)
-        out = drift_diffusion_run(n0, profile, model, dd_grid, s_end=0.1)
-        outs[n_cells] = (x, out.n_vals[-1])
+    dd_grids = [Grid1D(-4.0, 4.0, n_cells) for n_cells in (200, 400, 800)]
+    model = GasModel(gamma=1.4, delta=0.05)
+    n_end = []
+    for dd_grid in dd_grids:
+        n0 = 0.5 + 0.8 * np.exp(-dd_grid.centers ** 2)
+        out = drift_diffusion_run(n0, DeviceProfile.uniform(dd_grid), model,
+                                  dd_grid, s_end=0.1)
+        n_end.append(cell_averages(out.n_vals[-1], dd_grid, dd_grids[0]))
 
-    def dd_gap(nc, nf):
-        xc, rc = outs[nc]
-        xf, rf = outs[nf]
-        return float(np.sum(np.abs(rc - np.interp(xc, xf, rf))) * (8.0 / nc))
-
-    order = math.log2(dd_gap(200, 400) / dd_gap(400, 800))
+    order = math.log2(l1(n_end[0], n_end[1]) / l1(n_end[1], n_end[2]))
     assert order >= 1.0
     passline(10, "self-convergence",
              f"hydro factor {factor:.3f}, diffusion order {order:.3f}")

@@ -214,7 +214,7 @@ class TestUsageErrors:
             raise AssertionError("marched a rejected device")
 
         for target in ("semiflux.cli.run", "semiflux.cli.picard_solve",
-                       "semiflux.relaxation.run",
+                       "semiflux.solver.run",
                        "semiflux.relaxation.drift_diffusion_step"):
             monkeypatch.setattr(target, no_march)
         cfg = write_cfg(tmp_path, (
@@ -525,6 +525,19 @@ class TestVerify:
         text = capsys.readouterr().out
         assert "fixed-point cross-check" in text
         assert "agrees" in text
+
+    def test_cross_check_that_disagrees_exits_1(self, tmp_path, capsys):
+        # a slab as long as the whole run is far beyond the short time on
+        # which the iteration contracts: the check fails and says so
+        cfg = write_cfg(tmp_path,
+                        "scenario = gaussian-bump\nn_cells = 100\nt_end = 2\n")
+        run_dir = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out-dir", str(run_dir)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(run_dir), "--picard", "--t1", "2"]) == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("fixed-point cross-check at t=2: gap=")
+        assert last.endswith(" DISAGREES")
 
     @pytest.mark.parametrize("t1", ["nan", "0", "-1"])
     def test_cross_check_at_nan_t1_exits_2(self, run_dir, capsys, t1):
@@ -910,6 +923,25 @@ class TestModuleEntry:
                    if isinstance(node, ast.Call)
                    and ast.unparse(node.func).split(".")[-1] in entry}
         assert callers == {("reporting.py", "audited_texts")}
+
+    def test_one_rung_loop_and_no_point_sampling(self):
+        # marches are compared through solver.march_rungs, by exact cell
+        # averages: solver.run is called by solve and the rung loop alone,
+        # and np.interp reads only a profile table
+        src = Path(semiflux.__file__).resolve().parent
+
+        def callers(name):
+            return {(path.name, fn.name)
+                    for path in sorted(src.glob("*.py"))
+                    for fn in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == name}
+
+        assert callers("run") == {("cli.py", "cmd_solve"),
+                                  ("solver.py", "march_rungs")}
+        assert callers("interp") == {("scenarios.py", "interp_profile")}
 
     def test_cli_import_leaves_scipy_signal_unloaded(self):
         # scipy.signal costs about a second of import on every command

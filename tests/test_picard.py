@@ -14,7 +14,8 @@ import pytest
 
 import semiflux.picard as picard_module
 from helpers import (NEUTRAL_PERIODIC, centred_weights, circular_reference,
-                     conv_full_sliced, conv_same, picard_step_reference)
+                     conv_circular, conv_full_sliced, conv_same,
+                     picard_step_reference)
 from semiflux import (
     DeviceProfile,
     GasModel,
@@ -27,12 +28,14 @@ from semiflux import (
     prepare_initial,
 )
 from semiflux.picard import (
+    CROSS_CHECK_T1,
     PicardIterate,
     _admissibility_violation,
     _band_check,
     _fast_len,
     _SlabTables,
     constant_first_guess,
+    cross_check,
     iterate_band_bound,
     sup_distance,
 )
@@ -253,6 +256,22 @@ class TestFixedPoints:
         assert np.max(np.abs(out.rho[-1][inner] - rho0)) < 1e-12
         assert np.max(np.abs(out.mom[-1][inner])) < 1e-12
 
+    def test_periodic_neutral_rest_state_is_a_fixed_point(self):
+        # the march's exact rest state; a periodic slab is circular, so no
+        # mass leaves through the edges (on the real line the edge cells
+        # drifted 0.12 and the cross-check disagreed)
+        s = make_setup("charge-neutral-rest", {"boundary": "periodic",
+                                               "epsilon": 0.01})
+        result = picard_solve(s.initial, s.profile, s.model, s.cfg, s.grid,
+                              t1=CROSS_CHECK_T1)
+        assert result.report.converged
+        assert result.report.distances[0] < 1e-15
+        assert np.max(np.abs(result.iterate.rho - s.initial.rho)) < 1e-15
+        assert np.max(np.abs(result.iterate.mom)) < 1e-15
+        gap, _, agree = cross_check(result, s.grid, CROSS_CHECK_T1, s,
+                                    s.initial)
+        assert gap < 1e-15 and agree
+
     def test_decaying_data_preserves_excess_mass(self):
         grid = Grid1D(-5.0, 5.0, 200)
         model = GasModel(gamma=1.4, delta=0.05)
@@ -397,10 +416,15 @@ class TestFftLagSum:
         "outflow-bump": (("gaussian-bump", {"n_cells": 120, "epsilon": 0.05,
                                             "bump_speed": 0.4}, 0.02, 6),
                          conv_same),
+        # a periodic slab is circular on its n_cells
         "periodic-excess-density": (("charge-neutral-rest", {
             **NEUTRAL_PERIODIC, "n_cells": 96, "epsilon": 0.02,
             "source_variant": "excess-density", "bump_speed": 0.3},
-            0.02, 5), conv_same),
+            0.02, 5), conv_circular),
+        # 2h + 1 > n_cells: the wrapped weights sum on the circle
+        "periodic-wide-kernel": (("charge-neutral-rest", {
+            **NEUTRAL_PERIODIC, "n_cells": 64, "epsilon": 1.0,
+            "bump_speed": 0.3}, 1.0, 8), conv_circular),
         "one-interval": (("doping-ramp", {"n_cells": 80, "epsilon": 0.01},
                           0.01, 1), conv_same),
         # np.convolve's 'same' mode cannot serve a kernel wider than the grid

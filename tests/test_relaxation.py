@@ -22,7 +22,7 @@ from semiflux import (
     solve_field,
     total_integral,
 )
-from semiflux import relaxation
+from semiflux import relaxation, solver
 from semiflux.scenarios import make_setup
 from semiflux.solver import SolverConfig, SourceVariant, run
 from semiflux.relaxation import (
@@ -452,7 +452,7 @@ class TestRelaxationStudy:
 
     def test_rows_are_the_recorded_density_and_scaled_momentum(
             self, monkeypatch):
-        runs, seen, real_run = [], [], relaxation.run
+        runs, seen, real_run = [], [], solver.run
 
         def recording_run(*args, **kwargs):
             runs.append(real_run(*args, **kwargs))
@@ -462,7 +462,7 @@ class TestRelaxationStudy:
             seen.append((s_values, n_vals, j_vals))
             return 0.0
 
-        monkeypatch.setattr(relaxation, "run", recording_run)
+        monkeypatch.setattr(solver, "run", recording_run)
         monkeypatch.setattr(relaxation, "dissipation_integral",
                             recording_dissipation)
         setup = study_inputs(n_cells=60)
@@ -485,13 +485,13 @@ class TestRelaxationStudy:
     def test_each_rung_is_a_scenario_run(self, monkeypatch):
         # a rung is the scenario built again by make_setup with the rung's
         # keys over its parameters, and marched bit for bit like it
-        runs, real_run = [], relaxation.run
+        runs, real_run = [], solver.run
 
         def recording_run(*args, **kwargs):
             runs.append(real_run(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(relaxation, "run", recording_run)
+        monkeypatch.setattr(solver, "run", recording_run)
         setup = study_inputs(n_cells=60)
         result = relaxation_study(setup, tau_list=[0.2, 0.1, 0.05],
                                   horizon=0.05, n_s_records=6)
@@ -517,14 +517,14 @@ class TestRelaxationStudy:
             assert got.dts == want.dts
 
     def test_record_that_misses_s_over_tau_raises(self, monkeypatch):
-        real_run = relaxation.run
+        real_run = solver.run
 
         def late_run(*args, **kwargs):
             traj = real_run(*args, **kwargs)
             traj.times[1] = np.nextafter(traj.times[1], math.inf)
             return traj
 
-        monkeypatch.setattr(relaxation, "run", late_run)
+        monkeypatch.setattr(solver, "run", late_run)
         with pytest.raises(RuntimeError, match="misaligned"):
             relaxation_study(
                 study_inputs(n_cells=40), tau_list=[0.2, 0.1, 0.05],

@@ -7,6 +7,8 @@ decay, initial-data preparation, and the bookkeeping of run().
 
 import math
 import tracemalloc
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +32,8 @@ from semiflux import (
     total_integral,
 )
 from semiflux.field import solve_field
-from semiflux.solver import flux, gaussian_kernel
+from semiflux.scenarios import make_setup
+from semiflux.solver import flux, gaussian_kernel, march_rungs
 
 import semiflux.solver as solver_mod
 from helpers import conv_same, run_reference, step_reference
@@ -877,15 +880,63 @@ class TestAllocationGuard:
         assert peak < 8 * self.N_CELLS
 
 
+class TestMarchRungs:
+    """The one rung loop: each rung marched to its record times, its
+    records restricted onto a common grid by exact cell averages."""
+
+    def test_rungs_are_runs_restricted_by_cell_averages(self):
+        coarse, fine = (make_setup("gaussian-bump", {"n_cells": n})
+                        for n in (40, 120))
+        times = [0.05, 0.1]
+        got = march_rungs([(s, s.initial, times) for s in (coarse, fine)],
+                          coarse.grid)
+        want = [run(s.initial, s.profile, s.model,
+                    replace(s.cfg, t_end=0.1), s.grid, record_times=times)
+                for s in (coarse, fine)]
+        for traj, ref, s in zip(got, want, (coarse, fine)):
+            assert (traj.grid, traj.cfg) == (s.grid, ref.cfg)
+            assert np.array_equal(traj.times, ref.times)
+            assert traj.dts == ref.dts
+        # a factor of 1 is the identity, bit for bit
+        assert np.array_equal(got[0].rho, want[0].rho)
+        assert np.array_equal(got[0].mom, want[0].mom)
+        assert np.array_equal(got[1].rho,
+                              want[1].rho.reshape(3, 40, 3).mean(axis=-1))
+        assert np.array_equal(got[1].mom,
+                              want[1].mom.reshape(3, 40, 3).mean(axis=-1))
+
+    @pytest.mark.parametrize("overrides", [
+        {"n_cells": 60}, {"n_cells": 80, "x_max": 6.0}],
+        ids=["not-a-multiple", "other-extent"])
+    def test_grid_that_does_not_nest_is_refused_before_any_march(
+            self, monkeypatch, overrides):
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched a rung it cannot compare")
+
+        monkeypatch.setattr(solver_mod, "run", no_march)
+        coarse = make_setup("gaussian-bump", {"n_cells": 40})
+        other = make_setup("gaussian-bump", overrides)
+        with pytest.raises(ConfigurationError, match="does not nest"):
+            march_rungs([(coarse, coarse.initial, [0.1]),
+                         (other, other.initial, [0.1])], coarse.grid)
+
+    def test_rung_that_stops_early_is_named(self):
+        s = make_setup("gaussian-bump", {"n_cells": 40})
+        below = HydroState(rho=np.full(40, 0.5 * s.model.rho_floor),
+                           mom=np.zeros(40))
+        with pytest.raises(IntegrationError,
+                           match="rung 1 stopped at t = 0.0, before 0.1"):
+            march_rungs([(s, s.initial, [0.1]), (s, below, [0.1])], s.grid)
+
+
 class TestSelfConsistency:
     def test_refinement_shrinks_error(self):
         # Coarse-versus-fine gap on a smooth bump must drop under refinement;
         # the acceptance study pins the quantitative rate, this is a smoke
-        # check that the discretization converges at all.
-        errs = {}
-        fine_n = 400
-        runs = {}
-        for n in (100, 200, fine_n):
+        # check that the discretization converges at all.  Every run is
+        # compared on the coarsest grid by exact cell averages.
+        rungs = []
+        for n in (100, 200, 400):
             grid = Grid1D(-5.0, 5.0, n, boundary=Boundary.OUTFLOW)
             model = GasModel(gamma=1.4, delta=0.05)
             profile = DeviceProfile.uniform(grid, a=1.0, b=0.0, e_minus=0.0)
@@ -894,12 +945,9 @@ class TestSelfConsistency:
             raw = 0.8 * np.exp(-(x / 0.6) ** 2)
             init = prepare_initial(raw, 0.3 * np.ones_like(raw),
                                    model, cfg, grid)
-            traj = run(init, profile, model, cfg, grid,
-                       record_times=[cfg.t_end])
-            runs[n] = (grid.centers, traj.rho[-1])
-        xf, rf = runs[fine_n]
-        for n in (100, 200):
-            xc, rc = runs[n]
-            ref = np.interp(xc, xf, rf)
-            errs[n] = float(np.sum(np.abs(rc - ref)) * (10.0 / n))
-        assert errs[200] < errs[100] / 1.2
+            parts = SimpleNamespace(grid=grid, model=model, profile=profile,
+                                    cfg=cfg)
+            rungs.append((parts, init, [cfg.t_end]))
+        coarse, mid, fine = (traj.rho[-1] for traj in
+                             march_rungs(rungs, rungs[0][0].grid))
+        assert np.sum(np.abs(mid - fine)) < np.sum(np.abs(coarse - fine)) / 1.2
