@@ -31,13 +31,15 @@ a stored table laid out otherwise than ``solve`` writes it (a snapshot
 without the ``min_rho`` header, an extra column or header key) exits 2.
 
 Exit codes: 0 all checks passed, 1 a check or monitor failed, 2 bad usage,
-unreadable input, or malformed configuration (an unknown key, a value its
-key's type cannot read, in a config file or in a stored run's config echo,
-a setting that would change nothing, like ``verify --t1`` without
-``--picard`` or a relax ``eps_fixed`` beside ``eps_coeff``/``eps_power``,
-a scenario whose profile fails its declared check, a periodic device with
-net charge, or a relax device whose drift-diffusion reference cannot keep
-its density non-negative).
+unreadable input, or malformed configuration: an unknown key, a value its
+key's type cannot read or a non-finite float, in a config file or a stored
+run's config echo; a non-finite profile a, b or e_minus; a setting that
+would change nothing, ``verify --t1`` without ``--picard`` or a key beside
+one that replaces it (``config.REPLACES``); a scenario whose profile fails
+its declared check; a periodic device with net charge; for ``picard`` and
+``verify --picard``, an outflow device whose initial data do not vanish at
+the edges (``picard.check_edges``); or a relax device whose drift-diffusion
+reference cannot keep its density non-negative.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ from .config import (PICARD_KEYS, RELAX_KEYS, SCENARIO_KEYS, SOLVE_KEYS,
                      coerce, parse_key_value)
 from .model import ConfigurationError, HydroState
 from .monitors import parse_monitor_list
-from .picard import CROSS_CHECK_T1, check_t1, cross_check, picard_solve
+from .picard import (CROSS_CHECK_T1, check_edges, check_t1, cross_check,
+                     picard_solve)
 from .relaxation import CouplingRule, StudyRow, relaxation_study
 from .reporting import (audited_texts, csv_text, json_text, load_run_dir,
                         write_run_dir)
@@ -168,12 +171,15 @@ def cmd_verify(args) -> int:
             f"--t1 {args.t1!r} is read only with --picard; without it the "
             "flag would be ignored")
     payload, traj = load_run_dir(args.run_dir)
-    # the cross-check runs on [0, min(--t1, t_end)]: a bad flag is a usage
-    # error before anything is audited or printed
+    # the cross-check runs on [0, min(--t1, t_end)]: a bad flag, or an
+    # outflow device whose data reach its edges, is a usage error before
+    # anything is audited or printed
     flag = CROSS_CHECK_T1 if args.t1 is None else args.t1
     t1 = min(flag, traj.cfg.t_end)
+    initial = HydroState(rho=traj.rho[0], mom=traj.mom[0], time=0.0)
     if args.picard:
         check_t1(t1, f"--t1 {flag!r}")
+        check_edges(initial, traj.model, traj.grid)
     _, texts = audited_texts(traj, payload["config"])
     run_dir = Path(args.run_dir)
     ok = True
@@ -187,7 +193,6 @@ def cmd_verify(args) -> int:
             ok = False
 
     if args.picard:
-        initial = HydroState(rho=traj.rho[0], mom=traj.mom[0], time=0.0)
         result = picard_solve(initial, traj.profile, traj.model, traj.cfg,
                               traj.grid, t1)
         check = cross_check(result, traj.grid, t1, traj, initial)
@@ -215,6 +220,7 @@ def cmd_picard(args) -> int:
         raise ConfigurationError(f"refine: need refine >= 1, got {refine}")
 
     setup = make_setup(name, overrides)
+    check_edges(setup.initial, setup.model, setup.grid)
     result = picard_solve(setup.initial, setup.profile, setup.model,
                           setup.cfg, setup.grid, t1,
                           **_given(vals, ("n_intervals", "tol", "max_iters")))
@@ -270,11 +276,6 @@ def cmd_relax(args) -> int:
     if "tau_list" not in vals:
         raise ConfigurationError("relax config must set 'tau_list'")
     tau_list = vals["tau_list"].replace(",", " ").split()
-    overridden = [k for k in ("eps_coeff", "eps_power") if k in vals]
-    if "eps_fixed" in vals and overridden:
-        raise ConfigurationError(
-            f"eps_fixed replaces {' and '.join(overridden)}; "
-            "set one or the other")
     coupling = CouplingRule(**_given(
         vals, ("eps_coeff", "eps_power", "eps_fixed", "delta_coeff")))
     window = None

@@ -4,15 +4,17 @@ One assignment per line, '#' starts a comment, keys mirror the solver and
 scenario fields.  Unknown keys are rejected so typos fail loudly instead of
 silently running defaults, and a value its key's type (float, int, or one of
 the boundary, pressure-convention and source-variant enums) cannot read is
-rejected the same way.  `coerce` is the one cast, for a file's strings and
-`scenarios.make_setup`'s overrides alike.  Each scenario is a row of
-`SCENARIO_DEFAULTS`, whose defaults type the keys.  A run's grid, gas law
-and SolverConfig are built from their keys by `build_parts` and echoed by
-`config_echo`, both through the one key table `_ECHO`.
+rejected the same way, as are a non-finite float and a key of `REPLACES`
+given beside a key it replaces.  `coerce` is the one cast, for a file's
+strings and `scenarios.make_setup`'s overrides alike.  Each scenario is a
+row of `SCENARIO_DEFAULTS`, whose defaults type the keys.  A run's grid,
+gas law and SolverConfig are built from their keys by `build_parts` and
+echoed by `config_echo`, both through the one key table `_ECHO`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -51,6 +53,11 @@ SOLVE_KEYS = {
     "scenario": str, "seed": int, "monitors": str, "cadence": int,
     "a_table": str, "b_table": str,
 }
+
+# a key and the keys it replaces, each of which would change nothing beside it
+REPLACES = {"eps_fixed": ("eps_coeff", "eps_power"),
+            "a_table": ("damping", "damping_slope_coeff"),
+            "b_table": ("doping_mass", "doping_center", "doping_width")}
 
 RELAX_KEYS = {
     "scenario": str,
@@ -108,6 +115,14 @@ def coerce(raw: dict, schema: dict) -> dict:
         except (TypeError, ValueError) as err:
             raise ConfigurationError(
                 f"bad value for {key!r}: {val!r} ({err})") from None
+        if kind is float and not math.isfinite(out[key]):
+            raise ConfigurationError(
+                f"{key}: need a finite number, got {val!r}")
+    for key, replaced in REPLACES.items():
+        given = [k for k in replaced if k in out]
+        if key in out and given:
+            raise ConfigurationError(
+                f"{key} replaces {' and '.join(given)}; set one or the other")
     return out
 
 

@@ -15,6 +15,10 @@ through expm1 (`_powm1_over`), which is exactly a logarithm at gamma = 1,
 and P1's tail and the internal energy share `_tail`.  Everything here is
 plain numpy on a uniform cell-centered grid.
 
+A device profile's a, b and e_minus must be finite; the hypotheses of its
+time-uniform bounds are one ordered table of named booleans, the first
+False its first failure (`_check_profile`).
+
 The scalars the march hands to numpy each step (delta, 2*delta, gamma,
 gamma - 1, the pressure prefactor, P1's rho-free terms, dx, e_minus and
 0.5) are also kept as read-only 0-d float64 arrays, built once by the
@@ -303,42 +307,29 @@ class ProfileCheck:
 
 def _check_profile(a, b, e_minus, dx: float, c) -> ProfileCheck:
     """Check the damping/doping conditions under which sup-norm bounds stay
-    uniform in time, on float arrays with the derived C profile `c`: a
-    positive and non-increasing, doping non-negative with total charge below
-    the far-field datum (waived when the doping is everywhere non-positive),
-    and C non-decreasing."""
-    tol_a = 1e-10 * max(1.0, float(np.max(np.abs(a))))
-
-    conditions: dict[str, bool] = {}
-    first = None
-
-    def record(name: str, ok: bool):
-        nonlocal first
-        conditions[name] = bool(ok)
-        if not ok and first is None:
-            first = name
-
-    b_nonneg = bool(np.all(b >= 0.0))
-    b_nonpos = bool(np.all(b <= 0.0))
-    total_b = total_integral(b, dx)
-    if b_nonpos:
-        record("doping sign", True)
-        record("total doping below field datum", True)  # waived
-    else:
-        record("doping sign", b_nonneg)
-        record("total doping below field datum", total_b < e_minus)
+    uniform in time, on float arrays with the derived C profile `c`: one
+    ordered table of named hypotheses, the first False its first failure.
+    Doping non-negative with total charge below the far-field datum (both
+    waived when the doping is everywhere non-positive), a positive and
+    non-increasing, and C non-decreasing (False where a vanishes, C being
+    undefined there)."""
+    def tol(v):
+        return 1e-10 * max(1.0, float(np.max(np.abs(v))))
 
     a_min = float(np.min(a))
-    record("damping positive", a_min > 0.0)
-    record("damping non-increasing", bool(np.all(np.gradient(a, dx) <= tol_a)))
-
-    if a_min > 0.0:
-        tol_c = 1e-10 * max(1.0, float(np.max(np.abs(c))))
-        record("C non-decreasing", bool(np.all(np.gradient(c, dx) >= -tol_c)))
-    else:  # C is undefined where a vanishes
-        record("C non-decreasing", False)
-
-    return ProfileCheck(ok=(first is None), first_failure=first, conditions=conditions)
+    waived = bool(np.all(b <= 0.0))
+    conditions = {
+        "doping sign": waived or bool(np.all(b >= 0.0)),
+        "total doping below field datum":
+            waived or bool(total_integral(b, dx) < e_minus),
+        "damping positive": a_min > 0.0,
+        "damping non-increasing": bool(np.all(np.gradient(a, dx) <= tol(a))),
+        "C non-decreasing":
+            a_min > 0.0 and bool(np.all(np.gradient(c, dx) >= -tol(c))),
+    }
+    first = next((name for name, ok in conditions.items() if not ok), None)
+    return ProfileCheck(ok=first is None, first_failure=first,
+                        conditions=conditions)
 
 
 def derived_c_profile(a_vals, b_vals, e_minus, dx: float) -> np.ndarray:
@@ -372,18 +363,18 @@ class DeviceProfile:
         b = np.asarray(b_vals, dtype=float)
         if a.shape != (grid.n_cells,) or b.shape != (grid.n_cells,):
             raise ConfigurationError("profile arrays must match the grid")
+        # b first: the damping ramp integrates it, so a NaN in b is in a too
+        for name, vals in (("b", b), ("a", a), ("e_minus", e_minus)):
+            bad = np.asarray(vals)[~np.isfinite(vals)]
+            if bad.size:
+                raise ConfigurationError(
+                    f"profile {name} must be finite, got {float(bad[0])!r}")
         if np.any(a < 0.0):
             raise ConfigurationError("damping coefficient must be non-negative")
         c = derived_c_profile(a, b, e_minus, grid.dx)
         check = _check_profile(a, b, e_minus, grid.dx, c)
         return cls(a_vals=a, b_vals=b, e_minus=float(e_minus), c_vals=c,
                    check=check)
-
-    @classmethod
-    def uniform(cls, grid: Grid1D, a: float = 1.0, b: float = 0.0,
-                e_minus: float = 0.0) -> "DeviceProfile":
-        n = grid.n_cells
-        return cls.build(grid, np.full(n, float(a)), np.full(n, float(b)), e_minus)
 
 
 @dataclass(frozen=True)

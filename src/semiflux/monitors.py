@@ -19,10 +19,14 @@ from the Trajectory itself, so it judges the run under the settings it was
 marched with.
 `evaluate_trajectory` audits the monitors named in `enabled`, a tuple that
 `parse_monitor_list` reads and validates; `reporting.audited_texts` is
-where a command runs them.  The entropy audit is one `entropy_sweep` over
-the snapshots: each snapshot's mechanical energy, flux and source term are
-evaluated once and shared by every test function and by the tolerance
-scale.
+where a command runs them.  The four per-record bounds (positivity, mass,
+field, riemann) are one table of (monitor, violated, value, bound) rows
+per record, in that order, so violations.json is record-major; only the
+mass row splits, by boundary.  `_violation` builds every entry of
+violations.json, the plateau and entropy checks' included.  The entropy
+audit is one `entropy_sweep` over the snapshots: each snapshot's
+mechanical energy, flux and source term are evaluated once and shared by
+every test function and by the tolerance scale.
 """
 
 from __future__ import annotations
@@ -73,10 +77,15 @@ MONITOR_COLUMNS = (
 
 @dataclass
 class MonitorReport:
-    columns: tuple
-    rows: list
-    violations: list
+    rows: list        # one list of MONITOR_COLUMNS values per record
+    violations: list  # `_violation` entries, the file violations.json
     summary: dict = field(default_factory=dict)
+
+
+def _violation(monitor: str, time, value, bound, **extra) -> dict:
+    """One entry of violations.json, uniform's `series` an `extra` key."""
+    return {"monitor": monitor, "time": time, "value": value, "bound": bound,
+            **extra}
 
 
 def _records(traj: Trajectory):
@@ -121,32 +130,28 @@ def evaluate_trajectory(traj: Trajectory,
         z, w = model.riemann_invariants(rho_safe, mom)
         z_max, w_max = float(np.max(z)), float(np.max(w))
         r_bound = m2 + m1_running * t
-        r_slack = r_bound - max(z_max, w_max)
+        r_top = max(z_max, w_max)
 
         rows.append([step, t, mass, min_rho, sup_rho, sup_u,
                      sup_field, dyn_bound, z_max, w_max, r_bound])
 
-        if "positivity" in enabled and min_rho < floor:
-            violations.append({"monitor": "positivity", "time": t,
-                               "value": min_rho, "bound": floor})
-        if "mass" in enabled:
-            if traj.grid.boundary is Boundary.PERIODIC:
-                allowance = MASS_TOL * mass_scale * max(1.0, step / 1000.0)
-                if abs(mass - mass0) > allowance:
-                    violations.append({"monitor": "mass", "time": t,
-                                       "value": mass, "bound": mass0})
-            else:
-                allowance = MASS_TOL * mass_scale
-                if mass > prev_mass + allowance or mass > mass0 + allowance:
-                    violations.append({"monitor": "mass", "time": t,
-                                       "value": mass, "bound": prev_mass})
-        if "field" in enabled and sup_field > dyn_bound * (1.0 + FIELD_TOL) \
-                + FIELD_TOL:
-            violations.append({"monitor": "field", "time": t,
-                               "value": sup_field, "bound": dyn_bound})
-        if "riemann" in enabled and r_slack < -RIEMANN_TOL:
-            violations.append({"monitor": "riemann", "time": t,
-                               "value": max(z_max, w_max), "bound": r_bound})
+        # mass is constant (periodic, slack per 1000 steps) or non-increasing
+        if grid.boundary is Boundary.PERIODIC:
+            slack = MASS_TOL * mass_scale * max(1.0, step / 1000.0)
+            mass_row = ("mass", abs(mass - mass0) > slack, mass, mass0)
+        else:
+            slack = MASS_TOL * mass_scale
+            mass_row = ("mass", mass > prev_mass + slack
+                        or mass > mass0 + slack, mass, prev_mass)
+        bounds = (
+            ("positivity", min_rho < floor, min_rho, floor),
+            mass_row,
+            ("field", sup_field > dyn_bound * (1.0 + FIELD_TOL) + FIELD_TOL,
+             sup_field, dyn_bound),
+            ("riemann", r_bound - r_top < -RIEMANN_TOL, r_top, r_bound))
+        violations += [_violation(name, t, value, bound)
+                       for name, violated, value, bound in bounds
+                       if violated and name in enabled]
         prev_mass = mass
 
     summary = {"min_rho_ever": float(np.min(traj.min_rho)),
@@ -162,12 +167,11 @@ def evaluate_trajectory(traj: Trajectory,
             summary[f"plateau_{name}_late"] = late
             summary[f"plateau_{name}_ok"] = ok
             if profile.check.ok and not ok:
-                violations.append({"monitor": "uniform", "time": times[-1],
-                                   "value": late, "bound": early * (1.0 + PLATEAU_TOL),
-                                   "series": name})
+                violations.append(_violation(
+                    "uniform", times[-1], late, early * (1.0 + PLATEAU_TOL),
+                    series=name))
 
-    return MonitorReport(columns=MONITOR_COLUMNS, rows=rows,
-                         violations=violations, summary=summary)
+    return MonitorReport(rows=rows, violations=violations, summary=summary)
 
 
 def plateau_check(times: np.ndarray, series: np.ndarray, tol: float):
@@ -312,6 +316,5 @@ def entropy_spot_check(traj: Trajectory, seed: int):
                         "t_center": phi.t_center, "t_width": phi.t_width,
                         "residual": res, "tolerance": tol})
         if res < -tol:
-            violations.append({"monitor": "entropy", "time": phi.t_center,
-                               "value": res, "bound": -tol})
+            violations.append(_violation("entropy", phi.t_center, res, -tol))
     return results, violations

@@ -24,9 +24,9 @@ circular: its axis is exactly n_cells wide, and weights that wrap onto one
 cell, for a kernel wider than the grid, add up there.  An outflow slab is
 padded to at least n_cells + 2h cells for the widest kernel half-width h,
 so values outside the grid count as zero on the real line, also when a
-kernel is wider than the grid: it takes vacuum beyond its edges, so an
-outflow device whose data do not vanish there (charge-neutral-rest, say)
-lies outside that assumption and its edge cells drift.  The padded axes
+kernel is wider than the grid: it takes vacuum beyond its edges, so
+`check_edges` refuses an outflow device whose initial data do not vanish
+there (charge-neutral-rest, say).  The padded axes
 are rounded up from their wrap-free length to the next 2^a 3^b 5^c, a
 length the FFT transforms fast (n_cells + 2h = 2036 is 4 * 509, a fifth as
 fast as 2048).  The kernel spectra and the initial-data
@@ -298,6 +298,24 @@ def check_t1(t1: float, name: str = "t1"):
     if not 0.0 < t1 < math.inf:
         raise ConfigurationError(f"{name}: need 0 < t1 < inf, got t1 = "
                                  f"{t1!r}")
+
+
+# the largest share of their sup the initial data may keep at an outflow edge
+EDGE_TOL = 1e-12
+
+
+def check_edges(initial: HydroState, model: GasModel, grid: Grid1D):
+    """ConfigurationError when, on an outflow grid, |rho0 - 2d| or |m0| at
+    an edge cell exceeds EDGE_TOL of their sup: beyond the edges the slab
+    takes vacuum while the march's ghost cells copy the edge cells."""
+    data = np.abs(np.stack((initial.rho - model.rho_floor, initial.mom)))
+    edge, top = float(np.max(data[:, [0, -1]])), float(np.max(data))
+    if grid.boundary is Boundary.OUTFLOW and edge > EDGE_TOL * top:
+        raise ConfigurationError(
+            "the Picard slab takes vacuum beyond an outflow grid's edges, so "
+            "its initial |rho0 - 2 delta| and |m0| must vanish there (at "
+            f"most {EDGE_TOL:g} of their sup {top!r}); got {edge!r} at an "
+            "edge cell")
 
 
 def cross_check(result: PicardResult, picard_grid: Grid1D, t1: float, march,

@@ -30,8 +30,8 @@ import numpy as np
 from .config import (ECHO_KEYS, SCENARIO_KEYS, SOLVE_KEYS, build_parts,
                      coerce, config_echo)
 from .model import ConfigurationError, DeviceProfile, Grid1D
-from .monitors import (entropy_spot_check, evaluate_trajectory,
-                       parse_monitor_list)
+from .monitors import (MONITOR_COLUMNS, entropy_spot_check,
+                       evaluate_trajectory, parse_monitor_list)
 from .solver import Trajectory
 
 _SNAPSHOT = "snapshots/snap_{:08d}.dat"   # the path of a record, by its step
@@ -113,7 +113,7 @@ def audited_texts(traj: Trajectory, command_echo: dict):
                "summary": report.summary,
                "snapshots": [_SNAPSHOT.format(s) for s in traj.steps.tolist()],
                **entropy}
-    return report, {"monitors.csv": csv_text(report.columns, report.rows),
+    return report, {"monitors.csv": csv_text(MONITOR_COLUMNS, report.rows),
                     "violations.json": json_text(report.violations),
                     "report.json": json_text(payload)}
 

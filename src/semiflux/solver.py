@@ -55,10 +55,6 @@ SolverConfig it was marched with.  Marches that are compared with each
 other (the tau-ladder, the convergence tests) or with the Picard slab go
 through `march_rungs`, the one rung loop, which restricts each to a common
 grid by exact cell averages, for the Picard cross-check the Picard grid.
-That slab is circular on a periodic grid, as the march is, and takes vacuum
-beyond the edges of an outflow grid, where the march's ghost cells copy the
-edge cells: on outflow the two agree only for data whose excess density
-and momentum vanish at the edges.
 """
 
 from __future__ import annotations

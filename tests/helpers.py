@@ -11,8 +11,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from semiflux.field import solve_field
-from semiflux.model import (GasModel, HydroState, PressureConvention,
-                            _powm1_over)
+from semiflux.model import (DeviceProfile, GasModel, HydroState,
+                            PressureConvention, _powm1_over)
 from semiflux.monitors import (N_PHI, _mechanical_energy,
                                random_test_function)
 from semiflux.picard import PicardIterate
@@ -25,6 +25,14 @@ from semiflux.solver import (IntegrationError, SourceVariant, StepReport,
 # bump of the same mass, so the device is neutral to round-off
 NEUTRAL_PERIODIC = {"boundary": "periodic", "bump_amplitude": 0.8,
                     "doping_mass": 0.8 * 0.5 * math.sqrt(math.pi)}
+
+
+def uniform_profile(grid, a: float = 1.0, b: float = 0.0,
+                    e_minus: float = 0.0) -> DeviceProfile:
+    """Constant damping `a` and doping `b` on `grid`."""
+    n = grid.n_cells
+    return DeviceProfile.build(grid, np.full(n, float(a)),
+                               np.full(n, float(b)), e_minus)
 
 
 def p1_quadrature(gamma: float, delta: float, rho: float,

@@ -13,11 +13,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import NEUTRAL_PERIODIC, cell_flux, p1_quadrature
+from helpers import (NEUTRAL_PERIODIC, cell_flux, p1_quadrature,
+                     uniform_profile)
 
 from semiflux import (
     CouplingRule,
-    DeviceProfile,
     GasModel,
     Grid1D,
     PressureConvention,
@@ -312,7 +312,7 @@ def test_criterion_10_self_convergence():
     n_end = []
     for dd_grid in dd_grids:
         n0 = 0.5 + 0.8 * np.exp(-dd_grid.centers ** 2)
-        out = drift_diffusion_run(n0, DeviceProfile.uniform(dd_grid), model,
+        out = drift_diffusion_run(n0, uniform_profile(dd_grid), model,
                                   dd_grid, s_end=0.1)
         n_end.append(cell_averages(out.n_vals[-1], dd_grid, dd_grids[0]))
 

@@ -18,11 +18,12 @@ import pytest
 
 import semiflux
 from semiflux.cli import main
-from semiflux.config import RELAX_KEYS, SCENARIO_KEYS
+from semiflux.config import RELAX_KEYS, SCENARIO_KEYS, coerce
 from semiflux.model import ConfigurationError
 from semiflux.monitors import ALL_MONITORS, parse_monitor_list
 from semiflux.picard import picard_solve
 from semiflux.relaxation import CouplingRule, relaxation_study
+from semiflux.scenarios import make_setup
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -280,6 +281,73 @@ class TestUsageErrors:
             errs.append(capsys.readouterr().err)
         assert "expected uniform_ok=True" in errs[0]
         assert errs[1] == errs[0]
+
+    @pytest.mark.parametrize("table,replaced", [
+        ("a_table", ("damping", "damping_slope_coeff")),
+        ("b_table", ("doping_mass", "doping_center", "doping_width")),
+    ])
+    def test_table_beside_a_key_it_replaces_exits_2(self, tmp_path, capsys,
+                                                     table, replaced):
+        # an a table replaces the damping ramp, a b table the doping
+        # formula: beside either, a key of theirs would change nothing
+        path = tmp_path / "table.dat"
+        path.write_text("-5.0 0.5\n5.0 0.5\n")
+        for keys in [(k,) for k in replaced] + [replaced]:
+            cfg = write_cfg(tmp_path, (
+                f"scenario = gaussian-bump\nn_cells = 40\nt_end = 0.1\n"
+                f"{table} = {path}\n" + "".join(f"{k} = 0.3\n" for k in keys)))
+            out = tmp_path / "run"
+            assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {table} replaces {' and '.join(keys)}; "
+                "set one or the other\n")
+            assert not out.exists()
+
+    def test_eps_fixed_is_refused_by_the_cast(self):
+        # one rule for every key that replaces others, in config.coerce
+        with pytest.raises(ConfigurationError, match=(
+                "^eps_fixed replaces eps_coeff and eps_power; "
+                "set one or the other$")):
+            coerce({"eps_fixed": "0.5", "eps_power": "2",
+                    "eps_coeff": "0.1"}, RELAX_KEYS)
+
+    def test_scenario_defaults_are_not_given_keys(self, tmp_path):
+        # doping-ramp's row sets doping_mass, which a b table replaces; the
+        # row is the scenario's, not a key the caller gave
+        path = tmp_path / "doping.dat"
+        path.write_text("-5.0 0.0\n5.0 0.02\n")
+        setup = make_setup("doping-ramp", {"n_cells": 40},
+                           profile_tables={"b": str(path)})
+        assert setup.profile.b_vals[-1] == pytest.approx(0.02, rel=0.05)
+
+    @pytest.mark.parametrize("key", ["smoothing_width", "bump_amplitude",
+                                     "t_end", "damping"])
+    def test_non_finite_value_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                     key):
+        # nan once ran unsmoothed (smoothing_width), marched zero steps
+        # (bump_amplitude) or failed later under another name (t_end in the
+        # step's horizon, damping in the declared profile outcome)
+        body = {"scenario": "gaussian-bump", "n_cells": "40", "t_end": "0.1",
+                key: "nan"}
+        cfg = write_cfg(tmp_path, "".join(f"{k} = {v}\n"
+                                          for k, v in body.items()))
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {key}: need a finite number, got 'nan'\n"
+        assert not out.exists()
+
+    def test_profile_table_with_a_nan_row_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "doping.dat"
+        path.write_text("-5.0 0.0\n0.0 nan\n5.0 0.0\n")
+        cfg = write_cfg(tmp_path, (
+            "scenario = gaussian-bump\nn_cells = 40\nt_end = 0.1\n"
+            f"b_table = {path}\n"))
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: profile b must be finite, got nan\n"
+        assert not out.exists()
 
 
 class TestSolve:
@@ -548,6 +616,39 @@ class TestVerify:
         assert out == ""
         assert f"error: --t1 {float(t1)!r}: need 0 < t1 < inf" in err
 
+    def test_stored_profile_with_a_nan_exits_2(self, run_dir, capsys):
+        # the stored device passes the gate every device profile passes
+        path = run_dir / "profile.dat"
+        lines = path.read_text().splitlines(True)
+        x, a, _ = lines[10].split()
+        lines[10] = f"{x} {a} nan\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["verify", str(run_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: profile b must be finite, got nan\n"
+
+    def test_outflow_data_at_the_edges_exit_2_before_the_audit(
+            self, tmp_path, capsys, monkeypatch):
+        # outflow charge-neutral-rest is a rest state of the march, but its
+        # density stands 0.5 above the floor at the edges, beyond which the
+        # Picard slab takes vacuum: verify --picard refuses it unaudited
+        def no_audit(*args, **kwargs):
+            raise AssertionError("audited a run it cannot cross-check")
+
+        cfg = write_cfg(tmp_path, "scenario = charge-neutral-rest\n"
+                                  "n_cells = 40\nt_end = 0.05\n")
+        run_dir = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out-dir", str(run_dir)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("semiflux.cli.audited_texts", no_audit)
+        assert main(["verify", str(run_dir), "--picard"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: the Picard slab takes vacuum beyond ")
+        assert err.endswith("; got 0.5 at an edge cell\n")
+
     def test_legacy_flux_scheme_echo_still_verifies(self, run_dir):
         # run directories written while the config echo carried a flux
         # scheme name must keep verifying
@@ -657,6 +758,36 @@ class TestPicardCommand:
         payload = json.loads((out / "picard_report.json").read_text())
         assert payload["converged"] is True
         assert payload["endpoint_gap"] <= payload["endpoint_tolerance"]
+
+    def test_outflow_data_at_the_edges_exit_2_before_the_solve(
+            self, tmp_path, capsys, monkeypatch):
+        # outflow charge-neutral-rest is a rest state of the march, but its
+        # density stands 0.5 above the floor at the edges, beyond which the
+        # slab takes vacuum: the two would solve different problems
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved a slab it cannot cross-check")
+
+        monkeypatch.setattr("semiflux.cli.picard_solve", no_solve)
+        cfg = write_cfg(tmp_path, "scenario = charge-neutral-rest\n")
+        out = tmp_path / "pic"
+        assert main(["picard", "--config", cfg, "--out-dir", str(out)]) == 2
+        text, err = capsys.readouterr()
+        assert text == ""
+        assert err == (
+            "error: the Picard slab takes vacuum beyond an outflow grid's "
+            "edges, so its initial |rho0 - 2 delta| and |m0| must vanish "
+            "there (at most 1e-12 of their sup 0.5); got 0.5 at an edge "
+            "cell\n")
+        assert not out.exists()
+
+    def test_periodic_rest_state_agrees_exactly(self, tmp_path, capsys):
+        # a periodic slab has no edges: the rest state is its fixed point
+        cfg = write_cfg(tmp_path, "scenario = charge-neutral-rest\n"
+                                  "n_cells = 40\nboundary = periodic\n")
+        out = tmp_path / "pic"
+        assert main(["picard", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert "endpoint gap vs refined run: 0.000e+00 " in \
+            capsys.readouterr().out
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, (
@@ -923,6 +1054,20 @@ class TestModuleEntry:
                    if isinstance(node, ast.Call)
                    and ast.unparse(node.func).split(".")[-1] in entry}
         assert callers == {("reporting.py", "audited_texts")}
+
+    def test_one_violation_record(self):
+        # every violations.json entry is built by monitors._violation: no
+        # other dict literal in the package has a "monitor" key
+        src = Path(semiflux.__file__).resolve().parent
+        builders = {(path.name, fn.name)
+                    for path in sorted(src.glob("*.py"))
+                    for fn in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Dict)
+                    and any(isinstance(k, ast.Constant)
+                            and k.value == "monitor" for k in node.keys)}
+        assert builders == {("monitors.py", "_violation")}
 
     def test_one_rung_loop_and_no_point_sampling(self):
         # marches are compared through solver.march_rungs, by exact cell

@@ -9,6 +9,8 @@ from semiflux.field import doping_mass, mass_field_bound, solve_field
 from semiflux.model import (Boundary, DeviceProfile, GasModel, Grid1D,
                             cumulative_integral, total_integral)
 
+from helpers import uniform_profile
+
 
 def make_parts(n_cells=400, delta=0.05):
     grid = Grid1D(x_min=-6.0, x_max=6.0, n_cells=n_cells,
@@ -24,7 +26,7 @@ def rest_excess(model, excess):
 
 def test_neutral_state_keeps_datum():
     grid, model = make_parts()
-    prof = DeviceProfile.uniform(grid, a=1.0, b=0.0, e_minus=0.75)
+    prof = uniform_profile(grid, a=1.0, b=0.0, e_minus=0.75)
     field = solve_field(rest_excess(model, np.zeros(grid.n_cells)), prof,
                         grid)
     assert np.allclose(field, 0.75, atol=0)
@@ -33,7 +35,7 @@ def test_neutral_state_keeps_datum():
 def test_gaussian_charge_matches_erf():
     # unit-mass gaussian excess: E(x) = (1 + erf(x)) / 2 up to quadrature
     grid, model = make_parts(n_cells=1200)
-    prof = DeviceProfile.uniform(grid, a=1.0, b=0.0, e_minus=0.0)
+    prof = uniform_profile(grid, a=1.0, b=0.0, e_minus=0.0)
     x = grid.centers
     excess = np.exp(-x ** 2) / math.sqrt(math.pi)
     field = solve_field(rest_excess(model, excess), prof, grid)
@@ -43,7 +45,7 @@ def test_gaussian_charge_matches_erf():
 
 def test_superposition():
     grid, model = make_parts()
-    prof = DeviceProfile.uniform(grid, a=1.0, b=0.0, e_minus=0.0)
+    prof = uniform_profile(grid, a=1.0, b=0.0, e_minus=0.0)
     x = grid.centers
     e1 = np.exp(-x ** 2)
     e2 = 0.3 * np.exp(-((x - 1.5) / 0.5) ** 2)
@@ -82,7 +84,7 @@ def _consistency_error(n):
     grid, model = make_parts(n_cells=n)
     x = grid.centers
     excess = 0.6 * np.exp(-x ** 2)
-    prof = DeviceProfile.uniform(grid, a=1.0, b=0.0, e_minus=0.0)
+    prof = uniform_profile(grid, a=1.0, b=0.0, e_minus=0.0)
     field = solve_field(rest_excess(model, excess), prof, grid)
     faces = grid.x_min + np.arange(1, grid.n_cells) * grid.dx
     return float(np.max(np.abs(np.diff(field) / grid.dx

@@ -9,7 +9,8 @@ from semiflux.model import (Boundary, ConfigurationError, DeviceProfile,
                             build_aux_fields, cumulative_integral,
                             derived_c_profile, total_integral)
 
-from helpers import cell_flux, p1_quadrature, sound_integral_quadrature
+from helpers import (cell_flux, p1_quadrature, sound_integral_quadrature,
+                     uniform_profile)
 
 OOG = PressureConvention.ONE_OVER_GAMMA
 PLAIN = PressureConvention.PLAIN
@@ -356,6 +357,24 @@ class TestProfileValidation:
         with pytest.raises(ConfigurationError, match="non-negative"):
             DeviceProfile.build(self.grid, np.full(n, -1.0), np.zeros(n), 0.0)
 
+    @pytest.mark.parametrize("name,value", [
+        ("a", math.nan), ("a", math.inf), ("b", math.nan), ("b", -math.inf),
+        ("e_minus", math.nan), ("e_minus", math.inf)])
+    def test_build_rejects_non_finite_profile(self, name, value):
+        # a table, a scenario key or a stored profile.dat: every device
+        # profile passes this one gate
+        n = self.grid.n_cells
+        parts = {"a": np.ones(n), "b": np.zeros(n), "e_minus": 1.0}
+        if name == "e_minus":
+            parts[name] = value
+        else:
+            parts[name][n // 3] = value
+        with pytest.raises(ConfigurationError,
+                           match=f"^profile {name} must be finite, got "
+                                 f"{value!r}$"):
+            DeviceProfile.build(self.grid, parts["a"], parts["b"],
+                                parts["e_minus"])
+
     def test_zero_damping_fails_without_dividing(self):
         # C is undefined where a = 0: it is NaN there, and the check records
         # its condition as failed; no division by zero is evaluated (numpy
@@ -378,7 +397,7 @@ class TestAuxFields:
         self.model = make_model(2.0, delta=0.05)
 
     def test_constant_state_reduces_to_c(self):
-        prof = DeviceProfile.uniform(self.grid, a=1.3, b=0.0, e_minus=0.7)
+        prof = uniform_profile(self.grid, a=1.3, b=0.0, e_minus=0.7)
         rho = np.full(self.grid.n_cells, self.model.rho_floor)
         state = HydroState(rho=rho, mom=np.zeros_like(rho))
         aux = build_aux_fields(state, prof, self.model, self.grid)
@@ -386,7 +405,7 @@ class TestAuxFields:
         assert np.allclose(aux.a_field, prof.c_vals, atol=0)
 
     def test_constant_damping_kills_b(self):
-        prof = DeviceProfile.uniform(self.grid, a=2.0, b=0.0, e_minus=1.0)
+        prof = uniform_profile(self.grid, a=2.0, b=0.0, e_minus=1.0)
         rho = self.model.rho_floor + np.exp(-self.grid.centers ** 2)
         state = HydroState(rho=rho, mom=np.zeros_like(rho))
         aux = build_aux_fields(state, prof, self.model, self.grid)

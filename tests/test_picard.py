@@ -15,7 +15,7 @@ import pytest
 import semiflux.picard as picard_module
 from helpers import (NEUTRAL_PERIODIC, centred_weights, circular_reference,
                      conv_circular, conv_full_sliced, conv_same,
-                     picard_step_reference)
+                     picard_step_reference, uniform_profile)
 from semiflux import (
     DeviceProfile,
     GasModel,
@@ -220,7 +220,7 @@ class TestFixedPoints:
     def test_floor_rest_state_is_exact_fixed_point(self):
         grid = Grid1D(-5.0, 5.0, 100)
         model = GasModel(gamma=1.4, delta=0.05)
-        profile = DeviceProfile.uniform(grid)
+        profile = uniform_profile(grid)
         cfg = SolverConfig(epsilon=0.01, tau=1.0)
         init = HydroState(rho=np.full(100, model.rho_floor),
                           mom=np.zeros(100))
@@ -275,7 +275,7 @@ class TestFixedPoints:
     def test_decaying_data_preserves_excess_mass(self):
         grid = Grid1D(-5.0, 5.0, 200)
         model = GasModel(gamma=1.4, delta=0.05)
-        profile = DeviceProfile.uniform(grid)
+        profile = uniform_profile(grid)
         cfg = SolverConfig(epsilon=0.01, tau=1.0)
         x = grid.centers
         raw = 0.8 * np.exp(-(x / 0.7) ** 2)
@@ -297,7 +297,7 @@ class TestHeatEvolution:
         # again a Gaussian with variance sigma^2 + 2 eps t
         grid = Grid1D(-5.0, 5.0, 400)
         model = GasModel(gamma=1.4, delta=0.05)
-        profile = DeviceProfile.uniform(grid)
+        profile = uniform_profile(grid)
         eps = 0.05
         cfg = SolverConfig(epsilon=eps, tau=1.0)
         x = grid.centers
@@ -321,7 +321,7 @@ class TestContraction:
     def make_bump(self, n_cells=150, epsilon=0.01):
         grid = Grid1D(-5.0, 5.0, n_cells)
         model = GasModel(gamma=1.4, delta=0.05)
-        profile = DeviceProfile.uniform(grid)
+        profile = uniform_profile(grid)
         cfg = SolverConfig(epsilon=epsilon, smoothing_width=0.1)
         x = grid.centers
         raw = 0.8 * np.exp(-(x / 0.8) ** 2)
@@ -484,7 +484,7 @@ class TestDivergenceSignal:
         calls = []
         monkeypatch.setattr(picard_module, "picard_step",
                             lambda *a, **k: calls.append(a))
-        result = picard_solve(init, DeviceProfile.uniform(grid), model,
+        result = picard_solve(init, uniform_profile(grid), model,
                               SolverConfig(epsilon=0.01, tau=1.0), grid,
                               t1=0.02, n_intervals=4)
         rep = result.report
@@ -513,7 +513,7 @@ class TestDivergenceSignal:
                                  mom=np.full_like(prev.mom, mom))
 
         monkeypatch.setattr(picard_module, "picard_step", growing)
-        result = picard_solve(init, DeviceProfile.uniform(grid), model,
+        result = picard_solve(init, uniform_profile(grid), model,
                               SolverConfig(epsilon=0.01, tau=1.0), grid,
                               t1=0.02, n_intervals=4)
         rep = result.report
@@ -536,5 +536,5 @@ class TestDivergenceSignal:
 
         monkeypatch.setattr(picard_module, "picard_step", broken)
         with pytest.raises(ValueError, match="not a divergence"):
-            picard_solve(init, DeviceProfile.uniform(grid), model,
+            picard_solve(init, uniform_profile(grid), model,
                          SolverConfig(epsilon=0.01, tau=1.0), grid, t1=0.02)

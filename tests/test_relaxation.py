@@ -32,13 +32,13 @@ from semiflux.relaxation import (
     validate_tau_ladder,
 )
 
-from helpers import explicit_dd_run
+from helpers import explicit_dd_run, uniform_profile
 
 
 class TestDriftDiffusionField:
     def test_matches_running_charge_integral(self):
         grid = Grid1D(-2.0, 2.0, 50)
-        profile = DeviceProfile.uniform(grid, e_minus=0.7)
+        profile = uniform_profile(grid, e_minus=0.7)
         n_vals = np.ones(50)
         got = solve_field(n_vals, profile, grid)
         expected = 0.7 + (grid.centers - grid.x_min)
@@ -70,7 +70,7 @@ class TestDriftDiffusionRun:
     def test_mass_conserved_on_decaying_data(self):
         grid = Grid1D(-5.0, 5.0, 120)
         model = GasModel(gamma=1.4, delta=0.05)
-        profile = DeviceProfile.uniform(grid)
+        profile = uniform_profile(grid)
         x = grid.centers
         n0 = 0.8 * np.exp(-(x / 0.7) ** 2)
         out = drift_diffusion_run(n0, profile, model, grid, s_end=0.05)
@@ -81,7 +81,7 @@ class TestDriftDiffusionRun:
     def test_diffusion_spreads_and_flattens(self):
         grid = Grid1D(-5.0, 5.0, 120)
         model = GasModel(gamma=1.4, delta=0.05)
-        profile = DeviceProfile.uniform(grid)
+        profile = uniform_profile(grid)
         x = grid.centers
         n0 = 1.0 * np.exp(-(x / 0.5) ** 2)
         out = drift_diffusion_run(n0, profile, model, grid, s_end=0.1)
@@ -90,7 +90,7 @@ class TestDriftDiffusionRun:
     def test_record_times_are_honored(self):
         grid = Grid1D(-5.0, 5.0, 80)
         model = GasModel(gamma=1.4, delta=0.05)
-        profile = DeviceProfile.uniform(grid)
+        profile = uniform_profile(grid)
         x = grid.centers
         n0 = 0.5 * np.exp(-x ** 2)
         wanted = [0.01, 0.02, 0.04]
@@ -104,7 +104,7 @@ class TestDriftDiffusionRun:
         # are a ConfigurationError, not silently sorted
         grid = Grid1D(-5.0, 5.0, 80)
         model = GasModel(gamma=1.4, delta=0.05)
-        profile = DeviceProfile.uniform(grid)
+        profile = uniform_profile(grid)
         n0 = 0.5 * np.exp(-grid.centers ** 2)
         with pytest.raises(ConfigurationError, match="must be sorted"):
             drift_diffusion_run(n0, profile, model, grid, s_end=0.04,
@@ -116,7 +116,7 @@ class TestDriftDiffusionRun:
     def test_negative_initial_rejected(self):
         grid = Grid1D(-1.0, 1.0, 20)
         model = GasModel(gamma=1.4, delta=0.05)
-        profile = DeviceProfile.uniform(grid)
+        profile = uniform_profile(grid)
         with pytest.raises(ValueError):
             drift_diffusion_run(np.full(20, -0.1), profile, model, grid,
                                 s_end=0.01)
@@ -126,7 +126,7 @@ class TestDriftDiffusionRun:
         # dt > 0, so the halving loop must give up with a diagnosis
         grid = Grid1D(-1.0, 1.0, 40)
         model = GasModel(gamma=1.4, delta=0.05)
-        profile = DeviceProfile.uniform(grid, e_minus=1e6)
+        profile = uniform_profile(grid, e_minus=1e6)
         n0 = np.zeros(40)
         n0[20:] = 1.0
         with pytest.raises(PositivityError):
@@ -134,7 +134,7 @@ class TestDriftDiffusionRun:
 
     def test_max_steps_cut_raises(self):
         setup = study_inputs(n_cells=200)
-        profile = DeviceProfile.uniform(setup.grid, b=0.2)
+        profile = uniform_profile(setup.grid, b=0.2)
         model = GasModel(gamma=1.4, delta=0.05)
         with pytest.raises(RuntimeError, match=r"s = .*s_end = 0\.25"):
             drift_diffusion_run(0.8 * np.exp(-setup.grid.centers ** 2),
@@ -159,7 +159,7 @@ class TestDriftDiffusionRun:
                             counted("step", relaxation.drift_diffusion_step))
         grid = Grid1D(-5.0, 5.0, 80)
         model = GasModel(gamma=1.4, delta=0.05)
-        profile = DeviceProfile.uniform(grid, b=0.2)
+        profile = uniform_profile(grid, b=0.2)
         n0 = 0.5 * np.exp(-grid.centers ** 2)
         out = drift_diffusion_run(n0, profile, model, grid, s_end=0.02,
                                   record_times=[0.01])

@@ -36,14 +36,15 @@ from semiflux.scenarios import make_setup
 from semiflux.solver import flux, gaussian_kernel, march_rungs
 
 import semiflux.solver as solver_mod
-from helpers import conv_same, run_reference, step_reference
+from helpers import (conv_same, run_reference, step_reference,
+                     uniform_profile)
 
 
 def uniform_setup(n_cells=64, boundary=Boundary.PERIODIC, gamma=1.4,
                   delta=0.05, a=1.0, b=0.0, e_minus=0.0, **cfg_kw):
     grid = Grid1D(-5.0, 5.0, n_cells, boundary=boundary)
     model = GasModel(gamma=gamma, delta=delta)
-    profile = DeviceProfile.uniform(grid, a=a, b=b, e_minus=e_minus)
+    profile = uniform_profile(grid, a=a, b=b, e_minus=e_minus)
     cfg = SolverConfig(**cfg_kw)
     return grid, model, profile, cfg
 
@@ -478,7 +479,7 @@ class TestReturnedRows:
         # float64 rows that share no memory
         grid = Grid1D(-5.0, 5.0, 64, boundary=boundary)
         model = GasModel(gamma=2.0, delta=0.05)
-        profile = DeviceProfile.uniform(grid)
+        profile = uniform_profile(grid)
         cfg = SolverConfig()
         state = TestStepMatchesReference.bumpy_state(grid, model)
         given = state.rho.copy(), state.mom.copy()
@@ -505,7 +506,7 @@ class TestReturnedRows:
         # state handed back is copied in, not read as resident
         grid = Grid1D(-5.0, 5.0, 64, boundary=boundary)
         model = GasModel(gamma=2.0, delta=0.05)
-        profile = DeviceProfile.uniform(grid)
+        profile = uniform_profile(grid)
         cfg = SolverConfig()
         work = solver_mod._Workspace(profile, cfg, grid)
         state = TestStepMatchesReference.bumpy_state(grid, model)
@@ -818,7 +819,7 @@ class TestAllocationGuard:
     def setup(self, t_end):
         grid = Grid1D(-5.0, 5.0, self.N_CELLS, boundary=Boundary.OUTFLOW)
         model = GasModel(gamma=1.4, delta=0.05)
-        profile = DeviceProfile.uniform(grid)
+        profile = uniform_profile(grid)
         cfg = SolverConfig(epsilon=1e-3, t_end=t_end)
         x = grid.centers
         rho = model.rho_floor + 0.8 * np.exp(-x ** 2)
@@ -939,7 +940,7 @@ class TestSelfConsistency:
         for n in (100, 200, 400):
             grid = Grid1D(-5.0, 5.0, n, boundary=Boundary.OUTFLOW)
             model = GasModel(gamma=1.4, delta=0.05)
-            profile = DeviceProfile.uniform(grid, a=1.0, b=0.0, e_minus=0.0)
+            profile = uniform_profile(grid, a=1.0, b=0.0, e_minus=0.0)
             cfg = SolverConfig(epsilon=0.01, tau=1.0, cfl=0.4, t_end=0.25)
             x = grid.centers
             raw = 0.8 * np.exp(-(x / 0.6) ** 2)
