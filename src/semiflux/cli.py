@@ -30,15 +30,19 @@ key.
 a stored table laid out otherwise than ``solve`` writes it (a snapshot
 without the ``min_rho`` header, an extra column or header key) exits 2.
 
-Exit codes: 0 all checks passed, 1 a check or monitor failed, 2 bad usage,
-unreadable input, or malformed configuration: an unknown key, a value its
-key's type cannot read or a non-finite float, in a config file or a stored
-run's config echo; a non-finite profile a, b or e_minus; a setting that
-would change nothing, ``verify --t1`` without ``--picard`` or a key beside
-one that replaces it (``config.REPLACES``); a scenario whose profile fails
-its declared check; a periodic device with net charge; for ``picard`` and
-``verify --picard``, an outflow device whose initial data do not vanish at
-the edges (``picard.check_edges``); or a relax device whose drift-diffusion
+Exit codes, which `main` alone maps from the error a command raises where
+it happens: 0 all checks passed; 1 a check or monitor failed, or a march
+stopped early (``solve`` audits what it recorded; ``picard``,
+``verify --picard`` and ``relax`` print one ``error:`` line naming the
+rung and the time); 2 bad usage, unreadable input, or malformed
+configuration: an unknown key, a value its key's type cannot read or a
+non-finite float, in a config file or a stored run's config echo; a
+non-finite profile a, b or e_minus; a setting that would change nothing,
+``verify --t1`` without ``--picard`` or a key beside one that replaces it
+(``config.REPLACES``); a scenario whose profile fails its declared check;
+a periodic device with net charge; for ``picard`` and ``verify --picard``,
+an outflow device whose initial data do not vanish at the edges
+(``picard.check_edges``); or a relax device whose drift-diffusion
 reference cannot keep its density non-negative.
 """
 
@@ -58,11 +62,12 @@ from .model import ConfigurationError, HydroState
 from .monitors import parse_monitor_list
 from .picard import (CROSS_CHECK_T1, check_edges, check_t1, cross_check,
                      picard_solve)
-from .relaxation import CouplingRule, StudyRow, relaxation_study
+from .relaxation import (CouplingRule, PositivityError, StudyRow,
+                         relaxation_study)
 from .reporting import (audited_texts, csv_text, json_text, load_run_dir,
                         write_run_dir)
 from .scenarios import make_setup
-from .solver import run
+from .solver import IntegrationError, run
 
 CHECK_FAILED = 1
 USAGE_ERROR = 2
@@ -178,7 +183,8 @@ def cmd_verify(args) -> int:
     t1 = min(flag, traj.cfg.t_end)
     initial = HydroState(rho=traj.rho[0], mom=traj.mom[0], time=0.0)
     if args.picard:
-        check_t1(t1, f"--t1 {flag!r}")
+        check_t1(t1, f"the run's stored t_end = {t1!r} caps t1"
+                 if t1 < flag else f"--t1 {flag!r}")
         check_edges(initial, traj.model, traj.grid)
     _, texts = audited_texts(traj, payload["config"])
     run_dir = Path(args.run_dir)
@@ -195,16 +201,12 @@ def cmd_verify(args) -> int:
     if args.picard:
         result = picard_solve(initial, traj.profile, traj.model, traj.cfg,
                               traj.grid, t1)
-        check = cross_check(result, traj.grid, t1, traj, initial)
-        if check is None:
-            print("short-time cross-check: finite-volume rerun failed")
-            ok = False
-        else:
-            gap, tol_cross, agree = check
-            print(f"fixed-point cross-check at t={t1:g}: gap={gap:.3e} "
-                  f"tolerance={tol_cross:.3e} "
-                  f"{'agrees' if agree else 'DISAGREES'}")
-            ok = ok and agree
+        gap, tol_cross, agree = cross_check(result, traj.grid, t1, traj,
+                                            initial)
+        print(f"fixed-point cross-check at t={t1:g}: gap={gap:.3e} "
+              f"tolerance={tol_cross:.3e} "
+              f"{'agrees' if agree else 'DISAGREES'}")
+        ok = ok and agree
 
     return 0 if ok else CHECK_FAILED
 
@@ -226,11 +228,8 @@ def cmd_picard(args) -> int:
                           **_given(vals, ("n_intervals", "tol", "max_iters")))
     fine = make_setup(name, {**overrides,
                              "n_cells": setup.grid.n_cells * refine})
-    check = cross_check(result, setup.grid, t1, fine, fine.initial)
-    if check is None:
-        print("refined finite-volume run failed; cannot cross-check")
-        return CHECK_FAILED
-    gap, tol_cross, agree = check
+    gap, tol_cross, agree = cross_check(result, setup.grid, t1, fine,
+                                        fine.initial)
 
     rep = result.report
     # the first sweep has no predecessor, so no ratio
@@ -349,7 +348,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as err:
+    except IntegrationError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return CHECK_FAILED
+    except (ConfigurationError, PositivityError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except (OSError, json.JSONDecodeError, KeyError) as err:

@@ -48,11 +48,12 @@ _SHARED = ("x_min", "x_max", "n_cells", "boundary", "gamma",
            "pressure_convention", "smoothing_width", "bump_amplitude",
            "bump_center", "bump_width", "bump_speed", "e_minus", "damping")
 
+# a profile table file per key, `scenarios.make_setup`'s profile_tables
+TABLE_KEYS = {"a_table": str, "b_table": str}
+
 # keys accepted by `solve` beyond the scenario parameter set
-SOLVE_KEYS = {
-    "scenario": str, "seed": int, "monitors": str, "cadence": int,
-    "a_table": str, "b_table": str,
-}
+SOLVE_KEYS = {"scenario": str, "seed": int, "monitors": str, "cadence": int,
+              **TABLE_KEYS}
 
 # a key and the keys it replaces, each of which would change nothing beside it
 REPLACES = {"eps_fixed": ("eps_coeff", "eps_power"),

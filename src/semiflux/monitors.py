@@ -266,7 +266,8 @@ def entropy_sweep(traj: Trajectory, phis: list):
         int int  eta phi_t + q phi_x + source * eta_m * phi  dx dt
 
     (cell sums in space, trapezoid in time), and into the tolerance scale,
-    the largest magnitude any of the three densities reaches.  Returns
+    the largest magnitude any of the three densities reaches, each at the
+    monitor columns' floored density max(rho, 2 delta).  Returns
     (residuals, scale); each residual is nonnegative up to O(dx + eps) for
     admissible runs.  Extra memory is O(n_cells) per test function.
     """
@@ -276,6 +277,7 @@ def entropy_sweep(traj: Trajectory, phis: list):
     vals = np.empty((len(phis), len(traj.times)))
     scale = 0.0
     for k, (_, t, rho, mom, e_vals) in enumerate(_records(traj)):
+        rho = np.maximum(rho, model.rho_floor)
         src = source(cfg.source_variant, model, rho, mom, e_vals,
                      traj.profile.a_vals, cfg.tau)
         eta, q, eta_m = _mechanical_energy(model, rho, mom)

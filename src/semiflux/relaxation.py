@@ -172,7 +172,8 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
                         cfl: float = 0.45, max_steps: int = 10 ** 7) -> DDTrajectory:
     """March N from s = 0 to s_end, recording s = 0, s_end and, as `run`
     does, the instants of the `RecordClock` of `record_times`.  Raises
-    RuntimeError if `max_steps` stops it short of s_end.  The field is
+    PositivityError, naming the s reached, if a step cannot keep N >= 0,
+    and RuntimeError if `max_steps` stops it short of s_end.  The field is
     `solve_field`'s: on a periodic grid it is periodic only at zero net
     charge, which `scenarios.make_setup` demands of every device it
     builds."""
@@ -191,7 +192,9 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
             n_vals, upsilon, dt_used, halved = drift_diffusion_step(
                 n_vals, upsilon, profile, model, grid, min(dt, gap))
         except PositivityError as err:
-            raise PositivityError(f"{err} at s = {s!r}") from None
+            raise PositivityError("the drift-diffusion reference cannot "
+                                  f"march this device: {err} at s = {s!r}"
+                                  ) from None
         s = target if dt_used >= gap - clock.slack else s + dt_used
         k += 1
         halvings += halved
@@ -290,8 +293,9 @@ def relaxation_study(setup: RunSetup, tau_list,
     `solver.march_rungs` to t = s/tau on the study's grid, read each run's
     rows as N = rho and J = m/tau, and compare with one drift-diffusion
     reference on the same grid from the first rung's excess density.  A
-    device whose reference cannot keep N >= 0 is rejected with a
-    ConfigurationError."""
+    device whose reference cannot keep N >= 0 raises the reference's
+    PositivityError, and a rung that stops early `march_rungs`'
+    IntegrationError, each naming where it stopped."""
     grid, profile = setup.grid, setup.profile
     gamma, convention = setup.model.gamma, setup.model.convention
     taus = validate_tau_ladder(tau_list)
@@ -318,15 +322,9 @@ def relaxation_study(setup: RunSetup, tau_list,
         "epsilon": coupling.epsilon(tau, gamma, convention), "tau": tau,
         "source_variant": SourceVariant.EXCESS_DENSITY}) for tau in taus]
     first = rungs[0]
-    try:
-        reference = drift_diffusion_run(
-            first.initial.rho - first.model.rho_floor, profile, first.model,
-            grid, s_end=horizon, record_times=s_records[1:],
-            cfl=setup.cfg.cfl)
-    except PositivityError as err:
-        raise ConfigurationError(
-            f"the drift-diffusion reference cannot march this device: {err}"
-        ) from None
+    reference = drift_diffusion_run(
+        first.initial.rho - first.model.rho_floor, profile, first.model, grid,
+        s_end=horizon, record_times=s_records[1:], cfl=setup.cfg.cfl)
     if not np.array_equal(reference.s_values, s_records):
         raise RuntimeError("reference recording misaligned with the s ladder")
     n_ref = reference.n_vals[late][:, cols]

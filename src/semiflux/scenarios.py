@@ -36,7 +36,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import SCENARIO_DEFAULTS, SCENARIO_KEYS, build_parts, coerce
+from .config import (SCENARIO_DEFAULTS, SCENARIO_KEYS, TABLE_KEYS,
+                     build_parts, coerce)
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, PressureConvention, cumulative_integral,
                     total_integral)
@@ -108,17 +109,6 @@ def device_arrays(grid: Grid1D, p: dict, b=None):
     return level + p["bump_amplitude"] * bump, p["bump_speed"] * bump, a, b
 
 
-def resolve_params(name: str, overrides: dict | None = None):
-    """The scenario's row with the overrides, cast by `config.coerce`,
-    merged in."""
-    if name not in SCENARIOS:
-        raise ConfigurationError(
-            f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
-    scenario = SCENARIOS[name]
-    return replace(scenario, params={
-        **scenario.params, **coerce(overrides or {}, SCENARIO_KEYS)})
-
-
 def interp_profile(path, centers: np.ndarray) -> np.ndarray:
     """Linear interpolation of a two-column (x, value) text table onto cell
     centers (edge values held constant beyond the table range)."""
@@ -138,15 +128,25 @@ def make_setup(name: str, overrides: dict | None = None,
     two-column (x, value) table file, interpolated onto the grid; a profile
     built from tables skips the declared-outcome check.  A `b` table
     replaces the doping formula and an `a` table the damping ramp, which
-    otherwise integrates the doping in use, a `b` table's included.  A
+    otherwise integrates the doping in use, a `b` table's included; an
+    override of a key a table replaces is refused (`config.REPLACES`).  A
     periodic device whose net charge int (rho0 - 2 delta - b) dx exceeds
     1e-12 int (|rho0 - 2 delta| + |b|) dx, so that its field would jump
     across the wrap, is a ConfigurationError."""
-    scenario = resolve_params(name, overrides)
+    if name not in SCENARIOS:
+        raise ConfigurationError(
+            f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
+    scenario, paths = SCENARIOS[name], profile_tables or {}
+    # the overrides are cast beside each table, as its key a_table or b_table
+    given = coerce({**(overrides or {}), **{
+        f"{k}_table": str(path) for k, path in paths.items()}},
+        {**SCENARIO_KEYS, **TABLE_KEYS})
+    scenario = replace(scenario, params={**scenario.params, **{
+        k: v for k, v in given.items() if k in SCENARIO_KEYS}})
     p = scenario.params
     grid, model, cfg = build_parts(p)
     tables = {key: interp_profile(path, grid.centers)
-              for key, path in (profile_tables or {}).items()}
+              for key, path in paths.items()}
     raw_rho, raw_u, a_vals, b_vals = device_arrays(grid, p, tables.get("b"))
     a_vals = tables.get("a", a_vals)
     custom = bool(tables)

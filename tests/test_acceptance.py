@@ -264,9 +264,8 @@ def test_criterion_08_picard_cross_validation():
     assert all(r < 1.0 for r in ratios)
 
     # the march to t1 on the Picard grid, judged by the one cross-check
-    check = cross_check(result, setup.grid, t1, setup, setup.initial)
-    assert check is not None
-    gap, bound, agree = check
+    gap, bound, agree = cross_check(result, setup.grid, t1, setup,
+                                    setup.initial)
     assert gap <= bound
     assert agree
     passline(8, "fixed-point cross-validation",

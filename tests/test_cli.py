@@ -22,8 +22,10 @@ from semiflux.config import RELAX_KEYS, SCENARIO_KEYS, coerce
 from semiflux.model import ConfigurationError
 from semiflux.monitors import ALL_MONITORS, parse_monitor_list
 from semiflux.picard import picard_solve
-from semiflux.relaxation import CouplingRule, relaxation_study
+from semiflux.relaxation import (CouplingRule, PositivityError,
+                                 relaxation_study)
 from semiflux.scenarios import make_setup
+from semiflux.solver import IntegrationError
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -320,6 +322,19 @@ class TestUsageErrors:
                            profile_tables={"b": str(path)})
         assert setup.profile.b_vals[-1] == pytest.approx(0.02, rel=0.05)
 
+    @pytest.mark.parametrize("table,key", [("b", "doping_mass"),
+                                           ("a", "damping")])
+    def test_library_table_beside_a_key_it_replaces_is_refused(
+            self, tmp_path, table, key):
+        # make_setup casts its profile tables beside its overrides, so the
+        # REPLACES rule holds for a library caller as for a config file
+        path = tmp_path / "table.dat"
+        path.write_text("-5.0 0.5\n5.0 0.5\n")
+        with pytest.raises(ConfigurationError, match=(
+                f"^{table}_table replaces {key}; set one or the other$")):
+            make_setup("gaussian-bump", {"n_cells": 40, key: 3.0},
+                       profile_tables={table: str(path)})
+
     @pytest.mark.parametrize("key", ["smoothing_width", "bump_amplitude",
                                      "t_end", "damping"])
     def test_non_finite_value_exits_2_naming_the_key(self, tmp_path, capsys,
@@ -615,6 +630,47 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"error: --t1 {float(t1)!r}: need 0 < t1 < inf" in err
+
+    @pytest.mark.parametrize("flag,name", [
+        ([], "the run's stored t_end = 0.0 caps t1"),
+        (["--t1", "0.01"], "the run's stored t_end = 0.0 caps t1"),
+        (["--t1", "0"], "--t1 0.0")], ids=["default", "t1-above", "t1-0"])
+    def test_t_end_that_caps_t1_is_named(self, tmp_path, capsys, flag,
+                                         name):
+        # the horizon is min(--t1, t_end): a t1 of 0 that the stored t_end
+        # set names the t_end, not a flag the user may never have given
+        cfg = write_cfg(tmp_path,
+                        "scenario = gaussian-bump\nn_cells = 40\nt_end = 0\n")
+        run_dir = tmp_path / "zrun"
+        assert main(["solve", "--config", cfg, "--out-dir", str(run_dir)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(run_dir), "--picard", *flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {name}: need 0 < t1 < inf, got t1 = 0.0\n"
+
+    @pytest.mark.parametrize("monitors", ["all", "positivity,mass"])
+    def test_stored_density_below_zero_is_reported(self, tmp_path, capsys,
+                                                   monitors):
+        # the entropy sweep reads a record's density through the floor the
+        # monitor columns use, so a density below zero, which the pressure
+        # rejects, is reported as a mismatch with or without it
+        cfg = write_cfg(tmp_path, (
+            "scenario = gaussian-bump\nn_cells = 100\nt_end = 0.5\n"
+            f"cadence = 5\nmonitors = {monitors}\n"))
+        run_dir = tmp_path / "run"
+        main(["solve", "--config", cfg, "--out-dir", str(run_dir)])
+        snaps = json.loads((run_dir / "report.json").read_text())["snapshots"]
+        path = run_dir / snaps[2]
+        lines = path.read_text().splitlines(True)
+        # cell 50 of the third record, below its four header lines
+        lines[54] = f"-0.5 {lines[54].split()[1]}\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["verify", str(run_dir)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("monitors.csv: MISMATCH under recomputation, "
+                              "line 4 (row 3), column mass: ")
 
     def test_stored_profile_with_a_nan_exits_2(self, run_dir, capsys):
         # the stored device passes the gate every device profile passes
@@ -964,6 +1020,71 @@ class TestRelaxCommand:
         assert "strictly decreasing: NO" in capsys.readouterr().out
 
 
+class TestFailurePaths:
+    """A failure is raised where it happens and becomes one `error:` line
+    and an exit code in `cli.main` alone; injected, so no overflowing input
+    trips the suite's RuntimeWarning filter."""
+
+    @pytest.fixture()
+    def failing_step(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise IntegrationError("injected")
+
+        return lambda: monkeypatch.setattr("semiflux.solver.step", fail)
+
+    @pytest.mark.parametrize("command,body", [
+        ("relax", "n_cells = 40\ntau_list = 0.2 0.1 0.05\nhorizon = 0.05\n"),
+        ("picard", "n_cells = 40\nepsilon = 0.01\nn_intervals = 4\n"
+                   "refine = 1\n")], ids=["relax", "picard"])
+    def test_march_that_stops_early_exits_1(self, tmp_path, capsys,
+                                            failing_step, command, body):
+        cfg = write_cfg(tmp_path, "scenario = gaussian-bump\n" + body)
+        out = tmp_path / command
+        failing_step()
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert err.startswith("error: rung 0 stopped at t = 0.0, before ")
+        assert err.count("\n") == 1 and "Traceback" not in stdout + err
+        assert not out.exists()
+
+    def test_verify_picard_march_that_stops_early_exits_1(
+            self, tmp_path, capsys, failing_step):
+        cfg = write_cfg(tmp_path, BUMP_CFG)
+        run_dir = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out-dir", str(run_dir)]) == 0
+        capsys.readouterr()
+        failing_step()
+        assert main(["verify", str(run_dir), "--picard"]) == 1
+        stdout, err = capsys.readouterr()
+        # the audit has run and agreed; the cross-check's march stopped
+        assert stdout.count("byte-identical under recomputation") == 3
+        assert err == "error: rung 0 stopped at t = 0.0, before 0.01\n"
+
+    def test_reference_positivity_failure_exits_2(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def fail(*args, **kwargs):
+            raise PositivityError(
+                "drift-diffusion density stayed negative after 40 dt "
+                "halvings")
+
+        monkeypatch.setattr("semiflux.relaxation.drift_diffusion_step", fail)
+        message = ("the drift-diffusion reference cannot march this device: "
+                   "drift-diffusion density stayed negative after 40 dt "
+                   "halvings at s = 0.0")
+        # a library caller keeps the error's type: it is no usage error
+        with pytest.raises(PositivityError) as info:
+            relaxation_study(make_setup("gaussian-bump", {"n_cells": 40}),
+                             [0.2, 0.1, 0.05])
+        assert str(info.value) == message
+        assert not isinstance(info.value, ConfigurationError)
+        cfg = write_cfg(tmp_path, "scenario = gaussian-bump\nn_cells = 40\n"
+                                  "tau_list = 0.2 0.1 0.05\n")
+        out = tmp_path / "relax"
+        assert main(["relax", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestModuleEntry:
     def test_python_dash_m_help(self):
         proc = subprocess.run(
@@ -1054,6 +1175,43 @@ class TestModuleEntry:
                    if isinstance(node, ast.Call)
                    and ast.unparse(node.func).split(".")[-1] in entry}
         assert callers == {("reporting.py", "audited_texts")}
+
+    def test_one_failure_path(self):
+        # a march that stops early is caught only where it is recorded
+        # (solver.run) and where it becomes an exit code (cli.main); the
+        # reference's PositivityError is re-raised only by the reference's
+        # run; no handler returns None for a failure; and no function of
+        # cli.py but main maps an error to an exit code
+        src = Path(semiflux.__file__).resolve().parent
+        handlers = [(path.name, fn.name, node)
+                    for path in sorted(src.glob("*.py"))
+                    for fn in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.ExceptHandler)]
+
+        def catching(name):  # a bare except catches every name
+            return {(f, fn) for f, fn, node in handlers
+                    if node.type is None
+                    or name in {ast.unparse(t).split(".")[-1] for t in
+                                getattr(node.type, "elts", [node.type])}}
+
+        assert catching("IntegrationError") == {("solver.py", "run"),
+                                                ("cli.py", "main")}
+        assert catching("PositivityError") == {
+            ("relaxation.py", "drift_diffusion_run"), ("cli.py", "main")}
+        assert not [(f, fn) for f, fn, node in handlers
+                    for ret in ast.walk(node)
+                    if isinstance(ret, ast.Return)
+                    and (ret.value is None
+                         or ast.unparse(ret.value) == "None")]
+        assert {(f, fn) for f, fn, _ in handlers if f == "cli.py"} == {
+            ("cli.py", "main")}
+
+    def test_tier1_leaves_no_benchmark_directory(self, pytestconfig):
+        # the pytest-benchmark plugin, where installed, creates .benchmarks/
+        # in the checkout on every run; no test uses its fixture
+        assert pytestconfig.pluginmanager.is_blocked("benchmark")
 
     def test_one_violation_record(self):
         # every violations.json entry is built by monitors._violation: no
