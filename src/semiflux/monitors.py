@@ -2,8 +2,10 @@
 
 Each monitor is a pure function of recorded snapshots, so a finished run can
 be re-audited offline and must reproduce the original report bit for bit.
-A run records only (rho, m); the field E is derived here, record by record
-in `_records`, so the audit holds one row of it at a time.
+A run records only (rho, m); the field E is derived here.  The audit runs
+over `_blocks` of consecutive records, each at most `BLOCK_CELLS` cells or
+one record, with one `solve_field` call per block; each column is one
+reduction along the cells per block, which gives the one-row bits.
 Monitored quantities: excess mass (non-increasing under outflow, constant
 under periodic), the field sup-bound ratio, growth of the Riemann invariants
 max z, max w <= M2 + M1*t (z, w = int_1^rho sqrt(P'(s))/s ds -+ u, ln rho
@@ -24,7 +26,7 @@ field, riemann) are one table of (monitor, violated, value, bound) rows
 per record, in that order, so violations.json is record-major; only the
 mass row splits, by boundary.  `_violation` builds every entry of
 violations.json, the plateau and entropy checks' included.  The entropy
-audit is one `entropy_sweep` over the snapshots: each snapshot's
+audit is one `entropy_sweep` over the snapshots: each block's
 mechanical energy, flux and source term are evaluated once and shared by
 every test function and by the tolerance scale.
 """
@@ -36,8 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import doping_mass, mass_field_bound, solve_field
-from .model import (Boundary, ConfigurationError, GasModel,
-                    PressureConvention, total_integral)
+from .model import Boundary, ConfigurationError, GasModel, PressureConvention
 from .solver import Trajectory, source
 
 ALL_MONITORS = ("positivity", "mass", "field", "riemann", "uniform", "entropy")
@@ -67,6 +68,9 @@ RIEMANN_TOL = 1e-6
 PLATEAU_TOL = 0.01
 # random test functions per entropy spot check
 N_PHI = 3
+# most cells one audit block holds (one record at least): bounds the
+# audit's workspace and lets a short run be audited in one block
+BLOCK_CELLS = 4096
 
 
 MONITOR_COLUMNS = (
@@ -88,12 +92,41 @@ def _violation(monitor: str, time, value, bound, **extra) -> dict:
             **extra}
 
 
-def _records(traj: Trajectory):
-    """(step, time, rho, m, E) of each record, E solved from its rho."""
+def _blocks(traj: Trajectory):
+    """(span, rho, m, E) of consecutive blocks of records, each of at most
+    `BLOCK_CELLS` cells or one record: `span` the block's slice of the
+    records, rho and m the stacked records' rows in it, E solved from its
+    rho in one call."""
     floor, grid, profile = traj.model.rho_floor, traj.grid, traj.profile
-    for step, t, rho, mom in zip(traj.steps.tolist(), traj.times.tolist(),
-                                 traj.rho, traj.mom):
-        yield step, t, rho, mom, solve_field(rho - floor, profile, grid)
+    per = max(1, BLOCK_CELLS // grid.n_cells)
+    for lo in range(0, len(traj.times), per):
+        span = slice(lo, lo + per)
+        rho = traj.rho[span]
+        yield span, rho, traj.mom[span], solve_field(rho - floor, profile,
+                                                     grid)
+
+
+def _record_columns(traj: Trajectory) -> list:
+    """Per record, as lists: step, time, excess mass, min rho, sup rho,
+    sup |u|, sup |E|, max z and max w (u, z and w at the floored density),
+    each column one axis=-1 reduction per block."""
+    model, dx = traj.model, traj.grid.dx
+    columns = [[] for _ in range(9)]
+    for span, rho, mom, e_vals in _blocks(traj):
+        # derived columns use a floored density so that one positivity
+        # failure does not abort the rest of the audit; the positivity
+        # monitor itself always sees the raw minimum
+        rho_safe = np.maximum(rho, model.rho_floor)
+        z, w = model.riemann_invariants(rho_safe, mom)
+        block = (traj.steps[span], traj.times[span],
+                 dx * np.sum(rho - model.rho_floor, axis=-1),
+                 np.min(rho, axis=-1), np.max(rho, axis=-1),
+                 np.max(np.abs(mom / rho_safe), axis=-1),
+                 np.max(np.abs(e_vals), axis=-1),
+                 np.max(z, axis=-1), np.max(w, axis=-1))
+        for column, values in zip(columns, block):
+            column += values.tolist()
+    return columns
 
 
 def evaluate_trajectory(traj: Trajectory,
@@ -103,32 +136,21 @@ def evaluate_trajectory(traj: Trajectory,
     model, grid, profile = traj.model, traj.grid, traj.profile
     rows, violations = [], []
 
-    mass0 = total_integral(traj.rho[0] - model.rho_floor, grid.dx)
+    columns = _record_columns(traj)
+    # record 0 is the initial state: its excess mass, and M2 its top
+    # Riemann invariant
+    mass0, m2 = columns[2][0], max(columns[7][0], columns[8][0])
     doping = doping_mass(profile, grid)
-    z0, w0 = model.riemann_invariants(
-        np.maximum(traj.rho[0], model.rho_floor), traj.mom[0])
-    m2 = float(max(np.max(z0), np.max(w0)))
 
     mass_scale = max(1.0, abs(mass0))
     floor = model.admissible_floor
     prev_mass = mass0
     m1_running = 0.0
 
-    for step, t, rho, mom, e_vals in _records(traj):
-        # derived columns use a floored density so that one positivity
-        # failure does not abort the rest of the audit; the positivity
-        # monitor itself always sees the raw minimum
-        rho_safe = np.maximum(rho, model.rho_floor)
-        u = mom / rho_safe
-        mass = total_integral(rho - model.rho_floor, grid.dx)
-        min_rho = float(np.min(rho))
-        sup_rho = float(np.max(rho))
-        sup_u = float(np.max(np.abs(u)))
-        sup_field = float(np.max(np.abs(e_vals)))
+    for (step, t, mass, min_rho, sup_rho, sup_u, sup_field, z_max,
+         w_max) in zip(*columns):
         dyn_bound = mass_field_bound(mass, doping, profile.e_minus)
         m1_running = max(m1_running, dyn_bound)
-        z, w = model.riemann_invariants(rho_safe, mom)
-        z_max, w_max = float(np.max(z)), float(np.max(w))
         r_bound = m2 + m1_running * t
         r_top = max(z_max, w_max)
 
@@ -258,7 +280,7 @@ def random_test_function(rng: np.random.Generator, x_lo: float, x_hi: float,
 
 
 def entropy_sweep(traj: Trajectory, phis: list):
-    """One pass over the snapshots: each snapshot's mechanical energy eta,
+    """One pass over the record blocks: each block's mechanical energy eta,
     its flux q and source * eta_m, the source of the run's own coupling,
     tau and profile, are evaluated once and folded into the discrete
     weak-form residual of every test function in `phis`,
@@ -267,16 +289,19 @@ def entropy_sweep(traj: Trajectory, phis: list):
 
     (cell sums in space, trapezoid in time), and into the tolerance scale,
     the largest magnitude any of the three densities reaches, each at the
-    monitor columns' floored density max(rho, 2 delta).  Returns
-    (residuals, scale); each residual is nonnegative up to O(dx + eps) for
-    admissible runs.  Extra memory is O(n_cells) per test function.
+    monitor columns' floored density max(rho, 2 delta).  Each test
+    function's time factors are evaluated once, over all record times.
+    Returns (residuals, scale); each residual is nonnegative up to
+    O(dx + eps) for admissible runs.  Extra memory is O(n_cells) per test
+    function plus a few arrays of one block's size.
     """
     model, grid, cfg = traj.model, traj.grid, traj.cfg
     dx = grid.dx
     space = [phi.space_factors(grid.centers) for phi in phis]
+    time = [phi.time_factors(traj.times) for phi in phis]
     vals = np.empty((len(phis), len(traj.times)))
     scale = 0.0
-    for k, (_, t, rho, mom, e_vals) in enumerate(_records(traj)):
+    for span, rho, mom, e_vals in _blocks(traj):
         rho = np.maximum(rho, model.rho_floor)
         src = source(cfg.source_variant, model, rho, mom, e_vals,
                      traj.profile.a_vals, cfg.tau)
@@ -285,8 +310,11 @@ def entropy_sweep(traj: Trajectory, phis: list):
         scale = max(scale, float(np.max(np.abs(eta))),
                     float(np.max(np.abs(q))), float(np.max(np.abs(src_eta))))
         for i, phi in enumerate(phis):
-            p, p_x, p_t = phi.combine(space[i], phi.time_factors(t))
-            vals[i, k] = dx * float(np.sum(eta * p_t + q * p_x + src_eta * p))
+            g, dg = time[i]
+            p, p_x, p_t = phi.combine(space[i],
+                                      (g[span, None], dg[span, None]))
+            vals[i, span] = dx * np.sum(eta * p_t + q * p_x + src_eta * p,
+                                        axis=-1)
     return [float(np.trapezoid(v, traj.times)) for v in vals], scale
 
 

@@ -328,9 +328,11 @@ def cross_check(result: PicardResult, picard_grid: Grid1D, t1: float, march,
     the last level of the Picard iterate and the restricted march, the
     tolerance CROSS_TOL_FACTOR * (dx + mean dt), and the verdict also asks
     for a converged iteration with no band violation.  A march that stops
-    before t1 raises `march_rungs`' IntegrationError, naming the time.
+    before t1 raises `march_rungs`' IntegrationError, naming the march and
+    the time.
     """
-    (traj,) = march_rungs([(march, initial, [t1])], picard_grid)
+    (traj,) = march_rungs([(march, initial, [t1])], picard_grid,
+                          ["the Picard cross-check march to t1"])
     it = result.iterate
     last = PicardIterate(times=it.times[-1:], rho=it.rho[-1], mom=it.mom[-1])
     gap = sup_distance(last, replace(last, rho=traj.rho[-1],

@@ -295,7 +295,7 @@ def relaxation_study(setup: RunSetup, tau_list,
     reference on the same grid from the first rung's excess density.  A
     device whose reference cannot keep N >= 0 raises the reference's
     PositivityError, and a rung that stops early `march_rungs`'
-    IntegrationError, each naming where it stopped."""
+    IntegrationError, each naming where it stopped, the rung by its tau."""
     grid, profile = setup.grid, setup.profile
     gamma, convention = setup.model.gamma, setup.model.convention
     taus = validate_tau_ladder(tau_list)
@@ -330,7 +330,8 @@ def relaxation_study(setup: RunSetup, tau_list,
     n_ref = reference.n_vals[late][:, cols]
 
     trajs = march_rungs([(rung, rung.initial, s_records[1:] / rung.cfg.tau)
-                         for rung in rungs], grid)
+                         for rung in rungs], grid,
+                        [f"the tau = {tau!r} rung" for tau in taus])
     rows = []
     for rung, traj in zip(rungs, trajs):
         tau, floor = rung.cfg.tau, rung.model.rho_floor

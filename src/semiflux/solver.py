@@ -451,23 +451,26 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
 
     k = 0
     done = clock.at_end(state.time)
-    while not done and k < max_steps:
-        try:
-            state, rep = step(state, profile, model, cfg, grid,
-                              t_stop=clock.target(), _work=work)
-        except IntegrationError:
-            break
-        k += 1
-        dts.append(rep.dt_used)
-        limits[rep.limit] += 1
-        low = min(low, rep.post_step_min_rho)
+    # an overflowing step is caught by its own finiteness test, which stops
+    # the march; numpy's warnings on the way there would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not done and k < max_steps:
+            try:
+                state, rep = step(state, profile, model, cfg, grid,
+                                  t_stop=clock.target(), _work=work)
+            except IntegrationError:
+                break
+            k += 1
+            dts.append(rep.dt_used)
+            limits[rep.limit] += 1
+            low = min(low, rep.post_step_min_rho)
 
-        due = (k % cadence == 0 if record_times is None
-               else clock.due(state.time))
-        done = clock.at_end(state.time)
-        if due or done:
-            record(k, state, low)
-            low = math.inf
+            due = (k % cadence == 0 if record_times is None
+                   else clock.due(state.time))
+            done = clock.at_end(state.time)
+            if due or done:
+                record(k, state, low)
+                low = math.inf
     if steps[-1] != k:  # stopped early: the last state is a record too
         record(k, state, low)
     rho, mom = np.stack(blocks, axis=1)
@@ -489,27 +492,30 @@ def cell_averages(vals, grid: Grid1D, onto: Grid1D) -> np.ndarray:
     return vals.reshape(vals.shape[:-1] + (onto.n_cells, k)).mean(axis=-1)
 
 
-def march_rungs(rungs, onto: Grid1D) -> list:
+def march_rungs(rungs, onto: Grid1D, names=None) -> list:
     """March each rung (parts, initial state, record times) through `run`
     to its times, t_end its last, and return its Trajectory with `rho` and
     `mom` restricted to `onto` by `cell_averages`, the rest the march's own.
     The parts are a RunSetup or a Trajectory (grid, model, profile, cfg).
     Every grid must nest in `onto`, checked before any march.  A rung that
     stops early raises an IntegrationError, and one whose records miss its
-    times a RuntimeError, each naming the rung."""
+    times a RuntimeError, each naming the rung by its entry in `names`
+    ("rung i" without them)."""
     for parts, _, _ in rungs:
         cell_averages(parts.grid.centers, parts.grid, onto)
+    if names is None:
+        names = [f"rung {i}" for i in range(len(rungs))]
     out = []
-    for i, (parts, initial, times) in enumerate(rungs):
+    for name, (parts, initial, times) in zip(names, rungs):
         end = float(times[-1])
         traj = run(initial, parts.profile, parts.model,
                    replace(parts.cfg, t_end=end), parts.grid,
                    record_times=times)
         if not traj.completed:
-            raise IntegrationError(f"rung {i} stopped at t = "
+            raise IntegrationError(f"{name} stopped at t = "
                                    f"{float(traj.times[-1])!r}, before {end!r}")
         if not np.array_equal(traj.times[1:], times):
-            raise RuntimeError(f"rung {i} misaligned with its record times")
+            raise RuntimeError(f"{name} misaligned with its record times")
         out.append(replace(traj, rho=cell_averages(traj.rho, parts.grid, onto),
                            mom=cell_averages(traj.mom, parts.grid, onto)))
     return out

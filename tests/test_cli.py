@@ -1022,8 +1022,19 @@ class TestRelaxCommand:
 
 class TestFailurePaths:
     """A failure is raised where it happens and becomes one `error:` line
-    and an exit code in `cli.main` alone; injected, so no overflowing input
-    trips the suite's RuntimeWarning filter."""
+    and an exit code in `cli.main` alone; injected, but for the one
+    overflowing march, which stops on its step's own finiteness test with
+    no numpy warning (the suite's RuntimeWarning filter would raise it)."""
+
+    def test_overflowing_march_stops_without_warnings(self, tmp_path,
+                                                      capsys):
+        cfg = write_cfg(tmp_path, "scenario = gaussian-bump\nn_cells = 200\n"
+                                  "t_end = 0.5\nbump_speed = 1e200\n")
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert "  integration stopped early at t=0\n" in stdout
+        assert err == ""
 
     @pytest.fixture()
     def failing_step(self, monkeypatch):
@@ -1032,18 +1043,21 @@ class TestFailurePaths:
 
         return lambda: monkeypatch.setattr("semiflux.solver.step", fail)
 
-    @pytest.mark.parametrize("command,body", [
-        ("relax", "n_cells = 40\ntau_list = 0.2 0.1 0.05\nhorizon = 0.05\n"),
+    @pytest.mark.parametrize("command,body,march", [
+        ("relax", "n_cells = 40\ntau_list = 0.2 0.1 0.05\nhorizon = 0.05\n",
+         "the tau = 0.2 rung"),
         ("picard", "n_cells = 40\nepsilon = 0.01\nn_intervals = 4\n"
-                   "refine = 1\n")], ids=["relax", "picard"])
+                   "refine = 1\n", "the Picard cross-check march to t1")],
+        ids=["relax", "picard"])
     def test_march_that_stops_early_exits_1(self, tmp_path, capsys,
-                                            failing_step, command, body):
+                                            failing_step, command, body,
+                                            march):
         cfg = write_cfg(tmp_path, "scenario = gaussian-bump\n" + body)
         out = tmp_path / command
         failing_step()
         assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
         stdout, err = capsys.readouterr()
-        assert err.startswith("error: rung 0 stopped at t = 0.0, before ")
+        assert err.startswith(f"error: {march} stopped at t = 0.0, before ")
         assert err.count("\n") == 1 and "Traceback" not in stdout + err
         assert not out.exists()
 
@@ -1058,7 +1072,8 @@ class TestFailurePaths:
         stdout, err = capsys.readouterr()
         # the audit has run and agreed; the cross-check's march stopped
         assert stdout.count("byte-identical under recomputation") == 3
-        assert err == "error: rung 0 stopped at t = 0.0, before 0.01\n"
+        assert err == ("error: the Picard cross-check march to t1 stopped "
+                       "at t = 0.0, before 0.01\n")
 
     def test_reference_positivity_failure_exits_2(self, tmp_path, capsys,
                                                   monkeypatch):

@@ -5,6 +5,7 @@ into its firing condition deliberately; the entropy residual is checked on
 states where the weak form collapses to something computable.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from semiflux import monitors
 from semiflux.monitors import (MONITOR_COLUMNS, _mechanical_energy,
                                random_test_function)
 from semiflux.monitors import TestFunction as SpaceTimeBump
+from semiflux.reporting import audited_texts
 from semiflux.scenarios import make_setup
 from semiflux.solver import run
 
@@ -433,17 +435,103 @@ class TestEntropySweep:
 
     def test_densities_evaluated_once_per_snapshot(self, monkeypatch,
                                                    bump_setup, bump_traj):
-        calls = []
+        # the energy is evaluated once per block of records: the rows it
+        # sees are the (floored) records, each once and in order, wherever
+        # the block boundaries fall
         real_energy = monitors._mechanical_energy
+        floored = np.maximum(bump_traj.rho, bump_traj.model.rho_floor)
+        n = bump_traj.grid.n_cells
+        for block_cells in (monitors.BLOCK_CELLS, 3 * n, n):
+            seen = []
 
-        def counting_energy(model, rho, mom):
-            calls.append(1)
-            return real_energy(model, rho, mom)
+            def recording_energy(model, rho, mom):
+                seen.append(rho)
+                return real_energy(model, rho, mom)
 
-        monkeypatch.setattr(monitors, "_mechanical_energy", counting_energy)
-        results, _ = entropy_spot_check(bump_traj, seed=3)
-        assert len(results) == 3
-        assert len(calls) == len(bump_traj.times)
+            monkeypatch.setattr(monitors, "BLOCK_CELLS", block_cells)
+            monkeypatch.setattr(monitors, "_mechanical_energy",
+                                recording_energy)
+            results, _ = entropy_spot_check(bump_traj, seed=3)
+            assert len(results) == 3
+            assert sum(len(rho) for rho in seen) == len(bump_traj.times)
+            assert np.array_equal(np.concatenate(seen), floored)
+
+
+@pytest.fixture(scope="module")
+def eight_records(bump_setup):
+    """bump_setup's run recorded at eight instants, records 3 and 6 given
+    extra mass, so that the mass monitor fires at both: each the first
+    record of a block when blocks hold three."""
+    s = bump_setup
+    traj = run(s.initial, s.profile, s.model, s.cfg, s.grid,
+               record_times=np.linspace(0.0, s.cfg.t_end, 8)[1:])
+    rho = traj.rho.copy()
+    rho[3] += 0.02
+    rho[6] += 0.01
+    return replace(traj, rho=rho)
+
+
+class TestRecordBlocks:
+    """The audit runs over blocks of records, each quantity evaluated once
+    per block; its bits are the per-record audit's wherever the block
+    boundaries fall, and its workspace is a block's whatever the record
+    count."""
+
+    PHIS = (SpaceTimeBump(-0.5, 2.0, 0.5, 0.3),
+            SpaceTimeBump(1.0, 1.5, 0.4, 0.2))
+
+    @pytest.mark.parametrize("per_block,sizes", [(3, [3, 3, 2]),
+                                                 (1, [1] * 8)],
+                             ids=["3-3-2", "one-record"])
+    def test_audit_is_independent_of_block_boundaries(
+            self, monkeypatch, bump_setup, eight_records, per_block, sizes):
+        traj, phis = eight_records, list(self.PHIS)
+        report, sweep = evaluate_trajectory(traj), entropy_sweep(traj, phis)
+        assert [(v["monitor"], v["time"]) for v in report.violations[:2]] \
+            == [("mass", t) for t in traj.times[[3, 6]].tolist()]
+        cfg = traj.cfg
+        assert sweep == (
+            [entropy_residual_reference(traj, bump_setup.profile, phi,
+                                        cfg.tau, cfg.source_variant)
+             for phi in phis],
+            entropy_scale_reference(traj, bump_setup.profile, cfg.tau,
+                                    cfg.source_variant))
+        monkeypatch.setattr(monitors, "BLOCK_CELLS",
+                            per_block * traj.grid.n_cells)
+        assert [len(rho) for _, rho, _, _ in monitors._blocks(traj)] == sizes
+        blocked = evaluate_trajectory(traj)
+        assert blocked.rows == report.rows
+        assert blocked.violations == report.violations
+        assert entropy_sweep(traj, phis) == sweep
+
+    def test_audit_peak_does_not_grow_with_records(self):
+        # 8 records of 512 cells fill one block; the same records four
+        # times over are four blocks, whose workspace is reused
+        s = make_setup("gaussian-bump", {"n_cells": 512, "t_end": 0.05})
+        traj = run(s.initial, s.profile, s.model, s.cfg, s.grid,
+                   record_times=np.linspace(0.0, 0.05, 8)[1:])
+        k = len(traj.times)
+        assert k * s.grid.n_cells <= monitors.BLOCK_CELLS
+        repeated = replace(
+            traj, steps=np.arange(4 * k),
+            times=np.linspace(traj.times[0], traj.times[-1], 4 * k),
+            rho=np.tile(traj.rho, (4, 1)), mom=np.tile(traj.mom, (4, 1)),
+            min_rho=np.tile(traj.min_rho, 4))
+        echo = {"monitors": "all", "seed": 0}
+        audited_texts(traj, echo)   # the gas law's cached constants
+        peaks = []
+        tracemalloc.start()
+        try:
+            for t in (traj, repeated):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                audited_texts(t, echo)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        # the 24 added records add their rows and texts, under 2 KB each,
+        # and no array the size of the 8 records'
+        assert peaks[1] - peaks[0] < 2 * 8 * k * s.grid.n_cells
 
 
 class TestTrapezoidRule:
