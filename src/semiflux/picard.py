@@ -39,8 +39,10 @@ last level with the march on the Picard grid, by exact cell averages
 A distance sup|P(x) - x| is the exact residual of the iterate x its sweep
 started from, so the solve returns that iterate and measures nothing
 twice.  Each iterate meets the band 2d <= rho <= M, |m| <= M in one check
-per side, `_admissibility_violation` and `_band_check`; a contraction
-ratio is the quotient of two successive distances.
+per side, `_admissibility_violation` (which also refuses a non-finite
+momentum) and `_band_check`; a contraction ratio is the quotient of two
+successive distances.  The sweeps run under the np.errstate of the march,
+so an overflowing one is refused with no numpy warning.
 """
 
 from __future__ import annotations
@@ -277,11 +279,16 @@ def _band_check(it: PicardIterate, bound: float) -> list:
 
 def _admissibility_violation(it: PicardIterate, model: GasModel):
     """The 'inadmissible' band violation when some level's density is NaN
-    or below the floor on which the pressure is defined, else None."""
+    or below the floor on which the pressure is defined, or its momentum
+    is not finite (its bound is then inf), else None."""
     rho_min = float(np.min(it.rho))
     if not rho_min >= model.admissible_floor:
         return {"field": "rho", "value": rho_min,
                 "bound": model.admissible_floor, "kind": "inadmissible"}
+    mom_top = float(np.max(np.abs(it.mom)))
+    if not mom_top < math.inf:
+        return {"field": "mom", "value": mom_top, "bound": math.inf,
+                "kind": "inadmissible"}
     return None
 
 
@@ -353,11 +360,12 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
     the last sweep started from: the last distance is its exact residual.
 
     Each iterate, the first guess included, is tested once for
-    admissibility: one whose density lies below the admissible floor is
-    listed as 'inadmissible' and stops the iteration as diverged, as do
-    three consecutive non-contracting ratios.  Either way the solve returns
-    its last admissible iterate, and the advice is to halve the slab.
-    Otherwise the solve stops unconverged at max_iters distances.
+    admissibility: one whose density lies below the admissible floor or
+    whose momentum is not finite is listed as 'inadmissible' and stops the
+    iteration as diverged, as do three consecutive non-contracting ratios.
+    Either way the solve returns its last admissible iterate, and the
+    advice is to halve the slab.  Otherwise the solve stops unconverged at
+    max_iters distances.
     """
     check_t1(t1)
     if not 0.0 < tol < math.inf:
@@ -374,24 +382,27 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
     # starts from one: divergence
     violation = _admissibility_violation(current, model)
     bad = 0
-    while violation is None:
-        start = time.perf_counter()
-        sweep = picard_step(current, initial, profile, model, cfg, grid,
-                            tables)
-        d = sup_distance(sweep, current)
-        report.distances.append(d)
-        report.iteration_s.append(time.perf_counter() - start)
-        if d < tol:
-            report.converged = True
-            break
-        report.band_violations.extend(_band_check(sweep, bound))
-        violation = _admissibility_violation(sweep, model)
-        if len(report.distances) >= 2:
-            bad = bad + 1 if d / report.distances[-2] >= 1.0 else 0
-        if violation is not None or bad >= 3 \
-                or len(report.distances) == max_iters:
-            break
-        current = sweep
+    # an overflowing sweep is listed inadmissible, which stops the
+    # iteration; numpy's warnings on the way there would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while violation is None:
+            start = time.perf_counter()
+            sweep = picard_step(current, initial, profile, model, cfg, grid,
+                                tables)
+            d = sup_distance(sweep, current)
+            report.distances.append(d)
+            report.iteration_s.append(time.perf_counter() - start)
+            if d < tol:
+                report.converged = True
+                break
+            report.band_violations.extend(_band_check(sweep, bound))
+            violation = _admissibility_violation(sweep, model)
+            if len(report.distances) >= 2:
+                bad = bad + 1 if d / report.distances[-2] >= 1.0 else 0
+            if violation is not None or bad >= 3 \
+                    or len(report.distances) == max_iters:
+                break
+            current = sweep
     if violation is not None:
         report.band_violations.append(violation)
     report.diverged = violation is not None or bad >= 3

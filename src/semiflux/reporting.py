@@ -140,7 +140,8 @@ def write_run_dir(out_dir, traj: Trajectory, texts: dict) -> Path:
 def load_run_dir(run_dir):
     """Read back a finished run: (report.json payload, trajectory).  The
     echo is parsed here only, with the config files' key types, so a value
-    its key cannot read is a ConfigurationError naming the key."""
+    its key cannot read is a ConfigurationError naming the key, as is a
+    snapshot whose step is not a whole step count, naming the file."""
     out = Path(run_dir)
     payload = json.loads((out / "report.json").read_text())
     grid, model, cfg = build_parts(coerce(
@@ -161,7 +162,11 @@ def load_run_dir(run_dir):
     for i, rel in enumerate(payload["snapshots"]):
         meta, cols = _read_table(out / rel, grid, ("step", "time", "min_rho"),
                                  ("rho", "m"))
-        traj.steps[i], traj.times[i] = int(meta["step"]), meta["time"]
+        step = meta["step"]
+        if not (step.is_integer() and 0 <= step < 2.0 ** 63):
+            raise ConfigurationError(
+                f"{out / rel}: need a whole step count, got step = {step!r}")
+        traj.steps[i], traj.times[i] = step, meta["time"]
         traj.min_rho[i] = meta["min_rho"]
         traj.rho[i], traj.mom[i] = cols["rho"], cols["m"]
     return payload, traj

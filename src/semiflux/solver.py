@@ -26,35 +26,46 @@ rows built once.  A step reads the current block and writes the new (rho,
 m) into the idle one, then flips them and returns the idle block's state,
 its time set, allocating no array and copying no state.  A returned state
 is therefore overwritten by the step after next, and `run` copies a state
-out only where it records one.  The step tests the density floor on the
-minimum the step before computed for its report; an input that is not the
-resident state is copied into the current block and reduced afresh.  The
+out only where it records one.  The step that writes a state also computes
+what the next step starts from: its lowest density, for the floor test, and
+its excess rho - 2d, velocity u, cellwise wave speed and that speed's
+maximum, in workspace rows that record which block they describe.  So a
+step on the resident state starts at dt; an input that is not the resident
+state is copied into the current block and reduced and described afresh,
+and after a step that raised, the state it was given is described again.
+The finiteness test reads the new state's maximum wave speed, which a NaN
+or an infinity in rho or m makes non-finite.  Only then does the step look
+at the state itself: a finite state below zero density or whose P' or u
+overflows has a non-finite speed too, and is passed on, as before, to the
+next step's floor test or its zero-length step, which refuse it.  The
 fluxes (f1, f2) and the wave speed (twice) take four more padded rows of
 the same array, whose ghost cells one `Grid1D.fill_ghosts` call sets.  Each
 pair of rows is one flat run of 2(n+2) values, so every face, jump and
-update operation and the finiteness test are one ufunc call over a
-contiguous run; the two seam cells where the rows of a pair meet are
-computed too and read by no interior cell.  The wave speeds, the fluxes
-with P1 and the field are written into workspace rows through the `out=`
-paths of `GasModel`, `flux` and `solve_field`.  Every scalar a step hands
-to numpy is a 0-d float64 array (the gas law's on `GasModel`, dx on
-`Grid1D`, e_minus on `DeviceProfile`, the run's in the workspace, dt and
-0.5 dt/dx in two 0-d buffers), since a step on a few hundred cells is
-mostly per-call overhead and numpy takes a 0-d operand faster than a Python
-float, with the same bits.  On march-sparse's path (gamma = 2, plain
-pressure, full-density source) a step makes 55 numpy calls, counting each
-ufunc call (in-place operators included), reduction, accumulation,
-`copyto`, ghost-cell assignment and 0-d buffer fill.  A step that raises
-has written only the idle block, so the state it was given stays valid.  A
-run records every `cadence` steps or at given instants; one `RecordClock`
-holds the instants, the slack of every time comparison and the end test,
-for the drift-diffusion reference too.  A recorded run keeps only (step,
-time, rho, m, lowest rho since the last record) per record, as stacked
-arrays, plus every dt and what limited each step, and the device and
-SolverConfig it was marched with.  Marches that are compared with each
-other (the tau-ladder, the convergence tests) or with the Picard slab go
-through `march_rungs`, the one rung loop, which restricts each to a common
-grid by exact cell averages, for the Picard cross-check the Picard grid.
+update operation is one ufunc call over a contiguous run; the two seam
+cells where the rows of a pair meet are computed too and read by no
+interior cell.  The wave speeds, the fluxes with P1 and the field are
+written into workspace rows through the `out=` paths of `GasModel`, `flux`
+and `solve_field`.  Every scalar a step hands to numpy is a 0-d float64
+array (the gas law's on `GasModel`, dx on `Grid1D`, e_minus on
+`DeviceProfile`, the run's in the workspace, dt and 0.5 dt/dx in two 0-d
+buffers), since a step on a few hundred cells is mostly per-call overhead
+and numpy takes a 0-d operand faster than a Python float, with the same
+bits.  On march-sparse's path (gamma = 2, plain pressure, full-density
+source) a step makes 53 numpy calls, counting each ufunc call (in-place
+operators included), reduction, accumulation, `copyto`, ghost-cell
+assignment and 0-d buffer fill; on the excess-density path one fewer again,
+since its damping rate reads the new state's excess.  A step that raises
+has written only the idle block and the rows, which it leaves marked stale,
+so the state it was given stays valid.  A run records every `cadence` steps
+or at given instants; one `RecordClock` holds the instants, the slack of
+every time comparison and the end test, for the drift-diffusion reference
+too.  A recorded run keeps only (step, time, rho, m, lowest rho since the
+last record) per record, as stacked arrays, plus every dt and what limited
+each step, and the device and SolverConfig it was marched with.  Marches
+that are compared with each other (the tau-ladder, the convergence tests)
+or with the Picard slab go through `march_rungs`, the one rung loop, which
+restricts each to a common grid by exact cell averages, for the Picard
+cross-check the Picard grid.
 """
 
 from __future__ import annotations
@@ -186,7 +197,8 @@ class _Block:
     `q_left`/`q_right` are cut from the block read flat as one run of
     2(n+2) values, like the flux and speed runs of `_Workspace`.  `low` is
     the lowest density of the state the block holds, set where the block
-    is written."""
+    is written; its u, excess and wave speed are kept in the workspace's
+    rows, which say which block they describe."""
 
     def __init__(self, pad: np.ndarray):
         self.rho, self.mom = pad[:, 1:-1]
@@ -214,11 +226,14 @@ class _Workspace:
     left ghost are neighbours: the face between them (the seam
     face) and the update of those two seam cells are computed like any
     other and read by no interior cell.  The remaining rows (u, the excess,
-    the field and a scratch row) are n cells long.  The per-run constants
-    are read-only: eps's face coefficient 2 eps/dx and tau as 0-d arrays,
-    the damping rate -a/tau as a row; `dt` and `half_dt_dx` (0.5 dt/dx) are
-    0-d buffers each step fills, so every scalar a step hands to numpy is a
-    0-d array.
+    the field and a scratch row) are n cells long.  The rows u, the excess
+    and the first wave-speed row, with `peak` the speed's maximum, describe
+    the state of the block `described`, None while they are being rewritten
+    or after a new input: the step that writes a block's state computes
+    them for the next step.  The per-run constants are read-only: eps's
+    face coefficient 2 eps/dx and tau as 0-d arrays, the damping rate
+    -a/tau as a row; `dt` and `half_dt_dx` (0.5 dt/dx) are 0-d buffers each
+    step fills, so every scalar a step hands to numpy is a 0-d array.
     """
 
     def __init__(self, profile: DeviceProfile, cfg: SolverConfig,
@@ -234,7 +249,7 @@ class _Workspace:
         self.alpha, self.face, self.jump = np.empty((3, 2 * n + 3))
         self.face_lo, self.face_hi = self.face[:-1], self.face[1:]
         self.u, self.excess, self.e, self.tmp = np.empty((4, n))
-        self.finite = np.empty(2 * n + 2, dtype=bool)
+        self.peak, self.described = math.nan, None
         self.dt, self.half_dt_dx = np.empty(()), np.empty(())
 
         self.dx = dx
@@ -243,6 +258,17 @@ class _Workspace:
         self.tau = _const(cfg.tau)
         self.neg_rate = -(profile.a_vals / cfg.tau)   # full-density damping
         self.neg_rate.flags.writeable = False
+
+
+def _wave_speeds(w: _Workspace, model: GasModel, rho, mom) -> float:
+    """Write u = m/rho and the cellwise largest characteristic speed
+    |u| + ((rho-2d)/rho) sqrt(P') of (rho, m) into `w.u` and `w.speed`,
+    the excess rho - 2d read from `w.excess`; return the speed's maximum,
+    NaN if some cell's is."""
+    u = np.divide(mom, rho, out=w.u)
+    speed = model._spread(rho, w.excess, out=w.speed, tmp=w.tmp)
+    speed += np.abs(u, out=w.tmp)
+    return float(np.maximum.reduce(speed))
 
 
 def step(state: HydroState, profile: DeviceProfile, model: GasModel,
@@ -259,7 +285,9 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     as its one HydroState: the step after next overwrites it, arrays and
     time.  Given the state the last step returned, the step reads it in
     place; any other input is first copied into the current block, over
-    that state.  A step that raises has written only the idle block.
+    that state.  A step that raises has written only the idle block and
+    the workspace rows, which it leaves marked stale, so the state it was
+    given stays valid and a step called on it again recomputes them.
     """
     if t_stop is not None and not t_stop > state.time:
         raise ConfigurationError(
@@ -271,17 +299,20 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
         np.copyto(rho, state.rho)
         np.copyto(mom, state.mom)
         cur.low = float(np.minimum.reduce(rho))
+        w.described = None
     if cur.low < model.admissible_floor:
         raise IntegrationError("density fell below the vacuum offset")
-    # cellwise largest characteristic speed |u| + ((rho-2d)/rho) sqrt(P') and
-    # the stable step cfl / (max|lambda|/dx + 2 eps/dx^2): one budget shared
-    # by advection and viscosity, so the explicit update stays a convex
-    # combination
-    u = np.divide(mom, rho, out=w.u)
-    excess = np.subtract(rho, model._d2, out=w.excess)
-    speed = model._spread(rho, excess, out=w.speed, tmp=w.tmp)
-    speed += np.abs(u, out=w.tmp)
-    adv_rate = float(np.maximum.reduce(speed)) / w.dx
+    # the state's excess, u and cellwise largest characteristic speed, which
+    # the step that wrote it computed unless the rows describe another
+    # block, and the stable step cfl / (max|lambda|/dx + 2 eps/dx^2): one
+    # budget shared by advection and viscosity, so the explicit update
+    # stays a convex combination
+    u, excess, speed = w.u, w.excess, w.speed
+    if w.described is not cur:
+        np.subtract(rho, model._d2, out=excess)
+        w.peak = _wave_speeds(w, model, rho, mom)
+        w.described = cur
+    adv_rate = w.peak / w.dx
     dt = cfg.cfl / (adv_rate + w.visc_rate)
     limit = "advection" if adv_rate >= w.visc_rate else "viscosity"
     t_new = state.time + dt
@@ -318,32 +349,38 @@ def step(state: HydroState, profile: DeviceProfile, model: GasModel,
     # exp((-rate) dt)
     e_vals = solve_field(excess, profile, grid, out=w.e, tmp=w.tmp)
     tmp = w.tmp
+    # from here the rows are rewritten for the new state
+    w.described = None
     if cfg.source_variant is SourceVariant.FULL_DENSITY:
         np.multiply(rho, w.dt, out=tmp)
         tmp *= e_vals
         mom_star += tmp
         np.multiply(w.neg_rate, w.dt, out=tmp)
+        np.subtract(rho_new, model._d2, out=excess)
     else:
         np.multiply(excess, w.dt, out=tmp)
         tmp *= e_vals
         mom_star += tmp
-        # rate = a (rho_new - 2d) / rho_new / tau
-        np.subtract(rho_new, model._d2, out=tmp)
-        tmp *= profile.a_vals
+        # rate = a (rho_new - 2d) / rho_new / tau, on the new excess
+        np.subtract(rho_new, model._d2, out=excess)
+        np.multiply(excess, profile.a_vals, out=tmp)
         tmp /= rho_new
         tmp /= w.tau
         np.negative(tmp, out=tmp)
         tmp *= w.dt
     mom_star *= np.exp(tmp, out=tmp)
 
-    # one call over the new block's flat run: both interior rows and the two
-    # seam cells between them, which read only the edge cells' values, so
-    # they turn non-finite only with them or on overflow
-    np.isfinite(new.q, out=w.finite)
-    if not np.logical_and.reduce(w.finite):
+    # a NaN or an infinity in rho or m makes the peak speed non-finite; so
+    # do a density below zero and an overflowing P' or u, and such a finite
+    # state is passed on as before, for the next step's floor test or its
+    # zero-length step to refuse.  The seam cells, which no cell reads, are
+    # tested only with the state
+    peak = _wave_speeds(w, model, rho_new, mom_star)
+    if not math.isfinite(peak) and not np.isfinite(new.q).all():
         raise IntegrationError("non-finite state")
 
     new.low = float(np.minimum.reduce(rho_new))
+    w.peak, w.described = peak, new
     w.blocks = new, cur
     out = new.state
     out.time = t_new

@@ -672,6 +672,29 @@ class TestVerify:
         assert out.startswith("monitors.csv: MISMATCH under recomputation, "
                               "line 4 (row 3), column mass: ")
 
+    @pytest.mark.parametrize("header", ["{}.5", "nan", "1e400", "1e19"],
+                             ids=["fractional", "nan", "overflow",
+                                  "beyond-int64"])
+    def test_snapshot_step_that_is_no_step_count_exits_2(self, run_dir,
+                                                         capsys, header):
+        # a snapshot's step is a whole count: one with a fraction would
+        # round to the stored count and verify byte-identical, and a nan or
+        # an infinity would end in a traceback
+        snap = json.loads((run_dir / "report.json").read_text())[
+            "snapshots"][1]
+        path = run_dir / snap
+        lines = path.read_text().splitlines(True)
+        step = int(lines[0].split("=")[1])
+        bad = header.format(step)
+        lines[0] = f"# step = {bad}\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["verify", str(run_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {path}: need a whole step count, got "
+                       f"step = {float(bad)!r}\n")
+
     def test_stored_profile_with_a_nan_exits_2(self, run_dir, capsys):
         # the stored device passes the gate every device profile passes
         path = run_dir / "profile.dat"
@@ -1035,6 +1058,18 @@ class TestFailurePaths:
         stdout, err = capsys.readouterr()
         assert "  integration stopped early at t=0\n" in stdout
         assert err == ""
+
+    def test_overflowing_picard_prints_only_its_error_line(self, tmp_path,
+                                                           capsys):
+        # the first sweep overflows and is listed inadmissible, with no
+        # numpy warning; the cross-check march then stops at its first step
+        cfg = write_cfg(tmp_path, "scenario = gaussian-bump\nn_cells = 200\n"
+                                  "bump_speed = 1e200\n")
+        out = tmp_path / "picard"
+        assert main(["picard", "--config", cfg, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: the Picard cross-check march to t1 stopped "
+                       "at t = 0.0, before 0.01\n")
 
     @pytest.fixture()
     def failing_step(self, monkeypatch):

@@ -526,6 +526,33 @@ class TestDivergenceSignal:
             {"field": "rho", "value": 1.5 * model.delta,
              "bound": model.admissible_floor, "kind": "inadmissible"}]
 
+    def test_sweep_with_a_nan_momentum_stops_as_diverged(self, monkeypatch):
+        # a NaN momentum passes the distance, the ratio test and the band
+        # check (NaN compares false), so the admissibility test lists it:
+        # the solve stops after that one sweep and returns the first guess
+        grid = Grid1D(-5.0, 5.0, 40)
+        model = GasModel(gamma=1.4, delta=0.05)
+        init = HydroState(rho=np.full(40, 1.0), mom=np.zeros(40))
+
+        def nan_momentum(prev, *args, **kwargs):
+            mom = np.zeros_like(prev.mom)
+            mom[2, 11] = np.nan
+            return PicardIterate(times=prev.times, rho=prev.rho.copy(),
+                                 mom=mom)
+
+        monkeypatch.setattr(picard_module, "picard_step", nan_momentum)
+        result = picard_solve(init, uniform_profile(grid), model,
+                              SolverConfig(epsilon=0.01, tau=1.0), grid,
+                              t1=0.02, n_intervals=4)
+        rep = result.report
+        assert len(rep.distances) == 1 and math.isnan(rep.distances[0])
+        assert rep.diverged and not rep.converged
+        (violation,) = rep.band_violations
+        assert math.isnan(violation.pop("value"))
+        assert violation == {"field": "mom", "bound": math.inf,
+                             "kind": "inadmissible"}
+        assert np.array_equal(result.iterate.mom, np.zeros((5, 40)))
+
     def test_other_errors_propagate(self, monkeypatch):
         grid = Grid1D(-5.0, 5.0, 40)
         model = GasModel(gamma=1.4, delta=0.05)

@@ -429,12 +429,26 @@ class TestPoisonedWorkspace:
     """A workspace whose every buffer is NaN before each step, the idle
     block and the resident block's ghost and seam cells included, marches
     bit for bit as the reference: no ghost, seam or stale value reaches an
-    interior cell.  Only the resident state's interior rows are spared."""
+    interior cell.  Spared are the resident state's interior rows and the
+    rows that describe it (u, the excess and the wave speed, which the step
+    that wrote the state computed, with their maximum); marked stale, those
+    rows are poisoned too, and the step recomputes them from rho and m
+    alone."""
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     @pytest.mark.parametrize("variant", list(SourceVariant))
     @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
     def test_bit_identical(self, boundary, variant, gamma):
+        self.march_poisoned(boundary, variant, gamma, stale=False)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("variant", list(SourceVariant))
+    @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+    def test_stale_rows_bit_identical(self, boundary, variant, gamma):
+        self.march_poisoned(boundary, variant, gamma, stale=True)
+
+    @staticmethod
+    def march_poisoned(boundary, variant, gamma, stale):
         grid = Grid1D(-5.0, 5.0, 90, boundary=boundary)
         model = GasModel(gamma=gamma, delta=0.05)
         x = grid.centers
@@ -453,14 +467,22 @@ class TestPoisonedWorkspace:
         state = ref = TestStepMatchesReference.bumpy_state(grid, model)
         for i in range(4):
             cur = work.blocks[0]
-            # the first input is the caller's, every later one resident
+            # the first input is the caller's, every later one resident and
+            # described by the rows its step wrote
             assert (state is cur.state) == (i > 0)
-            spared = cur.rho.copy(), cur.mom.copy()
+            assert (work.described is cur) == (i > 0)
+            if stale:
+                work.described, work.peak = None, math.nan
+            rows = (cur.rho, cur.mom)
+            if i > 0 and not stale:
+                rows += (work.u, work.excess, work.speed)
+            spared = [row.copy() for row in rows]
             for arr in buffers:
                 arr.fill(np.nan)
             assert np.isnan(work.pad).all()
             if i > 0:
-                cur.rho[...], cur.mom[...] = spared
+                for row, val in zip(rows, spared):
+                    row[...] = val
             state, rep = step(state, profile, model, cfg, grid, _work=work)
             ref, ref_rep = step_reference(ref, profile, model, cfg, grid)
             assert np.array_equal(state.rho, ref.rho)
@@ -469,6 +491,86 @@ class TestPoisonedWorkspace:
             assert rep == ref_rep
             for name, val in kept.items():
                 assert arrays[name].tobytes() == val.tobytes()
+
+
+class TestStateRows:
+    """The rows a step writes for the state it returns (u, the excess, the
+    wave speed and its maximum) are read by the next step only while they
+    describe its input; otherwise they are recomputed, bit for bit."""
+
+    @staticmethod
+    def setup(variant=SourceVariant.FULL_DENSITY):
+        grid = Grid1D(-5.0, 5.0, 90)
+        model = GasModel(gamma=1.4, delta=0.05)
+        x = grid.centers
+        profile = DeviceProfile.build(grid, 1.5 - 0.1 * np.tanh(x),
+                                      0.2 * np.exp(-x ** 2), 0.3)
+        cfg = SolverConfig(epsilon=2e-3, tau=0.05, source_variant=variant)
+        state = TestStepMatchesReference.bumpy_state(grid, model)
+        return state, (profile, model, cfg, grid)
+
+    @staticmethod
+    def assert_step_is_the_reference(state, parts, work):
+        new, rep = step(state, *parts, _work=work)
+        ref, ref_rep = step_reference(state, *parts)
+        assert np.array_equal(new.rho, ref.rho)
+        assert np.array_equal(new.mom, ref.mom)
+        assert new.time == ref.time and rep == ref_rep
+        assert work.described is work.blocks[0]
+        return new
+
+    @pytest.mark.parametrize("variant", list(SourceVariant))
+    def test_input_that_is_not_resident_recomputes_the_rows(self, variant):
+        # after two steps the rows describe the resident block; a state of
+        # the caller's is copied over it, and its own rows are computed
+        state, parts = self.setup(variant)
+        profile, _, cfg, grid = parts
+        work = solver_mod._Workspace(profile, cfg, grid)
+        for _ in range(2):
+            state = self.assert_step_is_the_reference(state, parts, work)
+        assert work.described is work.blocks[0]
+        other = HydroState(rho=state.rho * 1.25, mom=-2.0 * state.mom,
+                           time=state.time)
+        self.assert_step_is_the_reference(other, parts, work)
+
+    @pytest.mark.parametrize("variant", list(SourceVariant))
+    def test_step_called_again_after_it_raised_recomputes_the_rows(
+            self, monkeypatch, variant):
+        # a NaN field makes the step raise after it rewrote the rows for
+        # its idle block: they are left stale, so the step called again on
+        # the same resident state recomputes them and matches the reference
+        state, parts = self.setup(variant)
+        profile, _, cfg, grid = parts
+        work = solver_mod._Workspace(profile, cfg, grid)
+        state = self.assert_step_is_the_reference(state, parts, work)
+        real_field = solver_mod.solve_field
+        monkeypatch.setattr(solver_mod, "solve_field", lambda *a, **k: np.full(
+            state.rho.shape, np.nan))
+        with pytest.raises(IntegrationError, match="^non-finite state$"):
+            step(state, *parts, _work=work)
+        assert work.described is None and state is work.blocks[0].state
+        monkeypatch.setattr(solver_mod, "solve_field", real_field)
+        self.assert_step_is_the_reference(state, parts, work)
+
+    def test_finite_state_with_a_non_finite_speed_is_passed_on(self):
+        # no damping, a far-field datum of 1e304 and a step of about 5.6e4
+        # push m to 5.6e306 on density 0.01, so u = m/rho overflows in a
+        # finite state: the step returns it, as the row-wise step does, and
+        # the next step, whose speed is infinite, refuses it as non-finite
+        grid = Grid1D(0.0, 1e5, 10)
+        model = GasModel(gamma=2.0, delta=1e-3)
+        profile = DeviceProfile.build(grid, np.zeros(10), np.zeros(10),
+                                      1e304)
+        cfg = SolverConfig(t_end=1e6)
+        state = HydroState(rho=np.full(10, 0.01), mom=np.zeros(10))
+        traj = run(state, profile, model, cfg, grid, cadence=1)
+        ref, _ = step_reference(state, profile, model, cfg, grid)
+        assert traj.steps.tolist() == [0, 1] and not traj.completed
+        assert np.array_equal(traj.rho[-1], ref.rho)
+        assert np.array_equal(traj.mom[-1], ref.mom)
+        assert np.isfinite(traj.mom[-1]).all()
+        with np.errstate(over="ignore"):
+            assert np.isinf(traj.mom[-1] / traj.rho[-1]).all()
 
 
 class TestReturnedRows:
@@ -630,6 +732,56 @@ class TestRunMatchesReference:
             initial, profile, model, cfg, grid, cadence=3,
             record_times=record_times, max_steps=fail_at - 1)
         assert traj.steps[-1] == fail_at - 1
+        assert np.array_equal(traj.steps, steps)
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.rho, rho)
+        assert np.array_equal(traj.mom, mom)
+        assert np.array_equal(traj.min_rho, min_rho)
+        assert traj.dts == dts
+        assert traj.limits == limits
+
+    @pytest.mark.parametrize("variant", list(SourceVariant))
+    def test_infinite_field_is_refused_by_the_step_that_makes_it(
+            self, monkeypatch, variant):
+        # +inf in one cell of step k's field makes that cell's momentum
+        # +inf: step k itself raises "non-finite state", and the last
+        # record is the state after step k - 1
+        grid = Grid1D(-5.0, 5.0, 100)
+        model = GasModel(gamma=2.0, delta=0.05)
+        x = grid.centers
+        profile = DeviceProfile.build(grid, 1.5 - 0.1 * np.tanh(x),
+                                      0.2 * np.exp(-x ** 2), 0.3)
+        cfg = SolverConfig(epsilon=2e-3, tau=0.05, t_end=1.0,
+                           source_variant=variant)
+        initial = TestStepMatchesReference.bumpy_state(grid, model)
+        initial.time = 0.0
+        fail_at, calls, raised = 12, [], []
+        real_field, real_step = solver_mod.solve_field, solver_mod.step
+
+        def infinite_field(*args, **kwargs):
+            calls.append(None)
+            e_vals = real_field(*args, **kwargs)
+            if len(calls) == fail_at:
+                e_vals[37] = np.inf
+            return e_vals
+
+        def watched_step(*args, **kwargs):
+            try:
+                out = real_step(*args, **kwargs)
+            except IntegrationError as err:
+                raised.append((len(calls), str(err)))
+                raise
+            assert np.isfinite(out[0].mom).all()
+            return out
+
+        monkeypatch.setattr(solver_mod, "solve_field", infinite_field)
+        monkeypatch.setattr(solver_mod, "step", watched_step)
+        traj = run(initial, profile, model, cfg, grid, cadence=5)
+        assert raised == [(fail_at, "non-finite state")]
+        steps, times, rho, mom, min_rho, dts, limits = run_reference(
+            initial, profile, model, cfg, grid, cadence=5,
+            max_steps=fail_at - 1)
+        assert traj.steps[-1] == fail_at - 1 and not traj.completed
         assert np.array_equal(traj.steps, steps)
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.rho, rho)
