@@ -30,8 +30,13 @@ key.
 a stored table laid out otherwise than ``solve`` writes it (a snapshot
 without the ``min_rho`` header, an extra column or header key) exits 2.
 
-Exit codes, which `main` alone maps from the error a command raises where
-it happens: 0 all checks passed; 1 a check or monitor failed, or a march
+Each command returns the `monitors.Check` rows that decide its exit code
+(``solve`` its monitors' and the march's completion, ``verify`` the count
+of audited files that differ and the cross-check, ``picard`` the
+cross-check, ``relax`` the ladder's monotonicity); ``verify --picard`` and
+``picard`` print the cross-check by `_print_cross_check`.  Exit codes,
+which `main` alone maps from those rows and from the error a command
+raises where it happens: 0 every row passed; 1 a row failed, or a march
 stopped early (``solve`` audits what it recorded; ``picard``,
 ``verify --picard`` and ``relax`` print one ``error:`` line naming the
 rung and the time); 2 bad usage, unreadable input, or malformed
@@ -59,7 +64,7 @@ from pathlib import Path
 from .config import (PICARD_KEYS, RELAX_KEYS, SCENARIO_KEYS, SOLVE_KEYS,
                      coerce, parse_key_value)
 from .model import ConfigurationError, HydroState
-from .monitors import parse_monitor_list
+from .monitors import MIN_RECORDS, Check, parse_monitor_list
 from .picard import (CROSS_CHECK_T1, check_edges, check_t1, cross_check,
                      picard_solve)
 from .relaxation import (CouplingRule, PositivityError, StudyRow,
@@ -109,7 +114,13 @@ def _march_summary(traj) -> dict:
             "clamped": traj.limits["clamp"]}
 
 
-def cmd_solve(args) -> int:
+def _print_cross_check(row: Check):
+    print(f"fixed-point cross-check at t={row.time:g}: gap={row.value:.3e} "
+          f"tolerance={row.bound:.3e} "
+          f"{'agrees' if row.passed else 'DISAGREES'}")
+
+
+def cmd_solve(args) -> list:
     vals = coerce(parse_key_value(args.config), {**SCENARIO_KEYS, **SOLVE_KEYS})
     name = vals.pop("scenario", None)
     if name is None:
@@ -148,10 +159,15 @@ def cmd_solve(args) -> int:
           f"{len(traj.times)} snapshots, "
           f"{len(report.violations)} violation(s)")
     _print_violations(report.violations)
+    unjudged = [m for m in ("uniform", "entropy") if m in enabled]
+    if unjudged and len(traj.times) < MIN_RECORDS:
+        print(f"  not judged: {', '.join(unjudged)} (need {MIN_RECORDS} "
+              f"records, got {len(traj.times)})")
     if not traj.completed:
         print(f"  integration stopped early at t={traj.times[-1]:.6g}")
     print(f"wrote {out}")
-    return CHECK_FAILED if (report.violations or not traj.completed) else 0
+    return [*report.checks, Check("completed", traj.times[-1],
+                                  traj.cfg.t_end, traj.completed)]
 
 
 def _first_difference(stored: str, fresh: str, csv: bool) -> str:
@@ -170,7 +186,7 @@ def _first_difference(stored: str, fresh: str, csv: bool) -> str:
     return f"{where}: stored {a!r}, recomputed {b!r}"
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> list:
     if args.t1 is not None and not args.picard:
         raise ConfigurationError(
             f"--t1 {args.t1!r} is read only with --picard; without it the "
@@ -188,7 +204,7 @@ def cmd_verify(args) -> int:
         check_edges(initial, traj.model, traj.grid)
     _, texts = audited_texts(traj, payload["config"])
     run_dir = Path(args.run_dir)
-    ok = True
+    differ = 0
     for fname, fresh in texts.items():
         stored = (run_dir / fname).read_text()
         if fresh == stored:
@@ -196,22 +212,18 @@ def cmd_verify(args) -> int:
         else:
             where = _first_difference(stored, fresh, fname.endswith(".csv"))
             print(f"{fname}: MISMATCH under recomputation, {where}")
-            ok = False
+            differ += 1
+    checks = [Check("verify", differ, 0, differ == 0)]
 
     if args.picard:
         result = picard_solve(initial, traj.profile, traj.model, traj.cfg,
                               traj.grid, t1)
-        gap, tol_cross, agree = cross_check(result, traj.grid, t1, traj,
-                                            initial)
-        print(f"fixed-point cross-check at t={t1:g}: gap={gap:.3e} "
-              f"tolerance={tol_cross:.3e} "
-              f"{'agrees' if agree else 'DISAGREES'}")
-        ok = ok and agree
-
-    return 0 if ok else CHECK_FAILED
+        checks.append(cross_check(result, traj.grid, t1, traj, initial))
+        _print_cross_check(checks[-1])
+    return checks
 
 
-def cmd_picard(args) -> int:
+def cmd_picard(args) -> list:
     vals = coerce(parse_key_value(args.config), PICARD_KEYS)
     name = vals.pop("scenario", "gaussian-bump")
     overrides = _overrides(vals)
@@ -228,8 +240,7 @@ def cmd_picard(args) -> int:
                           **_given(vals, ("n_intervals", "tol", "max_iters")))
     fine = make_setup(name, {**overrides,
                              "n_cells": setup.grid.n_cells * refine})
-    gap, tol_cross, agree = cross_check(result, setup.grid, t1, fine,
-                                        fine.initial)
+    row = cross_check(result, setup.grid, t1, fine, fine.initial)
 
     rep = result.report
     # the first sweep has no predecessor, so no ratio
@@ -242,7 +253,7 @@ def cmd_picard(args) -> int:
     summary = {
         "distances": rep.distances, "converged": rep.converged,
         "diverged": rep.diverged, "band_violations": rep.band_violations,
-        "endpoint_gap": gap, "endpoint_tolerance": tol_cross,
+        "endpoint_gap": row.value, "endpoint_tolerance": row.bound,
         "t1": t1, "n_intervals": len(result.iterate.times) - 1,
         "scenario": name,
     }
@@ -261,13 +272,12 @@ def cmd_picard(args) -> int:
         print(f"  suggestion: retry with t1 = {0.5 * t1:g}")
     if rep.band_violations:
         print(f"  {len(rep.band_violations)} band violation(s)")
-    print(f"endpoint gap vs refined run: {gap:.3e} "
-          f"(tolerance {tol_cross:.3e})")
+    _print_cross_check(row)
     print(f"wrote {out_dir}")
-    return 0 if agree else CHECK_FAILED
+    return [row]
 
 
-def cmd_relax(args) -> int:
+def cmd_relax(args) -> list:
     vals = coerce(parse_key_value(args.config), RELAX_KEYS)
     name = vals.pop("scenario", "gaussian-bump")
     overrides = _overrides(vals)
@@ -293,7 +303,7 @@ def cmd_relax(args) -> int:
         RELAX_COLUMNS,
         [[getattr(r, c) for c in RELAX_COLUMNS] for r in study.rows]))
     (out_dir / "manifest.json").write_text(
-        json_text({**study.manifest, "monotone": study.monotone}))
+        json_text({**study.manifest, "monotone": study.monotone.passed}))
 
     spec = [(c, *_RELAX_FORMAT.get(c, (12, 6))) for c in RELAX_COLUMNS]
     print(f"relaxation sweep on {name}:")
@@ -303,9 +313,10 @@ def cmd_relax(args) -> int:
                               for c, w, d in spec))
     print(f"drift-diffusion reference: {study.reference.n_steps} steps, "
           f"{study.reference.halvings} dt halvings")
-    print(f"l1 errors strictly decreasing: {'yes' if study.monotone else 'NO'}")
+    print("l1 errors strictly decreasing: "
+          f"{'yes' if study.monotone.passed else 'NO'}")
     print(f"wrote {out_dir}")
-    return 0 if study.monotone else CHECK_FAILED
+    return [study.monotone]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        checks = args.func(args)
     except IntegrationError as err:
         print(f"error: {err}", file=sys.stderr)
         return CHECK_FAILED
@@ -357,6 +368,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, KeyError) as err:
         print(f"error: {err!r}", file=sys.stderr)
         return USAGE_ERROR
+    return 0 if all(c.passed for c in checks) else CHECK_FAILED
 
 
 if __name__ == "__main__":

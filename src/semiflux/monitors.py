@@ -19,20 +19,24 @@ completion and lowest density are read off the records too.  Every audit
 reads the device profile and the SolverConfig (eps, tau, source coupling)
 from the Trajectory itself, so it judges the run under the settings it was
 marched with.
+Every verdict is one `Check` row (check, value, bound, passed), here and
+in `picard` and `relaxation`; `Check.entry` builds every entry of
+violations.json, which holds the failed rows of a `MonitorReport`.
 `evaluate_trajectory` audits the monitors named in `enabled`, a tuple that
 `parse_monitor_list` reads and validates; `reporting.audited_texts` is
 where a command runs them.  The four per-record bounds (positivity, mass,
-field, riemann) are one table of (monitor, violated, value, bound) rows
-per record, in that order, so violations.json is record-major; only the
-mass row splits, by boundary.  `_violation` builds every entry of
-violations.json, the plateau and entropy checks' included.  The entropy
-audit is one `entropy_sweep` over the snapshots: each block's
-mechanical energy, flux and source term are evaluated once and shared by
-every test function and by the tolerance scale.
+field, riemann) are one table of (monitor, value, bound, passed) rows per
+record, in that order, so violations.json is record-major; only the mass
+row splits, by boundary.  `uniform` and `entropy` judge a run of at least
+`MIN_RECORDS` records only.  The entropy audit is one `entropy_sweep`
+over the snapshots: each block's mechanical energy, flux and source term
+are evaluated once and shared by every test function and by the
+tolerance scale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +70,8 @@ FIELD_TOL = 1e-12
 RIEMANN_TOL = 1e-6
 # allowed late-over-early growth of a plateaued sup-norm
 PLATEAU_TOL = 0.01
+# fewest records the whole-run monitors, uniform and entropy, judge
+MIN_RECORDS = 4
 # random test functions per entropy spot check
 N_PHI = 3
 # most cells one audit block holds (one record at least): bounds the
@@ -79,17 +85,36 @@ MONITOR_COLUMNS = (
 )
 
 
+@dataclass(frozen=True)
+class Check:
+    """One verdict: what `check` measured (`value`), against what (`bound`),
+    and whether it `passed`; `time` the instant judged, `series` the column
+    a `uniform` row judges."""
+
+    check: str
+    value: float
+    bound: float
+    passed: bool
+    time: float = math.nan
+    series: str | None = None
+
+    def entry(self) -> dict:
+        """The row as an entry of violations.json."""
+        extra = {} if self.series is None else {"series": self.series}
+        return {"monitor": self.check, "time": self.time, "value": self.value,
+                "bound": self.bound, **extra}
+
+
 @dataclass
 class MonitorReport:
-    rows: list        # one list of MONITOR_COLUMNS values per record
-    violations: list  # `_violation` entries, the file violations.json
+    rows: list    # one list of MONITOR_COLUMNS values per record
+    checks: list  # one `Check` per verdict of an enabled monitor
     summary: dict = field(default_factory=dict)
 
-
-def _violation(monitor: str, time, value, bound, **extra) -> dict:
-    """One entry of violations.json, uniform's `series` an `extra` key."""
-    return {"monitor": monitor, "time": time, "value": value, "bound": bound,
-            **extra}
+    @property
+    def violations(self) -> list:
+        """The file violations.json: the failed checks' entries."""
+        return [c.entry() for c in self.checks if not c.passed]
 
 
 def _blocks(traj: Trajectory):
@@ -132,9 +157,10 @@ def _record_columns(traj: Trajectory) -> list:
 def evaluate_trajectory(traj: Trajectory,
                         enabled: tuple = ALL_MONITORS) -> MonitorReport:
     """Recompute each monitor named in `enabled` over the recorded
-    snapshots; the monitor series are computed whatever is enabled."""
+    snapshots; the monitor series are computed whatever is enabled, the
+    `Check` rows only for the enabled monitors."""
     model, grid, profile = traj.model, traj.grid, traj.profile
-    rows, violations = [], []
+    rows, checks = [], []
 
     columns = _record_columns(traj)
     # record 0 is the initial state: its excess mass, and M2 its top
@@ -160,53 +186,56 @@ def evaluate_trajectory(traj: Trajectory,
         # mass is constant (periodic, slack per 1000 steps) or non-increasing
         if grid.boundary is Boundary.PERIODIC:
             slack = MASS_TOL * mass_scale * max(1.0, step / 1000.0)
-            mass_row = ("mass", abs(mass - mass0) > slack, mass, mass0)
+            mass_row = ("mass", mass, mass0, not abs(mass - mass0) > slack)
         else:
             slack = MASS_TOL * mass_scale
-            mass_row = ("mass", mass > prev_mass + slack
-                        or mass > mass0 + slack, mass, prev_mass)
+            mass_row = ("mass", mass, prev_mass, not (
+                mass > prev_mass + slack or mass > mass0 + slack))
         bounds = (
-            ("positivity", min_rho < floor, min_rho, floor),
+            ("positivity", min_rho, floor, not min_rho < floor),
             mass_row,
-            ("field", sup_field > dyn_bound * (1.0 + FIELD_TOL) + FIELD_TOL,
-             sup_field, dyn_bound),
-            ("riemann", r_bound - r_top < -RIEMANN_TOL, r_top, r_bound))
-        violations += [_violation(name, t, value, bound)
-                       for name, violated, value, bound in bounds
-                       if violated and name in enabled]
+            ("field", sup_field, dyn_bound,
+             not sup_field > dyn_bound * (1.0 + FIELD_TOL) + FIELD_TOL),
+            ("riemann", r_top, r_bound, not r_bound - r_top < -RIEMANN_TOL))
+        checks += [Check(*row, t) for row in bounds if row[0] in enabled]
         prev_mass = mass
 
     summary = {"min_rho_ever": float(np.min(traj.min_rho)),
                "n_steps": traj.n_steps, "completed": traj.completed}
 
-    if "uniform" in enabled and len(rows) >= 4:
+    if "uniform" in enabled and len(rows) >= MIN_RECORDS:
         times = traj.times
         for name in ("sup_rho", "sup_abs_u"):
             col = MONITOR_COLUMNS.index(name)
             series = np.array([r[col] for r in rows])
-            ok, early, late = plateau_check(times, series, PLATEAU_TOL)
+            early, late = plateau_halves(times, series)
+            row = plateau_check(early, late, times[-1], name)
             summary[f"plateau_{name}_early"] = early
             summary[f"plateau_{name}_late"] = late
-            summary[f"plateau_{name}_ok"] = ok
-            if profile.check.ok and not ok:
-                violations.append(_violation(
-                    "uniform", times[-1], late, early * (1.0 + PLATEAU_TOL),
-                    series=name))
+            summary[f"plateau_{name}_ok"] = row.passed
+            if profile.check.ok:
+                checks.append(row)
 
-    return MonitorReport(rows=rows, violations=violations, summary=summary)
+    return MonitorReport(rows=rows, checks=checks, summary=summary)
 
 
-def plateau_check(times: np.ndarray, series: np.ndarray, tol: float):
-    """Late-half maximum must not exceed the early-half maximum by more than
-    the stated fraction.  Returns (ok, early_max, late_max)."""
+def plateau_halves(times: np.ndarray, series: np.ndarray):
+    """(early, late): the series' maxima over the first and the second half
+    of the recorded time span, nan both when a half holds no record."""
     t_half = 0.5 * (times[0] + times[-1])
-    early = series[times <= t_half]
-    late = series[times > t_half]
+    early, late = series[times <= t_half], series[times > t_half]
     if len(early) == 0 or len(late) == 0:
-        return True, float("nan"), float("nan")
-    early_max, late_max = float(np.max(early)), float(np.max(late))
-    span = max(abs(early_max), 1e-30)
-    return late_max <= early_max + tol * span, early_max, late_max
+        return math.nan, math.nan
+    return float(np.max(early)), float(np.max(late))
+
+
+def plateau_check(early: float, late: float, time: float = math.nan,
+                  series: str | None = None,
+                  tol: float = PLATEAU_TOL) -> Check:
+    """The `uniform` row of a sup-norm: its late-half maximum against the
+    bound early * (1 + tol), which is its pass rule; a nan split passes."""
+    bound = early * (1.0 + tol)
+    return Check("uniform", late, bound, not late > bound, time, series)
 
 
 # --- entropy machinery -----------------------------------------------------
@@ -323,13 +352,15 @@ def entropy_spot_check(traj: Trajectory, seed: int):
 
     Deterministic in the seed, so an offline re-audit reproduces the same
     residuals.  All test functions are drawn first and audited in one
-    `entropy_sweep`.  Returns (results, violations); a residual below
-    -(dx + eps + mean recording gap) * scale is a violation.
+    `entropy_sweep`.  Returns (results, checks), one `entropy` row per test
+    function: its residual against the bound
+    -(dx + eps + mean recording gap) * scale.  A run of fewer than
+    `MIN_RECORDS` records is not judged: both lists are empty.
     """
     grid, times = traj.grid, traj.times
-    results, violations = [], []
-    if len(times) < 4 or times[-1] <= times[0]:
-        return results, violations
+    results, checks = [], []
+    if len(times) < MIN_RECORDS or times[-1] <= times[0]:
+        return results, checks
     rng = np.random.default_rng(seed)
     span = times[-1] - times[0]
     phis = [random_test_function(rng, grid.x_min, grid.x_max,
@@ -345,6 +376,6 @@ def entropy_spot_check(traj: Trajectory, seed: int):
         results.append({"x_center": phi.x_center, "x_width": phi.x_width,
                         "t_center": phi.t_center, "t_width": phi.t_width,
                         "residual": res, "tolerance": tol})
-        if res < -tol:
-            violations.append(_violation("entropy", phi.t_center, res, -tol))
-    return results, violations
+        checks.append(Check("entropy", res, -tol, not res < -tol,
+                            phi.t_center))
+    return results, checks

@@ -35,7 +35,7 @@ terms G(t_k) * rho0 and G(t_k) * m0 do not depend on the iterate:
 evaluation over (times x offsets).  Eps, tau and the source coupling come
 from one SolverConfig, as in the march.  `cross_check` compares the slab's
 last level with the march on the Picard grid, by exact cell averages
-(`solver.march_rungs`).
+(`solver.march_rungs`), in one `monitors.Check` row.
 A distance sup|P(x) - x| is the exact residual of the iterate x its sweep
 started from, so the solve returns that iterate and measures nothing
 twice.  Each iterate meets the band 2d <= rho <= M, |m| <= M in one check
@@ -57,6 +57,7 @@ from scipy.special import erf
 from .field import solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, HydroState, total_integral)
+from .monitors import Check
 from .solver import SolverConfig, flux, march_rungs, source
 
 
@@ -325,18 +326,18 @@ def check_edges(initial: HydroState, model: GasModel, grid: Grid1D):
 
 
 def cross_check(result: PicardResult, picard_grid: Grid1D, t1: float, march,
-                initial: HydroState):
+                initial: HydroState) -> Check:
     """March `initial` to t1 on the grid, gas law, profile and SolverConfig
     of `march` (a RunSetup or a Trajectory) through `solver.march_rungs`,
     which restricts the march onto the Picard grid by exact cell averages,
     and judge the Picard result against it.
 
-    Returns (gap, tolerance, verdict): the gap is the `sup_distance` between
-    the last level of the Picard iterate and the restricted march, the
-    tolerance CROSS_TOL_FACTOR * (dx + mean dt), and the verdict also asks
-    for a converged iteration with no band violation.  A march that stops
-    before t1 raises `march_rungs`' IntegrationError, naming the march and
-    the time.
+    Returns the `picard` row at t1: its value the `sup_distance` between
+    the last level of the Picard iterate and the restricted march, its
+    bound CROSS_TOL_FACTOR * (dx + mean dt); it passes when the gap is
+    within the bound and the iteration converged with no band violation.
+    A march that stops before t1 raises `march_rungs`' IntegrationError,
+    naming the march and the time.
     """
     (traj,) = march_rungs([(march, initial, [t1])], picard_grid,
                           ["the Picard cross-check march to t1"])
@@ -347,8 +348,8 @@ def cross_check(result: PicardResult, picard_grid: Grid1D, t1: float, march,
     dt_mean = float(np.mean(traj.dts)) if traj.dts else 0.0
     tol_cross = CROSS_TOL_FACTOR * (picard_grid.dx + dt_mean)
     rep = result.report
-    ok = rep.converged and not rep.band_violations and gap <= tol_cross
-    return gap, tol_cross, ok
+    return Check("picard", gap, tol_cross, rep.converged
+                 and not rep.band_violations and gap <= tol_cross, t1)
 
 
 def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,

@@ -39,6 +39,7 @@ from .config import RELAX_KEYS, SCENARIO_KEYS
 from .field import solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, PressureConvention)
+from .monitors import Check
 from .scenarios import RunSetup, make_setup
 from .solver import RecordClock, SourceVariant, march_rungs
 
@@ -247,7 +248,7 @@ class StudyRow:
 @dataclass
 class StudyResult:
     rows: list
-    monotone: bool
+    monotone: Check  # the largest successive change of l1_error, below 0
     reference: DDTrajectory
     manifest: dict = field(default_factory=dict)
 
@@ -344,8 +345,10 @@ def relaxation_study(setup: RunSetup, tau_list,
             l1_net=scaled_l1_gap(s_records[late], n_win - floor, n_ref,
                                  grid.dx)))
 
-    errors = [r.l1_error for r in rows]
-    monotone = all(b < a for a, b in zip(errors, errors[1:]))
+    # strictly decreasing: the largest successive change is negative (a
+    # nan error fails)
+    rise = float(np.max(np.diff([r.l1_error for r in rows])))
+    monotone = Check("monotone", rise, 0.0, rise < 0.0)
     manifest = {
         # every scenario key relax reads; the ladder sets delta, epsilon,
         # tau and t_end per rung (relax_table.csv holds them), the source

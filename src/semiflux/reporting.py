@@ -9,8 +9,8 @@ The cell centres x are stored once, in the profile, where the reader
 checks them against the grid; the field E is derived data.  `audited_texts`
 is the one audit of a run, for `solve` and `verify` both: it reads the
 monitors and the seed from the command echo, runs them, and renders what
-they derive from the records: monitor series to CSV, violations to JSON,
-and report.json (config echo, audit summary, snapshot list, entropy
+they derive from the records: monitor series to CSV, the failed checks'
+entries to JSON, and report.json (config echo, audit summary, snapshot list, entropy
 checks).  Every CSV a command writes goes through `csv_text`.  Every
 number is rendered by '%.17g', 17 significant digits, so repeated runs of
 the same build are byte-identical; a table or CSV body is formatted by one
@@ -106,9 +106,9 @@ def audited_texts(traj: Trajectory, command_echo: dict):
     report = evaluate_trajectory(traj, enabled)
     entropy = {}
     if "entropy" in enabled:
-        entropy["entropy_checks"], violations = entropy_spot_check(
+        entropy["entropy_checks"], checks = entropy_spot_check(
             traj, audit["seed"])
-        report.violations.extend(violations)
+        report.checks.extend(checks)
     payload = {"config": {**command_echo, **config_echo(traj)},
                "summary": report.summary,
                "snapshots": [_SNAPSHOT.format(s) for s in traj.steps.tolist()],

@@ -30,13 +30,17 @@ from semiflux import (
 )
 from semiflux.cli import main
 from semiflux.monitors import (
+    FIELD_TOL,
+    MASS_TOL,
     MONITOR_COLUMNS,
     PLATEAU_TOL,
+    RIEMANN_TOL,
     entropy_sweep,
     plateau_check,
+    plateau_halves,
     random_test_function,
 )
-from semiflux.picard import cross_check
+from semiflux.picard import CROSS_TOL_FACTOR, cross_check
 from semiflux.scenarios import make_setup
 from semiflux.solver import cell_averages, march_rungs
 
@@ -100,15 +104,15 @@ def test_criterion_02_mass_bound(library_runs, periodic_run):
     # outflow: the excess mass may only leave the domain
     for (name, n_cells), item in library_runs.items():
         masses = np.array([r[COL["mass"]] for r in item.report.rows])
-        allowance = 1e-12 * max(1.0, abs(masses[0]))
+        allowance = MASS_TOL * max(1.0, abs(masses[0]))
         assert np.all(np.diff(masses) <= allowance), f"{name}@{n_cells}"
         assert not any(v["monitor"] == "mass"
                        for v in item.report.violations), f"{name}@{n_cells}"
-    # periodic: constant to 1e-12 relative per 1000 steps
+    # periodic: constant to MASS_TOL relative per 1000 steps
     rows = periodic_run.report.rows
     mass0 = rows[0][COL["mass"]]
     drift = max(abs(r[COL["mass"]] - mass0) for r in rows)
-    budget = 1e-12 * max(1.0, abs(mass0)) \
+    budget = MASS_TOL * max(1.0, abs(mass0)) \
         * max(1.0, periodic_run.traj.n_steps / 1000.0)
     assert drift <= budget
     assert not any(v["monitor"] == "mass"
@@ -125,7 +129,7 @@ def test_criterion_03_field_bound(library_runs):
     for (name, n_cells), item in library_runs.items():
         for row in item.report.rows:
             margin = row[COL["field_bound"]] - row[COL["sup_abs_field"]]
-            allowance = 1e-12 * (1.0 + abs(row[COL["field_bound"]]))
+            allowance = FIELD_TOL * (1.0 + abs(row[COL["field_bound"]]))
             assert margin >= -allowance, \
                 f"{name}@{n_cells} at t={row[COL['time']]}"
             min_margin = min(min_margin, margin)
@@ -178,7 +182,7 @@ def test_criterion_05_invariant_growth_bound(library_runs):
         slack = min(r[COL["riemann_bound"]]
                     - max(r[COL["z_max"]], r[COL["w_max"]])
                     for r in item.report.rows)
-        assert slack >= -1e-6, f"{name}@{n_cells}: slack {slack!r}"
+        assert slack >= -RIEMANN_TOL, f"{name}@{n_cells}: slack {slack!r}"
         assert item.report.rows[-1][COL["time"]] >= 5.0 - 1e-9
         worst = min(worst, slack)
     assert checked >= 6  # three scenarios at two resolutions
@@ -198,7 +202,7 @@ def test_criterion_06_time_uniform_plateaus():
         early = report.summary[f"plateau_{series}_early"]
         late = report.summary[f"plateau_{series}_late"]
         assert report.summary[f"plateau_{series}_ok"]
-        assert late <= early * 1.01 + 1e-30
+        assert late <= early * (1.0 + PLATEAU_TOL) + 1e-30
         growths.append(late / early - 1.0)
 
     iso = make_setup("isothermal-bump", {"t_end": 50.0})
@@ -212,13 +216,14 @@ def test_criterion_06_time_uniform_plateaus():
         assert iso_report.summary[f"plateau_{series}_ok"]
         early = iso_report.summary[f"plateau_{series}_early"]
         late = iso_report.summary[f"plateau_{series}_late"]
-        assert late <= early * 1.01 + 1e-30
+        assert late <= early * (1.0 + PLATEAU_TOL) + 1e-30
         growths.append(late / early - 1.0)
     for series in ("w_max", "z_max"):
         values = np.array([r[COL[series]] for r in iso_report.rows])
-        ok, early, late = plateau_check(iso_traj.times, values, PLATEAU_TOL)
-        assert ok
-        assert late <= early + 0.01 * abs(early) + 1e-30
+        early, late = plateau_halves(iso_traj.times, values)
+        row = plateau_check(early, late, iso_traj.times[-1], series)
+        assert row.passed and row.value == late
+        assert late <= early + PLATEAU_TOL * abs(early) + 1e-30
         growths.append((late - early) / max(abs(early), 1e-30))
     wall = time.perf_counter() - t0
     assert wall <= 600.0
@@ -264,13 +269,15 @@ def test_criterion_08_picard_cross_validation():
     assert all(r < 1.0 for r in ratios)
 
     # the march to t1 on the Picard grid, judged by the one cross-check
-    gap, bound, agree = cross_check(result, setup.grid, t1, setup,
-                                    setup.initial)
-    assert gap <= bound
-    assert agree
+    row = cross_check(result, setup.grid, t1, setup, setup.initial)
+    assert (row.check, row.time) == ("picard", t1)
+    assert row.value <= row.bound
+    # the tolerance is CROSS_TOL_FACTOR * (dx + mean dt), dt > 0
+    assert row.bound > CROSS_TOL_FACTOR * setup.grid.dx
+    assert row.passed
     passline(8, "fixed-point cross-validation",
              f"{len(ratios)} ratios max {max(ratios):.3f}, "
-             f"endpoint gap {gap:.3e} <= {bound:.3e}")
+             f"endpoint gap {row.value:.3e} <= {row.bound:.3e}")
 
 
 def test_criterion_09_relaxation_limit():
@@ -281,7 +288,8 @@ def test_criterion_09_relaxation_limit():
                              horizon=0.25)
     wall = time.perf_counter() - t0
     errs = [r.l1_error for r in study.rows]
-    assert study.monotone
+    assert study.monotone.passed
+    assert study.monotone.value == max(errs[1] - errs[0], errs[2] - errs[1])
     assert errs[0] > errs[1] > errs[2]
     diss = [r.dissipation for r in study.rows]
     assert max(diss) <= DISSIPATION_BOUND

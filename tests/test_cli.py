@@ -20,7 +20,7 @@ import semiflux
 from semiflux.cli import main
 from semiflux.config import RELAX_KEYS, SCENARIO_KEYS, coerce
 from semiflux.model import ConfigurationError
-from semiflux.monitors import ALL_MONITORS, parse_monitor_list
+from semiflux.monitors import ALL_MONITORS, MIN_RECORDS, parse_monitor_list
 from semiflux.picard import picard_solve
 from semiflux.relaxation import (CouplingRule, PositivityError,
                                  relaxation_study)
@@ -386,6 +386,27 @@ class TestSolve:
         assert "n_violations" not in payload
         assert not {"initial_mass", "initial_field_bound",
                     "initial_invariant_max"} & set(payload["summary"])
+
+    @pytest.mark.parametrize("monitors,named", [
+        ("all", "uniform, entropy"), ("positivity,entropy", "entropy"),
+        ("positivity", None)])
+    def test_short_run_names_the_monitors_it_did_not_judge(
+            self, tmp_path, capsys, monitors, named):
+        # 3 records are too few for the whole-run monitors: solve says so
+        # on one line, and the run is judged on the rest alone
+        cfg = write_cfg(tmp_path,
+                        "scenario = gaussian-bump\nn_cells = 100\n"
+                        f"t_end = 0.3\ncadence = 5\nmonitors = {monitors}\n")
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "3 snapshots, 0 violation(s)" in lines[0]
+        skipped = [ln for ln in lines if "not judged" in ln]
+        assert skipped == ([] if named is None else [
+            f"  not judged: {named} (need {MIN_RECORDS} records, got 3)"])
+        payload = json.loads((out / "report.json").read_text())
+        assert payload.get("entropy_checks", []) == []
+        assert not any(k.startswith("plateau_") for k in payload["summary"])
 
     def test_seed_flag_reaches_the_echo(self, tmp_path):
         cfg = write_cfg(tmp_path, "scenario = vacuum-rest\nn_cells = 40\n"
@@ -800,7 +821,12 @@ class TestPicardCommand:
             "t1 = 8\nn_intervals = 6\nmax_iters = 12\nrefine = 1\n"))
         out = tmp_path / "pic"
         assert main(["picard", "--config", cfg, "--out-dir", str(out)]) == 1
-        assert "  suggestion: retry with t1 = 4\n" in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert "  suggestion: retry with t1 = 4\n" in text
+        # the verdict is printed, as verify --picard prints it
+        verdict = text.splitlines()[-2]
+        assert verdict.startswith("fixed-point cross-check at t=8: gap=")
+        assert verdict.endswith(" DISAGREES")
         payload = json.loads((out / "picard_report.json").read_text())
         assert payload["diverged"] is True and payload["t1"] == 8.0
 
@@ -865,8 +891,10 @@ class TestPicardCommand:
                                   "n_cells = 40\nboundary = periodic\n")
         out = tmp_path / "pic"
         assert main(["picard", "--config", cfg, "--out-dir", str(out)]) == 0
-        assert "endpoint gap vs refined run: 0.000e+00 " in \
-            capsys.readouterr().out
+        verdict = capsys.readouterr().out.splitlines()[-2]
+        assert verdict.startswith(
+            "fixed-point cross-check at t=0.01: gap=0.000e+00 tolerance=")
+        assert verdict.endswith(" agrees")
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, (
@@ -1231,7 +1259,7 @@ class TestModuleEntry:
         # (solver.run) and where it becomes an exit code (cli.main); the
         # reference's PositivityError is re-raised only by the reference's
         # run; no handler returns None for a failure; and no function of
-        # cli.py but main maps an error to an exit code
+        # cli.py but main maps an error, or a failed check, to an exit code
         src = Path(semiflux.__file__).resolve().parent
         handlers = [(path.name, fn.name, node)
                     for path in sorted(src.glob("*.py"))
@@ -1257,6 +1285,12 @@ class TestModuleEntry:
                          or ast.unparse(ret.value) == "None")]
         assert {(f, fn) for f, fn, _ in handlers if f == "cli.py"} == {
             ("cli.py", "main")}
+        cli = ast.parse((src / "cli.py").read_text())
+        assert {fn.name for fn in ast.walk(cli)
+                if isinstance(fn, ast.FunctionDef)
+                for ret in ast.walk(fn)
+                if isinstance(ret, ast.Return) and ret.value is not None
+                and "CHECK_FAILED" in ast.unparse(ret.value)} == {"main"}
 
     def test_tier1_leaves_no_benchmark_directory(self, pytestconfig):
         # the pytest-benchmark plugin, where installed, creates .benchmarks/
@@ -1264,7 +1298,7 @@ class TestModuleEntry:
         assert pytestconfig.pluginmanager.is_blocked("benchmark")
 
     def test_one_violation_record(self):
-        # every violations.json entry is built by monitors._violation: no
+        # every violations.json entry is built by monitors.Check.entry: no
         # other dict literal in the package has a "monitor" key
         src = Path(semiflux.__file__).resolve().parent
         builders = {(path.name, fn.name)
@@ -1275,7 +1309,7 @@ class TestModuleEntry:
                     if isinstance(node, ast.Dict)
                     and any(isinstance(k, ast.Constant)
                             and k.value == "monitor" for k in node.keys)}
-        assert builders == {("monitors.py", "_violation")}
+        assert builders == {("monitors.py", "entry")}
 
     def test_one_rung_loop_and_no_point_sampling(self):
         # marches are compared through solver.march_rungs, by exact cell

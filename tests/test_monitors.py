@@ -5,6 +5,7 @@ into its firing condition deliberately; the entropy residual is checked on
 states where the weak form collapses to something computable.
 """
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -28,7 +29,8 @@ from semiflux import (
     plateau_check,
 )
 from semiflux import monitors
-from semiflux.monitors import (MONITOR_COLUMNS, _mechanical_energy,
+from semiflux.monitors import (MONITOR_COLUMNS, PLATEAU_TOL, Check,
+                               _mechanical_energy, plateau_halves,
                                random_test_function)
 from semiflux.monitors import TestFunction as SpaceTimeBump
 from semiflux.reporting import audited_texts
@@ -64,34 +66,48 @@ def rest_frames(grid, rho0=1.0, times=(0.0, 1.0, 2.0, 3.0)):
     return [(t, np.full(n, rho0), np.zeros(n)) for t in times]
 
 
+def plateau_row(times, series, tol=0.01):
+    """(early, late, the `uniform` row) of a series over `times`."""
+    early, late = plateau_halves(times, series)
+    return early, late, plateau_check(early, late, times[-1], tol=tol)
+
+
 class TestPlateauCheck:
     def test_flat_series_passes(self):
         t = np.linspace(0.0, 4.0, 9)
-        ok, early, late = plateau_check(t, np.ones(9), 0.01)
-        assert ok and early == 1.0 and late == 1.0
+        early, late, row = plateau_row(t, np.ones(9))
+        assert row.passed and early == 1.0 and late == 1.0
+        assert row == Check("uniform", 1.0, 1.01, True, 4.0)
 
     def test_decay_passes(self):
         t = np.linspace(0.0, 4.0, 9)
-        ok, _, _ = plateau_check(t, np.exp(-t), 0.01)
-        assert ok
+        assert plateau_row(t, np.exp(-t))[2].passed
 
     def test_late_growth_fails(self):
         t = np.linspace(0.0, 4.0, 9)
         series = np.where(t > 2.0, 1.2, 1.0)
-        ok, early, late = plateau_check(t, series, 0.01)
-        assert not ok
+        early, late, row = plateau_row(t, series)
+        assert not row.passed
         assert early == 1.0
         assert late == 1.2
 
     def test_growth_within_tolerance_passes(self):
         t = np.linspace(0.0, 4.0, 9)
         series = np.where(t > 2.0, 1.005, 1.0)
-        ok, _, _ = plateau_check(t, series, 0.01)
-        assert ok
+        assert plateau_row(t, series)[2].passed
+
+    def test_bound_is_the_pass_rule(self):
+        # the row passes exactly up to the bound it reports, early * 1.01
+        t = np.linspace(0.0, 4.0, 9)
+        bound = 0.7 * (1.0 + PLATEAU_TOL)
+        for late, passed in ((bound, True), (np.nextafter(bound, 1.0), False)):
+            series = np.where(t > 2.0, late, 0.7)
+            row = plateau_row(t, series, PLATEAU_TOL)[2]
+            assert (row.value, row.bound, row.passed) == (late, bound, passed)
 
     def test_degenerate_split_is_waived(self):
-        ok, early, late = plateau_check(np.array([0.0]), np.array([5.0]), 0.01)
-        assert ok
+        early, late, row = plateau_row(np.array([0.0]), np.array([5.0]))
+        assert row.passed
         assert np.isnan(early) and np.isnan(late)
 
 
@@ -207,6 +223,27 @@ class TestEvaluateTrajectory:
         assert report.summary["plateau_sup_rho_ok"] is True
         assert not any(k.startswith(("plateau_w_max", "plateau_z_max"))
                        for k in report.summary)
+
+    def test_violations_file_holds_exactly_the_failed_rows(self):
+        # density jumps up in the late half: the mass rows of the last two
+        # records and the sup_rho plateau row fail; every other row passes
+        # and stays out of violations.json
+        n = self.grid.n_cells
+        frames = [(t, np.full(n, 1.2 if t > 1.5 else 1.0), np.zeros(n))
+                  for t in (0.0, 1.0, 2.0, 3.0)]
+        traj = make_traj(self.grid, self.model, frames, self.profile)
+        report, texts = audited_texts(traj, {"monitors": "all", "seed": 0})
+        failed = [c for c in report.checks if not c.passed]
+        stored = json.loads(texts["violations.json"])
+        assert stored == [c.entry() for c in failed] == report.violations
+        assert [(c.check, c.time, c.series) for c in failed] == [
+            ("mass", 2.0, None), ("mass", 3.0, None),
+            ("uniform", 3.0, "sup_rho")]
+        assert stored[-1]["series"] == "sup_rho"
+        passing = [c.entry() for c in report.checks if c.passed]
+        # 4 rows per record, the sup_abs_u plateau, 3 entropy rows
+        assert len(passing) == 4 * 4 - 2 + 1 + 3
+        assert not [e for e in passing if e in stored]
 
     def test_disabled_monitors_stay_silent(self):
         frames = rest_frames(self.grid)
@@ -338,18 +375,21 @@ class TestEntropyResidual:
         assert abs(res) < 1e-3 * scale
 
     def test_spot_check_deterministic_in_seed(self, bump_traj, bump_setup):
-        r1, v1 = entropy_spot_check(bump_traj, seed=42)
-        r2, v2 = entropy_spot_check(bump_traj, seed=42)
-        assert r1 == r2 and v1 == v2
+        r1, c1 = entropy_spot_check(bump_traj, seed=42)
+        r2, c2 = entropy_spot_check(bump_traj, seed=42)
+        assert r1 == r2 and c1 == c2
         r3, _ = entropy_spot_check(bump_traj, seed=43)
         assert [d["x_center"] for d in r3] != [d["x_center"] for d in r1]
 
     def test_spot_check_clean_on_smooth_run(self, monkeypatch, bump_traj,
                                             bump_setup):
         monkeypatch.setattr(monitors, "N_PHI", 5)
-        results, violations = entropy_spot_check(bump_traj, seed=7)
+        results, checks = entropy_spot_check(bump_traj, seed=7)
         assert len(results) == 5
-        assert violations == []
+        assert [(c.check, c.value, c.bound, c.time) for c in checks] == [
+            ("entropy", r["residual"], -r["tolerance"], r["t_center"])
+            for r in results]
+        assert all(c.passed for c in checks)
 
     def test_short_trajectory_is_skipped(self):
         grid = Grid1D(-5.0, 5.0, 64)
@@ -357,8 +397,8 @@ class TestEntropyResidual:
         profile = uniform_profile(grid)
         traj = make_traj(grid, model, rest_frames(grid, times=(0.0, 1.0)),
                          profile, SolverConfig(tau=1.0, epsilon=1e-3))
-        results, violations = entropy_spot_check(traj, seed=0)
-        assert results == [] and violations == []
+        results, checks = entropy_spot_check(traj, seed=0)
+        assert results == [] and checks == []
 
     def test_tolerance_scale_follows_source_variant(self):
         # on the vacuum floor the excess-density source vanishes, while the

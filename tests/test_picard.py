@@ -268,9 +268,8 @@ class TestFixedPoints:
         assert result.report.distances[0] < 1e-15
         assert np.max(np.abs(result.iterate.rho - s.initial.rho)) < 1e-15
         assert np.max(np.abs(result.iterate.mom)) < 1e-15
-        gap, _, agree = cross_check(result, s.grid, CROSS_CHECK_T1, s,
-                                    s.initial)
-        assert gap < 1e-15 and agree
+        row = cross_check(result, s.grid, CROSS_CHECK_T1, s, s.initial)
+        assert row.value < 1e-15 and row.passed
 
     def test_decaying_data_preserves_excess_mass(self):
         grid = Grid1D(-5.0, 5.0, 200)

@@ -412,7 +412,7 @@ class TestRelaxationStudy:
             coupling=CouplingRule(delta_coeff=0.2),
             horizon=0.25, window=(-2.0, 2.0))
         errs = [r.l1_error for r in result.rows]
-        assert result.monotone
+        assert result.monotone.passed
         assert errs[0] > errs[1] > errs[2]
         # dissipation integrals admit one common bound along the ladder
         assert max(r.dissipation for r in result.rows) < 10.0
@@ -438,7 +438,10 @@ class TestRelaxationStudy:
             study_inputs(), tau_list=[0.2, 0.1, 0.05],
             coupling=CouplingRule(eps_fixed=0.5, delta_coeff=0.2),
             horizon=0.25, window=(-2.0, 2.0))
-        assert not result.monotone
+        errs = [r.l1_error for r in result.rows]
+        row = result.monotone
+        assert (row.value, row.bound, row.passed) == (
+            max(errs[1] - errs[0], errs[2] - errs[1]), 0.0, False)
 
     def test_scaled_gap_of_reference_with_itself_is_zero(self):
         setup = study_inputs(n_cells=100)
