@@ -61,6 +61,8 @@ from dataclasses import fields
 from itertools import zip_longest
 from pathlib import Path
 
+import scipy  # noqa: F401  no submodule: perfbench/child.py reads its version
+
 from .config import (PICARD_KEYS, RELAX_KEYS, SCENARIO_KEYS, SOLVE_KEYS,
                      coerce, parse_key_value)
 from .model import ConfigurationError, HydroState

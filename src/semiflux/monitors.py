@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  at start-up, not on first use in a command
 
 from .field import doping_mass, mass_field_bound, solve_field
 from .model import Boundary, ConfigurationError, GasModel, PressureConvention
@@ -233,8 +234,10 @@ def plateau_check(early: float, late: float, time: float = math.nan,
                   series: str | None = None,
                   tol: float = PLATEAU_TOL) -> Check:
     """The `uniform` row of a sup-norm: its late-half maximum against the
-    bound early * (1 + tol), which is its pass rule; a nan split passes."""
-    bound = early * (1.0 + tol)
+    bound early * (1 + tol) for early >= 0 and early * (1 - tol) below,
+    a rise of tol * |early| either way, which is its pass rule; a nan split
+    passes."""
+    bound = early * (1.0 + math.copysign(tol, early))
     return Check("uniform", late, bound, not late > bound, time, series)
 
 

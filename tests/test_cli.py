@@ -1356,3 +1356,23 @@ class TestModuleEntry:
             env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_picard_leaves_scipy_special_unloaded(self, tmp_path):
+        # scipy.special costs about 0.25 s of import; the heat kernel's CDF
+        # is math.erfc, so not even the command that evaluates it loads it
+        src = str(Path(semiflux.__file__).resolve().parents[1])
+        cfg = write_cfg(tmp_path, (
+            "scenario = gaussian-bump\nn_cells = 40\nepsilon = 0.01\n"
+            "t1 = 0.01\nn_intervals = 2\n"))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, semiflux.cli; "
+             "loaded = 'scipy.special' in sys.modules; "
+             "rc = semiflux.cli.main(['picard', '--config', sys.argv[1], "
+             "'--out-dir', sys.argv[2]]); "
+             "print(rc, loaded, 'scipy.special' in sys.modules)",
+             cfg, str(tmp_path / "pic")],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False False"

@@ -105,6 +105,16 @@ class TestPlateauCheck:
             row = plateau_row(t, series, PLATEAU_TOL)[2]
             assert (row.value, row.bound, row.passed) == (late, bound, passed)
 
+    def test_negative_early_allows_the_same_rise(self):
+        # early = -0.1: the bound is -0.099, a rise of 1 % of |early|, not
+        # -0.101, which would demand a fall of 1 %
+        bound = -0.1 * (1.0 - PLATEAU_TOL)
+        for late, passed in ((-0.0995, True), (bound, True),
+                             (np.nextafter(bound, 1.0), False),
+                             (-0.098, False)):
+            row = plateau_check(-0.1, late, 4.0, "w_max")
+            assert (row.bound, row.passed) == (bound, passed)
+
     def test_degenerate_split_is_waived(self):
         early, late, row = plateau_row(np.array([0.0]), np.array([5.0]))
         assert row.passed

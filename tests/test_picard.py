@@ -98,6 +98,35 @@ class TestHeatKernel:
         assert k.cdf(50.0, 0.5) == pytest.approx(1.0, abs=1e-12)
         assert k.cdf(-50.0, 0.5) == pytest.approx(0.0, abs=1e-12)
 
+    # eps t = 1/4, so the CDF's argument z = x / (2 sqrt(eps t)) is x
+    UNIT = HeatKernel(epsilon=0.25)
+    Z = np.linspace(-8.0, 8.0, 16001)
+
+    def test_cdf_halves_sum_to_one(self):
+        both = self.UNIT.cdf(self.Z, 1.0) + self.UNIT.cdf(-self.Z, 1.0)
+        assert np.all(np.abs(both - 1.0) <= 2 * np.spacing(1.0))
+
+    def test_cdf_matches_the_erf_form(self):
+        from scipy.special import erf
+        want = 0.5 * (1.0 + erf(self.Z))
+        assert np.max(np.abs(self.UNIT.cdf(self.Z, 1.0) - want)) <= 4e-16
+
+    def test_cdf_keeps_the_left_tail(self):
+        # 1 + erf(-7) rounds to 0; erfc(7) / 2 is 2.09e-23
+        from scipy.special import erf
+        assert 0.5 * (1.0 + erf(-7.0)) == 0.0
+        assert self.UNIT.cdf(-7.0, 1.0) == \
+            pytest.approx(0.5 * math.erfc(7.0), rel=1e-15)
+        assert self.UNIT.cdf(-7.0, 1.0) > 0.0
+
+    def test_cdf_table_rows_are_their_scalar_times(self):
+        k = HeatKernel(epsilon=0.01)
+        x = np.linspace(-0.3, 0.3, 61)
+        times = np.array([0.5e-4, 1e-3, 3.7e-3, 0.01])
+        table = k.cdf(x, times[:, None])
+        for row, t in zip(table, times):
+            assert np.array_equal(row, k.cdf(x, float(t)))
+
     def test_cell_weights_sum_to_one(self):
         k = HeatKernel(epsilon=0.01)
         w = centred_weights(k, k._cells, dx=0.05, t=0.05)
