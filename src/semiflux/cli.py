@@ -58,7 +58,7 @@ import json
 import sys
 import time
 from dataclasses import fields
-from itertools import zip_longest
+from itertools import groupby, zip_longest
 from pathlib import Path
 
 import scipy  # noqa: F401  no submodule: perfbench/child.py reads its version
@@ -66,7 +66,7 @@ import scipy  # noqa: F401  no submodule: perfbench/child.py reads its version
 from .config import (PICARD_KEYS, RELAX_KEYS, SCENARIO_KEYS, SOLVE_KEYS,
                      coerce, parse_key_value)
 from .model import ConfigurationError, HydroState
-from .monitors import MIN_RECORDS, Check, parse_monitor_list
+from .monitors import Check, parse_monitor_list
 from .picard import (CROSS_CHECK_T1, check_edges, check_t1, cross_check,
                      picard_solve)
 from .relaxation import (CouplingRule, PositivityError, StudyRow,
@@ -161,10 +161,10 @@ def cmd_solve(args) -> list:
           f"{len(traj.times)} snapshots, "
           f"{len(report.violations)} violation(s)")
     _print_violations(report.violations)
-    unjudged = [m for m in ("uniform", "entropy") if m in enabled]
-    if unjudged and len(traj.times) < MIN_RECORDS:
-        print(f"  not judged: {', '.join(unjudged)} (need {MIN_RECORDS} "
-              f"records, got {len(traj.times)})")
+    if report.unjudged:  # monitors that share a reason share an entry
+        print("  not judged: " + "; ".join(
+            f"{', '.join(names)} ({why})"
+            for why, names in groupby(report.unjudged, report.unjudged.get)))
     if not traj.completed:
         print(f"  integration stopped early at t={traj.times[-1]:.6g}")
     print(f"wrote {out}")

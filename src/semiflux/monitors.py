@@ -4,40 +4,34 @@ Each monitor is a pure function of recorded snapshots, so a finished run can
 be re-audited offline and must reproduce the original report bit for bit.
 A run records only (rho, m); the field E is derived here.  The audit runs
 over `_blocks` of consecutive records, each at most `BLOCK_CELLS` cells or
-one record, with one `solve_field` call per block; each column is one
-reduction along the cells per block, which gives the one-row bits.
-Monitored quantities: excess mass (non-increasing under outflow, constant
-under periodic), the field sup-bound ratio, growth of the Riemann invariants
-max z, max w <= M2 + M1*t (z, w = int_1^rho sqrt(P'(s))/s ds -+ u, ln rho
--+ u at gamma = 1; a row stores max z, max w and the bound, not their
-difference), plateaus of sup rho and sup |u|, the quantities the
-uniform bound rho <= M, |u| <= M names, at every gamma under the
-uniform-bound hypotheses, and the weak entropy inequality against compactly
-supported test functions phi = g(xi_x) g(xi_t), `TestFunction._bump`
-giving g and g' from one exponential.  The summary's step count,
-completion and lowest density are read off the records too.  Every audit
-reads the device profile and the SolverConfig (eps, tau, source coupling)
-from the Trajectory itself, so it judges the run under the settings it was
-marched with.
+one record, with one `solve_field` call per block.  `_record_columns`
+builds the one monitor table, an array per name of `MONITOR_COLUMNS` (a
+new column is one entry there): excess mass, sup rho and sup |u| (the
+quantities of the uniform bound rho, |u| <= M), the field sup and its
+bound, and max z, max w of the Riemann invariants (z, w = int_1^rho
+sqrt(P'(s))/s ds -+ u) with their growth bound M2 + M1*t.  It is
+`MonitorReport.columns` and monitors.csv, and every check reads it by
+name.  Every audit reads the device profile and the SolverConfig (eps,
+tau, source coupling) from the Trajectory itself.
 Every verdict is one `Check` row (check, value, bound, passed), here and
 in `picard` and `relaxation`; `Check.entry` builds every entry of
-violations.json, which holds the failed rows of a `MonitorReport`.
-`evaluate_trajectory` audits the monitors named in `enabled`, a tuple that
-`parse_monitor_list` reads and validates; `reporting.audited_texts` is
-where a command runs them.  The four per-record bounds (positivity, mass,
-field, riemann) are one table of (monitor, value, bound, passed) rows per
-record, in that order, so violations.json is record-major; only the mass
-row splits, by boundary.  `uniform` and `entropy` judge a run of at least
-`MIN_RECORDS` records only.  The entropy audit is one `entropy_sweep`
-over the snapshots: each block's mechanical energy, flux and source term
-are evaluated once and shared by every test function and by the
-tolerance scale.
+violations.json, the failed rows of a `MonitorReport`.
+`evaluate_trajectory` audits the monitors named in `enabled`
+(`parse_monitor_list`); `reporting.audited_texts` is where a command runs
+them.  The four per-record bounds (positivity, mass, field, riemann) are
+one array rule each over the table, emitted record-major; only mass
+splits, by boundary: non-increasing under outflow, constant periodic.
+The whole-run monitors, `uniform` (plateaus of sup rho and sup |u|) and
+`entropy` (the weak entropy inequality against compactly supported test
+functions, one `entropy_sweep` over the snapshots), judge a run of
+`MIN_RECORDS` records or more, uniform under the profile's hypotheses,
+entropy over a time span: `_unjudged_reason` names why one did not.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # noqa: F401  at start-up, not on first use in a command
@@ -78,12 +72,11 @@ N_PHI = 3
 # most cells one audit block holds (one record at least): bounds the
 # audit's workspace and lets a short run be audited in one block
 BLOCK_CELLS = 4096
-
-
-MONITOR_COLUMNS = (
-    "step", "time", "mass", "min_rho", "sup_rho", "sup_abs_u",
-    "sup_abs_field", "field_bound", "z_max", "w_max", "riemann_bound",
-)
+# the monitor table's names in order: monitors.csv's header, the keys of
+# `MonitorReport.columns` (`_record_columns` computes each)
+MONITOR_COLUMNS = ("step", "time", "mass", "min_rho", "sup_rho", "sup_abs_u",
+                   "sup_abs_field", "field_bound", "z_max", "w_max",
+                   "riemann_bound")
 
 
 @dataclass(frozen=True)
@@ -108,9 +101,10 @@ class Check:
 
 @dataclass
 class MonitorReport:
-    rows: list    # one list of MONITOR_COLUMNS values per record
-    checks: list  # one `Check` per verdict of an enabled monitor
-    summary: dict = field(default_factory=dict)
+    columns: dict   # MONITOR_COLUMNS name -> its array, one entry per record
+    checks: list    # one `Check` per verdict of an enabled monitor
+    summary: dict
+    unjudged: dict  # enabled whole-run monitor -> why it did not judge
 
     @property
     def violations(self) -> list:
@@ -132,92 +126,96 @@ def _blocks(traj: Trajectory):
                                                      grid)
 
 
-def _record_columns(traj: Trajectory) -> list:
-    """Per record, as lists: step, time, excess mass, min rho, sup rho,
-    sup |u|, sup |E|, max z and max w (u, z and w at the floored density),
-    each column one axis=-1 reduction per block."""
-    model, dx = traj.model, traj.grid.dx
-    columns = [[] for _ in range(9)]
+def _record_columns(traj: Trajectory) -> dict:
+    """The monitor table, one array per name of `MONITOR_COLUMNS`: each
+    column of the records one axis=-1 reduction per block (u, z and w at
+    the floored density), `field_bound` from the excess mass, and
+    `riemann_bound` M2 + M1 * t, M1 the field bound's running maximum from
+    0 (past a nan) and M2 record 0's top invariant."""
+    model, grid, profile = traj.model, traj.grid, traj.profile
+    parts = []
     for span, rho, mom, e_vals in _blocks(traj):
         # derived columns use a floored density so that one positivity
         # failure does not abort the rest of the audit; the positivity
         # monitor itself always sees the raw minimum
         rho_safe = np.maximum(rho, model.rho_floor)
         z, w = model.riemann_invariants(rho_safe, mom)
-        block = (traj.steps[span], traj.times[span],
-                 dx * np.sum(rho - model.rho_floor, axis=-1),
-                 np.min(rho, axis=-1), np.max(rho, axis=-1),
-                 np.max(np.abs(mom / rho_safe), axis=-1),
-                 np.max(np.abs(e_vals), axis=-1),
-                 np.max(z, axis=-1), np.max(w, axis=-1))
-        for column, values in zip(columns, block):
-            column += values.tolist()
-    return columns
+        parts.append((grid.dx * np.sum(rho - model.rho_floor, axis=-1),
+                      np.min(rho, axis=-1), np.max(rho, axis=-1),
+                      np.max(np.abs(mom / rho_safe), axis=-1),
+                      np.max(np.abs(e_vals), axis=-1),
+                      np.max(z, axis=-1), np.max(w, axis=-1)))
+    mass, min_rho, sup_rho, sup_u, sup_e, z_max, w_max = map(np.concatenate,
+                                                            zip(*parts))
+    bound = mass_field_bound(mass, doping_mass(profile, grid), profile.e_minus)
+    m1 = np.fmax.accumulate(np.concatenate(([0.0], bound)))[1:]
+    m2 = max(z_max[0], w_max[0])
+    return {"step": traj.steps, "time": traj.times, "mass": mass,
+            "min_rho": min_rho, "sup_rho": sup_rho, "sup_abs_u": sup_u,
+            "sup_abs_field": sup_e, "field_bound": bound, "z_max": z_max,
+            "w_max": w_max, "riemann_bound": m2 + m1 * traj.times}
+
+
+def _unjudged_reason(traj: Trajectory, monitor: str) -> str | None:
+    """Why the whole-run monitor "uniform" or "entropy" does not judge
+    `traj`, None when it does: too few records, for entropy no time span,
+    for uniform the first hypothesis the profile fails."""
+    times, check = traj.times, traj.profile.check
+    if len(times) < MIN_RECORDS:
+        return f"need {MIN_RECORDS} records, got {len(times)}"
+    if monitor == "entropy" and times[-1] <= times[0]:
+        return "no recorded time span"
+    return check.first_failure if monitor == "uniform" else None
 
 
 def evaluate_trajectory(traj: Trajectory,
                         enabled: tuple = ALL_MONITORS) -> MonitorReport:
     """Recompute each monitor named in `enabled` over the recorded
-    snapshots; the monitor series are computed whatever is enabled, the
-    `Check` rows only for the enabled monitors."""
-    model, grid, profile = traj.model, traj.grid, traj.profile
-    rows, checks = [], []
-
-    columns = _record_columns(traj)
-    # record 0 is the initial state: its excess mass, and M2 its top
-    # Riemann invariant
-    mass0, m2 = columns[2][0], max(columns[7][0], columns[8][0])
-    doping = doping_mass(profile, grid)
-
-    mass_scale = max(1.0, abs(mass0))
-    floor = model.admissible_floor
-    prev_mass = mass0
-    m1_running = 0.0
-
-    for (step, t, mass, min_rho, sup_rho, sup_u, sup_field, z_max,
-         w_max) in zip(*columns):
-        dyn_bound = mass_field_bound(mass, doping, profile.e_minus)
-        m1_running = max(m1_running, dyn_bound)
-        r_bound = m2 + m1_running * t
-        r_top = max(z_max, w_max)
-
-        rows.append([step, t, mass, min_rho, sup_rho, sup_u,
-                     sup_field, dyn_bound, z_max, w_max, r_bound])
-
-        # mass is constant (periodic, slack per 1000 steps) or non-increasing
-        if grid.boundary is Boundary.PERIODIC:
-            slack = MASS_TOL * mass_scale * max(1.0, step / 1000.0)
-            mass_row = ("mass", mass, mass0, not abs(mass - mass0) > slack)
-        else:
-            slack = MASS_TOL * mass_scale
-            mass_row = ("mass", mass, prev_mass, not (
-                mass > prev_mass + slack or mass > mass0 + slack))
-        bounds = (
-            ("positivity", min_rho, floor, not min_rho < floor),
-            mass_row,
-            ("field", sup_field, dyn_bound,
-             not sup_field > dyn_bound * (1.0 + FIELD_TOL) + FIELD_TOL),
-            ("riemann", r_top, r_bound, not r_bound - r_top < -RIEMANN_TOL))
-        checks += [Check(*row, t) for row in bounds if row[0] in enabled]
-        prev_mass = mass
+    snapshots: the table whatever is enabled, the enabled monitors' `Check`
+    rows, and each enabled whole-run monitor that did not judge, with why."""
+    col = _record_columns(traj)
+    times, mass, mass0 = col["time"], col["mass"], col["mass"][0]
+    # record 0 is the initial state; the excess mass is constant (periodic,
+    # slack per 1000 steps) or non-increasing, stepwise and from the start
+    slack = MASS_TOL * max(1.0, abs(mass0))
+    if traj.grid.boundary is Boundary.PERIODIC:
+        slack = slack * np.maximum(1.0, col["step"] / 1000.0)
+        mass_rule = (mass, mass0, ~(np.abs(mass - mass0) > slack))
+    else:
+        prev = np.concatenate(([mass0], mass[:-1]))
+        mass_rule = (mass, prev,
+                     ~((mass > prev + slack) | (mass > mass0 + slack)))
+    floor, sup_e, f_bound = (traj.model.admissible_floor,
+                             col["sup_abs_field"], col["field_bound"])
+    r_top = np.where(col["w_max"] > col["z_max"], col["w_max"], col["z_max"])
+    r_bound = col["riemann_bound"]
+    # the per-record bounds, each (value, bound, passed) over the records
+    rules = {
+        "positivity": (col["min_rho"], floor, ~(col["min_rho"] < floor)),
+        "mass": mass_rule,
+        "field": (sup_e, f_bound,
+                  ~(sup_e > f_bound * (1.0 + FIELD_TOL) + FIELD_TOL)),
+        "riemann": (r_top, r_bound, ~(r_bound - r_top < -RIEMANN_TOL))}
+    table = [(name, *(np.broadcast_to(a, times.shape).tolist() for a in rule))
+             for name, rule in rules.items() if name in enabled]
+    checks = [Check(name, value[i], bound[i], passed[i], t)
+              for i, t in enumerate(times.tolist())
+              for name, value, bound, passed in table]
 
     summary = {"min_rho_ever": float(np.min(traj.min_rho)),
                "n_steps": traj.n_steps, "completed": traj.completed}
-
-    if "uniform" in enabled and len(rows) >= MIN_RECORDS:
-        times = traj.times
+    unjudged = {m: why for m in ("uniform", "entropy") if m in enabled
+                and (why := _unjudged_reason(traj, m)) is not None}
+    if "uniform" in enabled and len(times) >= MIN_RECORDS:
         for name in ("sup_rho", "sup_abs_u"):
-            col = MONITOR_COLUMNS.index(name)
-            series = np.array([r[col] for r in rows])
-            early, late = plateau_halves(times, series)
+            early, late = plateau_halves(times, col[name])
             row = plateau_check(early, late, times[-1], name)
-            summary[f"plateau_{name}_early"] = early
-            summary[f"plateau_{name}_late"] = late
-            summary[f"plateau_{name}_ok"] = row.passed
-            if profile.check.ok:
+            summary.update({f"plateau_{name}_early": early,
+                            f"plateau_{name}_late": late,
+                            f"plateau_{name}_ok": row.passed})
+            if "uniform" not in unjudged:
                 checks.append(row)
-
-    return MonitorReport(rows=rows, checks=checks, summary=summary)
+    return MonitorReport(col, checks, summary, unjudged)
 
 
 def plateau_halves(times: np.ndarray, series: np.ndarray):
@@ -231,13 +229,12 @@ def plateau_halves(times: np.ndarray, series: np.ndarray):
 
 
 def plateau_check(early: float, late: float, time: float = math.nan,
-                  series: str | None = None,
-                  tol: float = PLATEAU_TOL) -> Check:
+                  series: str | None = None) -> Check:
     """The `uniform` row of a sup-norm: its late-half maximum against the
-    bound early * (1 + tol) for early >= 0 and early * (1 - tol) below,
-    a rise of tol * |early| either way, which is its pass rule; a nan split
+    bound early * (1 +- PLATEAU_TOL), + for early >= 0, a rise of
+    PLATEAU_TOL * |early| either way, which is its pass rule; a nan split
     passes."""
-    bound = early * (1.0 + math.copysign(tol, early))
+    bound = early * (1.0 + math.copysign(PLATEAU_TOL, early))
     return Check("uniform", late, bound, not late > bound, time, series)
 
 
@@ -357,12 +354,12 @@ def entropy_spot_check(traj: Trajectory, seed: int):
     residuals.  All test functions are drawn first and audited in one
     `entropy_sweep`.  Returns (results, checks), one `entropy` row per test
     function: its residual against the bound
-    -(dx + eps + mean recording gap) * scale.  A run of fewer than
-    `MIN_RECORDS` records is not judged: both lists are empty.
+    -(dx + eps + mean recording gap) * scale.  A run the entropy monitor
+    does not judge (`_unjudged_reason`) gives two empty lists.
     """
     grid, times = traj.grid, traj.times
     results, checks = [], []
-    if len(times) < MIN_RECORDS or times[-1] <= times[0]:
+    if _unjudged_reason(traj, "entropy") is not None:
         return results, checks
     rng = np.random.default_rng(seed)
     span = times[-1] - times[0]

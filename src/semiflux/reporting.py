@@ -9,12 +9,12 @@ The cell centres x are stored once, in the profile, where the reader
 checks them against the grid; the field E is derived data.  `audited_texts`
 is the one audit of a run, for `solve` and `verify` both: it reads the
 monitors and the seed from the command echo, runs them, and renders what
-they derive from the records: monitor series to CSV, the failed checks'
-entries to JSON, and report.json (config echo, audit summary, snapshot list, entropy
-checks).  Every CSV a command writes goes through `csv_text`.  Every
-number is rendered by '%.17g', 17 significant digits, so repeated runs of
-the same build are byte-identical; a table or CSV body is formatted by one
-'%' operation over all its values (`_lines`).
+they derive from the records: the monitor table to CSV, the failed
+checks' entries to JSON, and report.json (config echo, audit summary,
+snapshot list, entropy checks).  Every CSV a command writes goes through
+`csv_text`.  Every number is rendered by '%.17g', 17 significant digits,
+so repeated runs of the same build are byte-identical; a table or CSV
+body is formatted by one '%' operation over all its values (`_lines`).
 Wall-clock timing lives in its own file.
 """
 
@@ -97,7 +97,7 @@ def audited_texts(traj: Trajectory, command_echo: dict):
     and the entropy seed are read from `command_echo` with `solve`'s key
     types, the enabled monitors run over `traj` and, with "entropy", the
     spot check.  Returns (MonitorReport, {file name: text}) of the files
-    the audit derives: the monitor series, the violations, and report.json,
+    the audit derives: the monitor table, the violations, and report.json,
     which holds the config echo (`command_echo` with `traj`'s settings over
     it), the audit summary, the snapshot list and the entropy checks."""
     audit = coerce({k: command_echo[k] for k in ("monitors", "seed")},
@@ -113,7 +113,8 @@ def audited_texts(traj: Trajectory, command_echo: dict):
                "summary": report.summary,
                "snapshots": [_SNAPSHOT.format(s) for s in traj.steps.tolist()],
                **entropy}
-    return report, {"monitors.csv": csv_text(MONITOR_COLUMNS, report.rows),
+    table = zip(*(report.columns[name].tolist() for name in MONITOR_COLUMNS))
+    return report, {"monitors.csv": csv_text(MONITOR_COLUMNS, table),
                     "violations.json": json_text(report.violations),
                     "report.json": json_text(payload)}
 

@@ -125,6 +125,7 @@ class SolverConfig:
 # what bounded a step: the advective or the viscous term of the stable-step
 # budget, or a record time or t_end that cut the step short
 LIMITS = ("advection", "viscosity", "clamp")
+MAX_STEPS = 10 ** 7  # most steps one `run` takes; a cut run is incomplete
 
 
 @dataclass(frozen=True)
@@ -456,12 +457,12 @@ class Trajectory:
 
 def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
         cfg: SolverConfig, grid: Grid1D, cadence: int = 50,
-        record_times=None, max_steps: int = 10 ** 7) -> Trajectory:
+        record_times=None) -> Trajectory:
     """March to cfg.t_end, recording every `cadence` steps or, given
     `record_times`, at the instants of their `RecordClock`, each step
     clamped to land on the next (one not after the initial state's time is
     a ConfigurationError).  The initial and final states are always
-    recorded, also when a failed step or `max_steps` stops the march early,
+    recorded, also when a failed step or `MAX_STEPS` stops the march early,
     incomplete.  The march state stays in one workspace; each record is
     copied out of it once, as one (2, n) block, and the blocks are stacked
     once into the returned Trajectory's arrays.
@@ -491,7 +492,7 @@ def run(initial: HydroState, profile: DeviceProfile, model: GasModel,
     # an overflowing step is caught by its own finiteness test, which stops
     # the march; numpy's warnings on the way there would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        while not done and k < max_steps:
+        while not done and k < MAX_STEPS:
             try:
                 state, rep = step(state, profile, model, cfg, grid,
                                   t_stop=clock.target(), _work=work)

@@ -10,11 +10,12 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from semiflux.field import solve_field
-from semiflux.model import (DeviceProfile, GasModel, HydroState,
+from semiflux.field import doping_mass, mass_field_bound, solve_field
+from semiflux.model import (Boundary, DeviceProfile, GasModel, HydroState,
                             PressureConvention, _powm1_over)
-from semiflux.monitors import (N_PHI, _mechanical_energy,
-                               random_test_function)
+from semiflux.monitors import (ALL_MONITORS, FIELD_TOL, MASS_TOL,
+                               MONITOR_COLUMNS, N_PHI, RIEMANN_TOL, Check,
+                               _mechanical_energy, random_test_function)
 from semiflux.picard import PicardIterate
 from semiflux.relaxation import PositivityError, _dd_faces
 from semiflux.solver import (IntegrationError, SourceVariant, StepReport,
@@ -265,6 +266,60 @@ def run_reference(initial, profile, model, cfg, grid, cadence=50,
     steps, times, rhos, moms = zip(*records)
     return (np.array(steps), np.array(times), np.stack(rhos), np.stack(moms),
             np.array(lows), dts, limits)
+
+
+def monitor_table_reference(traj, enabled=ALL_MONITORS):
+    """The monitor table and the per-record `Check` rows, one record at a
+    time: the field solved per record, Python `max` for M2 and a record's
+    top invariant, a running maximum of the field bound from 0.0, and the
+    previous record's mass.  Returns ({column name: array}, checks);
+    `evaluate_trajectory` must reproduce both bit for bit."""
+    model, grid, profile = traj.model, traj.grid, traj.profile
+    floor, doping = model.rho_floor, doping_mass(profile, grid)
+    table = {name: [] for name in MONITOR_COLUMNS}
+    checks, m1_running = [], 0.0
+    for step, t, rho, mom in zip(traj.steps.tolist(), traj.times.tolist(),
+                                 traj.rho, traj.mom):
+        rho_safe = np.maximum(rho, floor)
+        z, w = model.riemann_invariants(rho_safe, mom)
+        mass = float(grid.dx * np.sum(rho - floor))
+        z_max, w_max = float(np.max(z)), float(np.max(w))
+        if not table["step"]:  # record 0: the initial mass and M2
+            mass0 = prev_mass = mass
+            m2 = max(z_max, w_max)
+        dyn_bound = mass_field_bound(mass, doping, profile.e_minus)
+        m1_running = max(m1_running, dyn_bound)
+        r_bound = m2 + m1_running * t
+        r_top = max(z_max, w_max)
+        min_rho = float(np.min(rho))
+        sup_field = float(np.max(np.abs(solve_field(rho - floor, profile,
+                                                    grid))))
+        row = {"step": step, "time": t, "mass": mass, "min_rho": min_rho,
+               "sup_rho": float(np.max(rho)),
+               "sup_abs_u": float(np.max(np.abs(mom / rho_safe))),
+               "sup_abs_field": sup_field, "field_bound": dyn_bound,
+               "z_max": z_max, "w_max": w_max, "riemann_bound": r_bound}
+        for name, value in row.items():
+            table[name].append(value)
+
+        mass_scale = max(1.0, abs(mass0))
+        if grid.boundary is Boundary.PERIODIC:
+            slack = MASS_TOL * mass_scale * max(1.0, step / 1000.0)
+            mass_row = ("mass", mass, mass0, not abs(mass - mass0) > slack)
+        else:
+            slack = MASS_TOL * mass_scale
+            mass_row = ("mass", mass, prev_mass, not (
+                mass > prev_mass + slack or mass > mass0 + slack))
+        bounds = (
+            ("positivity", min_rho, model.admissible_floor,
+             not min_rho < model.admissible_floor),
+            mass_row,
+            ("field", sup_field, dyn_bound,
+             not sup_field > dyn_bound * (1.0 + FIELD_TOL) + FIELD_TOL),
+            ("riemann", r_top, r_bound, not r_bound - r_top < -RIEMANN_TOL))
+        checks += [Check(*rule, t) for rule in bounds if rule[0] in enabled]
+        prev_mass = mass
+    return {name: np.array(values) for name, values in table.items()}, checks
 
 
 def fmt(x) -> str:

@@ -29,10 +29,10 @@ from semiflux import (
     run,
 )
 from semiflux.cli import main
+from semiflux.model import RHO_FLOOR_SLACK
 from semiflux.monitors import (
     FIELD_TOL,
     MASS_TOL,
-    MONITOR_COLUMNS,
     PLATEAU_TOL,
     RIEMANN_TOL,
     entropy_sweep,
@@ -45,11 +45,8 @@ from semiflux.scenarios import make_setup
 from semiflux.solver import cell_averages, march_rungs
 
 SEED = 20260814
-FLOOR_SLACK = 1e-12            # relative density-floor slack, in units of delta
 ENTROPY_C = 0.25               # frozen: worst measured need was ~0.03
 DISSIPATION_BOUND = 0.5        # frozen: worst measured value was ~0.11
-
-COL = {name: i for i, name in enumerate(MONITOR_COLUMNS)}
 
 
 def passline(num, label, detail):
@@ -88,7 +85,7 @@ def test_criterion_01_density_floor_across_library(library_runs):
     for (name, n_cells), item in library_runs.items():
         assert item.traj.completed, f"{name}@{n_cells} stopped early"
         floor = item.setup.model.rho_floor \
-            - FLOOR_SLACK * item.setup.model.delta
+            - RHO_FLOOR_SLACK * item.setup.model.delta
         # each record's lowest density spans every step since the record
         # before it, so their minimum is the run's lowest over all steps
         low = item.traj.min_rho
@@ -103,16 +100,15 @@ def test_criterion_01_density_floor_across_library(library_runs):
 def test_criterion_02_mass_bound(library_runs, periodic_run):
     # outflow: the excess mass may only leave the domain
     for (name, n_cells), item in library_runs.items():
-        masses = np.array([r[COL["mass"]] for r in item.report.rows])
+        masses = item.report.columns["mass"]
         allowance = MASS_TOL * max(1.0, abs(masses[0]))
         assert np.all(np.diff(masses) <= allowance), f"{name}@{n_cells}"
         assert not any(v["monitor"] == "mass"
                        for v in item.report.violations), f"{name}@{n_cells}"
     # periodic: constant to MASS_TOL relative per 1000 steps
-    rows = periodic_run.report.rows
-    mass0 = rows[0][COL["mass"]]
-    drift = max(abs(r[COL["mass"]] - mass0) for r in rows)
-    budget = MASS_TOL * max(1.0, abs(mass0)) \
+    masses = periodic_run.report.columns["mass"]
+    drift = float(np.max(np.abs(masses - masses[0])))
+    budget = MASS_TOL * max(1.0, abs(masses[0])) \
         * max(1.0, periodic_run.traj.n_steps / 1000.0)
     assert drift <= budget
     assert not any(v["monitor"] == "mass"
@@ -127,12 +123,12 @@ def test_criterion_03_field_bound(library_runs):
     # enforced up to the documented rounding allowance of the monitor
     min_margin = math.inf
     for (name, n_cells), item in library_runs.items():
-        for row in item.report.rows:
-            margin = row[COL["field_bound"]] - row[COL["sup_abs_field"]]
-            allowance = FIELD_TOL * (1.0 + abs(row[COL["field_bound"]]))
-            assert margin >= -allowance, \
-                f"{name}@{n_cells} at t={row[COL['time']]}"
-            min_margin = min(min_margin, margin)
+        col = item.report.columns
+        margin = col["field_bound"] - col["sup_abs_field"]
+        allowance = FIELD_TOL * (1.0 + np.abs(col["field_bound"]))
+        held = margin >= -allowance
+        assert held.all(), f"{name}@{n_cells} at t={col['time'][~held]}"
+        min_margin = min(min_margin, float(np.min(margin)))
         assert not any(v["monitor"] == "field"
                        for v in item.report.violations)
     passline(3, "field bound", f"smallest margin {min_margin:.3e}")
@@ -179,11 +175,11 @@ def test_criterion_05_invariant_growth_bound(library_runs):
         if item.setup.scenario.hypothesis_tag != "global-existence":
             continue
         checked += 1
-        slack = min(r[COL["riemann_bound"]]
-                    - max(r[COL["z_max"]], r[COL["w_max"]])
-                    for r in item.report.rows)
+        col = item.report.columns
+        slack = float(np.min(col["riemann_bound"]
+                             - np.maximum(col["z_max"], col["w_max"])))
         assert slack >= -RIEMANN_TOL, f"{name}@{n_cells}: slack {slack!r}"
-        assert item.report.rows[-1][COL["time"]] >= 5.0 - 1e-9
+        assert col["time"][-1] >= 5.0 - 1e-9
         worst = min(worst, slack)
     assert checked >= 6  # three scenarios at two resolutions
     passline(5, "invariant growth bound", f"smallest slack {worst:.3e}")
@@ -219,8 +215,8 @@ def test_criterion_06_time_uniform_plateaus():
         assert late <= early * (1.0 + PLATEAU_TOL) + 1e-30
         growths.append(late / early - 1.0)
     for series in ("w_max", "z_max"):
-        values = np.array([r[COL[series]] for r in iso_report.rows])
-        early, late = plateau_halves(iso_traj.times, values)
+        early, late = plateau_halves(iso_traj.times,
+                                     iso_report.columns[series])
         row = plateau_check(early, late, iso_traj.times[-1], series)
         assert row.passed and row.value == late
         assert late <= early + PLATEAU_TOL * abs(early) + 1e-30

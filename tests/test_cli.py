@@ -20,10 +20,12 @@ import semiflux
 from semiflux.cli import main
 from semiflux.config import RELAX_KEYS, SCENARIO_KEYS, coerce
 from semiflux.model import ConfigurationError
-from semiflux.monitors import ALL_MONITORS, MIN_RECORDS, parse_monitor_list
+from semiflux.monitors import (ALL_MONITORS, MIN_RECORDS, MONITOR_COLUMNS,
+                               parse_monitor_list)
 from semiflux.picard import picard_solve
 from semiflux.relaxation import (CouplingRule, PositivityError,
                                  relaxation_study)
+from semiflux.reporting import audited_texts
 from semiflux.scenarios import make_setup
 from semiflux.solver import IntegrationError
 
@@ -407,6 +409,26 @@ class TestSolve:
         payload = json.loads((out / "report.json").read_text())
         assert payload.get("entropy_checks", []) == []
         assert not any(k.startswith("plateau_") for k in payload["summary"])
+
+    def test_unjudged_plateau_names_the_failing_hypothesis(self, tmp_path,
+                                                           capsys):
+        # 17 records, but the profile's total doping exceeds the field
+        # datum: uniform does not judge the run, although its sup |u|
+        # plateau reads false in report.json, and solve says why
+        cfg = write_cfg(tmp_path,
+                        "scenario = charge-neutral-rest\n"
+                        "bump_amplitude = 0.8\nsmoothing_width = 0.1\n"
+                        "t_end = 2.0\ncadence = 20\n")
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "17 snapshots, 0 violation(s)" in lines[0]
+        assert [ln for ln in lines if "not judged" in ln] == [
+            "  not judged: uniform (total doping below field datum)"]
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["summary"]["plateau_sup_abs_u_ok"] is False
+        assert len(payload["entropy_checks"]) == 3
+        assert json.loads((out / "violations.json").read_text()) == []
 
     def test_seed_flag_reaches_the_echo(self, tmp_path):
         cfg = write_cfg(tmp_path, "scenario = vacuum-rest\nn_cells = 40\n"
@@ -1310,6 +1332,32 @@ class TestModuleEntry:
                     and any(isinstance(k, ast.Constant)
                             and k.value == "monitor" for k in node.keys)}
         assert builders == {("monitors.py", "entry")}
+
+    def test_monitor_table_is_read_by_name(self, bump_traj):
+        # the monitor table is one dict of named columns: no module looks a
+        # name up in MONITOR_COLUMNS or indexes the columns by a number, and
+        # the report's columns and the monitors.csv header are
+        # MONITOR_COLUMNS in order
+        src = Path(semiflux.__file__).resolve().parent
+        table = {"MONITOR_COLUMNS", "columns", "col"}
+        positional = [
+            (path.name, ast.unparse(node))
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "index"
+            and ast.unparse(node.func.value).split(".")[-1] in table
+            or isinstance(node, ast.Subscript)
+            and ast.unparse(node.value).split(".")[-1] in table
+            and any(isinstance(c, ast.Constant) and type(c.value) is int
+                    for c in ast.walk(node.slice))]
+        assert positional == []
+        report, texts = audited_texts(bump_traj, {"monitors": "all",
+                                                  "seed": 0})
+        assert list(report.columns) == list(MONITOR_COLUMNS)
+        assert texts["monitors.csv"].splitlines()[0] \
+            == ",".join(MONITOR_COLUMNS)
 
     def test_one_rung_loop_and_no_point_sampling(self):
         # marches are compared through solver.march_rungs, by exact cell

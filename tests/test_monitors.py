@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiflux import (
+    ALL_MONITORS,
     Boundary,
     DeviceProfile,
     GasModel,
@@ -40,7 +41,8 @@ from semiflux.solver import run
 from helpers import (NEUTRAL_PERIODIC, convexity_check,
                      entropy_residual_reference,
                      entropy_scale_reference,
-                     entropy_spot_check_pairs_reference, phi_reference,
+                     entropy_spot_check_pairs_reference,
+                     monitor_table_reference, phi_reference,
                      uniform_profile)
 
 
@@ -66,10 +68,10 @@ def rest_frames(grid, rho0=1.0, times=(0.0, 1.0, 2.0, 3.0)):
     return [(t, np.full(n, rho0), np.zeros(n)) for t in times]
 
 
-def plateau_row(times, series, tol=0.01):
+def plateau_row(times, series):
     """(early, late, the `uniform` row) of a series over `times`."""
     early, late = plateau_halves(times, series)
-    return early, late, plateau_check(early, late, times[-1], tol=tol)
+    return early, late, plateau_check(early, late, times[-1])
 
 
 class TestPlateauCheck:
@@ -102,7 +104,7 @@ class TestPlateauCheck:
         bound = 0.7 * (1.0 + PLATEAU_TOL)
         for late, passed in ((bound, True), (np.nextafter(bound, 1.0), False)):
             series = np.where(t > 2.0, late, 0.7)
-            row = plateau_row(t, series, PLATEAU_TOL)[2]
+            row = plateau_row(t, series)[2]
             assert (row.value, row.bound, row.passed) == (late, bound, passed)
 
     def test_negative_early_allows_the_same_rise(self):
@@ -132,7 +134,8 @@ class TestEvaluateTrajectory:
                          self.profile)
         report = evaluate_trajectory(traj)
         assert report.violations == []
-        assert all(len(r) == len(MONITOR_COLUMNS) for r in report.rows)
+        assert list(report.columns) == list(MONITOR_COLUMNS)
+        assert {len(c) for c in report.columns.values()} == {4}
         assert report.summary["completed"]
 
     def test_positivity_fires_below_slackened_floor(self):
@@ -209,6 +212,7 @@ class TestEvaluateTrajectory:
         report = evaluate_trajectory(traj)
         assert any(v["monitor"] == "uniform" for v in report.violations)
         assert report.summary["plateau_sup_rho_ok"] is False
+        assert report.unjudged == {}
 
         rising_a = np.linspace(1.0, 2.0, n)
         loose = DeviceProfile.build(self.grid, rising_a, np.zeros(n), 0.0)
@@ -216,6 +220,32 @@ class TestEvaluateTrajectory:
         report = evaluate_trajectory(replace(traj, profile=loose))
         assert all(v["monitor"] != "uniform" for v in report.violations)
         assert report.summary["plateau_sup_rho_ok"] is False
+        # the report names the skipped monitor and the first failing
+        # hypothesis, the reason solve prints
+        assert report.unjudged == {"uniform": "damping non-increasing"}
+        assert loose.check.first_failure == "damping non-increasing"
+
+    @pytest.mark.parametrize("enabled", [("uniform", "entropy"), ("entropy",),
+                                         ("positivity",)])
+    def test_short_run_names_the_whole_run_monitors_it_skips(self, enabled):
+        traj = make_traj(self.grid, self.model,
+                         rest_frames(self.grid, times=(0.0, 1.0, 2.0)),
+                         self.profile)
+        report = evaluate_trajectory(traj, enabled)
+        assert report.unjudged == {m: "need 4 records, got 3"
+                                   for m in enabled if m != "positivity"}
+        assert entropy_spot_check(traj, seed=0) == ([], [])
+
+    def test_entropy_without_a_time_span_is_not_judged(self):
+        # four records at one instant: uniform judges them (a nan split,
+        # which passes), entropy has no time span to integrate over
+        traj = make_traj(self.grid, self.model,
+                         rest_frames(self.grid, times=(1.0,) * 4),
+                         self.profile)
+        report = evaluate_trajectory(traj)
+        assert report.unjudged == {"entropy": "no recorded time span"}
+        assert [c.check for c in report.checks][-2:] == ["uniform"] * 2
+        assert entropy_spot_check(traj, seed=0) == ([], [])
 
     def test_isothermal_plateau_tracks_sup_rho_and_sup_u(self):
         model = GasModel(gamma=1.0, delta=0.05)
@@ -269,8 +299,66 @@ class TestEvaluateTrajectory:
                          self.profile)
         report = evaluate_trajectory(traj)
         expected = (1.0 - self.model.rho_floor) * 10.0
-        mass = [row[MONITOR_COLUMNS.index("mass")] for row in report.rows]
+        mass = report.columns["mass"].tolist()
         assert mass == pytest.approx([expected] * len(mass), rel=1e-12)
+
+
+class TestMonitorTable:
+    """The monitor table, one array per column, and the per-record rows,
+    one array rule per monitor, are the per-record loop's bit for bit
+    (`monitor_table_reference`), NaN cells included."""
+
+    PER_RECORD = ("positivity", "mass", "field", "riemann")
+
+    @staticmethod
+    def assert_matches(traj, enabled=ALL_MONITORS):
+        report = evaluate_trajectory(traj, enabled)
+        columns, checks = monitor_table_reference(traj, enabled)
+        assert list(report.columns) == list(columns) == list(MONITOR_COLUMNS)
+        for name, column in columns.items():
+            assert np.array_equal(report.columns[name], column,
+                                  equal_nan=True), name
+        rows = [c for c in report.checks
+                if c.check in TestMonitorTable.PER_RECORD]
+        # == on every row without a nan value (a nan equals no nan), and
+        # repr on all: each value's exact float and its Python type, as
+        # violations.json renders it
+        assert [c for c in rows if not np.isnan(c.value)] \
+            == [c for c in checks if not np.isnan(c.value)]
+        assert [repr(c) for c in rows] == [repr(c) for c in checks]
+        return report
+
+    def test_gaussian_bump_run(self, bump_traj):
+        self.assert_matches(bump_traj)
+
+    def test_periodic_run(self):
+        setup = make_setup("charge-neutral-rest",
+                           {**NEUTRAL_PERIODIC, "n_cells": 200,
+                            "t_end": 1.0})
+        traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
+                   setup.grid, cadence=20)
+        assert traj.grid.boundary is Boundary.PERIODIC
+        self.assert_matches(traj)
+
+    @pytest.mark.parametrize("enabled", [("mass", "riemann"), ("field",),
+                                         ("uniform", "entropy")])
+    def test_subset_of_monitors(self, bump_traj, enabled):
+        report = self.assert_matches(bump_traj, enabled)
+        assert {c.check for c in report.checks} <= set(enabled)
+
+    def test_nan_momentum_and_density_below_floor(self):
+        grid = Grid1D(-5.0, 5.0, 64, boundary=Boundary.OUTFLOW)
+        model = GasModel(gamma=2.0, delta=0.05)
+        frames = rest_frames(grid, times=(0.0, 1.0, 2.0, 3.0, 4.0))
+        frames[1][1][5] = model.rho_floor - 1e-3
+        frames[2][2][9] = np.nan
+        frames[3][1][:] += 0.01   # mass gained past record 0's
+        traj = make_traj(grid, model, frames, uniform_profile(grid))
+        report = self.assert_matches(traj)
+        col = report.columns
+        assert np.isnan(col["sup_abs_u"][2]) and np.isnan(col["z_max"][2])
+        assert [(c.check, c.time) for c in report.checks if not c.passed] \
+            == [("positivity", 1.0), ("mass", 2.0), ("mass", 3.0)]
 
 
 class TestEntropyPair:
@@ -550,7 +638,9 @@ class TestRecordBlocks:
                             per_block * traj.grid.n_cells)
         assert [len(rho) for _, rho, _, _ in monitors._blocks(traj)] == sizes
         blocked = evaluate_trajectory(traj)
-        assert blocked.rows == report.rows
+        assert list(blocked.columns) == list(report.columns)
+        for name, column in report.columns.items():
+            assert np.array_equal(blocked.columns[name], column), name
         assert blocked.violations == report.violations
         assert entropy_sweep(traj, phis) == sweep
 

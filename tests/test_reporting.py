@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from semiflux import solver
 from semiflux.cli import main
 from semiflux.monitors import MONITOR_COLUMNS
 from semiflux.reporting import (_table_text, audited_texts, csv_text,
@@ -130,12 +131,13 @@ def test_edited_min_rho_header_detected(small_run, capsys):
     assert out.count("byte-identical under recomputation") == 2
 
 
-def test_early_stop_round_trip(tmp_path):
-    # a march cut by max_steps records its last state; its report.json
+def test_early_stop_round_trip(tmp_path, monkeypatch):
+    # a march cut by MAX_STEPS records its last state; its report.json
     # re-renders byte for byte from the records read back
     setup = make_setup("gaussian-bump", {"n_cells": 100, "t_end": 0.3})
+    monkeypatch.setattr(solver, "MAX_STEPS", 3)
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
-               setup.grid, max_steps=3)
+               setup.grid)
     _, texts = audited_texts(traj, {"monitors": "all", "seed": 0})
     write_run_dir(tmp_path, traj, texts)
     stored = (tmp_path / "report.json").read_text()
@@ -251,7 +253,8 @@ class TestCsvTextMatchesReference:
     (the writer kept in tests/helpers.py)."""
 
     def test_monitor_rows(self, bump_report):
-        rows = bump_report.rows
+        rows = list(zip(*(bump_report.columns[name].tolist()
+                          for name in MONITOR_COLUMNS)))
         assert len(rows) > 1
         assert csv_text(MONITOR_COLUMNS, rows) == \
             csv_text_reference(MONITOR_COLUMNS, rows)

@@ -887,11 +887,12 @@ class TestRun:
         assert traj.steps.tolist() == [0] and traj.times.tolist() == [0.0]
         assert np.array_equal(traj.rho, rho[None, :])
 
-    def test_max_steps_cut_is_incomplete(self):
+    def test_max_steps_cut_is_incomplete(self, monkeypatch):
         grid, model, profile, cfg = uniform_setup(t_end=1.0)
         state = HydroState(rho=np.ones(grid.n_cells),
                            mom=np.zeros(grid.n_cells))
-        traj = run(state, profile, model, cfg, grid, max_steps=3)
+        monkeypatch.setattr(solver_mod, "MAX_STEPS", 3)
+        traj = run(state, profile, model, cfg, grid)
         assert traj.n_steps == 3
         assert not traj.completed
         # the state the cut left is recorded; it stopped at its time
