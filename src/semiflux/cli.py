@@ -22,13 +22,14 @@ seed come from the echo alone and a stored echo without either exits 2.
 
 Each setting has one spelling but the seed (``--seed`` or ``seed``, never
 both): the output directory is ``--out-dir``, the monitors the ``monitors``
-key.
-
-``solve``, ``picard`` and ``relax`` build their device through
-``scenarios.make_setup``; ``verify`` audits a stored run, read through
-``reporting.load_run_dir``, under the profile and SolverConfig it holds;
-a stored table laid out otherwise than ``solve`` writes it (a snapshot
-without the ``min_rho`` header, an extra column or header key) exits 2.
+key.  ``solve``, ``picard`` and ``relax`` read their config by one call,
+``_configured``, which builds the device by ``scenarios.make_setup``; every
+other key reaches its library call under its own name (``_given``).
+``verify`` audits a stored run, read through ``reporting.load_run_dir``,
+under the profile and SolverConfig it holds; a stored table laid out
+otherwise than ``solve`` writes it (a snapshot without the ``min_rho``
+header, an extra column or header key) exits 2.  Every file a command
+writes goes through ``reporting.write_texts``.
 
 Each command returns the `monitors.Check` rows that decide its exit code
 (``solve`` its monitors' and the march's completion, ``verify`` the count
@@ -64,7 +65,7 @@ from pathlib import Path
 import scipy  # noqa: F401  no submodule: perfbench/child.py reads its version
 
 from .config import (PICARD_KEYS, RELAX_KEYS, SCENARIO_KEYS, SOLVE_KEYS,
-                     coerce, parse_key_value)
+                     TABLE_KEYS, coerce, parse_key_value)
 from .model import ConfigurationError, HydroState
 from .monitors import Check, parse_monitor_list
 from .picard import (CROSS_CHECK_T1, check_edges, check_t1, cross_check,
@@ -72,7 +73,7 @@ from .picard import (CROSS_CHECK_T1, check_edges, check_t1, cross_check,
 from .relaxation import (CouplingRule, PositivityError, StudyRow,
                          relaxation_study)
 from .reporting import (audited_texts, csv_text, json_text, load_run_dir,
-                        write_run_dir)
+                        write_run_dir, write_texts)
 from .scenarios import make_setup
 from .solver import IntegrationError, run
 
@@ -83,8 +84,17 @@ USAGE_ERROR = 2
 RELAX_COLUMNS = tuple(f.name for f in fields(StudyRow))
 _RELAX_FORMAT = {"tau": (10, 4), "epsilon": (12, 4), "delta": (10, 4)}
 
-def _overrides(vals: dict) -> dict:
-    return {k: v for k, v in vals.items() if k in SCENARIO_KEYS}
+
+def _configured(args, keys: dict, default: str | None = None):
+    """(vals, setup): the config file cast by `keys` less its scenario
+    (`default` if unset, else required), and `make_setup` of that scenario
+    with the file's scenario and table keys."""
+    vals = coerce(parse_key_value(args.config), keys)
+    name = vals.pop("scenario", default)
+    if name is None:
+        raise ConfigurationError(f"{args.command} config must set 'scenario'")
+    return vals, make_setup(name, {k: v for k, v in vals.items()
+                                   if k in SCENARIO_KEYS or k in TABLE_KEYS})
 
 
 def _given(vals: dict, keys: tuple) -> dict:
@@ -123,26 +133,17 @@ def _print_cross_check(row: Check):
 
 
 def cmd_solve(args) -> list:
-    vals = coerce(parse_key_value(args.config), {**SCENARIO_KEYS, **SOLVE_KEYS})
-    name = vals.pop("scenario", None)
-    if name is None:
-        raise ConfigurationError("solve config must set 'scenario'")
-    overrides = _overrides(vals)
-    out_dir = args.out_dir or f"runs/{name}"
+    vals, setup = _configured(args, {**SCENARIO_KEYS, **SOLVE_KEYS})
+    name = setup.scenario.name
     enabled = parse_monitor_list(vals.get("monitors", "all"))
     cadence = vals.get("cadence", 50)
-
     if args.seed is not None and "seed" in vals:
         raise ConfigurationError(f"the seed is given twice, --seed {args.seed}"
                                  f" and seed = {vals['seed']}; set one")
-    tables = {k: vals[f"{k}_table"] for k in "ab" if f"{k}_table" in vals}
-    setup = make_setup(name, overrides, profile_tables=tables)
-
-    seed = args.seed if args.seed is not None else vals.get("seed", 0)
     echo = {"scenario": name, "hypothesis_tag": setup.scenario.hypothesis_tag,
             "cadence": cadence,
             "monitors": ",".join(enabled) if enabled else "none",
-            "seed": seed}
+            "seed": vals.get("seed", 0) if args.seed is None else args.seed}
 
     t0 = time.perf_counter()
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
@@ -150,12 +151,12 @@ def cmd_solve(args) -> list:
     t1 = time.perf_counter()
     report, texts = audited_texts(traj, echo)
     t2 = time.perf_counter()
-    out = write_run_dir(out_dir, traj, texts)
+    out = write_run_dir(args.out_dir or f"runs/{name}", traj, texts)
     # wall times and the march's account live outside report.json so stored
     # runs stay reproducible; wall_seconds is the march
-    (out / "timing.json").write_text(json_text({
+    write_texts(out, {"timing.json": json_text({
         "wall_seconds": t1 - t0, "audit_s": t2 - t1,
-        "write_s": time.perf_counter() - t2, "march": _march_summary(traj)}))
+        "write_s": time.perf_counter() - t2, "march": _march_summary(traj)})})
 
     print(f"run {name}: {traj.n_steps} steps to t={traj.times[-1]:.6g}, "
           f"{len(traj.times)} snapshots, "
@@ -226,21 +227,17 @@ def cmd_verify(args) -> list:
 
 
 def cmd_picard(args) -> list:
-    vals = coerce(parse_key_value(args.config), PICARD_KEYS)
-    name = vals.pop("scenario", "gaussian-bump")
-    overrides = _overrides(vals)
-    out_dir = Path(args.out_dir or f"runs/picard-{name}")
+    vals, setup = _configured(args, PICARD_KEYS, "gaussian-bump")
+    name = setup.scenario.name
     t1 = vals.get("t1", CROSS_CHECK_T1)
     refine = vals.get("refine", 2)
     if refine < 1:
         raise ConfigurationError(f"refine: need refine >= 1, got {refine}")
-
-    setup = make_setup(name, overrides)
     check_edges(setup.initial, setup.model, setup.grid)
     result = picard_solve(setup.initial, setup.profile, setup.model,
                           setup.cfg, setup.grid, t1,
                           **_given(vals, ("n_intervals", "tol", "max_iters")))
-    fine = make_setup(name, {**overrides,
+    fine = make_setup(name, {**setup.scenario.params,
                              "n_cells": setup.grid.n_cells * refine})
     row = cross_check(result, setup.grid, t1, fine, fine.initial)
 
@@ -248,18 +245,16 @@ def cmd_picard(args) -> list:
     # the first sweep has no predecessor, so no ratio
     ratios = [float("nan")] + [b / a for a, b in zip(rep.distances,
                                                      rep.distances[1:])]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "contraction.csv").write_text(csv_text(
-        ("iteration", "distance", "ratio"),
-        zip(range(len(rep.distances)), rep.distances, ratios)))
-    summary = {
-        "distances": rep.distances, "converged": rep.converged,
-        "diverged": rep.diverged, "band_violations": rep.band_violations,
-        "endpoint_gap": row.value, "endpoint_tolerance": row.bound,
-        "t1": t1, "n_intervals": len(result.iterate.times) - 1,
-        "scenario": name,
-    }
-    (out_dir / "picard_report.json").write_text(json_text(summary))
+    out_dir = write_texts(args.out_dir or f"runs/picard-{name}", {
+        "contraction.csv": csv_text(
+            ("iteration", "distance", "ratio"),
+            zip(range(len(rep.distances)), rep.distances, ratios)),
+        "picard_report.json": json_text({
+            "distances": rep.distances, "converged": rep.converged,
+            "diverged": rep.diverged, "band_violations": rep.band_violations,
+            "endpoint_gap": row.value, "endpoint_tolerance": row.bound,
+            "t1": t1, "n_intervals": len(result.iterate.times) - 1,
+            "scenario": name})})
 
     worst = max(ratios[1:], default=float("nan"))
     print(f"picard {name}: {len(rep.distances)} iterations, "
@@ -280,32 +275,23 @@ def cmd_picard(args) -> list:
 
 
 def cmd_relax(args) -> list:
-    vals = coerce(parse_key_value(args.config), RELAX_KEYS)
-    name = vals.pop("scenario", "gaussian-bump")
-    overrides = _overrides(vals)
-    out_dir = Path(args.out_dir or f"runs/relax-{name}")
+    vals, setup = _configured(args, RELAX_KEYS, "gaussian-bump")
+    name = setup.scenario.name
     if "tau_list" not in vals:
         raise ConfigurationError("relax config must set 'tau_list'")
-    tau_list = vals["tau_list"].replace(",", " ").split()
     coupling = CouplingRule(**_given(
         vals, ("eps_coeff", "eps_power", "eps_fixed", "delta_coeff")))
-    window = None
-    if "window_lo" in vals or "window_hi" in vals:
-        if "window_lo" not in vals or "window_hi" not in vals:
-            raise ConfigurationError(
-                "window_lo and window_hi must be given together")
-        window = (vals["window_lo"], vals["window_hi"])
-
     study = relaxation_study(
-        make_setup(name, overrides), tau_list, coupling, window=window,
-        **_given(vals, ("horizon", "n_s_records", "s0_frac")))
+        setup, vals["tau_list"].replace(",", " ").split(), coupling,
+        **_given(vals, ("horizon", "window_lo", "window_hi", "n_s_records",
+                        "s0_frac")))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "relax_table.csv").write_text(csv_text(
-        RELAX_COLUMNS,
-        [[getattr(r, c) for c in RELAX_COLUMNS] for r in study.rows]))
-    (out_dir / "manifest.json").write_text(
-        json_text({**study.manifest, "monotone": study.monotone.passed}))
+    out_dir = write_texts(args.out_dir or f"runs/relax-{name}", {
+        "relax_table.csv": csv_text(
+            RELAX_COLUMNS,
+            [[getattr(r, c) for c in RELAX_COLUMNS] for r in study.rows]),
+        "manifest.json": json_text({**study.manifest,
+                                    "monotone": study.monotone.passed})})
 
     spec = [(c, *_RELAX_FORMAT.get(c, (12, 6))) for c in RELAX_COLUMNS]
     print(f"relaxation sweep on {name}:")

@@ -48,7 +48,7 @@ _SHARED = ("x_min", "x_max", "n_cells", "boundary", "gamma",
            "pressure_convention", "smoothing_width", "bump_amplitude",
            "bump_center", "bump_width", "bump_speed", "e_minus", "damping")
 
-# a profile table file per key, `scenarios.make_setup`'s profile_tables
+# a profile table file per key, an override of `scenarios.make_setup`
 TABLE_KEYS = {"a_table": str, "b_table": str}
 
 # keys accepted by `solve` beyond the scenario parameter set

@@ -14,8 +14,9 @@ sqrt(P'(s))/s ds -+ u) with their growth bound M2 + M1*t.  It is
 name.  Every audit reads the device profile and the SolverConfig (eps,
 tau, source coupling) from the Trajectory itself.
 Every verdict is one `Check` row (check, value, bound, passed), here and
-in `picard` and `relaxation`; `Check.entry` builds every entry of
-violations.json, the failed rows of a `MonitorReport`.
+in `picard` and `relaxation`, a monitor's passed by `value <op> bound`,
+which a nan fails; `Check.entry` builds every entry of violations.json,
+the failed rows of a `MonitorReport`.
 `evaluate_trajectory` audits the monitors named in `enabled`
 (`parse_monitor_list`); `reporting.audited_texts` is where a command runs
 them.  The four per-record bounds (positivity, mass, field, riemann) are
@@ -24,8 +25,8 @@ splits, by boundary: non-increasing under outflow, constant periodic.
 The whole-run monitors, `uniform` (plateaus of sup rho and sup |u|) and
 `entropy` (the weak entropy inequality against compactly supported test
 functions, one `entropy_sweep` over the snapshots), judge a run of
-`MIN_RECORDS` records or more, uniform under the profile's hypotheses,
-entropy over a time span: `_unjudged_reason` names why one did not.
+`MIN_RECORDS` records or more over a time span, uniform under the
+profile's hypotheses too: `_unjudged_reason` names why one did not.
 """
 
 from __future__ import annotations
@@ -158,14 +159,14 @@ def _record_columns(traj: Trajectory) -> dict:
 
 def _unjudged_reason(traj: Trajectory, monitor: str) -> str | None:
     """Why the whole-run monitor "uniform" or "entropy" does not judge
-    `traj`, None when it does: too few records, for entropy no time span,
-    for uniform the first hypothesis the profile fails."""
-    times, check = traj.times, traj.profile.check
+    `traj`, None when it does: too few records or no time span, for
+    uniform also the first hypothesis the profile fails."""
+    times = traj.times
     if len(times) < MIN_RECORDS:
         return f"need {MIN_RECORDS} records, got {len(times)}"
-    if monitor == "entropy" and times[-1] <= times[0]:
+    if times[-1] <= times[0]:
         return "no recorded time span"
-    return check.first_failure if monitor == "uniform" else None
+    return traj.profile.check.first_failure if monitor == "uniform" else None
 
 
 def evaluate_trajectory(traj: Trajectory,
@@ -180,22 +181,22 @@ def evaluate_trajectory(traj: Trajectory,
     slack = MASS_TOL * max(1.0, abs(mass0))
     if traj.grid.boundary is Boundary.PERIODIC:
         slack = slack * np.maximum(1.0, col["step"] / 1000.0)
-        mass_rule = (mass, mass0, ~(np.abs(mass - mass0) > slack))
+        mass_rule = (mass, mass0, np.abs(mass - mass0) <= slack)
     else:
         prev = np.concatenate(([mass0], mass[:-1]))
         mass_rule = (mass, prev,
-                     ~((mass > prev + slack) | (mass > mass0 + slack)))
+                     (mass <= prev + slack) & (mass <= mass0 + slack))
     floor, sup_e, f_bound = (traj.model.admissible_floor,
                              col["sup_abs_field"], col["field_bound"])
     r_top = np.where(col["w_max"] > col["z_max"], col["w_max"], col["z_max"])
     r_bound = col["riemann_bound"]
     # the per-record bounds, each (value, bound, passed) over the records
     rules = {
-        "positivity": (col["min_rho"], floor, ~(col["min_rho"] < floor)),
+        "positivity": (col["min_rho"], floor, col["min_rho"] >= floor),
         "mass": mass_rule,
         "field": (sup_e, f_bound,
-                  ~(sup_e > f_bound * (1.0 + FIELD_TOL) + FIELD_TOL)),
-        "riemann": (r_top, r_bound, ~(r_bound - r_top < -RIEMANN_TOL))}
+                  sup_e <= f_bound * (1.0 + FIELD_TOL) + FIELD_TOL),
+        "riemann": (r_top, r_bound, r_bound - r_top >= -RIEMANN_TOL)}
     table = [(name, *(np.broadcast_to(a, times.shape).tolist() for a in rule))
              for name, rule in rules.items() if name in enabled]
     checks = [Check(name, value[i], bound[i], passed[i], t)
@@ -206,7 +207,8 @@ def evaluate_trajectory(traj: Trajectory,
                "n_steps": traj.n_steps, "completed": traj.completed}
     unjudged = {m: why for m in ("uniform", "entropy") if m in enabled
                 and (why := _unjudged_reason(traj, m)) is not None}
-    if "uniform" in enabled and len(times) >= MIN_RECORDS:
+    # the plateaus of a run entropy would judge, whatever the hypotheses
+    if "uniform" in enabled and _unjudged_reason(traj, "entropy") is None:
         for name in ("sup_rho", "sup_abs_u"):
             early, late = plateau_halves(times, col[name])
             row = plateau_check(early, late, times[-1], name)
@@ -233,9 +235,9 @@ def plateau_check(early: float, late: float, time: float = math.nan,
     """The `uniform` row of a sup-norm: its late-half maximum against the
     bound early * (1 +- PLATEAU_TOL), + for early >= 0, a rise of
     PLATEAU_TOL * |early| either way, which is its pass rule; a nan split
-    passes."""
+    fails."""
     bound = early * (1.0 + math.copysign(PLATEAU_TOL, early))
-    return Check("uniform", late, bound, not late > bound, time, series)
+    return Check("uniform", late, bound, late <= bound, time, series)
 
 
 # --- entropy machinery -----------------------------------------------------
@@ -376,6 +378,6 @@ def entropy_spot_check(traj: Trajectory, seed: int):
         results.append({"x_center": phi.x_center, "x_width": phi.x_width,
                         "t_center": phi.t_center, "t_width": phi.t_width,
                         "residual": res, "tolerance": tol})
-        checks.append(Check("entropy", res, -tol, not res < -tol,
+        checks.append(Check("entropy", res, -tol, res >= -tol,
                             phi.t_center))
     return results, checks

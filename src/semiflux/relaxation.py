@@ -41,6 +41,7 @@ from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, PressureConvention)
 from .monitors import Check
 from .scenarios import RunSetup, make_setup
+from . import solver
 from .solver import RecordClock, SourceVariant, march_rungs
 
 
@@ -170,14 +171,14 @@ class DDTrajectory:
 
 def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
                         grid: Grid1D, s_end: float, record_times=None,
-                        cfl: float = 0.45, max_steps: int = 10 ** 7) -> DDTrajectory:
+                        cfl: float = 0.45) -> DDTrajectory:
     """March N from s = 0 to s_end, recording s = 0, s_end and, as `run`
     does, the instants of the `RecordClock` of `record_times`.  Raises
     PositivityError, naming the s reached, if a step cannot keep N >= 0,
-    and RuntimeError if `max_steps` stops it short of s_end.  The field is
-    `solve_field`'s: on a periodic grid it is periodic only at zero net
-    charge, which `scenarios.make_setup` demands of every device it
-    builds."""
+    and RuntimeError if `solver.MAX_STEPS`, the cap of every march, stops
+    it short of s_end.  The field is `solve_field`'s: on a periodic grid it
+    is periodic only at zero net charge, which `scenarios.make_setup`
+    demands of every device it builds."""
     n0 = np.asarray(n0, dtype=float)
     if np.any(n0 < 0.0):
         raise ValueError("initial density must be non-negative")
@@ -185,7 +186,7 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
     clock = RecordClock(s_end, record_times)
     s_out, n_out = [0.0], [n_vals]
     k = halvings = 0
-    while not clock.at_end(s) and k < max_steps:
+    while not clock.at_end(s) and k < solver.MAX_STEPS:
         target = clock.target()
         dt = dd_stable_dt(upsilon, profile, grid, cfl)
         gap = target - s
@@ -203,8 +204,9 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
             s_out.append(s)
             n_out.append(n_vals)
     if not clock.at_end(s):
-        raise RuntimeError(f"drift-diffusion reference stopped by max_steps = "
-                           f"{max_steps} at s = {s!r}, before s_end = {s_end!r}")
+        raise RuntimeError(
+            f"drift-diffusion reference stopped by solver.MAX_STEPS = "
+            f"{solver.MAX_STEPS} at s = {s!r}, before s_end = {s_end!r}")
     return DDTrajectory(s_values=np.array(s_out), n_vals=np.array(n_out),
                         n_steps=k, halvings=halvings)
 
@@ -285,35 +287,39 @@ def dissipation_integral(s_values, n_vals, j_vals, rho_floor: float,
 
 def relaxation_study(setup: RunSetup, tau_list,
                      coupling: CouplingRule = CouplingRule(),
-                     horizon: float = 0.25, window=None,
-                     n_s_records: int = 21,
+                     horizon: float = 0.25, window_lo: float | None = None,
+                     window_hi: float | None = None, n_s_records: int = 21,
                      s0_frac: float = 0.05) -> StudyResult:
     """Run the hydro solver along the tau ladder on `setup`'s scenario, each
     rung rebuilt by `make_setup` with its delta, eps, tau and the
     excess-density source over the scenario's parameters and marched by
     `solver.march_rungs` to t = s/tau on the study's grid, read each run's
     rows as N = rho and J = m/tau, and compare with one drift-diffusion
-    reference on the same grid from the first rung's excess density.  A
-    device whose reference cannot keep N >= 0 raises the reference's
-    PositivityError, and a rung that stops early `march_rungs`'
-    IntegrationError, each naming where it stopped, the rung by its tau."""
+    reference on the same grid from the first rung's excess density, over
+    the cell centres in [window_lo, window_hi] (both or neither, the whole
+    grid).  A device whose reference cannot keep N >= 0 raises the
+    reference's PositivityError, and a rung that stops early
+    `march_rungs`' IntegrationError, each naming where it stopped, the
+    rung by its tau."""
     grid, profile = setup.grid, setup.profile
     gamma, convention = setup.model.gamma, setup.model.convention
     taus = validate_tau_ladder(tau_list)
     if not horizon > 0.0 or n_s_records < 2:
         raise ConfigurationError("need horizon > 0 and n_s_records >= 2")
-    if window is None:
-        window = (grid.x_min, grid.x_max)
+    if (window_lo is None) != (window_hi is None):
+        raise ConfigurationError(
+            "window_lo and window_hi must be given together")
+    if window_lo is None:
+        window_lo, window_hi = grid.x_min, grid.x_max
     s_records = np.linspace(0.0, horizon, n_s_records)
-    s_min = s0_frac * horizon
-    late = s_records >= s_min - RecordClock(horizon).slack
-    cols = (grid.centers >= window[0]) & (grid.centers <= window[1])
+    late = s_records >= s0_frac * horizon - RecordClock(horizon).slack
+    cols = (grid.centers >= window_lo) & (grid.centers <= window_hi)
     if np.count_nonzero(late) < 2:
         raise ConfigurationError(
             f"s0_frac = {s0_frac!r} leaves fewer than two s records")
     if not cols.any():
         raise ConfigurationError(
-            f"window [{window[0]!r}, {window[1]!r}] holds no cell centre")
+            f"window [{window_lo!r}, {window_hi!r}] holds no cell centre")
 
     # each rung: the scenario, its keys over it; the reference starts from
     # rung 0's excess density
@@ -353,13 +359,11 @@ def relaxation_study(setup: RunSetup, tau_list,
         # every scenario key relax reads; the ladder sets delta, epsilon,
         # tau and t_end per rung (relax_table.csv holds them), the source
         **{k: params[k] for k in RELAX_KEYS if k in SCENARIO_KEYS},
-        "scenario": setup.scenario.name,
-        "tau_list": taus,
-        "coupling": asdict(coupling),
-        "horizon": horizon,
-        "window": [window[0], window[1]],
-        "s0": s_min,
-        "n_s_records": n_s_records,
+        # and every study setting, each under its config key
+        **asdict(coupling),
+        "scenario": setup.scenario.name, "tau_list": taus,
+        "horizon": horizon, "window_lo": window_lo, "window_hi": window_hi,
+        "s0_frac": s0_frac, "n_s_records": n_s_records,
     }
     return StudyResult(rows=rows, monotone=monotone, reference=reference,
                        manifest=manifest)

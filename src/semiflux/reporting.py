@@ -12,9 +12,11 @@ monitors and the seed from the command echo, runs them, and renders what
 they derive from the records: the monitor table to CSV, the failed
 checks' entries to JSON, and report.json (config echo, audit summary,
 snapshot list, entropy checks).  Every CSV a command writes goes through
-`csv_text`.  Every number is rendered by '%.17g', 17 significant digits,
-so repeated runs of the same build are byte-identical; a table or CSV
-body is formatted by one '%' operation over all its values (`_lines`).
+`csv_text`, and every file through `write_texts`, a run directory's
+snapshots one at a time.  Every number is rendered by '%.17g', 17
+significant digits, so repeated runs of the same build are
+byte-identical; a table or CSV body is formatted by one '%' operation
+over all its values (`_lines`).
 Wall-clock timing lives in its own file.
 """
 
@@ -122,18 +124,25 @@ def audited_texts(traj: Trajectory, command_echo: dict):
 def write_run_dir(out_dir, traj: Trajectory, texts: dict) -> Path:
     """Lay out a run directory: snapshots/, profile.dat and `texts`, the
     audited files by name (`audited_texts`)."""
-    out = Path(out_dir)
-    (out / "snapshots").mkdir(parents=True, exist_ok=True)
     for step, t, low, rho, mom in zip(traj.steps.tolist(), traj.times.tolist(),
                                       traj.min_rho.tolist(), traj.rho,
                                       traj.mom):
-        (out / _SNAPSHOT.format(step)).write_text(_table_text(
-            {"step": step, "time": t, "min_rho": low}, {"rho": rho, "m": mom}))
+        write_texts(out_dir, {_SNAPSHOT.format(step): _table_text(
+            {"step": step, "time": t, "min_rho": low}, {"rho": rho, "m": mom})})
     profile = traj.profile
-    (out / "profile.dat").write_text(_table_text(
+    return write_texts(out_dir, {"profile.dat": _table_text(
         {"e_minus": profile.e_minus},
-        {"x": traj.grid.centers, "a": profile.a_vals, "b": profile.b_vals}))
+        {"x": traj.grid.centers, "a": profile.a_vals, "b": profile.b_vals}),
+        **texts})
+
+
+def write_texts(out_dir, texts: dict) -> Path:
+    """Write each of `texts`, {path under `out_dir`: text}, making the
+    directories it needs; returns `out_dir` as a Path.  Every file a
+    command writes goes through here."""
+    out = Path(out_dir)
     for name, text in texts.items():
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
         (out / name).write_text(text)
     return out
 

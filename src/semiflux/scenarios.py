@@ -24,7 +24,9 @@ targets, and the outcome its profile check must give.
                      uniform-bound profile check by design: unbounded total
                      doping)
 
-Overrides pass through `config.coerce`, the cast every config file takes.
+Overrides pass through `config.coerce`, the cast every config file takes;
+a profile table is an override like any other, `a_table` or `b_table`
+naming its file.
 `make_setup` builds the device for every command, the tau-ladder included;
 no step of it reads the scenario's name.
 """
@@ -122,36 +124,31 @@ def interp_profile(path, centers: np.ndarray) -> np.ndarray:
     return np.interp(centers, x, v)
 
 
-def make_setup(name: str, overrides: dict | None = None,
-               profile_tables: dict | None = None) -> RunSetup:
-    """Full solver setup.  profile_tables may map "a" and/or "b" to a
-    two-column (x, value) table file, interpolated onto the grid; a profile
-    built from tables skips the declared-outcome check.  A `b` table
-    replaces the doping formula and an `a` table the damping ramp, which
-    otherwise integrates the doping in use, a `b` table's included; an
-    override of a key a table replaces is refused (`config.REPLACES`).  A
-    periodic device whose net charge int (rho0 - 2 delta - b) dx exceeds
-    1e-12 int (|rho0 - 2 delta| + |b|) dx, so that its field would jump
-    across the wrap, is a ConfigurationError."""
+def make_setup(name: str, overrides: dict | None = None) -> RunSetup:
+    """Full solver setup of scenario `name` under `overrides`, scenario
+    keys and `a_table`/`b_table`, each the path of a two-column (x, value)
+    table interpolated onto the grid; a profile built from tables skips
+    the declared-outcome check.  A `b` table replaces the doping formula
+    and an `a` table the damping ramp, which otherwise integrates the
+    doping in use, a `b` table's included; an override of a key a table
+    replaces is refused (`config.REPLACES`).  A periodic device whose net
+    charge int (rho0 - 2 delta - b) dx exceeds 1e-12 int (|rho0 - 2 delta|
+    + |b|) dx, its field jumping across the wrap, is a ConfigurationError."""
     if name not in SCENARIOS:
         raise ConfigurationError(
             f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
-    scenario, paths = SCENARIOS[name], profile_tables or {}
-    # the overrides are cast beside each table, as its key a_table or b_table
-    given = coerce({**(overrides or {}), **{
-        f"{k}_table": str(path) for k, path in paths.items()}},
-        {**SCENARIO_KEYS, **TABLE_KEYS})
-    scenario = replace(scenario, params={**scenario.params, **{
+    given = coerce(overrides or {}, {**SCENARIO_KEYS, **TABLE_KEYS})
+    scenario = replace(SCENARIOS[name], params={**SCENARIOS[name].params, **{
         k: v for k, v in given.items() if k in SCENARIO_KEYS}})
     p = scenario.params
     grid, model, cfg = build_parts(p)
-    tables = {key: interp_profile(path, grid.centers)
-              for key, path in paths.items()}
-    raw_rho, raw_u, a_vals, b_vals = device_arrays(grid, p, tables.get("b"))
-    a_vals = tables.get("a", a_vals)
-    custom = bool(tables)
+    tables = {key: interp_profile(given[key], grid.centers)
+              for key in TABLE_KEYS if key in given}
+    raw_rho, raw_u, a_vals, b_vals = device_arrays(grid, p,
+                                                   tables.get("b_table"))
+    a_vals = tables.get("a_table", a_vals)
     profile = DeviceProfile.build(grid, a_vals, b_vals, p["e_minus"])
-    if not custom and profile.check.ok != scenario.expect_profile_ok:
+    if not tables and profile.check.ok != scenario.expect_profile_ok:
         raise ConfigurationError(
             f"scenario {name!r} expected uniform_ok={scenario.expect_profile_ok} "
             f"but the profile check returned {profile.check.ok} "

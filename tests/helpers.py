@@ -305,18 +305,19 @@ def monitor_table_reference(traj, enabled=ALL_MONITORS):
         mass_scale = max(1.0, abs(mass0))
         if grid.boundary is Boundary.PERIODIC:
             slack = MASS_TOL * mass_scale * max(1.0, step / 1000.0)
-            mass_row = ("mass", mass, mass0, not abs(mass - mass0) > slack)
+            mass_row = ("mass", mass, mass0, abs(mass - mass0) <= slack)
         else:
             slack = MASS_TOL * mass_scale
-            mass_row = ("mass", mass, prev_mass, not (
-                mass > prev_mass + slack or mass > mass0 + slack))
+            mass_row = ("mass", mass, prev_mass,
+                        mass <= prev_mass + slack and mass <= mass0 + slack)
+        # each pass rule `value <op> bound`, which a nan fails
         bounds = (
             ("positivity", min_rho, model.admissible_floor,
-             not min_rho < model.admissible_floor),
+             min_rho >= model.admissible_floor),
             mass_row,
             ("field", sup_field, dyn_bound,
-             not sup_field > dyn_bound * (1.0 + FIELD_TOL) + FIELD_TOL),
-            ("riemann", r_top, r_bound, not r_bound - r_top < -RIEMANN_TOL))
+             sup_field <= dyn_bound * (1.0 + FIELD_TOL) + FIELD_TOL),
+            ("riemann", r_top, r_bound, r_bound - r_top >= -RIEMANN_TOL))
         checks += [Check(*rule, t) for rule in bounds if rule[0] in enabled]
         prev_mass = mass
     return {name: np.array(values) for name, values in table.items()}, checks

@@ -18,7 +18,8 @@ import pytest
 
 import semiflux
 from semiflux.cli import main
-from semiflux.config import RELAX_KEYS, SCENARIO_KEYS, coerce
+from semiflux import config
+from semiflux.config import RELAX_KEYS, SCENARIO_KEYS, TABLE_KEYS, coerce
 from semiflux.model import ConfigurationError
 from semiflux.monitors import (ALL_MONITORS, MIN_RECORDS, MONITOR_COLUMNS,
                                parse_monitor_list)
@@ -27,7 +28,7 @@ from semiflux.relaxation import (CouplingRule, PositivityError,
                                  relaxation_study)
 from semiflux.reporting import audited_texts
 from semiflux.scenarios import make_setup
-from semiflux.solver import IntegrationError
+from semiflux.solver import IntegrationError, run
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -320,22 +321,22 @@ class TestUsageErrors:
         # row is the scenario's, not a key the caller gave
         path = tmp_path / "doping.dat"
         path.write_text("-5.0 0.0\n5.0 0.02\n")
-        setup = make_setup("doping-ramp", {"n_cells": 40},
-                           profile_tables={"b": str(path)})
+        setup = make_setup("doping-ramp", {"n_cells": 40,
+                                           "b_table": str(path)})
         assert setup.profile.b_vals[-1] == pytest.approx(0.02, rel=0.05)
 
     @pytest.mark.parametrize("table,key", [("b", "doping_mass"),
                                            ("a", "damping")])
     def test_library_table_beside_a_key_it_replaces_is_refused(
             self, tmp_path, table, key):
-        # make_setup casts its profile tables beside its overrides, so the
-        # REPLACES rule holds for a library caller as for a config file
+        # a table is an override like any other, cast by make_setup, so
+        # the REPLACES rule holds for a library caller as for a config file
         path = tmp_path / "table.dat"
         path.write_text("-5.0 0.5\n5.0 0.5\n")
         with pytest.raises(ConfigurationError, match=(
                 f"^{table}_table replaces {key}; set one or the other$")):
-            make_setup("gaussian-bump", {"n_cells": 40, key: 3.0},
-                       profile_tables={table: str(path)})
+            make_setup("gaussian-bump", {"n_cells": 40, key: 3.0,
+                                         f"{table}_table": str(path)})
 
     @pytest.mark.parametrize("key", ["smoothing_width", "bump_amplitude",
                                      "t_end", "damping"])
@@ -1260,6 +1261,39 @@ class TestModuleEntry:
                 assert harness.close_enough(got, want, refs["tolerance"])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["monotone"] is True
+
+    # the library calls each command's config keys feed, beyond the
+    # scenario keys `make_setup` casts, and the keys a command reads itself
+    FEEDS = {"SOLVE_KEYS": (run,), "PICARD_KEYS": (picard_solve,),
+             "RELAX_KEYS": (relaxation_study, CouplingRule)}
+    COMMAND_ONLY = {"scenario", "refine", "seed", "monitors"}
+
+    def test_every_key_reaches_the_library_under_its_name(self):
+        # each setting has one spelling: a key is a parameter of the call
+        # it feeds, under its own name, a table key an override that
+        # make_setup casts, or a key the command reads itself
+        for table, calls in self.FEEDS.items():
+            params = {name for call in calls
+                      for name in inspect.signature(call).parameters}
+            keys = set(getattr(config, table)) - set(SCENARIO_KEYS)
+            assert keys - params - self.COMMAND_ONLY - set(TABLE_KEYS) \
+                == set(), table
+        assert list(inspect.signature(make_setup).parameters) == [
+            "name", "overrides"]
+        for key in TABLE_KEYS:
+            with pytest.raises(ConfigurationError, match=(
+                    f"^bad value for '{key}': 1.0 \\(not a string\\)$")):
+                make_setup("gaussian-bump", {key: 1.0})
+
+    def test_cli_reads_one_config_and_writes_no_file(self):
+        # one preamble reads every command's config, and every file a
+        # command writes goes through reporting.write_texts
+        cli = Path(semiflux.__file__).resolve().parent / "cli.py"
+        calls = [ast.unparse(node.func).split(".")[-1]
+                 for node in ast.walk(ast.parse(cli.read_text()))
+                 if isinstance(node, ast.Call)]
+        assert calls.count("parse_key_value") == 1
+        assert not {"write_text", "write_bytes", "mkdir", "open"} & set(calls)
 
     def test_one_audit_call_site(self):
         # solve and verify audit a run through reporting.audited_texts, the

@@ -117,9 +117,11 @@ class TestPlateauCheck:
             row = plateau_check(-0.1, late, 4.0, "w_max")
             assert (row.bound, row.passed) == (bound, passed)
 
-    def test_degenerate_split_is_waived(self):
+    def test_degenerate_split_fails(self):
+        # a nan half fails the row; `evaluate_trajectory` never emits one,
+        # since uniform declines a run without a time span
         early, late, row = plateau_row(np.array([0.0]), np.array([5.0]))
-        assert row.passed
+        assert not row.passed
         assert np.isnan(early) and np.isnan(late)
 
 
@@ -237,14 +239,16 @@ class TestEvaluateTrajectory:
         assert entropy_spot_check(traj, seed=0) == ([], [])
 
     def test_entropy_without_a_time_span_is_not_judged(self):
-        # four records at one instant: uniform judges them (a nan split,
-        # which passes), entropy has no time span to integrate over
+        # four records at one instant: neither whole-run monitor has a time
+        # span to judge over (uniform's halves would be empty)
         traj = make_traj(self.grid, self.model,
                          rest_frames(self.grid, times=(1.0,) * 4),
                          self.profile)
         report = evaluate_trajectory(traj)
-        assert report.unjudged == {"entropy": "no recorded time span"}
-        assert [c.check for c in report.checks][-2:] == ["uniform"] * 2
+        assert report.unjudged == {"uniform": "no recorded time span",
+                                   "entropy": "no recorded time span"}
+        assert "uniform" not in {c.check for c in report.checks}
+        assert not any(k.startswith("plateau_") for k in report.summary)
         assert entropy_spot_check(traj, seed=0) == ([], [])
 
     def test_isothermal_plateau_tracks_sup_rho_and_sup_u(self):
@@ -357,9 +361,45 @@ class TestMonitorTable:
         report = self.assert_matches(traj)
         col = report.columns
         assert np.isnan(col["sup_abs_u"][2]) and np.isnan(col["z_max"][2])
-        assert [(c.check, c.time) for c in report.checks if not c.passed] \
-            == [("positivity", 1.0), ("mass", 2.0), ("mass", 3.0)]
+        # the nan momentum fails riemann at its record and uniform's
+        # sup |u| series, whose early half it falls in
+        assert [(c.check, c.time, c.series) for c in report.checks
+                if not c.passed] == [
+            ("positivity", 1.0, None), ("mass", 2.0, None),
+            ("riemann", 2.0, None), ("mass", 3.0, None),
+            ("uniform", 4.0, "sup_abs_u")]
 
+
+class TestNanRecord:
+    """A nan in one cell of one record fails every row that reads it: each
+    pass rule is `value <op> bound`, which a nan fails."""
+
+    # failed rows by (check, record index, series); the last record is the
+    # time uniform's rows carry
+    FAILED = {
+        "rho": {("positivity", 3, None), ("mass", 3, None),
+                ("field", 3, None), ("riemann", 3, None), ("mass", 4, None),
+                ("uniform", 6, "sup_rho"), ("uniform", 6, "sup_abs_u")},
+        "mom": {("riemann", 3, None), ("uniform", 6, "sup_abs_u")},
+    }
+
+    @pytest.mark.parametrize("field", ["rho", "mom"])
+    def test_nan_cell_fails_the_rows_that_read_it(self, field):
+        setup = make_setup("gaussian-bump", {"n_cells": 100, "t_end": 0.5})
+        traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
+                   setup.grid, cadence=2)
+        assert len(traj.times) == 7
+        getattr(traj, field)[3, 50] = np.nan
+        report = evaluate_trajectory(traj)
+        index = {t: i for i, t in enumerate(traj.times.tolist())}
+        assert {(c.check, index[c.time], c.series) for c in report.checks
+                if not c.passed} == self.FAILED[field]
+        assert report.summary["plateau_sup_abs_u_ok"] is False
+        assert report.summary["plateau_sup_rho_ok"] is (field == "mom")
+        # every test function's weak form sums the whole record
+        results, checks = entropy_spot_check(traj, seed=0)
+        assert len(checks) == 3 and not any(c.passed for c in checks)
+        assert all(np.isnan(r["residual"]) for r in results)
 
 class TestEntropyPair:
     def test_floor_state_has_zero_entropy(self):

@@ -23,6 +23,7 @@ from semiflux import (
     total_integral,
 )
 from semiflux import relaxation, solver
+from semiflux.config import RELAX_KEYS
 from semiflux.scenarios import make_setup
 from semiflux.solver import SolverConfig, SourceVariant, run
 from semiflux.relaxation import (
@@ -132,14 +133,17 @@ class TestDriftDiffusionRun:
         with pytest.raises(PositivityError):
             drift_diffusion_run(n0, profile, model, grid, s_end=1e-4)
 
-    def test_max_steps_cut_raises(self):
+    def test_max_steps_cut_raises(self, monkeypatch):
+        # one step cap for every march, solver.MAX_STEPS
         setup = study_inputs(n_cells=200)
         profile = uniform_profile(setup.grid, b=0.2)
         model = GasModel(gamma=1.4, delta=0.05)
-        with pytest.raises(RuntimeError, match=r"s = .*s_end = 0\.25"):
+        monkeypatch.setattr(solver, "MAX_STEPS", 3)
+        with pytest.raises(RuntimeError, match=(
+                r"^drift-diffusion reference stopped by solver\.MAX_STEPS = 3"
+                r" at s = .*s_end = 0\.25$")):
             drift_diffusion_run(0.8 * np.exp(-setup.grid.centers ** 2),
-                                profile, model, setup.grid, s_end=0.25,
-                                max_steps=3)
+                                profile, model, setup.grid, s_end=0.25)
 
     def test_two_field_solves_per_step(self, monkeypatch):
         # the midpoint step solves the field at N* and at the new density,
@@ -410,7 +414,7 @@ class TestRelaxationStudy:
         result = relaxation_study(
             study_inputs(), tau_list=[0.2, 0.1, 0.05],
             coupling=CouplingRule(delta_coeff=0.2),
-            horizon=0.25, window=(-2.0, 2.0))
+            horizon=0.25, window_lo=-2.0, window_hi=2.0)
         errs = [r.l1_error for r in result.rows]
         assert result.monotone.passed
         assert errs[0] > errs[1] > errs[2]
@@ -420,16 +424,22 @@ class TestRelaxationStudy:
         assert result.manifest["tau_list"] == [0.2, 0.1, 0.05]
 
     def test_manifest_echoes_the_coupling_rule(self):
-        # the manifest's coupling object is the rule's four fields, as
-        # given, so a study can be rerun from its manifest
+        # the manifest echoes the rule's four fields and the study
+        # settings, each under its config key, as given, so a study can be
+        # rerun from its manifest
         coupling = CouplingRule(eps_coeff=0.3, eps_power=1.5, eps_fixed=0.25,
                                 delta_coeff=0.2)
         result = relaxation_study(
             study_inputs(40), tau_list=[0.2, 0.1, 0.05], coupling=coupling,
-            horizon=0.1, window=(-2.0, 2.0))
-        assert result.manifest["coupling"] == {
+            horizon=0.1, window_lo=-2.0, window_hi=2.0, s0_frac=0.1)
+        keys = ("eps_coeff", "eps_power", "eps_fixed", "delta_coeff",
+                "horizon", "window_lo", "window_hi", "s0_frac", "n_s_records")
+        assert {k: result.manifest[k] for k in keys} == {
             "eps_coeff": 0.3, "eps_power": 1.5, "eps_fixed": 0.25,
-            "delta_coeff": 0.2}
+            "delta_coeff": 0.2, "horizon": 0.1, "window_lo": -2.0,
+            "window_hi": 2.0, "s0_frac": 0.1, "n_s_records": 21}
+        assert not {"coupling", "window", "s0"} & set(result.manifest)
+        assert set(result.manifest) <= set(RELAX_KEYS)
 
     def test_detuned_viscosity_breaks_monotonicity(self):
         # freezing eps while tau shrinks violates the smallness coupling and
@@ -437,7 +447,7 @@ class TestRelaxationStudy:
         result = relaxation_study(
             study_inputs(), tau_list=[0.2, 0.1, 0.05],
             coupling=CouplingRule(eps_fixed=0.5, delta_coeff=0.2),
-            horizon=0.25, window=(-2.0, 2.0))
+            horizon=0.25, window_lo=-2.0, window_hi=2.0)
         errs = [r.l1_error for r in result.rows]
         row = result.monotone
         assert (row.value, row.bound, row.passed) == (

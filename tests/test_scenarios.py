@@ -126,14 +126,14 @@ def test_doping_table_feeds_the_damping_ramp(tmp_path):
     zero.write_text("-5.0 0.0\n5.0 0.0\n")
     ramp.write_text("-5.0 0.0\n5.0 0.1\n")
     flat.write_text("-5.0 1.5\n5.0 1.5\n")
-    setup = make_setup("doping-ramp", {}, profile_tables={"b": zero})
+    setup = make_setup("doping-ramp", {"b_table": str(zero)})
     assert np.all(setup.profile.b_vals == 0.0)
     assert np.all(setup.profile.a_vals == setup.scenario.params["damping"])
-    setup = make_setup("doping-ramp", {}, profile_tables={"b": ramp})
+    setup = make_setup("doping-ramp", {"b_table": str(ramp)})
     grid, b = setup.grid, setup.profile.b_vals
     np.testing.assert_allclose(b, 0.01 * (grid.centers + 5.0), rtol=1e-14)
     np.testing.assert_array_equal(setup.profile.a_vals,
                                   1.0 - cumulative_integral(b, grid.dx))
-    setup = make_setup("doping-ramp", {},
-                       profile_tables={"a": flat, "b": ramp})
+    setup = make_setup("doping-ramp", {"a_table": str(flat),
+                                       "b_table": str(ramp)})
     assert np.all(setup.profile.a_vals == 1.5)
