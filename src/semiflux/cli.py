@@ -102,13 +102,13 @@ def _given(vals: dict, keys: tuple) -> dict:
     return {k: vals[k] for k in keys if k in vals}
 
 
-def _print_violations(violations: list, limit: int = 10):
-    for v in violations[:limit]:
-        extra = f" series={v['series']}" if "series" in v else ""
-        print(f"  {v['monitor']}: value={v['value']:.6g} "
-              f"bound={v['bound']:.6g} t={v['time']:.6g}{extra}")
-    if len(violations) > limit:
-        print(f"  ... {len(violations) - limit} more")
+def _print_failed(failed: list, limit: int = 10):
+    for c in failed[:limit]:
+        extra = "" if c.series is None else f" series={c.series}"
+        print(f"  {c.check}: value={c.value:.6g} "
+              f"bound={c.bound:.6g} t={c.time:.6g}{extra}")
+    if len(failed) > limit:
+        print(f"  ... {len(failed) - limit} more")
 
 
 def _march_summary(traj) -> dict:
@@ -158,10 +158,10 @@ def cmd_solve(args) -> list:
         "wall_seconds": t1 - t0, "audit_s": t2 - t1,
         "write_s": time.perf_counter() - t2, "march": _march_summary(traj)})})
 
+    failed = [c for c in report.checks if not c.passed]
     print(f"run {name}: {traj.n_steps} steps to t={traj.times[-1]:.6g}, "
-          f"{len(traj.times)} snapshots, "
-          f"{len(report.violations)} violation(s)")
-    _print_violations(report.violations)
+          f"{len(traj.times)} snapshots, {len(failed)} violation(s)")
+    _print_failed(failed)
     if report.unjudged:  # monitors that share a reason share an entry
         print("  not judged: " + "; ".join(
             f"{', '.join(names)} ({why})"
@@ -253,7 +253,7 @@ def cmd_picard(args) -> list:
             "distances": rep.distances, "converged": rep.converged,
             "diverged": rep.diverged, "band_violations": rep.band_violations,
             "endpoint_gap": row.value, "endpoint_tolerance": row.bound,
-            "t1": t1, "n_intervals": len(result.iterate.times) - 1,
+            "t1": t1, "n_intervals": len(result.iterate.rho) - 1,
             "scenario": name})})
 
     worst = max(ratios[1:], default=float("nan"))

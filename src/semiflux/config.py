@@ -9,7 +9,8 @@ given beside a key it replaces.  `coerce` is the one cast, for a file's
 strings and `scenarios.make_setup`'s overrides alike.  Each scenario is a
 row of `SCENARIO_DEFAULTS`, whose defaults type the keys.  A run's grid,
 gas law and SolverConfig are built from their keys by `build_parts` and
-echoed by `config_echo`, both through the one key table `_ECHO`.
+echoed by `config_echo`, both through `_ECHO`: each key is the name of a
+field of `Grid1D`, `GasModel` or `SolverConfig`, and each field a key.
 """
 
 from __future__ import annotations
@@ -35,13 +36,10 @@ SCENARIO_DEFAULTS = {
 }
 SCENARIO_KEYS = {key: type(val) for key, val in SCENARIO_DEFAULTS.items()}
 
-# a run's grid, gas-law and solver keys, per Trajectory part with its class;
-# each key names its attribute but for the gas law's `convention`
-_ECHO = (("grid", Grid1D, ("x_min", "x_max", "n_cells", "boundary")),
-         ("model", GasModel, ("gamma", "delta", "pressure_convention")),
-         ("cfg", SolverConfig, tuple(f.name for f in fields(SolverConfig))))
-_ATTR = {"pressure_convention": "convention"}
-ECHO_KEYS = tuple(key for _, _, keys in _ECHO for key in keys)
+# a run's grid, gas-law and solver keys: the fields of each Trajectory
+# part's class, each key the name of its field
+_ECHO = {"grid": Grid1D, "model": GasModel, "cfg": SolverConfig}
+ECHO_KEYS = tuple(f.name for cls in _ECHO.values() for f in fields(cls))
 
 # scenario parameters shared by the picard and relax commands
 _SHARED = ("x_min", "x_max", "n_cells", "boundary", "gamma",
@@ -130,12 +128,12 @@ def coerce(raw: dict, schema: dict) -> dict:
 def build_parts(values: dict) -> tuple:
     """(grid, model, cfg) built from the `ECHO_KEYS` of `values`, a dict of
     cast values."""
-    return tuple(cls(**{_ATTR.get(k, k): values[k] for k in keys})
-                 for _, cls, keys in _ECHO)
+    return tuple(cls(**{f.name: values[f.name] for f in fields(cls)})
+                 for cls in _ECHO.values())
 
 
 def config_echo(traj) -> dict:
     """The `ECHO_KEYS`, each with its value in the grid, model and cfg of
     the Trajectory `traj`."""
-    return {key: getattr(getattr(traj, part), _ATTR.get(key, key))
-            for part, _, keys in _ECHO for key in keys}
+    return {f.name: getattr(getattr(traj, part), f.name)
+            for part, cls in _ECHO.items() for f in fields(cls)}

@@ -83,7 +83,7 @@ class GasModel:
 
     gamma: float
     delta: float
-    convention: PressureConvention = PressureConvention.ONE_OVER_GAMMA
+    pressure_convention: PressureConvention = PressureConvention.ONE_OVER_GAMMA
 
     def __post_init__(self):
         if not self.gamma >= 1.0:
@@ -122,7 +122,7 @@ class GasModel:
 
     @functools.cached_property
     def _pref(self) -> np.ndarray:
-        if self.convention is PressureConvention.ONE_OVER_GAMMA:
+        if self.pressure_convention is PressureConvention.ONE_OVER_GAMMA:
             return _const(1.0 / self.gamma)
         return _const(1.0)
 
@@ -140,7 +140,7 @@ class GasModel:
     def _dp(self, rho, out=None):
         # rho**0 is exactly 1 (NaN included) at gamma = 1
         v = np.power(rho, self._gm1, out=out)
-        if self.convention is PressureConvention.PLAIN:
+        if self.pressure_convention is PressureConvention.PLAIN:
             v *= self._g
         return v
 
@@ -176,7 +176,7 @@ class GasModel:
         P(t) - 2*delta*int P'(t)/t dt, one closed form for every gamma >= 1
         (the tail is log(rho) - log(2d) at gamma = 1); unchecked."""
         tail = self._tail(rho, out=tmp)
-        if self.convention is PressureConvention.PLAIN:
+        if self.pressure_convention is PressureConvention.PLAIN:
             tail *= self._g
         tail *= self._d2
         v = self._p(rho, out=out)
@@ -200,10 +200,10 @@ class GasModel:
 
     def sound_integral(self, rho):
         """int_1^rho sqrt(P'(s))/s ds = c (rho**theta - 1)/theta with
-        theta = (gamma - 1)/2 and c = sqrt(gamma) under the plain
-        convention, else 1: through expm1, continuous in gamma and exactly
-        log(rho) at gamma = 1."""
-        coef = math.sqrt(self.gamma) if self.convention is PressureConvention.PLAIN else 1.0
+        theta = (gamma - 1)/2 and c = sqrt(P'(1)), sqrt(gamma) under the
+        plain convention, else 1: through expm1, continuous in gamma and
+        exactly log(rho) at gamma = 1."""
+        coef = math.sqrt(self._dp(1.0))
         return coef * _powm1_over(rho, 0.5 * (self.gamma - 1.0))
 
     def riemann_invariants(self, rho, mom):

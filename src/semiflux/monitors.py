@@ -177,13 +177,15 @@ def evaluate_trajectory(traj: Trajectory,
     col = _record_columns(traj)
     times, mass, mass0 = col["time"], col["mass"], col["mass"][0]
     # record 0 is the initial state; the excess mass is constant (periodic,
-    # slack per 1000 steps) or non-increasing, stepwise and from the start
+    # slack per 1000 steps) or non-increasing, from the last earlier finite
+    # mass and from the start
     slack = MASS_TOL * max(1.0, abs(mass0))
     if traj.grid.boundary is Boundary.PERIODIC:
         slack = slack * np.maximum(1.0, col["step"] / 1000.0)
         mass_rule = (mass, mass0, np.abs(mass - mass0) <= slack)
     else:
-        prev = np.concatenate(([mass0], mass[:-1]))
+        finite = np.where(np.isfinite(mass), np.arange(len(mass)), 0)
+        prev = mass[np.concatenate(([0], np.maximum.accumulate(finite)[:-1]))]
         mass_rule = (mass, prev,
                      (mass <= prev + slack) & (mass <= mass0 + slack))
     floor, sup_e, f_bound = (traj.model.admissible_floor,
@@ -252,7 +254,7 @@ def _mechanical_energy(model: GasModel, rho, mom):
     rho = np.asarray(rho, dtype=float)
     mom = np.asarray(mom, dtype=float)
     internal = model._tail(rho)
-    if model.convention is PressureConvention.ONE_OVER_GAMMA:
+    if model.pressure_convention is PressureConvention.ONE_OVER_GAMMA:
         internal = internal / model.gamma
     eta = 0.5 * mom ** 2 / rho + rho * internal
     enthalpy = model.pressure(rho) / rho + internal

@@ -29,10 +29,11 @@ kernel is wider than the grid: it takes vacuum beyond its edges, so
 there (charge-neutral-rest, say).  The padded axes
 are rounded up from their wrap-free length to the next 2^a 3^b 5^c, a
 length the FFT transforms fast (n_cells + 2h = 2036 is 4 * 509, a fifth as
-fast as 2048).  The kernel spectra and the initial-data
-terms G(t_k) * rho0 and G(t_k) * m0 do not depend on the iterate:
-`picard_solve` builds them once per slab, each kernel table in one
-evaluation over (times x offsets).  Eps, tau and the source coupling come
+fast as 2048).  The kernel spectra and the initial-data terms G(t_k) *
+rho0 and G(t_k) * m0 do not depend on the iterate: `picard_solve` builds
+them once per slab on its one time axis t_k = k t1 / n_intervals, each
+kernel table in one evaluation over (times x offsets), and an iterate
+holds only its rho and m levels.  Eps, tau and the source coupling come
 from one SolverConfig, as in the march.  `cross_check` compares the slab's
 last level with the march on the Picard grid, by exact cell averages
 (`solver.march_rungs`), in one `monitors.Check` row.
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.fft  # noqa: F401  at start-up, not on first use in a command
@@ -121,19 +122,17 @@ class HeatKernel:
 
 @dataclass
 class PicardIterate:
-    """Fields on the whole space-time slab: shape (n_levels, n_cells)."""
+    """Fields on the whole space-time slab: shape (n_levels, n_cells), on
+    the time axis of its `_SlabTables`."""
 
-    times: np.ndarray
     rho: np.ndarray
     mom: np.ndarray
 
 
-def constant_first_guess(initial: HydroState, t1: float,
+def constant_first_guess(initial: HydroState,
                          n_intervals: int) -> PicardIterate:
-    times = np.linspace(0.0, t1, n_intervals + 1)
-    rho = np.tile(initial.rho, (n_intervals + 1, 1))
-    mom = np.tile(initial.mom, (n_intervals + 1, 1))
-    return PicardIterate(times=times, rho=rho, mom=mom)
+    return PicardIterate(rho=np.tile(initial.rho, (n_intervals + 1, 1)),
+                         mom=np.tile(initial.mom, (n_intervals + 1, 1)))
 
 
 def sup_distance(a: PicardIterate, b: PicardIterate) -> float:
@@ -160,7 +159,8 @@ def _fast_len(n: int) -> int:
 
 @dataclass(frozen=True)
 class _SlabTables:
-    """The parts of a sweep that the iterate does not change.
+    """The parts of a sweep that the iterate does not change, on the slab's
+    one time axis t_k = k t1 / n_intervals, which `build` makes.
 
     `shape` is the zero-padded (time, space) FFT shape, each axis its
     wrap-free length rounded up by `_fast_len`; `grad_hat` and
@@ -178,9 +178,9 @@ class _SlabTables:
     mom_init: np.ndarray
 
     @classmethod
-    def build(cls, times: np.ndarray, initial: HydroState, model: GasModel,
+    def build(cls, t1: float, n_int: int, initial: HydroState, model: GasModel,
               kernel: HeatKernel, grid: Grid1D) -> "_SlabTables":
-        n_int = len(times) - 1
+        times = np.linspace(0.0, t1, n_int + 1)
         n = grid.n_cells
         dx = grid.dx
         ds = float(times[1] - times[0])
@@ -245,7 +245,7 @@ def picard_step(prev: PicardIterate, initial: HydroState,
 
     rho_new = np.vstack((initial.rho, tables.rho_init - rho_lag))
     mom_new = np.vstack((initial.mom, tables.mom_init + mom_lag))
-    return PicardIterate(times=prev.times.copy(), rho=rho_new, mom=mom_new)
+    return PicardIterate(rho=rho_new, mom=mom_new)
 
 
 @dataclass
@@ -348,9 +348,8 @@ def cross_check(result: PicardResult, picard_grid: Grid1D, t1: float, march,
     (traj,) = march_rungs([(march, initial, [t1])], picard_grid,
                           ["the Picard cross-check march to t1"])
     it = result.iterate
-    last = PicardIterate(times=it.times[-1:], rho=it.rho[-1], mom=it.mom[-1])
-    gap = sup_distance(last, replace(last, rho=traj.rho[-1],
-                                     mom=traj.mom[-1]))
+    gap = sup_distance(PicardIterate(rho=it.rho[-1], mom=it.mom[-1]),
+                       PicardIterate(rho=traj.rho[-1], mom=traj.mom[-1]))
     dt_mean = float(np.mean(traj.dts)) if traj.dts else 0.0
     tol_cross = CROSS_TOL_FACTOR * (picard_grid.dx + dt_mean)
     rep = result.report
@@ -382,8 +381,8 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
             raise ConfigurationError(f"{key}: need {key} >= 1, got {val!r}")
     bound = iterate_band_bound(initial, model, grid)
     report = ContractionReport()
-    current = constant_first_guess(initial, t1, n_intervals)
-    tables = _SlabTables.build(current.times, initial, model,
+    current = constant_first_guess(initial, n_intervals)
+    tables = _SlabTables.build(t1, n_intervals, initial, model,
                                HeatKernel(cfg.epsilon), grid)
     # the pressure is not defined on an inadmissible iterate, so no sweep
     # starts from one: divergence

@@ -12,7 +12,8 @@ step, each by a numpy-only Thomas sweep (Sherman-Morrison on a periodic
 grid), so the step is bounded by the drift alone, not by dx^2.  It also
 drives the tau-ladder study on a scenario's RunSetup, the same one `solve`
 and `picard` build: each rung is that scenario built again by `make_setup`
-with the rung's keys (delta and the solver coefficients) over its
+with the rung's keys (delta and the solver coefficients, eps from the
+scenario's own gas law by `CouplingRule.epsilon(tau, model)`) over its
 parameters, and the reference starts from the first rung's excess density.
 The rungs march through `solver.march_rungs`, the one rung loop that the
 Picard cross-check shares, which checks that each reaches its end and
@@ -31,14 +32,14 @@ only its density, stacked over records; its field Upsilon is derived data.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .config import RELAX_KEYS, SCENARIO_KEYS
 from .field import solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
-                    Grid1D, PressureConvention)
+                    Grid1D)
 from .monitors import Check
 from .scenarios import RunSetup, make_setup
 from . import solver
@@ -227,14 +228,14 @@ class CouplingRule:
     def delta(self, tau: float) -> float:
         return self.delta_coeff * tau
 
-    def epsilon(self, tau: float, gamma: float,
-                convention: PressureConvention) -> float:
+    def epsilon(self, tau: float, model: GasModel) -> float:
+        """eps at `tau`, with P' from the gas law `model` at the rung's
+        delta."""
         if self.eps_fixed is not None:
             return self.eps_fixed
         d = self.delta(tau)
-        model = GasModel(gamma=gamma, delta=d, convention=convention)
-        return self.eps_coeff * math.sqrt(model.dpressure(2.0 * d)) \
-            * tau ** self.eps_power
+        return self.eps_coeff * math.sqrt(
+            replace(model, delta=d).dpressure(2.0 * d)) * tau ** self.eps_power
 
 
 @dataclass
@@ -302,7 +303,6 @@ def relaxation_study(setup: RunSetup, tau_list,
     `march_rungs`' IntegrationError, each naming where it stopped, the
     rung by its tau."""
     grid, profile = setup.grid, setup.profile
-    gamma, convention = setup.model.gamma, setup.model.convention
     taus = validate_tau_ladder(tau_list)
     if not horizon > 0.0 or n_s_records < 2:
         raise ConfigurationError("need horizon > 0 and n_s_records >= 2")
@@ -326,7 +326,7 @@ def relaxation_study(setup: RunSetup, tau_list,
     name, params = setup.scenario.name, setup.scenario.params
     rungs = [make_setup(name, {
         **params, "delta": coupling.delta(tau),
-        "epsilon": coupling.epsilon(tau, gamma, convention), "tau": tau,
+        "epsilon": coupling.epsilon(tau, setup.model), "tau": tau,
         "source_variant": SourceVariant.EXCESS_DENSITY}) for tau in taus]
     first = rungs[0]
     reference = drift_diffusion_run(

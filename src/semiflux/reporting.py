@@ -151,9 +151,16 @@ def load_run_dir(run_dir):
     """Read back a finished run: (report.json payload, trajectory).  The
     echo is parsed here only, with the config files' key types, so a value
     its key cannot read is a ConfigurationError naming the key, as is a
-    snapshot whose step is not a whole step count, naming the file."""
+    snapshot whose step is not a whole step count, naming the file, or a
+    report.json of another shape than `audited_texts` writes."""
     out = Path(run_dir)
-    payload = json.loads((out / "report.json").read_text())
+    report = out / "report.json"
+    payload = json.loads(report.read_text())
+    if not (isinstance(payload, dict) and isinstance(payload["config"], dict)
+            and isinstance(snapshots := payload["snapshots"], list)
+            and snapshots and all(isinstance(rel, str) for rel in snapshots)):
+        raise ConfigurationError(f"{report}: need a config object and a "
+                                 "non-empty list of snapshot paths")
     grid, model, cfg = build_parts(coerce(
         {k: payload["config"][k] for k in ECHO_KEYS}, SCENARIO_KEYS))
     meta, cols = _read_table(out / "profile.dat", grid, ("e_minus",),
@@ -162,14 +169,12 @@ def load_run_dir(run_dir):
         raise ConfigurationError(
             f"{out / 'profile.dat'}: x column is not the run's grid")
     profile = DeviceProfile.build(grid, cols["a"], cols["b"], meta["e_minus"])
-    if not payload["snapshots"]:
-        raise ConfigurationError(f"{out / 'report.json'}: lists no snapshots")
-    shape = (len(payload["snapshots"]), grid.n_cells)
+    shape = (len(snapshots), grid.n_cells)
     traj = Trajectory(grid=grid, model=model, profile=profile, cfg=cfg,
                       steps=np.empty(shape[0], int), times=np.empty(shape[0]),
                       rho=np.empty(shape), mom=np.empty(shape),
                       min_rho=np.empty(shape[0]))
-    for i, rel in enumerate(payload["snapshots"]):
+    for i, rel in enumerate(snapshots):
         meta, cols = _read_table(out / rel, grid, ("step", "time", "min_rho"),
                                  ("rho", "m"))
         step = meta["step"]

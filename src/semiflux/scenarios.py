@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -114,7 +115,15 @@ def device_arrays(grid: Grid1D, p: dict, b=None):
 def interp_profile(path, centers: np.ndarray) -> np.ndarray:
     """Linear interpolation of a two-column (x, value) text table onto cell
     centers (edge values held constant beyond the table range)."""
-    data = np.atleast_2d(np.loadtxt(path, dtype=float))
+    lines = Path(path).read_text().splitlines()
+    # numpy warns before it refuses a table with no rows
+    if not any(ln.split("#", 1)[0].strip() for ln in lines):
+        raise ConfigurationError(f"profile table {path} holds no rows")
+    try:
+        data = np.loadtxt(lines, ndmin=2)
+    except ValueError as err:
+        raise ConfigurationError(
+            f"profile table {path} is unreadable ({err})") from None
     if data.shape[1] != 2:
         raise ConfigurationError(
             f"profile table {path} must have exactly two columns")

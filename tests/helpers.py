@@ -40,7 +40,7 @@ def p1_quadrature(gamma: float, delta: float, rho: float,
                   convention: PressureConvention) -> float:
     """Adaptive quadrature of the perturbed-pressure integrand
     (t - 2*delta)/t * P'(t) over [2*delta, rho]."""
-    model = GasModel(gamma=gamma, delta=delta, convention=convention)
+    model = GasModel(gamma=gamma, delta=delta, pressure_convention=convention)
     lo = 2.0 * delta
 
     def integrand(t):
@@ -101,13 +101,14 @@ def circular_reference(rows, width: int) -> np.ndarray:
     return out
 
 
-def picard_step_reference(prev, initial, profile, model, kernel, grid, tau,
-                          source_variant=SourceVariant.FULL_DENSITY,
+def picard_step_reference(prev, t1, initial, profile, model, kernel, grid,
+                          tau, source_variant=SourceVariant.FULL_DENSITY,
                           conv=conv_same):
-    """The integral right-hand side as an explicit O(n_levels^2) lag sum of
-    direct spatial convolutions, kernel tables rebuilt on every call."""
-    times = prev.times
-    n_lev = len(times)
+    """The integral right-hand side on the slab [0, t1] as an explicit
+    O(n_levels^2) lag sum of direct spatial convolutions, kernel tables
+    rebuilt on every call."""
+    n_lev = len(prev.rho)
+    times = np.linspace(0.0, t1, n_lev)
     ds = float(times[1] - times[0])
     dx = grid.dx
     d2 = model.rho_floor
@@ -153,7 +154,7 @@ def picard_step_reference(prev, initial, profile, model, kernel, grid, tau,
         rho_new[k] = r_acc
         mom_new[k] = m_acc
 
-    return PicardIterate(times=times.copy(), rho=rho_new, mom=mom_new)
+    return PicardIterate(rho=rho_new, mom=mom_new)
 
 
 def cell_flux(model, rho, mom, u=None, excess=None):
@@ -191,7 +192,7 @@ def step_reference(state, profile, model, cfg, grid, t_stop=None):
     # every gamma (the tail is log(rho) - log(d2) at gamma = 1)
     d2, g = model.rho_floor, model.gamma
     tail = _powm1_over(rho, g - 1.0) - _powm1_over(d2, g - 1.0)
-    if model.convention is PressureConvention.PLAIN:
+    if model.pressure_convention is PressureConvention.PLAIN:
         tail = g * tail
     p1 = (model.pressure(rho) - model.pressure(d2)) - d2 * tail
 
@@ -272,7 +273,7 @@ def monitor_table_reference(traj, enabled=ALL_MONITORS):
     """The monitor table and the per-record `Check` rows, one record at a
     time: the field solved per record, Python `max` for M2 and a record's
     top invariant, a running maximum of the field bound from 0.0, and the
-    previous record's mass.  Returns ({column name: array}, checks);
+    last earlier finite mass.  Returns ({column name: array}, checks);
     `evaluate_trajectory` must reproduce both bit for bit."""
     model, grid, profile = traj.model, traj.grid, traj.profile
     floor, doping = model.rho_floor, doping_mass(profile, grid)
@@ -319,7 +320,8 @@ def monitor_table_reference(traj, enabled=ALL_MONITORS):
              sup_field <= dyn_bound * (1.0 + FIELD_TOL) + FIELD_TOL),
             ("riemann", r_top, r_bound, r_bound - r_top >= -RIEMANN_TOL))
         checks += [Check(*rule, t) for rule in bounds if rule[0] in enabled]
-        prev_mass = mass
+        if math.isfinite(mass):  # the last finite mass judges the next
+            prev_mass = mass
     return {name: np.array(values) for name, values in table.items()}, checks
 
 

@@ -144,7 +144,8 @@ def test_criterion_04_perturbed_pressure_quadrature():
             rho = rng.uniform(2.0 * delta + 0.05, 5.0)
             convention = (PressureConvention.PLAIN if rng.integers(2)
                           else PressureConvention.ONE_OVER_GAMMA)
-            model = GasModel(gamma=gamma, delta=delta, convention=convention)
+            model = GasModel(gamma=gamma, delta=delta,
+                             pressure_convention=convention)
             closed = cell_flux(model, rho, 0.0)[1]
             ref = p1_quadrature(gamma, delta, rho, convention)
             rel = abs(closed - ref) / abs(ref)

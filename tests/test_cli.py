@@ -20,15 +20,15 @@ import semiflux
 from semiflux.cli import main
 from semiflux import config
 from semiflux.config import RELAX_KEYS, SCENARIO_KEYS, TABLE_KEYS, coerce
-from semiflux.model import ConfigurationError
+from semiflux.model import ConfigurationError, GasModel, Grid1D
 from semiflux.monitors import (ALL_MONITORS, MIN_RECORDS, MONITOR_COLUMNS,
                                parse_monitor_list)
-from semiflux.picard import picard_solve
+from semiflux.picard import PicardIterate, picard_solve
 from semiflux.relaxation import (CouplingRule, PositivityError,
                                  relaxation_study)
 from semiflux.reporting import audited_texts
 from semiflux.scenarios import make_setup
-from semiflux.solver import IntegrationError, run
+from semiflux.solver import IntegrationError, SolverConfig, run
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -366,6 +366,25 @@ class TestUsageErrors:
         assert capsys.readouterr().err == \
             "error: profile b must be finite, got nan\n"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("table", [
+        "-5.0 0.0\n0.0 abc\n5.0 0.0\n", "-5.0 0.0\n-5.0 0.0 1\n", "",
+        "# x b\n\n"], ids=["not-a-number", "ragged-row", "empty",
+                            "comments-only"])
+    def test_unreadable_profile_table_exits_2(self, tmp_path, capsys, table):
+        # a table numpy cannot read is unreadable input, refused with one
+        # error line naming it and no numpy warning
+        path = tmp_path / "doping.dat"
+        path.write_text(table)
+        cfg = write_cfg(tmp_path, (
+            "scenario = gaussian-bump\nn_cells = 40\nt_end = 0.1\n"
+            f"b_table = {path}\n"))
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: profile table {path} ")
+        assert err.count("\n") == 1 and not out.exists()
 
 
 class TestSolve:
@@ -792,6 +811,22 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(run_dir)]) == 2
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [
+        [1], {"config": [1]}, {"snapshots": [3]}, {"snapshots": "snap.dat"}],
+        ids=["top-level-list", "config-list", "snapshot-number",
+             "snapshots-string"])
+    def test_report_of_the_wrong_shape_exits_2(self, run_dir, capsys, shape):
+        # report.json must be an object whose config is an object and whose
+        # snapshots are a list of paths: any other is unreadable input
+        p = run_dir / "report.json"
+        payload = json.loads(p.read_text())
+        p.write_text(json.dumps({**payload, **shape}
+                                if isinstance(shape, dict) else shape))
+        capsys.readouterr()
+        assert main(["verify", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: ") and err.count("\n") == 1
 
     def test_missing_run_dir(self, tmp_path):
         assert main(["verify", str(tmp_path / "ghost")]) == 2
@@ -1285,6 +1320,29 @@ class TestModuleEntry:
                     f"^bad value for '{key}': 1.0 \\(not a string\\)$")):
                 make_setup("gaussian-bump", {key: 1.0})
 
+    # the Trajectory part each echo key is read from, with its class
+    ECHO_PARTS = {"grid": Grid1D, "model": GasModel, "cfg": SolverConfig}
+
+    def test_every_echo_key_is_the_field_of_its_part(self, bump_traj):
+        # the key is the field: the echo keys are the fields of the grid,
+        # gas law and SolverConfig under their own names, each a scenario
+        # key, and the echo reads each from its field
+        part = {f.name: name for name, cls in self.ECHO_PARTS.items()
+                for f in dataclasses.fields(cls)}
+        assert sorted(config.ECHO_KEYS) == sorted(part)
+        assert set(config.ECHO_KEYS) <= set(SCENARIO_KEYS)
+        assert config.config_echo(bump_traj) == {
+            key: getattr(getattr(bump_traj, part[key]), key)
+            for key in config.ECHO_KEYS}
+
+    def test_each_decision_has_one_holder(self):
+        # a rung's eps reads the study's gas law, and a Picard slab's time
+        # axis is its tables', not a field of every iterate
+        assert list(inspect.signature(CouplingRule.epsilon).parameters) == [
+            "self", "tau", "model"]
+        assert [f.name for f in dataclasses.fields(PicardIterate)] == [
+            "rho", "mom"]
+
     def test_cli_reads_one_config_and_writes_no_file(self):
         # one preamble reads every command's config, and every file a
         # command writes goes through reporting.write_texts
@@ -1366,6 +1424,13 @@ class TestModuleEntry:
                     and any(isinstance(k, ast.Constant)
                             and k.value == "monitor" for k in node.keys)}
         assert builders == {("monitors.py", "entry")}
+        # and cli.py reads none of its keys: it prints the failed Check rows
+        keys = {"monitor", "value", "bound", "time", "series"}
+        assert not [ast.unparse(node) for node in ast.walk(ast.parse(
+            (src / "cli.py").read_text()))
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant)
+            and node.slice.value in keys]
 
     def test_monitor_table_is_read_by_name(self, bump_traj):
         # the monitor table is one dict of named columns: no module looks a

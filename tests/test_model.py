@@ -17,7 +17,7 @@ PLAIN = PressureConvention.PLAIN
 
 
 def make_model(gamma, delta=0.05, convention=OOG):
-    return GasModel(gamma=gamma, delta=delta, convention=convention)
+    return GasModel(gamma=gamma, delta=delta, pressure_convention=convention)
 
 
 def p1(m, rho):

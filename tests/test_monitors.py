@@ -378,7 +378,7 @@ class TestNanRecord:
     # time uniform's rows carry
     FAILED = {
         "rho": {("positivity", 3, None), ("mass", 3, None),
-                ("field", 3, None), ("riemann", 3, None), ("mass", 4, None),
+                ("field", 3, None), ("riemann", 3, None),
                 ("uniform", 6, "sup_rho"), ("uniform", 6, "sup_abs_u")},
         "mom": {("riemann", 3, None), ("uniform", 6, "sup_abs_u")},
     }

@@ -45,7 +45,7 @@ from semiflux.scenarios import make_setup
 def scenario_slab(scenario, overrides, t1, n_intervals):
     s = make_setup(scenario, overrides)
     kernel = HeatKernel(epsilon=s.cfg.epsilon)
-    guess = constant_first_guess(s.initial, t1, n_intervals)
+    guess = constant_first_guess(s.initial, n_intervals)
     return s, kernel, guess
 
 
@@ -65,15 +65,15 @@ def five_smooth(m):
     return m == 1
 
 
-def slab_tables(guess, initial, model, cfg, grid):
-    """The kernel spectra and initial-data terms of the slab of `guess`, as
-    `picard_solve` builds them."""
-    return _SlabTables.build(guess.times, initial, model,
+def slab_tables(t1, guess, initial, model, cfg, grid):
+    """The kernel spectra and initial-data terms of the slab [0, t1] of
+    `guess`, as `picard_solve` builds them."""
+    return _SlabTables.build(t1, len(guess.rho) - 1, initial, model,
                              HeatKernel(cfg.epsilon), grid)
 
 
-def scenario_tables(s, guess):
-    return slab_tables(guess, s.initial, s.model, s.cfg, s.grid)
+def scenario_tables(s, guess, t1):
+    return slab_tables(t1, guess, s.initial, s.model, s.cfg, s.grid)
 
 
 class TestHeatKernel:
@@ -160,7 +160,7 @@ class TestSlabTables:
                              ids=["bench-slab", "wide-kernel", "odd"])
     def test_shape_is_fast_and_wrap_free(self, slab):
         s, kernel, guess = scenario_slab(*slab)
-        shape = scenario_tables(s, guess).shape
+        shape = scenario_tables(s, guess, slab[2]).shape
         h = kernel._half_width(s.grid.dx, slab[2])
         assert all(five_smooth(m) for m in shape)
         assert shape[0] >= 2 * slab[3]
@@ -168,7 +168,7 @@ class TestSlabTables:
 
     def test_odd_interval_count_pads_the_levels(self):
         s, kernel, guess = scenario_slab(*ODD)
-        assert scenario_tables(s, guess).shape[0] == 15
+        assert scenario_tables(s, guess, ODD[2]).shape[0] == 15
 
     @pytest.mark.parametrize("slab", [BENCH_SLAB, WIDE],
                              ids=["bench-slab", "wide-kernel"])
@@ -177,10 +177,11 @@ class TestSlabTables:
         # wider the table's widest row is
         s, kernel, guess = scenario_slab(*slab)
         dx = s.grid.dx
-        width = scenario_tables(s, guess).shape[1]
-        ds = float(guess.times[1] - guess.times[0])
+        width = scenario_tables(s, guess, slab[2]).shape[1]
+        axis = np.linspace(0.0, slab[2], slab[3] + 1)
+        ds = float(axis[1] - axis[0])
         lags = [(m - 0.5) * ds for m in range(1, slab[3] + 1)]
-        levels = [float(t) for t in guess.times[1:]]
+        levels = [float(t) for t in axis[1:]]
         for weights, times in ((kernel._faces, lags), (kernel._cells, lags),
                                (kernel._cells, levels)):
             rows = [centred_weights(kernel, weights, dx, t) for t in times]
@@ -193,26 +194,22 @@ class TestIterateBasics:
     def test_constant_guess_shapes_and_distance(self):
         grid = Grid1D(-5.0, 5.0, 64)
         init = HydroState(rho=np.full(64, 0.5), mom=np.full(64, 0.1))
-        it = constant_first_guess(init, t1=0.4, n_intervals=5)
-        assert it.rho.shape == (6, 64)
-        assert it.times[0] == 0.0 and it.times[-1] == 0.4
+        it = constant_first_guess(init, n_intervals=5)
+        assert it.rho.shape == it.mom.shape == (6, 64)
         assert sup_distance(it, it) == 0.0
-        other = PicardIterate(times=it.times, rho=it.rho + 0.25,
-                              mom=it.mom - 0.5)
+        other = PicardIterate(rho=it.rho + 0.25, mom=it.mom - 0.5)
         assert sup_distance(it, other) == pytest.approx(0.75)
 
     def test_band_check_flags_excursions(self):
         model = GasModel(gamma=1.4, delta=0.05)
-        times = np.linspace(0.0, 0.1, 3)
-        good = PicardIterate(times=times, rho=np.full((3, 16), 1.0),
-                             mom=np.zeros((3, 16)))
+        good = PicardIterate(rho=np.full((3, 16), 1.0), mom=np.zeros((3, 16)))
         assert _band_check(good, bound=5.0) == []
         assert _admissibility_violation(good, model) is None
 
         # the floor side is the admissibility test alone
         rho = np.full((3, 16), 1.0)
         rho[1, 4] = 0.5 * model.delta
-        low = PicardIterate(times=times, rho=rho, mom=np.zeros((3, 16)))
+        low = PicardIterate(rho=rho, mom=np.zeros((3, 16)))
         assert _band_check(low, 5.0) == []
         assert _admissibility_violation(low, model) == {
             "field": "rho", "value": 0.5 * model.delta,
@@ -220,10 +217,10 @@ class TestIterateBasics:
 
         mom = np.zeros((3, 16))
         mom[2, 7] = -11.0
-        high = PicardIterate(times=times, rho=np.full((3, 16), 1.0), mom=mom)
+        high = PicardIterate(rho=np.full((3, 16), 1.0), mom=mom)
         assert _band_check(high, 5.0) == [
             {"field": "mom", "value": 11.0, "bound": 10.0, "kind": "upper"}]
-        both = PicardIterate(times=times, rho=np.full((3, 16), 12.0), mom=mom)
+        both = PicardIterate(rho=np.full((3, 16), 12.0), mom=mom)
         assert [(v["field"], v["value"]) for v in _band_check(both, 5.0)] \
             == [("rho", 12.0), ("mom", 11.0)]
 
@@ -232,8 +229,7 @@ class TestIterateBasics:
         model = GasModel(gamma=1.4, delta=0.05)
         rho = np.full((3, 8), 1.0)
         rho[1, 5] = np.nan
-        it = PicardIterate(times=np.linspace(0.0, 0.1, 3), rho=rho,
-                           mom=np.zeros((3, 8)))
+        it = PicardIterate(rho=rho, mom=np.zeros((3, 8)))
         violation = _admissibility_violation(it, model)
         assert violation["kind"] == "inadmissible"
         assert math.isnan(violation["value"])
@@ -253,9 +249,9 @@ class TestFixedPoints:
         cfg = SolverConfig(epsilon=0.01, tau=1.0)
         init = HydroState(rho=np.full(100, model.rho_floor),
                           mom=np.zeros(100))
-        guess = constant_first_guess(init, t1=0.05, n_intervals=4)
+        guess = constant_first_guess(init, n_intervals=4)
         out = picard_step(guess, init, profile, model, cfg, grid,
-                          slab_tables(guess, init, model, cfg, grid))
+                          slab_tables(0.05, guess, init, model, cfg, grid))
         assert np.array_equal(out.rho, guess.rho)
         assert np.array_equal(out.mom, guess.mom)
 
@@ -278,9 +274,9 @@ class TestFixedPoints:
                                       e_minus=0.0)
         cfg = SolverConfig(epsilon=0.01, tau=1.0)
         init = HydroState(rho=np.full(n, rho0), mom=np.zeros(n))
-        guess = constant_first_guess(init, t1=0.02, n_intervals=4)
+        guess = constant_first_guess(init, n_intervals=4)
         out = picard_step(guess, init, profile, model, cfg, grid,
-                          slab_tables(guess, init, model, cfg, grid))
+                          slab_tables(0.02, guess, init, model, cfg, grid))
         inner = slice(10, -10)
         assert np.max(np.abs(out.rho[-1][inner] - rho0)) < 1e-12
         assert np.max(np.abs(out.mom[-1][inner])) < 1e-12
@@ -335,9 +331,9 @@ class TestHeatEvolution:
         init = HydroState(rho=raw + model.rho_floor, mom=np.zeros(400))
 
         t1 = 0.1
-        guess = constant_first_guess(init, t1, n_intervals=2)
+        guess = constant_first_guess(init, n_intervals=2)
         out = picard_step(guess, init, profile, model, cfg, grid,
-                          slab_tables(guess, init, model, cfg, grid))
+                          slab_tables(t1, guess, init, model, cfg, grid))
 
         var = sigma ** 2 + 2 * eps * t1
         exact = model.rho_floor + amp * sigma / math.sqrt(var) \
@@ -433,7 +429,7 @@ class TestOneResidualPerSolve:
         assert len(calls) == len(rep.distances) <= max_iters
         assert calls[-1] is it
         again = step(it, s.initial, s.profile, s.model, s.cfg, s.grid,
-                     scenario_tables(s, guess))
+                     scenario_tables(s, guess, ODD[2]))
         assert sup_distance(again, it) == rep.distances[-1]
 
 
@@ -468,13 +464,13 @@ class TestFftLagSum:
     def test_matches_direct_double_loop(self, case):
         slab, conv = self.CASES[case]
         s, kernel, prev = scenario_slab(*slab)
-        tables = scenario_tables(s, prev)
+        tables = scenario_tables(s, prev, slab[2])
         # the first guess and one sweep on, where transport is under way
         for _ in range(2):
             fast = picard_step(prev, s.initial, s.profile, s.model, s.cfg,
                                s.grid, tables)
-            ref = picard_step_reference(prev, s.initial, s.profile, s.model,
-                                        kernel, s.grid, s.cfg.tau,
+            ref = picard_step_reference(prev, slab[2], s.initial, s.profile,
+                                        s.model, kernel, s.grid, s.cfg.tau,
                                         s.cfg.source_variant, conv=conv)
             for got, want in ((fast.rho, ref.rho), (fast.mom, ref.mom)):
                 assert got.shape == want.shape
@@ -488,7 +484,7 @@ class TestWideKernel:
         s, kernel, guess = scenario_slab(*WIDE)
         assert 2 * kernel._half_width(s.grid.dx, WIDE[2]) + 1 > s.grid.n_cells
         out = picard_step(guess, s.initial, s.profile, s.model, s.cfg,
-                          s.grid, scenario_tables(s, guess))
+                          s.grid, scenario_tables(s, guess, WIDE[2]))
         assert out.rho.shape == (WIDE[3] + 1, s.grid.n_cells)
         assert out.mom.shape == (WIDE[3] + 1, s.grid.n_cells)
 
@@ -537,8 +533,7 @@ class TestDivergenceSignal:
             mom, low = next(sweeps)
             rho = np.ones_like(prev.rho)
             rho[-1, 3] = low
-            return PicardIterate(times=prev.times, rho=rho,
-                                 mom=np.full_like(prev.mom, mom))
+            return PicardIterate(rho=rho, mom=np.full_like(prev.mom, mom))
 
         monkeypatch.setattr(picard_module, "picard_step", growing)
         result = picard_solve(init, uniform_profile(grid), model,
@@ -565,8 +560,7 @@ class TestDivergenceSignal:
         def nan_momentum(prev, *args, **kwargs):
             mom = np.zeros_like(prev.mom)
             mom[2, 11] = np.nan
-            return PicardIterate(times=prev.times, rho=prev.rho.copy(),
-                                 mom=mom)
+            return PicardIterate(rho=prev.rho.copy(), mom=mom)
 
         monkeypatch.setattr(picard_module, "picard_step", nan_momentum)
         result = picard_solve(init, uniform_profile(grid), model,

@@ -351,7 +351,7 @@ class TestCouplingRule:
     def test_isothermal_epsilon_is_quadratic(self):
         rule = CouplingRule(eps_coeff=0.1, eps_power=2.0)
         # gamma = 1 has unit pressure derivative, so eps = 0.1 tau^2
-        assert rule.epsilon(0.2, 1.0, PressureConvention.ONE_OVER_GAMMA) == \
+        assert rule.epsilon(0.2, GasModel(gamma=1.0, delta=0.05)) == \
             pytest.approx(0.1 * 0.04, rel=1e-12)
 
     def test_epsilon_uses_floor_sound_speed(self):
@@ -360,14 +360,13 @@ class TestCouplingRule:
         d = rule.delta(tau)
         model = GasModel(gamma=2.0, delta=d)
         expected = 0.5 * math.sqrt(model.dpressure(2.0 * d)) * tau
-        assert rule.epsilon(tau, 2.0, PressureConvention.ONE_OVER_GAMMA) == \
+        assert rule.epsilon(tau, GasModel(gamma=2.0, delta=0.05)) == \
             pytest.approx(expected, rel=1e-12)
 
     def test_fixed_epsilon_breaks_coupling(self):
         rule = CouplingRule(eps_fixed=0.5)
         for tau in (0.2, 0.1, 0.05):
-            assert rule.epsilon(tau, 2.0,
-                                PressureConvention.ONE_OVER_GAMMA) == 0.5
+            assert rule.epsilon(tau, GasModel(gamma=2.0, delta=0.05)) == 0.5
 
 
 class TestTauLadder:
@@ -407,7 +406,7 @@ class TestRelaxationStudy:
         assert setup.profile.e_minus == 0.0
         assert setup.model == GasModel(
             gamma=2.0, delta=0.05,
-            convention=PressureConvention.ONE_OVER_GAMMA)
+            pressure_convention=PressureConvention.ONE_OVER_GAMMA)
         assert (setup.cfg.cfl, setup.cfg.smoothing_width) == (0.45, 0.0)
 
     def test_coupled_ladder_errors_shrink(self):

@@ -22,7 +22,7 @@ DELTAS = [0.05, 0.0137]
 
 
 def pref_of(model):
-    if model.convention is PressureConvention.ONE_OVER_GAMMA:
+    if model.pressure_convention is PressureConvention.ONE_OVER_GAMMA:
         return 1.0 / model.gamma
     return 1.0
 
@@ -33,7 +33,7 @@ def p_ref(model, rho):
 
 def dp_ref(model, rho):
     v = np.power(rho, model.gamma - 1.0)
-    if model.convention is PressureConvention.PLAIN:
+    if model.pressure_convention is PressureConvention.PLAIN:
         v = v * model.gamma
     return v
 
@@ -50,7 +50,7 @@ def powm1_ref(x, e):
 def p1_ref(model, rho):
     d2, g = 2.0 * model.delta, model.gamma
     tail = powm1_ref(rho, g - 1.0) - powm1_ref(d2, g - 1.0)
-    if model.convention is PressureConvention.PLAIN:
+    if model.pressure_convention is PressureConvention.PLAIN:
         tail = tail * g
     tail = tail * d2
     return (p_ref(model, rho) - p_ref(model, np.asarray(d2))) - tail
@@ -91,7 +91,8 @@ SHAPES = [(), (37,), (5, 37)]
 class TestPressureTerms:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_unchecked_terms(self, gamma, delta, convention, shape):
-        model = GasModel(gamma=gamma, delta=delta, convention=convention)
+        model = GasModel(gamma=gamma, delta=delta,
+                         pressure_convention=convention)
         rho = densities(model, shape)
         excess = rho - model.rho_floor
         assert same_bits(model._p(rho), p_ref(model, rho))
@@ -102,7 +103,8 @@ class TestPressureTerms:
 
     @pytest.mark.parametrize("shape", SHAPES[1:])
     def test_out_paths(self, gamma, delta, convention, shape):
-        model = GasModel(gamma=gamma, delta=delta, convention=convention)
+        model = GasModel(gamma=gamma, delta=delta,
+                         pressure_convention=convention)
         rho = densities(model, shape)
         excess = rho - model.rho_floor
         out, tmp = np.full((2,) + shape, np.nan)
@@ -112,7 +114,8 @@ class TestPressureTerms:
 
     def test_checked_scalars_keep_their_types(self, gamma, delta,
                                               convention):
-        model = GasModel(gamma=gamma, delta=delta, convention=convention)
+        model = GasModel(gamma=gamma, delta=delta,
+                         pressure_convention=convention)
         for rho in (0.7, model.rho_floor, 3):
             r = np.asarray(rho, dtype=float)
             assert same_bits(model.pressure(rho), p_ref(model, r))
@@ -122,7 +125,8 @@ class TestPressureTerms:
         # a cell given as Python floats or 0-d arrays, evaluated as one-cell
         # rows, gives a pair of floats, the formula's bits; with or without
         # the caller's u and excess
-        model = GasModel(gamma=gamma, delta=delta, convention=convention)
+        model = GasModel(gamma=gamma, delta=delta,
+                         pressure_convention=convention)
         for rho, mom in ((0.7, 0.3), (model.rho_floor, 0.0), (3, -1.2)):
             r = np.asarray(rho, dtype=float)
             m = np.asarray(mom, dtype=float)
@@ -136,7 +140,8 @@ class TestPressureTerms:
     @pytest.mark.parametrize("shape", SHAPES[1:])
     def test_perturbed_pressure_and_flux(self, gamma, delta, convention,
                                          shape):
-        model = GasModel(gamma=gamma, delta=delta, convention=convention)
+        model = GasModel(gamma=gamma, delta=delta,
+                         pressure_convention=convention)
         rho = densities(model, shape)
         mom = rho * np.sin(np.arange(rho.size)).reshape(shape)
         # at rest the momentum flux is P1 itself

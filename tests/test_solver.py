@@ -67,7 +67,7 @@ class TestFlux:
 
     def test_rest_state_flux_is_pure_pressure(self):
         model = GasModel(gamma=2.0, delta=0.05,
-                         convention=PressureConvention.ONE_OVER_GAMMA)
+                         pressure_convention=PressureConvention.ONE_OVER_GAMMA)
         f1, f2 = flux(model, np.array([1.0]), np.array([0.0]))
         assert f1[0] == 0.0
         assert f2[0] == pytest.approx(0.405, rel=1e-13)
@@ -179,6 +179,100 @@ class TestFrictionDecay:
         assert np.all(got == got[0])
         assert got[0] == pytest.approx(expected, rel=1e-12)
         assert np.all(traj.rho[-1] == rho0)
+
+
+class TestLinearMode:
+    """A small cosine mode on the periodic neutral rest state against the
+    exact answer of the linearised equations.
+
+    Around N = 0.5, rho = 0.6 (delta = 0.05, a = 1, gamma = 2, P = rho^2/2)
+    the mode rho - 0.6 = R cos(k xi), m = M sin(k xi), xi = x - x_min,
+    obeys R' = -eps k^2 R - (N/rho) k M and
+    M' = (P1'(rho) k + c/k) R - (d + eps k^2) M, with c = rho and
+    d = a/tau under the full-density source, c = N and d = (N/rho) a/tau
+    under the excess-density one, P1'(rho) = (N/rho) P'(rho).  The march
+    starts from the mode's exact cell averages (the centre values times
+    s = sin(k dx/2)/(k dx/2)) and its (R, M) at t = 2 is projected back
+    and divided by s.  The relative errors measured at n = 500 and 1000
+    are 1.23e-2 and 6.63e-3 (full density), 1.24e-2 and 6.66e-3 (excess
+    density); every mislabelled exact answer is at least 0.10 away."""
+
+    N_BAR, RHO_BAR, A, T = 0.5, 0.6, 1e-5, 2.0
+    SETUP = {"boundary": "periodic", "neutral_level": 0.5, "delta": 0.05,
+             "damping": 1.0, "gamma": 2.0,
+             "pressure_convention": "one-over-gamma", "epsilon": 1e-3,
+             "t_end": 2.0}
+
+    def march(self, n, variant, tau, law="one-over-gamma"):
+        s = make_setup("charge-neutral-rest", {
+            **self.SETUP, "n_cells": n, "tau": tau,
+            "source_variant": variant, "pressure_convention": law})
+        grid = s.grid
+        kappa = 2.0 * math.pi * 2 / (grid.x_max - grid.x_min)
+        xi = grid.centers - grid.x_min
+        avg = math.sin(0.5 * kappa * grid.dx) / (0.5 * kappa * grid.dx)
+        assert np.all(s.initial.rho == self.RHO_BAR)
+        state = HydroState(
+            rho=s.initial.rho + self.A * avg * np.cos(kappa * xi),
+            mom=np.zeros(n))
+        traj = run(state, s.profile, s.model, s.cfg, grid,
+                   record_times=[self.T])
+        assert traj.completed and traj.times[-1] == self.T
+        project = 2.0 / (n * avg)
+        return kappa, np.array([
+            project * np.sum((traj.rho[-1] - self.RHO_BAR)
+                             * np.cos(kappa * xi)),
+            project * np.sum(traj.mom[-1] * np.sin(kappa * xi))])
+
+    def exact(self, kappa, variant, tau, plain=False):
+        """expm(Mat T) (A, 0) through numpy's eig, for the labels given."""
+        n_bar, rho_bar, eps, a = self.N_BAR, self.RHO_BAR, 1e-3, 1.0
+        dp = 2.0 * rho_bar if plain else rho_bar   # P' of rho^2, rho^2/2
+        if variant == "full-density":
+            c, d = rho_bar, a / tau
+        else:
+            c, d = n_bar, n_bar / rho_bar * a / tau
+        mat = np.array([
+            [-eps * kappa ** 2, -n_bar / rho_bar * kappa],
+            [n_bar / rho_bar * dp * kappa + c / kappa,
+             -(d + eps * kappa ** 2)]])
+        w, v = np.linalg.eig(mat)
+        return (v @ (np.exp(w * self.T) * np.linalg.solve(v, [self.A, 0.0]))
+                ).real
+
+    @staticmethod
+    def error(got, want):
+        return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+    @pytest.mark.parametrize("variant", ["full-density", "excess-density"])
+    def test_march_converges_to_the_exact_mode(self, variant):
+        kappa, coarse = self.march(500, variant, 1.0)
+        _, fine = self.march(1000, variant, 1.0)
+        want = self.exact(kappa, variant, 1.0)
+        err_coarse, err_fine = (self.error(coarse, want),
+                                self.error(fine, want))
+        assert err_coarse <= 1.4e-2 and err_fine <= 7.5e-3
+        # first order: the error falls by 1.85 per halving of dx
+        assert err_coarse / err_fine >= 1.7
+        # each mislabel misses by more than 0.08, six times the error
+        other = ("excess-density" if variant == "full-density"
+                 else "full-density")
+        for wrong in (self.exact(kappa, other, 1.0),
+                      self.exact(kappa, variant, 0.5),
+                      self.exact(kappa, variant, 2.0),
+                      self.exact(kappa, variant, 1.0, plain=True)):
+            assert self.error(coarse, wrong) > 0.08
+
+    def test_each_mislabelled_march_misses_the_exact_mode(self):
+        # a march whose source variant, tau or pressure law is not the one
+        # the exact answer is for misses it by as much
+        kappa, _ = self.march(500, "full-density", 1.0)
+        want = self.exact(kappa, "full-density", 1.0)
+        for wrong in (("excess-density", 1.0), ("full-density", 0.5),
+                      ("full-density", 2.0),
+                      ("full-density", 1.0, "plain")):
+            _, got = self.march(500, *wrong)
+            assert self.error(got, want) > 0.08
 
 
 class TestPrepareInitial:
@@ -338,7 +432,8 @@ class TestStepMatchesReference:
     def test_bit_identical(self, boundary, variant, convention, gamma,
                            clamped):
         grid = Grid1D(-5.0, 5.0, 90, boundary=boundary)
-        model = GasModel(gamma=gamma, delta=0.05, convention=convention)
+        model = GasModel(gamma=gamma, delta=0.05,
+                         pressure_convention=convention)
         x = grid.centers
         profile = DeviceProfile.build(grid, 1.5 - 0.1 * np.tanh(x),
                                       0.2 * np.exp(-x ** 2), 0.3)

@@ -47,6 +47,13 @@ def inputs() -> dict:
                                      "t_end = 1\nb_table = cfg/doping.dat\n")
     files["cfg/relax-window.cfg"] = _RELAX + "window_hi = 2\n"
     files["cfg/relax-window-lo.cfg"] = _RELAX
+    files["cfg/relax-plain.cfg"] = ("n_cells = 200\npressure_convention = "
+                                    "plain\ntau_list = 0.2, 0.1, 0.05\n")
+    files["cfg/picard-12.cfg"] = ("n_cells = 300\nepsilon = 0.01\n"
+                                  "n_intervals = 12\n")
+    files["cfg/neutral-periodic.cfg"] = (
+        "scenario = charge-neutral-rest\nboundary = periodic\nn_cells = 200\n"
+        "t_end = 1\ncadence = 10\n")
     return files
 
 
@@ -67,6 +74,10 @@ COMMANDS = (
     _on("solve", "doping-table"),
     _on("relax", "relax-window"),
     _on("relax", "relax-window-lo"),
+    _on("relax", "relax-plain"),
+    _on("picard", "picard-12"),
+    _on("solve", "neutral-periodic"),
+    ["verify", "runs/neutral-periodic", "--picard"],
 )
 
 
