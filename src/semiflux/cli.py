@@ -43,13 +43,13 @@ stopped early (``solve`` audits what it recorded; ``picard``,
 rung and the time); 2 bad usage, unreadable input, or malformed
 configuration: an unknown key, a value its key's type cannot read or a
 non-finite float, in a config file or a stored run's config echo; a
-non-finite profile a, b or e_minus; a setting that would change nothing,
-``verify --t1`` without ``--picard`` or a key beside one that replaces it
-(``config.REPLACES``); a scenario whose profile fails its declared check;
-a periodic device with net charge; for ``picard`` and ``verify --picard``,
-an outflow device whose initial data do not vanish at the edges
-(``picard.check_edges``); or a relax device whose drift-diffusion
-reference cannot keep its density non-negative.
+non-finite profile a, b or e_minus, or a negative a; a setting that would
+change nothing, ``verify --t1`` without ``--picard`` or a key beside one
+that replaces it (``config.REPLACES``); a periodic device with net charge;
+for ``picard`` and ``verify --picard``, an outflow device whose initial
+data do not vanish at the edges (``picard.check_edges``); or a relax
+device without a > 0 in every cell, or whose drift-diffusion reference
+cannot keep its density non-negative.
 """
 
 from __future__ import annotations

@@ -19,6 +19,8 @@ import math
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .model import (Boundary, ConfigurationError, GasModel, Grid1D,
                     PressureConvention)
 from .solver import SolverConfig, SourceVariant
@@ -94,6 +96,18 @@ def parse_key_value(path) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = val
     return out
+
+
+def read_numbers(lines: list, name: str) -> np.ndarray:
+    """A numeric text table's body `lines` as a 2-d float array; no rows, a
+    cell that is not a number or a ragged row is refused, naming `name`."""
+    # numpy warns before it refuses a body with no rows
+    if not any(ln.split("#", 1)[0].strip() for ln in lines):
+        raise ConfigurationError(f"{name} holds no rows")
+    try:
+        return np.loadtxt(lines, ndmin=2)
+    except ValueError as err:
+        raise ConfigurationError(f"{name} is unreadable ({err})") from None
 
 
 def coerce(raw: dict, schema: dict) -> dict:

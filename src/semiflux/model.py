@@ -15,9 +15,9 @@ through expm1 (`_powm1_over`), which is exactly a logarithm at gamma = 1,
 and P1's tail and the internal energy share `_tail`.  Everything here is
 plain numpy on a uniform cell-centered grid.
 
-A device profile's a, b and e_minus must be finite; the hypotheses of its
-time-uniform bounds are one ordered table of named booleans, the first
-False its first failure (`_check_profile`).
+A device profile's a, b and e_minus must be finite, a >= 0; the hypotheses
+of its time-uniform bounds are one ordered table of named booleans, the
+first False its first failure (`_check_profile`), read by the audit alone.
 
 The scalars the march hands to numpy each step (delta, 2*delta, gamma,
 gamma - 1, the pressure prefactor, P1's rho-free terms, dx, e_minus and
@@ -300,9 +300,12 @@ class HydroState:
 class ProfileCheck:
     """Outcome of the time-uniform-bound hypothesis checks on a profile."""
 
-    ok: bool
     first_failure: str | None
     conditions: dict = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return self.first_failure is None
 
 
 def _check_profile(a, b, e_minus, dx: float, c) -> ProfileCheck:
@@ -328,8 +331,7 @@ def _check_profile(a, b, e_minus, dx: float, c) -> ProfileCheck:
             a_min > 0.0 and bool(np.all(np.gradient(c, dx) >= -tol(c))),
     }
     first = next((name for name, ok in conditions.items() if not ok), None)
-    return ProfileCheck(ok=first is None, first_failure=first,
-                        conditions=conditions)
+    return ProfileCheck(first_failure=first, conditions=conditions)
 
 
 def derived_c_profile(a_vals, b_vals, e_minus, dx: float) -> np.ndarray:
@@ -370,7 +372,10 @@ class DeviceProfile:
                 raise ConfigurationError(
                     f"profile {name} must be finite, got {float(bad[0])!r}")
         if np.any(a < 0.0):
-            raise ConfigurationError("damping coefficient must be non-negative")
+            i = int(np.argmin(a))
+            raise ConfigurationError(
+                f"damping coefficient must be non-negative, got min a = "
+                f"{float(a[i])!r} at x = {float(grid.centers[i])!r}")
         c = derived_c_profile(a, b, e_minus, grid.dx)
         check = _check_profile(a, b, e_minus, grid.dx, c)
         return cls(a_vals=a, b_vals=b, e_minus=float(e_minus), c_vals=c,

@@ -26,7 +26,7 @@ The whole-run monitors, `uniform` (plateaus of sup rho and sup |u|) and
 `entropy` (the weak entropy inequality against compactly supported test
 functions, one `entropy_sweep` over the snapshots), judge a run of
 `MIN_RECORDS` records or more over a time span, uniform under the
-profile's hypotheses too: `_unjudged_reason` names why one did not.
+profile's hypotheses too: `_unjudged_reason`, their only reader, says why not.
 """
 
 from __future__ import annotations
@@ -209,16 +209,14 @@ def evaluate_trajectory(traj: Trajectory,
                "n_steps": traj.n_steps, "completed": traj.completed}
     unjudged = {m: why for m in ("uniform", "entropy") if m in enabled
                 and (why := _unjudged_reason(traj, m)) is not None}
-    # the plateaus of a run entropy would judge, whatever the hypotheses
+    # plateau values of a run entropy would judge; `uniform` rows judge them
     if "uniform" in enabled and _unjudged_reason(traj, "entropy") is None:
         for name in ("sup_rho", "sup_abs_u"):
             early, late = plateau_halves(times, col[name])
-            row = plateau_check(early, late, times[-1], name)
             summary.update({f"plateau_{name}_early": early,
-                            f"plateau_{name}_late": late,
-                            f"plateau_{name}_ok": row.passed})
+                            f"plateau_{name}_late": late})
             if "uniform" not in unjudged:
-                checks.append(row)
+                checks.append(plateau_check(early, late, times[-1], name))
     return MonitorReport(col, checks, summary, unjudged)
 
 

@@ -1,7 +1,7 @@
 """Relaxation scaling and the drift-diffusion comparison solver.
 
 In the slow time s = tau * t with J = m / tau, the damped system formally
-limits onto
+limits, where a > 0, onto
 
     N_s + J_x = 0,     a(x) J = N Upsilon - P(N)_x,     Upsilon_x = N - b,
 
@@ -175,11 +175,15 @@ def drift_diffusion_run(n0, profile: DeviceProfile, model: GasModel,
                         cfl: float = 0.45) -> DDTrajectory:
     """March N from s = 0 to s_end, recording s = 0, s_end and, as `run`
     does, the instants of the `RecordClock` of `record_times`.  Raises
-    PositivityError, naming the s reached, if a step cannot keep N >= 0,
-    and RuntimeError if `solver.MAX_STEPS`, the cap of every march, stops
-    it short of s_end.  The field is `solve_field`'s: on a periodic grid it
-    is periodic only at zero net charge, which `scenarios.make_setup`
-    demands of every device it builds."""
+    ConfigurationError unless a > 0, before any step, PositivityError,
+    naming the s reached, if a step cannot keep N >= 0, and RuntimeError
+    if `solver.MAX_STEPS` stops it short of s_end.  The field is
+    `solve_field`'s: on a periodic grid it is periodic only at zero net
+    charge, which `scenarios.make_setup` demands of every device it builds."""
+    if not np.min(profile.a_vals) > 0.0:
+        raise ConfigurationError(
+            "the drift-diffusion reference needs a > 0 in every cell, got "
+            f"min a = {float(np.min(profile.a_vals))!r}")
     n0 = np.asarray(n0, dtype=float)
     if np.any(n0 < 0.0):
         raise ValueError("initial density must be non-negative")
@@ -298,10 +302,9 @@ def relaxation_study(setup: RunSetup, tau_list,
     rows as N = rho and J = m/tau, and compare with one drift-diffusion
     reference on the same grid from the first rung's excess density, over
     the cell centres in [window_lo, window_hi] (both or neither, the whole
-    grid).  A device whose reference cannot keep N >= 0 raises the
-    reference's PositivityError, and a rung that stops early
-    `march_rungs`' IntegrationError, each naming where it stopped, the
-    rung by its tau."""
+    grid).  A device the reference refuses raises its error, and a rung
+    that stops early `march_rungs`' IntegrationError, each naming where it
+    stopped, the rung by its tau."""
     grid, profile = setup.grid, setup.profile
     taus = validate_tau_ladder(tau_list)
     if not horizon > 0.0 or n_s_records < 2:

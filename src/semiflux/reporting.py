@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (ECHO_KEYS, SCENARIO_KEYS, SOLVE_KEYS, build_parts,
-                     coerce, config_echo)
+                     coerce, config_echo, read_numbers)
 from .model import ConfigurationError, DeviceProfile, Grid1D
 from .monitors import (MONITOR_COLUMNS, entropy_spot_check,
                        evaluate_trajectory, parse_monitor_list)
@@ -71,9 +71,10 @@ def _read_table(path: Path, grid: Grid1D, keys: tuple, names: tuple):
             f"{[*keys, 'columns']} with {list(names)}")
     try:
         values = {k: float(meta[k]) for k in keys}
-        data = np.loadtxt(lines[len(head):], ndmin=2)
     except ValueError as err:
-        raise ConfigurationError(f"{path}: unreadable table ({err})") from None
+        raise ConfigurationError(
+            f"{path}: unreadable header ({err})") from None
+    data = read_numbers(lines[len(head):], f"table {path}")
     if data.shape != (grid.n_cells, len(names)):
         raise ConfigurationError(
             f"{path}: {data.shape[0]} rows of {data.shape[1]} values, "

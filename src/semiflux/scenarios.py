@@ -10,8 +10,8 @@ cell centres x, with gaussian bumps g_bump and g_doping,
   damping a           damping - damping_slope_coeff * int_left^x b
 
 with the far-field datum e_minus.  A scenario is a row of
-`config.SCENARIO_DEFAULTS`: the values it overrides, the hypothesis set it
-targets, and the outcome its profile check must give.
+`config.SCENARIO_DEFAULTS`: the values it overrides and the hypothesis set
+it targets, which the audit alone judges (`monitors._unjudged_reason`).
 
   vacuum-rest        no bump: constant offset state, exact fixed point of
                      the scheme
@@ -20,15 +20,12 @@ targets, and the outcome its profile check must give.
                      time-uniform-bounds setup (plain pressure normalization)
   isothermal-bump    gamma = 1 variant of the bump
   charge-neutral-rest  no bump, a constant doping exactly balanced by the
-                     density: the stationary relaxation fixture (fails the
-                     uniform-bound profile check by design: unbounded total
-                     doping)
+                     density: the stationary relaxation fixture (outside
+                     the uniform-bound hypotheses: int b > e_minus)
 
-Overrides pass through `config.coerce`, the cast every config file takes;
-a profile table is an override like any other, `a_table` or `b_table`
-naming its file.
-`make_setup` builds the device for every command, the tau-ladder included;
-no step of it reads the scenario's name.
+Overrides, a profile table's `a_table` or `b_table` among them, pass
+through `config.coerce`, the cast every config file takes.  `make_setup`
+builds the device for every command, reading no scenario name.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (SCENARIO_DEFAULTS, SCENARIO_KEYS, TABLE_KEYS,
-                     build_parts, coerce)
+                     build_parts, coerce, read_numbers)
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, PressureConvention, cumulative_integral,
                     total_integral)
@@ -55,7 +52,6 @@ def gaussian(x, center: float, width: float):
 class Scenario:
     name: str
     hypothesis_tag: str
-    expect_profile_ok: bool
     params: dict
 
 
@@ -69,28 +65,21 @@ class RunSetup:
     initial: object  # HydroState
 
 
-def _scenario(name, tag, ok, **row) -> Scenario:
-    return Scenario(name=name, hypothesis_tag=tag, expect_profile_ok=ok,
-                    params={**SCENARIO_DEFAULTS, **row})
+def _scenario(name, tag, **row) -> Scenario:
+    return Scenario(name, tag, {**SCENARIO_DEFAULTS, **row})
 
 
-SCENARIOS = {
-    "vacuum-rest": _scenario(
-        "vacuum-rest", "global-existence", True,
-        bump_amplitude=0.0, smoothing_width=0.0),
-    "gaussian-bump": _scenario(
-        "gaussian-bump", "global-existence", True),
-    "doping-ramp": _scenario(
-        "doping-ramp", "time-uniform", True,
-        pressure_convention=PressureConvention.PLAIN,
-        e_minus=1.0, bump_amplitude=0.5, bump_center=-1.0,
-        doping_mass=0.5, damping_slope_coeff=1.0),
-    "isothermal-bump": _scenario(
-        "isothermal-bump", "global-existence", True, gamma=1.0),
-    "charge-neutral-rest": _scenario(
-        "charge-neutral-rest", "relaxation", False,
-        smoothing_width=0.0, bump_amplitude=0.0, neutral_level=0.5),
-}
+SCENARIOS = {s.name: s for s in (
+    _scenario("vacuum-rest", "global-existence",
+              bump_amplitude=0.0, smoothing_width=0.0),
+    _scenario("gaussian-bump", "global-existence"),
+    _scenario("doping-ramp", "time-uniform",
+              pressure_convention=PressureConvention.PLAIN,
+              e_minus=1.0, bump_amplitude=0.5, bump_center=-1.0,
+              doping_mass=0.5, damping_slope_coeff=1.0),
+    _scenario("isothermal-bump", "global-existence", gamma=1.0),
+    _scenario("charge-neutral-rest", "relaxation",
+              smoothing_width=0.0, bump_amplitude=0.0, neutral_level=0.5))}
 
 
 def device_arrays(grid: Grid1D, p: dict, b=None):
@@ -115,15 +104,8 @@ def device_arrays(grid: Grid1D, p: dict, b=None):
 def interp_profile(path, centers: np.ndarray) -> np.ndarray:
     """Linear interpolation of a two-column (x, value) text table onto cell
     centers (edge values held constant beyond the table range)."""
-    lines = Path(path).read_text().splitlines()
-    # numpy warns before it refuses a table with no rows
-    if not any(ln.split("#", 1)[0].strip() for ln in lines):
-        raise ConfigurationError(f"profile table {path} holds no rows")
-    try:
-        data = np.loadtxt(lines, ndmin=2)
-    except ValueError as err:
-        raise ConfigurationError(
-            f"profile table {path} is unreadable ({err})") from None
+    data = read_numbers(Path(path).read_text().splitlines(),
+                        f"profile table {path}")
     if data.shape[1] != 2:
         raise ConfigurationError(
             f"profile table {path} must have exactly two columns")
@@ -136,13 +118,13 @@ def interp_profile(path, centers: np.ndarray) -> np.ndarray:
 def make_setup(name: str, overrides: dict | None = None) -> RunSetup:
     """Full solver setup of scenario `name` under `overrides`, scenario
     keys and `a_table`/`b_table`, each the path of a two-column (x, value)
-    table interpolated onto the grid; a profile built from tables skips
-    the declared-outcome check.  A `b` table replaces the doping formula
-    and an `a` table the damping ramp, which otherwise integrates the
-    doping in use, a `b` table's included; an override of a key a table
-    replaces is refused (`config.REPLACES`).  A periodic device whose net
-    charge int (rho0 - 2 delta - b) dx exceeds 1e-12 int (|rho0 - 2 delta|
-    + |b|) dx, its field jumping across the wrap, is a ConfigurationError."""
+    table interpolated onto the grid.  A `b` table replaces the doping
+    formula and an `a` table the damping ramp, which otherwise integrates
+    the doping in use, a `b` table's included; an override of a key a
+    table replaces is refused (`config.REPLACES`).  Only a device that
+    cannot be built is a ConfigurationError, such as a periodic one whose
+    net charge int (rho0 - 2 delta - b) dx exceeds 1e-12 int (|rho0 -
+    2 delta| + |b|) dx, its field jumping across the wrap."""
     if name not in SCENARIOS:
         raise ConfigurationError(
             f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
@@ -157,11 +139,6 @@ def make_setup(name: str, overrides: dict | None = None) -> RunSetup:
                                                    tables.get("b_table"))
     a_vals = tables.get("a_table", a_vals)
     profile = DeviceProfile.build(grid, a_vals, b_vals, p["e_minus"])
-    if not tables and profile.check.ok != scenario.expect_profile_ok:
-        raise ConfigurationError(
-            f"scenario {name!r} expected uniform_ok={scenario.expect_profile_ok} "
-            f"but the profile check returned {profile.check.ok} "
-            f"({profile.check.first_failure})")
     initial = prepare_initial(raw_rho, raw_u, model, cfg, grid)
     if grid.boundary is Boundary.PERIODIC:
         excess = initial.rho - model.rho_floor

@@ -202,6 +202,16 @@ def test_garbled_number_rejected(small_run, capsys):
     assert rejected(small_run, path, capsys)
 
 
+def test_snapshot_without_rows_rejected(small_run, capsys):
+    # a snapshot cut after its header is refused in one error line naming
+    # it, with no numpy warning (every warning fails a test)
+    path = later_snapshot(small_run)
+    head, _ = read_rows(path)
+    write_rows(path, head, [])
+    assert main(["verify", str(small_run)]) == 2
+    assert capsys.readouterr().err == f"error: table {path} holds no rows\n"
+
+
 def test_run_without_snapshots_rejected(small_run, capsys):
     path = small_run / "report.json"
     payload = json.loads(path.read_text())

@@ -84,10 +84,23 @@ def shapes_nothing(key, p) -> bool:
     return False
 
 
+# the first uniform-bound hypothesis each row's device fails at its
+# defaults, None where the bound applies; the set-up builds every device
+# and the audit declines uniform for a failing one
+FIRST_FAILURE = {"vacuum-rest": None, "gaussian-bump": None,
+                 "doping-ramp": None, "isothermal-bump": None,
+                 "charge-neutral-rest": "total doping below field datum"}
+
+
+def test_first_failing_hypothesis_of_each_row():
+    assert {name: make_setup(name).profile.check.first_failure
+            for name in SCENARIOS} == FIRST_FAILURE
+
+
 def test_every_key_reaches_the_setup():
     # a perturbed key changes the setup, or changes the device so that it
-    # is rejected (a negative damping, or a profile check against the row's
-    # declared verdict); only a shape without amplitude may change nothing
+    # cannot be built (a periodic grid under a charged row); only a shape
+    # without amplitude may change nothing
     unchanged, expected = set(), set()
     for name, scenario in SCENARIOS.items():
         base = fingerprint(make_setup(name, {"n_cells": 60}))

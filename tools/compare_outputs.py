@@ -9,9 +9,11 @@ one after another, in a fresh temporary directory of its own and with
 relative paths only, so the two trees' outputs compare byte for byte.
 Printed: every exit code, stdout or stderr line and output file that
 differs (`timing.json` aside, and the milliseconds `picard` prints per
-iteration masked); a JSON object file that differs is listed by its
-top-level keys.  Exits 1 on any difference, 0 when there is none.  The
-workload configs are read from this checkout's `perfbench/workloads`.
+iteration masked); a JSON object file that differs is listed by the
+keys it differs in, a nested key by its dotted path
+(`summary.n_steps changed`).  Exits 1 on any difference, 0 when there is
+none.  The workload configs are read from this checkout's
+`perfbench/workloads`.
 Standard library only.
 """
 
@@ -54,6 +56,14 @@ def inputs() -> dict:
     files["cfg/neutral-periodic.cfg"] = (
         "scenario = charge-neutral-rest\nboundary = periodic\nn_cells = 200\n"
         "t_end = 1\ncadence = 10\n")
+    # devices on either side of the uniform bound's hypotheses
+    files["cfg/rising-damping.cfg"] = (
+        "scenario = gaussian-bump\ndoping_mass = 0.3\ne_minus = 1\n"
+        "damping_slope_coeff = -1\nn_cells = 200\nt_end = 1\ncadence = 10\n")
+    files["cfg/neutral-undoped.cfg"] = ("scenario = charge-neutral-rest\n"
+                                        "neutral_level = 0\n")
+    files["cfg/relax-undamped.cfg"] = ("n_cells = 200\ndamping = 0\n"
+                                       "tau_list = 0.2, 0.1, 0.05\n")
     return files
 
 
@@ -78,6 +88,9 @@ COMMANDS = (
     _on("picard", "picard-12"),
     _on("solve", "neutral-periodic"),
     ["verify", "runs/neutral-periodic", "--picard"],
+    _on("solve", "rising-damping"),
+    _on("solve", "neutral-undoped"),
+    _on("relax", "relax-undamped"),
 )
 
 
@@ -106,20 +119,32 @@ def _lines_differing(kind: str, old: str, new: str) -> list:
             for i, (a, b) in enumerate(pairs, start=1) if a != b]
 
 
+def _key_changes(a: dict, b: dict, prefix: str = "") -> list:
+    """'<key> removed', '<key> added' or '<key> changed' for each key the
+    objects `a` and `b` differ in, descending into an object both hold
+    under one key; a nested key by its dotted path."""
+    found = []
+    for key in sorted(a.keys() | b.keys()):
+        path = prefix + key
+        if key not in b or key not in a:
+            found.append(f"{path} {'removed' if key not in b else 'added'}")
+        elif isinstance(a[key], dict) and isinstance(b[key], dict):
+            found += _key_changes(a[key], b[key], path + ".")
+        elif a[key] != b[key]:
+            found.append(f"{path} changed")
+    return found
+
+
 def _json_keys(old: bytes, new: bytes) -> str:
-    """The top-level keys two JSON objects differ in, or '' when either is
-    not an object."""
+    """The keys two JSON objects differ in (`_key_changes`), or '' when
+    either is not an object."""
     try:
         a, b = json.loads(old), json.loads(new)
     except ValueError:
         return ""
     if not (isinstance(a, dict) and isinstance(b, dict)):
         return ""
-    parts = [(label, sorted(keys)) for label, keys in (
-        ("removed", a.keys() - b.keys()), ("added", b.keys() - a.keys()),
-        ("changed", {k for k in a.keys() & b.keys() if a[k] != b[k]}))
-        if keys]
-    return "; ".join(f"{label} {keys}" for label, keys in parts)
+    return "; ".join(_key_changes(a, b))
 
 
 def _files(work: Path) -> dict:
