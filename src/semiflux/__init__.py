@@ -13,7 +13,7 @@ The package tracks three layers of structure side by side:
 
 from .field import mass_field_bound, solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
-                    Grid1D, HydroState, PressureConvention, ProfileCheck,
+                    Grid1D, HydroState, PressureConvention,
                     cumulative_integral, total_integral)
 from .monitors import (ALL_MONITORS, MonitorReport, TestFunction,
                        entropy_spot_check, entropy_sweep, evaluate_trajectory,
@@ -35,7 +35,7 @@ __all__ = [
     "HeatKernel", "HydroState",
     "IntegrationError", "MonitorReport", "PicardIterate",
     "PicardResult", "PressureConvention",
-    "ProfileCheck", "RunSetup", "SCENARIOS",
+    "RunSetup", "SCENARIOS",
     "SolverConfig", "SourceVariant", "StepReport", "StudyResult", "StudyRow",
     "TestFunction", "Trajectory", "cumulative_integral",
     "dissipation_integral", "drift_diffusion_run", "entropy_spot_check",

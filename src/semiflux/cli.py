@@ -42,14 +42,15 @@ stopped early (``solve`` audits what it recorded; ``picard``,
 ``verify --picard`` and ``relax`` print one ``error:`` line naming the
 rung and the time); 2 bad usage, unreadable input, or malformed
 configuration: an unknown key, a value its key's type cannot read or a
-non-finite float, in a config file or a stored run's config echo; a
-non-finite profile a, b or e_minus, or a negative a; a setting that would
-change nothing, ``verify --t1`` without ``--picard`` or a key beside one
-that replaces it (``config.REPLACES``); a periodic device with net charge;
-for ``picard`` and ``verify --picard``, an outflow device whose initial
-data do not vanish at the edges (``picard.check_edges``); or a relax
-device without a > 0 in every cell, or whose drift-diffusion reference
-cannot keep its density non-negative.
+non-finite float, a negative seed or a monitor list with an empty or
+repeated entry, in a config file or a stored run's echo or snapshot
+header; a non-finite profile a, b or e_minus, or a negative a; a setting
+that would change nothing, ``verify --t1`` without ``--picard`` or a key
+beside one that replaces it (``config.REPLACES``); a periodic device
+with net charge; for ``picard`` and ``verify --picard``, an outflow
+device whose initial data do not vanish at the edges
+(``picard.check_edges``); or a relax device without a > 0 in every cell,
+or whose drift-diffusion reference cannot keep its density non-negative.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ import scipy  # noqa: F401  no submodule: perfbench/child.py reads its version
 from .config import (PICARD_KEYS, RELAX_KEYS, SCENARIO_KEYS, SOLVE_KEYS,
                      TABLE_KEYS, coerce, parse_key_value)
 from .model import ConfigurationError, HydroState
-from .monitors import Check, parse_monitor_list
+from .monitors import Check, check_seed, parse_monitor_list
 from .picard import (CROSS_CHECK_T1, check_edges, check_t1, cross_check,
                      picard_solve)
 from .relaxation import (CouplingRule, PositivityError, StudyRow,
@@ -134,16 +135,16 @@ def _print_cross_check(row: Check):
 
 def cmd_solve(args) -> list:
     vals, setup = _configured(args, {**SCENARIO_KEYS, **SOLVE_KEYS})
-    name = setup.scenario.name
+    name = setup.name
     enabled = parse_monitor_list(vals.get("monitors", "all"))
     cadence = vals.get("cadence", 50)
     if args.seed is not None and "seed" in vals:
         raise ConfigurationError(f"the seed is given twice, --seed {args.seed}"
                                  f" and seed = {vals['seed']}; set one")
-    echo = {"scenario": name, "hypothesis_tag": setup.scenario.hypothesis_tag,
-            "cadence": cadence,
+    echo = {"scenario": name, "cadence": cadence,
             "monitors": ",".join(enabled) if enabled else "none",
-            "seed": vals.get("seed", 0) if args.seed is None else args.seed}
+            "seed": check_seed(vals.get("seed", 0) if args.seed is None
+                               else args.seed)}
 
     t0 = time.perf_counter()
     traj = run(setup.initial, setup.profile, setup.model, setup.cfg,
@@ -228,7 +229,7 @@ def cmd_verify(args) -> list:
 
 def cmd_picard(args) -> list:
     vals, setup = _configured(args, PICARD_KEYS, "gaussian-bump")
-    name = setup.scenario.name
+    name = setup.name
     t1 = vals.get("t1", CROSS_CHECK_T1)
     refine = vals.get("refine", 2)
     if refine < 1:
@@ -237,7 +238,7 @@ def cmd_picard(args) -> list:
     result = picard_solve(setup.initial, setup.profile, setup.model,
                           setup.cfg, setup.grid, t1,
                           **_given(vals, ("n_intervals", "tol", "max_iters")))
-    fine = make_setup(name, {**setup.scenario.params,
+    fine = make_setup(name, {**setup.params,
                              "n_cells": setup.grid.n_cells * refine})
     row = cross_check(result, setup.grid, t1, fine, fine.initial)
 
@@ -276,7 +277,7 @@ def cmd_picard(args) -> list:
 
 def cmd_relax(args) -> list:
     vals, setup = _configured(args, RELAX_KEYS, "gaussian-bump")
-    name = setup.scenario.name
+    name = setup.name
     if "tau_list" not in vals:
         raise ConfigurationError("relax config must set 'tau_list'")
     coupling = CouplingRule(**_given(

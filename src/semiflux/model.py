@@ -15,9 +15,9 @@ through expm1 (`_powm1_over`), which is exactly a logarithm at gamma = 1,
 and P1's tail and the internal energy share `_tail`.  Everything here is
 plain numpy on a uniform cell-centered grid.
 
-A device profile's a, b and e_minus must be finite, a >= 0; the hypotheses
-of its time-uniform bounds are one ordered table of named booleans, the
-first False its first failure (`_check_profile`), read by the audit alone.
+A device profile is its data, a, b and e_minus, finite, a >= 0; its C
+profile (`derived_c_profile`) is derived where it is read, and the audit
+alone judges the time-uniform bounds' hypotheses on it.
 
 The scalars the march hands to numpy each step (delta, 2*delta, gamma,
 gamma - 1, the pressure prefactor, P1's rho-free terms, dx, e_minus and
@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -296,63 +296,21 @@ class HydroState:
             raise ConfigurationError("rho and mom must share a shape")
 
 
-@dataclass(frozen=True)
-class ProfileCheck:
-    """Outcome of the time-uniform-bound hypothesis checks on a profile."""
-
-    first_failure: str | None
-    conditions: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.first_failure is None
-
-
-def _check_profile(a, b, e_minus, dx: float, c) -> ProfileCheck:
-    """Check the damping/doping conditions under which sup-norm bounds stay
-    uniform in time, on float arrays with the derived C profile `c`: one
-    ordered table of named hypotheses, the first False its first failure.
-    Doping non-negative with total charge below the far-field datum (both
-    waived when the doping is everywhere non-positive), a positive and
-    non-increasing, and C non-decreasing (False where a vanishes, C being
-    undefined there)."""
-    def tol(v):
-        return 1e-10 * max(1.0, float(np.max(np.abs(v))))
-
-    a_min = float(np.min(a))
-    waived = bool(np.all(b <= 0.0))
-    conditions = {
-        "doping sign": waived or bool(np.all(b >= 0.0)),
-        "total doping below field datum":
-            waived or bool(total_integral(b, dx) < e_minus),
-        "damping positive": a_min > 0.0,
-        "damping non-increasing": bool(np.all(np.gradient(a, dx) <= tol(a))),
-        "C non-decreasing":
-            a_min > 0.0 and bool(np.all(np.gradient(c, dx) >= -tol(c))),
-    }
-    first = next((name for name, ok in conditions.items() if not ok), None)
-    return ProfileCheck(first_failure=first, conditions=conditions)
-
-
 def derived_c_profile(a_vals, b_vals, e_minus, dx: float) -> np.ndarray:
     """C(x) = (e_minus - int_{left}^x b) / a(x), NaN where a(x) = 0: C is
-    undefined there, and such a profile fails its hypothesis check."""
-    a = np.asarray(a_vals, dtype=float)
+    undefined there."""
     num = e_minus - cumulative_integral(b_vals, dx)
-    return np.divide(num, a, out=np.full_like(num, np.nan), where=a != 0.0)
+    return np.divide(num, a_vals, out=np.full_like(num, np.nan),
+                     where=a_vals != 0.0)
 
 
 @dataclass(frozen=True)
 class DeviceProfile:
-    """Damping coefficient a(x), doping b(x), far-field datum, and the derived
-    C profile with its hypothesis check (`check.ok`: the time-uniform bounds
-    apply); c_vals is NaN where a(x) = 0."""
+    """Damping coefficient a(x), doping b(x) and the far-field datum."""
 
     a_vals: np.ndarray
     b_vals: np.ndarray
     e_minus: float
-    c_vals: np.ndarray
-    check: ProfileCheck
 
     @functools.cached_property
     def _e_minus(self) -> np.ndarray:
@@ -376,10 +334,7 @@ class DeviceProfile:
             raise ConfigurationError(
                 f"damping coefficient must be non-negative, got min a = "
                 f"{float(a[i])!r} at x = {float(grid.centers[i])!r}")
-        c = derived_c_profile(a, b, e_minus, grid.dx)
-        check = _check_profile(a, b, e_minus, grid.dx, c)
-        return cls(a_vals=a, b_vals=b, e_minus=float(e_minus), c_vals=c,
-                   check=check)
+        return cls(a_vals=a, b_vals=b, e_minus=float(e_minus))
 
 
 @dataclass(frozen=True)
@@ -396,8 +351,9 @@ def build_aux_fields(state: HydroState, profile: DeviceProfile,
     charge = cumulative_integral(state.rho - model.rho_floor, grid.dx)
     a = profile.a_vals
     a_prime = np.gradient(a, grid.dx)
+    c = derived_c_profile(a, profile.b_vals, profile.e_minus, grid.dx)
     return AuxFields(
         cumulative_charge=charge,
-        a_field=charge / a + profile.c_vals,
+        a_field=charge / a + c,
         b_field=-(a_prime / a ** 2) * charge,
     )

@@ -26,7 +26,8 @@ The whole-run monitors, `uniform` (plateaus of sup rho and sup |u|) and
 `entropy` (the weak entropy inequality against compactly supported test
 functions, one `entropy_sweep` over the snapshots), judge a run of
 `MIN_RECORDS` records or more over a time span, uniform under the
-profile's hypotheses too: `_unjudged_reason`, their only reader, says why not.
+profile's hypotheses too, which `_unjudged_reason` alone derives
+(`_check_profile`): it says why a run is not judged.
 """
 
 from __future__ import annotations
@@ -38,24 +39,37 @@ import numpy as np
 import numpy.random  # noqa: F401  at start-up, not on first use in a command
 
 from .field import doping_mass, mass_field_bound, solve_field
-from .model import Boundary, ConfigurationError, GasModel, PressureConvention
+from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
+                    PressureConvention, derived_c_profile, total_integral)
 from .solver import Trajectory, source
 
 ALL_MONITORS = ("positivity", "mass", "field", "riemann", "uniform", "entropy")
 
 
 def parse_monitor_list(spec: str) -> tuple:
+    """The monitors `spec` names: "all" (or nothing), "none", or a comma
+    list of distinct names of `ALL_MONITORS`, no entry empty."""
     body = spec.strip().lower()
     if body in ("all", ""):
         return ALL_MONITORS
     if body == "none":
         return ()
-    names = tuple(s.strip() for s in body.split(",") if s.strip())
+    names = tuple(s.strip() for s in body.split(","))
+    if "" in names or len(set(names)) < len(names):
+        raise ConfigurationError(
+            f"monitors: need distinct names between the commas, got {spec!r}")
     unknown = set(names) - set(ALL_MONITORS)
     if unknown:
         raise ConfigurationError(
             f"unknown monitors {sorted(unknown)}; choose from {list(ALL_MONITORS)}")
     return names
+
+
+def check_seed(seed: int) -> int:
+    """`seed` if the entropy draw can take it: a non-negative integer."""
+    if seed < 0:
+        raise ConfigurationError(f"seed: need seed >= 0, got {seed}")
+    return seed
 
 
 # relative slack on excess mass (per 1000 steps under periodic boundaries)
@@ -157,6 +171,31 @@ def _record_columns(traj: Trajectory) -> dict:
             "w_max": w_max, "riemann_bound": m2 + m1 * traj.times}
 
 
+def _check_profile(profile: DeviceProfile, dx: float) -> str | None:
+    """The first hypothesis of the time-uniform bounds that `profile`
+    fails, in one ordered table, None if none: doping non-negative with
+    total charge below the far-field datum (both waived for a doping
+    everywhere non-positive), a positive and non-increasing, and the
+    derived C profile non-decreasing (failed where a vanishes)."""
+    def tol(v):
+        return 1e-10 * max(1.0, float(np.max(np.abs(v))))
+
+    a, b, e_minus = profile.a_vals, profile.b_vals, profile.e_minus
+    c = derived_c_profile(a, b, e_minus, dx)
+    a_min = float(np.min(a))
+    waived = bool(np.all(b <= 0.0))
+    conditions = {
+        "doping sign": waived or bool(np.all(b >= 0.0)),
+        "total doping below field datum":
+            waived or bool(total_integral(b, dx) < e_minus),
+        "damping positive": a_min > 0.0,
+        "damping non-increasing": bool(np.all(np.gradient(a, dx) <= tol(a))),
+        "C non-decreasing":
+            a_min > 0.0 and bool(np.all(np.gradient(c, dx) >= -tol(c))),
+    }
+    return next((name for name, ok in conditions.items() if not ok), None)
+
+
 def _unjudged_reason(traj: Trajectory, monitor: str) -> str | None:
     """Why the whole-run monitor "uniform" or "entropy" does not judge
     `traj`, None when it does: too few records or no time span, for
@@ -166,7 +205,8 @@ def _unjudged_reason(traj: Trajectory, monitor: str) -> str | None:
         return f"need {MIN_RECORDS} records, got {len(times)}"
     if times[-1] <= times[0]:
         return "no recorded time span"
-    return traj.profile.check.first_failure if monitor == "uniform" else None
+    return (_check_profile(traj.profile, traj.grid.dx)
+            if monitor == "uniform" else None)
 
 
 def evaluate_trajectory(traj: Trajectory,

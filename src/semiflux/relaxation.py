@@ -326,7 +326,7 @@ def relaxation_study(setup: RunSetup, tau_list,
 
     # each rung: the scenario, its keys over it; the reference starts from
     # rung 0's excess density
-    name, params = setup.scenario.name, setup.scenario.params
+    name, params = setup.name, setup.params
     rungs = [make_setup(name, {
         **params, "delta": coupling.delta(tau),
         "epsilon": coupling.epsilon(tau, setup.model), "tau": tau,
@@ -364,7 +364,7 @@ def relaxation_study(setup: RunSetup, tau_list,
         **{k: params[k] for k in RELAX_KEYS if k in SCENARIO_KEYS},
         # and every study setting, each under its config key
         **asdict(coupling),
-        "scenario": setup.scenario.name, "tau_list": taus,
+        "scenario": setup.name, "tau_list": taus,
         "horizon": horizon, "window_lo": window_lo, "window_hi": window_hi,
         "s0_frac": s0_frac, "n_s_records": n_s_records,
     }

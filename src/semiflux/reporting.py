@@ -32,7 +32,7 @@ import numpy as np
 from .config import (ECHO_KEYS, SCENARIO_KEYS, SOLVE_KEYS, build_parts,
                      coerce, config_echo, read_numbers)
 from .model import ConfigurationError, DeviceProfile, Grid1D
-from .monitors import (MONITOR_COLUMNS, entropy_spot_check,
+from .monitors import (MONITOR_COLUMNS, check_seed, entropy_spot_check,
                        evaluate_trajectory, parse_monitor_list)
 from .solver import Trajectory
 
@@ -57,8 +57,9 @@ def _table_text(meta: dict, columns: dict) -> str:
 def _read_table(path: Path, grid: Grid1D, keys: tuple, names: tuple):
     """Read a stored table as ({key: float}, {column: values}).  It must be
     laid out as `_table_text` writes it, with exactly the header keys
-    `keys` and the columns `names`, and hold one row per cell of the run's
-    grid; any other table is rejected."""
+    `keys` and the columns `names`, each key a finite number, and hold one
+    row per cell of the run's grid; any other table is rejected, naming
+    the file."""
     lines = path.read_text().splitlines()
     head = [ln[1:].replace("columns:", "columns =").partition("=")
             for ln in takewhile(lambda ln: ln.startswith("#"), lines)]
@@ -74,6 +75,10 @@ def _read_table(path: Path, grid: Grid1D, keys: tuple, names: tuple):
     except ValueError as err:
         raise ConfigurationError(
             f"{path}: unreadable header ({err})") from None
+    for key, v in values.items():
+        if not np.isfinite(v):
+            raise ConfigurationError(
+                f"{path}: need a finite {key}, got {key} = {v!r}")
     data = read_numbers(lines[len(head):], f"table {path}")
     if data.shape != (grid.n_cells, len(names)):
         raise ConfigurationError(
@@ -106,11 +111,11 @@ def audited_texts(traj: Trajectory, command_echo: dict):
     audit = coerce({k: command_echo[k] for k in ("monitors", "seed")},
                    SOLVE_KEYS)
     enabled = parse_monitor_list(audit["monitors"])
+    seed = check_seed(audit["seed"])
     report = evaluate_trajectory(traj, enabled)
     entropy = {}
     if "entropy" in enabled:
-        entropy["entropy_checks"], checks = entropy_spot_check(
-            traj, audit["seed"])
+        entropy["entropy_checks"], checks = entropy_spot_check(traj, seed)
         report.checks.extend(checks)
     payload = {"config": {**command_echo, **config_echo(traj)},
                "summary": report.summary,
@@ -152,8 +157,9 @@ def load_run_dir(run_dir):
     """Read back a finished run: (report.json payload, trajectory).  The
     echo is parsed here only, with the config files' key types, so a value
     its key cannot read is a ConfigurationError naming the key, as is a
-    snapshot whose step is not a whole step count, naming the file, or a
-    report.json of another shape than `audited_texts` writes."""
+    snapshot whose step is not a whole step count or whose header holds a
+    value that is not finite, naming the file, or a report.json of another
+    shape than `audited_texts` writes."""
     out = Path(run_dir)
     report = out / "report.json"
     payload = json.loads(report.read_text())

@@ -9,9 +9,9 @@ cell centres x, with gaussian bumps g_bump and g_doping,
                       * g_doping
   damping a           damping - damping_slope_coeff * int_left^x b
 
-with the far-field datum e_minus.  A scenario is a row of
-`config.SCENARIO_DEFAULTS`: the values it overrides and the hypothesis set
-it targets, which the audit alone judges (`monitors._unjudged_reason`).
+with the far-field datum e_minus.  A scenario is a name and its row of
+`config.SCENARIO_DEFAULTS`, the values it overrides; the audit alone
+judges its device against the uniform bound's hypotheses.
 
   vacuum-rest        no bump: constant offset state, exact fixed point of
                      the scheme
@@ -25,13 +25,14 @@ it targets, which the audit alone judges (`monitors._unjudged_reason`).
 
 Overrides, a profile table's `a_table` or `b_table` among them, pass
 through `config.coerce`, the cast every config file takes.  `make_setup`
-builds the device for every command, reading no scenario name.
+builds the device for every command, reading no scenario name, into a
+`RunSetup`, the name and its resolved row beside the parts of a run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +40,8 @@ import numpy as np
 from .config import (SCENARIO_DEFAULTS, SCENARIO_KEYS, TABLE_KEYS,
                      build_parts, coerce, read_numbers)
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
-                    Grid1D, PressureConvention, cumulative_integral,
-                    total_integral)
+                    Grid1D, HydroState, PressureConvention,
+                    cumulative_integral, total_integral)
 from .solver import SolverConfig, prepare_initial
 
 
@@ -48,38 +49,28 @@ def gaussian(x, center: float, width: float):
     return np.exp(-(((np.asarray(x, dtype=float)) - center) / width) ** 2)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    hypothesis_tag: str
-    params: dict
-
-
 @dataclass
 class RunSetup:
-    scenario: Scenario
+    name: str
+    params: dict  # the scenario's row under the overrides
     model: GasModel
     grid: Grid1D
     profile: DeviceProfile
     cfg: SolverConfig
-    initial: object  # HydroState
+    initial: HydroState
 
 
-def _scenario(name, tag, **row) -> Scenario:
-    return Scenario(name, tag, {**SCENARIO_DEFAULTS, **row})
-
-
-SCENARIOS = {s.name: s for s in (
-    _scenario("vacuum-rest", "global-existence",
-              bump_amplitude=0.0, smoothing_width=0.0),
-    _scenario("gaussian-bump", "global-existence"),
-    _scenario("doping-ramp", "time-uniform",
-              pressure_convention=PressureConvention.PLAIN,
-              e_minus=1.0, bump_amplitude=0.5, bump_center=-1.0,
-              doping_mass=0.5, damping_slope_coeff=1.0),
-    _scenario("isothermal-bump", "global-existence", gamma=1.0),
-    _scenario("charge-neutral-rest", "relaxation",
-              smoothing_width=0.0, bump_amplitude=0.0, neutral_level=0.5))}
+SCENARIOS = {
+    "vacuum-rest": dict(SCENARIO_DEFAULTS, bump_amplitude=0.0,
+                        smoothing_width=0.0),
+    "gaussian-bump": dict(SCENARIO_DEFAULTS),
+    "doping-ramp": dict(SCENARIO_DEFAULTS,
+                        pressure_convention=PressureConvention.PLAIN,
+                        e_minus=1.0, bump_amplitude=0.5, bump_center=-1.0,
+                        doping_mass=0.5, damping_slope_coeff=1.0),
+    "isothermal-bump": dict(SCENARIO_DEFAULTS, gamma=1.0),
+    "charge-neutral-rest": dict(SCENARIO_DEFAULTS, smoothing_width=0.0,
+                                bump_amplitude=0.0, neutral_level=0.5)}
 
 
 def device_arrays(grid: Grid1D, p: dict, b=None):
@@ -129,9 +120,8 @@ def make_setup(name: str, overrides: dict | None = None) -> RunSetup:
         raise ConfigurationError(
             f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
     given = coerce(overrides or {}, {**SCENARIO_KEYS, **TABLE_KEYS})
-    scenario = replace(SCENARIOS[name], params={**SCENARIOS[name].params, **{
-        k: v for k, v in given.items() if k in SCENARIO_KEYS}})
-    p = scenario.params
+    p = {**SCENARIOS[name],
+         **{k: v for k, v in given.items() if k in SCENARIO_KEYS}}
     grid, model, cfg = build_parts(p)
     tables = {key: interp_profile(given[key], grid.centers)
               for key in TABLE_KEYS if key in given}
@@ -148,5 +138,5 @@ def make_setup(name: str, overrides: dict | None = None) -> RunSetup:
             raise ConfigurationError(
                 "a periodic device needs zero net charge, int N0 dx - int b dx"
                 f" = 0 with N0 = rho0 - 2 delta; got {net!r}")
-    return RunSetup(scenario=scenario, model=model, grid=grid, profile=profile,
-                    cfg=cfg, initial=initial)
+    return RunSetup(name=name, params=p, model=model, grid=grid,
+                    profile=profile, cfg=cfg, initial=initial)

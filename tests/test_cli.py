@@ -18,16 +18,17 @@ import pytest
 
 import semiflux
 from semiflux.cli import main
-from semiflux import config
+from semiflux import config, monitors
 from semiflux.config import RELAX_KEYS, SCENARIO_KEYS, TABLE_KEYS, coerce
-from semiflux.model import ConfigurationError, GasModel, Grid1D, ProfileCheck
+from semiflux.model import ConfigurationError, DeviceProfile, GasModel, Grid1D
 from semiflux.monitors import (ALL_MONITORS, MIN_RECORDS, MONITOR_COLUMNS,
-                               PLATEAU_TOL, parse_monitor_list)
+                               PLATEAU_TOL, evaluate_trajectory,
+                               parse_monitor_list)
 from semiflux.picard import PicardIterate, picard_solve
 from semiflux.relaxation import (CouplingRule, PositivityError,
                                  relaxation_study)
-from semiflux.reporting import audited_texts
-from semiflux.scenarios import Scenario, make_setup
+from semiflux.reporting import audited_texts, load_run_dir
+from semiflux.scenarios import SCENARIOS, RunSetup, make_setup
 from semiflux.solver import IntegrationError, SolverConfig, run
 
 
@@ -84,6 +85,17 @@ class TestParseMonitorList:
         with pytest.raises(ConfigurationError):
             parse_monitor_list("mass,warp")
 
+    @pytest.mark.parametrize("spec", [",", "mass,", ",mass", "mass,,field",
+                                      "mass, ,field", "mass,mass",
+                                      "mass, field, MASS"])
+    def test_empty_or_repeated_entry_refused(self, spec):
+        # a list that names no monitor in an entry, or one monitor twice,
+        # is a typo: "," would otherwise switch every monitor off unnamed
+        with pytest.raises(ConfigurationError,
+                           match="^monitors: need distinct names between "
+                                 "the commas, got "):
+            parse_monitor_list(spec)
+
 
 class TestUsageErrors:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -107,8 +119,14 @@ class TestUsageErrors:
         assert main(["solve", "--config", cfg]) == 2
 
     def test_bad_monitors_key(self, tmp_path):
-        cfg = write_cfg(tmp_path, "scenario = gaussian-bump\nmonitors = warp\n")
-        assert main(["solve", "--config", cfg]) == 2
+        # "," names no monitor: it would switch every one off unnamed
+        out = tmp_path / "out"
+        for spec in ("warp", ",", "mass,mass"):
+            cfg = write_cfg(tmp_path, "scenario = gaussian-bump\n"
+                                      f"monitors = {spec}\n")
+            assert main(["solve", "--config", cfg,
+                         "--out-dir", str(out)]) == 2, spec
+        assert not out.exists()
 
     def test_zero_cadence_names_the_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "scenario = gaussian-bump\ncadence = 0\n")
@@ -531,6 +549,26 @@ class TestSolve:
         payload = json.loads((out / "report.json").read_text())
         assert payload["config"]["seed"] == 11
 
+    @pytest.mark.parametrize("where", ["flag", "key"])
+    def test_negative_seed_exits_2_before_the_march(self, tmp_path, capsys,
+                                                    monkeypatch, where):
+        # the entropy draw takes no negative seed: refused, naming the
+        # key, before a step is taken or a file written, by either spelling
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched under a negative seed")
+
+        monkeypatch.setattr("semiflux.cli.run", no_march)
+        cfg = write_cfg(tmp_path, "scenario = vacuum-rest\nn_cells = 40\n"
+                                  "t_end = 0.1\n"
+                        + ("seed = -1\n" if where == "key" else ""))
+        out = tmp_path / "run"
+        flag = ["--seed", "-1"] if where == "flag" else []
+        assert main(["solve", "--config", cfg, "--out-dir", str(out),
+                     *flag]) == 2
+        assert capsys.readouterr() == ("",
+                                       "error: seed: need seed >= 0, got -1\n")
+        assert not out.exists()
+
     def test_seed_given_twice_exits_2(self, tmp_path, capsys):
         # neither spelling wins over the other
         cfg = write_cfg(tmp_path, "scenario = vacuum-rest\nn_cells = 40\n"
@@ -807,28 +845,38 @@ class TestVerify:
         assert out.startswith("monitors.csv: MISMATCH under recomputation, "
                               "line 4 (row 3), column mass: ")
 
-    @pytest.mark.parametrize("header", ["{}.5", "nan", "1e400", "1e19"],
-                             ids=["fractional", "nan", "overflow",
-                                  "beyond-int64"])
+    @pytest.mark.parametrize("key,header,need", [
+        ("step", "{}.5", "a whole step count"),
+        ("step", "nan", "a finite step"), ("step", "1e400", "a finite step"),
+        ("step", "1e19", "a whole step count"),
+        ("time", "nan", "a finite time"), ("time", "inf", "a finite time"),
+        ("min_rho", "nan", "a finite min_rho"),
+        ("min_rho", "-inf", "a finite min_rho")],
+        ids=["fractional", "nan", "overflow", "beyond-int64", "time-nan",
+             "time-inf", "min-rho-nan", "min-rho-minus-inf"])
     def test_snapshot_step_that_is_no_step_count_exits_2(self, run_dir,
-                                                         capsys, header):
+                                                         capsys, key, header,
+                                                         need):
         # a snapshot's step is a whole count: one with a fraction would
-        # round to the stored count and verify byte-identical, and a nan or
-        # an infinity would end in a traceback
+        # round to the stored count and verify byte-identical; a nan or an
+        # infinity in any header value would end in a traceback or numpy
+        # warnings, and is refused naming the file
         snap = json.loads((run_dir / "report.json").read_text())[
             "snapshots"][1]
         path = run_dir / snap
         lines = path.read_text().splitlines(True)
         step = int(lines[0].split("=")[1])
         bad = header.format(step)
-        lines[0] = f"# step = {bad}\n"
+        i = next(i for i, ln in enumerate(lines)
+                 if ln.startswith(f"# {key} = "))
+        lines[i] = f"# {key} = {bad}\n"
         path.write_text("".join(lines))
         capsys.readouterr()
         assert main(["verify", str(run_dir)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (f"error: {path}: need a whole step count, got "
-                       f"step = {float(bad)!r}\n")
+        assert err == (f"error: {path}: need {need}, got "
+                       f"{key} = {float(bad)!r}\n")
 
     def test_stored_profile_with_a_nan_exits_2(self, run_dir, capsys):
         # the stored device passes the gate every device profile passes
@@ -865,10 +913,11 @@ class TestVerify:
 
     def test_legacy_flux_scheme_echo_still_verifies(self, run_dir):
         # run directories written while the config echo carried a flux
-        # scheme name must keep verifying
+        # scheme name or a scenario's hypothesis tag must keep verifying
         p = run_dir / "report.json"
         payload = json.loads(p.read_text())
         payload["config"]["flux_scheme"] = "llf"
+        payload["config"]["hypothesis_tag"] = "global-existence"
         p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         assert main(["verify", str(run_dir), "--picard", "--t1", "0.01"]) == 0
 
@@ -883,6 +932,24 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", str(run_dir)]) == 2
         assert repr(key) in capsys.readouterr().err
+
+    def test_echo_with_a_negative_seed_exits_2(self, run_dir, capsys,
+                                               monkeypatch):
+        # the entropy draw takes no negative seed: a stored one is refused
+        # by solve's rule, before anything is audited
+        def no_audit(*args, **kwargs):
+            raise AssertionError("audited a run with a negative seed")
+
+        monkeypatch.setattr("semiflux.reporting.evaluate_trajectory",
+                            no_audit)
+        p = run_dir / "report.json"
+        payload = json.loads(p.read_text())
+        payload["config"]["seed"] = -1
+        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(run_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: seed: need seed >= 0, got -1\n")
 
     @pytest.mark.parametrize("shape", [
         [1], {"config": [1]}, {"snapshots": [3]}, {"snapshots": "snap.dat"}],
@@ -1417,21 +1484,54 @@ class TestModuleEntry:
 
     def test_one_judge_of_the_uniform_hypotheses(self):
         # whether a device meets the uniform bound's hypotheses is asked by
-        # the audit alone: no other module reads a profile's check, a
-        # scenario declares no outcome, and the check stores its outcome
-        # once, as its first failure
+        # the audit alone: no other module names the hypothesis function, a
+        # device is its data, and a set-up is a name beside its parameters,
+        # declaring no outcome
         src = Path(semiflux.__file__).resolve().parent
-        readers = [(path.name, ast.unparse(node))
-                   for path in sorted(src.glob("*.py"))
-                   if path.name != "monitors.py"
-                   for node in ast.walk(ast.parse(path.read_text()))
-                   if isinstance(node, ast.Attribute) and node.attr == "check"
-                   and ast.unparse(node.value).split(".")[-1] == "profile"]
-        assert readers == []
-        assert [f.name for f in dataclasses.fields(Scenario)] == [
-            "name", "hypothesis_tag", "params"]
-        assert [f.name for f in dataclasses.fields(ProfileCheck)] == [
-            "first_failure", "conditions"]
+        assert [path.name for path in sorted(src.glob("*.py"))
+                if "_check_profile" in path.read_text()] == ["monitors.py"]
+        assert [f.name for f in dataclasses.fields(DeviceProfile)] == [
+            "a_vals", "b_vals", "e_minus"]
+        assert [f.name for f in dataclasses.fields(RunSetup)] == [
+            "name", "params", "model", "grid", "profile", "cfg", "initial"]
+        assert all(isinstance(row, dict) for row in SCENARIOS.values())
+
+    def test_no_set_up_judges_the_uniform_hypotheses(self, tmp_path,
+                                                     monkeypatch):
+        # building every row, reading a run back, a Picard solve and a
+        # relax ladder never ask for the first failing hypothesis; an audit
+        # that judges uniform asks once
+        calls = []
+        judge = monitors._check_profile
+
+        def counted(*args):
+            calls.append(args)
+            return judge(*args)
+
+        monkeypatch.setattr(monitors, "_check_profile", counted)
+        for name in SCENARIOS:
+            make_setup(name)
+        cfg = write_cfg(tmp_path, "scenario = gaussian-bump\nn_cells = 60\n"
+                                  "t_end = 0.5\ncadence = 1\n"
+                                  "monitors = mass\n", name="solve.cfg")
+        assert main(["solve", "--config", cfg,
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        _, traj = load_run_dir(tmp_path / "run")
+        cfg = write_cfg(tmp_path, "scenario = gaussian-bump\nn_cells = 60\n"
+                                  "epsilon = 0.01\nt1 = 0.01\n"
+                                  "n_intervals = 4\n", name="picard.cfg")
+        assert main(["picard", "--config", cfg,
+                     "--out-dir", str(tmp_path / "pic")]) == 0
+        cfg = write_cfg(tmp_path, "scenario = gaussian-bump\nx_min = -4\n"
+                                  "x_max = 4\nn_cells = 40\n"
+                                  "tau_list = 0.2 0.1 0.05\n",
+                        name="relax.cfg")
+        assert main(["relax", "--config", cfg,
+                     "--out-dir", str(tmp_path / "relax")]) == 0
+        assert calls == []
+        assert len(traj.times) >= MIN_RECORDS
+        assert "uniform" not in evaluate_trajectory(traj).unjudged
+        assert [dx for _, dx in calls] == [traj.grid.dx]
 
     def test_cli_reads_one_config_and_writes_no_file(self):
         # one preamble reads every command's config, and every file a

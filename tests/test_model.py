@@ -9,6 +9,8 @@ from semiflux.model import (Boundary, ConfigurationError, DeviceProfile,
                             build_aux_fields, cumulative_integral,
                             derived_c_profile, total_integral)
 
+from semiflux.monitors import _check_profile
+
 from helpers import (cell_flux, p1_quadrature, sound_integral_quadrature,
                      uniform_profile)
 
@@ -296,51 +298,52 @@ class TestProfileValidation:
         self.grid = Grid1D(x_min=-5.0, x_max=5.0, n_cells=200,
                            boundary=Boundary.OUTFLOW)
 
+    def first_failure(self, a, b, e_minus):
+        """The first uniform-bound hypothesis the device (a, b, e_minus)
+        fails, as the audit derives it; None when it meets them all."""
+        return _check_profile(DeviceProfile.build(self.grid, a, b, e_minus),
+                              self.grid.dx)
+
     def test_ramp_construction_passes(self):
         # a(x) = E_minus - coeff * int b with small positive doping passes
         # every hypothesis, including the derived-C slope
         a, b = ramp_profile(self.grid)
-        check = DeviceProfile.build(self.grid, a, b, 1.0).check
-        assert check.ok, check.first_failure
+        assert self.first_failure(a, b, 1.0) is None
 
     def test_flat_profile_passes(self):
         n = self.grid.n_cells
-        check = DeviceProfile.build(self.grid, np.ones(n), np.zeros(n),
-                                    1.0).check
-        assert check.ok
-        assert all(check.conditions.values())
+        assert self.first_failure(np.ones(n), np.zeros(n), 1.0) is None
 
     def test_increasing_damping_fails(self):
         n = self.grid.n_cells
         a = np.linspace(1.0, 2.0, n)
-        check = DeviceProfile.build(self.grid, a, np.zeros(n), 1.0).check
-        assert not check.ok
-        assert check.first_failure == "damping non-increasing"
+        assert self.first_failure(a, np.zeros(n), 1.0) \
+            == "damping non-increasing"
 
     def test_excess_doping_fails(self):
         n = self.grid.n_cells
         b = np.full(n, 0.5)   # integral = 5 > e_minus
-        check = DeviceProfile.build(self.grid, np.ones(n), b, 1.0).check
-        assert not check.ok
-        assert check.first_failure == "total doping below field datum"
+        assert self.first_failure(np.ones(n), b, 1.0) \
+            == "total doping below field datum"
 
     def test_nonpositive_doping_waives_mass_condition(self):
+        # b < 0 breaks the sign rule and its total, -2, exceeds
+        # e_minus = -3: both are waived for a doping everywhere
+        # non-positive, so no hypothesis fails
         n = self.grid.n_cells
         b = np.full(n, -0.2)
-        check = DeviceProfile.build(self.grid, np.ones(n), b, 0.0).check
-        assert check.ok
-        assert check.conditions["total doping below field datum"]
+        assert self.first_failure(np.ones(n), b, -3.0) is None
 
     def test_c_profile_bracket(self):
         # (E_minus - total doping)/sup(a) <= C <= E_minus/inf(a)
         a, b = ramp_profile(self.grid)
-        prof = DeviceProfile.build(self.grid, a, b, 1.0)
-        assert prof.check.ok
+        assert self.first_failure(a, b, 1.0) is None
+        c = derived_c_profile(a, b, 1.0, self.grid.dx)
         total_b = total_integral(b, self.grid.dx)
         lower = (1.0 - total_b) / float(np.max(a))
         upper = 1.0 / float(np.min(a))
-        assert np.all(prof.c_vals >= lower - 1e-12)
-        assert np.all(prof.c_vals <= upper + 1e-12)
+        assert np.all(c >= lower - 1e-12)
+        assert np.all(c <= upper + 1e-12)
 
     def test_derived_c_matches_definition(self):
         a, b = ramp_profile(self.grid)
@@ -376,18 +379,16 @@ class TestProfileValidation:
                                 parts["e_minus"])
 
     def test_zero_damping_fails_without_dividing(self):
-        # C is undefined where a = 0: it is NaN there, and the check records
-        # its condition as failed; no division by zero is evaluated (numpy
+        # C is undefined where a = 0: it is NaN there, and the hypotheses
+        # fail at a's sign; no division by zero is evaluated (numpy
         # warnings are errors in this suite)
         n = self.grid.n_cells
         a = np.ones(n)
         a[n // 2:] = 0.0
-        prof = DeviceProfile.build(self.grid, a, np.zeros(n), 1.0)
-        assert not prof.check.ok
-        assert prof.check.first_failure == "damping positive"
-        assert prof.check.conditions["C non-decreasing"] is False
-        assert np.array_equal(prof.c_vals[:n // 2], np.ones(n // 2))
-        assert np.all(np.isnan(prof.c_vals[n // 2:]))
+        assert self.first_failure(a, np.zeros(n), 1.0) == "damping positive"
+        c = derived_c_profile(a, np.zeros(n), 1.0, self.grid.dx)
+        assert np.array_equal(c[:n // 2], np.ones(n // 2))
+        assert np.all(np.isnan(c[n // 2:]))
 
 
 class TestAuxFields:
@@ -402,7 +403,7 @@ class TestAuxFields:
         state = HydroState(rho=rho, mom=np.zeros_like(rho))
         aux = build_aux_fields(state, prof, self.model, self.grid)
         assert np.allclose(aux.cumulative_charge, 0.0, atol=0)
-        assert np.allclose(aux.a_field, prof.c_vals, atol=0)
+        assert np.allclose(aux.a_field, 0.7 / 1.3, atol=0)
 
     def test_constant_damping_kills_b(self):
         prof = uniform_profile(self.grid, a=2.0, b=0.0, e_minus=1.0)
@@ -414,7 +415,7 @@ class TestAuxFields:
     def test_decreasing_damping_gives_nonnegative_b(self):
         a, b = ramp_profile(self.grid)
         prof = DeviceProfile.build(self.grid, a, b, 1.0)
-        assert prof.check.ok
+        assert _check_profile(prof, self.grid.dx) is None
         rho = self.model.rho_floor + 0.5 * np.exp(-self.grid.centers ** 2)
         state = HydroState(rho=rho, mom=np.zeros_like(rho))
         aux = build_aux_fields(state, prof, self.model, self.grid)
@@ -427,7 +428,8 @@ class TestAuxFields:
         state = HydroState(rho=rho, mom=np.zeros_like(rho))
         aux = build_aux_fields(state, prof, self.model, self.grid)
         mass = total_integral(rho - self.model.rho_floor, self.grid.dx)
-        bound = float(np.max(prof.c_vals)) + mass / float(np.min(a))
+        c = derived_c_profile(a, b, 1.0, self.grid.dx)
+        bound = float(np.max(c)) + mass / float(np.min(a))
         assert np.all(aux.a_field <= bound + 1e-12)
 
 

@@ -217,7 +217,6 @@ class TestEvaluateTrajectory:
 
         rising_a = np.linspace(1.0, 2.0, n)
         loose = DeviceProfile.build(self.grid, rising_a, np.zeros(n), 0.0)
-        assert not loose.check.ok
         gated = evaluate_trajectory(replace(traj, profile=loose))
         assert "uniform" not in {c.check for c in gated.checks}
         # the plateau values stay, as summary values with no verdict
@@ -226,7 +225,6 @@ class TestEvaluateTrajectory:
         # the report names the skipped monitor and the first failing
         # hypothesis, the reason solve prints
         assert gated.unjudged == {"uniform": "damping non-increasing"}
-        assert loose.check.first_failure == "damping non-increasing"
 
     @pytest.mark.parametrize("enabled", [("uniform", "entropy"), ("entropy",),
                                          ("positivity",)])

@@ -150,7 +150,7 @@ class TestDriftDiffusionRun:
         setup = make_setup("charge-neutral-rest", {"boundary": "periodic",
                                                    "n_cells": n_cells})
         grid, model, profile = setup.grid, setup.model, setup.profile
-        level = setup.scenario.params["neutral_level"]
+        level = setup.params["neutral_level"]
         kappa = 2.0 * math.pi * self.MODE / (grid.x_max - grid.x_min)
         half = 0.5 * kappa * grid.dx
         # the exact cell average of cos(kappa x) is this factor times its
@@ -569,7 +569,7 @@ class TestRelaxationStudy:
                     "tau": row.tau, "t_end": 0.05 / row.tau,
                     "source_variant": "excess-density"}
             rung = make_setup("gaussian-bump",
-                              {**setup.scenario.params, **keys})
+                              {**setup.params, **keys})
             assert rung.cfg == SolverConfig(
                 epsilon=row.epsilon, tau=row.tau, t_end=0.05 / row.tau,
                 source_variant=SourceVariant.EXCESS_DENSITY)

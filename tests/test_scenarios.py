@@ -15,6 +15,7 @@ import pytest
 
 from semiflux import ConfigurationError, cumulative_integral, prepare_initial
 from semiflux.config import SCENARIO_KEYS
+from semiflux.monitors import _check_profile
 from semiflux.scenarios import SCENARIOS, gaussian, make_setup
 
 GRIDS = [({"n_cells": 500}, "n500-outflow"),
@@ -93,8 +94,9 @@ FIRST_FAILURE = {"vacuum-rest": None, "gaussian-bump": None,
 
 
 def test_first_failing_hypothesis_of_each_row():
-    assert {name: make_setup(name).profile.check.first_failure
-            for name in SCENARIOS} == FIRST_FAILURE
+    setups = {name: make_setup(name) for name in SCENARIOS}
+    assert {name: _check_profile(s.profile, s.grid.dx)
+            for name, s in setups.items()} == FIRST_FAILURE
 
 
 def test_every_key_reaches_the_setup():
@@ -102,10 +104,10 @@ def test_every_key_reaches_the_setup():
     # cannot be built (a periodic grid under a charged row); only a shape
     # without amplitude may change nothing
     unchanged, expected = set(), set()
-    for name, scenario in SCENARIOS.items():
+    for name, params in SCENARIOS.items():
         base = fingerprint(make_setup(name, {"n_cells": 60}))
         for key in SCENARIO_KEYS:
-            overrides = {"n_cells": 60, key: perturbed(scenario.params[key])}
+            overrides = {"n_cells": 60, key: perturbed(params[key])}
             try:
                 same = fingerprint(make_setup(name, overrides)) == base
             except ConfigurationError as err:
@@ -114,7 +116,7 @@ def test_every_key_reaches_the_setup():
                 same = False
             if same:
                 unchanged.add((name, key))
-            if shapes_nothing(key, scenario.params):
+            if shapes_nothing(key, params):
                 expected.add((name, key))
     assert unchanged == expected
     assert len(expected) == 15
@@ -141,7 +143,7 @@ def test_doping_table_feeds_the_damping_ramp(tmp_path):
     flat.write_text("-5.0 1.5\n5.0 1.5\n")
     setup = make_setup("doping-ramp", {"b_table": str(zero)})
     assert np.all(setup.profile.b_vals == 0.0)
-    assert np.all(setup.profile.a_vals == setup.scenario.params["damping"])
+    assert np.all(setup.profile.a_vals == setup.params["damping"])
     setup = make_setup("doping-ramp", {"b_table": str(ramp)})
     grid, b = setup.grid, setup.profile.b_vals
     np.testing.assert_allclose(b, 0.01 * (grid.centers + 5.0), rtol=1e-14)

@@ -64,6 +64,13 @@ def inputs() -> dict:
                                         "neutral_level = 0\n")
     files["cfg/relax-undamped.cfg"] = ("n_cells = 200\ndamping = 0\n"
                                        "tau_list = 0.2, 0.1, 0.05\n")
+    # audit settings the entropy draw or the monitor list cannot take
+    files["cfg/negative-seed.cfg"] = ("scenario = gaussian-bump\n"
+                                      "n_cells = 60\nt_end = 0.5\n"
+                                      "cadence = 1\nseed = -1\n")
+    files["cfg/no-monitor-named.cfg"] = ("scenario = gaussian-bump\n"
+                                         "n_cells = 60\nt_end = 0.5\n"
+                                         "cadence = 1\nmonitors = ,\n")
     return files
 
 
@@ -91,6 +98,8 @@ COMMANDS = (
     _on("solve", "rising-damping"),
     _on("solve", "neutral-undoped"),
     _on("relax", "relax-undamped"),
+    _on("solve", "negative-seed"),
+    _on("solve", "no-monitor-named"),
 )
 
 
