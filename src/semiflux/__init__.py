@@ -23,9 +23,9 @@ from .picard import (ContractionReport, HeatKernel, PicardIterate,
 from .relaxation import (CouplingRule, DDTrajectory, StudyResult, StudyRow,
                          dissipation_integral, drift_diffusion_run,
                          relaxation_study)
-from .scenarios import SCENARIOS, RunSetup, make_setup
+from .scenarios import SCENARIOS, RunSetup, make_setup, prepare_initial
 from .solver import (IntegrationError, SolverConfig, SourceVariant,
-                     StepReport, Trajectory, prepare_initial, run, step)
+                     StepReport, Trajectory, run, step)
 
 __version__ = "0.1.0"
 

@@ -243,13 +243,10 @@ def cmd_picard(args) -> list:
     row = cross_check(result, setup.grid, t1, fine, fine.initial)
 
     rep = result.report
-    # the first sweep has no predecessor, so no ratio
-    ratios = [float("nan")] + [b / a for a, b in zip(rep.distances,
-                                                     rep.distances[1:])]
     out_dir = write_texts(args.out_dir or f"runs/picard-{name}", {
         "contraction.csv": csv_text(
             ("iteration", "distance", "ratio"),
-            zip(range(len(rep.distances)), rep.distances, ratios)),
+            zip(range(len(rep.distances)), rep.distances, rep.ratios)),
         "picard_report.json": json_text({
             "distances": rep.distances, "converged": rep.converged,
             "diverged": rep.diverged, "band_violations": rep.band_violations,
@@ -257,12 +254,12 @@ def cmd_picard(args) -> list:
             "t1": t1, "n_intervals": len(result.iterate.rho) - 1,
             "scenario": name})})
 
-    worst = max(ratios[1:], default=float("nan"))
+    worst = max(rep.ratios[1:], default=float("nan"))
     print(f"picard {name}: {len(rep.distances)} iterations, "
           f"worst ratio {worst:.4f}, "
           f"{'converged' if rep.converged else 'not converged'}"
           f"{', diverged' if rep.diverged else ''}")
-    for i, (d, r, secs) in enumerate(zip(rep.distances, ratios,
+    for i, (d, r, secs) in enumerate(zip(rep.distances, rep.ratios,
                                          rep.iteration_s)):
         print(f"  iteration {i}: distance {d:.3e}, ratio {r:.4f}, "
               f"{1e3 * secs:.1f} ms")

@@ -10,7 +10,8 @@ strings and `scenarios.make_setup`'s overrides alike.  Each scenario is a
 row of `SCENARIO_DEFAULTS`, whose defaults type the keys.  A run's grid,
 gas law and SolverConfig are built from their keys by `build_parts` and
 echoed by `config_echo`, both through `_ECHO`: each key is the name of a
-field of `Grid1D`, `GasModel` or `SolverConfig`, and each field a key.
+field of `Grid1D`, `GasModel` or `SolverConfig`, and each field a key
+(smoothing_width, a set-up key, is no field and so no echo key).
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ plain numpy on a uniform cell-centered grid.
 
 A device profile is its data, a, b and e_minus, finite, a >= 0; its C
 profile (`derived_c_profile`) is derived where it is read, and the audit
-alone judges the time-uniform bounds' hypotheses on it.
+alone judges the time-uniform bounds' hypotheses on it.  The invariant
+region's A = E/a is read off the E the audit solves (`monitors._blocks`).
 
 The scalars the march hands to numpy each step (delta, 2*delta, gamma,
 gamma - 1, the pressure prefactor, P1's rho-free terms, dx, e_minus and
@@ -336,24 +337,3 @@ class DeviceProfile:
                 f"{float(a[i])!r} at x = {float(grid.centers[i])!r}")
         return cls(a_vals=a, b_vals=b, e_minus=float(e_minus))
 
-
-@dataclass(frozen=True)
-class AuxFields:
-    """Comparison fields entering the invariant-region argument."""
-
-    cumulative_charge: np.ndarray   # int_left^x (rho - 2*delta)
-    a_field: np.ndarray             # cumulative_charge / a + C
-    b_field: np.ndarray             # -(a'/a^2) * cumulative_charge
-
-
-def build_aux_fields(state: HydroState, profile: DeviceProfile,
-                     model: GasModel, grid: Grid1D) -> AuxFields:
-    charge = cumulative_integral(state.rho - model.rho_floor, grid.dx)
-    a = profile.a_vals
-    a_prime = np.gradient(a, grid.dx)
-    c = derived_c_profile(a, profile.b_vals, profile.e_minus, grid.dx)
-    return AuxFields(
-        cumulative_charge=charge,
-        a_field=charge / a + c,
-        b_field=-(a_prime / a ** 2) * charge,
-    )

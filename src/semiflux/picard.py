@@ -42,8 +42,9 @@ started from, so the solve returns that iterate and measures nothing
 twice.  Each iterate meets the band 2d <= rho <= M, |m| <= M in one check
 per side, `_admissibility_violation` (which also refuses a non-finite
 momentum) and `_band_check`; a contraction ratio is the quotient of two
-successive distances.  The sweeps run under the np.errstate of the march,
-so an overflowing one is refused with no numpy warning.
+successive distances, by `ContractionReport.ratios` alone.  The sweeps
+run under the np.errstate of the march, so an overflowing one is refused
+with no numpy warning.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .field import solve_field
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, HydroState, total_integral)
 from .monitors import Check
-from .solver import SolverConfig, flux, march_rungs, source
+from .solver import RecordClock, SolverConfig, flux, march_rungs, source
 
 # math.erfc point by point, on a scalar and on an array alike; about 0.1 us
 # a point, where importing scipy.special for its erf costs about 0.25 s
@@ -259,6 +260,12 @@ class ContractionReport:
     # never written to the run's output files
     iteration_s: list = field(default_factory=list)
 
+    @property
+    def ratios(self) -> list:
+        """Each distance over the one before, nan for sweep 0."""
+        d = self.distances
+        return [b / a for a, b in zip([math.nan, *d], d)]
+
 
 @dataclass
 class PicardResult:
@@ -307,9 +314,15 @@ CROSS_TOL_FACTOR = 5.0
 
 def check_t1(t1: float, name: str = "t1"):
     """The slab rule of `picard_solve`: a ConfigurationError naming `name`
-    unless 0 < t1 < inf (nan fails it)."""
+    unless 0 < t1 < inf (nan fails it) and t1 lies past its `RecordClock`'s
+    slack, within which the cross-check march would never record t1."""
     if not 0.0 < t1 < math.inf:
         raise ConfigurationError(f"{name}: need 0 < t1 < inf, got t1 = "
+                                 f"{t1!r}")
+    slack = RecordClock(t1).slack
+    if not t1 > slack:
+        raise ConfigurationError(f"{name}: need t1 past the record clock's "
+                                 f"slack {slack!r} of the start, got t1 = "
                                  f"{t1!r}")
 
 
@@ -403,8 +416,7 @@ def picard_solve(initial: HydroState, profile: DeviceProfile, model: GasModel,
                 break
             report.band_violations.extend(_band_check(sweep, bound))
             violation = _admissibility_violation(sweep, model)
-            if len(report.distances) >= 2:
-                bad = bad + 1 if d / report.distances[-2] >= 1.0 else 0
+            bad = bad + 1 if report.ratios[-1] >= 1.0 else 0
             if violation is not None or bad >= 3 \
                     or len(report.distances) == max_iters:
                 break

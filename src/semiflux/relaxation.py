@@ -307,8 +307,16 @@ def relaxation_study(setup: RunSetup, tau_list,
     stopped, the rung by its tau."""
     grid, profile = setup.grid, setup.profile
     taus = validate_tau_ladder(tau_list)
-    if not horizon > 0.0 or n_s_records < 2:
-        raise ConfigurationError("need horizon > 0 and n_s_records >= 2")
+    if n_s_records < 2:
+        raise ConfigurationError(f"n_s_records: need >= 2, got {n_s_records}")
+    # a clock takes an instant within its slack of the start for the start:
+    # the first s record and its t = s/tau on the largest tau must lie past it
+    for end in (horizon, horizon / taus[0]):
+        slack = RecordClock(end).slack
+        if not end / (n_s_records - 1) > slack:
+            raise ConfigurationError(
+                f"horizon: need horizon / (n_s_records - 1) past the record "
+                f"clock's slack {slack!r}, got horizon = {horizon!r}")
     if (window_lo is None) != (window_hi is None):
         raise ConfigurationError(
             "window_lo and window_hi must be given together")

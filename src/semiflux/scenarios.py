@@ -26,7 +26,8 @@ judges its device against the uniform bound's hypotheses.
 Overrides, a profile table's `a_table` or `b_table` among them, pass
 through `config.coerce`, the cast every config file takes.  `make_setup`
 builds the device for every command, reading no scenario name, into a
-`RunSetup`, the name and its resolved row beside the parts of a run.
+`RunSetup`, the name and its resolved row beside the parts of a run, its
+initial data mollified and lifted to 2 delta here (`prepare_initial`).
 """
 
 from __future__ import annotations
@@ -42,11 +43,48 @@ from .config import (SCENARIO_DEFAULTS, SCENARIO_KEYS, TABLE_KEYS,
 from .model import (Boundary, ConfigurationError, DeviceProfile, GasModel,
                     Grid1D, HydroState, PressureConvention,
                     cumulative_integral, total_integral)
-from .solver import SolverConfig, prepare_initial
+from .solver import SolverConfig
 
 
 def gaussian(x, center: float, width: float):
     return np.exp(-(((np.asarray(x, dtype=float)) - center) / width) ** 2)
+
+
+def gaussian_kernel(width: float, dx: float) -> np.ndarray:
+    """Discrete Gaussian of standard deviation `width`, normalized to sum 1."""
+    half = max(int(math.ceil(4.0 * width / dx)), 1)
+    xs = np.arange(-half, half + 1) * dx
+    k = np.exp(-0.5 * (xs / width) ** 2)
+    return k / k.sum()
+
+
+def prepare_initial(raw_rho, raw_u, model: GasModel, grid: Grid1D,
+                    width: float) -> HydroState:
+    """Offset and mollify raw initial data.
+
+    The raw density is the excess over vacuum (must be >= 0 and decay before
+    the domain edges); both it and the velocity are smoothed with a discrete
+    Gaussian of standard deviation `width` >= 0 (smoothing_width), then
+    the vacuum offset is added so the far field is exactly 2*delta.  Zero
+    width skips the convolution.  The smoothed values are the centred
+    window of the full convolution, so a kernel wider than the grid still
+    gives one value per cell.
+    """
+    if not width >= 0.0:
+        raise ConfigurationError("smoothing_width must be non-negative")
+    n = grid.n_cells
+    raw_rho, raw_u = (np.asarray(v, dtype=float) for v in (raw_rho, raw_u))
+    if raw_rho.shape != (n,) or raw_u.shape != (n,):
+        raise ConfigurationError("raw initial data must match the grid")
+    if np.any(raw_rho < 0.0):
+        raise ConfigurationError("raw excess density must be non-negative")
+    if width > 0.0:
+        k = gaussian_kernel(width, grid.dx)
+        h = (len(k) - 1) // 2
+        raw_rho, raw_u = (np.convolve(v, k, mode="full")[h:h + n]
+                          for v in (raw_rho, raw_u))
+    rho = raw_rho + model.rho_floor
+    return HydroState(rho=rho, mom=rho * raw_u, time=0.0)
 
 
 @dataclass
@@ -129,7 +167,8 @@ def make_setup(name: str, overrides: dict | None = None) -> RunSetup:
                                                    tables.get("b_table"))
     a_vals = tables.get("a_table", a_vals)
     profile = DeviceProfile.build(grid, a_vals, b_vals, p["e_minus"])
-    initial = prepare_initial(raw_rho, raw_u, model, cfg, grid)
+    initial = prepare_initial(raw_rho, raw_u, model, grid,
+                              p["smoothing_width"])
     if grid.boundary is Boundary.PERIODIC:
         excess = initial.rho - model.rho_floor
         net = total_integral(excess - b_vals, grid.dx)

@@ -18,7 +18,8 @@ term, and a cell moves by (0.5 dt/dx) (G_{i+1/2} - G_{i-1/2}).  The face
 viscosity is 0.5 dx alpha + eps: the scheme's own share next to the eps
 it names.  The stiff damping is applied pointwise through its exact
 exponential factor so the update stays stable for tau much smaller than
-dt.
+dt.  This module holds the march alone, a SolverConfig exactly what it
+reads (eps, tau, cfl, t_end, the source); `scenarios` sets up the data.
 
 The march state is resident in one workspace: two padded (2, n+2) blocks of
 (rho, m), one ghost cell per side, each with a HydroState over its interior
@@ -107,7 +108,6 @@ class SolverConfig:
     cfl: float = 0.45
     t_end: float = 1.0
     source_variant: SourceVariant = SourceVariant.FULL_DENSITY
-    smoothing_width: float = 0.0
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -118,8 +118,6 @@ class SolverConfig:
             raise ConfigurationError("cfl must lie in (0, 0.9]")
         if self.t_end < 0.0:
             raise ConfigurationError("t_end must be non-negative")
-        if self.smoothing_width < 0.0:
-            raise ConfigurationError("smoothing_width must be non-negative")
 
 
 # what bounded a step: the advective or the viscous term of the stable-step
@@ -133,42 +131,6 @@ class StepReport:
     dt_used: float
     post_step_min_rho: float
     limit: str
-
-
-def gaussian_kernel(width: float, dx: float) -> np.ndarray:
-    """Discrete Gaussian of standard deviation `width`, normalized to sum 1."""
-    half = max(int(math.ceil(4.0 * width / dx)), 1)
-    xs = np.arange(-half, half + 1) * dx
-    k = np.exp(-0.5 * (xs / width) ** 2)
-    return k / k.sum()
-
-
-def prepare_initial(raw_rho, raw_u, model: GasModel, cfg: SolverConfig,
-                    grid: Grid1D) -> HydroState:
-    """Offset and mollify raw initial data.
-
-    The raw density is the excess over vacuum (must be >= 0 and decay before
-    the domain edges); both it and the velocity are smoothed with a discrete
-    Gaussian, then the vacuum offset is added so the far field is exactly
-    2*delta.  Zero smoothing width skips the convolution.  The smoothed
-    values are the centred window of the full convolution, so a kernel wider
-    than the grid still gives one value per cell.
-    """
-    raw_rho = np.asarray(raw_rho, dtype=float)
-    raw_u = np.asarray(raw_u, dtype=float)
-    if raw_rho.shape != (grid.n_cells,) or raw_u.shape != (grid.n_cells,):
-        raise ConfigurationError("raw initial data must match the grid")
-    if np.any(raw_rho < 0.0):
-        raise ConfigurationError("raw excess density must be non-negative")
-    if cfg.smoothing_width > 0.0:
-        k = gaussian_kernel(cfg.smoothing_width, grid.dx)
-        h, n = (len(k) - 1) // 2, grid.n_cells
-        sm_rho = np.convolve(raw_rho, k, mode="full")[h:h + n]
-        sm_u = np.convolve(raw_u, k, mode="full")[h:h + n]
-    else:
-        sm_rho, sm_u = raw_rho, raw_u
-    rho = sm_rho + model.rho_floor
-    return HydroState(rho=rho, mom=rho * sm_u, time=0.0)
 
 
 def flux(model: GasModel, rho, mom, u=None, excess=None, out=None,

@@ -913,13 +913,42 @@ class TestVerify:
 
     def test_legacy_flux_scheme_echo_still_verifies(self, run_dir):
         # run directories written while the config echo carried a flux
-        # scheme name or a scenario's hypothesis tag must keep verifying
+        # scheme name, a scenario's hypothesis tag or the mollifier's width
+        # must keep verifying
         p = run_dir / "report.json"
         payload = json.loads(p.read_text())
         payload["config"]["flux_scheme"] = "llf"
         payload["config"]["hypothesis_tag"] = "global-existence"
+        payload["config"]["smoothing_width"] = 0.1
         p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         assert main(["verify", str(run_dir), "--picard", "--t1", "0.01"]) == 0
+
+    def test_echo_without_smoothing_width_verifies(self, run_dir, capsys):
+        # the mollifier's width is set-up, read by no audit: an echo
+        # without it verifies, all three audited files byte-identical
+        p = run_dir / "report.json"
+        payload = json.loads(p.read_text())
+        payload["config"].pop("smoothing_width", None)
+        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert main(["verify", str(run_dir)]) == 0
+        assert capsys.readouterr().out.count(
+            ": byte-identical under recomputation\n") == 3
+
+    def test_t1_within_the_record_slack_exits_2_before_the_audit(
+            self, run_dir, capsys, monkeypatch):
+        # the cross-check march's clock takes an instant within its slack
+        # of the start for the start, and would never record t1
+        def no_audit(*args, **kwargs):
+            raise AssertionError("audited a run it cannot cross-check")
+
+        monkeypatch.setattr("semiflux.cli.audited_texts", no_audit)
+        capsys.readouterr()
+        assert main(["verify", str(run_dir), "--picard", "--t1", "1e-13"]) \
+            == 2
+        assert capsys.readouterr() == (
+            "", "error: --t1 1e-13: need t1 past the record clock's slack "
+                "1e-12 of the start, got t1 = 1e-13\n")
 
     @pytest.mark.parametrize("key", ["monitors", "seed"])
     def test_echo_without_audit_key_exits_2(self, run_dir, capsys, key):
@@ -1082,6 +1111,23 @@ class TestPicardCommand:
             "cell\n")
         assert not out.exists()
 
+    def test_t1_within_the_record_slack_exits_2_before_any_march(
+            self, tmp_path, capsys, monkeypatch):
+        # the cross-check march's clock takes an instant within its slack
+        # of the start for the start, and would never record t1
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched to a t1 it cannot record")
+
+        monkeypatch.setattr("semiflux.solver.run", no_march)
+        cfg = write_cfg(tmp_path, "n_cells = 100\nepsilon = 0.01\n"
+                                  "t1 = 5e-13\n")
+        out = tmp_path / "pic"
+        assert main(["picard", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: t1: need t1 past the record clock's slack 1e-12 of "
+                "the start, got t1 = 5e-13\n")
+        assert not out.exists()
+
     def test_periodic_rest_state_agrees_exactly(self, tmp_path, capsys):
         # a periodic slab has no edges: the rest state is its fixed point
         cfg = write_cfg(tmp_path, "scenario = charge-neutral-rest\n"
@@ -1121,6 +1167,25 @@ class TestPicardCommand:
 
 
 class TestRelaxCommand:
+    def test_horizon_within_the_record_slack_exits_2_before_any_march(
+            self, tmp_path, capsys, monkeypatch):
+        # every s record of a horizon of 1e-14 lies within the clock's
+        # slack of the start, which the reference would take for the start
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched to records it cannot keep")
+
+        monkeypatch.setattr("semiflux.relaxation.drift_diffusion_run",
+                            no_march)
+        monkeypatch.setattr("semiflux.solver.run", no_march)
+        cfg = write_cfg(tmp_path, "n_cells = 200\ntau_list = 0.2, 0.1, 0.05\n"
+                                  "horizon = 1e-14\n")
+        out = tmp_path / "relax"
+        assert main(["relax", "--config", cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: horizon: need horizon / (n_s_records - 1) past the "
+                "record clock's slack 1e-12, got horizon = 1e-14\n")
+        assert not out.exists()
+
     def test_unset_study_keys_take_the_library_defaults(self, tmp_path):
         base = ("scenario = gaussian-bump\nx_min = -4\nx_max = 4\n"
                 "n_cells = 40\ntau_list = 0.2 0.1 0.05\n")
@@ -1372,6 +1437,15 @@ class TestModuleEntry:
     def test_public_names_resolve(self):
         missing = [n for n in semiflux.__all__ if not hasattr(semiflux, n)]
         assert missing == []
+
+    def test_solver_config_holds_what_the_march_reads(self):
+        # the initial-data set-up lives in scenarios, and its width is no
+        # field of the march's settings
+        solver = importlib.import_module("semiflux.solver")
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "epsilon", "tau", "cfl", "t_end", "source_variant"]
+        assert not {"prepare_initial", "gaussian_kernel"} & set(vars(solver))
+        assert semiflux.prepare_initial.__module__ == "semiflux.scenarios"
 
     def test_benchmark_trace_targets_resolve(self):
         # perfbench traces these functions by name and lists a missing one

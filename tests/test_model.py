@@ -5,14 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from semiflux.model import (Boundary, ConfigurationError, DeviceProfile,
-                            GasModel, Grid1D, HydroState, PressureConvention,
-                            build_aux_fields, cumulative_integral,
-                            derived_c_profile, total_integral)
+                            GasModel, Grid1D, PressureConvention,
+                            cumulative_integral, derived_c_profile,
+                            total_integral)
 
 from semiflux.monitors import _check_profile
 
-from helpers import (cell_flux, p1_quadrature, sound_integral_quadrature,
-                     uniform_profile)
+from helpers import cell_flux, p1_quadrature, sound_integral_quadrature
 
 OOG = PressureConvention.ONE_OVER_GAMMA
 PLAIN = PressureConvention.PLAIN
@@ -389,48 +388,6 @@ class TestProfileValidation:
         c = derived_c_profile(a, np.zeros(n), 1.0, self.grid.dx)
         assert np.array_equal(c[:n // 2], np.ones(n // 2))
         assert np.all(np.isnan(c[n // 2:]))
-
-
-class TestAuxFields:
-    def setup_method(self):
-        self.grid = Grid1D(x_min=-5.0, x_max=5.0, n_cells=200,
-                           boundary=Boundary.OUTFLOW)
-        self.model = make_model(2.0, delta=0.05)
-
-    def test_constant_state_reduces_to_c(self):
-        prof = uniform_profile(self.grid, a=1.3, b=0.0, e_minus=0.7)
-        rho = np.full(self.grid.n_cells, self.model.rho_floor)
-        state = HydroState(rho=rho, mom=np.zeros_like(rho))
-        aux = build_aux_fields(state, prof, self.model, self.grid)
-        assert np.allclose(aux.cumulative_charge, 0.0, atol=0)
-        assert np.allclose(aux.a_field, 0.7 / 1.3, atol=0)
-
-    def test_constant_damping_kills_b(self):
-        prof = uniform_profile(self.grid, a=2.0, b=0.0, e_minus=1.0)
-        rho = self.model.rho_floor + np.exp(-self.grid.centers ** 2)
-        state = HydroState(rho=rho, mom=np.zeros_like(rho))
-        aux = build_aux_fields(state, prof, self.model, self.grid)
-        assert np.allclose(aux.b_field, 0.0, atol=1e-14)
-
-    def test_decreasing_damping_gives_nonnegative_b(self):
-        a, b = ramp_profile(self.grid)
-        prof = DeviceProfile.build(self.grid, a, b, 1.0)
-        assert _check_profile(prof, self.grid.dx) is None
-        rho = self.model.rho_floor + 0.5 * np.exp(-self.grid.centers ** 2)
-        state = HydroState(rho=rho, mom=np.zeros_like(rho))
-        aux = build_aux_fields(state, prof, self.model, self.grid)
-        assert np.all(aux.b_field >= -1e-13)
-
-    def test_a_field_uniform_bound(self):
-        a, b = ramp_profile(self.grid)
-        prof = DeviceProfile.build(self.grid, a, b, 1.0)
-        rho = self.model.rho_floor + 0.5 * np.exp(-self.grid.centers ** 2)
-        state = HydroState(rho=rho, mom=np.zeros_like(rho))
-        aux = build_aux_fields(state, prof, self.model, self.grid)
-        mass = total_integral(rho - self.model.rho_floor, self.grid.dx)
-        c = derived_c_profile(a, b, 1.0, self.grid.dx)
-        bound = float(np.max(c)) + mass / float(np.min(a))
-        assert np.all(aux.a_field <= bound + 1e-12)
 
 
 class TestModelValidation:

@@ -17,6 +17,7 @@ from helpers import (NEUTRAL_PERIODIC, centred_weights, circular_reference,
                      conv_circular, conv_full_sliced, conv_same,
                      picard_step_reference, uniform_profile)
 from semiflux import (
+    ContractionReport,
     DeviceProfile,
     GasModel,
     Grid1D,
@@ -342,14 +343,13 @@ class TestHeatEvolution:
 
 
 class TestContraction:
-    def make_bump(self, n_cells=150, epsilon=0.01):
+    def make_bump(self, n_cells=150):
         grid = Grid1D(-5.0, 5.0, n_cells)
         model = GasModel(gamma=1.4, delta=0.05)
         profile = uniform_profile(grid)
-        cfg = SolverConfig(epsilon=epsilon, smoothing_width=0.1)
         x = grid.centers
         raw = 0.8 * np.exp(-(x / 0.8) ** 2)
-        init = prepare_initial(raw, 0.4 * np.ones_like(raw), model, cfg, grid)
+        init = prepare_initial(raw, 0.4 * np.ones_like(raw), model, grid, 0.1)
         return grid, model, profile, init
 
     def test_short_slab_contracts(self):
@@ -403,6 +403,38 @@ class TestContraction:
                     {"t1": 0.1, "tol": math.inf}):
             with pytest.raises(ValueError):
                 picard_solve(init, profile, model, cfg, grid, **bad)
+
+
+class TestContractionRatios:
+    def test_each_sweep_has_its_ratio_beside_its_distance(self):
+        # sweep 0 has no distance before it, so no ratio
+        ratios = ContractionReport(distances=[0.5, 0.25, 0.2]).ratios
+        assert math.isnan(ratios[0]) and ratios[1:] == [0.5, 0.8]
+
+    def test_no_sweep_has_no_ratio(self):
+        # a first guess refused as inadmissible leaves no distance
+        assert ContractionReport().ratios == []
+
+    def test_three_ratios_at_least_one_stop_the_solve(self, monkeypatch):
+        # admissible sweeps whose distances double: the ratios the solve
+        # counts are the report's, and the third at or above 1 ends it
+        grid = Grid1D(-5.0, 5.0, 40)
+        model = GasModel(gamma=1.4, delta=0.05)
+        init = HydroState(rho=np.full(40, 1.0), mom=np.zeros(40))
+        sweeps = iter([0.1, 0.3, 0.7, 1.5, 3.1])
+
+        def growing(prev, *args, **kwargs):
+            return PicardIterate(rho=np.ones_like(prev.rho),
+                                 mom=np.full_like(prev.mom, next(sweeps)))
+
+        monkeypatch.setattr(picard_module, "picard_step", growing)
+        rep = picard_solve(init, uniform_profile(grid), model,
+                           SolverConfig(epsilon=0.01), grid, t1=0.02,
+                           n_intervals=4).report
+        assert rep.diverged and not rep.converged
+        assert rep.band_violations == []
+        assert len(rep.distances) == 4
+        assert rep.ratios[1:] == pytest.approx([2.0, 2.0, 2.0])
 
 
 class TestOneResidualPerSolve:

@@ -462,7 +462,8 @@ class TestRelaxationStudy:
         assert setup.model == GasModel(
             gamma=2.0, delta=0.05,
             pressure_convention=PressureConvention.ONE_OVER_GAMMA)
-        assert (setup.cfg.cfl, setup.cfg.smoothing_width) == (0.45, 0.0)
+        assert (setup.cfg.cfl, setup.params["smoothing_width"]) == (0.45,
+                                                                    0.0)
 
     def test_coupled_ladder_errors_shrink(self):
         result = relaxation_study(

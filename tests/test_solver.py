@@ -2,7 +2,7 @@
 
 Covers the physical flux on frozen inputs, exact fixed points of the full
 update, discrete conservation under periodic wrap, the closed-form friction
-decay, initial-data preparation, and the bookkeeping of run().
+decay, and the bookkeeping of run().
 """
 
 import math
@@ -33,11 +33,10 @@ from semiflux import (
 )
 from semiflux.field import solve_field
 from semiflux.scenarios import make_setup
-from semiflux.solver import flux, gaussian_kernel, march_rungs
+from semiflux.solver import flux, march_rungs
 
 import semiflux.solver as solver_mod
-from helpers import (conv_same, run_reference, step_reference,
-                     uniform_profile)
+from helpers import run_reference, step_reference, uniform_profile
 
 
 def uniform_setup(n_cells=64, boundary=Boundary.PERIODIC, gamma=1.4,
@@ -80,19 +79,6 @@ class TestFlux:
         assert f1[0] == pytest.approx((rho - 0.1) * u, rel=1e-12, abs=1e-14)
 
 
-class TestGaussianKernel:
-    def test_normalized_and_symmetric(self):
-        k = gaussian_kernel(0.25, 0.02)
-        assert k.sum() == pytest.approx(1.0, abs=1e-14)
-        assert np.allclose(k, k[::-1])
-
-    def test_support_covers_four_widths(self):
-        dx = 0.05
-        k = gaussian_kernel(0.3, dx)
-        half = (len(k) - 1) // 2
-        assert half * dx >= 4 * 0.3 - dx
-
-
 class TestFixedPoints:
     @pytest.mark.parametrize("boundary", [Boundary.OUTFLOW, Boundary.PERIODIC])
     @pytest.mark.parametrize("variant",
@@ -132,7 +118,7 @@ class TestConservation:
             n_cells=200, epsilon=1e-3, t_end=3.0, tau=0.5)
         x = grid.centers
         raw = 0.8 * np.exp(-x ** 2)
-        state = prepare_initial(raw, np.zeros_like(raw), model, cfg, grid)
+        state = prepare_initial(raw, np.zeros_like(raw), model, grid, 0.0)
         traj = run(state, profile, model, cfg, grid, cadence=10 ** 6)
         m0 = total_integral(traj.rho[0], grid.dx)
         m1 = total_integral(traj.rho[-1], grid.dx)
@@ -145,7 +131,8 @@ class TestConservation:
             n_cells=150, boundary=Boundary.OUTFLOW, epsilon=1e-3, t_end=0.8)
         x = grid.centers
         raw = 0.9 * np.exp(-(x / 0.7) ** 2)
-        state = prepare_initial(raw, 0.5 * np.ones_like(raw), model, cfg, grid)
+        state = prepare_initial(raw, 0.5 * np.ones_like(raw), model, grid,
+                                0.0)
         traj = run(state, profile, model, cfg, grid, cadence=20)
         masses = [total_integral(rho, grid.dx) for rho in traj.rho]
         diffs = np.diff(masses)
@@ -273,80 +260,6 @@ class TestLinearMode:
                       ("full-density", 1.0, "plain")):
             _, got = self.march(500, *wrong)
             assert self.error(got, want) > 0.08
-
-
-class TestPrepareInitial:
-    def test_zero_data_gives_exact_floor(self):
-        grid, model, _, cfg = uniform_setup(smoothing_width=0.2)
-        z = np.zeros(grid.n_cells)
-        state = prepare_initial(z, z, model, cfg, grid)
-        assert np.all(state.rho == model.rho_floor)
-        assert np.all(state.mom == 0.0)
-
-    def test_mollifier_preserves_excess_mass(self):
-        grid, model, _, cfg = uniform_setup(n_cells=400, smoothing_width=0.15)
-        x = grid.centers
-        raw = 0.9 * np.exp(-(x / 0.4) ** 2)
-        state = prepare_initial(raw, np.zeros_like(raw), model, cfg, grid)
-        assert (total_integral(state.rho - model.rho_floor, grid.dx)
-                == pytest.approx(total_integral(raw, grid.dx), rel=1e-8))
-
-    def test_mollifier_flattens_peak(self):
-        grid, model, _, cfg = uniform_setup(n_cells=400, smoothing_width=0.3)
-        x = grid.centers
-        raw = np.exp(-(x / 0.2) ** 2)
-        state = prepare_initial(raw, np.zeros_like(raw), model, cfg, grid)
-        assert np.max(state.rho - model.rho_floor) < np.max(raw)
-
-    def test_zero_width_is_identity(self):
-        grid, model, _, cfg = uniform_setup(smoothing_width=0.0)
-        x = grid.centers
-        raw = np.exp(-x ** 2)
-        state = prepare_initial(raw, np.zeros_like(raw), model, cfg, grid)
-        assert np.array_equal(state.rho, raw + model.rho_floor)
-
-    def test_fitting_kernel_keeps_same_mode_bits(self):
-        # the centred window of the full convolution is np.convolve's
-        # 'same' mode wherever the kernel is no longer than the grid
-        grid, model, _, cfg = uniform_setup(n_cells=500, smoothing_width=0.1)
-        x = grid.centers
-        raw, u = 0.8 * np.exp(-(x / 0.5) ** 2), 0.3 * np.sin(x)
-        state = prepare_initial(raw, u, model, cfg, grid)
-        k = gaussian_kernel(cfg.smoothing_width, grid.dx)
-        assert len(k) < grid.n_cells
-        rho = conv_same(raw, k) + model.rho_floor
-        assert np.array_equal(state.rho, rho)
-        assert np.array_equal(state.mom, rho * conv_same(u, k))
-
-    def test_kernel_wider_than_grid(self):
-        # 20 cells of width 0.5 against a 49-point kernel: one smoothed
-        # value per cell, and the state marches
-        grid, model, profile, cfg = uniform_setup(
-            n_cells=20, boundary=Boundary.OUTFLOW, smoothing_width=3.0,
-            t_end=0.1)
-        raw = 0.8 * np.exp(-(grid.centers / 0.5) ** 2)
-        k = gaussian_kernel(cfg.smoothing_width, grid.dx)
-        assert len(k) == 49
-        state = prepare_initial(raw, np.zeros_like(raw), model, cfg, grid)
-        assert state.rho.shape == state.mom.shape == (grid.n_cells,)
-        h = (len(k) - 1) // 2
-        assert np.array_equal(
-            state.rho,
-            np.convolve(raw, k, mode="full")[h:h + 20] + model.rho_floor)
-        traj = run(state, profile, model, cfg, grid)
-        assert traj.completed
-
-    def test_negative_excess_rejected(self):
-        grid, model, _, cfg = uniform_setup()
-        bad = np.full(grid.n_cells, -1e-3)
-        with pytest.raises(ValueError):
-            prepare_initial(bad, np.zeros(grid.n_cells), model, cfg, grid)
-
-    def test_shape_mismatch_rejected(self):
-        grid, model, _, cfg = uniform_setup()
-        with pytest.raises(ConfigurationError):
-            prepare_initial(np.zeros(grid.n_cells + 1),
-                            np.zeros(grid.n_cells + 1), model, cfg, grid)
 
 
 class TestStepMechanics:
@@ -1193,7 +1106,7 @@ class TestSelfConsistency:
             x = grid.centers
             raw = 0.8 * np.exp(-(x / 0.6) ** 2)
             init = prepare_initial(raw, 0.3 * np.ones_like(raw),
-                                   model, cfg, grid)
+                                   model, grid, 0.0)
             parts = SimpleNamespace(grid=grid, model=model, profile=profile,
                                     cfg=cfg)
             rungs.append((parts, init, [cfg.t_end]))

@@ -71,6 +71,15 @@ def inputs() -> dict:
     files["cfg/no-monitor-named.cfg"] = ("scenario = gaussian-bump\n"
                                          "n_cells = 60\nt_end = 0.5\n"
                                          "cadence = 1\nmonitors = ,\n")
+    # the mollifier at a width other than the default
+    files["cfg/smoothing-wide.cfg"] = ("scenario = gaussian-bump\n"
+                                       "n_cells = 200\nt_end = 0.5\n"
+                                       "smoothing_width = 0.3\n")
+    # horizons inside the record clock's slack of the start
+    files["cfg/picard-t1-in-slack.cfg"] = ("n_cells = 100\nepsilon = 0.01\n"
+                                           "t1 = 5e-13\n")
+    files["cfg/relax-horizon-in-slack.cfg"] = (
+        "n_cells = 200\ntau_list = 0.2, 0.1, 0.05\nhorizon = 1e-14\n")
     return files
 
 
@@ -100,6 +109,10 @@ COMMANDS = (
     _on("relax", "relax-undamped"),
     _on("solve", "negative-seed"),
     _on("solve", "no-monitor-named"),
+    _on("solve", "smoothing-wide"),
+    ["verify", "runs/smoothing-wide", "--picard", "--t1", "1e-13"],
+    _on("picard", "picard-t1-in-slack"),
+    _on("relax", "relax-horizon-in-slack"),
 )
 
 
